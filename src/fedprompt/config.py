@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .data import MasterDataset, SyntheticSpec, generate_synthetic_dataset, load_feature_table
 from .errors import ConfigError, FedPromptError
 from .evaluation import SCENARIO_KINDS, ZERO_SHOT_METHOD, ExperimentPlan, ScenarioSpec
-from .federation import PROTOCOL_DEFAULTS, PROTOCOLS, FederationConfig
+from .federation import FederationConfig
 from .vlm import ENCODER_VARIANTS, ModelConfig
 from .algorithms import TRAINER_KINDS
 from . import rngs
@@ -184,31 +184,17 @@ def _build(values: dict[str, dict[str, object]]) -> ExperimentConfig:
     if not exp["seeds"]:
         raise ConfigError("experiment.seeds: need at least one seed")
 
-    protocol = fed["protocol"]
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"federation.protocol: unknown protocol {protocol!r}")
-    default_clients, default_fraction = PROTOCOL_DEFAULTS[protocol]
-    num_clients = fed["num_clients"] if fed["num_clients"] is not None else default_clients
-    fraction = (fed["participation_fraction"]
-                if fed["participation_fraction"] is not None else default_fraction)
-    if fed["rounds"] < 1:
-        raise ConfigError(f"federation.rounds: must be >= 1, got {fed['rounds']}")
-    if fed["local_epochs"] < 0:
-        raise ConfigError(f"federation.local_epochs: must be >= 0, got {fed['local_epochs']}")
-    if fed["batch_size"] < 1:
-        raise ConfigError(f"federation.batch_size: must be >= 1, got {fed['batch_size']}")
-    if fed["lr"] <= 0:
-        raise ConfigError(f"federation.lr: must be positive, got {fed['lr']}")
-    if not (0.0 <= fed["momentum"] < 1.0):
-        raise ConfigError(f"federation.momentum: must lie in [0, 1), got {fed['momentum']}")
+    # unset client count and participation fall back to the protocol's defaults
+    overrides = {key: fed[key] for key in ("num_clients", "participation_fraction")
+                 if fed[key] is not None}
     try:
-        federation = FederationConfig(
-            protocol=protocol, num_clients=num_clients, participation_fraction=fraction,
-            rounds=fed["rounds"], local_epochs=fed["local_epochs"], batch_size=fed["batch_size"],
-            lr0=fed["lr"], momentum=fed["momentum"], eval_every=fed["eval_every"],
+        federation = FederationConfig.for_protocol(
+            fed["protocol"], rounds=fed["rounds"], local_epochs=fed["local_epochs"],
+            batch_size=fed["batch_size"], lr0=fed["lr"], momentum=fed["momentum"],
+            eval_every=fed["eval_every"], **overrides,
         )
-    except FedPromptError as exc:
-        raise ConfigError(f"federation: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"federation.{exc}") from exc
 
     if mdl["encoder"] not in ENCODER_VARIANTS:
         raise ConfigError(f"model.encoder: unknown variant {mdl['encoder']!r}")
@@ -227,6 +213,13 @@ def _build(values: dict[str, dict[str, object]]) -> ExperimentConfig:
         raise ConfigError(f"data.classes: must be >= 2, got {dat['classes']}")
     if dat["alpha"] <= 0:
         raise ConfigError(f"data.alpha: must be positive, got {dat['alpha']}")
+    entries_by_name: dict[str, str] = {}
+    for entry in dat["datasets"]:
+        name = dataset_display_name(entry)
+        if name in entries_by_name:
+            raise ConfigError(f"data.datasets: {entries_by_name[name]!r} and {entry!r} both "
+                              f"name the dataset {name!r}")
+        entries_by_name[name] = entry
     has_synthetic = any(name.split("#")[0] == "synthetic" for name in dat["datasets"])
     if has_synthetic and dat["feature_dim"] != model.d_image:
         raise ConfigError(

@@ -468,8 +468,8 @@ def _cell_cross_domain(spec, method, dataset_name, master, seed, plan):
 
     def eval_fn(server, clients_, round_index):
         metrics = {}
+        predictor = trainer.build_predictor(server.payload, assets)
         for tgt, shifted in targets.items():
-            predictor = trainer.build_predictor(server.payload, assets)
             test = shifted.subset(te)
             metrics[f"acc::{tgt}"] = evaluate_predictor(
                 predictor, test.features, test.labels, None, test.local_maps)

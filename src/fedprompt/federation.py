@@ -32,6 +32,12 @@ PROTOCOL_DEFAULTS = {
 
 @dataclass
 class FederationConfig:
+    """Round schedule and optimizer settings; the single check of their values.
+
+    Errors name the config key (`lr0` is the key `lr`); the config parser
+    adds the `federation.` section prefix.
+    """
+
     protocol: str = "standard"
     num_clients: int = 10
     participation_fraction: float = 1.0
@@ -44,23 +50,29 @@ class FederationConfig:
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"federation.protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
+            raise ConfigError(f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}")
         if not (0.0 < self.participation_fraction <= 1.0):
             raise ConfigError(
-                f"federation.participation_fraction must lie in (0, 1], got {self.participation_fraction}"
+                f"participation_fraction: must lie in (0, 1], got {self.participation_fraction}"
             )
         if self.num_clients < 1:
-            raise ConfigError(f"federation.num_clients must be >= 1, got {self.num_clients}")
+            raise ConfigError(f"num_clients: must be >= 1, got {self.num_clients}")
         if self.rounds < 1:
-            raise ConfigError(f"federation.rounds must be >= 1, got {self.rounds}")
+            raise ConfigError(f"rounds: must be >= 1, got {self.rounds}")
         if self.local_epochs < 0:
-            raise ConfigError(f"federation.local_epochs must be >= 0, got {self.local_epochs}")
+            raise ConfigError(f"local_epochs: must be >= 0, got {self.local_epochs}")
         if self.batch_size < 1:
-            raise ConfigError(f"federation.batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
+        if not self.lr0 > 0:
+            raise ConfigError(f"lr: must be positive, got {self.lr0}")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ConfigError(f"momentum: must lie in [0, 1), got {self.momentum}")
+        if self.eval_every < 1:
+            raise ConfigError(f"eval_every: must be >= 1, got {self.eval_every}")
         if self.protocol == "centralized" and self.num_clients != 1:
-            raise ConfigError("centralized protocol uses exactly one client")
+            raise ConfigError("num_clients: the centralized protocol uses exactly one client")
         if self.protocol in ("standard", "personalized", "centralized") and self.participation_fraction != 1.0:
-            raise ConfigError(f"{self.protocol} protocol uses full participation")
+            raise ConfigError(f"participation_fraction: the {self.protocol} protocol uses full participation")
 
     @classmethod
     def for_protocol(cls, protocol: str, **overrides) -> "FederationConfig":

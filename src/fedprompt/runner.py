@@ -19,6 +19,7 @@ from .config import (
     parse_config_text,
     serialize_config,
 )
+from .data import MasterDataset
 from .errors import EvaluationError
 from .evaluation import MetricTable, ZERO_SHOT_METHOD, aggregate_runs, run_cell
 
@@ -56,14 +57,34 @@ def plan_cells(config: ExperimentConfig, seed_offset: int = 0) -> list[Cell]:
     ]
 
 
+# config text -> (config, datasets) parsed and materialized from it. Filled
+# by _execute_cell, so a process parses and loads each run's inputs once
+# instead of once per cell; run() empties it once its cells are done.
+_RUN_INPUTS: dict[str, tuple[ExperimentConfig, dict[str, MasterDataset]]] = {}
+
+
+def _run_inputs(config_text: str) -> tuple[ExperimentConfig, dict[str, MasterDataset]]:
+    inputs = _RUN_INPUTS.get(config_text)
+    if inputs is None:
+        config = parse_config_text(config_text)
+        datasets = materialize_datasets(config)
+        for master in datasets.values():
+            for array in (master.features, master.labels, master.domain_tags):
+                if array is not None:
+                    array.flags.writeable = False
+        inputs = _RUN_INPUTS[config_text] = (config, datasets)
+    return inputs
+
+
 def _execute_cell(args: tuple[str, str, str, str, int]) -> tuple[dict, list, list, str | None]:
     """Worker entry point; takes only picklable primitives."""
     config_text, scenario, method, dataset, seed = args
     cell_key = {"scenario": scenario, "method": method, "dataset": dataset, "seed": seed}
     try:
-        config = parse_config_text(config_text)
-        datasets = materialize_datasets(config)
-        master = datasets[dataset]
+        config, datasets = _run_inputs(config_text)
+        # a fresh dataset over the shared read-only arrays, so local maps
+        # and other per-cell state never carry over to the next cell
+        master = replace(datasets[dataset])
         spec = config.scenario_spec(scenario)
         result = run_cell(spec, method, dataset, master, seed, config.plan())
         observations = [
@@ -98,11 +119,14 @@ def run(config: ExperimentConfig, jobs: int = 1, dry_run: bool = False,
     if seed_offset:
         config_text = serialize_config(replace(config, seeds=[s + seed_offset for s in config.seeds]))
     work = [(config_text, c.scenario, c.method, c.dataset, c.seed) for c in cells]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_execute_cell, work))
-    else:
-        outcomes = [_execute_cell(item) for item in work]
+    try:
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                outcomes = list(pool.map(_execute_cell, work))
+        else:
+            outcomes = [_execute_cell(item) for item in work]
+    finally:
+        _RUN_INPUTS.clear()
 
     table = MetricTable()
     curves: list[dict] = []
@@ -116,24 +140,33 @@ def run(config: ExperimentConfig, jobs: int = 1, dry_run: bool = False,
         curves.extend(cell_curves)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_results_csv(out_dir / RESULTS_CSV, table)
-    _write_results_json(out_dir / RESULTS_JSON, table)
-    _write_curves(out_dir / CURVES_JSONL, curves)
+    _write_atomic(out_dir / RESULTS_CSV, _results_csv_text(table))
+    _write_atomic(out_dir / RESULTS_JSON, _results_json_text(table))
+    _write_atomic(out_dir / CURVES_JSONL, _curves_text(curves))
     if failures:
-        with open(out_dir / FAILURES_JSON, "w", encoding="utf-8") as fh:
-            json.dump(failures, fh, indent=2, sort_keys=True)
+        _write_atomic(out_dir / FAILURES_JSON, json.dumps(failures, indent=2, sort_keys=True))
+    else:  # a manifest left by an earlier run into this directory
+        (out_dir / FAILURES_JSON).unlink(missing_ok=True)
     return RunResult(exit_code=1 if failures else 0, table=table,
                      output_dir=out_dir, failures=failures)
 
 
-def _write_results_csv(path: Path, table: MetricTable) -> None:
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text beside path, then rename it over path, so readers never see half a file."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def _results_csv_text(table: MetricTable) -> str:
     lines = ["scenario,method,dataset,seed,metric,value"]
     for o in table.sorted_observations():
         lines.append(f"{o.scenario},{o.method},{o.dataset},{o.seed},{o.metric},{o.value!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
-def _write_results_json(path: Path, table: MetricTable) -> None:
+def _results_json_text(table: MetricTable) -> str:
     tree: dict = {}
     for o in table.sorted_observations():
         entry = (
@@ -151,17 +184,15 @@ def _write_results_json(path: Path, table: MetricTable) -> None:
                     metric["mean"] = mean
                     metric["std"] = std
                     metric["n_runs"] = len(metric["values"])
-    path.write_text(json.dumps(tree, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
-def _write_curves(path: Path, curves: list[dict]) -> None:
+def _curves_text(curves: list[dict]) -> str:
     ordered = sorted(
         curves,
         key=lambda r: (r["scenario"], r["method"], r["dataset"], r["seed"], r["round"]),
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in ordered:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in ordered)
 
 
 # ---------------------------------------------------------------------------

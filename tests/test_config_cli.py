@@ -14,11 +14,24 @@ from fedprompt.config import (
     parse_config_text,
     serialize_config,
 )
-from fedprompt.data import MasterDataset, save_feature_table
+from fedprompt import runner
+from fedprompt.data import MasterDataset, SyntheticSpec, generate_synthetic_dataset, save_feature_table
 from fedprompt.errors import ConfigError
 from fedprompt.runner import load_results_csv, plan_cells, report, run
 
 TOY = Path(__file__).resolve().parent.parent / "configs" / "toy.ini"
+
+
+def write_table(path: Path, seed: int) -> None:
+    spec = SyntheticSpec(classes=4, feature_dim=16, samples_per_class=20)
+    save_feature_table(generate_synthetic_dataset(spec, np.random.default_rng(seed)), str(path))
+
+
+def table_config_text(path: Path, methods: str = "promptfl") -> str:
+    return (f"[experiment]\nmethods = {methods}\nseeds = 0\n"
+            "[federation]\nnum_clients = 2\nrounds = 1\nbatch_size = 8\n"
+            "[model]\nd_token = 8\nd_feature = 16\nd_image = 16\n"
+            f"[data]\ndatasets = {path}\nper_class_subsample = 6\n")
 
 
 class TestParsing:
@@ -83,6 +96,26 @@ class TestParsing:
     def test_feature_dim_must_match_model(self):
         with pytest.raises(ConfigError, match="feature_dim"):
             parse_config_text("[data]\nfeature_dim = 32\n")
+
+    def test_repeated_dataset_rejected(self):
+        with pytest.raises(ConfigError, match="data.datasets"):
+            parse_config_text("[data]\ndatasets = synthetic,synthetic\n")
+
+    def test_colliding_table_names_rejected(self):
+        # both files would be reported under the one column 'feat'
+        with pytest.raises(ConfigError, match="data.datasets.*'feat'"):
+            parse_config_text("[data]\ndatasets = a/feat.txt,b/feat.txt\n")
+
+    @pytest.mark.parametrize("key,value", [
+        ("eval_every", "0"), ("lr", "0"), ("lr", "-0.01"), ("momentum", "1.0"), ("momentum", "-0.1"),
+    ])
+    def test_federation_values_checked_at_parse_time(self, key, value):
+        with pytest.raises(ConfigError, match=f"federation.{key}:"):
+            parse_config_text(f"[federation]\n{key} = {value}\n")
+
+    def test_unknown_protocol_names_key(self):
+        with pytest.raises(ConfigError, match="federation.protocol"):
+            parse_config_text("[federation]\nprotocol = gossip\n")
 
 
 class TestMaterialize:
@@ -154,14 +187,53 @@ class TestRunner:
 
     def test_failure_manifest_and_exit_code(self, tmp_path):
         # a file dataset that disappears before the run produces a failure
-        # manifest and nonzero exit, while healthy cells still complete
-        text = (f"[experiment]\nmethods = promptfl\nseeds = 0\n"
-                f"[data]\ndatasets = {tmp_path}/gone.txt\n")
-        cfg = parse_config_text(text)
+        # manifest entry for every planned cell and a nonzero exit
+        cfg = parse_config_text(table_config_text(tmp_path / "gone.txt", methods="promptfl,zsclip"))
         result = run(cfg, output_dir=str(tmp_path / "out"))
         assert result.exit_code == 1
         manifest = json.loads((tmp_path / "out" / "failures.json").read_text())
-        assert len(manifest) == 1
+        assert sorted(entry["cell"]["method"] for entry in manifest) == ["promptfl", "zsclip"]
+
+    def test_successful_rerun_removes_stale_failures(self, tmp_path):
+        table = tmp_path / "feat.txt"
+        cfg = parse_config_text(table_config_text(table))
+        assert run(cfg, output_dir=str(tmp_path / "out")).exit_code == 1
+        assert (tmp_path / "out" / "failures.json").exists()
+        write_table(table, seed=0)
+        assert run(cfg, output_dir=str(tmp_path / "out")).exit_code == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            ["curves.jsonl", "results.csv", "results.json"]
+
+    def test_datasets_loaded_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(config):
+            calls.append(config)
+            return materialize_datasets(config)
+
+        monkeypatch.setattr(runner, "materialize_datasets", counting)
+        cfg = parse_config(str(TOY))
+        assert run(cfg, output_dir=str(tmp_path / "out")).exit_code == 0
+        assert len(plan_cells(cfg)) == 4 and len(calls) == 1
+        assert not runner._RUN_INPUTS
+
+    def test_second_run_reads_rewritten_table(self, tmp_path):
+        table = tmp_path / "t" / "feat.txt"
+        table.parent.mkdir()
+        cfg = parse_config_text(table_config_text(table))
+        write_table(table, seed=0)
+        run(cfg, output_dir=str(tmp_path / "first"))
+        write_table(table, seed=1)
+        run(cfg, output_dir=str(tmp_path / "second"))
+        # reference: the rewritten table under another directory, same column name
+        fresh = tmp_path / "fresh" / "feat.txt"
+        fresh.parent.mkdir()
+        write_table(fresh, seed=1)
+        run(parse_config_text(table_config_text(fresh)), output_dir=str(tmp_path / "ref"))
+        for name in ("results.csv", "curves.jsonl"):
+            second = (tmp_path / "second" / name).read_bytes()
+            assert second == (tmp_path / "ref" / name).read_bytes()
+            assert second != (tmp_path / "first" / name).read_bytes()
 
     def test_results_csv_schema(self, tmp_path):
         cfg = parse_config(str(TOY))
@@ -240,6 +312,19 @@ class TestCLI:
         bad.write_text("[federation]\nrounds = -1\n")
         assert main(["validate", str(bad)]) == 2
         assert "federation.rounds" in capsys.readouterr().err
+
+    def test_validate_rejects_zero_eval_every(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[federation]\neval_every = 0\n")
+        assert main(["validate", str(bad)]) == 2
+        assert "federation.eval_every" in capsys.readouterr().err
+
+    def test_run_rejects_duplicate_datasets(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[data]\ndatasets = synthetic,synthetic\n")
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "data.datasets" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_and_report(self, tmp_path, capsys):
         rc = main(["run", str(TOY), "--out", str(tmp_path / "out")])

@@ -21,6 +21,7 @@ from fedprompt.data import (
     stratified_split,
 )
 from fedprompt.errors import ConfigError, DataError
+from fedprompt.vlm import unit_rows
 from fedprompt import rngs
 
 
@@ -106,6 +107,67 @@ class TestDomainShift:
     def test_nonfinite_parameters(self, dataset):
         with pytest.raises(ConfigError):
             apply_domain_shift(dataset, DomainShift(angle=np.inf))
+
+    @pytest.mark.parametrize("planes", [((0, 0),), ((0, 32),), ((-1, 2),)])
+    def test_bad_plane_rejected(self, dataset, planes):
+        with pytest.raises(ConfigError, match="plane"):
+            apply_domain_shift(dataset, DomainShift(angle=0.4, planes=planes))
+
+
+def dense_rotation(d: int, shift: DomainShift) -> np.ndarray:
+    """Oracle: product of one dense d x d Givens matrix per plane, first plane rightmost."""
+    planes = shift.planes
+    if planes is None:
+        planes = tuple((2 * k, 2 * k + 1) for k in range(d // 2))
+    R = np.eye(d)
+    cs, sn = np.cos(shift.angle), np.sin(shift.angle)
+    for i, j in planes:
+        G = np.eye(d)
+        G[i, i] = cs
+        G[j, j] = cs
+        G[i, j] = -sn
+        G[j, i] = sn
+        R = G @ R
+    return R
+
+
+def dense_shift_oracle(dataset: MasterDataset, shift: DomainShift) -> np.ndarray:
+    x = dataset.features @ dense_rotation(dataset.feature_dim, shift).T * shift.scale
+    if shift.noise_sigma > 0:
+        x = x + shift.noise_sigma * rngs.derive_rng(shift.seed, rngs.SHIFT).normal(size=x.shape)
+    return unit_rows(x)
+
+
+class TestDomainShiftOracle:
+    @staticmethod
+    def dataset(d: int, n: int = 24) -> MasterDataset:
+        rng = np.random.default_rng(d)
+        return MasterDataset(features=unit_rows(rng.normal(size=(n, d))),
+                             labels=np.arange(n) % 3, class_count=3)
+
+    @pytest.mark.parametrize("d", [512, 33])
+    def test_default_planes_match_dense_product(self, d):
+        ds = self.dataset(d)
+        shift = DomainShift(angle=0.7)
+        out = apply_domain_shift(ds, shift)
+        np.testing.assert_allclose(out.features, dense_shift_oracle(ds, shift), rtol=0, atol=1e-12)
+        if d % 2:  # the unpaired last axis is not rotated
+            np.testing.assert_allclose(out.features[:, -1], ds.features[:, -1], rtol=0, atol=1e-12)
+
+    def test_overlapping_planes_apply_in_order(self):
+        ds = self.dataset(6)
+        shift = DomainShift(angle=0.9, planes=((0, 1), (1, 2), (0, 2)))
+        out = apply_domain_shift(ds, shift)
+        np.testing.assert_allclose(out.features, dense_shift_oracle(ds, shift), rtol=0, atol=1e-12)
+        # order matters: the reversed sequence is a different rotation
+        reversed_shift = DomainShift(angle=0.9, planes=((0, 2), (1, 2), (0, 1)))
+        assert np.abs(apply_domain_shift(ds, reversed_shift).features - out.features).max() > 1e-3
+
+    def test_scale_and_noise_match_dense_product(self):
+        ds = self.dataset(33)
+        shift = DomainShift(angle=0.5, scale=2.5, noise_sigma=0.2, seed=3)
+        out = apply_domain_shift(ds, shift)
+        np.testing.assert_allclose(out.features, dense_shift_oracle(ds, shift), rtol=0, atol=1e-12)
 
 
 class TestBalancedSubsample:

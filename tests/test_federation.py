@@ -265,3 +265,11 @@ class TestFederationConfig:
     def test_standard_full_participation(self):
         with pytest.raises(ConfigError):
             FederationConfig(protocol="standard", participation_fraction=0.5)
+
+    @pytest.mark.parametrize("field,value,key", [
+        ("eval_every", 0, "eval_every"), ("lr0", 0.0, "lr"), ("lr0", -0.1, "lr"),
+        ("momentum", 1.0, "momentum"), ("momentum", -0.5, "momentum"),
+    ])
+    def test_out_of_range_values_name_key(self, field, value, key):
+        with pytest.raises(ConfigError, match=f"^{key}:"):
+            FederationConfig(**{field: value})
