@@ -23,8 +23,6 @@ from .vlm import (
     build_assets,
     build_handcrafted_context,
     build_prompt_context,
-    encode_text,
-    predict,
     prompt_gradients,
     synth_local_features,
 )

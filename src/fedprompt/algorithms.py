@@ -18,9 +18,7 @@ from .vlm import (
     ModelAssets,
     ModelConfig,
     PromptContext,
-    TextSetGraph,
     build_prompt_context,
-    text_features_all,
     unit_rows,
 )
 
@@ -124,24 +122,24 @@ def metanet_param_count(cfg: ModelConfig) -> int:
     return h * di + h + dt * h + dt
 
 
-def metanet_forward(meta: dict[str, np.ndarray], image_feature: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Per-token bias conditioned on one image feature. Returns (bias, cache)."""
-    a1 = meta["meta_w1"] @ image_feature + meta["meta_b1"]
+def metanet_forward(meta: dict[str, np.ndarray], image_features: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Per-token biases (B, d_token) conditioned on image features (B, d_image).
+
+    Returns (biases, cache); a single feature vector gives a single bias.
+    """
+    a1 = image_features @ meta["meta_w1"].T + meta["meta_b1"]
     z1 = np.tanh(a1)
-    bias = meta["meta_w2"] @ z1 + meta["meta_b2"]
-    return bias, (image_feature, z1)
+    bias = z1 @ meta["meta_w2"].T + meta["meta_b2"]
+    return bias, (image_features, z1)
 
 
 def metanet_backward(meta: dict[str, np.ndarray], cache: tuple,
-                     dbias: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-    """Accumulate parameter gradients for one image into `grads`."""
+                     dbias: np.ndarray) -> dict[str, np.ndarray]:
+    """Parameter gradients, summed over the batch, from d biases (B, d_token)."""
     x, z1 = cache
-    grads["meta_w2"] += np.outer(dbias, z1)
-    grads["meta_b2"] += dbias
-    dz1 = meta["meta_w2"].T @ dbias
-    da1 = dz1 * (1.0 - z1 * z1)
-    grads["meta_w1"] += np.outer(da1, x)
-    grads["meta_b1"] += da1
+    da1 = (dbias @ meta["meta_w2"]) * (1.0 - z1 * z1)
+    return {"meta_w1": da1.T @ x, "meta_b1": da1.sum(axis=0),
+            "meta_w2": dbias.T @ z1, "meta_b2": dbias.sum(axis=0)}
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +212,9 @@ class ClientTrainState:
 
 def _forward_sims(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
                   class_ids: np.ndarray | None):
-    feats, graphs = text_features_all(assets.encoder, context, assets.vocab, class_ids=class_ids)
+    feats, cache = assets.text_features(context.vectors, class_ids)
     sims = np.einsum("bd,pcd->pbc", xh, feats)
-    return feats, graphs, sims
-
-
-def _context_grads(graphs, dT_per_set) -> np.ndarray:
-    return np.stack([graphs[p].backward(dT_per_set[p])[0] for p in range(len(graphs))])
+    return feats, cache, sims
 
 
 def _reference_probs(assets: ModelAssets, xh: np.ndarray,
@@ -235,11 +229,11 @@ def _reference_probs(assets: ModelAssets, xh: np.ndarray,
 def ce_loss_and_grads(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
                       labels: np.ndarray, class_ids: np.ndarray | None = None):
     """Plain mean cross-entropy; scores are per-set cosine means."""
-    feats, graphs, sims = _forward_sims(assets, context, xh, class_ids)
+    feats, cache, sims = _forward_sims(assets, context, xh, class_ids)
     loss, dlogits, probs = softmax_ce_batch(sims.mean(axis=0), labels, assets.cfg.tau)
     dT = np.einsum("bc,bd->cd", dlogits / context.m, xh)
-    grads = _context_grads(graphs, [dT] * context.m)
-    return loss, grads, (feats, graphs, sims, probs)
+    grads = assets.encoder.backward(cache, np.asarray([dT] * context.m))
+    return loss, grads, (feats, sims, probs)
 
 
 def loss_kgcoop(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
@@ -248,7 +242,7 @@ def loss_kgcoop(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
     """CE plus squared distance of class features to their fixed references."""
     if lambda_kg < 0:
         raise ConfigError("lambda_kg must be >= 0")
-    feats, graphs, sims = _forward_sims(assets, context, xh, class_ids)
+    feats, cache, sims = _forward_sims(assets, context, xh, class_ids)
     loss, dlogits, _ = softmax_ce_batch(sims.mean(axis=0), labels, assets.cfg.tau)
     hand = assets.hand_features_for(class_ids)
     n_classes = hand.shape[0]
@@ -259,7 +253,7 @@ def loss_kgcoop(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
         reg += float((diff * diff).sum() / n_classes)
         dTs.append(dT_ce + lambda_kg * 2.0 * diff / (n_classes * context.m))
     reg /= context.m
-    return loss + lambda_kg * reg, _context_grads(graphs, dTs)
+    return loss + lambda_kg * reg, assets.encoder.backward(cache, np.asarray(dTs))
 
 
 def project_prograd(g_task: np.ndarray, g_general: np.ndarray, lambda_pg: float = 1.0) -> np.ndarray:
@@ -281,12 +275,12 @@ def loss_prograd(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
                  labels: np.ndarray, lambda_pg: float,
                  class_ids: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """CE gradient projected to not conflict with the zero-shot alignment gradient."""
-    feats, graphs, sims = _forward_sims(assets, context, xh, class_ids)
+    feats, cache, sims = _forward_sims(assets, context, xh, class_ids)
     tau = assets.cfg.tau
     mean_sims = sims.mean(axis=0)
     loss, dlogits, probs = softmax_ce_batch(mean_sims, labels, tau)
     dT_task = np.einsum("bc,bd->cd", dlogits / context.m, xh)
-    g_task = _context_grads(graphs, [dT_task] * context.m)
+    g_task = assets.encoder.backward(cache, np.asarray([dT_task] * context.m))
 
     # gradient of mean KL(current || zero-shot) w.r.t. the same scores
     q = _reference_probs(assets, xh, class_ids)
@@ -294,7 +288,7 @@ def loss_prograd(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
     kl = (probs * log_ratio).sum(axis=1, keepdims=True)
     dkl = probs * (log_ratio - kl) / (tau * xh.shape[0])
     dT_gen = np.einsum("bc,bd->cd", dkl / context.m, xh)
-    g_general = _context_grads(graphs, [dT_gen] * context.m)
+    g_general = assets.encoder.backward(cache, np.asarray([dT_gen] * context.m))
 
     projected = project_prograd(g_task.ravel(), g_general.ravel(), lambda_pg)
     return loss, projected.reshape(g_task.shape)
@@ -306,7 +300,7 @@ def loss_proda(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
     """Prompt-ensemble CE plus a hinge penalty on aligned prompt-set features."""
     if context.m < 2:
         raise ConfigError(f"prompt-distribution loss needs >= 2 prompt sets, got {context.m}")
-    feats, graphs, sims = _forward_sims(assets, context, xh, class_ids)
+    feats, cache, sims = _forward_sims(assets, context, xh, class_ids)
     loss, dlogits, _ = softmax_ce_batch(sims.mean(axis=0), labels, assets.cfg.tau)
     dT_ce = np.einsum("bc,bd->cd", dlogits / context.m, xh)
     dTs = [dT_ce.copy() for _ in range(context.m)]
@@ -320,7 +314,7 @@ def loss_proda(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
             coef = lambda_orth * 2.0 * pos[:, None] / n_classes
             dTs[i] += coef * feats[j]
             dTs[j] += coef * feats[i]
-    return loss + lambda_orth * penalty, _context_grads(graphs, dTs)
+    return loss + lambda_orth * penalty, assets.encoder.backward(cache, np.asarray(dTs))
 
 
 def loss_src(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
@@ -330,7 +324,7 @@ def loss_src(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
     """CE plus L1 feature consistency and KL(zero-shot || current) self-regularisation."""
     if mu_text < 0 or mu_logit < 0:
         raise ConfigError("self-regularisation weights must be >= 0")
-    feats, graphs, sims = _forward_sims(assets, context, xh, class_ids)
+    feats, cache, sims = _forward_sims(assets, context, xh, class_ids)
     tau = assets.cfg.tau
     loss, dlogits, probs = softmax_ce_batch(sims.mean(axis=0), labels, tau)
     if reference_features is None:
@@ -352,7 +346,7 @@ def loss_src(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
         l1 += float(np.abs(diff).sum() / n_classes)
         dTs.append(dT_ce + mu_text * np.sign(diff) / (n_classes * context.m))
     l1 /= context.m
-    return loss + mu_text * l1 + mu_logit * kl, _context_grads(graphs, dTs)
+    return loss + mu_text * l1 + mu_logit * kl, assets.encoder.backward(cache, np.asarray(dTs))
 
 
 def trajectory_average(contexts: list[np.ndarray], window: int) -> np.ndarray:
@@ -380,7 +374,7 @@ def ot_scores_and_grads(assets: ModelAssets, context: PromptContext, batch: Batc
     """
     if batch.local_maps is None:
         raise ConfigError("transport-based training needs per-sample local feature maps")
-    feats, graphs, _ = _forward_sims(assets, context, unit_rows(batch.features), class_ids)
+    feats, cache, _ = _forward_sims(assets, context, unit_rows(batch.features), class_ids)
     locals_ = batch.local_maps                     # (B, M, d)
     prompts = feats.transpose(1, 0, 2)             # (C, m, d)
     costs = 1.0 - np.einsum("bmd,cnd->bcmn", locals_, prompts)
@@ -389,7 +383,7 @@ def ot_scores_and_grads(assets: ModelAssets, context: PromptContext, batch: Batc
     loss, dlogits, _ = softmax_ce_batch(logits, labels, assets.cfg.tau)
     # d logit / d prompt_feat = plan^T @ locals (cost = 1 - <l, f>)
     dT_sets = np.einsum("bc,bcmn,bmd->ncd", dlogits, plans, locals_)
-    return loss, _context_grads(graphs, list(dT_sets))
+    return loss, assets.encoder.backward(cache, np.asarray(dT_sets))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +460,7 @@ class CosinePredictor:
 
     def __init__(self, assets: ModelAssets, context_vectors: np.ndarray,
                  class_ids: np.ndarray | None):
-        feats, _ = text_features_all(assets.encoder, PromptContext(context_vectors),
-                                     assets.vocab, class_ids=class_ids)
+        feats, _ = assets.text_features(PromptContext(context_vectors).vectors, class_ids)
         self.features = feats  # (m, C, d)
         self.tau = assets.cfg.tau
 
@@ -481,8 +474,7 @@ class TransportPredictor:
 
     def __init__(self, assets: ModelAssets, context_vectors: np.ndarray,
                  class_ids: np.ndarray | None, eps: float, iters: int, col_relax: float = 1.0):
-        feats, _ = text_features_all(assets.encoder, PromptContext(context_vectors),
-                                     assets.vocab, class_ids=class_ids)
+        feats, _ = assets.text_features(PromptContext(context_vectors).vectors, class_ids)
         self.prompts = feats.transpose(1, 0, 2)  # (C, m, d)
         self.tau = assets.cfg.tau
         self.eps = eps
@@ -619,45 +611,48 @@ class CoCoOpTrainer(LocalTrainer):
         return CommunicablePayload(fields)
 
     def grad_step(self, params, batch, ctx):
-        assets = ctx.assets
         xh = unit_rows(batch.features)
         labels = ctx.map_labels(batch.labels)
-        context = params["context"]
-        m = context.shape[0]
-        n_batch = xh.shape[0]
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        losses = np.zeros(n_batch)
-        per_image = []
-        sims_rows = []
-        for b in range(n_batch):
-            bias, cache = metanet_forward(params, xh[b])
-            graphs = [
-                TextSetGraph(assets.encoder, context[p], assets.vocab,
-                             class_ids=ctx.class_ids, bias=bias)
-                for p in range(m)
-            ]
-            feats = np.stack([g.features for g in graphs])      # (m, C, d)
-            sims_rows.append(np.einsum("d,pcd->pc", xh[b], feats).mean(axis=0))
-            per_image.append((graphs, cache))
-        logits = np.stack(sims_rows)                            # (B, C)
-        loss, dlogits, _ = softmax_ce_batch(logits, labels, assets.cfg.tau)
-        for b in range(n_batch):
-            graphs, cache = per_image[b]
-            dT = np.outer(dlogits[b] / m, xh[b])                # (C, d)
-            dbias_total = np.zeros(context.shape[2])
-            for p, g in enumerate(graphs):
-                dctx, dbias = g.backward(dT)
-                grads["context"][p] += dctx
-                dbias_total += dbias
-            metanet_backward(params, cache, dbias_total, grads)
+        logits, (feats, cache, meta_cache) = conditioned_logits(ctx.assets, params, xh,
+                                                                ctx.class_ids)
+        loss, dlogits, _ = softmax_ce_batch(logits, labels, ctx.assets.cfg.tau)
+        B, m, C, d_feature = feats.shape
+        # every prompt set of image b gets d logits[b] / m along that image's feature
+        dT = np.broadcast_to((dlogits / m)[:, None, :, None] * xh[:, None, None, :], feats.shape)
+        dctx = ctx.assets.encoder.backward(cache, dT.reshape(B * m, C, d_feature))
+        dctx = dctx.reshape((B,) + params["context"].shape)             # (B, m, L, d_token)
+        # image b's bias is added to all m*L of its context tokens
+        grads = metanet_backward(params, meta_cache, dctx.sum(axis=(1, 2)))
+        grads["context"] = dctx.sum(axis=0)
         return loss, grads
 
     def build_predictor(self, payload, assets, class_ids=None, state=None):
         return ConditionedPredictor(assets, payload.fields, class_ids)
 
 
+def conditioned_logits(assets: ModelAssets, params: dict[str, np.ndarray], xh: np.ndarray,
+                       class_ids: np.ndarray | None):
+    """Scores (B, C) of unit image features under their own conditioned prompts.
+
+    Every image shifts all m context sets by its meta-net bias; the B*m
+    shifted contexts are encoded in one call. Also returns the features
+    (B, m, C, d_feature) and the encoder and meta-net caches.
+    """
+    context = params["context"]
+    bias, meta_cache = metanet_forward(params, xh)
+    shifted = context[None] + bias[:, None, None, :]                    # (B, m, L, d)
+    feats, cache = assets.text_features(shifted.reshape((-1,) + context.shape[1:]), class_ids)
+    feats = feats.reshape(shifted.shape[:2] + feats.shape[1:])
+    logits = np.einsum("bd,bpcd->bpc", xh, feats).mean(axis=1)
+    return logits, (feats, cache, meta_cache)
+
+
 class ConditionedPredictor:
-    """Image-conditioned prompts: one encode pass per test image."""
+    """Image-conditioned prompts, encoded for a block of test images at a time."""
+
+    # (context, class) pairs per encode call. The attention encoder holds a few
+    # (pairs, d_token) float64 temporaries, about 5 MB per call at d_token=512.
+    PAIRS_PER_BLOCK = 256
 
     def __init__(self, assets: ModelAssets, fields: dict[str, np.ndarray],
                  class_ids: np.ndarray | None):
@@ -666,16 +661,13 @@ class ConditionedPredictor:
         self.class_ids = class_ids
 
     def probs(self, image_features: np.ndarray, local_maps=None) -> np.ndarray:
-        assets = self.assets
         xh = unit_rows(image_features)
-        context = self.fields["context"]
-        rows = []
-        for b in range(xh.shape[0]):
-            bias, _ = metanet_forward(self.fields, xh[b])
-            feats, _ = text_features_all(assets.encoder, PromptContext(context), assets.vocab,
-                                         class_ids=self.class_ids, bias=bias)
-            rows.append(np.einsum("d,pcd->pc", xh[b], feats).mean(axis=0))
-        return softmax_temp(np.stack(rows), assets.cfg.tau)
+        classes = self.assets.class_count if self.class_ids is None else len(self.class_ids)
+        block = max(1, self.PAIRS_PER_BLOCK // (self.fields["context"].shape[0] * classes))
+        logits = [conditioned_logits(self.assets, self.fields, xh[start:start + block],
+                                     self.class_ids)[0]
+                  for start in range(0, xh.shape[0], block)]
+        return softmax_temp(np.concatenate(logits), self.assets.cfg.tau)
 
 
 class PLOTTrainer(LocalTrainer):

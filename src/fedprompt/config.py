@@ -121,7 +121,7 @@ class ExperimentConfig:
 
 
 def _raw_tree_from_ini(text: str) -> dict[str, dict[str, object]]:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal; "%" too
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -260,7 +260,7 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Round-trippable INI text with every key explicit."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal; "%" too
     parser["experiment"] = {
         "scenarios": ",".join(config.scenarios),
         "methods": ",".join(config.methods),

@@ -299,18 +299,16 @@ def _cell_global(spec, method, dataset_name, master, seed, plan,
     cfg = model_cfg or plan.model
     assets = build_assets(cfg, master.class_count)
     tr, _va, te = _splits(master, seed)
-    test = master.subset(te)
+    _ensure_maps(master, method, cfg)
+    test = master.subset(te)  # sliced after the local maps exist
     obs: list[Observation] = []
 
     if method == ZERO_SHOT_METHOD:
-        _ensure_maps(master, method, cfg)
         acc = zero_shot_accuracy(assets, test.features, test.labels)
         obs.append(Observation(scenario_name, method, dataset_name, seed, "alpha_g", acc))
         obs.append(Observation(scenario_name, method, dataset_name, seed, "chi_millions", 0.0))
         return CellResult(obs, [])
 
-    _ensure_maps(master, method, cfg)
-    test = master.subset(te)  # re-slice after local maps exist
     trainer = _trainer_for(method, spec, plan)
     fed_cfg = plan.federation
     if fed_cfg.protocol == "centralized":

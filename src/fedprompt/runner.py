@@ -5,6 +5,7 @@ optional worker pool. Outputs are written once, sorted, so bytes never
 depend on worker count or completion order.
 """
 
+import copy
 import json
 import os
 import traceback
@@ -83,8 +84,9 @@ def _execute_cell(args: tuple[str, str, str, str, int]) -> tuple[dict, list, lis
     try:
         config, datasets = _run_inputs(config_text)
         # a fresh dataset over the shared read-only arrays, so local maps
-        # and other per-cell state never carry over to the next cell
-        master = replace(datasets[dataset])
+        # and other per-cell state never carry over to the next cell; the
+        # arrays were validated when loaded, so it is a shallow copy
+        master = copy.copy(datasets[dataset])
         spec = config.scenario_spec(scenario)
         result = run_cell(spec, method, dataset, master, seed, config.plan())
         observations = [

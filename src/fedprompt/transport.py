@@ -28,6 +28,20 @@ def uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
+def _checked(plan: np.ndarray, row_marginal, eps: float) -> np.ndarray:
+    """The plan, unless its rows miss the marginal.
+
+    The final row scaling makes the row sums exact, except where
+    exp(-cost/eps) underflowed to zero along a whole row: no scaling can
+    place that row's mass, and the plan would silently drop it.
+    """
+    err = float(np.max(np.abs(plan.sum(axis=-1) - row_marginal)))
+    if not err <= 1e-9:  # NaN fails too
+        raise DomainError(f"transport plan misses its row marginal by {err:.3g}: "
+                          f"the kernel exp(-cost/{eps}) underflowed; raise eps")
+    return plan
+
+
 def sinkhorn(cost: np.ndarray, eps: float, iters: int = 100,
              row_marginal: np.ndarray | None = None,
              col_marginal: np.ndarray | None = None) -> np.ndarray:
@@ -35,7 +49,8 @@ def sinkhorn(cost: np.ndarray, eps: float, iters: int = 100,
 
     Runs `iters` passes of row/column scaling on K = exp(-cost/eps),
     closing with a row scaling, and returns diag(u) K diag(v). Row sums
-    match exactly; column sums converge with the iterations.
+    match exactly; column sums converge with the iterations. Raises
+    DomainError when eps is so small that a row of K underflows.
     """
     row_marginal = uniform(cost.shape[0]) if row_marginal is None else row_marginal
     col_marginal = uniform(cost.shape[1]) if col_marginal is None else col_marginal
@@ -48,7 +63,7 @@ def sinkhorn(cost: np.ndarray, eps: float, iters: int = 100,
         u = r / np.maximum(K @ v, tiny)
         v = c / np.maximum(K.T @ u, tiny)
     u = r / np.maximum(K @ v, tiny)
-    return (u[:, None] * K) * v[None, :]
+    return _checked((u[:, None] * K) * v[None, :], r, eps)
 
 
 def sinkhorn_relaxed(cost: np.ndarray, eps: float, iters: int = 100,
@@ -78,7 +93,7 @@ def sinkhorn_relaxed(cost: np.ndarray, eps: float, iters: int = 100,
         v = (c / np.maximum(K.T @ u, tiny)) ** col_relax
     # final row scaling so the exactly-enforced side holds regardless of relax
     u = r / np.maximum(K @ v, tiny)
-    return (u[:, None] * K) * v[None, :]
+    return _checked((u[:, None] * K) * v[None, :], r, eps)
 
 
 def sinkhorn_batched(costs: np.ndarray, eps: float, iters: int = 100,
@@ -91,6 +106,8 @@ def sinkhorn_batched(costs: np.ndarray, eps: float, iters: int = 100,
     """
     if not (0.0 <= col_relax <= 1.0):
         raise ConfigError(f"col_relax must lie in [0, 1], got {col_relax}")
+    if eps <= 0:
+        raise ConfigError(f"entropic regularisation must be positive, got {eps}")
     costs = np.asarray(costs, dtype=np.float64)
     if not np.all(np.isfinite(costs)):
         raise DomainError("cost tensor contains non-finite entries")
@@ -105,7 +122,7 @@ def sinkhorn_batched(costs: np.ndarray, eps: float, iters: int = 100,
         u = r / np.maximum(np.einsum("...mn,...n->...m", K, v), tiny)
         v = (c / np.maximum(np.einsum("...mn,...m->...n", K, u), tiny)) ** col_relax
     u = r / np.maximum(np.einsum("...mn,...n->...m", K, v), tiny)
-    return u[..., :, None] * K * v[..., None, :]
+    return _checked(u[..., :, None] * K * v[..., None, :], r, eps)
 
 
 def transport_cost_matrix(local_features: np.ndarray, prompt_features: np.ndarray) -> np.ndarray:

@@ -11,12 +11,12 @@ encoder variant; `numerics.finite_diff_gradient` is the test oracle.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .numerics import softmax_ce_batch, softmax_temp, cosine_similarity
+from .numerics import softmax_ce_batch, softmax_temp
 from . import rngs
 
 ENCODER_VARIANTS = ("linear_pool", "attention_block")
@@ -139,6 +139,40 @@ class ClassVocabulary:
         return hashlib.sha256(self.tokens.tobytes()).hexdigest()
 
 
+@dataclass(frozen=True)
+class ClassRows:
+    """Frozen encoder inputs that follow an L-token prompt context.
+
+    Every prompt sequence is [context (L rows); class tokens (T rows)],
+    S = L + T rows in all. The class rows, their positions and, for
+    attention_block, their query/key/value projections never change, so
+    `FrozenTextEncoder.class_rows` computes them once per experiment;
+    `take` selects a class subset.
+    """
+
+    L: int
+    S: int
+    row_sum: np.ndarray                    # (C, d_token) sum of each class's input rows
+    head: np.ndarray | None = None         # linear_pool: (C, d_feature) class term of z
+    context_pos: np.ndarray | None = None  # attention_block: (L, d_token) context positions
+    q: np.ndarray | None = None            # attention_block: (C, T, d_token) projections
+    k: np.ndarray | None = None
+    v: np.ndarray | None = None
+    scores: np.ndarray | None = None       # attention_block: (C, T, T) class-class scores
+
+    @property
+    def class_count(self) -> int:
+        return self.row_sum.shape[0]
+
+    def take(self, class_ids: np.ndarray | None) -> "ClassRows":
+        if class_ids is None:
+            return self
+        ids = np.asarray(class_ids)
+        per_class = ("row_sum", "head", "q", "k", "v", "scores")
+        return replace(self, **{name: getattr(self, name)[ids] for name in per_class
+                                if getattr(self, name) is not None})
+
+
 class FrozenTextEncoder:
     """Seeded frozen map from token sequences to unit text features.
 
@@ -148,6 +182,10 @@ class FrozenTextEncoder:
                       offsets and residual) before the same pooling head
     Weight magnitudes are calibrated to `token_scale` so the tanh head
     stays responsive for inputs at that scale.
+
+    `encode` takes prompt contexts and the frozen class rows separately:
+    context rows are projected once per context, class rows once per
+    experiment, and `backward` forms the gradient of the context rows only.
     """
 
     def __init__(self, variant: str, d_token: int, d_feature: int, seed: int,
@@ -169,73 +207,125 @@ class FrozenTextEncoder:
         w["w_out"] = rng.normal(size=(d_feature, d_token)) * gain / (token_scale * np.sqrt(d_token))
         w["b_out"] = rng.normal(size=d_feature) * 0.1
         self.weights = w
-        self._pos_cache = np.zeros((0, d_token))
 
     @classmethod
     def from_config(cls, cfg: ModelConfig) -> "FrozenTextEncoder":
         return cls(cfg.encoder, cfg.d_token, cfg.d_feature, cfg.seed, token_scale=cfg.token_scale)
 
-    def _positions(self, length: int) -> np.ndarray:
-        if length > self._pos_cache.shape[0]:
-            rows = [self._pos_cache[s] for s in range(self._pos_cache.shape[0])]
-            for s in range(self._pos_cache.shape[0], length):
-                r = rngs.derive_rng(self.seed, rngs.ENCODER, 1000 + s)
-                rows.append(r.normal(size=self.d_token) * (0.5 * self.token_scale) / np.sqrt(self.d_token))
-            self._pos_cache = np.array(rows)
-        return self._pos_cache[:length]
+    def positions(self, length: int) -> np.ndarray:
+        """Fixed position offsets of the first `length` sequence rows (attention_block)."""
+        rows = [rngs.derive_rng(self.seed, rngs.ENCODER, 1000 + s).normal(size=self.d_token)
+                for s in range(length)]
+        return np.array(rows).reshape(length, self.d_token) \
+            * (0.5 * self.token_scale) / np.sqrt(self.d_token)
 
-    def encode(self, tokens: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Encode a stack of sequences (n, S, d_token) -> unit features (n, d_feature)."""
-        tokens = np.asarray(tokens, dtype=np.float64)
-        if tokens.ndim == 2:
-            tokens = tokens[None]
-        if tokens.shape[-1] != self.d_token:
-            raise ConfigError(f"token width {tokens.shape[-1]} != encoder d_token {self.d_token}")
-        n, S, d = tokens.shape
+    def class_rows(self, class_tokens: np.ndarray, L: int) -> ClassRows:
+        """Encode the frozen class tokens (C, T, d_token) that follow L context rows."""
+        tokens = np.asarray(class_tokens, dtype=np.float64)
+        if tokens.ndim != 3 or tokens.shape[2] != self.d_token:
+            raise ConfigError(f"class tokens must be (C, T, {self.d_token}), got shape {tokens.shape}")
+        if L < 1:
+            raise ConfigError(f"context length must be >= 1, got {L}")
+        C, T, d = tokens.shape
+        S = L + T
+        w = self.weights
+        if self.variant == "linear_pool":
+            row_sum = tokens.sum(axis=1)
+            head = (row_sum / S) @ w["w_out"].T + w["b_out"]
+            return ClassRows(L=L, S=S, row_sum=row_sum, head=head)
+        pos = self.positions(S)
+        X = tokens + pos[L:]
+        flat = X.reshape(C * T, d)
+        q, k, v = ((flat @ w[name]).reshape(C, T, d) for name in ("wq", "wk", "wv"))
+        return ClassRows(L=L, S=S, row_sum=X.sum(axis=1), context_pos=pos[:L], q=q, k=k, v=v,
+                         scores=q @ k.transpose(0, 2, 1) / np.sqrt(d))
+
+    def encode(self, contexts: np.ndarray, rows: ClassRows) -> tuple[np.ndarray, tuple]:
+        """Unit features (n, C, d_feature) of every (context, class) sequence.
+
+        `contexts` stacks n prompt contexts (n, L, d_token); `rows` holds the
+        frozen rows of the C classes (see `class_rows`).
+        """
+        contexts = np.asarray(contexts, dtype=np.float64)
+        if contexts.ndim != 3:
+            raise ConfigError(f"contexts must be (n, L, d_token), got shape {contexts.shape}")
+        if contexts.shape[2] != self.d_token:
+            raise ConfigError(f"token width {contexts.shape[2]} != encoder d_token {self.d_token}")
+        if contexts.shape[1] != rows.L:
+            raise ConfigError(f"context length {contexts.shape[1]} != class rows' L {rows.L}")
+        n, L, d = contexts.shape
+        C, S = rows.class_count, rows.S
         w = self.weights
         if self.variant == "attention_block":
-            X = tokens + self._positions(S)[None]
-            Q = X @ w["wq"]
-            K = X @ w["wk"]
-            V = X @ w["wv"]
-            scores = Q @ K.transpose(0, 2, 1) / np.sqrt(d)
+            T = S - L
+            X = (contexts + rows.context_pos).reshape(n * L, d)
+            Q, K, V = (X @ w[name] for name in ("wq", "wk", "wv"))
+            # scores of all C sequences from four blocks; the context-context
+            # block is shared by every class, the class-class block is cached
+            scores = np.empty((n, C, S, S))
+            Q3, K3, V3 = Q.reshape(n, L, d), K.reshape(n, L, d), V.reshape(n, L, d)
+            scores[:, :, :L, :L] = (Q3 @ K3.transpose(0, 2, 1) / np.sqrt(d))[:, None]
+            scores[:, :, :L, L:] = (Q @ rows.k.reshape(C * T, d).T / np.sqrt(d)) \
+                .reshape(n, L, C, T).transpose(0, 2, 1, 3)
+            scores[:, :, L:, :L] = (K @ rows.q.reshape(C * T, d).T / np.sqrt(d)) \
+                .reshape(n, L, C, T).transpose(0, 2, 3, 1)
+            scores[:, :, L:, L:] = rows.scores
             scores -= scores.max(axis=-1, keepdims=True)
             A = np.exp(scores)
             A /= A.sum(axis=-1, keepdims=True)
-            Y = X + A @ V
-            h = Y.mean(axis=1)
-            attn_cache = (Q, K, V, A)
+            # the head mean-pools Y = X + A V, so h = mean(X) + a_bar V with
+            # a_bar the mean of A's query rows
+            a_bar = A.mean(axis=2)
+            h = (X.reshape(n, L, d).sum(axis=1)[:, None, :] + rows.row_sum) / S
+            h += a_bar[..., :L] @ V3
+            h += np.matmul(a_bar[..., L:].transpose(1, 0, 2), rows.v).transpose(1, 0, 2)
+            z = (h.reshape(n * C, d) @ w["w_out"].T).reshape(n, C, self.d_feature) + w["b_out"]
+            attn_cache = (Q3, K3, V3, A, a_bar)
         else:
-            h = tokens.mean(axis=1)
+            pooled = contexts.sum(axis=1) / S
+            z = (pooled @ w["w_out"].T)[:, None, :] + rows.head
             attn_cache = None
-        z = h @ w["w_out"].T + w["b_out"]
         u = np.tanh(z)
-        norms = np.linalg.norm(u, axis=1, keepdims=True)
+        norms = np.linalg.norm(u, axis=-1, keepdims=True)
         t = u / norms
-        return t, (S, u, norms, t, attn_cache)
+        return t, (rows, u, norms, t, attn_cache)
 
     def backward(self, cache: tuple, dfeatures: np.ndarray) -> np.ndarray:
-        """Gradient of features w.r.t. the input tokens, (n, S, d_token)."""
-        S, u, norms, t, attn_cache = cache
+        """Gradient w.r.t. the contexts, (n, L, d_token), from d features (n, C, d_feature).
+
+        Class rows are frozen, so no gradient is formed for them.
+        """
+        rows, u, norms, t, attn_cache = cache
         dfeatures = np.asarray(dfeatures, dtype=np.float64)
-        if dfeatures.ndim == 1:
-            dfeatures = dfeatures[None]
+        if dfeatures.shape != u.shape:
+            raise ConfigError(f"feature gradient shape {dfeatures.shape} != features {u.shape}")
         w = self.weights
-        du = (dfeatures - (dfeatures * t).sum(axis=1, keepdims=True) * t) / norms
+        n, C, _ = u.shape
+        L, S, d = rows.L, rows.S, self.d_token
+        du = (dfeatures - (dfeatures * t).sum(axis=-1, keepdims=True) * t) / norms
         dz = du * (1.0 - u * u)
-        dh = dz @ w["w_out"]
-        dY = np.repeat(dh[:, None, :] / S, S, axis=1)
-        if self.variant == "attention_block":
-            Q, K, V, A = attn_cache
-            dX = dY.copy()
-            dA = dY @ V.transpose(0, 2, 1)
-            dV = A.transpose(0, 2, 1) @ dY
-            dscores = A * (dA - (dA * A).sum(axis=-1, keepdims=True)) / np.sqrt(self.d_token)
-            dQ = dscores @ K
-            dK = dscores.transpose(0, 2, 1) @ Q
-            dX += dQ @ w["wq"].T + dK @ w["wk"].T + dV @ w["wv"].T
-            return dX
-        return dY
+        if self.variant == "linear_pool":
+            dpooled = dz.sum(axis=1) @ w["w_out"] / S
+            return np.repeat(dpooled[:, None, :], L, axis=1)
+        Q, K, V, A, a_bar = attn_cache
+        T = S - L
+        dh = (dz.reshape(n * C, self.d_feature) @ w["w_out"]).reshape(n, C, d)
+        da_bar = np.empty((n, C, S))
+        da_bar[..., :L] = dh @ V.transpose(0, 2, 1)
+        da_bar[..., L:] = np.matmul(dh.transpose(1, 0, 2), rows.v.transpose(0, 2, 1)).transpose(1, 0, 2)
+        dV = a_bar[..., :L].transpose(0, 2, 1) @ dh
+        # every query row of A receives the same gradient da_bar / S
+        dA = da_bar[:, :, None, :] / S
+        dscores = A * (dA - (A * dA).sum(axis=-1, keepdims=True)) / np.sqrt(d)
+        shared = dscores[:, :, :L, :L].sum(axis=1)
+        dQ = shared @ K + (dscores[:, :, :L, L:].transpose(0, 2, 1, 3).reshape(n * L, C * T)
+                           @ rows.k.reshape(C * T, d)).reshape(n, L, d)
+        dK = shared.transpose(0, 2, 1) @ Q + (dscores[:, :, L:, :L].transpose(0, 3, 1, 2)
+                                               .reshape(n * L, C * T)
+                                               @ rows.q.reshape(C * T, d)).reshape(n, L, d)
+        dX = (dQ.reshape(n * L, d) @ w["wq"].T + dK.reshape(n * L, d) @ w["wk"].T
+              + dV.reshape(n * L, d) @ w["wv"].T).reshape(n, L, d)
+        return dX + (dh.sum(axis=1) / S)[:, None, :]
 
     def digest(self) -> str:
         hasher = hashlib.sha256()
@@ -252,73 +342,6 @@ def unit_rows(x: np.ndarray, what: str = "features") -> np.ndarray:
     if np.any(norms == 0.0):
         raise DomainError(f"{what} contain a zero row")
     return x / norms
-
-
-class TextSetGraph:
-    """Forward pass of one prompt set over selected classes, with reverse mode.
-
-    Keeps the caches needed to push a gradient on the emitted unit
-    features back onto the context tokens (and the shared per-token bias
-    when conditioned prompts are in play). Class tokens and encoder
-    weights never receive gradients.
-    """
-
-    def __init__(self, encoder: FrozenTextEncoder, context_set: np.ndarray,
-                 vocab: ClassVocabulary, class_ids: np.ndarray | None = None,
-                 bias: np.ndarray | None = None):
-        if context_set.ndim != 2:
-            raise ConfigError("context_set must be (L, d_token)")
-        if context_set.shape[1] != vocab.tokens.shape[2]:
-            raise ConfigError("context and vocabulary token widths differ")
-        self.encoder = encoder
-        self.L = context_set.shape[0]
-        ids = np.arange(vocab.class_count) if class_ids is None else np.asarray(class_ids)
-        self.class_ids = ids
-        ctx = context_set if bias is None else context_set + bias[None, :]
-        seqs = np.concatenate(
-            [np.broadcast_to(ctx, (len(ids),) + ctx.shape), vocab.tokens[ids]], axis=1
-        )
-        self.features, self._cache = encoder.encode(seqs)
-
-    def backward(self, dfeatures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(d context tokens (L, d_token), d bias (d_token,)) from d features (C, d_feature)."""
-        dtokens = self.encoder.backward(self._cache, dfeatures)
-        dctx = dtokens[:, : self.L, :].sum(axis=0)
-        dbias = dctx.sum(axis=0)
-        return dctx, dbias
-
-
-def encode_text(encoder: FrozenTextEncoder, context: PromptContext, set_index: int,
-                vocab: ClassVocabulary, class_j: int, bias: np.ndarray | None = None) -> np.ndarray:
-    """Unit text feature of one class under one prompt set."""
-    if not (0 <= set_index < context.m):
-        raise ConfigError(f"set_index {set_index} out of range for {context.m} prompt sets")
-    if not (0 <= class_j < vocab.class_count):
-        raise ConfigError(f"class {class_j} out of range for vocabulary of {vocab.class_count}")
-    graph = TextSetGraph(encoder, context.vectors[set_index], vocab,
-                         class_ids=np.array([class_j]), bias=bias)
-    return graph.features[0]
-
-
-def text_features_all(encoder: FrozenTextEncoder, context: PromptContext,
-                      vocab: ClassVocabulary, class_ids: np.ndarray | None = None,
-                      bias: np.ndarray | None = None) -> tuple[np.ndarray, list[TextSetGraph]]:
-    """Features for every prompt set: ((m, C, d_feature), per-set graphs)."""
-    graphs = [
-        TextSetGraph(encoder, context.vectors[p], vocab, class_ids=class_ids, bias=bias)
-        for p in range(context.m)
-    ]
-    return np.stack([g.features for g in graphs]), graphs
-
-
-def predict(image_feature: np.ndarray, text_features: list[np.ndarray] | np.ndarray,
-            tau: float) -> np.ndarray:
-    """Class probabilities of one image: temperature softmax over cosine similarities."""
-    feats = list(text_features)
-    if len(feats) == 0:
-        raise DomainError("predict needs at least one class feature")
-    sims = np.array([cosine_similarity(image_feature, t) for t in feats])
-    return softmax_temp(sims, tau)
 
 
 def cosine_scores(image_features: np.ndarray, class_features: np.ndarray) -> np.ndarray:
@@ -339,19 +362,17 @@ def prompt_gradients(encoder: FrozenTextEncoder, context: PromptContext, batch,
     labels = np.asarray(batch.labels)
     if feats.shape[0] == 0:
         raise DomainError("empty batch")
-    set_feats, graphs = text_features_all(encoder, context, vocab, class_ids=class_ids)
+    rows = encoder.class_rows(vocab.tokens, context.L).take(class_ids)
+    set_feats, cache = encoder.encode(context.vectors, rows)
     xh = unit_rows(feats)
     sims = np.einsum("bd,pcd->pbc", xh, set_feats)  # (m, B, C)
     mean_sims = sims.mean(axis=0)
     loss, dlogits, _ = softmax_ce_batch(mean_sims, labels, tau)
     dsims = dlogits / context.m
-    grads = np.zeros_like(context.vectors)
-    # ambient partial w.r.t. the unit feature; the graph backward applies
+    # ambient partial w.r.t. the unit feature; the encoder backward applies
     # the normalisation Jacobian, so tangential projection is implicit
     dT = np.einsum("bc,bd->cd", dsims, xh)
-    for p, graph in enumerate(graphs):
-        grads[p], _ = graph.backward(dT)
-    return grads, loss
+    return encoder.backward(cache, np.broadcast_to(dT, set_feats.shape)), loss
 
 
 def synth_local_features(image_feature: np.ndarray, M: int, rng: np.random.Generator,
@@ -371,6 +392,7 @@ class ModelAssets:
     cfg: ModelConfig
     encoder: FrozenTextEncoder
     vocab: ClassVocabulary
+    class_rows: ClassRows      # the vocabulary's encoder rows after cfg.L context tokens
     handcrafted: PromptContext
     hand_features: np.ndarray  # (C, d_feature), from the handcrafted context
     _reference_cache: dict = field(default_factory=dict)
@@ -378,6 +400,12 @@ class ModelAssets:
     @property
     def class_count(self) -> int:
         return self.vocab.class_count
+
+    def text_features(self, contexts: np.ndarray,
+                      class_ids: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
+        """Unit features (n, C, d_feature) of n contexts (n, L, d_token), with the
+        cache `encoder.backward` takes."""
+        return self.encoder.encode(contexts, self.class_rows.take(class_ids))
 
     def hand_features_for(self, class_ids: np.ndarray | None) -> np.ndarray:
         if class_ids is None:
@@ -394,14 +422,16 @@ class ModelAssets:
 
     def reference_features(self, n_templates: int = 3) -> np.ndarray:
         """Unit class features averaged over several fixed context phrasings."""
+        if n_templates < 1:
+            raise ConfigError(f"reference features need >= 1 template, got {n_templates}")
         if n_templates not in self._reference_cache:
-            acc = np.zeros_like(self.hand_features)
-            for tpl in range(n_templates):
-                ctx = build_handcrafted_context(self.cfg.seed, self.cfg.L, self.cfg.d_token,
-                                                std=self.cfg.init_std, template=tpl)
-                feats, _ = text_features_all(self.encoder, ctx, self.vocab)
-                acc += feats[0]
-            self._reference_cache[n_templates] = unit_rows(acc / n_templates)
+            contexts = np.concatenate([
+                build_handcrafted_context(self.cfg.seed, self.cfg.L, self.cfg.d_token,
+                                          std=self.cfg.init_std, template=tpl).vectors
+                for tpl in range(n_templates)
+            ])
+            feats, _ = self.text_features(contexts)
+            self._reference_cache[n_templates] = unit_rows(feats.sum(axis=0) / n_templates)
         return self._reference_cache[n_templates]
 
 
@@ -410,6 +440,7 @@ def build_assets(cfg: ModelConfig, class_count: int,
     encoder = FrozenTextEncoder.from_config(cfg)
     vocab = ClassVocabulary.build(cfg, class_count, class_names)
     handcrafted = build_handcrafted_context(cfg.seed, cfg.L, cfg.d_token, std=cfg.init_std)
-    feats, _ = text_features_all(encoder, handcrafted, vocab)
-    return ModelAssets(cfg=cfg, encoder=encoder, vocab=vocab,
+    rows = encoder.class_rows(vocab.tokens, cfg.L)
+    feats, _ = encoder.encode(handcrafted.vectors, rows)
+    return ModelAssets(cfg=cfg, encoder=encoder, vocab=vocab, class_rows=rows,
                        handcrafted=handcrafted, hand_features=feats[0])

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vlm_oracle
 from conftest import random_unit_batch, small_config
 from fedprompt.algorithms import (
     Batch,
     CommunicablePayload,
+    ConditionedPredictor,
     SGDState,
     TrainContext,
     cosine_lr,
@@ -25,8 +27,8 @@ from fedprompt.algorithms import (
 )
 from fedprompt.data import ClientDataset
 from fedprompt.errors import ConfigError, DataError
-from fedprompt.numerics import finite_diff_gradient, relative_error
-from fedprompt.vlm import ModelConfig, PromptContext, build_assets, text_features_all, unit_rows
+from fedprompt.numerics import finite_diff_gradient, relative_error, softmax_ce_batch, softmax_temp
+from fedprompt.vlm import ModelConfig, PromptContext, build_assets, unit_rows
 
 
 def client_dataset(rng, n, d, classes):
@@ -119,6 +121,97 @@ class TestMetaNet:
         assert metanet_param_count(ModelConfig()) == 98880
 
 
+def per_image_cocoop(assets, params, xh, labels, class_ids=None):
+    """Conditioned-prompt loss, logits and gradients, one image and one prompt set at
+    a time through the per-sequence oracle encoder."""
+    enc = assets.encoder
+    tokens = assets.vocab.tokens if class_ids is None else assets.vocab.tokens[class_ids]
+    context = params["context"]
+    m = context.shape[0]
+    rows, per_image = [], []
+    for x in xh:
+        z1 = np.tanh(params["meta_w1"] @ x + params["meta_b1"])
+        shifted = context + (params["meta_w2"] @ z1 + params["meta_b2"])
+        feats = vlm_oracle.text_features(enc, shifted, tokens)          # (m, C, d)
+        rows.append(np.mean([f @ x for f in feats], axis=0))
+        per_image.append((x, z1, shifted))
+    logits = np.stack(rows)
+    loss, dlogits, _ = softmax_ce_batch(logits, labels, assets.cfg.tau)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    for b, (x, z1, shifted) in enumerate(per_image):
+        dT = np.repeat(np.outer(dlogits[b] / m, x)[None], m, axis=0)
+        dctx = vlm_oracle.context_grads(enc, shifted, tokens, dT)
+        grads["context"] += dctx
+        dbias = dctx.sum(axis=(0, 1))
+        grads["meta_w2"] += np.outer(dbias, z1)
+        grads["meta_b2"] += dbias
+        da1 = (params["meta_w2"].T @ dbias) * (1.0 - z1 * z1)
+        grads["meta_w1"] += np.outer(da1, x)
+        grads["meta_b1"] += da1
+    return loss, logits, grads
+
+
+class TestCoCoOpBatched:
+    """One encode and one backward per batch, against a per-image loop."""
+
+    def _setup(self, variant, rng, m=2, n=5):
+        cfg = small_config(variant, m=m, n_class_tokens=2)
+        assets = build_assets(cfg, 4)
+        params = make_trainer("cocoop").init_payload(cfg, rng).fields
+        params["meta_b1"] = rng.normal(size=params["meta_b1"].shape) * 0.1
+        params["meta_b2"] = rng.normal(size=params["meta_b2"].shape) * 0.05
+        xh = random_unit_batch(rng, n, cfg.d_image)
+        labels = rng.integers(0, 4, size=n)
+        return assets, params, xh, labels
+
+    @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
+    @pytest.mark.parametrize("class_ids", [None, np.array([0, 2, 3])])
+    def test_grad_step_matches_per_image_loop(self, variant, class_ids, rng):
+        assets, params, xh, labels = self._setup(variant, rng)
+        if class_ids is not None:
+            labels = class_ids[labels % len(class_ids)]
+        ctx = make_ctx(assets, class_ids=class_ids)
+        batch = Batch(features=xh, labels=labels, master_indices=np.arange(len(labels)))
+        loss, grads = make_trainer("cocoop").grad_step(params, batch, ctx)
+        positions = ctx.map_labels(labels)
+        expected_loss, _, expected = per_image_cocoop(assets, params, xh, positions, class_ids)
+        assert loss == pytest.approx(expected_loss, rel=1e-12)
+        assert grads.keys() == expected.keys()
+        for name in grads:
+            assert grads[name].shape == params[name].shape
+            np.testing.assert_allclose(grads[name], expected[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
+    def test_meta_gradients_match_finite_differences(self, variant, rng):
+        assets, params, xh, labels = self._setup(variant, rng, m=1)
+        trainer = make_trainer("cocoop")
+        ctx = make_ctx(assets)
+        batch = Batch(features=xh, labels=labels, master_indices=np.arange(len(labels)))
+        _, grads = trainer.grad_step(params, batch, ctx)
+        for name, entries in (("meta_w1", [(0, 0), (3, 5), (17, 11)]),
+                              ("meta_b2", [(0,), (4,), (7,)])):
+            for entry in entries:
+                def f(value, name=name, entry=entry):
+                    probe = {k: v.copy() for k, v in params.items()}
+                    probe[name][entry] = value[0]
+                    return trainer.grad_step(probe, batch, ctx)[0]
+                fd = finite_diff_gradient(f, np.array([params[name][entry]]))[0]
+                assert grads[name][entry] == pytest.approx(fd, rel=1e-4, abs=1e-9), (name, entry)
+
+    @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
+    def test_predictor_blocks(self, variant, rng, monkeypatch):
+        assets, params, xh, _ = self._setup(variant, rng, n=7)
+        expected = softmax_temp(per_image_cocoop(assets, params, xh, np.zeros(7, int))[1],
+                                assets.cfg.tau)
+        whole = ConditionedPredictor(assets, params, None).probs(xh)
+        # three images per encode call: blocks of 3, 3 and 1
+        monkeypatch.setattr(ConditionedPredictor, "PAIRS_PER_BLOCK", 3 * 2 * 4)
+        blocked = ConditionedPredictor(assets, params, None).probs(xh)
+        np.testing.assert_allclose(whole, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(blocked, expected, rtol=0, atol=1e-12)
+
+
 class TestLossGradients:
     @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
     def test_kgcoop_regularizer_gradient(self, variant, rng):
@@ -186,7 +279,7 @@ class TestLossGradients:
         ctx = PromptContext(v)
         xh = random_unit_batch(rng, 2, cfg.d_image)
         y = np.array([0, 1])
-        feats, _ = text_features_all(assets.encoder, ctx, assets.vocab)
+        feats, _ = assets.text_features(ctx.vectors)
         dots = (feats[0] * feats[1]).sum(axis=1)
         loss_on, _ = loss_proda(assets, ctx, xh, y, 1.0)
         loss_off, _ = loss_proda(assets, ctx, xh, y, 0.0)
@@ -428,14 +521,13 @@ class TestTransportGradientSurrogate:
                                           eps=0.2, iters=60)
 
         # freeze the plans obtained at v, then vary the context
-        feats0, _ = text_features_all(assets.encoder, PromptContext(v), assets.vocab)
+        feats0, _ = assets.text_features(v)
         prompts0 = feats0.transpose(1, 0, 2)
         costs0 = 1.0 - np.einsum("bmd,cnd->bcmn", maps, prompts0)
         plans0 = sinkhorn_batched(costs0, 0.2, 60)
 
         def frozen_objective(flat):
-            feats_v, _ = text_features_all(
-                assets.encoder, PromptContext(flat.reshape(v.shape)), assets.vocab)
+            feats_v, _ = assets.text_features(flat.reshape(v.shape))
             costs = 1.0 - np.einsum("bmd,cnd->bcmn", maps, feats_v.transpose(1, 0, 2))
             logits = -(plans0 * costs).sum(axis=(-2, -1))
             return softmax_ce_batch(logits, labels, cfg.tau)[0]

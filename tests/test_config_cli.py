@@ -6,7 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from fedprompt.algorithms import TRAINER_KINDS
 from fedprompt.cli import main
 from fedprompt.config import (
     materialize_datasets,
@@ -17,9 +20,85 @@ from fedprompt.config import (
 from fedprompt import runner
 from fedprompt.data import MasterDataset, SyntheticSpec, generate_synthetic_dataset, save_feature_table
 from fedprompt.errors import ConfigError
+from fedprompt.evaluation import SCENARIO_KINDS, ZERO_SHOT_METHOD
+from fedprompt.federation import PROTOCOLS
 from fedprompt.runner import load_results_csv, plan_cells, report, run
 
 TOY = Path(__file__).resolve().parent.parent / "configs" / "toy.ini"
+
+
+def _floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+def _optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs that parse: random INI text over every key, kept when it validates."""
+    width = draw(st.integers(1, 64))
+    names = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=8)
+    datasets = draw(st.lists(st.one_of(
+        st.just("synthetic"), st.integers(0, 999).map(lambda k: f"synthetic#{k}"),
+        names.map(lambda n: f"tables/{n}.txt")), min_size=1, max_size=3,
+        unique_by=lambda entry: entry.rsplit("/", 1)[-1].rsplit(".", 1)[0]))
+    sections = {
+        "experiment": {
+            "scenarios": draw(st.lists(st.sampled_from(SCENARIO_KINDS), min_size=1, max_size=3)),
+            "methods": draw(st.lists(st.sampled_from(TRAINER_KINDS + (ZERO_SHOT_METHOD,)),
+                                     min_size=1, max_size=4)),
+            "seeds": draw(st.lists(st.integers(-10**6, 10**9), min_size=1, max_size=4)),
+            "output_dir": draw(st.text("abcXYZ019_-./% ", min_size=1, max_size=16)
+                               .filter(lambda t: t.strip() == t)),
+        },
+        "federation": {
+            "protocol": draw(st.sampled_from(PROTOCOLS)),
+            "num_clients": draw(_optional(st.integers(1, 200))),
+            "participation_fraction": draw(_optional(_floats(1e-3, 1.0))),
+            "rounds": draw(st.integers(1, 500)),
+            "local_epochs": draw(st.integers(0, 5)),
+            "batch_size": draw(st.integers(1, 128)),
+            "lr": draw(_floats(1e-9, 10.0)),
+            "momentum": draw(_floats(0.0, 0.999)),
+            "eval_every": draw(st.integers(1, 20)),
+        },
+        "model": {
+            "prompts": draw(st.integers(1, 4)), "tokens": draw(st.integers(1, 16)),
+            "d_token": draw(st.integers(1, 64)), "d_feature": width, "d_image": width,
+            "encoder": draw(st.sampled_from(["linear_pool", "attention_block"])),
+            "tau": draw(_floats(1e-6, 10.0)), "seed": draw(st.integers(0, 10**9)),
+            "init_std": draw(_floats(0.0, 1.0)), "token_scale": draw(_floats(1e-6, 1.0)),
+            "n_class_tokens": draw(st.integers(1, 3)), "meta_hidden": draw(st.integers(1, 128)),
+            "local_features": draw(st.integers(1, 8)),
+        },
+        "data": {
+            "datasets": datasets, "classes": draw(st.integers(2, 50)), "feature_dim": width,
+            "noise_sigma": draw(_floats(0.0, 2.0)),
+            "samples_per_class": draw(st.integers(1, 500)),
+            "per_class_subsample": draw(_optional(st.integers(1, 100))),
+            "alpha": draw(_floats(1e-6, 100.0)),
+        },
+        "scenario": {
+            "shots": draw(st.integers(1, 16)),
+            "split_mode": draw(st.sampled_from(["random", "first_half"])),
+            "cross_targets": draw(st.integers(1, 5)),
+        },
+    }
+    lines = []
+    for section, entries in sections.items():
+        lines.append(f"[{section}]")
+        for key, value in entries.items():
+            if value is None:
+                continue
+            if isinstance(value, list):
+                value = ",".join(str(v) for v in value)
+            lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
+    try:
+        return parse_config_text("\n".join(lines) + "\n")
+    except ConfigError:
+        assume(False)
 
 
 def write_table(path: Path, seed: int) -> None:
@@ -79,6 +158,21 @@ class TestParsing:
         again = parse_config_text(text)
         assert again == cfg
         assert serialize_config(again) == text
+
+    def test_percent_is_literal(self):
+        # INI values are not interpolated: "%" neither escapes nor fails
+        cfg = parse_config_text("[experiment]\noutput_dir = runs/100%_a%%b\n")
+        assert cfg.output_dir == "runs/100%_a%%b"
+        from_json = parse_config_text('{"experiment": {"output_dir": "x%1"}}')
+        assert parse_config_text(serialize_config(from_json)) == from_json
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        cfg = data.draw(valid_configs())
+        text = serialize_config(cfg)
+        assert parse_config_text(text) == cfg
+        assert serialize_config(parse_config_text(text)) == text
 
     def test_json_alternate_input(self):
         tree = {"federation": {"rounds": 7, "num_clients": 3},

@@ -17,6 +17,7 @@ from fedprompt.data import (
     kshot_iid_partition,
     load_feature_table,
     mirror_partition,
+    PartitionPlan,
     save_feature_table,
     stratified_split,
 )
@@ -341,6 +342,20 @@ class TestDomainPartition:
         ds = MasterDataset(features=np.zeros((4, 3)), labels=np.zeros(4, dtype=int), class_count=1)
         with pytest.raises(DataError):
             domain_partition(ds)
+
+
+class TestPartitionPlan:
+    def test_validate_partition(self):
+        with pytest.raises(DataError, match="twice"):
+            PartitionPlan(client_indices=[np.array([0, 2]), np.array([2])],
+                          scheme="manual").validate_partition(3)
+        with pytest.raises(DataError, match="outside"):
+            PartitionPlan(client_indices=[np.array([0, 3])], scheme="manual").validate_partition(3)
+
+    def test_empty_list_client(self):
+        PartitionPlan(client_indices=[[], np.array([0, 1])], scheme="manual").validate_partition(2)
+        with pytest.raises(DataError, match="twice"):
+            PartitionPlan(client_indices=[[], [1, 1]], scheme="manual").validate_partition(2)
 
 
 class TestStratifiedSplit:

@@ -114,6 +114,37 @@ class TestBatched:
                 np.testing.assert_allclose(plans[k], single, atol=1e-14)
 
 
+class TestUnderflow:
+    """At eps=5e-4 a row of exp(-cost/eps) underflows and its mass would vanish."""
+
+    COST = np.random.default_rng(0).uniform(0, 1, size=(4, 4))
+
+    def test_sinkhorn_raises(self):
+        with pytest.raises(DomainError, match="row marginal"):
+            sinkhorn(self.COST, eps=5e-4)
+
+    def test_relaxed_raises(self):
+        with pytest.raises(DomainError, match="row marginal"):
+            sinkhorn_relaxed(self.COST, eps=5e-4, col_relax=0.5)
+
+    def test_batched_raises(self):
+        rng = np.random.default_rng(1)
+        costs = rng.uniform(0, 0.1, size=(3, 4, 4))
+        sinkhorn_batched(costs, eps=5e-4)  # every row within reach: fine
+        with pytest.raises(DomainError, match="row marginal"):
+            sinkhorn_batched(np.concatenate([costs, self.COST[None]]), eps=5e-4)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_batched_rejects_nonpositive_eps(self, eps):
+        with pytest.raises(ConfigError):
+            sinkhorn_batched(np.zeros((2, 3, 3)), eps=eps)
+
+    def test_default_eps_rows_exact(self):
+        rng = np.random.default_rng(2)
+        plans = sinkhorn_batched(rng.uniform(0, 2, size=(6, 4, 2)), eps=0.1)
+        np.testing.assert_allclose(plans.sum(axis=-1), np.full((6, 4), 0.25), atol=1e-12)
+
+
 class TestClassScore:
     def test_degenerate_reduces_to_cosine(self, rng):
         local = unit_rows(rng.normal(size=(1, 6)))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import vlm_oracle
 from conftest import random_unit_batch, small_config
+from vlm_oracle import predict
 from fedprompt.errors import ConfigError, DomainError
 from fedprompt.numerics import (
     cosine_similarity,
@@ -19,11 +21,8 @@ from fedprompt.vlm import (
     build_assets,
     build_handcrafted_context,
     build_prompt_context,
-    encode_text,
-    predict,
     prompt_gradients,
     synth_local_features,
-    text_features_all,
 )
 from fedprompt.algorithms import Batch
 
@@ -89,21 +88,26 @@ class TestEncoder:
     def test_unit_norm_many_contexts(self, variant, rng):
         cfg = small_config(variant)
         enc = FrozenTextEncoder.from_config(cfg)
-        vocab = ClassVocabulary.build(cfg, 3)
+        rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.L)
         for _ in range(500):  # 1000 random contexts across the two variants
-            ctx = PromptContext(rng.normal(size=(1, cfg.L, cfg.d_token)))
-            t = encode_text(enc, ctx, 0, vocab, 1)
-            assert np.linalg.norm(t) == pytest.approx(1.0, abs=1e-12)
+            feats, _ = enc.encode(rng.normal(size=(1, cfg.L, cfg.d_token)), rows)
+            np.testing.assert_allclose(np.linalg.norm(feats, axis=-1), 1.0, rtol=0, atol=1e-12)
+        stacked, _ = enc.encode(rng.normal(size=(500, cfg.L, cfg.d_token)), rows)
+        np.testing.assert_allclose(np.linalg.norm(stacked, axis=-1), 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
     def test_deterministic(self, variant, rng):
         cfg = small_config(variant)
-        enc = FrozenTextEncoder.from_config(cfg)
-        vocab = ClassVocabulary.build(cfg, 3)
-        ctx = PromptContext(rng.normal(size=(1, cfg.L, cfg.d_token)))
-        t1 = encode_text(enc, ctx, 0, vocab, 2)
-        t2 = encode_text(enc, ctx, 0, vocab, 2)
-        np.testing.assert_array_equal(t1, t2)
+        ctx = rng.normal(size=(2, cfg.L, cfg.d_token))
+        dfeats = rng.normal(size=(2, 3, cfg.d_feature))
+        runs = []
+        for _ in range(2):  # fresh encoder and class rows each time
+            enc = FrozenTextEncoder.from_config(cfg)
+            rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.L)
+            feats, cache = enc.encode(ctx, rows)
+            runs.append((feats, enc.backward(cache, dfeats)))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
     @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
     def test_coordinate_gradient_matches_finite_differences(self, variant, rng):
@@ -113,29 +117,101 @@ class TestEncoder:
         ctx0 = rng.normal(size=(cfg.L, cfg.d_token)) * 0.2
         coord = 3  # one output coordinate of the class feature
 
-        from fedprompt.vlm import TextSetGraph
-
-        graph = TextSetGraph(enc, ctx0, vocab, class_ids=np.array([1]))
-        probe = np.zeros((1, cfg.d_feature))
-        probe[0, coord] = 1.0
-        analytic, _ = graph.backward(probe)
+        rows = enc.class_rows(vocab.tokens, cfg.L).take(np.array([1]))
+        _, cache = enc.encode(ctx0[None], rows)
+        probe = np.zeros((1, 1, cfg.d_feature))
+        probe[0, 0, coord] = 1.0
+        analytic = enc.backward(cache, probe)[0]
 
         def f(flat):
-            g = TextSetGraph(enc, flat.reshape(cfg.L, cfg.d_token), vocab, class_ids=np.array([1]))
-            return float(g.features[0, coord])
+            feats, _ = enc.encode(flat.reshape(1, cfg.L, cfg.d_token), rows)
+            return float(feats[0, 0, coord])
 
         fd = finite_diff_gradient(f, ctx0.copy().ravel()).reshape(cfg.L, cfg.d_token)
         assert relative_error(analytic, fd) < 1e-4
 
     def test_token_width_mismatch(self):
-        cfg = small_config()
-        enc = FrozenTextEncoder.from_config(cfg)
-        with pytest.raises(ConfigError):
-            enc.encode(np.zeros((1, 4, cfg.d_token + 1)))
+        for variant in ("linear_pool", "attention_block"):
+            cfg = small_config(variant)
+            enc = FrozenTextEncoder.from_config(cfg)
+            rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.L)
+            with pytest.raises(ConfigError):
+                enc.encode(np.zeros((1, cfg.L, cfg.d_token + 1)), rows)
 
     def test_digest_stable(self):
         cfg = small_config()
         assert FrozenTextEncoder.from_config(cfg).digest() == FrozenTextEncoder.from_config(cfg).digest()
+
+
+class TestStructuredEncoder:
+    """The fast path against the per-sequence oracle in `vlm_oracle`."""
+
+    @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
+    @pytest.mark.parametrize("n_class_tokens", [1, 2])
+    @pytest.mark.parametrize("d_token", [8, 512])
+    def test_matches_per_sequence_oracle(self, variant, n_class_tokens, d_token, rng):
+        cfg = small_config(variant, L=4, d_token=d_token, n_class_tokens=n_class_tokens)
+        assets = build_assets(cfg, 6)
+        ids = np.array([4, 0, 5, 2])
+        class_tokens = assets.vocab.tokens[ids]
+        # a per-context bias, as conditioned prompts add it to every context token
+        bias = rng.normal(size=(8, d_token)) * 0.1
+        contexts = rng.normal(size=(8, cfg.L, d_token)) * 0.2 + bias[:, None, :]
+
+        feats, cache = assets.text_features(contexts, ids)
+        expected = vlm_oracle.text_features(assets.encoder, contexts, class_tokens)
+        assert feats.shape == (8, len(ids), cfg.d_feature)
+        np.testing.assert_allclose(feats, expected, rtol=0, atol=1e-12)
+
+        dfeats = rng.normal(size=feats.shape)
+        grads = assets.encoder.backward(cache, dfeats)
+        expected_grads = vlm_oracle.context_grads(assets.encoder, contexts, class_tokens, dfeats)
+        assert grads.shape == contexts.shape
+        np.testing.assert_allclose(grads, expected_grads, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads.sum(axis=1), expected_grads.sum(axis=1),
+                                   rtol=0, atol=1e-12)  # the bias gradient
+
+    @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
+    def test_class_subset_selects_rows(self, variant, rng):
+        cfg = small_config(variant)
+        assets = build_assets(cfg, 5)
+        contexts = rng.normal(size=(2, cfg.L, cfg.d_token)) * 0.2
+        full, _ = assets.text_features(contexts)
+        ids = np.array([3, 1])
+        subset, _ = assets.text_features(contexts, ids)
+        np.testing.assert_allclose(subset, full[:, ids], rtol=0, atol=1e-15)
+
+    def test_context_length_mismatch(self):
+        cfg = small_config("attention_block")
+        enc = FrozenTextEncoder.from_config(cfg)
+        rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.L)
+        with pytest.raises(ConfigError):
+            enc.encode(np.zeros((1, cfg.L + 1, cfg.d_token)), rows)
+        with pytest.raises(ConfigError):
+            enc.encode(np.zeros((cfg.L, cfg.d_token)), rows)
+
+    def test_gradient_shape_mismatch(self, small_assets, rng):
+        cfg = small_assets.cfg
+        feats, cache = small_assets.text_features(rng.normal(size=(2, cfg.L, cfg.d_token)))
+        with pytest.raises(ConfigError):
+            small_assets.encoder.backward(cache, np.zeros(feats.shape[1:]))
+
+
+class TestReferenceFeatures:
+    def test_mean_of_template_features(self, small_assets):
+        cfg = small_assets.cfg
+        acc = np.zeros_like(small_assets.hand_features)
+        for tpl in range(3):
+            ctx = build_handcrafted_context(cfg.seed, cfg.L, cfg.d_token, std=cfg.init_std,
+                                            template=tpl)
+            acc += vlm_oracle.text_features(small_assets.encoder, ctx.vectors,
+                                            small_assets.vocab.tokens)[0]
+        expected = acc / np.linalg.norm(acc, axis=1, keepdims=True)
+        np.testing.assert_allclose(small_assets.reference_features(3), expected, rtol=0, atol=1e-12)
+
+    def test_needs_a_template(self, small_assets):
+        with pytest.raises(ConfigError):
+            small_assets.reference_features(0)
 
 
 class TestPredict:
@@ -169,7 +245,7 @@ class TestPredict:
         # scores composed by hand from cosine_similarity + softmax_temp
         cfg = small_assets.cfg
         ctx = build_prompt_context(cfg, rng)
-        feats, _ = text_features_all(small_assets.encoder, ctx, small_assets.vocab)
+        feats, _ = small_assets.text_features(ctx.vectors)
         x = rng.normal(size=cfg.d_image)
         probs = predict(x, list(feats[0]), tau=cfg.tau)
         sims = np.array([cosine_similarity(x, t) for t in feats[0]])
@@ -214,7 +290,7 @@ class TestPromptGradients:
         cfg = small_config("linear_pool", tau=0.01)
         assets = build_assets(cfg, 2)
         ctx = build_prompt_context(cfg, rng)
-        feats, _ = text_features_all(assets.encoder, ctx, assets.vocab)
+        feats, _ = assets.text_features(ctx.vectors)
         x = feats[0, 0]  # image aligned exactly with class-0 feature
         batch = Batch(features=x[None, :], labels=np.array([0]), master_indices=np.array([0]))
         grads, loss = prompt_gradients(assets.encoder, ctx, batch, assets.vocab, cfg.tau)

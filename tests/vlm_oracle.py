@@ -1,0 +1,90 @@
+"""Per-sequence reference encoder, the oracle for `FrozenTextEncoder`.
+
+Every (context, class) pair is laid out as its own full token sequence
+[context; class tokens] and run through the frozen weights with 3-D
+matmuls, and the gradient comes back for every token row. The fast path
+encodes each context once against cached class rows; it must agree with
+this layout to rounding.
+"""
+
+import numpy as np
+
+from fedprompt.errors import ConfigError, DomainError
+from fedprompt.numerics import cosine_similarity, softmax_temp
+
+
+def encode_sequences(encoder, tokens: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Encode a stack of sequences (n, S, d_token) -> unit features (n, d_feature)."""
+    tokens = np.asarray(tokens, dtype=np.float64)
+    if tokens.shape[-1] != encoder.d_token:
+        raise ConfigError(f"token width {tokens.shape[-1]} != encoder d_token {encoder.d_token}")
+    n, S, d = tokens.shape
+    w = encoder.weights
+    if encoder.variant == "attention_block":
+        X = tokens + encoder.positions(S)[None]
+        Q = X @ w["wq"]
+        K = X @ w["wk"]
+        V = X @ w["wv"]
+        scores = Q @ K.transpose(0, 2, 1) / np.sqrt(d)
+        scores -= scores.max(axis=-1, keepdims=True)
+        A = np.exp(scores)
+        A /= A.sum(axis=-1, keepdims=True)
+        h = (X + A @ V).mean(axis=1)
+        attn_cache = (Q, K, V, A)
+    else:
+        h = tokens.mean(axis=1)
+        attn_cache = None
+    u = np.tanh(h @ w["w_out"].T + w["b_out"])
+    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    t = u / norms
+    return t, (S, u, norms, t, attn_cache)
+
+
+def backward_sequences(encoder, cache: tuple, dfeatures: np.ndarray) -> np.ndarray:
+    """Gradient of the features w.r.t. every input token, (n, S, d_token)."""
+    S, u, norms, t, attn_cache = cache
+    w = encoder.weights
+    du = (dfeatures - (dfeatures * t).sum(axis=1, keepdims=True) * t) / norms
+    dh = (du * (1.0 - u * u)) @ w["w_out"]
+    dY = np.repeat(dh[:, None, :] / S, S, axis=1)
+    if encoder.variant == "linear_pool":
+        return dY
+    Q, K, V, A = attn_cache
+    dA = dY @ V.transpose(0, 2, 1)
+    dV = A.transpose(0, 2, 1) @ dY
+    dscores = A * (dA - (dA * A).sum(axis=-1, keepdims=True)) / np.sqrt(encoder.d_token)
+    dQ = dscores @ K
+    dK = dscores.transpose(0, 2, 1) @ Q
+    return dY + dQ @ w["wq"].T + dK @ w["wk"].T + dV @ w["wv"].T
+
+
+def _sequences(contexts: np.ndarray, class_tokens: np.ndarray) -> np.ndarray:
+    """(n*C, L+T, d): context i followed by class c's tokens, class-minor order."""
+    n, C = contexts.shape[0], class_tokens.shape[0]
+    return np.concatenate([np.repeat(contexts, C, axis=0), np.tile(class_tokens, (n, 1, 1))],
+                          axis=1)
+
+
+def text_features(encoder, contexts: np.ndarray, class_tokens: np.ndarray) -> np.ndarray:
+    """Unit features (n, C, d_feature) of every (context, class) sequence."""
+    feats, _ = encode_sequences(encoder, _sequences(contexts, class_tokens))
+    return feats.reshape(contexts.shape[0], class_tokens.shape[0], -1)
+
+
+def context_grads(encoder, contexts: np.ndarray, class_tokens: np.ndarray,
+                  dfeatures: np.ndarray) -> np.ndarray:
+    """Gradient (n, L, d_token) of <dfeatures, features> w.r.t. the contexts."""
+    n, L, d = contexts.shape
+    _, cache = encode_sequences(encoder, _sequences(contexts, class_tokens))
+    dtokens = backward_sequences(encoder, cache, dfeatures.reshape(-1, dfeatures.shape[-1]))
+    return dtokens.reshape(n, class_tokens.shape[0], -1, d)[:, :, :L].sum(axis=1)
+
+
+def predict(image_feature: np.ndarray, class_features: list[np.ndarray] | np.ndarray,
+            tau: float) -> np.ndarray:
+    """Class probabilities of one image: temperature softmax over cosine similarities."""
+    feats = list(class_features)
+    if len(feats) == 0:
+        raise DomainError("predict needs at least one class feature")
+    sims = np.array([cosine_similarity(image_feature, t) for t in feats])
+    return softmax_temp(sims, tau)
