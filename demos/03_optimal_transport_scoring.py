@@ -4,7 +4,7 @@ one-sided relaxation used by the consensus/personal prompt pair.
 
 import numpy as np
 
-from fedprompt.transport import plot_class_score, sinkhorn, sinkhorn_relaxed
+from fedprompt.transport import sinkhorn, sinkhorn_relaxed
 from fedprompt.vlm import synth_local_features, unit_rows
 
 rng = np.random.default_rng(0)
@@ -24,12 +24,21 @@ for relax in (1.0, 0.5, 0.0):
           f"(uniform target is [0.5, 0.5])")
 print("relax=1 reproduces the balanced plan; relax=0 lets mass follow the cheap prompt")
 
+
+
+def class_score(regions, prompts, eps):
+    """Transport-aligned class logit: the negative cost of the balanced plan."""
+    cost = 1.0 - regions @ prompts.T  # rows of both are unit norm
+    plan = sinkhorn(cost, eps=eps)
+    return -(plan * cost).sum()
+
+
 print("\nclass scoring by transport: regions of an image vs per-class prompts")
 anchor = unit_rows(rng.normal(size=(1, 32)))[0]
 regions = synth_local_features(anchor, M=6, rng=rng, spread=0.15)
 aligned = unit_rows(anchor[None, :] + 0.1 * rng.normal(size=(2, 32)))
 random_prompts = unit_rows(rng.normal(size=(2, 32)))
-s_aligned, _ = plot_class_score(regions, aligned, eps=0.1)
-s_random, _ = plot_class_score(regions, random_prompts, eps=0.1)
+s_aligned = class_score(regions, aligned, eps=0.1)
+s_random = class_score(regions, random_prompts, eps=0.1)
 print(f"  aligned prompts score {s_aligned:+.3f}, random prompts score {s_random:+.3f}")
 print("  (scores are negative transport costs; closer to 0 means better alignment)")

@@ -2,34 +2,46 @@
 dataset, with the superiority count against the plain baseline.
 """
 
-from fedprompt import rngs
-from fedprompt.data import SyntheticSpec, generate_synthetic_dataset
-from fedprompt.evaluation import ExperimentPlan, ScenarioSpec, run_scenario, superiority_indicator
-from fedprompt.federation import FederationConfig
-from fedprompt.vlm import ModelConfig
+import tempfile
 
-datasets = {
-    f"synthetic#{k}": generate_synthetic_dataset(
-        SyntheticSpec(classes=6, feature_dim=32, noise_sigma=0.15, samples_per_class=60,
-                      prototype_seed=k),
-        rngs.derive_rng(k, rngs.DATA),
-    )
-    for k in range(2)
-}
-
-plan = ExperimentPlan(
-    model=ModelConfig(m=1, L=4, d_token=16, d_feature=32, d_image=32,
-                      encoder="attention_block", token_scale=0.05),
-    federation=FederationConfig(protocol="standard", num_clients=5, rounds=10),
-    alpha=0.3,
-    per_class_subsample=40,
-)
+from fedprompt.config import parse_config_text
+from fedprompt.evaluation import superiority_indicator
+from fedprompt.runner import run
 
 methods = ["zsclip", "promptfl", "kgcoop", "src", "prograd", "proda", "cocoop", "plot", "fedotp"]
-table, _curves = run_scenario(ScenarioSpec(kind="global"), methods, seeds=[0, 1],
-                              datasets=datasets, plan=plan)
+CONFIG = f"""
+[experiment]
+scenarios = global
+methods = {",".join(methods)}
+seeds = 0,1
 
-names = sorted(datasets)
+[federation]
+protocol = standard
+num_clients = 5
+rounds = 10
+
+[model]
+tokens = 4
+d_token = 16
+d_feature = 32
+d_image = 32
+encoder = attention_block
+token_scale = 0.05
+
+[data]
+datasets = synthetic#0,synthetic#1
+classes = 6
+feature_dim = 32
+noise_sigma = 0.15
+samples_per_class = 60
+per_class_subsample = 40
+alpha = 0.3
+"""
+
+with tempfile.TemporaryDirectory() as out_dir:
+    table = run(parse_config_text(CONFIG), output_dir=out_dir).table
+
+names = table.datasets("global")
 print(f"{'method':10s}  " + "  ".join(f"{n:>12s}" for n in names) + "     #")
 baseline = {n: table.cell("global", "promptfl", n, "alpha_g")[0] for n in names}
 for method in methods:

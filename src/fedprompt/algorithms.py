@@ -22,9 +22,6 @@ from .vlm import (
     unit_rows,
 )
 
-TRAINER_KINDS = ("promptfl", "fedotp", "cocoop", "plot", "proda", "prograd", "src", "kgcoop")
-
-
 # ---------------------------------------------------------------------------
 # Communicable payloads
 # ---------------------------------------------------------------------------
@@ -391,7 +388,9 @@ def ot_scores_and_grads(assets: ModelAssets, context: PromptContext, batch: Batc
 # ---------------------------------------------------------------------------
 
 class LocalTrainer:
-    """Shared SGD loop; subclasses supply gradients and payload layout."""
+    """Shared SGD epoch loop; subclasses supply their `loss` (or a whole
+    `grad_step` when training needs more than the context, unit image
+    features and labels) and the payload layout."""
 
     kind: str = ""
     set_multiplier: int = 1  # prompt sets per configured "number of prompts"
@@ -424,15 +423,9 @@ class LocalTrainer:
         params.update({k: v.copy() for k, v in state.local_fields.items()})
         state.sgd.lr0 = ctx.lr0
         state.sgd.momentum = ctx.momentum
-        params, stats = self._run_epochs(params, state, dataset, ctx)
-        new_payload = CommunicablePayload({k: params[k] for k in payload.fields})
-        for k in state.local_fields:
-            state.local_fields[k] = params[k]
-        return new_payload, stats
-
-    def _run_epochs(self, params, state, dataset, ctx) -> tuple[dict, TrainStats]:
         losses: list[float] = []
         n_samples = 0
+        passes: list[dict] = []  # the parameters after each pass over the data
         for _ in range(ctx.epochs):
             for batch in iterate_batches(dataset, ctx.rng, ctx.batch_size):
                 if ctx.audit is not None:
@@ -442,10 +435,31 @@ class LocalTrainer:
                                            ctx.round_index, ctx.total_rounds)
                 losses.append(loss)
                 n_samples += batch.features.shape[0]
+            passes.append(params)
+        if passes:
+            params = self.end_of_passes(passes)
+        new_payload = CommunicablePayload({k: params[k] for k in payload.fields})
+        for k in state.local_fields:
+            state.local_fields[k] = params[k]
         mean_loss = float(np.mean(losses)) if losses else 0.0
-        return params, TrainStats(mean_loss=mean_loss, n_batches=len(losses), n_samples=n_samples)
+        return new_payload, TrainStats(mean_loss=mean_loss, n_batches=len(losses),
+                                       n_samples=n_samples)
+
+    def end_of_passes(self, passes: list[dict]) -> dict:
+        """The parameters a client returns, from those after each of its passes."""
+        return passes[-1]
 
     def grad_step(self, params: dict, batch: Batch, ctx: TrainContext) -> tuple[float, dict]:
+        """Loss and gradients of one batch: unit image features and labels as
+        positions in the trained class set go to the trainer's `loss`."""
+        loss, grads = self.loss(ctx.assets, PromptContext(params["context"]),
+                                unit_rows(batch.features), ctx.map_labels(batch.labels),
+                                ctx.class_ids)
+        return loss, {"context": grads}
+
+    def loss(self, assets: ModelAssets, context: PromptContext, xh: np.ndarray,
+             labels: np.ndarray, class_ids: np.ndarray | None) -> tuple[float, np.ndarray]:
+        """Mean batch loss and its gradient w.r.t. the context (sets, L, d_token)."""
         raise NotImplementedError
 
     # -- inference ---------------------------------------------------------
@@ -493,12 +507,8 @@ class TransportPredictor:
 class PromptFLTrainer(LocalTrainer):
     kind = "promptfl"
 
-    def grad_step(self, params, batch, ctx):
-        xh = unit_rows(batch.features)
-        labels = ctx.map_labels(batch.labels)
-        loss, grads, _ = ce_loss_and_grads(ctx.assets, PromptContext(params["context"]),
-                                           xh, labels, ctx.class_ids)
-        return loss, {"context": grads}
+    def loss(self, assets, context, xh, labels, class_ids):
+        return ce_loss_and_grads(assets, context, xh, labels, class_ids)[:2]
 
 
 class KgCoOpTrainer(LocalTrainer):
@@ -507,12 +517,8 @@ class KgCoOpTrainer(LocalTrainer):
     def __init__(self, lambda_kg: float = 1.0):
         self.lambda_kg = lambda_kg
 
-    def grad_step(self, params, batch, ctx):
-        xh = unit_rows(batch.features)
-        labels = ctx.map_labels(batch.labels)
-        loss, grads = loss_kgcoop(ctx.assets, PromptContext(params["context"]), xh, labels,
-                                  self.lambda_kg, ctx.class_ids)
-        return loss, {"context": grads}
+    def loss(self, assets, context, xh, labels, class_ids):
+        return loss_kgcoop(assets, context, xh, labels, self.lambda_kg, class_ids)
 
 
 class ProGradTrainer(LocalTrainer):
@@ -521,12 +527,8 @@ class ProGradTrainer(LocalTrainer):
     def __init__(self, lambda_pg: float = 1.0):
         self.lambda_pg = lambda_pg
 
-    def grad_step(self, params, batch, ctx):
-        xh = unit_rows(batch.features)
-        labels = ctx.map_labels(batch.labels)
-        loss, grads = loss_prograd(ctx.assets, PromptContext(params["context"]), xh, labels,
-                                   self.lambda_pg, ctx.class_ids)
-        return loss, {"context": grads}
+    def loss(self, assets, context, xh, labels, class_ids):
+        return loss_prograd(assets, context, xh, labels, self.lambda_pg, class_ids)
 
 
 class ProDATrainer(LocalTrainer):
@@ -536,15 +538,14 @@ class ProDATrainer(LocalTrainer):
     def __init__(self, lambda_orth: float = 1.0):
         self.lambda_orth = lambda_orth
 
-    def grad_step(self, params, batch, ctx):
-        xh = unit_rows(batch.features)
-        labels = ctx.map_labels(batch.labels)
-        loss, grads = loss_proda(ctx.assets, PromptContext(params["context"]), xh, labels,
-                                 self.lambda_orth, ctx.class_ids)
-        return loss, {"context": grads}
+    def loss(self, assets, context, xh, labels, class_ids):
+        return loss_proda(assets, context, xh, labels, self.lambda_orth, class_ids)
 
 
 class SRCTrainer(LocalTrainer):
+    """Self-regularised prompts; a client returns the Gaussian-weighted
+    average of its contexts after the last `window` passes."""
+
     kind = "src"
 
     def __init__(self, mu_text: float = 1.0, mu_logit: float = 1.0, window: int = 3,
@@ -556,41 +557,16 @@ class SRCTrainer(LocalTrainer):
         self.window = window
         self.n_templates = n_templates
 
-    def _references(self, ctx: TrainContext) -> np.ndarray:
-        refs = ctx.assets.reference_features(self.n_templates)
-        if ctx.class_ids is not None:
-            refs = refs[np.asarray(ctx.class_ids)]
-        return refs
+    def loss(self, assets, context, xh, labels, class_ids):
+        refs = assets.reference_features(self.n_templates)
+        if class_ids is not None:
+            refs = refs[np.asarray(class_ids)]
+        return loss_src(assets, context, xh, labels, self.mu_text, self.mu_logit, class_ids,
+                        reference_features=refs)
 
-    def grad_step(self, params, batch, ctx):
-        xh = unit_rows(batch.features)
-        labels = ctx.map_labels(batch.labels)
-        loss, grads = loss_src(ctx.assets, PromptContext(params["context"]), xh, labels,
-                               self.mu_text, self.mu_logit, ctx.class_ids,
-                               reference_features=self._references(ctx))
-        return loss, {"context": grads}
-
-    def _run_epochs(self, params, state, dataset, ctx):
-        trajectory: list[np.ndarray] = []
-        losses: list[float] = []
-        n_batches = 0
-        n_samples = 0
-        for _ in range(ctx.epochs):
-            for batch in iterate_batches(dataset, ctx.rng, ctx.batch_size):
-                if ctx.audit is not None:
-                    ctx.audit.append(np.asarray(batch.master_indices))
-                loss, grads = self.grad_step(params, batch, ctx)
-                params = sgd_momentum_step(params, grads, state.sgd,
-                                           ctx.round_index, ctx.total_rounds)
-                losses.append(loss)
-                n_batches += 1
-                n_samples += batch.features.shape[0]
-            trajectory.append(params["context"].copy())
-        if trajectory:
-            params = dict(params)
-            params["context"] = trajectory_average(trajectory, self.window)
-        mean_loss = float(np.mean(losses)) if losses else 0.0
-        return params, TrainStats(mean_loss=mean_loss, n_batches=n_batches, n_samples=n_samples)
+    def end_of_passes(self, passes):
+        contexts = [p["context"] for p in passes]
+        return {**passes[-1], "context": trajectory_average(contexts, self.window)}
 
 
 class CoCoOpTrainer(LocalTrainer):
@@ -765,6 +741,9 @@ _TRAINERS = {
     "plot": PLOTTrainer,
     "fedotp": FedOTPTrainer,
 }
+
+
+TRAINER_KINDS = tuple(_TRAINERS)
 
 
 def make_trainer(kind: str, **hyper) -> LocalTrainer:

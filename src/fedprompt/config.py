@@ -9,13 +9,14 @@ experiment (synthetic data, promptfl, global scenario).
 import configparser
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 from .data import MasterDataset, SyntheticSpec, generate_synthetic_dataset, load_feature_table
-from .errors import ConfigError, FedPromptError
+from .errors import ConfigError
 from .evaluation import SCENARIO_KINDS, ZERO_SHOT_METHOD, ExperimentPlan, ScenarioSpec
 from .federation import FederationConfig
-from .vlm import ENCODER_VARIANTS, ModelConfig
+from .vlm import ModelConfig
 from .algorithms import TRAINER_KINDS
 from . import rngs
 
@@ -143,9 +144,12 @@ def _convert(section: str, key: str, raw, converter):
     if isinstance(raw, list):  # JSON may carry lists natively
         raw = " ".join(str(x) for x in raw)
     try:
-        return converter(raw)
+        value = converter(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r}: {exc}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: must be finite, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -168,6 +172,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return _build(values)
 
 
+def _in_section(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs); its errors name a key, to which the section is prefixed."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
+
+
 def _build(values: dict[str, dict[str, object]]) -> ExperimentConfig:
     exp = values["experiment"]
     fed = values["federation"]
@@ -175,76 +187,61 @@ def _build(values: dict[str, dict[str, object]]) -> ExperimentConfig:
     dat = values["data"]
     scn = values["scenario"]
 
-    for kind in exp["scenarios"]:
-        if kind not in SCENARIO_KINDS:
-            raise ConfigError(f"experiment.scenarios: unknown scenario {kind!r}")
+    for key in ("scenarios", "methods", "seeds"):  # an empty list plans no cell
+        if not exp[key]:
+            raise ConfigError(f"experiment.{key}: need at least one entry")
     for method in exp["methods"]:
         if method not in _METHOD_CHOICES:
             raise ConfigError(f"experiment.methods: unknown method {method!r}")
-    if not exp["seeds"]:
-        raise ConfigError("experiment.seeds: need at least one seed")
+    for kind in exp["scenarios"]:
+        if kind not in SCENARIO_KINDS:
+            raise ConfigError(f"experiment.scenarios: unknown scenario {kind!r}")
+        _in_section("scenario", ScenarioSpec, kind, **scn)  # checks the [scenario] options
 
     # unset client count and participation fall back to the protocol's defaults
     overrides = {key: fed[key] for key in ("num_clients", "participation_fraction")
                  if fed[key] is not None}
-    try:
-        federation = FederationConfig.for_protocol(
-            fed["protocol"], rounds=fed["rounds"], local_epochs=fed["local_epochs"],
-            batch_size=fed["batch_size"], lr0=fed["lr"], momentum=fed["momentum"],
-            eval_every=fed["eval_every"], **overrides,
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"federation.{exc}") from exc
+    federation = _in_section(
+        "federation", FederationConfig.for_protocol,
+        fed["protocol"], rounds=fed["rounds"], local_epochs=fed["local_epochs"],
+        batch_size=fed["batch_size"], lr0=fed["lr"], momentum=fed["momentum"],
+        eval_every=fed["eval_every"], **overrides,
+    )
+    model = _in_section(
+        "model", ModelConfig,
+        m=mdl["prompts"], L=mdl["tokens"], d_token=mdl["d_token"],
+        d_feature=mdl["d_feature"], d_image=mdl["d_image"], encoder=mdl["encoder"],
+        tau=mdl["tau"], seed=mdl["seed"], init_std=mdl["init_std"],
+        token_scale=mdl["token_scale"], n_class_tokens=mdl["n_class_tokens"],
+        meta_hidden=mdl["meta_hidden"], local_features=mdl["local_features"],
+    )
 
-    if mdl["encoder"] not in ENCODER_VARIANTS:
-        raise ConfigError(f"model.encoder: unknown variant {mdl['encoder']!r}")
-    try:
-        model = ModelConfig(
-            m=mdl["prompts"], L=mdl["tokens"], d_token=mdl["d_token"],
-            d_feature=mdl["d_feature"], d_image=mdl["d_image"], encoder=mdl["encoder"],
-            tau=mdl["tau"], seed=mdl["seed"], init_std=mdl["init_std"],
-            token_scale=mdl["token_scale"], n_class_tokens=mdl["n_class_tokens"],
-            meta_hidden=mdl["meta_hidden"], local_features=mdl["local_features"],
-        )
-    except FedPromptError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-
-    if dat["classes"] < 2:
-        raise ConfigError(f"data.classes: must be >= 2, got {dat['classes']}")
     if dat["alpha"] <= 0:
         raise ConfigError(f"data.alpha: must be positive, got {dat['alpha']}")
+    data = DataConfig(**dat)
     entries_by_name: dict[str, str] = {}
-    for entry in dat["datasets"]:
+    for entry in data.datasets:
         name = dataset_display_name(entry)
         if name in entries_by_name:
             raise ConfigError(f"data.datasets: {entries_by_name[name]!r} and {entry!r} both "
                               f"name the dataset {name!r}")
         entries_by_name[name] = entry
-    has_synthetic = any(name.split("#")[0] == "synthetic" for name in dat["datasets"])
-    if has_synthetic and dat["feature_dim"] != model.d_image:
+        if _is_synthetic(entry):
+            try:
+                _in_section("data", synthetic_spec, data, entry)
+            except ValueError as exc:
+                raise ConfigError(f"data.datasets: {entry!r} needs an integer prototype "
+                                  "seed after '#'") from exc
+    if any(map(_is_synthetic, data.datasets)) and data.feature_dim != model.d_image:
         raise ConfigError(
-            f"data.feature_dim: synthetic features are {dat['feature_dim']}-dimensional but "
+            f"data.feature_dim: synthetic features are {data.feature_dim}-dimensional but "
             f"model.d_image is {model.d_image}; they must match"
         )
-    data = DataConfig(
-        datasets=dat["datasets"], classes=dat["classes"], feature_dim=dat["feature_dim"],
-        noise_sigma=dat["noise_sigma"], samples_per_class=dat["samples_per_class"],
-        per_class_subsample=dat["per_class_subsample"], alpha=dat["alpha"],
-    )
-
-    if scn["split_mode"] not in ("random", "first_half"):
-        raise ConfigError(f"scenario.split_mode: must be 'random' or 'first_half', got {scn['split_mode']!r}")
-    if scn["shots"] < 1:
-        raise ConfigError(f"scenario.shots: must be >= 1, got {scn['shots']}")
-    if scn["cross_targets"] < 1:
-        raise ConfigError(f"scenario.cross_targets: must be >= 1, got {scn['cross_targets']}")
-    scenario_options = {"shots": scn["shots"], "split_mode": scn["split_mode"],
-                        "cross_targets": scn["cross_targets"]}
 
     return ExperimentConfig(
         scenarios=list(exp["scenarios"]), methods=list(exp["methods"]),
         seeds=list(exp["seeds"]), output_dir=str(exp["output_dir"]),
-        federation=federation, model=model, data=data, scenario_options=scenario_options,
+        federation=federation, model=model, data=data, scenario_options=dict(scn),
     )
 
 
@@ -303,27 +300,33 @@ def serialize_config(config: ExperimentConfig) -> str:
     return out.getvalue()
 
 
+def _is_synthetic(entry: str) -> bool:
+    return entry.split("#")[0] == "synthetic"
+
+
 def dataset_display_name(entry: str) -> str:
     """Results column name for a dataset entry (file paths shed dir and extension)."""
-    if entry.split("#")[0] == "synthetic":
+    if _is_synthetic(entry):
         return entry
     return entry.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+
+
+def synthetic_spec(data: DataConfig, entry: str) -> SyntheticSpec:
+    """The recipe of a `synthetic` or `synthetic#<prototype seed>` entry."""
+    return SyntheticSpec(
+        classes=data.classes, feature_dim=data.feature_dim, noise_sigma=data.noise_sigma,
+        samples_per_class=data.samples_per_class,
+        prototype_seed=int(entry.split("#")[1]) if "#" in entry else 0,
+    )
 
 
 def materialize_datasets(config: ExperimentConfig) -> dict[str, MasterDataset]:
     """Build every dataset named in the config; file paths are loaded and checked."""
     datasets: dict[str, MasterDataset] = {}
     for entry in config.data.datasets:
-        if entry.split("#")[0] == "synthetic":
-            proto_seed = int(entry.split("#")[1]) if "#" in entry else 0
-            spec = SyntheticSpec(
-                classes=config.data.classes,
-                feature_dim=config.data.feature_dim,
-                noise_sigma=config.data.noise_sigma,
-                samples_per_class=config.data.samples_per_class,
-                prototype_seed=proto_seed,
-            )
-            rng = rngs.derive_rng(proto_seed, rngs.DATA)
+        if _is_synthetic(entry):
+            spec = synthetic_spec(config.data, entry)
+            rng = rngs.derive_rng(spec.prototype_seed, rngs.DATA)
             datasets[entry] = generate_synthetic_dataset(spec, rng)
         else:
             loaded = load_feature_table(entry)

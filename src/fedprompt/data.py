@@ -105,7 +105,10 @@ class PartitionPlan:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Recipe for a separable synthetic feature dataset."""
+    """Recipe for a separable synthetic feature dataset.
+
+    Errors name the config key; the config parser adds the `data.` prefix.
+    """
 
     classes: int = 10
     feature_dim: int = 64
@@ -115,11 +118,12 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.classes < 2:
-            raise ConfigError("synthetic dataset needs at least 2 classes")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise sigma must be >= 0")
-        if self.feature_dim < 1 or self.samples_per_class < 1:
-            raise ConfigError("synthetic dimensions must be positive")
+            raise ConfigError(f"classes: must be >= 2, got {self.classes}")
+        if not self.noise_sigma >= 0:
+            raise ConfigError(f"noise_sigma: must be >= 0, got {self.noise_sigma}")
+        for key in ("feature_dim", "samples_per_class"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key}: must be >= 1, got {getattr(self, key)}")
 
 
 def _near_orthogonal_prototypes(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:

@@ -138,9 +138,6 @@ class MetricTable:
             metric: str, value: float) -> None:
         self.observations.append(Observation(scenario, method, dataset, seed, metric, float(value)))
 
-    def extend(self, other: "MetricTable") -> None:
-        self.observations.extend(other.observations)
-
     def values(self, scenario: str, method: str, dataset: str, metric: str) -> list[float]:
         rows = [o for o in self.observations
                 if (o.scenario, o.method, o.dataset, o.metric) == (scenario, method, dataset, metric)]
@@ -170,6 +167,12 @@ class MetricTable:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """One scenario and its options; the single check of the option values.
+
+    Errors name the config key; the config parser adds the `scenario.`
+    section prefix.
+    """
+
     kind: str
     shots: int = 1
     split_mode: str = "random"
@@ -181,9 +184,11 @@ class ScenarioSpec:
         if self.kind not in SCENARIO_KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}; choose from {SCENARIO_KINDS}")
         if self.shots < 1:
-            raise ConfigError("scenario.shots must be >= 1")
+            raise ConfigError(f"shots: must be >= 1, got {self.shots}")
+        if self.split_mode not in ("random", "first_half"):
+            raise ConfigError(f"split_mode: must be 'random' or 'first_half', got {self.split_mode!r}")
         if self.cross_targets < 1:
-            raise ConfigError("scenario.cross_targets must be >= 1")
+            raise ConfigError(f"cross_targets: must be >= 1, got {self.cross_targets}")
 
 
 @dataclass
@@ -194,7 +199,6 @@ class ExperimentPlan:
     federation: FederationConfig
     alpha: float = 0.1
     per_class_subsample: int | None = None  # None: 16 under partial participation, else 8
-    method_hyper: dict = field(default_factory=dict)
 
     def subsample_per_class(self) -> int:
         if self.per_class_subsample is not None:
@@ -209,11 +213,10 @@ class CellResult:
     extras: dict = field(default_factory=dict)
 
 
-def _trainer_for(method: str, spec: ScenarioSpec, plan: ExperimentPlan) -> LocalTrainer:
-    hyper = dict(plan.method_hyper.get(method, {}))
-    if method == "fedotp" and "mode" not in hyper:
-        hyper["mode"] = "personalized" if spec.kind == "personalized" else "global"
-    return make_trainer(method, **hyper)
+def _trainer_for(method: str, spec: ScenarioSpec) -> LocalTrainer:
+    if method == "fedotp":
+        return make_trainer(method, mode="personalized" if spec.kind == "personalized" else "global")
+    return make_trainer(method)
 
 
 def _ensure_maps(master: MasterDataset, method: str, cfg: ModelConfig) -> None:
@@ -221,13 +224,10 @@ def _ensure_maps(master: MasterDataset, method: str, cfg: ModelConfig) -> None:
         master.ensure_local_maps(cfg.local_features, seed=0)
 
 
-def zero_shot_predictor(assets: ModelAssets, class_ids: np.ndarray | None = None) -> CosinePredictor:
-    return CosinePredictor(assets, assets.handcrafted.vectors, class_ids)
-
-
 def zero_shot_accuracy(assets: ModelAssets, features: np.ndarray, labels: np.ndarray,
                        class_ids: np.ndarray | None = None) -> float:
-    return evaluate_predictor(zero_shot_predictor(assets, class_ids), features, labels, class_ids)
+    predictor = CosinePredictor(assets, assets.handcrafted.vectors, class_ids)
+    return evaluate_predictor(predictor, features, labels, class_ids)
 
 
 def _splits(master: MasterDataset, seed: int):
@@ -251,25 +251,23 @@ def _centralized_partition(pool: np.ndarray) -> PartitionPlan:
     return PartitionPlan(client_indices=[np.asarray(pool)], scheme="centralized")
 
 
-def _global_eval_fn(trainer, assets, test: MasterDataset, class_ids=None):
+def _global_eval_fn(trainer, assets, test: MasterDataset):
     def eval_fn(server, clients, round_index):
-        predictor = trainer.build_predictor(server.payload, assets, class_ids=class_ids)
-        acc = evaluate_predictor(predictor, test.features, test.labels, class_ids,
-                                 test.local_maps)
+        predictor = trainer.build_predictor(server.payload, assets)
+        acc = evaluate_predictor(predictor, test.features, test.labels, None, test.local_maps)
         return {"test_accuracy": acc}
     return eval_fn
 
 
-def _personal_eval_fn(trainer, assets, class_ids=None):
+def _personal_eval_fn(trainer, assets):
     def eval_fn(server, clients, round_index):
         predictors, tests = [], []
         for client in clients:
             if client.test_set is None or len(client.test_set) == 0:
                 continue
-            predictors.append(trainer.build_predictor(server.payload, assets,
-                                                      class_ids=class_ids, state=client.state))
+            predictors.append(trainer.build_predictor(server.payload, assets, state=client.state))
             tests.append(client.test_set)
-        return {"test_accuracy": personalized_accuracy(predictors, tests, class_ids)}
+        return {"test_accuracy": personalized_accuracy(predictors, tests)}
     return eval_fn
 
 
@@ -294,8 +292,7 @@ def run_cell(spec: ScenarioSpec, method: str, dataset_name: str, master: MasterD
 
 
 def _cell_global(spec, method, dataset_name, master, seed, plan,
-                 scenario_name=None, model_cfg=None, chi_closed_form=False):
-    scenario_name = scenario_name or spec.kind
+                 model_cfg=None, chi_closed_form=False):
     cfg = model_cfg or plan.model
     assets = build_assets(cfg, master.class_count)
     tr, _va, te = _splits(master, seed)
@@ -305,11 +302,11 @@ def _cell_global(spec, method, dataset_name, master, seed, plan,
 
     if method == ZERO_SHOT_METHOD:
         acc = zero_shot_accuracy(assets, test.features, test.labels)
-        obs.append(Observation(scenario_name, method, dataset_name, seed, "alpha_g", acc))
-        obs.append(Observation(scenario_name, method, dataset_name, seed, "chi_millions", 0.0))
+        obs.append(Observation(spec.kind, method, dataset_name, seed, "alpha_g", acc))
+        obs.append(Observation(spec.kind, method, dataset_name, seed, "chi_millions", 0.0))
         return CellResult(obs, [])
 
-    trainer = _trainer_for(method, spec, plan)
+    trainer = _trainer_for(method, spec)
     fed_cfg = plan.federation
     if fed_cfg.protocol == "centralized":
         partition = _centralized_partition(tr)
@@ -319,12 +316,12 @@ def _cell_global(spec, method, dataset_name, master, seed, plan,
     outcome = run_federation(trainer, clients, fed_cfg, assets, seed,
                              eval_fn=_global_eval_fn(trainer, assets, test))
     best = outcome.best.get("test_accuracy", 0.0)
-    obs.append(Observation(scenario_name, method, dataset_name, seed, "alpha_g", best))
+    obs.append(Observation(spec.kind, method, dataset_name, seed, "alpha_g", best))
     # the trade-off tables quote the method's arithmetic cost; elsewhere the
     # ledger reports what actually moved (skipped empty clients exchange nothing)
     chi = (communication_cost_millions(trainer, cfg, fed_cfg) if chi_closed_form
            else outcome.server.ledger.chi_millions)
-    obs.append(Observation(scenario_name, method, dataset_name, seed, "chi_millions", chi))
+    obs.append(Observation(spec.kind, method, dataset_name, seed, "chi_millions", chi))
     return CellResult(obs, _curves(spec, method, dataset_name, seed, outcome),
                       extras={"outcome": outcome})
 
@@ -341,7 +338,7 @@ def _cell_personalized(spec, method, dataset_name, master, seed, plan):
         obs.append(Observation(spec.kind, method, dataset_name, seed, "alpha_p", acc))
         return CellResult(obs, [])
 
-    trainer = _trainer_for(method, spec, plan)
+    trainer = _trainer_for(method, spec)
     fed_cfg = plan.federation
     partition = _training_partition(master, tr, plan, seed)
     # per-client test pools mirror each client's training label distribution
@@ -382,7 +379,7 @@ def _cell_base_novel(spec, method, dataset_name, master, seed, plan):
         emit(alpha_b, alpha_n)
         return CellResult(obs, [], extras)
 
-    trainer = _trainer_for(method, spec, plan)
+    trainer = _trainer_for(method, spec)
     fed_cfg = plan.federation
     pool = tr[np.isin(master.labels[tr], base_ids)]
     partition = _training_partition(master, pool, plan, seed)
@@ -417,7 +414,7 @@ def _cell_fewshot(spec, method, dataset_name, master, seed, plan):
         obs.append(Observation(spec.kind, method, dataset_name, seed, metric, acc))
         return CellResult(obs, [])
 
-    trainer = _trainer_for(method, spec, plan)
+    trainer = _trainer_for(method, spec)
     fed_cfg = plan.federation
     raw = kshot_iid_partition(master.labels[tr], fed_cfg.num_clients, spec.shots,
                               rngs.derive_rng(seed, rngs.PARTITION))
@@ -459,7 +456,7 @@ def _cell_cross_domain(spec, method, dataset_name, master, seed, plan):
             obs.append(Observation(spec.kind, method, column(tgt), seed, "alpha_xd", acc))
         return CellResult(obs, [])
 
-    trainer = _trainer_for(method, spec, plan)
+    trainer = _trainer_for(method, spec)
     fed_cfg = plan.federation
     partition = _training_partition(master, tr, plan, seed)
     clients = build_clients(master, partition, trainer, cfg, fed_cfg, seed)
@@ -493,8 +490,7 @@ def _cell_cost_tradeoff(spec, method, dataset_name, master, seed, plan):
             cfg = make_cfg(value)
             name = f"{dataset_name}|{sweep_name}={value}"
             result = _cell_global(spec, method, name, master, seed, plan,
-                                  scenario_name=spec.kind, model_cfg=cfg,
-                                  chi_closed_form=True)
+                                  model_cfg=cfg, chi_closed_form=True)
             observations.extend(result.observations)
             curves.extend(result.curves)
     return CellResult(observations, curves)
@@ -508,17 +504,3 @@ _CELL_RUNNERS = {
     "cross_domain": _cell_cross_domain,
     "cost_tradeoff": _cell_cost_tradeoff,
 }
-
-
-def run_scenario(spec: ScenarioSpec, methods: list[str], seeds: list[int],
-                 datasets: dict[str, MasterDataset], plan: ExperimentPlan) -> tuple[MetricTable, list[dict]]:
-    """All (method, dataset, seed) cells of one scenario, merged into a table."""
-    table = MetricTable()
-    curves: list[dict] = []
-    for dataset_name, master in datasets.items():
-        for method in methods:
-            for seed in seeds:
-                result = run_cell(spec, method, dataset_name, master, seed, plan)
-                table.observations.extend(result.observations)
-                curves.extend(result.curves)
-    return table, curves

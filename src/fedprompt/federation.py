@@ -139,19 +139,6 @@ class RoundReport:
     download_scalars: int
     upload_scalars: int
 
-    def to_record(self) -> dict:
-        return {
-            "round": self.round_index,
-            "sampled": self.sampled,
-            "participating": self.participating,
-            "skipped_empty": self.skipped_empty,
-            "failed": self.failed,
-            "mean_loss": (sum(self.client_losses.values()) / len(self.client_losses))
-            if self.client_losses else None,
-            "download_scalars": self.download_scalars,
-            "upload_scalars": self.upload_scalars,
-        }
-
 
 @dataclass
 class ServerState:
@@ -322,8 +309,7 @@ def run_federation(trainer: LocalTrainer, clients: list[Client], fed_cfg: Federa
 
 def build_clients(master: MasterDataset, plan: PartitionPlan, trainer: LocalTrainer,
                   cfg: ModelConfig, fed_cfg: FederationConfig, seed: int,
-                  test_plan: PartitionPlan | None = None,
-                  test_master: MasterDataset | None = None) -> list[Client]:
+                  test_plan: PartitionPlan | None = None) -> list[Client]:
     """Materialise per-client datasets and fresh training state from partition plans."""
     clients = []
     for cid, indices in enumerate(plan.client_indices):
@@ -331,8 +317,7 @@ def build_clients(master: MasterDataset, plan: PartitionPlan, trainer: LocalTrai
                                    lr0=fed_cfg.lr0, momentum=fed_cfg.momentum)
         test_set = None
         if test_plan is not None:
-            source = test_master if test_master is not None else master
-            test_set = ClientDataset.from_master(source, test_plan.client_indices[cid])
+            test_set = ClientDataset.from_master(master, test_plan.client_indices[cid])
         clients.append(Client(
             client_id=cid,
             dataset=ClientDataset.from_master(master, indices),

@@ -22,7 +22,13 @@ from .config import (
 )
 from .data import MasterDataset
 from .errors import EvaluationError
-from .evaluation import MetricTable, ZERO_SHOT_METHOD, aggregate_runs, run_cell
+from .evaluation import (
+    MetricTable,
+    ZERO_SHOT_METHOD,
+    aggregate_runs,
+    run_cell,
+    superiority_indicator,
+)
 
 RESULTS_CSV = "results.csv"
 RESULTS_JSON = "results.json"
@@ -255,8 +261,7 @@ def _grid_lines(table: MetricTable, scenario: str, metric: str) -> list[str]:
             if method in (BASELINE_METHOD, ZERO_SHOT_METHOD) or not complete:
                 row.append("-")
             else:
-                count = sum(1 for d in datasets if means[d] > baseline_means[d])
-                row.append(str(count))
+                row.append(str(superiority_indicator(means, baseline_means)))
         lines.append(",".join(row))
     return lines
 

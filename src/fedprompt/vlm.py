@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .numerics import softmax_ce_batch, softmax_temp
 from . import rngs
 
 ENCODER_VARIANTS = ("linear_pool", "attention_block")
@@ -24,7 +23,12 @@ ENCODER_VARIANTS = ("linear_pool", "attention_block")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Dimensions and frozen-surrogate knobs shared by one experiment."""
+    """Dimensions and frozen-surrogate knobs shared by one experiment; the
+    single check of their values.
+
+    Errors name the config key (`m` is the key `prompts`, `L` the key
+    `tokens`); the config parser adds the `model.` section prefix.
+    """
 
     m: int = 1              # prompt sets (the "number of prompts" knob)
     L: int = 4              # context tokens per set
@@ -41,21 +45,26 @@ class ModelConfig:
     local_features: int = 4    # per-image region features for transport scoring
 
     def __post_init__(self):
-        for name in ("m", "L", "d_token", "d_feature", "d_image", "n_class_tokens",
-                     "meta_hidden", "local_features"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
-        if self.tau <= 0:
-            raise ConfigError(f"model.tau must be positive, got {self.tau}")
+        for key, value in (("prompts", self.m), ("tokens", self.L), ("d_token", self.d_token),
+                           ("d_feature", self.d_feature), ("d_image", self.d_image),
+                           ("n_class_tokens", self.n_class_tokens),
+                           ("meta_hidden", self.meta_hidden),
+                           ("local_features", self.local_features)):
+            if value < 1:
+                raise ConfigError(f"{key}: must be >= 1, got {value}")
+        if not self.tau > 0:
+            raise ConfigError(f"tau: must be positive, got {self.tau}")
         if self.encoder not in ENCODER_VARIANTS:
-            raise ConfigError(f"model.encoder must be one of {ENCODER_VARIANTS}, got {self.encoder!r}")
+            raise ConfigError(f"encoder: must be one of {ENCODER_VARIANTS}, got {self.encoder!r}")
         if self.d_feature != self.d_image:
             raise ConfigError(
-                "model.d_feature must equal model.d_image: text and image features "
-                f"share one similarity space (got {self.d_feature} vs {self.d_image})"
+                "d_feature: must equal d_image: text and image features share one "
+                f"similarity space (got {self.d_feature} vs {self.d_image})"
             )
-        if self.init_std < 0 or self.token_scale <= 0:
-            raise ConfigError("model.init_std must be >= 0 and model.token_scale > 0")
+        if not self.init_std >= 0:
+            raise ConfigError(f"init_std: must be >= 0, got {self.init_std}")
+        if not self.token_scale > 0:
+            raise ConfigError(f"token_scale: must be positive, got {self.token_scale}")
 
 
 @dataclass
@@ -344,37 +353,6 @@ def unit_rows(x: np.ndarray, what: str = "features") -> np.ndarray:
     return x / norms
 
 
-def cosine_scores(image_features: np.ndarray, class_features: np.ndarray) -> np.ndarray:
-    """Batched cosine similarities (B, C); inputs are row-normalised first."""
-    return unit_rows(image_features) @ unit_rows(class_features, "class features").T
-
-
-def prompt_gradients(encoder: FrozenTextEncoder, context: PromptContext, batch,
-                     vocab: ClassVocabulary, tau: float,
-                     class_ids: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Exact gradient of mean cross-entropy w.r.t. the context tokens only.
-
-    With several prompt sets the per-class score is the mean of each
-    set's cosine score. Returns (gradient shaped like the context, mean
-    loss).
-    """
-    feats = np.asarray(batch.features, dtype=np.float64)
-    labels = np.asarray(batch.labels)
-    if feats.shape[0] == 0:
-        raise DomainError("empty batch")
-    rows = encoder.class_rows(vocab.tokens, context.L).take(class_ids)
-    set_feats, cache = encoder.encode(context.vectors, rows)
-    xh = unit_rows(feats)
-    sims = np.einsum("bd,pcd->pbc", xh, set_feats)  # (m, B, C)
-    mean_sims = sims.mean(axis=0)
-    loss, dlogits, _ = softmax_ce_batch(mean_sims, labels, tau)
-    dsims = dlogits / context.m
-    # ambient partial w.r.t. the unit feature; the encoder backward applies
-    # the normalisation Jacobian, so tangential projection is implicit
-    dT = np.einsum("bc,bd->cd", dsims, xh)
-    return encoder.backward(cache, np.broadcast_to(dT, set_feats.shape)), loss
-
-
 def synth_local_features(image_feature: np.ndarray, M: int, rng: np.random.Generator,
                          spread: float = 0.1) -> np.ndarray:
     """M unit-norm perturbed views of one global feature (region surrogate)."""
@@ -411,14 +389,6 @@ class ModelAssets:
         if class_ids is None:
             return self.hand_features
         return self.hand_features[np.asarray(class_ids)]
-
-    def zero_shot_scores(self, image_features: np.ndarray,
-                         class_ids: np.ndarray | None = None) -> np.ndarray:
-        return cosine_scores(image_features, self.hand_features_for(class_ids))
-
-    def zero_shot_probs(self, image_features: np.ndarray,
-                        class_ids: np.ndarray | None = None) -> np.ndarray:
-        return softmax_temp(self.zero_shot_scores(image_features, class_ids), self.cfg.tau)
 
     def reference_features(self, n_templates: int = 3) -> np.ndarray:
         """Unit class features averaged over several fixed context phrasings."""

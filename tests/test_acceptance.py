@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vlm_oracle import prompt_gradients
 from fedprompt.algorithms import (
     ce_loss_and_grads,
     iterate_batches,
@@ -53,7 +54,6 @@ from fedprompt.vlm import (
     ModelConfig,
     PromptContext,
     build_assets,
-    prompt_gradients,
     unit_rows,
 )
 from fedprompt import rngs

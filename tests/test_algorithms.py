@@ -14,6 +14,7 @@ from fedprompt.algorithms import (
     SGDState,
     TrainContext,
     cosine_lr,
+    iterate_batches,
     loss_kgcoop,
     loss_proda,
     loss_src,
@@ -407,6 +408,46 @@ class TestTrainers:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             make_trainer("bpl")
+
+    @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
+    def test_src_averages_the_epoch_trajectory(self, variant):
+        # three epochs by hand: the payload is the window-2 average of the
+        # contexts after each epoch, not the last one
+        rng = np.random.default_rng(31)
+        cfg = small_config(variant)
+        assets = build_assets(cfg, 4)
+        data = client_dataset(rng, 10, cfg.d_image, 4)
+        trainer = make_trainer("src", mu_text=0.5, mu_logit=0.7, window=2, n_templates=2)
+        payload = trainer.init_payload(cfg, np.random.default_rng(1))
+        state = trainer.init_state(cfg, np.random.default_rng(1))
+        out, stats = trainer.local_train(payload.copy(), state, data,
+                                         make_ctx(assets, rng_seed=4, epochs=3, batch_size=4))
+
+        context = payload.fields["context"]
+        sgd = SGDState(velocities={})
+        batch_rng = np.random.default_rng(4)
+        refs = assets.reference_features(2)
+        trajectory = []
+        for _ in range(3):
+            for batch in iterate_batches(data, batch_rng, 4):
+                _, grads = loss_src(assets, PromptContext(context), unit_rows(batch.features),
+                                    batch.labels, 0.5, 0.7, reference_features=refs)
+                context = sgd_momentum_step({"context": context}, {"context": grads},
+                                            sgd, 0, 10)["context"]
+            trajectory.append(context)
+        np.testing.assert_array_equal(out.fields["context"], trajectory_average(trajectory, 2))
+        assert stats.n_batches == 9 and stats.n_samples == 30
+
+    def test_src_zero_epochs_payload_bitwise_identical(self, rng):
+        cfg = small_config()
+        assets = build_assets(cfg, 4)
+        trainer = make_trainer("src", window=2)
+        payload = trainer.init_payload(cfg, rng)
+        state = trainer.init_state(cfg, rng)
+        data = client_dataset(rng, 8, cfg.d_image, 4)
+        out, stats = trainer.local_train(payload.copy(), state, data, make_ctx(assets, epochs=0))
+        assert out.equals(payload)
+        assert stats.n_batches == 0
 
 
 def _one_step_payload(kind, cfg, assets, data, seed=0, **hyper):

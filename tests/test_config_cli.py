@@ -211,6 +211,57 @@ class TestParsing:
         with pytest.raises(ConfigError, match="federation.protocol"):
             parse_config_text("[federation]\nprotocol = gossip\n")
 
+    @pytest.mark.parametrize("section,key", [
+        ("federation", "lr"), ("federation", "momentum"),
+        ("federation", "participation_fraction"), ("model", "tau"), ("model", "init_std"),
+        ("model", "token_scale"), ("data", "noise_sigma"), ("data", "alpha"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_floats_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section}.{key}: must be finite"):
+            parse_config_text(f"[{section}]\n{key} = {value}\n")
+
+    def test_non_finite_json_float_rejected(self):
+        with pytest.raises(ConfigError, match="model.tau: must be finite"):
+            parse_config_text('{"model": {"tau": NaN}}')
+
+    @pytest.mark.parametrize("key", ["prompts", "tokens", "d_token", "n_class_tokens",
+                                     "meta_hidden", "local_features"])
+    def test_model_errors_name_the_config_key(self, key):
+        with pytest.raises(ConfigError, match=f"^model.{key}: must be >= 1, got 0$"):
+            parse_config_text(f"[model]\n{key} = 0\n")
+
+    @pytest.mark.parametrize("key,value", [
+        ("tau", "0"), ("init_std", "-0.1"), ("token_scale", "0"), ("encoder", "lstm"),
+    ])
+    def test_model_values_checked_at_parse_time(self, key, value):
+        with pytest.raises(ConfigError, match=f"^model.{key}: "):
+            parse_config_text(f"[model]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("key,value", [
+        ("classes", "1"), ("noise_sigma", "-1"), ("samples_per_class", "0"),
+    ])
+    def test_synthetic_data_values_checked_at_parse_time(self, key, value):
+        with pytest.raises(ConfigError, match=f"^data.{key}: "):
+            parse_config_text(f"[data]\n{key} = {value}\n")
+
+    def test_synthetic_prototype_seed_must_be_an_integer(self):
+        with pytest.raises(ConfigError, match="data.datasets: 'synthetic#two'"):
+            parse_config_text("[data]\ndatasets = synthetic#two\n")
+
+    @pytest.mark.parametrize("key", ["scenarios", "methods", "seeds"])
+    def test_empty_experiment_lists_rejected(self, key):
+        # the [scenario] options would otherwise go unchecked with no scenario
+        with pytest.raises(ConfigError, match=f"^experiment.{key}: need at least one"):
+            parse_config_text(f"[experiment]\n{key} =\n[scenario]\nshots = 0\n")
+
+    @pytest.mark.parametrize("key,value", [
+        ("shots", "0"), ("cross_targets", "0"), ("split_mode", "halves"),
+    ])
+    def test_scenario_values_checked_at_parse_time(self, key, value):
+        with pytest.raises(ConfigError, match=f"^scenario.{key}: "):
+            parse_config_text(f"[scenario]\n{key} = {value}\n")
+
 
 class TestMaterialize:
     def test_synthetic_entries(self):
@@ -412,6 +463,29 @@ class TestCLI:
         bad.write_text("[federation]\neval_every = 0\n")
         assert main(["validate", str(bad)]) == 2
         assert "federation.eval_every" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,key", [
+        ("[model]\ntau = nan\n", "model.tau"),
+        ("[federation]\nlr = inf\n", "federation.lr"),
+        ("[model]\nprompts = 0\n", "model.prompts"),
+        ("[data]\nnoise_sigma = -1\n", "data.noise_sigma"),
+    ])
+    def test_validate_names_the_bad_key(self, tmp_path, capsys, text, key):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        assert main(["validate", str(bad)]) == 2
+        assert f"error: {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,key", [
+        ("[data]\nnoise_sigma = -1\n", "data.noise_sigma"),
+        ("[data]\nsamples_per_class = 0\n", "data.samples_per_class"),
+    ])
+    def test_run_rejects_bad_synthetic_data_before_any_cell(self, tmp_path, capsys, text, key):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[experiment]\nmethods = zsclip,promptfl\nseeds = 0\n" + text)
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_rejects_duplicate_datasets(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -14,7 +14,6 @@ from fedprompt.evaluation import (
     harmonic_mean,
     personalized_accuracy,
     run_cell,
-    run_scenario,
     superiority_indicator,
 )
 from fedprompt.federation import FederationConfig
@@ -276,15 +275,6 @@ class TestScenarios:
                 make_trainer("promptfl"), replace(plan.model, m=prompts), plan.federation)
             assert chi[f"synthetic|prompts={prompts}"] == expected
         assert chi["synthetic|prompts=2"] == pytest.approx(2 * chi["synthetic|prompts=1"], rel=1e-12)
-
-    def test_run_scenario_merges_cells(self, desk_master):
-        plan = desk_plan(rounds=2)
-        table, curves = run_scenario(ScenarioSpec(kind="global"), ["promptfl", "zsclip"],
-                                     [0, 1], {"synthetic": desk_master}, plan)
-        assert table.methods("global") == ["promptfl", "zsclip"]
-        mean, std, n = table.cell("global", "promptfl", "synthetic", "alpha_g")
-        assert n == 2
-        assert std >= 0.0
 
     def test_transport_method_cell(self, desk_master):
         plan = desk_plan(rounds=2)

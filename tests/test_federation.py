@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unit_batch, small_config
+from vlm_oracle import prompt_gradients
 from fedprompt.algorithms import (
     CommunicablePayload,
     iterate_batches,
@@ -24,7 +25,7 @@ from fedprompt.federation import (
     run_round,
     sample_clients,
 )
-from fedprompt.vlm import ModelConfig, build_assets, prompt_gradients, PromptContext
+from fedprompt.vlm import ModelConfig, build_assets, PromptContext
 from fedprompt import rngs
 
 

@@ -1,21 +1,22 @@
 """Entropic transport: marginals, optimality, relaxation, and class scoring."""
 
-import itertools
-
 import numpy as np
 import pytest
 
+from conftest import small_config
+from transport_oracle import sinkhorn_relaxed_2d
+from fedprompt.algorithms import CosinePredictor, TransportPredictor
 from fedprompt.errors import ConfigError, DomainError
-from fedprompt.transport import (
-    plot_class_score,
-    relaxed_class_score,
-    sinkhorn,
-    sinkhorn_batched,
-    sinkhorn_relaxed,
-    transport_cost_matrix,
-    uniform,
-)
-from fedprompt.vlm import unit_rows
+from fedprompt.transport import sinkhorn, sinkhorn_batched, sinkhorn_relaxed, uniform
+from fedprompt.vlm import build_assets, unit_rows
+
+
+def transport_score(local: np.ndarray, prompt: np.ndarray, eps: float, iters: int = 100,
+                    col_relax: float = 1.0) -> float:
+    """Negative transport cost between unit region and prompt features."""
+    cost = 1.0 - local @ prompt.T
+    plan = sinkhorn_relaxed(cost, eps, iters, col_relax=col_relax)
+    return float(-(plan * cost).sum())
 
 
 def brute_force_min_cost_2x2(cost: np.ndarray) -> float:
@@ -106,12 +107,42 @@ class TestRelaxed:
 class TestBatched:
     def test_matches_single_solver(self):
         rng = np.random.default_rng(4)
-        costs = rng.uniform(0, 2, size=(5, 3, 4))
-        for relax in (1.0, 0.5):
-            plans = sinkhorn_batched(costs, eps=0.2, iters=80, col_relax=relax)
-            for k in range(5):
-                single = sinkhorn_relaxed(costs[k], eps=0.2, iters=80, col_relax=relax)
-                np.testing.assert_allclose(plans[k], single, atol=1e-14)
+        costs = rng.uniform(0, 2, size=(3, 2, 4, 5))
+        r = rng.dirichlet(np.ones(4))
+        c = rng.dirichlet(np.ones(5))
+        for relax in (0.0, 0.5, 1.0):
+            plans = sinkhorn_batched(costs, eps=0.2, iters=80, row_marginal=r, col_marginal=c,
+                                     col_relax=relax)
+            for i, j in np.ndindex(3, 2):
+                single = sinkhorn_relaxed_2d(costs[i, j], 0.2, 80, r, c, relax)
+                np.testing.assert_allclose(plans[i, j], single, rtol=0, atol=1e-12)
+
+    def test_uniform_marginals_by_default(self):
+        costs = np.random.default_rng(5).uniform(0, 2, size=(2, 3, 4))
+        np.testing.assert_array_equal(
+            sinkhorn_batched(costs, eps=0.2),
+            sinkhorn_batched(costs, eps=0.2, row_marginal=uniform(3), col_marginal=uniform(4)))
+
+    @pytest.mark.parametrize("row,col", [
+        (np.array([0.7, 0.7, 0.2]), None),          # sums to 1.6
+        (np.array([1.2, -0.1, -0.1]), None),        # negative entry
+        (None, np.array([0.5, 0.5])),               # wrong length
+        (np.array([np.nan, 0.5, 0.5]), None),       # NaN
+    ])
+    def test_bad_marginals(self, row, col):
+        with pytest.raises(DomainError, match="marginal"):
+            sinkhorn_batched(np.zeros((2, 3, 4)), eps=0.1, row_marginal=row, col_marginal=col)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_costs(self, bad):
+        costs = np.zeros((2, 3, 4))
+        costs[1, 2, 0] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            sinkhorn_batched(costs, eps=0.1)
+
+    def test_not_a_matrix_stack(self):
+        with pytest.raises(DomainError):
+            sinkhorn_batched(np.zeros(4), eps=0.1)
 
 
 class TestUnderflow:
@@ -146,36 +177,44 @@ class TestUnderflow:
 
 
 class TestClassScore:
-    def test_degenerate_reduces_to_cosine(self, rng):
-        local = unit_rows(rng.normal(size=(1, 6)))
-        prompt = unit_rows(rng.normal(size=(1, 6)))
-        score, plan = plot_class_score(local, prompt, eps=0.1)
-        cos = float(local[0] @ prompt[0])
-        assert score == pytest.approx(cos - 1.0, abs=1e-12)
-        np.testing.assert_allclose(plan, [[1.0]], atol=1e-12)
+    """Transport scoring as the trainers' predictor uses it."""
+
+    @pytest.fixture
+    def assets(self):
+        return build_assets(small_config("attention_block"), 4)
+
+    def test_degenerate_reduces_to_cosine(self, assets, rng):
+        # one region and one prompt set: the plan is [[1]] and the logit is cos - 1
+        cfg = assets.cfg
+        context = rng.normal(size=(1, cfg.L, cfg.d_token)) * 0.3
+        images = rng.normal(size=(7, cfg.d_image))
+        maps = unit_rows(images)[:, None, :]
+        transport = TransportPredictor(assets, context, None, eps=0.1, iters=100)
+        cosine = CosinePredictor(assets, context, None)
+        p_ot = transport.probs(images, maps)
+        p_cos = cosine.probs(images)
+        np.testing.assert_allclose(p_ot, p_cos, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(np.argsort(p_ot, axis=1), np.argsort(p_cos, axis=1))
 
     def test_identical_sets_zero_cost(self, rng):
         feats = unit_rows(rng.normal(size=(3, 5)))
-        score, _ = plot_class_score(feats, feats, eps=0.05, iters=300)
-        assert score == pytest.approx(0.0, abs=1e-2)
+        assert transport_score(feats, feats, eps=0.05, iters=300) == pytest.approx(0.0, abs=1e-2)
 
-    def test_permutation_invariant_in_local_order(self, rng):
-        local = unit_rows(rng.normal(size=(4, 6)))
-        prompt = unit_rows(rng.normal(size=(2, 6)))
-        s1, _ = plot_class_score(local, prompt, eps=0.1)
-        s2, _ = plot_class_score(local[::-1].copy(), prompt, eps=0.1)
-        assert s1 == pytest.approx(s2, abs=1e-12)
-
-    def test_cost_matrix_definition(self, rng):
-        local = unit_rows(rng.normal(size=(3, 4)))
-        prompt = unit_rows(rng.normal(size=(2, 4)))
-        cost = transport_cost_matrix(local, prompt)
-        for i, k in itertools.product(range(3), range(2)):
-            assert cost[i, k] == pytest.approx(1.0 - local[i] @ prompt[k], abs=1e-15)
+    def test_permutation_invariant_in_local_order(self, assets, rng):
+        cfg = assets.cfg
+        context = rng.normal(size=(2, cfg.L, cfg.d_token)) * 0.3
+        images = rng.normal(size=(5, cfg.d_image))
+        maps = unit_rows(images[:, None, :] + 0.2 * rng.normal(size=(5, 4, cfg.d_image)))
+        predictor = TransportPredictor(assets, context, None, eps=0.1, iters=100,
+                                       col_relax=0.5)
+        np.testing.assert_allclose(predictor.probs(images, maps),
+                                   predictor.probs(images, maps[:, ::-1].copy()),
+                                   rtol=0, atol=1e-12)
 
     def test_relaxed_score_matches_balanced_at_full_relax(self, rng):
         local = unit_rows(rng.normal(size=(4, 6)))
         prompt = unit_rows(rng.normal(size=(2, 6)))
-        s_bal, _ = plot_class_score(local, prompt, eps=0.1)
-        s_rel, _ = relaxed_class_score(local, prompt, eps=0.1, col_relax=1.0)
-        assert s_rel == pytest.approx(s_bal, abs=1e-12)
+        cost = 1.0 - local @ prompt.T
+        balanced = float(-(sinkhorn(cost, eps=0.1) * cost).sum())
+        assert transport_score(local, prompt, eps=0.1, col_relax=1.0) == \
+            pytest.approx(balanced, abs=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 import vlm_oracle
 from conftest import random_unit_batch, small_config
-from vlm_oracle import predict
+from vlm_oracle import predict, prompt_gradients
 from fedprompt.errors import ConfigError, DomainError
 from fedprompt.numerics import (
     cosine_similarity,
@@ -21,7 +21,6 @@ from fedprompt.vlm import (
     build_assets,
     build_handcrafted_context,
     build_prompt_context,
-    prompt_gradients,
     synth_local_features,
 )
 from fedprompt.algorithms import Batch

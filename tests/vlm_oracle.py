@@ -10,7 +10,8 @@ this layout to rounding.
 import numpy as np
 
 from fedprompt.errors import ConfigError, DomainError
-from fedprompt.numerics import cosine_similarity, softmax_temp
+from fedprompt.numerics import cosine_similarity, softmax_ce_batch, softmax_temp
+from fedprompt.vlm import unit_rows
 
 
 def encode_sequences(encoder, tokens: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -88,3 +89,26 @@ def predict(image_feature: np.ndarray, class_features: list[np.ndarray] | np.nda
         raise DomainError("predict needs at least one class feature")
     sims = np.array([cosine_similarity(image_feature, t) for t in feats])
     return softmax_temp(sims, tau)
+
+
+def prompt_gradients(encoder, context, batch, vocab, tau: float,
+                     class_ids: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Exact gradient of mean cross-entropy w.r.t. the context tokens only.
+
+    With several prompt sets the per-class score is the mean of each
+    set's cosine score. Returns (gradient shaped like the context, mean
+    loss).
+    """
+    feats = np.asarray(batch.features, dtype=np.float64)
+    labels = np.asarray(batch.labels)
+    if feats.shape[0] == 0:
+        raise DomainError("empty batch")
+    rows = encoder.class_rows(vocab.tokens, context.L).take(class_ids)
+    set_feats, cache = encoder.encode(context.vectors, rows)
+    xh = unit_rows(feats)
+    sims = np.einsum("bd,pcd->pbc", xh, set_feats)  # (m, B, C)
+    loss, dlogits, _ = softmax_ce_batch(sims.mean(axis=0), labels, tau)
+    # ambient partial w.r.t. the unit feature; the encoder backward applies
+    # the normalisation Jacobian, so tangential projection is implicit
+    dT = np.einsum("bc,bd->cd", dlogits / context.m, xh)
+    return encoder.backward(cache, np.broadcast_to(dT, set_feats.shape)), loss
