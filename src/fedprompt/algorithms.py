@@ -6,7 +6,6 @@ payload of the exact shape it declared. Client-retained state (momentum
 buffers, personal prompts) never travels.
 """
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,28 +38,10 @@ class CommunicablePayload:
     def copy(self) -> "CommunicablePayload":
         return CommunicablePayload({k: v.copy() for k, v in self.fields.items()})
 
-    def to_bytes(self) -> bytes:
-        buf = io.BytesIO()
-        np.savez(buf, **self.fields)
-        return buf.getvalue()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "CommunicablePayload":
-        with np.load(io.BytesIO(blob)) as loaded:
-            return cls({k: loaded[k] for k in loaded.files})
-
     def equals(self, other: "CommunicablePayload") -> bool:
         if self.fields.keys() != other.fields.keys():
             return False
         return all(np.array_equal(self.fields[k], other.fields[k]) for k in self.fields)
-
-    def max_abs_diff(self, other: "CommunicablePayload") -> float:
-        if self.fields.keys() != other.fields.keys():
-            raise ConfigError("payload field sets differ")
-        return max(
-            (float(np.max(np.abs(self.fields[k] - other.fields[k]))) if self.fields[k].size else 0.0)
-            for k in self.fields
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +93,6 @@ def metanet_init(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.nda
         * (0.1 * cfg.token_scale) / np.sqrt(cfg.meta_hidden),
         "meta_b2": np.zeros(cfg.d_token),
     }
-
-
-def metanet_param_count(cfg: ModelConfig) -> int:
-    h, di, dt = cfg.meta_hidden, cfg.d_image, cfg.d_token
-    return h * di + h + dt * h + dt
 
 
 def metanet_forward(meta: dict[str, np.ndarray], image_features: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -371,7 +347,7 @@ def ot_scores_and_grads(assets: ModelAssets, context: PromptContext, batch: Batc
     """
     if batch.local_maps is None:
         raise ConfigError("transport-based training needs per-sample local feature maps")
-    feats, cache, _ = _forward_sims(assets, context, unit_rows(batch.features), class_ids)
+    feats, cache = assets.text_features(context.vectors, class_ids)
     locals_ = batch.local_maps                     # (B, M, d)
     prompts = feats.transpose(1, 0, 2)             # (C, m, d)
     costs = 1.0 - np.einsum("bmd,cnd->bcmn", locals_, prompts)

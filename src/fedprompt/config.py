@@ -218,6 +218,9 @@ def _build(values: dict[str, dict[str, object]]) -> ExperimentConfig:
 
     if dat["alpha"] <= 0:
         raise ConfigError(f"data.alpha: must be positive, got {dat['alpha']}")
+    if dat["per_class_subsample"] is not None and dat["per_class_subsample"] < 1:
+        raise ConfigError(f"data.per_class_subsample: must be >= 1 or auto, "
+                          f"got {dat['per_class_subsample']}")
     data = DataConfig(**dat)
     entries_by_name: dict[str, str] = {}
     for entry in data.datasets:

@@ -1,6 +1,6 @@
 """Synthetic feature datasets, external feature tables, and partitioners."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,16 +84,11 @@ class PartitionPlan:
     """Disjoint per-client index lists over one master dataset."""
 
     client_indices: list[np.ndarray]
-    scheme: str
-    params: dict = field(default_factory=dict)
     class_proportions: np.ndarray | None = None  # (classes, clients) for dirichlet
 
     @property
     def num_clients(self) -> int:
         return len(self.client_indices)
-
-    def sizes(self) -> np.ndarray:
-        return np.array([len(ix) for ix in self.client_indices])
 
     def validate_partition(self, universe_size: int) -> None:
         seen = np.concatenate([np.asarray(ix) for ix in self.client_indices]) if self.client_indices else np.array([], dtype=int)
@@ -273,8 +268,6 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float,
             buckets[a].append(int(i))
     plan = PartitionPlan(
         client_indices=[np.array(sorted(b), dtype=np.int64) for b in buckets],
-        scheme="dirichlet",
-        params={"alpha": alpha},
         class_proportions=proportions,
     )
     plan.validate_partition(len(labels))
@@ -298,7 +291,6 @@ def mirror_partition(class_proportions: np.ndarray, labels: np.ndarray,
             buckets[a].append(int(i))
     plan = PartitionPlan(
         client_indices=[np.array(sorted(b), dtype=np.int64) for b in buckets],
-        scheme="dirichlet_mirror",
         class_proportions=class_proportions,
     )
     plan.validate_partition(len(labels))
@@ -322,11 +314,7 @@ def kshot_iid_partition(labels: np.ndarray, num_clients: int, shots: int,
         perm = rng.permutation(idx)
         for i in range(num_clients):
             buckets[i].extend(int(x) for x in perm[i * shots:(i + 1) * shots])
-    plan = PartitionPlan(
-        client_indices=[np.array(sorted(b), dtype=np.int64) for b in buckets],
-        scheme="iid_kshot",
-        params={"shots": shots},
-    )
+    plan = PartitionPlan(client_indices=[np.array(sorted(b), dtype=np.int64) for b in buckets])
     plan.validate_partition(len(labels))
     return plan
 
@@ -361,8 +349,7 @@ def domain_partition(dataset: MasterDataset, clients_per_domain: int = 2,
         idx = rng.permutation(np.flatnonzero(dataset.domain_tags == tag))
         for part in np.array_split(idx, clients_per_domain):
             buckets.append(np.sort(part).astype(np.int64))
-    plan = PartitionPlan(client_indices=buckets, scheme="domain",
-                         params={"clients_per_domain": clients_per_domain})
+    plan = PartitionPlan(client_indices=buckets)
     plan.validate_partition(len(dataset))
     return plan
 

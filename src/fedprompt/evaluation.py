@@ -1,8 +1,11 @@
-"""Scenario runners and reported metrics.
+"""The cell pipeline and reported metrics.
 
 Six evaluation scenarios (shared-model accuracy, personalized accuracy,
-base/novel generalization, few-shot, cross-domain, cost trade-off) plus
-the run-aggregation and baseline-superiority arithmetic used in reports.
+base/novel generalization, few-shot, cross-domain, cost trade-off) run
+through one pipeline, `run_cell`; each scenario only declares a plan: its
+client partition, trained classes, scored targets and when they are
+scored. Also the run-aggregation and baseline-superiority arithmetic used
+in reports.
 """
 
 from dataclasses import dataclass, field, replace
@@ -14,7 +17,6 @@ from .data import (
     ClientDataset,
     DomainShift,
     MasterDataset,
-    PartitionPlan,
     apply_domain_shift,
     balanced_subsample_indices,
     base_novel_split,
@@ -219,11 +221,6 @@ def _trainer_for(method: str, spec: ScenarioSpec) -> LocalTrainer:
     return make_trainer(method)
 
 
-def _ensure_maps(master: MasterDataset, method: str, cfg: ModelConfig) -> None:
-    if method in TRANSPORT_METHODS:
-        master.ensure_local_maps(cfg.local_features, seed=0)
-
-
 def zero_shot_accuracy(assets: ModelAssets, features: np.ndarray, labels: np.ndarray,
                        class_ids: np.ndarray | None = None) -> float:
     predictor = CosinePredictor(assets, assets.handcrafted.vectors, class_ids)
@@ -232,200 +229,6 @@ def zero_shot_accuracy(assets: ModelAssets, features: np.ndarray, labels: np.nda
 
 def _splits(master: MasterDataset, seed: int):
     return stratified_split(master.labels, (0.7, 0.1, 0.2), rngs.derive_rng(seed, rngs.TVT))
-
-
-def _training_partition(master: MasterDataset, pool: np.ndarray, plan: ExperimentPlan,
-                        seed: int) -> PartitionPlan:
-    """Balanced subsample of the training pool, then label-skewed partition."""
-    rng = rngs.derive_rng(seed, rngs.PARTITION)
-    sub_rel = balanced_subsample_indices(master.labels[pool], plan.subsample_per_class(), rng)
-    sub = pool[sub_rel]
-    raw = dirichlet_partition(master.labels[sub], plan.federation.num_clients, plan.alpha, rng)
-    return PartitionPlan(
-        client_indices=[sub[ix] for ix in raw.client_indices],
-        scheme=raw.scheme, params=raw.params, class_proportions=raw.class_proportions,
-    )
-
-
-def _centralized_partition(pool: np.ndarray) -> PartitionPlan:
-    return PartitionPlan(client_indices=[np.asarray(pool)], scheme="centralized")
-
-
-def _global_eval_fn(trainer, assets, test: MasterDataset):
-    def eval_fn(server, clients, round_index):
-        predictor = trainer.build_predictor(server.payload, assets)
-        acc = evaluate_predictor(predictor, test.features, test.labels, None, test.local_maps)
-        return {"test_accuracy": acc}
-    return eval_fn
-
-
-def _personal_eval_fn(trainer, assets):
-    def eval_fn(server, clients, round_index):
-        predictors, tests = [], []
-        for client in clients:
-            if client.test_set is None or len(client.test_set) == 0:
-                continue
-            predictors.append(trainer.build_predictor(server.payload, assets, state=client.state))
-            tests.append(client.test_set)
-        return {"test_accuracy": personalized_accuracy(predictors, tests)}
-    return eval_fn
-
-
-def _curves(spec, method, dataset_name, seed, outcome) -> list[dict]:
-    rows = []
-    for record in outcome.eval_history:
-        rows.append({
-            "scenario": spec.kind, "method": method, "dataset": dataset_name, "seed": seed,
-            "round": record["round"],
-            "train_loss": record.get("train_loss"),
-            "test_accuracy": record.get("test_accuracy"),
-            "chi": record.get("chi"),
-        })
-    return rows
-
-
-def run_cell(spec: ScenarioSpec, method: str, dataset_name: str, master: MasterDataset,
-             seed: int, plan: ExperimentPlan) -> CellResult:
-    """One (scenario, method, dataset, seed) experiment."""
-    runner = _CELL_RUNNERS[spec.kind]
-    return runner(spec, method, dataset_name, master, seed, plan)
-
-
-def _cell_global(spec, method, dataset_name, master, seed, plan,
-                 model_cfg=None, chi_closed_form=False):
-    cfg = model_cfg or plan.model
-    assets = build_assets(cfg, master.class_count)
-    tr, _va, te = _splits(master, seed)
-    _ensure_maps(master, method, cfg)
-    test = master.subset(te)  # sliced after the local maps exist
-    obs: list[Observation] = []
-
-    if method == ZERO_SHOT_METHOD:
-        acc = zero_shot_accuracy(assets, test.features, test.labels)
-        obs.append(Observation(spec.kind, method, dataset_name, seed, "alpha_g", acc))
-        obs.append(Observation(spec.kind, method, dataset_name, seed, "chi_millions", 0.0))
-        return CellResult(obs, [])
-
-    trainer = _trainer_for(method, spec)
-    fed_cfg = plan.federation
-    if fed_cfg.protocol == "centralized":
-        partition = _centralized_partition(tr)
-    else:
-        partition = _training_partition(master, tr, plan, seed)
-    clients = build_clients(master, partition, trainer, cfg, fed_cfg, seed)
-    outcome = run_federation(trainer, clients, fed_cfg, assets, seed,
-                             eval_fn=_global_eval_fn(trainer, assets, test))
-    best = outcome.best.get("test_accuracy", 0.0)
-    obs.append(Observation(spec.kind, method, dataset_name, seed, "alpha_g", best))
-    # the trade-off tables quote the method's arithmetic cost; elsewhere the
-    # ledger reports what actually moved (skipped empty clients exchange nothing)
-    chi = (communication_cost_millions(trainer, cfg, fed_cfg) if chi_closed_form
-           else outcome.server.ledger.chi_millions)
-    obs.append(Observation(spec.kind, method, dataset_name, seed, "chi_millions", chi))
-    return CellResult(obs, _curves(spec, method, dataset_name, seed, outcome),
-                      extras={"outcome": outcome})
-
-
-def _cell_personalized(spec, method, dataset_name, master, seed, plan):
-    cfg = plan.model
-    assets = build_assets(cfg, master.class_count)
-    tr, _va, te = _splits(master, seed)
-    _ensure_maps(master, method, cfg)
-    test = master.subset(te)
-    obs: list[Observation] = []
-    if method == ZERO_SHOT_METHOD:
-        acc = zero_shot_accuracy(assets, test.features, test.labels)
-        obs.append(Observation(spec.kind, method, dataset_name, seed, "alpha_p", acc))
-        return CellResult(obs, [])
-
-    trainer = _trainer_for(method, spec)
-    fed_cfg = plan.federation
-    partition = _training_partition(master, tr, plan, seed)
-    # per-client test pools mirror each client's training label distribution
-    test_raw = mirror_partition(partition.class_proportions, master.labels[te],
-                                rngs.derive_rng(seed, rngs.PARTITION, 1))
-    test_plan = PartitionPlan(
-        client_indices=[te[ix] for ix in test_raw.client_indices],
-        scheme=test_raw.scheme,
-    )
-    clients = build_clients(master, partition, trainer, cfg, fed_cfg, seed, test_plan=test_plan)
-    outcome = run_federation(trainer, clients, fed_cfg, assets, seed,
-                             eval_fn=_personal_eval_fn(trainer, assets))
-    best = outcome.best.get("test_accuracy", 0.0)
-    obs.append(Observation(spec.kind, method, dataset_name, seed, "alpha_p", best))
-    return CellResult(obs, _curves(spec, method, dataset_name, seed, outcome))
-
-
-def _cell_base_novel(spec, method, dataset_name, master, seed, plan):
-    cfg = plan.model
-    assets = build_assets(cfg, master.class_count)
-    base_ids, novel_ids = base_novel_split(master.class_count, mode=spec.split_mode, seed=seed)
-    tr, _va, te = _splits(master, seed)
-    _ensure_maps(master, method, cfg)
-    te_base = te[np.isin(master.labels[te], base_ids)]
-    te_novel = te[np.isin(master.labels[te], novel_ids)]
-    obs: list[Observation] = []
-    extras = {"base_ids": base_ids, "novel_ids": novel_ids, "audit": []}
-
-    def emit(alpha_b, alpha_n):
-        alpha_h = harmonic_mean(alpha_b, alpha_n)
-        for name, value in (("alpha_b", alpha_b), ("alpha_n", alpha_n), ("alpha_h", alpha_h)):
-            obs.append(Observation(spec.kind, method, dataset_name, seed, name, value))
-        return alpha_h
-
-    if method == ZERO_SHOT_METHOD:
-        alpha_b = zero_shot_accuracy(assets, master.features[te_base], master.labels[te_base], base_ids)
-        alpha_n = zero_shot_accuracy(assets, master.features[te_novel], master.labels[te_novel], novel_ids)
-        emit(alpha_b, alpha_n)
-        return CellResult(obs, [], extras)
-
-    trainer = _trainer_for(method, spec)
-    fed_cfg = plan.federation
-    pool = tr[np.isin(master.labels[tr], base_ids)]
-    partition = _training_partition(master, pool, plan, seed)
-    clients = build_clients(master, partition, trainer, cfg, fed_cfg, seed)
-    audit: list[np.ndarray] = []
-    outcome = run_federation(trainer, clients, fed_cfg, assets, seed,
-                             class_ids=base_ids, audit=audit)
-    extras["audit"] = audit
-    leaked = sum(int(np.isin(master.labels[batch], novel_ids).sum()) for batch in audit)
-    if leaked:
-        raise EvaluationError(f"{leaked} novel-class samples leaked into training batches")
-
-    def final_acc(test_idx, ids):
-        predictor = trainer.build_predictor(outcome.server.payload, assets, class_ids=ids)
-        subset = master.subset(test_idx)
-        return evaluate_predictor(predictor, subset.features, subset.labels, ids, subset.local_maps)
-
-    emit(final_acc(te_base, base_ids), final_acc(te_novel, novel_ids))
-    return CellResult(obs, _curves(spec, method, dataset_name, seed, outcome), extras)
-
-
-def _cell_fewshot(spec, method, dataset_name, master, seed, plan):
-    cfg = plan.model
-    assets = build_assets(cfg, master.class_count)
-    tr, _va, te = _splits(master, seed)
-    _ensure_maps(master, method, cfg)
-    test = master.subset(te)
-    metric = f"alpha_fs_{spec.shots}"
-    obs: list[Observation] = []
-    if method == ZERO_SHOT_METHOD:
-        acc = zero_shot_accuracy(assets, test.features, test.labels)
-        obs.append(Observation(spec.kind, method, dataset_name, seed, metric, acc))
-        return CellResult(obs, [])
-
-    trainer = _trainer_for(method, spec)
-    fed_cfg = plan.federation
-    raw = kshot_iid_partition(master.labels[tr], fed_cfg.num_clients, spec.shots,
-                              rngs.derive_rng(seed, rngs.PARTITION))
-    partition = PartitionPlan(client_indices=[tr[ix] for ix in raw.client_indices],
-                              scheme=raw.scheme, params=raw.params)
-    clients = build_clients(master, partition, trainer, cfg, fed_cfg, seed)
-    outcome = run_federation(trainer, clients, fed_cfg, assets, seed,
-                             eval_fn=_global_eval_fn(trainer, assets, test))
-    obs.append(Observation(spec.kind, method, dataset_name, seed, metric,
-                           outcome.best.get("test_accuracy", 0.0)))
-    return CellResult(obs, _curves(spec, method, dataset_name, seed, outcome))
 
 
 def cross_domain_targets(master: MasterDataset, count: int) -> dict[str, MasterDataset]:
@@ -437,70 +240,164 @@ def cross_domain_targets(master: MasterDataset, count: int) -> dict[str, MasterD
     return targets
 
 
-def _cell_cross_domain(spec, method, dataset_name, master, seed, plan):
-    cfg = plan.model
-    assets = build_assets(cfg, master.class_count)
+@dataclass
+class _Target:
+    """One scored test set: results column, metric, and its per-round record key."""
+
+    column: str
+    metric: str
+    key: str
+    source: MasterDataset  # the full dataset; local maps are drawn on it before slicing
+    indices: np.ndarray
+    class_ids: np.ndarray | None = None
+
+
+@dataclass
+class _ScenarioPlan:
+    """What a scenario changes in the one cell pipeline of `run_cell`."""
+
+    targets: list[_Target]
+    clients: list[np.ndarray] | None = None       # training indices per client (trained only)
+    client_tests: list[np.ndarray] | None = None  # personalized: test indices per client
+    class_ids: np.ndarray | None = None           # the classes trained on (None: all)
+    per_round: bool = True                        # best over evaluated rounds, else final only
+    extras: dict = field(default_factory=dict)
+
+
+def _scenario_plan(spec: ScenarioSpec, trained: bool, column: str, master: MasterDataset,
+                   seed: int, plan: ExperimentPlan) -> _ScenarioPlan:
+    """The scenario's targets and, for a trained method, its client partition."""
     tr, _va, te = _splits(master, seed)
-    _ensure_maps(master, method, cfg)
-    targets = cross_domain_targets(master, spec.cross_targets)
-    for target in targets.values():
-        _ensure_maps(target, method, cfg)
-    obs: list[Observation] = []
+    fed_cfg = plan.federation
+    pool = tr
+    if spec.kind == "base_novel":
+        base_ids, novel_ids = base_novel_split(master.class_count, mode=spec.split_mode, seed=seed)
+        te_base = te[np.isin(master.labels[te], base_ids)]
+        te_novel = te[np.isin(master.labels[te], novel_ids)]
+        scenario = _ScenarioPlan(
+            [_Target(column, "alpha_b", "acc::base", master, te_base, base_ids),
+             _Target(column, "alpha_n", "acc::novel", master, te_novel, novel_ids)],
+            class_ids=base_ids, per_round=False,
+            extras={"base_ids": base_ids, "novel_ids": novel_ids},
+        )
+        pool = tr[np.isin(master.labels[tr], base_ids)]
+    elif spec.kind == "cross_domain":
+        shifted = cross_domain_targets(master, spec.cross_targets)
+        scenario = _ScenarioPlan([_Target(f"{column}->{name}", "alpha_xd", f"acc::{name}", target, te)
+                                  for name, target in shifted.items()])
+    else:
+        metric = {"personalized": "alpha_p",
+                  "fewshot": f"alpha_fs_{spec.shots}"}.get(spec.kind, "alpha_g")
+        scenario = _ScenarioPlan([_Target(column, metric, "test_accuracy", master, te)])
+    if not trained:  # zero-shot trains nothing, so it needs (and may fail) no partition
+        return scenario
 
-    def column(tgt: str) -> str:
-        return f"{dataset_name}->{tgt}"
+    rng = rngs.derive_rng(seed, rngs.PARTITION)
+    if spec.kind == "fewshot":
+        raw = kshot_iid_partition(master.labels[pool], fed_cfg.num_clients, spec.shots, rng)
+        scenario.clients = [pool[ix] for ix in raw.client_indices]
+    elif fed_cfg.protocol == "centralized" and spec.kind in ("global", "cost_tradeoff"):
+        # the one client holds the whole pool; the other scenarios subsample it below
+        scenario.clients = [pool]
+    else:  # balanced subsample of the pool, then a label-skewed partition
+        sub = pool[balanced_subsample_indices(master.labels[pool], plan.subsample_per_class(), rng)]
+        raw = dirichlet_partition(master.labels[sub], fed_cfg.num_clients, plan.alpha, rng)
+        scenario.clients = [sub[ix] for ix in raw.client_indices]
+        if spec.kind == "personalized":
+            # per-client test pools mirror each client's training label distribution
+            tests = mirror_partition(raw.class_proportions, master.labels[te],
+                                     rngs.derive_rng(seed, rngs.PARTITION, 1))
+            scenario.client_tests = [te[ix] for ix in tests.client_indices]
+    return scenario
 
-    if method == ZERO_SHOT_METHOD:
-        for tgt, shifted in targets.items():
-            acc = zero_shot_accuracy(assets, shifted.features[te], shifted.labels[te])
-            obs.append(Observation(spec.kind, method, column(tgt), seed, "alpha_xd", acc))
-        return CellResult(obs, [])
+
+def run_cell(spec: ScenarioSpec, method: str, dataset_name: str, master: MasterDataset,
+             seed: int, plan: ExperimentPlan) -> CellResult:
+    """One (scenario, method, dataset, seed) experiment."""
+    if spec.kind != "cost_tradeoff":
+        return _run_plan(spec, method, dataset_name, master, seed, plan, plan.model)
+    if method == ZERO_SHOT_METHOD:  # nothing is communicated, so there is no trade-off
+        return CellResult([], [])
+    sweep = ([(f"prompts={v}", replace(plan.model, m=v)) for v in spec.prompt_sweep]
+             + [(f"tokens={v}", replace(plan.model, L=v)) for v in spec.token_sweep])
+    parts = [_run_plan(spec, method, f"{dataset_name}|{name}", master, seed, plan, cfg)
+             for name, cfg in sweep]
+    return CellResult([o for part in parts for o in part.observations],
+                      [row for part in parts for row in part.curves])
+
+
+def _run_plan(spec: ScenarioSpec, method: str, column: str, master: MasterDataset,
+              seed: int, plan: ExperimentPlan, cfg: ModelConfig) -> CellResult:
+    """The cell pipeline: the scenario's plan, trained and scored under one model config."""
+    assets = build_assets(cfg, master.class_count)
+    trained = method != ZERO_SHOT_METHOD
+    scenario = _scenario_plan(spec, trained, column, master, seed, plan)
+    targets = scenario.targets
+    if method in TRANSPORT_METHODS:
+        for source in [master] + [t.source for t in targets if t.source is not master]:
+            source.ensure_local_maps(cfg.local_features, seed=0)
+    tests = [t.source.subset(t.indices) for t in targets]  # sliced after the local maps exist
+
+    def score(make_predictor) -> dict[str, float]:
+        """Accuracy per record key, with one predictor per evaluated class set."""
+        predictors, scores = {}, {}
+        for target, test in zip(targets, tests):
+            ids = None if target.class_ids is None else target.class_ids.tobytes()
+            if ids not in predictors:
+                predictors[ids] = make_predictor(target.class_ids)
+            scores[target.key] = evaluate_predictor(predictors[ids], test.features, test.labels,
+                                                    target.class_ids, test.local_maps)
+        return scores
+
+    if not trained:
+        scores = score(lambda ids: CosinePredictor(assets, assets.handcrafted.vectors, ids))
+        chi = 0.0 if spec.kind == "global" else None
+        return CellResult(_observations(spec, method, seed, targets, scores, chi), [],
+                          scenario.extras)
 
     trainer = _trainer_for(method, spec)
     fed_cfg = plan.federation
-    partition = _training_partition(master, tr, plan, seed)
-    clients = build_clients(master, partition, trainer, cfg, fed_cfg, seed)
+    clients = build_clients(master, scenario.clients, trainer, cfg, fed_cfg, seed,
+                            scenario.client_tests)
 
-    def eval_fn(server, clients_, round_index):
-        metrics = {}
-        predictor = trainer.build_predictor(server.payload, assets)
-        for tgt, shifted in targets.items():
-            test = shifted.subset(te)
-            metrics[f"acc::{tgt}"] = evaluate_predictor(
-                predictor, test.features, test.labels, None, test.local_maps)
-        return metrics
+    def evaluate(server, clients, round_index=None) -> dict[str, float]:
+        if scenario.client_tests is None:
+            return score(lambda ids: trainer.build_predictor(server.payload, assets, class_ids=ids))
+        held = [c for c in clients if len(c.test_set) > 0]
+        predictors = [trainer.build_predictor(server.payload, assets, state=c.state) for c in held]
+        return {targets[0].key: personalized_accuracy(predictors, [c.test_set for c in held])}
 
-    outcome = run_federation(trainer, clients, fed_cfg, assets, seed, eval_fn=eval_fn)
-    for tgt in targets:
-        obs.append(Observation(spec.kind, method, column(tgt), seed, "alpha_xd",
-                               outcome.best.get(f"acc::{tgt}", 0.0)))
-    return CellResult(obs, _curves(spec, method, dataset_name, seed, outcome))
-
-
-def _cell_cost_tradeoff(spec, method, dataset_name, master, seed, plan):
-    if method == ZERO_SHOT_METHOD:
-        return CellResult([], [])
-    observations: list[Observation] = []
-    curves: list[dict] = []
-    for sweep_name, values, make_cfg in (
-        ("prompts", spec.prompt_sweep, lambda v: replace(plan.model, m=v)),
-        ("tokens", spec.token_sweep, lambda v: replace(plan.model, L=v)),
-    ):
-        for value in values:
-            cfg = make_cfg(value)
-            name = f"{dataset_name}|{sweep_name}={value}"
-            result = _cell_global(spec, method, name, master, seed, plan,
-                                  model_cfg=cfg, chi_closed_form=True)
-            observations.extend(result.observations)
-            curves.extend(result.curves)
-    return CellResult(observations, curves)
+    audit = None if scenario.class_ids is None else []
+    outcome = run_federation(trainer, clients, fed_cfg, assets, seed,
+                             eval_fn=evaluate if scenario.per_round else None,
+                             class_ids=scenario.class_ids, audit=audit)
+    if audit is not None:
+        leaked = sum(int(np.isin(master.labels[batch], scenario.class_ids, invert=True).sum())
+                     for batch in audit)
+        if leaked:
+            raise EvaluationError(f"{leaked} samples of untrained classes leaked into "
+                                  "training batches")
+        scenario.extras["audit"] = audit
+    scores = outcome.best if scenario.per_round else evaluate(outcome.server, clients)
+    chi = None
+    if spec.kind == "global":  # what actually moved (skipped empty clients exchange nothing)
+        chi = outcome.server.ledger.chi_millions
+    elif spec.kind == "cost_tradeoff":  # the trade-off tables quote the method's arithmetic cost
+        chi = communication_cost_millions(trainer, cfg, fed_cfg)
+    curves = [{"scenario": spec.kind, "method": method, "dataset": column, "seed": seed,
+               "round": record["round"], "train_loss": record.get("train_loss"),
+               "test_accuracy": record.get("test_accuracy"), "chi": record.get("chi")}
+              for record in outcome.eval_history]
+    return CellResult(_observations(spec, method, seed, targets, scores, chi), curves,
+                      scenario.extras)
 
 
-_CELL_RUNNERS = {
-    "global": _cell_global,
-    "personalized": _cell_personalized,
-    "base_novel": _cell_base_novel,
-    "fewshot": _cell_fewshot,
-    "cross_domain": _cell_cross_domain,
-    "cost_tradeoff": _cell_cost_tradeoff,
-}
+def _observations(spec: ScenarioSpec, method: str, seed: int, targets: list[_Target],
+                  scores: dict[str, float], chi: float | None) -> list[Observation]:
+    rows = [(t.column, t.metric, scores.get(t.key, 0.0)) for t in targets]
+    if spec.kind == "base_novel":
+        rows.append((targets[0].column, "alpha_h", harmonic_mean(rows[0][2], rows[1][2])))
+    if chi is not None:
+        rows.append((targets[0].column, "chi_millions", chi))
+    return [Observation(spec.kind, method, column, seed, metric, value)
+            for column, metric, value in rows]

@@ -12,7 +12,7 @@ from .algorithms import (
     TrainContext,
     TrainStats,
 )
-from .data import ClientDataset, MasterDataset, PartitionPlan
+from .data import ClientDataset, MasterDataset
 from .errors import AggregationError, ConfigError
 from .vlm import ModelAssets, ModelConfig
 from . import rngs
@@ -73,6 +73,9 @@ class FederationConfig:
             raise ConfigError("num_clients: the centralized protocol uses exactly one client")
         if self.protocol in ("standard", "personalized", "centralized") and self.participation_fraction != 1.0:
             raise ConfigError(f"participation_fraction: the {self.protocol} protocol uses full participation")
+        if self.sample_size < 1:
+            raise ConfigError(f"participation_fraction: {self.participation_fraction} of "
+                              f"{self.num_clients} clients rounds to no sampled client")
 
     @classmethod
     def for_protocol(cls, protocol: str, **overrides) -> "FederationConfig":
@@ -84,7 +87,7 @@ class FederationConfig:
 
     @property
     def sample_size(self) -> int:
-        return max(1, int(round(self.participation_fraction * self.num_clients)))
+        return sample_count(self.num_clients, self.participation_fraction)
 
 
 @dataclass
@@ -148,11 +151,16 @@ class ServerState:
     reports: list[RoundReport] = field(default_factory=list)
 
 
+def sample_count(num_clients: int, fraction: float) -> int:
+    """Clients sampled per round: the fraction of the clients, rounded half to even."""
+    return int(round(fraction * num_clients))
+
+
 def sample_clients(num_clients: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample without replacement, sorted for deterministic aggregation."""
     if not (0.0 < fraction <= 1.0):
         raise ConfigError(f"participation fraction must lie in (0, 1], got {fraction}")
-    k = int(round(fraction * num_clients))
+    k = sample_count(num_clients, fraction)
     if k < 1:
         raise ConfigError(f"participation fraction {fraction} selects no clients out of {num_clients}")
     if k >= num_clients:
@@ -307,17 +315,18 @@ def run_federation(trainer: LocalTrainer, clients: list[Client], fed_cfg: Federa
     return FederationOutcome(server=server, eval_history=history, best=best)
 
 
-def build_clients(master: MasterDataset, plan: PartitionPlan, trainer: LocalTrainer,
+def build_clients(master: MasterDataset, client_indices: list[np.ndarray], trainer: LocalTrainer,
                   cfg: ModelConfig, fed_cfg: FederationConfig, seed: int,
-                  test_plan: PartitionPlan | None = None) -> list[Client]:
-    """Materialise per-client datasets and fresh training state from partition plans."""
+                  test_indices: list[np.ndarray] | None = None) -> list[Client]:
+    """Materialise per-client datasets and fresh training state from per-client
+    master indices (and per-client test indices, for personalized evaluation)."""
     clients = []
-    for cid, indices in enumerate(plan.client_indices):
+    for cid, indices in enumerate(client_indices):
         state = trainer.init_state(cfg, rngs.derive_rng(seed, rngs.CLIENT, cid),
                                    lr0=fed_cfg.lr0, momentum=fed_cfg.momentum)
         test_set = None
-        if test_plan is not None:
-            test_set = ClientDataset.from_master(master, test_plan.client_indices[cid])
+        if test_indices is not None:
+            test_set = ClientDataset.from_master(master, test_indices[cid])
         clients.append(Client(
             client_id=cid,
             dataset=ClientDataset.from_master(master, indices),

@@ -5,7 +5,6 @@ bit-identical. Public operations validate their inputs and never let
 NaN/Inf escape.
 """
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,47 +35,6 @@ def softmax_temp(logits: np.ndarray, tau: float) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
-    a = _check_finite(a, "a")
-    b = _check_finite(b, "b")
-    if a.shape != b.shape:
-        raise DomainError(f"length mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise DomainError("cosine similarity of a zero vector")
-    return float(min(1.0, max(-1.0, float(np.dot(a, b) / (na * nb)))))
-
-
-@dataclass
-class CrossEntropyResult:
-    loss: float
-    grad_logits: np.ndarray  # d(loss)/d(pre-softmax logits) = probs - onehot
-    saturated: bool
-
-
-def cross_entropy(probs: np.ndarray, label: int, cap: float = CROSS_ENTROPY_CAP) -> CrossEntropyResult:
-    """-log p[label] with the gradient taken w.r.t. pre-softmax logits.
-
-    A zero probability at the label returns the finite `cap` and flags
-    saturation instead of producing inf, so training loops stay total.
-    When the logits were scaled by 1/tau before the softmax, scale
-    `grad_logits` by 1/tau as well.
-    """
-    probs = _check_finite(probs, "probs")
-    if probs.ndim != 1:
-        raise DomainError("probs must be a vector")
-    if not (0 <= label < probs.shape[0]):
-        raise DomainError(f"label {label} out of range for {probs.shape[0]} classes")
-    p = float(probs[label])
-    saturated = p <= 0.0
-    loss = cap if saturated else float(-np.log(p))
-    grad = probs.copy()
-    grad[label] -= 1.0
-    return CrossEntropyResult(loss=min(loss, cap), grad_logits=grad, saturated=saturated)
 
 
 def softmax_ce_batch(
@@ -117,12 +75,3 @@ def finite_diff_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, h: flo
         flat[k] = (up - down) / (2.0 * h)
     return grad
 
-
-def relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Norm-wise relative difference used by gradient checks."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    denom = max(na, nb)
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)) / denom)

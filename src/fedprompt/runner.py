@@ -1,4 +1,4 @@
-"""Experiment execution and reporting on top of the scenario runners.
+"""Experiment execution and reporting on top of the cell pipeline.
 
 Cells are (scenario, method, dataset, seed) units, dispatched to an
 optional worker pool. Outputs are written once, sorted, so bytes never

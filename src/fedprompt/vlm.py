@@ -93,10 +93,6 @@ class PromptContext:
     def d_token(self) -> int:
         return self.vectors.shape[2]
 
-    @property
-    def param_count(self) -> int:
-        return self.vectors.size
-
     def copy(self) -> "PromptContext":
         return PromptContext(self.vectors.copy())
 

@@ -1,0 +1,80 @@
+"""Reference helpers that only the tests use.
+
+Scalar cosine and cross-entropy, the relative error of gradient checks,
+payload and parameter counts. The package computes these in batched form
+(`softmax_ce_batch`, `ModelAssets.text_features`, `payload_scalars`);
+these plain forms are what the tests compare it against.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from fedprompt.errors import ConfigError, DomainError
+from fedprompt.numerics import CROSS_ENTROPY_CAP, _check_finite
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
+    a = _check_finite(a, "a")
+    b = _check_finite(b, "b")
+    if a.shape != b.shape:
+        raise DomainError(f"length mismatch: {a.shape} vs {b.shape}")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise DomainError("cosine similarity of a zero vector")
+    return float(min(1.0, max(-1.0, float(np.dot(a, b) / (na * nb)))))
+
+
+@dataclass
+class CrossEntropyResult:
+    loss: float
+    grad_logits: np.ndarray  # d(loss)/d(pre-softmax logits) = probs - onehot
+    saturated: bool
+
+
+def cross_entropy(probs: np.ndarray, label: int, cap: float = CROSS_ENTROPY_CAP) -> CrossEntropyResult:
+    """-log p[label] with the gradient taken w.r.t. pre-softmax logits.
+
+    A zero probability at the label returns the finite `cap` and flags
+    saturation instead of producing inf. When the logits were scaled by
+    1/tau before the softmax, scale `grad_logits` by 1/tau as well.
+    """
+    probs = _check_finite(probs, "probs")
+    if probs.ndim != 1:
+        raise DomainError("probs must be a vector")
+    if not (0 <= label < probs.shape[0]):
+        raise DomainError(f"label {label} out of range for {probs.shape[0]} classes")
+    p = float(probs[label])
+    saturated = p <= 0.0
+    loss = cap if saturated else float(-np.log(p))
+    grad = probs.copy()
+    grad[label] -= 1.0
+    return CrossEntropyResult(loss=min(loss, cap), grad_logits=grad, saturated=saturated)
+
+
+def relative_error(a: np.ndarray, b: np.ndarray) -> float:
+    """Norm-wise relative difference used by gradient checks."""
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    denom = max(na, nb)
+    if denom == 0.0:
+        return 0.0
+    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)) / denom)
+
+
+def max_abs_diff(a, b) -> float:
+    """Largest elementwise difference between two payloads with the same fields."""
+    if a.fields.keys() != b.fields.keys():
+        raise ConfigError("payload field sets differ")
+    return max(
+        (float(np.max(np.abs(a.fields[k] - b.fields[k]))) if a.fields[k].size else 0.0)
+        for k in a.fields
+    )
+
+
+def metanet_param_count(cfg) -> int:
+    """Scalars of the conditioning net: two affine layers d_image -> hidden -> d_token."""
+    h, di, dt = cfg.meta_hidden, cfg.d_image, cfg.d_token
+    return h * di + h + dt * h + dt

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracle import max_abs_diff, relative_error
 from vlm_oracle import prompt_gradients
 from fedprompt.algorithms import (
     ce_loss_and_grads,
@@ -26,7 +27,6 @@ from fedprompt.config import parse_config
 from fedprompt.data import (
     ClientDataset,
     MasterDataset,
-    PartitionPlan,
     SyntheticSpec,
     dirichlet_partition,
     generate_synthetic_dataset,
@@ -47,7 +47,7 @@ from fedprompt.federation import (
     communication_cost_millions,
     run_federation,
 )
-from fedprompt.numerics import finite_diff_gradient, relative_error
+from fedprompt.numerics import finite_diff_gradient
 from fedprompt.runner import run
 from fedprompt.transport import sinkhorn, sinkhorn_relaxed
 from fedprompt.vlm import (
@@ -196,8 +196,7 @@ def test_criterion_04_fedavg_centralized_equivalence():
     assets = build_assets(cfg, 4)
     trainer = make_trainer("promptfl")
     fed = FederationConfig(protocol="centralized", num_clients=1, rounds=10, batch_size=8)
-    plan = PartitionPlan(client_indices=[np.arange(24)], scheme="centralized")
-    clients = build_clients(master, plan, trainer, cfg, fed, seed=seed)
+    clients = build_clients(master, [np.arange(24)], trainer, cfg, fed, seed=seed)
     outcome = run_federation(trainer, clients, fed, assets, seed=seed)
 
     # independent path: plain SGD, no server, same streams and schedule
@@ -315,8 +314,8 @@ def test_criterion_08_reduction_suite():
         return out
 
     base = one_step("promptfl")
-    assert base.max_abs_diff(one_step("kgcoop", lambda_kg=0.0)) <= 1e-12
-    assert base.max_abs_diff(one_step("src", mu_text=0.0, mu_logit=0.0, window=1)) <= 1e-12
+    assert max_abs_diff(base, one_step("kgcoop", lambda_kg=0.0)) <= 1e-12
+    assert max_abs_diff(base, one_step("src", mu_text=0.0, mu_logit=0.0, window=1)) <= 1e-12
 
     check_rng = np.random.default_rng(77)
     for _ in range(1000):

@@ -487,6 +487,19 @@ class TestCLI:
         assert f"error: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text,key", [
+        ("[data]\nper_class_subsample = 0\n", "data.per_class_subsample"),
+        ("[data]\nper_class_subsample = -1\n", "data.per_class_subsample"),
+        ("[federation]\nprotocol = partial\nnum_clients = 3\nparticipation_fraction = 0.1\n",
+         "federation.participation_fraction"),
+    ])
+    def test_run_rejects_untrainable_values_before_any_cell(self, tmp_path, capsys, text, key):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[experiment]\nmethods = zsclip,promptfl\nseeds = 0\n" + text)
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_run_rejects_duplicate_datasets(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[data]\ndatasets = synthetic,synthetic\n")

