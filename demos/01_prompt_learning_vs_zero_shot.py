@@ -19,7 +19,7 @@ print(f"dataset: {len(dataset)} samples, {dataset.class_count} classes, "
       f"{dataset.feature_dim}-dim unit features")
 
 plan = ExperimentPlan(
-    model=ModelConfig(m=1, L=4, d_token=32, d_feature=64, d_image=64,
+    model=ModelConfig(prompts=1, tokens=4, d_token=32, d_feature=64, d_image=64,
                       encoder="attention_block", token_scale=0.05),
     federation=FederationConfig(protocol="standard", num_clients=10, rounds=30),
     alpha=0.1,                 # strong label skew

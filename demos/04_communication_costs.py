@@ -12,7 +12,7 @@ from fedprompt.algorithms import make_trainer
 from fedprompt.federation import FederationConfig, communication_cost_millions
 from fedprompt.vlm import ModelConfig
 
-cfg = ModelConfig()  # d_token=512, L=4, meta-net 1024 -> 64 -> 512
+cfg = ModelConfig()  # d_token=512, tokens=4, meta-net 1024 -> 64 -> 512
 fed = FederationConfig(protocol="standard", num_clients=10, rounds=50)
 
 print("per-method totals at defaults (millions of scalars):")
@@ -25,14 +25,14 @@ for kind in ("promptfl", "plot", "prograd", "src", "kgcoop", "fedotp", "proda", 
 print("\nprompt-count sweep (tokens fixed at 4):")
 print("prompts   promptfl   fedotp   proda   cocoop")
 for prompts in (1, 2, 4):
-    row = [communication_cost_millions(make_trainer(k), replace(cfg, m=prompts), fed)
+    row = [communication_cost_millions(make_trainer(k), replace(cfg, prompts=prompts), fed)
            for k in ("promptfl", "fedotp", "proda", "cocoop")]
     print(f"{prompts:7d}   {row[0]:8.2f}   {row[1]:6.2f}   {row[2]:5.2f}   {row[3]:6.2f}")
 
 print("\ntoken-length sweep (single prompt set):")
 print("tokens    promptfl   cocoop")
 for tokens in (4, 8, 16):
-    row = [communication_cost_millions(make_trainer(k), replace(cfg, L=tokens), fed)
+    row = [communication_cost_millions(make_trainer(k), replace(cfg, tokens=tokens), fed)
            for k in ("promptfl", "cocoop")]
     print(f"{tokens:6d}   {row[0]:9.2f}   {row[1]:6.2f}")
 

@@ -48,36 +48,32 @@ class CommunicablePayload:
 # SGD with momentum and cosine decay
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SGDState:
-    velocities: dict[str, np.ndarray]
-    lr0: float = 0.002
-    momentum: float = 0.9
-
-
-def cosine_lr(lr0: float, t: int, total: int) -> float:
+def cosine_lr(lr: float, t: int, total: int) -> float:
     if not (0 <= t <= total):
         raise ConfigError(f"round {t} outside schedule of {total} rounds")
-    return lr0 * 0.5 * (1.0 + np.cos(np.pi * t / total))
+    return lr * 0.5 * (1.0 + np.cos(np.pi * t / total))
 
 
 def sgd_momentum_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                      state: SGDState, t: int, total: int) -> dict[str, np.ndarray]:
-    """v <- momentum*v + g; p <- p - lr_t*v, with lr_t on the cosine schedule."""
-    lr = cosine_lr(state.lr0, t, total)
+                      velocities: dict[str, np.ndarray], lr: float, momentum: float,
+                      t: int, total: int) -> dict[str, np.ndarray]:
+    """v <- momentum*v + g; p <- p - lr_t*v, with lr_t = `cosine_lr(lr, t, total)`.
+
+    Updates `velocities` in place."""
+    lr_t = cosine_lr(lr, t, total)
     out = {}
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ConfigError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
-        v = state.velocities.get(name)
+        v = velocities.get(name)
         if v is None:
             v = np.zeros_like(p)
         if v.shape != p.shape:
             raise ConfigError(f"velocity shape {v.shape} != parameter shape {p.shape} for {name!r}")
-        v = state.momentum * v + g
-        state.velocities[name] = v
-        out[name] = p - lr * v
+        v = momentum * v + g
+        velocities[name] = v
+        out[name] = p - lr_t * v
     return out
 
 
@@ -151,7 +147,7 @@ class TrainContext:
     rng: np.random.Generator
     batch_size: int = 16
     epochs: int = 1
-    lr0: float = 0.002
+    lr: float = 0.002
     momentum: float = 0.9
     class_ids: np.ndarray | None = None  # restrict training to these classes
     audit: list | None = None            # collects each batch's master indices
@@ -175,7 +171,7 @@ class TrainStats:
 
 @dataclass
 class ClientTrainState:
-    sgd: SGDState
+    velocities: dict[str, np.ndarray] = field(default_factory=dict)  # SGD momentum buffers
     local_fields: dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -372,11 +368,11 @@ class LocalTrainer:
     set_multiplier: int = 1  # prompt sets per configured "number of prompts"
 
     def n_sets(self, cfg: ModelConfig) -> int:
-        return cfg.m * self.set_multiplier
+        return cfg.prompts * self.set_multiplier
 
     # -- payload layout ----------------------------------------------------
     def payload_shapes(self, cfg: ModelConfig) -> dict[str, tuple]:
-        return {"context": (self.n_sets(cfg), cfg.L, cfg.d_token)}
+        return {"context": (self.n_sets(cfg), cfg.tokens, cfg.d_token)}
 
     def payload_scalars(self, cfg: ModelConfig) -> int:
         return int(sum(np.prod(s) for s in self.payload_shapes(cfg).values()))
@@ -386,9 +382,8 @@ class LocalTrainer:
             {"context": build_prompt_context(cfg, rng, m=self.n_sets(cfg)).vectors}
         )
 
-    def init_state(self, cfg: ModelConfig, rng: np.random.Generator,
-                   lr0: float = 0.002, momentum: float = 0.9) -> ClientTrainState:
-        return ClientTrainState(sgd=SGDState(velocities={}, lr0=lr0, momentum=momentum))
+    def init_state(self, cfg: ModelConfig, rng: np.random.Generator) -> ClientTrainState:
+        return ClientTrainState()
 
     # -- training ----------------------------------------------------------
     def local_train(self, payload: CommunicablePayload, state: ClientTrainState,
@@ -397,8 +392,6 @@ class LocalTrainer:
             raise DataError("local training on an empty dataset")
         params = {k: v.copy() for k, v in payload.fields.items()}
         params.update({k: v.copy() for k, v in state.local_fields.items()})
-        state.sgd.lr0 = ctx.lr0
-        state.sgd.momentum = ctx.momentum
         losses: list[float] = []
         n_samples = 0
         passes: list[dict] = []  # the parameters after each pass over the data
@@ -407,7 +400,7 @@ class LocalTrainer:
                 if ctx.audit is not None:
                     ctx.audit.append(np.asarray(batch.master_indices))
                 loss, grads = self.grad_step(params, batch, ctx)
-                params = sgd_momentum_step(params, grads, state.sgd,
+                params = sgd_momentum_step(params, grads, state.velocities, ctx.lr, ctx.momentum,
                                            ctx.round_index, ctx.total_rounds)
                 losses.append(loss)
                 n_samples += batch.features.shape[0]
@@ -550,7 +543,7 @@ class CoCoOpTrainer(LocalTrainer):
 
     def payload_shapes(self, cfg: ModelConfig) -> dict[str, tuple]:
         return {
-            "context": (self.n_sets(cfg), cfg.L, cfg.d_token),
+            "context": (self.n_sets(cfg), cfg.tokens, cfg.d_token),
             "meta_w1": (cfg.meta_hidden, cfg.d_image),
             "meta_b1": (cfg.meta_hidden,),
             "meta_w2": (cfg.d_token, cfg.meta_hidden),
@@ -663,8 +656,8 @@ class FedOTPTrainer(LocalTrainer):
 
     def payload_shapes(self, cfg: ModelConfig) -> dict[str, tuple]:
         if self.mode == "global":
-            return {"context": (2 * cfg.m, cfg.L, cfg.d_token)}
-        return {"context_global": (cfg.m, cfg.L, cfg.d_token)}
+            return {"context": (2 * cfg.prompts, cfg.tokens, cfg.d_token)}
+        return {"context_global": (cfg.prompts, cfg.tokens, cfg.d_token)}
 
     def init_payload(self, cfg: ModelConfig, rng: np.random.Generator) -> CommunicablePayload:
         name, = self.payload_shapes(cfg)
@@ -672,10 +665,11 @@ class FedOTPTrainer(LocalTrainer):
             {name: build_prompt_context(cfg, rng, m=self.payload_shapes(cfg)[name][0]).vectors}
         )
 
-    def init_state(self, cfg, rng, lr0=0.002, momentum=0.9):
-        state = super().init_state(cfg, rng, lr0, momentum)
+    def init_state(self, cfg, rng):
+        state = super().init_state(cfg, rng)
         if self.mode == "personalized":
-            state.local_fields["context_local"] = build_prompt_context(cfg, rng, m=cfg.m).vectors
+            state.local_fields["context_local"] = \
+                build_prompt_context(cfg, rng, m=cfg.prompts).vectors
         return state
 
     def _stacked(self, params) -> np.ndarray:

@@ -1,16 +1,20 @@
 """Declarative experiment configuration.
 
 Accepts sectioned key=value text (INI-shaped) or a JSON object with the
-same section/key tree. Unknown sections or keys are rejected, every
-value is type-checked, and an empty file yields the all-defaults
+same section/key tree. Each section is a dataclass whose field names are
+the section's keys and whose defaults are its defaults: `[experiment]`
+is the top level of `ExperimentConfig`, `[federation]`
+`FederationConfig`, `[model]` `ModelConfig`, `[data]` `DataConfig` and
+`[scenario]` `ScenarioSpec`. Unknown sections or keys are rejected,
+every value is type-checked, and an empty file yields the all-defaults
 experiment (synthetic data, promptfl, global scenario).
 """
 
 import configparser
 import io
 import json
-import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 
 from .data import MasterDataset, SyntheticSpec, generate_synthetic_dataset, load_feature_table
 from .errors import ConfigError
@@ -22,66 +26,40 @@ from . import rngs
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in str(text).replace(",", " ").split()]
+    return [int(x) for x in text.replace(",", " ").split()]
 
 
 def _parse_str_list(text: str) -> list[str]:
-    return [x for x in str(text).replace(",", " ").split()]
+    return text.replace(",", " ").split()
 
 
 def _parse_auto_int(text: str):
-    s = str(text).strip().lower()
+    s = text.strip().lower()
     return None if s in ("auto", "none", "") else int(s)
 
 
-# section -> key -> (converter, default)
-_SCHEMA: dict[str, dict[str, tuple]] = {
+# section -> key -> converter from the key's text; the section dataclasses
+# hold the defaults
+_SCHEMA = {
     "experiment": {
-        "scenarios": (_parse_str_list, ["global"]),
-        "methods": (_parse_str_list, ["promptfl"]),
-        "seeds": (_parse_int_list, [0, 1, 2]),
-        "output_dir": (str, "results"),
+        "scenarios": _parse_str_list, "methods": _parse_str_list, "seeds": _parse_int_list,
+        "output_dir": str,
     },
     "federation": {
-        "protocol": (str, "standard"),
-        "num_clients": (int, None),          # None: protocol default
-        "participation_fraction": (float, None),
-        "rounds": (int, 50),
-        "local_epochs": (int, 1),
-        "batch_size": (int, 16),
-        "lr": (float, 0.002),
-        "momentum": (float, 0.9),
-        "eval_every": (int, 1),
+        "protocol": str, "num_clients": int, "participation_fraction": float, "rounds": int,
+        "local_epochs": int, "batch_size": int, "lr": float, "momentum": float,
+        "eval_every": int,
     },
     "model": {
-        "prompts": (int, 1),
-        "tokens": (int, 4),
-        "d_token": (int, 512),
-        "d_feature": (int, 1024),
-        "d_image": (int, 1024),
-        "encoder": (str, "linear_pool"),
-        "tau": (float, 0.07),
-        "seed": (int, 0),
-        "init_std": (float, 0.02),
-        "token_scale": (float, 0.05),
-        "n_class_tokens": (int, 1),
-        "meta_hidden": (int, 64),
-        "local_features": (int, 4),
+        "prompts": int, "tokens": int, "d_token": int, "d_feature": int, "d_image": int,
+        "encoder": str, "tau": float, "seed": int, "init_std": float, "token_scale": float,
+        "n_class_tokens": int, "meta_hidden": int, "local_features": int,
     },
     "data": {
-        "datasets": (_parse_str_list, ["synthetic"]),
-        "classes": (int, 10),
-        "feature_dim": (int, 1024),
-        "noise_sigma": (float, 0.1),
-        "samples_per_class": (int, 40),
-        "per_class_subsample": (_parse_auto_int, None),
-        "alpha": (float, 0.1),
+        "datasets": _parse_str_list, "classes": int, "feature_dim": int, "noise_sigma": float,
+        "samples_per_class": int, "per_class_subsample": _parse_auto_int, "alpha": float,
     },
-    "scenario": {
-        "shots": (int, 1),
-        "split_mode": (str, "random"),
-        "cross_targets": (int, 2),
-    },
+    "scenario": {"shots": int, "split_mode": str, "cross_targets": int},
 }
 
 _METHOD_CHOICES = tuple(TRAINER_KINDS) + (ZERO_SHOT_METHOD,)
@@ -89,28 +67,57 @@ _METHOD_CHOICES = tuple(TRAINER_KINDS) + (ZERO_SHOT_METHOD,)
 
 @dataclass
 class DataConfig:
-    datasets: list[str]
-    classes: int
-    feature_dim: int
-    noise_sigma: float
-    samples_per_class: int
-    per_class_subsample: int | None
-    alpha: float
+    """The `[data]` section; the single check of its values.
+
+    Errors name the config key; the config parser adds the `data.` prefix.
+    """
+
+    datasets: list[str] = field(default_factory=lambda: ["synthetic"])
+    classes: int = 10
+    feature_dim: int = 1024
+    noise_sigma: float = 0.1
+    samples_per_class: int = 40
+    per_class_subsample: int | None = None  # None (auto): see ExperimentPlan
+    alpha: float = 0.1
+
+    def __post_init__(self):
+        if not self.datasets:  # an empty list plans no cell
+            raise ConfigError("datasets: need at least one entry")
+        if self.alpha <= 0:
+            raise ConfigError(f"alpha: must be positive, got {self.alpha}")
+        if self.per_class_subsample is not None and self.per_class_subsample < 1:
+            raise ConfigError(f"per_class_subsample: must be >= 1 or auto, "
+                              f"got {self.per_class_subsample}")
+        entries_by_name: dict[str, str] = {}
+        for entry in self.datasets:
+            name = dataset_display_name(entry)
+            if name in entries_by_name:
+                raise ConfigError(f"datasets: {entries_by_name[name]!r} and {entry!r} both "
+                                  f"name the dataset {name!r}")
+            entries_by_name[name] = entry
+            if _is_synthetic(entry):
+                try:
+                    synthetic_spec(self, entry)
+                except ValueError as exc:
+                    raise ConfigError(f"datasets: {entry!r} needs an integer prototype "
+                                      "seed after '#'") from exc
 
 
 @dataclass
 class ExperimentConfig:
-    scenarios: list[str]
-    methods: list[str]
-    seeds: list[int]
-    output_dir: str
-    federation: FederationConfig
-    model: ModelConfig
-    data: DataConfig
-    scenario_options: dict = field(default_factory=dict)
+    """The `[experiment]` keys, and every other section by name."""
+
+    scenarios: list[str] = field(default_factory=lambda: ["global"])
+    methods: list[str] = field(default_factory=lambda: ["promptfl"])
+    seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
+    output_dir: str = "results"
+    federation: FederationConfig = field(default_factory=FederationConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    data: DataConfig = field(default_factory=DataConfig)
+    scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
 
     def scenario_spec(self, kind: str) -> ScenarioSpec:
-        return ScenarioSpec(kind=kind, **self.scenario_options)
+        return replace(self.scenario, kind=kind)
 
     def plan(self) -> ExperimentPlan:
         return ExperimentPlan(
@@ -133,7 +140,7 @@ def _raw_tree_from_ini(text: str) -> dict[str, dict[str, object]]:
 def _raw_tree_from_json(text: str) -> dict[str, dict[str, object]]:
     try:
         tree = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a too-long integer or too-deep nesting
         raise ConfigError(f"cannot parse JSON config: {exc}") from exc
     if not isinstance(tree, dict) or not all(isinstance(v, dict) for v in tree.values()):
         raise ConfigError("JSON config must be an object of section objects")
@@ -141,14 +148,15 @@ def _raw_tree_from_json(text: str) -> dict[str, dict[str, object]]:
 
 
 def _convert(section: str, key: str, raw, converter):
-    if isinstance(raw, list):  # JSON may carry lists natively
-        raw = " ".join(str(x) for x in raw)
+    # a JSON value is read as the text an INI file would hold; a list as its items
+    text = " ".join(str(x) for x in raw) if isinstance(raw, list) else str(raw)
     try:
-        value = converter(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r}: {exc}") from exc
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{section}.{key}: must be finite, got {raw!r}")
+        value = converter(text)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{key}: cannot parse {text!r}: {exc}") from exc
+    # rejects nan, infinities and integers no float can hold
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{section}.{key}: must be finite, got {text!r}")
     return value
 
 
@@ -156,96 +164,51 @@ def parse_config_text(text: str) -> ExperimentConfig:
     stripped = text.lstrip()
     tree = _raw_tree_from_json(text) if stripped.startswith("{") else _raw_tree_from_ini(text)
 
-    values: dict[str, dict[str, object]] = {
-        section: {key: default for key, (_c, default) in keys.items()}
-        for section, keys in _SCHEMA.items()
-    }
+    given: dict[str, dict[str, object]] = {section: {} for section in _SCHEMA}
     for section, entries in tree.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in entries.items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{section}.{key}: unknown key")
-            converter = _SCHEMA[section][key][0]
-            values[section][key] = _convert(section, key, raw, converter)
-
-    return _build(values)
+            given[section][key] = _convert(section, key, raw, _SCHEMA[section][key])
+    return _build(given)
 
 
-def _in_section(section: str, build, *args, **kwargs):
-    """build(*args, **kwargs); its errors name a key, to which the section is prefixed."""
+def _in_section(section: str, build, **kwargs):
+    """build(**kwargs); its errors name a key, to which the section is prefixed."""
     try:
-        return build(*args, **kwargs)
+        return build(**kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{section}.{exc}") from exc
 
 
-def _build(values: dict[str, dict[str, object]]) -> ExperimentConfig:
-    exp = values["experiment"]
-    fed = values["federation"]
-    mdl = values["model"]
-    dat = values["data"]
-    scn = values["scenario"]
-
-    for key in ("scenarios", "methods", "seeds"):  # an empty list plans no cell
-        if not exp[key]:
+def _build(given: dict[str, dict[str, object]]) -> ExperimentConfig:
+    experiment = ExperimentConfig(**given["experiment"])
+    for key in ("scenarios", "methods", "seeds"):
+        entries = getattr(experiment, key)
+        if not entries:  # an empty list plans no cell
             raise ConfigError(f"experiment.{key}: need at least one entry")
-    for method in exp["methods"]:
+        for i, entry in enumerate(entries):  # a repeated entry would repeat its cells
+            if entry in entries[:i]:
+                raise ConfigError(f"experiment.{key}: {entry!r} is listed more than once")
+    for method in experiment.methods:
         if method not in _METHOD_CHOICES:
             raise ConfigError(f"experiment.methods: unknown method {method!r}")
-    for kind in exp["scenarios"]:
+    for kind in experiment.scenarios:
         if kind not in SCENARIO_KINDS:
             raise ConfigError(f"experiment.scenarios: unknown scenario {kind!r}")
-        _in_section("scenario", ScenarioSpec, kind, **scn)  # checks the [scenario] options
 
-    # unset client count and participation fall back to the protocol's defaults
-    overrides = {key: fed[key] for key in ("num_clients", "participation_fraction")
-                 if fed[key] is not None}
-    federation = _in_section(
-        "federation", FederationConfig.for_protocol,
-        fed["protocol"], rounds=fed["rounds"], local_epochs=fed["local_epochs"],
-        batch_size=fed["batch_size"], lr0=fed["lr"], momentum=fed["momentum"],
-        eval_every=fed["eval_every"], **overrides,
-    )
-    model = _in_section(
-        "model", ModelConfig,
-        m=mdl["prompts"], L=mdl["tokens"], d_token=mdl["d_token"],
-        d_feature=mdl["d_feature"], d_image=mdl["d_image"], encoder=mdl["encoder"],
-        tau=mdl["tau"], seed=mdl["seed"], init_std=mdl["init_std"],
-        token_scale=mdl["token_scale"], n_class_tokens=mdl["n_class_tokens"],
-        meta_hidden=mdl["meta_hidden"], local_features=mdl["local_features"],
-    )
-
-    if dat["alpha"] <= 0:
-        raise ConfigError(f"data.alpha: must be positive, got {dat['alpha']}")
-    if dat["per_class_subsample"] is not None and dat["per_class_subsample"] < 1:
-        raise ConfigError(f"data.per_class_subsample: must be >= 1 or auto, "
-                          f"got {dat['per_class_subsample']}")
-    data = DataConfig(**dat)
-    entries_by_name: dict[str, str] = {}
-    for entry in data.datasets:
-        name = dataset_display_name(entry)
-        if name in entries_by_name:
-            raise ConfigError(f"data.datasets: {entries_by_name[name]!r} and {entry!r} both "
-                              f"name the dataset {name!r}")
-        entries_by_name[name] = entry
-        if _is_synthetic(entry):
-            try:
-                _in_section("data", synthetic_spec, data, entry)
-            except ValueError as exc:
-                raise ConfigError(f"data.datasets: {entry!r} needs an integer prototype "
-                                  "seed after '#'") from exc
+    scenario = _in_section("scenario", ScenarioSpec, **given["scenario"])
+    federation = _in_section("federation", FederationConfig, **given["federation"])
+    model = _in_section("model", ModelConfig, **given["model"])
+    data = _in_section("data", DataConfig, **given["data"])
     if any(map(_is_synthetic, data.datasets)) and data.feature_dim != model.d_image:
         raise ConfigError(
             f"data.feature_dim: synthetic features are {data.feature_dim}-dimensional but "
             f"model.d_image is {model.d_image}; they must match"
         )
-
-    return ExperimentConfig(
-        scenarios=list(exp["scenarios"]), methods=list(exp["methods"]),
-        seeds=list(exp["seeds"]), output_dir=str(exp["output_dir"]),
-        federation=federation, model=model, data=data, scenario_options=dict(scn),
-    )
+    return replace(experiment, federation=federation, model=model, data=data, scenario=scenario)
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -258,46 +221,20 @@ def parse_config(path: str) -> ExperimentConfig:
     return parse_config_text(text)
 
 
+def _format(value) -> str:
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    if value is None:
+        return "auto"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def serialize_config(config: ExperimentConfig) -> str:
     """Round-trippable INI text with every key explicit."""
     parser = configparser.ConfigParser(interpolation=None)  # values are literal; "%" too
-    parser["experiment"] = {
-        "scenarios": ",".join(config.scenarios),
-        "methods": ",".join(config.methods),
-        "seeds": ",".join(str(s) for s in config.seeds),
-        "output_dir": config.output_dir,
-    }
-    fed = config.federation
-    parser["federation"] = {
-        "protocol": fed.protocol,
-        "num_clients": str(fed.num_clients),
-        "participation_fraction": repr(fed.participation_fraction),
-        "rounds": str(fed.rounds),
-        "local_epochs": str(fed.local_epochs),
-        "batch_size": str(fed.batch_size),
-        "lr": repr(fed.lr0),
-        "momentum": repr(fed.momentum),
-        "eval_every": str(fed.eval_every),
-    }
-    mdl = config.model
-    parser["model"] = {
-        "prompts": str(mdl.m), "tokens": str(mdl.L), "d_token": str(mdl.d_token),
-        "d_feature": str(mdl.d_feature), "d_image": str(mdl.d_image), "encoder": mdl.encoder,
-        "tau": repr(mdl.tau), "seed": str(mdl.seed), "init_std": repr(mdl.init_std),
-        "token_scale": repr(mdl.token_scale), "n_class_tokens": str(mdl.n_class_tokens),
-        "meta_hidden": str(mdl.meta_hidden), "local_features": str(mdl.local_features),
-    }
-    dat = config.data
-    parser["data"] = {
-        "datasets": ",".join(dat.datasets),
-        "classes": str(dat.classes),
-        "feature_dim": str(dat.feature_dim),
-        "noise_sigma": repr(dat.noise_sigma),
-        "samples_per_class": str(dat.samples_per_class),
-        "per_class_subsample": "auto" if dat.per_class_subsample is None else str(dat.per_class_subsample),
-        "alpha": repr(dat.alpha),
-    }
-    parser["scenario"] = {k: str(v) for k, v in config.scenario_options.items()}
+    for section, keys in _SCHEMA.items():
+        values = config if section == "experiment" else getattr(config, section)
+        parser[section] = {key: _format(getattr(values, key)) for key in keys}
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

@@ -220,11 +220,6 @@ def balanced_subsample_indices(labels: np.ndarray, per_class: int,
     return np.sort(np.concatenate(chosen))
 
 
-def balanced_subsample(dataset: MasterDataset, per_class: int,
-                       rng: np.random.Generator) -> MasterDataset:
-    return dataset.subset(balanced_subsample_indices(dataset.labels, per_class, rng))
-
-
 def stratified_split(labels: np.ndarray, fractions: tuple[float, float, float],
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-class shuffled split into train/val/test index arrays."""
@@ -334,24 +329,6 @@ def base_novel_split(class_count: int, mode: str = "first_half",
     else:
         raise ConfigError(f"unknown split mode {mode!r}")
     return np.sort(order[:n_base]), np.sort(order[n_base:])
-
-
-def domain_partition(dataset: MasterDataset, clients_per_domain: int = 2,
-                     rng: np.random.Generator | None = None) -> PartitionPlan:
-    """Each domain's samples split evenly among its own clients; clients are single-domain."""
-    if dataset.domain_tags is None:
-        raise DataError("domain partition needs domain tags")
-    if clients_per_domain < 1:
-        raise ConfigError("clients_per_domain must be >= 1")
-    rng = np.random.default_rng(0) if rng is None else rng
-    buckets: list[np.ndarray] = []
-    for tag in np.unique(dataset.domain_tags):
-        idx = rng.permutation(np.flatnonzero(dataset.domain_tags == tag))
-        for part in np.array_split(idx, clients_per_domain):
-            buckets.append(np.sort(part).astype(np.int64))
-    plan = PartitionPlan(client_indices=buckets)
-    plan.validate_partition(len(dataset))
-    return plan
 
 
 # ---------------------------------------------------------------------------

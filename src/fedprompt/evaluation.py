@@ -169,13 +169,13 @@ class MetricTable:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One scenario and its options; the single check of the option values.
+    """One scenario and its options (the `[scenario]` section); the single
+    check of the option values.
 
-    Errors name the config key; the config parser adds the `scenario.`
-    section prefix.
+    Errors name the config key; the config parser adds the `scenario.` prefix.
     """
 
-    kind: str
+    kind: str = "global"
     shots: int = 1
     split_mode: str = "random"
     cross_targets: int = 2
@@ -318,8 +318,8 @@ def run_cell(spec: ScenarioSpec, method: str, dataset_name: str, master: MasterD
         return _run_plan(spec, method, dataset_name, master, seed, plan, plan.model)
     if method == ZERO_SHOT_METHOD:  # nothing is communicated, so there is no trade-off
         return CellResult([], [])
-    sweep = ([(f"prompts={v}", replace(plan.model, m=v)) for v in spec.prompt_sweep]
-             + [(f"tokens={v}", replace(plan.model, L=v)) for v in spec.token_sweep])
+    sweep = ([(f"prompts={v}", replace(plan.model, prompts=v)) for v in spec.prompt_sweep]
+             + [(f"tokens={v}", replace(plan.model, tokens=v)) for v in spec.token_sweep])
     parts = [_run_plan(spec, method, f"{dataset_name}|{name}", master, seed, plan, cfg)
              for name, cfg in sweep]
     return CellResult([o for part in parts for o in part.observations],
@@ -357,8 +357,7 @@ def _run_plan(spec: ScenarioSpec, method: str, column: str, master: MasterDatase
 
     trainer = _trainer_for(method, spec)
     fed_cfg = plan.federation
-    clients = build_clients(master, scenario.clients, trainer, cfg, fed_cfg, seed,
-                            scenario.client_tests)
+    clients = build_clients(master, scenario.clients, trainer, cfg, seed, scenario.client_tests)
 
     def evaluate(server, clients, round_index=None) -> dict[str, float]:
         if scenario.client_tests is None:

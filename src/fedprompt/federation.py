@@ -21,7 +21,7 @@ log = logging.getLogger(__name__)
 
 PROTOCOLS = ("standard", "partial", "personalized", "centralized")
 
-# (num_clients, participation_fraction) each protocol uses unless overridden
+# (num_clients, participation_fraction) each protocol uses unless given
 PROTOCOL_DEFAULTS = {
     "standard": (10, 1.0),
     "partial": (100, 0.1),
@@ -32,25 +32,31 @@ PROTOCOL_DEFAULTS = {
 
 @dataclass
 class FederationConfig:
-    """Round schedule and optimizer settings; the single check of their values.
+    """The `[federation]` section: round schedule and optimizer settings; the
+    single check of their values.
 
-    Errors name the config key (`lr0` is the key `lr`); the config parser
-    adds the `federation.` section prefix.
+    An unset client count or participation takes the protocol's default.
+    Errors name the config key; the config parser adds the `federation.` prefix.
     """
 
     protocol: str = "standard"
-    num_clients: int = 10
-    participation_fraction: float = 1.0
+    num_clients: int | None = None
+    participation_fraction: float | None = None
     rounds: int = 50
     local_epochs: int = 1
     batch_size: int = 16
-    lr0: float = 0.002
+    lr: float = 0.002
     momentum: float = 0.9
     eval_every: int = 1
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}")
+        clients, fraction = PROTOCOL_DEFAULTS[self.protocol]
+        if self.num_clients is None:
+            self.num_clients = clients
+        if self.participation_fraction is None:
+            self.participation_fraction = fraction
         if not (0.0 < self.participation_fraction <= 1.0):
             raise ConfigError(
                 f"participation_fraction: must lie in (0, 1], got {self.participation_fraction}"
@@ -63,8 +69,8 @@ class FederationConfig:
             raise ConfigError(f"local_epochs: must be >= 0, got {self.local_epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
-        if not self.lr0 > 0:
-            raise ConfigError(f"lr: must be positive, got {self.lr0}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr: must be positive, got {self.lr}")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError(f"momentum: must lie in [0, 1), got {self.momentum}")
         if self.eval_every < 1:
@@ -76,14 +82,6 @@ class FederationConfig:
         if self.sample_size < 1:
             raise ConfigError(f"participation_fraction: {self.participation_fraction} of "
                               f"{self.num_clients} clients rounds to no sampled client")
-
-    @classmethod
-    def for_protocol(cls, protocol: str, **overrides) -> "FederationConfig":
-        clients, fraction = PROTOCOL_DEFAULTS.get(protocol, (10, 1.0))
-        merged = {"protocol": protocol, "num_clients": clients,
-                  "participation_fraction": fraction}
-        merged.update(overrides)
-        return cls(**merged)
 
     @property
     def sample_size(self) -> int:
@@ -238,7 +236,7 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
             rng=rngs.derive_rng(seed, rngs.CLIENT, cid, t),
             batch_size=fed_cfg.batch_size,
             epochs=fed_cfg.local_epochs,
-            lr0=fed_cfg.lr0,
+            lr=fed_cfg.lr,
             momentum=fed_cfg.momentum,
             class_ids=class_ids,
             audit=audit,
@@ -316,14 +314,13 @@ def run_federation(trainer: LocalTrainer, clients: list[Client], fed_cfg: Federa
 
 
 def build_clients(master: MasterDataset, client_indices: list[np.ndarray], trainer: LocalTrainer,
-                  cfg: ModelConfig, fed_cfg: FederationConfig, seed: int,
+                  cfg: ModelConfig, seed: int,
                   test_indices: list[np.ndarray] | None = None) -> list[Client]:
     """Materialise per-client datasets and fresh training state from per-client
     master indices (and per-client test indices, for personalized evaluation)."""
     clients = []
     for cid, indices in enumerate(client_indices):
-        state = trainer.init_state(cfg, rngs.derive_rng(seed, rngs.CLIENT, cid),
-                                   lr0=fed_cfg.lr0, momentum=fed_cfg.momentum)
+        state = trainer.init_state(cfg, rngs.derive_rng(seed, rngs.CLIENT, cid))
         test_set = None
         if test_indices is not None:
             test_set = ClientDataset.from_master(master, test_indices[cid])

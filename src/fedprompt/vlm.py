@@ -23,15 +23,14 @@ ENCODER_VARIANTS = ("linear_pool", "attention_block")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Dimensions and frozen-surrogate knobs shared by one experiment; the
-    single check of their values.
+    """The `[model]` section: dimensions and frozen-surrogate knobs shared by
+    one experiment; the single check of their values.
 
-    Errors name the config key (`m` is the key `prompts`, `L` the key
-    `tokens`); the config parser adds the `model.` section prefix.
+    Errors name the config key; the config parser adds the `model.` prefix.
     """
 
-    m: int = 1              # prompt sets (the "number of prompts" knob)
-    L: int = 4              # context tokens per set
+    prompts: int = 1        # prompt sets
+    tokens: int = 4         # context tokens per set
     d_token: int = 512
     d_feature: int = 1024   # text feature width; must equal d_image
     d_image: int = 1024
@@ -45,13 +44,10 @@ class ModelConfig:
     local_features: int = 4    # per-image region features for transport scoring
 
     def __post_init__(self):
-        for key, value in (("prompts", self.m), ("tokens", self.L), ("d_token", self.d_token),
-                           ("d_feature", self.d_feature), ("d_image", self.d_image),
-                           ("n_class_tokens", self.n_class_tokens),
-                           ("meta_hidden", self.meta_hidden),
-                           ("local_features", self.local_features)):
-            if value < 1:
-                raise ConfigError(f"{key}: must be >= 1, got {value}")
+        for key in ("prompts", "tokens", "d_token", "d_feature", "d_image", "n_class_tokens",
+                    "meta_hidden", "local_features"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key}: must be >= 1, got {getattr(self, key)}")
         if not self.tau > 0:
             raise ConfigError(f"tau: must be positive, got {self.tau}")
         if self.encoder not in ENCODER_VARIANTS:
@@ -99,8 +95,8 @@ class PromptContext:
 
 def build_prompt_context(cfg: ModelConfig, rng: np.random.Generator, m: int | None = None) -> PromptContext:
     """Gaussian-initialised trainable context."""
-    sets = cfg.m if m is None else m
-    return PromptContext(rng.normal(size=(sets, cfg.L, cfg.d_token)) * cfg.init_std)
+    sets = cfg.prompts if m is None else m
+    return PromptContext(rng.normal(size=(sets, cfg.tokens, cfg.d_token)) * cfg.init_std)
 
 
 def build_handcrafted_context(seed: int, L: int, d_token: int, m: int = 1,
@@ -120,21 +116,17 @@ def build_handcrafted_context(seed: int, L: int, d_token: int, m: int = 1,
 class ClassVocabulary:
     """Frozen per-class token sequences, appended after the context."""
 
-    class_names: list[str]
     tokens: np.ndarray  # (C, n_class_tokens, d_token)
 
     @classmethod
-    def build(cls, cfg: ModelConfig, class_count: int,
-              class_names: list[str] | None = None) -> "ClassVocabulary":
-        if class_names is None:
-            class_names = [f"class_{j}" for j in range(class_count)]
+    def build(cls, cfg: ModelConfig, class_count: int) -> "ClassVocabulary":
         rows = []
         for j in range(class_count):
             r = rngs.derive_rng(cfg.seed, rngs.VOCAB, j)
             e = r.normal(size=(cfg.n_class_tokens, cfg.d_token))
             e /= np.linalg.norm(e, axis=1, keepdims=True)
             rows.append(e * cfg.token_scale)
-        return cls(class_names=class_names, tokens=np.array(rows))
+        return cls(tokens=np.array(rows))
 
     @property
     def class_count(self) -> int:
@@ -194,7 +186,7 @@ class FrozenTextEncoder:
     """
 
     def __init__(self, variant: str, d_token: int, d_feature: int, seed: int,
-                 token_scale: float = 0.05, gain: float = 4.0, score_scale: float = 1.0):
+                 token_scale: float = 0.05):
         if variant not in ENCODER_VARIANTS:
             raise ConfigError(f"unknown encoder variant {variant!r}")
         self.variant = variant
@@ -205,11 +197,11 @@ class FrozenTextEncoder:
         rng = rngs.derive_rng(seed, rngs.ENCODER)
         w: dict[str, np.ndarray] = {}
         if variant == "attention_block":
-            a = np.sqrt(score_scale) / token_scale
+            a = 1.0 / token_scale
             w["wq"] = rng.normal(size=(d_token, d_token)) * a / np.sqrt(d_token)
             w["wk"] = rng.normal(size=(d_token, d_token)) * a / np.sqrt(d_token)
             w["wv"] = rng.normal(size=(d_token, d_token)) / np.sqrt(d_token)
-        w["w_out"] = rng.normal(size=(d_feature, d_token)) * gain / (token_scale * np.sqrt(d_token))
+        w["w_out"] = rng.normal(size=(d_feature, d_token)) * 4.0 / (token_scale * np.sqrt(d_token))
         w["b_out"] = rng.normal(size=d_feature) * 0.1
         self.weights = w
 
@@ -366,7 +358,7 @@ class ModelAssets:
     cfg: ModelConfig
     encoder: FrozenTextEncoder
     vocab: ClassVocabulary
-    class_rows: ClassRows      # the vocabulary's encoder rows after cfg.L context tokens
+    class_rows: ClassRows      # the vocabulary's encoder rows after cfg.tokens context tokens
     handcrafted: PromptContext
     hand_features: np.ndarray  # (C, d_feature), from the handcrafted context
     _reference_cache: dict = field(default_factory=dict)
@@ -392,7 +384,7 @@ class ModelAssets:
             raise ConfigError(f"reference features need >= 1 template, got {n_templates}")
         if n_templates not in self._reference_cache:
             contexts = np.concatenate([
-                build_handcrafted_context(self.cfg.seed, self.cfg.L, self.cfg.d_token,
+                build_handcrafted_context(self.cfg.seed, self.cfg.tokens, self.cfg.d_token,
                                           std=self.cfg.init_std, template=tpl).vectors
                 for tpl in range(n_templates)
             ])
@@ -401,12 +393,11 @@ class ModelAssets:
         return self._reference_cache[n_templates]
 
 
-def build_assets(cfg: ModelConfig, class_count: int,
-                 class_names: list[str] | None = None) -> ModelAssets:
+def build_assets(cfg: ModelConfig, class_count: int) -> ModelAssets:
     encoder = FrozenTextEncoder.from_config(cfg)
-    vocab = ClassVocabulary.build(cfg, class_count, class_names)
-    handcrafted = build_handcrafted_context(cfg.seed, cfg.L, cfg.d_token, std=cfg.init_std)
-    rows = encoder.class_rows(vocab.tokens, cfg.L)
+    vocab = ClassVocabulary.build(cfg, class_count)
+    handcrafted = build_handcrafted_context(cfg.seed, cfg.tokens, cfg.d_token, std=cfg.init_std)
+    rows = encoder.class_rows(vocab.tokens, cfg.tokens)
     feats, _ = encoder.encode(handcrafted.vectors, rows)
     return ModelAssets(cfg=cfg, encoder=encoder, vocab=vocab, class_rows=rows,
                        handcrafted=handcrafted, hand_features=feats[0])

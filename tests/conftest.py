@@ -5,7 +5,7 @@ from fedprompt.vlm import ModelConfig, build_assets, unit_rows
 
 
 def small_config(variant="linear_pool", **overrides) -> ModelConfig:
-    base = dict(m=1, L=3, d_token=8, d_feature=12, d_image=12, encoder=variant,
+    base = dict(prompts=1, tokens=3, d_token=8, d_feature=12, d_image=12, encoder=variant,
                 tau=0.07, seed=7, token_scale=0.3)
     base.update(overrides)
     return ModelConfig(**base)

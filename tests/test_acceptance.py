@@ -67,7 +67,7 @@ def _pass(n: int, text: str) -> None:
 
 def test_criterion_01_communication_cost_reproduction():
     start = time.monotonic()
-    cfg = ModelConfig()  # d_token=512, L=4, meta 1024->64->512
+    cfg = ModelConfig()  # d_token=512, tokens=4, meta 1024->64->512
     fed = FederationConfig(protocol="standard", num_clients=10, rounds=50,
                            participation_fraction=1.0)
     expected = {
@@ -79,7 +79,7 @@ def test_criterion_01_communication_cost_reproduction():
         assert round(chi, 2) == cost, f"{kind}: {chi}"
     token_sweep = {4: 100.93, 8: 102.98, 16: 107.07}
     for tokens, cost in token_sweep.items():
-        cfg_l = ModelConfig(L=tokens)
+        cfg_l = ModelConfig(tokens=tokens)
         chi = communication_cost_millions(make_trainer("cocoop"), cfg_l, fed)
         assert round(chi, 2) == cost, f"tokens={tokens}: {chi}"
     # the live ledger uses the same closed form per round
@@ -127,17 +127,17 @@ def test_criterion_03_gradient_correctness():
     for variant, seed in (("linear_pool", 101), ("attention_block", 202)):
         for inst in _gradient_instances(seed=seed, count=10):
             r = inst["rng"]
-            cfg = ModelConfig(m=1, L=inst["L"], d_token=inst["d_token"], d_feature=inst["d"],
-                              d_image=inst["d"], encoder=variant, seed=inst["seed"],
-                              token_scale=0.2, meta_hidden=6)
+            cfg = ModelConfig(prompts=1, tokens=inst["L"], d_token=inst["d_token"],
+                              d_feature=inst["d"], d_image=inst["d"], encoder=variant,
+                              seed=inst["seed"], token_scale=0.2, meta_hidden=6)
             assets = build_assets(cfg, inst["classes"])
             xh = unit_rows(r.normal(size=(inst["batch"], inst["d"])))
             labels = r.integers(0, inst["classes"], size=inst["batch"])
-            v1 = r.normal(size=(1, cfg.L, cfg.d_token)) * 0.15
+            v1 = r.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.15
             v2 = np.concatenate([v1, r.normal(size=v1.shape) * 0.15], axis=0)
-            cfg2 = ModelConfig(m=2, L=inst["L"], d_token=inst["d_token"], d_feature=inst["d"],
-                               d_image=inst["d"], encoder=variant, seed=inst["seed"],
-                               token_scale=0.2, meta_hidden=6)
+            cfg2 = ModelConfig(prompts=2, tokens=inst["L"], d_token=inst["d_token"],
+                               d_feature=inst["d"], d_image=inst["d"], encoder=variant,
+                               seed=inst["seed"], token_scale=0.2, meta_hidden=6)
             assets2 = build_assets(cfg2, inst["classes"])
 
             cases = [
@@ -191,25 +191,25 @@ def test_criterion_04_fedavg_centralized_equivalence():
     rng = np.random.default_rng(17)
     master = MasterDataset(features=unit_rows(rng.normal(size=(24, 12))),
                            labels=rng.integers(0, 4, size=24), class_count=4)
-    cfg = ModelConfig(m=1, L=3, d_token=8, d_feature=12, d_image=12,
+    cfg = ModelConfig(prompts=1, tokens=3, d_token=8, d_feature=12, d_image=12,
                       encoder="attention_block", seed=7, token_scale=0.3)
     assets = build_assets(cfg, 4)
     trainer = make_trainer("promptfl")
     fed = FederationConfig(protocol="centralized", num_clients=1, rounds=10, batch_size=8)
-    clients = build_clients(master, [np.arange(24)], trainer, cfg, fed, seed=seed)
+    clients = build_clients(master, [np.arange(24)], trainer, cfg, seed=seed)
     outcome = run_federation(trainer, clients, fed, assets, seed=seed)
 
     # independent path: plain SGD, no server, same streams and schedule
     context = trainer.init_payload(cfg, rngs.derive_rng(seed, rngs.PROMPT_INIT)).fields["context"]
-    state = trainer.init_state(cfg, rngs.derive_rng(seed, rngs.CLIENT, 0),
-                               lr0=fed.lr0, momentum=fed.momentum)
+    state = trainer.init_state(cfg, rngs.derive_rng(seed, rngs.CLIENT, 0))
     data = ClientDataset.from_master(master, np.arange(24))
     for t in range(fed.rounds):
         for batch in iterate_batches(data, rngs.derive_rng(seed, rngs.CLIENT, 0, t), 8):
             grads, _ = prompt_gradients(assets.encoder, PromptContext(context), batch,
                                         assets.vocab, cfg.tau)
             context = sgd_momentum_step({"context": context}, {"context": grads},
-                                        state.sgd, t, fed.rounds)["context"]
+                                        state.velocities, fed.lr, fed.momentum,
+                                        t, fed.rounds)["context"]
     gap = float(np.max(np.abs(outcome.server.payload.fields["context"] - context)))
     assert gap < 1e-12
     _pass(4, f"10-round federated vs standalone trajectory gap {gap:.2e} < 1e-12")
@@ -221,7 +221,7 @@ def test_criterion_05_learning_beats_zero_shot_at_desk_scale():
                                  samples_per_class=200)
     master = generate_synthetic_dataset(dataset_spec, rngs.derive_rng(0, rngs.DATA))
     plan = ExperimentPlan(
-        model=ModelConfig(m=1, L=4, d_token=32, d_feature=64, d_image=64,
+        model=ModelConfig(prompts=1, tokens=4, d_token=32, d_feature=64, d_image=64,
                           encoder="attention_block", seed=0, token_scale=0.05),
         federation=FederationConfig(protocol="standard", num_clients=10, rounds=30),
         alpha=0.1,
@@ -298,7 +298,7 @@ def test_criterion_07_transport_plan_properties():
 
 def test_criterion_08_reduction_suite():
     rng = np.random.default_rng(20)
-    cfg = ModelConfig(m=1, L=3, d_token=8, d_feature=12, d_image=12,
+    cfg = ModelConfig(prompts=1, tokens=3, d_token=8, d_feature=12, d_image=12,
                       encoder="attention_block", seed=7, token_scale=0.3)
     assets = build_assets(cfg, 4)
     data = ClientDataset(features=unit_rows(rng.normal(size=(12, 12))),
@@ -334,7 +334,7 @@ def test_criterion_09_base_novel_protocol_integrity():
     spec_ds = SyntheticSpec(classes=4, feature_dim=16, noise_sigma=0.1, samples_per_class=30)
     master = generate_synthetic_dataset(spec_ds, rngs.derive_rng(0, rngs.DATA))
     plan = ExperimentPlan(
-        model=ModelConfig(m=1, L=3, d_token=8, d_feature=16, d_image=16,
+        model=ModelConfig(prompts=1, tokens=3, d_token=8, d_feature=16, d_image=16,
                           encoder="attention_block", seed=11, token_scale=0.1),
         federation=FederationConfig(protocol="standard", num_clients=4, rounds=2, batch_size=8),
         alpha=0.5,

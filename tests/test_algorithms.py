@@ -12,7 +12,6 @@ from fedprompt.algorithms import (
     Batch,
     CommunicablePayload,
     ConditionedPredictor,
-    SGDState,
     TrainContext,
     cosine_lr,
     iterate_batches,
@@ -47,37 +46,34 @@ def make_ctx(assets, rng_seed=0, **overrides):
 
 class TestSGD:
     def test_zero_gradient_zero_velocity_keeps_params(self):
-        state = SGDState(velocities={}, lr0=0.002, momentum=0.9)
         p = {"w": np.array([1.0, -2.0])}
         g = {"w": np.zeros(2)}
-        out = sgd_momentum_step(p, g, state, t=3, total=10)
+        out = sgd_momentum_step(p, g, {}, 0.002, 0.9, t=3, total=10)
         np.testing.assert_array_equal(out["w"], p["w"])
 
     def test_initial_learning_rate(self):
         assert cosine_lr(0.002, 0, 50) == pytest.approx(0.002, abs=1e-15)
 
     def test_final_tick_freezes(self):
-        state = SGDState(velocities={}, lr0=0.002, momentum=0.0)
         p = {"w": np.array([1.0])}
         g = {"w": np.array([100.0])}
-        out = sgd_momentum_step(p, g, state, t=10, total=10)
+        out = sgd_momentum_step(p, g, {}, 0.002, 0.0, t=10, total=10)
         np.testing.assert_allclose(out["w"], p["w"], atol=1e-15)
 
     def test_momentum_accumulates(self):
-        state = SGDState(velocities={}, lr0=1.0, momentum=0.5)
+        velocities = {}
         p = {"w": np.array([0.0])}
         g = {"w": np.array([1.0])}
-        p = sgd_momentum_step(p, g, state, t=0, total=1000000000)
-        # lr at t=0 is lr0; v=1 -> w=-1
+        p = sgd_momentum_step(p, g, velocities, 1.0, 0.5, t=0, total=1000000000)
+        # lr at t=0 is the base rate; v=1 -> w=-1
         assert p["w"][0] == pytest.approx(-1.0, abs=1e-6)
-        p = sgd_momentum_step(p, g, state, t=0, total=1000000000)
+        p = sgd_momentum_step(p, g, velocities, 1.0, 0.5, t=0, total=1000000000)
         # v = 0.5*1 + 1 = 1.5 -> w = -1 - 1.5
         assert p["w"][0] == pytest.approx(-2.5, abs=1e-6)
 
     def test_shape_mismatch(self):
-        state = SGDState(velocities={})
         with pytest.raises(ConfigError):
-            sgd_momentum_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, state, 0, 10)
+            sgd_momentum_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, {}, 0.002, 0.9, 0, 10)
 
 
 class TestPayload:
@@ -86,7 +82,7 @@ class TestPayload:
         assert p.scalar_count == 11
 
     def test_payload_sizes_at_paper_dims(self):
-        cfg = ModelConfig()  # d_token=512, L=4, meta 1024->64->512
+        cfg = ModelConfig()  # d_token=512, tokens=4, meta 1024->64->512
         sizes = {kind: make_trainer(kind).payload_scalars(cfg)
                  for kind in ("promptfl", "plot", "prograd", "src", "kgcoop",
                               "fedotp", "proda", "cocoop")}
@@ -151,7 +147,7 @@ class TestCoCoOpBatched:
     """One encode and one backward per batch, against a per-image loop."""
 
     def _setup(self, variant, rng, m=2, n=5):
-        cfg = small_config(variant, m=m, n_class_tokens=2)
+        cfg = small_config(variant, prompts=m, n_class_tokens=2)
         assets = build_assets(cfg, 4)
         params = make_trainer("cocoop").init_payload(cfg, rng).fields
         params["meta_b1"] = rng.normal(size=params["meta_b1"].shape) * 0.1
@@ -213,7 +209,7 @@ class TestLossGradients:
     def test_kgcoop_regularizer_gradient(self, variant, rng):
         cfg = small_config(variant)
         assets = build_assets(cfg, 4)
-        v = rng.normal(size=(1, cfg.L, cfg.d_token)) * 0.1
+        v = rng.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.1
         xh = random_unit_batch(rng, 3, cfg.d_image)
         y = np.array([0, 1, 3])
         _, g = loss_kgcoop(assets, PromptContext(v), xh, y, 1.7)
@@ -233,9 +229,9 @@ class TestLossGradients:
 
     @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
     def test_proda_gradient(self, variant, rng):
-        cfg = small_config(variant, m=2)
+        cfg = small_config(variant, prompts=2)
         assets = build_assets(cfg, 4)
-        v = rng.normal(size=(2, cfg.L, cfg.d_token)) * 0.1
+        v = rng.normal(size=(2, cfg.tokens, cfg.d_token)) * 0.1
         xh = random_unit_batch(rng, 3, cfg.d_image)
         y = np.array([2, 1, 0])
         _, g = loss_proda(assets, PromptContext(v), xh, y, 0.9)
@@ -248,17 +244,17 @@ class TestLossGradients:
         cfg = small_config()
         assets = build_assets(cfg, 4)
         with pytest.raises(ConfigError):
-            loss_proda(assets, PromptContext(np.zeros((1, cfg.L, cfg.d_token))),
+            loss_proda(assets, PromptContext(np.zeros((1, cfg.tokens, cfg.d_token))),
                        random_unit_batch(rng, 2, cfg.d_image), np.array([0, 1]), 1.0)
 
     def test_proda_identical_sets_reduce_to_single_ce(self, rng):
         # with equal prompt sets and no penalty, the ensemble CE equals the
         # single-set CE and each set receives exactly half the gradient
         cfg1 = small_config()
-        cfg2 = small_config(m=2)
+        cfg2 = small_config(prompts=2)
         assets1 = build_assets(cfg1, 4)
         assets2 = build_assets(cfg2, 4)
-        v = rng.normal(size=(1, cfg1.L, cfg1.d_token)) * 0.1
+        v = rng.normal(size=(1, cfg1.tokens, cfg1.d_token)) * 0.1
         xh = random_unit_batch(rng, 3, cfg1.d_image)
         y = np.array([0, 3, 2])
         ce, g_single, _ = ce_loss_and_grads(assets1, PromptContext(v), xh, y)
@@ -269,9 +265,9 @@ class TestLossGradients:
         np.testing.assert_allclose(g_pair[1], g_single[0] / 2.0, atol=1e-15)
 
     def test_proda_orthogonal_sets_no_penalty(self, rng):
-        cfg = small_config(m=2)
+        cfg = small_config(prompts=2)
         assets = build_assets(cfg, 4)
-        v = rng.normal(size=(2, cfg.L, cfg.d_token)) * 0.1
+        v = rng.normal(size=(2, cfg.tokens, cfg.d_token)) * 0.1
         ctx = PromptContext(v)
         xh = random_unit_batch(rng, 2, cfg.d_image)
         y = np.array([0, 1])
@@ -286,7 +282,7 @@ class TestLossGradients:
     def test_src_gradient(self, variant, rng):
         cfg = small_config(variant)
         assets = build_assets(cfg, 4)
-        v = rng.normal(size=(1, cfg.L, cfg.d_token)) * 0.1
+        v = rng.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.1
         xh = random_unit_batch(rng, 3, cfg.d_image)
         y = np.array([1, 2, 0])
         _, g = loss_src(assets, PromptContext(v), xh, y, 0.6, 0.4)
@@ -419,7 +415,7 @@ class TestTrainers:
                                          make_ctx(assets, rng_seed=4, epochs=3, batch_size=4))
 
         context = payload.fields["context"]
-        sgd = SGDState(velocities={})
+        velocities = {}
         batch_rng = np.random.default_rng(4)
         refs = assets.reference_features(2)
         trajectory = []
@@ -428,7 +424,7 @@ class TestTrainers:
                 _, grads = loss_src(assets, PromptContext(context), unit_rows(batch.features),
                                     batch.labels, 0.5, 0.7, reference_features=refs)
                 context = sgd_momentum_step({"context": context}, {"context": grads},
-                                            sgd, 0, 10)["context"]
+                                            velocities, 0.002, 0.9, 0, 10)["context"]
             trajectory.append(context)
         np.testing.assert_array_equal(out.fields["context"], trajectory_average(trajectory, 2))
         assert stats.n_batches == 9 and stats.n_samples == 30
@@ -541,9 +537,9 @@ class TestTransportGradientSurrogate:
         from fedprompt.transport import sinkhorn_batched
         from fedprompt.numerics import softmax_ce_batch
 
-        cfg = small_config("linear_pool", m=2)
+        cfg = small_config("linear_pool", prompts=2)
         assets = build_assets(cfg, 3)
-        v = rng.normal(size=(2, cfg.L, cfg.d_token)) * 0.1
+        v = rng.normal(size=(2, cfg.tokens, cfg.d_token)) * 0.1
         feats_img = random_unit_batch(rng, 2, cfg.d_image)
         maps = np.stack([
             unit_rows(f[None, :] + 0.2 * rng.normal(size=(3, cfg.d_image))) for f in feats_img

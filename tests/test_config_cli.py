@@ -6,12 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedprompt.algorithms import TRAINER_KINDS
 from fedprompt.cli import main
 from fedprompt.config import (
+    _SCHEMA,
+    ExperimentConfig,
     materialize_datasets,
     parse_config,
     parse_config_text,
@@ -25,6 +27,7 @@ from fedprompt.federation import PROTOCOLS
 from fedprompt.runner import load_results_csv, plan_cells, report, run
 
 TOY = Path(__file__).resolve().parent.parent / "configs" / "toy.ini"
+VALIDATE_GOLDEN = Path(__file__).resolve().parent / "data" / "golden" / "validate"
 
 
 def _floats(lo, hi):
@@ -46,10 +49,12 @@ def valid_configs(draw):
         unique_by=lambda entry: entry.rsplit("/", 1)[-1].rsplit(".", 1)[0]))
     sections = {
         "experiment": {
-            "scenarios": draw(st.lists(st.sampled_from(SCENARIO_KINDS), min_size=1, max_size=3)),
+            "scenarios": draw(st.lists(st.sampled_from(SCENARIO_KINDS), min_size=1, max_size=3,
+                                       unique=True)),
             "methods": draw(st.lists(st.sampled_from(TRAINER_KINDS + (ZERO_SHOT_METHOD,)),
-                                     min_size=1, max_size=4)),
-            "seeds": draw(st.lists(st.integers(-10**6, 10**9), min_size=1, max_size=4)),
+                                     min_size=1, max_size=4, unique=True)),
+            "seeds": draw(st.lists(st.integers(-10**6, 10**9), min_size=1, max_size=4,
+                                   unique=True)),
             "output_dir": draw(st.text("abcXYZ019_-./% ", min_size=1, max_size=16)
                                .filter(lambda t: t.strip() == t)),
         },
@@ -101,6 +106,41 @@ def valid_configs(draw):
         assume(False)
 
 
+# JSON scalars an INI file could not hold: each must fail like its INI text
+JSON_SCALAR_CASES = [
+    ('{"federation": {"rounds": 3.5}}', "federation.rounds"),
+    ('{"federation": {"rounds": true}}', "federation.rounds"),
+    ('{"data": {"classes": Infinity}}', "data.classes"),
+]
+
+# values that reach every converter's and every check's edges
+_EDGE_VALUES = st.one_of(
+    st.text(max_size=12), st.integers(), st.floats(), st.booleans(), st.none(),
+    st.sampled_from(["auto", "nan", "-inf", "1e400", "9" * 400, "synthetic#x", "partial",
+                     "global,global", "0,0", ""]),
+)
+
+
+@st.composite
+def any_config_text(draw):
+    """INI or JSON over the real sections and keys, with any values, or plain junk."""
+    sections = st.one_of(st.sampled_from(sorted(_SCHEMA)), st.text(max_size=6))
+    tree = {}
+    for section in draw(st.lists(sections, max_size=4)):
+        keys = st.text(max_size=6)
+        if section in _SCHEMA:
+            keys = st.one_of(st.sampled_from(sorted(_SCHEMA[section])), keys)
+        tree[section] = draw(st.dictionaries(keys, st.one_of(_EDGE_VALUES, st.lists(_EDGE_VALUES)),
+                                             max_size=4))
+    form = draw(st.sampled_from(["ini", "json", "junk"]))
+    if form == "json":
+        return json.dumps(tree)
+    if form == "junk":
+        return draw(st.one_of(st.text(), st.text().map(lambda t: "{" + t)))
+    return "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                   for section, keys in tree.items())
+
+
 def write_table(path: Path, seed: int) -> None:
     spec = SyntheticSpec(classes=4, feature_dim=16, samples_per_class=20)
     save_feature_table(generate_synthetic_dataset(spec, np.random.default_rng(seed)), str(path))
@@ -121,10 +161,10 @@ class TestParsing:
         assert cfg.seeds == [0, 1, 2]
         assert cfg.federation.rounds == 50
         assert cfg.federation.batch_size == 16
-        assert cfg.federation.lr0 == 0.002
+        assert cfg.federation.lr == 0.002
         assert cfg.federation.momentum == 0.9
         assert cfg.federation.local_epochs == 1
-        assert cfg.model.L == 4
+        assert cfg.model.tokens == 4
         assert cfg.data.alpha == 0.1
         assert cfg.data.datasets == ["synthetic"]
 
@@ -173,6 +213,23 @@ class TestParsing:
         text = serialize_config(cfg)
         assert parse_config_text(text) == cfg
         assert serialize_config(parse_config_text(text)) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_config_text())
+    @example(JSON_SCALAR_CASES[0][0])
+    @example(JSON_SCALAR_CASES[1][0])
+    @example(JSON_SCALAR_CASES[2][0])
+    @example("[federation]\nnum_clients = " + "9" * 400 + "\n")
+    @example('{"model": {"seed": ' + "1" * 5000 + "}}")
+    @example('{"data": ' + "[" * 100000 + "}")
+    def test_any_text_gives_a_config_or_a_config_error(self, text):
+        try:
+            assert isinstance(parse_config_text(text), ExperimentConfig)
+        except ConfigError:
+            pass
+
+    def test_sections_built_in_code_take_their_defaults(self):
+        assert ExperimentConfig() == parse_config_text("")
 
     def test_json_alternate_input(self):
         tree = {"federation": {"rounds": 7, "num_clients": 3},
@@ -452,6 +509,15 @@ class TestCLI:
         assert main(["validate", str(TOY)]) == 0
         assert "cells planned" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("config,golden", [(TOY, "toy.ini.txt"), (None, "empty.txt")])
+    def test_validate_output_matches_golden(self, tmp_path, capsys, config, golden):
+        # pins key order and value formatting, which a round trip would not notice
+        if config is None:
+            config = tmp_path / "empty.ini"
+            config.write_text("")
+        assert main(["validate", str(config)]) == 0
+        assert capsys.readouterr().out == (VALIDATE_GOLDEN / golden).read_text()
+
     def test_validate_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[federation]\nrounds = -1\n")
@@ -469,6 +535,8 @@ class TestCLI:
         ("[federation]\nlr = inf\n", "federation.lr"),
         ("[model]\nprompts = 0\n", "model.prompts"),
         ("[data]\nnoise_sigma = -1\n", "data.noise_sigma"),
+        ("[federation]\nnum_clients = " + "9" * 400 + "\n", "federation.num_clients"),
+        ("[data]\ndatasets =\n", "data.datasets"),
     ])
     def test_validate_names_the_bad_key(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.ini"
@@ -496,6 +564,19 @@ class TestCLI:
     def test_run_rejects_untrainable_values_before_any_cell(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.ini"
         bad.write_text("[experiment]\nmethods = zsclip,promptfl\nseeds = 0\n" + text)
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,key", [
+        # a repeated entry would run its cells again and write duplicate rows
+        ("[experiment]\nmethods = promptfl,promptfl\nseeds = 0,0\n", "experiment.methods"),
+        ("[experiment]\nseeds = 0,1,00\n", "experiment.seeds"),
+        ("[experiment]\nscenarios = global,personalized,global\n", "experiment.scenarios"),
+    ] + JSON_SCALAR_CASES)
+    def test_run_rejects_repeats_and_non_ini_json_scalars(self, tmp_path, capsys, text, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
         assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert f"error: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -8,11 +8,9 @@ from fedprompt.data import (
     MasterDataset,
     SyntheticSpec,
     apply_domain_shift,
-    balanced_subsample,
     balanced_subsample_indices,
     base_novel_split,
     dirichlet_partition,
-    domain_partition,
     generate_synthetic_dataset,
     kshot_iid_partition,
     load_feature_table,
@@ -181,9 +179,9 @@ class TestBalancedSubsample:
     def test_counts_eight_per_class(self):
         spec = SyntheticSpec(classes=10, feature_dim=32, samples_per_class=20)
         ds = generate_synthetic_dataset(spec, np.random.default_rng(0))
-        out = balanced_subsample(ds, 8, np.random.default_rng(1))
-        assert len(out) == 80
-        np.testing.assert_array_equal(np.bincount(out.labels), np.full(10, 8))
+        idx = balanced_subsample_indices(ds.labels, 8, np.random.default_rng(1))
+        assert len(idx) == 80
+        np.testing.assert_array_equal(np.bincount(ds.labels[idx]), np.full(10, 8))
 
     def test_sixteen_per_class(self):
         labels = np.repeat(np.arange(5), 20)
@@ -308,40 +306,6 @@ class TestBaseNovelSplit:
     def test_random_needs_seed(self):
         with pytest.raises(ConfigError):
             base_novel_split(4, mode="random")
-
-
-class TestDomainPartition:
-    def _tagged_dataset(self, domains, per_domain):
-        n = domains * per_domain
-        rng = np.random.default_rng(0)
-        return MasterDataset(
-            features=rng.normal(size=(n, 8)),
-            labels=rng.integers(0, 3, size=n),
-            class_count=3,
-            domain_tags=np.repeat(np.arange(domains), per_domain),
-        )
-
-    def test_six_domains_twelve_clients(self):
-        ds = self._tagged_dataset(6, 10)
-        plan = domain_partition(ds, clients_per_domain=2, rng=np.random.default_rng(1))
-        assert plan.num_clients == 12
-
-    def test_single_domain_bipartition(self):
-        ds = self._tagged_dataset(1, 10)
-        plan = domain_partition(ds, clients_per_domain=2, rng=np.random.default_rng(1))
-        assert plan.num_clients == 2
-        assert sorted(len(ix) for ix in plan.client_indices) == [5, 5]
-
-    def test_clients_single_domain(self):
-        ds = self._tagged_dataset(4, 9)
-        plan = domain_partition(ds, clients_per_domain=2, rng=np.random.default_rng(2))
-        for idx in plan.client_indices:
-            assert len(np.unique(ds.domain_tags[idx])) == 1
-
-    def test_missing_tags(self):
-        ds = MasterDataset(features=np.zeros((4, 3)), labels=np.zeros(4, dtype=int), class_count=1)
-        with pytest.raises(DataError):
-            domain_partition(ds)
 
 
 class TestPartitionPlan:

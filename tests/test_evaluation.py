@@ -25,7 +25,7 @@ def desk_plan(**fed_overrides) -> ExperimentPlan:
     fed = dict(protocol="standard", num_clients=4, rounds=3, batch_size=8)
     fed.update(fed_overrides)
     return ExperimentPlan(
-        model=ModelConfig(m=1, L=3, d_token=8, d_feature=16, d_image=16,
+        model=ModelConfig(prompts=1, tokens=3, d_token=8, d_feature=16, d_image=16,
                           encoder="attention_block", seed=11, token_scale=0.1),
         federation=FederationConfig(**fed),
         alpha=0.5,
@@ -272,7 +272,7 @@ class TestScenarios:
         # the sweep quotes the method's arithmetic cost exactly
         for prompts in (1, 2):
             expected = communication_cost_millions(
-                make_trainer("promptfl"), replace(plan.model, m=prompts), plan.federation)
+                make_trainer("promptfl"), replace(plan.model, prompts=prompts), plan.federation)
             assert chi[f"synthetic|prompts={prompts}"] == expected
         assert chi["synthetic|prompts=2"] == pytest.approx(2 * chi["synthetic|prompts=1"], rel=1e-12)
 
@@ -288,7 +288,7 @@ class TestScenarios:
             SyntheticSpec(classes=6, feature_dim=32, noise_sigma=0.15, samples_per_class=100),
             rngs.derive_rng(2, rngs.DATA))
         plan = ExperimentPlan(
-            model=ModelConfig(m=1, L=4, d_token=16, d_feature=32, d_image=32,
+            model=ModelConfig(prompts=1, tokens=4, d_token=16, d_feature=32, d_image=32,
                               encoder="attention_block", token_scale=0.05),
             federation=FederationConfig(protocol="standard", num_clients=2, rounds=8),
             alpha=0.5)

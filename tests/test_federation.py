@@ -127,10 +127,9 @@ class TestLedger:
         assert CostLedger.closed_form(2048, 1, 10) == 40960
 
     def test_prompt_sweep_cost_column(self):
-        from dataclasses import replace
         fed = FederationConfig(protocol="standard", num_clients=10, rounds=50)
         trainer = make_trainer("promptfl")
-        sweep = [round(communication_cost_millions(trainer, replace(ModelConfig(), m=m), fed), 2)
+        sweep = [round(communication_cost_millions(trainer, ModelConfig(prompts=m), fed), 2)
                  for m in (1, 2, 4)]
         assert sweep == [2.05, 4.10, 8.19]
 
@@ -140,7 +139,7 @@ class TestLedger:
         master = toy_master(rng)
         trainer = make_trainer("promptfl")
         fed = FederationConfig(protocol="standard", num_clients=4, rounds=3, batch_size=8)
-        clients = build_clients(master, manual_plan(len(master), 4), trainer, cfg, fed, seed=0)
+        clients = build_clients(master, manual_plan(len(master), 4), trainer, cfg, seed=0)
         out = run_federation(trainer, clients, fed, assets, seed=0)
         expected = CostLedger.closed_form(trainer.payload_scalars(cfg), 3, 4)
         assert out.server.ledger.chi == expected
@@ -151,7 +150,7 @@ class TestLedger:
         master = toy_master(rng)
         trainer = make_trainer("promptfl")
         fed = FederationConfig(protocol="standard", num_clients=2, rounds=4, batch_size=8)
-        clients = build_clients(master, manual_plan(len(master), 2), trainer, cfg, fed, seed=0)
+        clients = build_clients(master, manual_plan(len(master), 2), trainer, cfg, seed=0)
         out = run_federation(trainer, clients, fed, assets, seed=0)
         per_round = trainer.payload_scalars(cfg) * 2
         assert out.server.ledger.downloaded == [per_round] * 4
@@ -168,7 +167,7 @@ class TestRunRound:
             plan[1] = np.array([], dtype=int)
         trainer = make_trainer("promptfl")
         fed = FederationConfig(protocol="standard", num_clients=num_clients, rounds=5, batch_size=8)
-        clients = build_clients(master, plan, trainer, cfg, fed, seed=0)
+        clients = build_clients(master, plan, trainer, cfg, seed=0)
         server = ServerState(payload=trainer.init_payload(cfg, np.random.default_rng(1)))
         return cfg, assets, trainer, fed, clients, server
 
@@ -220,20 +219,20 @@ class TestCentralizedEquivalence:
         master = toy_master(rng, n=24)
         trainer = make_trainer("promptfl")
         fed = FederationConfig(protocol="centralized", num_clients=1, rounds=10, batch_size=8)
-        clients = build_clients(master, [np.arange(24)], trainer, cfg, fed, seed=3)
+        clients = build_clients(master, [np.arange(24)], trainer, cfg, seed=3)
         outcome = run_federation(trainer, clients, fed, assets, seed=3)
 
         context = trainer.init_payload(cfg, rngs.derive_rng(3, rngs.PROMPT_INIT)).fields["context"]
         data = ClientDataset.from_master(master, np.arange(24))
-        state = trainer.init_state(cfg, rngs.derive_rng(3, rngs.CLIENT, 0),
-                                   lr0=fed.lr0, momentum=fed.momentum)
+        state = trainer.init_state(cfg, rngs.derive_rng(3, rngs.CLIENT, 0))
         for t in range(10):
             batch_rng = rngs.derive_rng(3, rngs.CLIENT, 0, t)
             for batch in iterate_batches(data, batch_rng, 8):
                 grads, _ = prompt_gradients(assets.encoder, PromptContext(context), batch,
                                             assets.vocab, cfg.tau)
                 context = sgd_momentum_step({"context": context}, {"context": grads},
-                                            state.sgd, t, 10)["context"]
+                                            state.velocities, fed.lr, fed.momentum,
+                                            t, 10)["context"]
         assert np.max(np.abs(outcome.server.payload.fields["context"] - context)) < 1e-12
 
 
@@ -249,7 +248,7 @@ class TestFedOTPTwoClients:
         master.ensure_local_maps(3, seed=0)
         trainer = make_trainer("fedotp", mode="personalized")
         fed = FederationConfig(protocol="personalized", num_clients=2, rounds=3, batch_size=6)
-        clients = build_clients(master, [np.arange(12), np.arange(12, 24)], trainer, cfg, fed, seed=1)
+        clients = build_clients(master, [np.arange(12), np.arange(12, 24)], trainer, cfg, seed=1)
         run_federation(trainer, clients, fed, assets, seed=1)
         local0 = clients[0].state.local_fields["context_local"]
         local1 = clients[1].state.local_fields["context_local"]
@@ -260,9 +259,9 @@ class TestFedOTPTwoClients:
 
 class TestFederationConfig:
     def test_protocol_defaults(self):
-        assert FederationConfig.for_protocol("partial").num_clients == 100
-        assert FederationConfig.for_protocol("partial").participation_fraction == 0.1
-        assert FederationConfig.for_protocol("standard").num_clients == 10
+        assert FederationConfig(protocol="partial").num_clients == 100
+        assert FederationConfig(protocol="partial").participation_fraction == 0.1
+        assert FederationConfig(protocol="standard").num_clients == 10
 
     def test_centralized_needs_one_client(self):
         with pytest.raises(ConfigError):
@@ -273,7 +272,7 @@ class TestFederationConfig:
             FederationConfig(protocol="standard", participation_fraction=0.5)
 
     @pytest.mark.parametrize("field,value,key", [
-        ("eval_every", 0, "eval_every"), ("lr0", 0.0, "lr"), ("lr0", -0.1, "lr"),
+        ("eval_every", 0, "eval_every"), ("lr", 0.0, "lr"), ("lr", -0.1, "lr"),
         ("momentum", 1.0, "momentum"), ("momentum", -0.5, "momentum"),
     ])
     def test_out_of_range_values_name_key(self, field, value, key):

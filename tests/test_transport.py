@@ -186,7 +186,7 @@ class TestClassScore:
     def test_degenerate_reduces_to_cosine(self, assets, rng):
         # one region and one prompt set: the plan is [[1]] and the logit is cos - 1
         cfg = assets.cfg
-        context = rng.normal(size=(1, cfg.L, cfg.d_token)) * 0.3
+        context = rng.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.3
         images = rng.normal(size=(7, cfg.d_image))
         maps = unit_rows(images)[:, None, :]
         transport = TransportPredictor(assets, context, None, eps=0.1, iters=100)
@@ -202,7 +202,7 @@ class TestClassScore:
 
     def test_permutation_invariant_in_local_order(self, assets, rng):
         cfg = assets.cfg
-        context = rng.normal(size=(2, cfg.L, cfg.d_token)) * 0.3
+        context = rng.normal(size=(2, cfg.tokens, cfg.d_token)) * 0.3
         images = rng.normal(size=(5, cfg.d_image))
         maps = unit_rows(images[:, None, :] + 0.2 * rng.normal(size=(5, 4, cfg.d_image)))
         predictor = TransportPredictor(assets, context, None, eps=0.1, iters=100,

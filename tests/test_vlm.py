@@ -29,7 +29,7 @@ class TestModelConfig:
 
     def test_defaults_match_cost_arithmetic(self):
         cfg = ModelConfig()
-        assert cfg.m * cfg.L * cfg.d_token == 2048
+        assert cfg.prompts * cfg.tokens * cfg.d_token == 2048
         assert cfg.meta_hidden * cfg.d_image + cfg.meta_hidden \
             + cfg.d_token * cfg.meta_hidden + cfg.d_token == 98880
 
@@ -40,7 +40,7 @@ class TestModelConfig:
 
 class TestPromptContext:
     def test_param_count(self):
-        cfg = ModelConfig(L=4, d_token=512, d_feature=16, d_image=16)
+        cfg = ModelConfig(tokens=4, d_token=512, d_feature=16, d_image=16)
         ctx = build_prompt_context(cfg, np.random.default_rng(0))
         assert ctx.vectors.size == 2048
 
@@ -83,22 +83,22 @@ class TestEncoder:
     def test_unit_norm_many_contexts(self, variant, rng):
         cfg = small_config(variant)
         enc = FrozenTextEncoder.from_config(cfg)
-        rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.L)
+        rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.tokens)
         for _ in range(500):  # 1000 random contexts across the two variants
-            feats, _ = enc.encode(rng.normal(size=(1, cfg.L, cfg.d_token)), rows)
+            feats, _ = enc.encode(rng.normal(size=(1, cfg.tokens, cfg.d_token)), rows)
             np.testing.assert_allclose(np.linalg.norm(feats, axis=-1), 1.0, rtol=0, atol=1e-12)
-        stacked, _ = enc.encode(rng.normal(size=(500, cfg.L, cfg.d_token)), rows)
+        stacked, _ = enc.encode(rng.normal(size=(500, cfg.tokens, cfg.d_token)), rows)
         np.testing.assert_allclose(np.linalg.norm(stacked, axis=-1), 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
     def test_deterministic(self, variant, rng):
         cfg = small_config(variant)
-        ctx = rng.normal(size=(2, cfg.L, cfg.d_token))
+        ctx = rng.normal(size=(2, cfg.tokens, cfg.d_token))
         dfeats = rng.normal(size=(2, 3, cfg.d_feature))
         runs = []
         for _ in range(2):  # fresh encoder and class rows each time
             enc = FrozenTextEncoder.from_config(cfg)
-            rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.L)
+            rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.tokens)
             feats, cache = enc.encode(ctx, rows)
             runs.append((feats, enc.backward(cache, dfeats)))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
@@ -109,29 +109,29 @@ class TestEncoder:
         cfg = small_config(variant)
         enc = FrozenTextEncoder.from_config(cfg)
         vocab = ClassVocabulary.build(cfg, 3)
-        ctx0 = rng.normal(size=(cfg.L, cfg.d_token)) * 0.2
+        ctx0 = rng.normal(size=(cfg.tokens, cfg.d_token)) * 0.2
         coord = 3  # one output coordinate of the class feature
 
-        rows = enc.class_rows(vocab.tokens, cfg.L).take(np.array([1]))
+        rows = enc.class_rows(vocab.tokens, cfg.tokens).take(np.array([1]))
         _, cache = enc.encode(ctx0[None], rows)
         probe = np.zeros((1, 1, cfg.d_feature))
         probe[0, 0, coord] = 1.0
         analytic = enc.backward(cache, probe)[0]
 
         def f(flat):
-            feats, _ = enc.encode(flat.reshape(1, cfg.L, cfg.d_token), rows)
+            feats, _ = enc.encode(flat.reshape(1, cfg.tokens, cfg.d_token), rows)
             return float(feats[0, 0, coord])
 
-        fd = finite_diff_gradient(f, ctx0.copy().ravel()).reshape(cfg.L, cfg.d_token)
+        fd = finite_diff_gradient(f, ctx0.copy().ravel()).reshape(cfg.tokens, cfg.d_token)
         assert relative_error(analytic, fd) < 1e-4
 
     def test_token_width_mismatch(self):
         for variant in ("linear_pool", "attention_block"):
             cfg = small_config(variant)
             enc = FrozenTextEncoder.from_config(cfg)
-            rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.L)
+            rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.tokens)
             with pytest.raises(ConfigError):
-                enc.encode(np.zeros((1, cfg.L, cfg.d_token + 1)), rows)
+                enc.encode(np.zeros((1, cfg.tokens, cfg.d_token + 1)), rows)
 
     def test_digest_stable(self):
         cfg = small_config()
@@ -145,13 +145,13 @@ class TestStructuredEncoder:
     @pytest.mark.parametrize("n_class_tokens", [1, 2])
     @pytest.mark.parametrize("d_token", [8, 512])
     def test_matches_per_sequence_oracle(self, variant, n_class_tokens, d_token, rng):
-        cfg = small_config(variant, L=4, d_token=d_token, n_class_tokens=n_class_tokens)
+        cfg = small_config(variant, tokens=4, d_token=d_token, n_class_tokens=n_class_tokens)
         assets = build_assets(cfg, 6)
         ids = np.array([4, 0, 5, 2])
         class_tokens = assets.vocab.tokens[ids]
         # a per-context bias, as conditioned prompts add it to every context token
         bias = rng.normal(size=(8, d_token)) * 0.1
-        contexts = rng.normal(size=(8, cfg.L, d_token)) * 0.2 + bias[:, None, :]
+        contexts = rng.normal(size=(8, cfg.tokens, d_token)) * 0.2 + bias[:, None, :]
 
         feats, cache = assets.text_features(contexts, ids)
         expected = vlm_oracle.text_features(assets.encoder, contexts, class_tokens)
@@ -170,7 +170,7 @@ class TestStructuredEncoder:
     def test_class_subset_selects_rows(self, variant, rng):
         cfg = small_config(variant)
         assets = build_assets(cfg, 5)
-        contexts = rng.normal(size=(2, cfg.L, cfg.d_token)) * 0.2
+        contexts = rng.normal(size=(2, cfg.tokens, cfg.d_token)) * 0.2
         full, _ = assets.text_features(contexts)
         ids = np.array([3, 1])
         subset, _ = assets.text_features(contexts, ids)
@@ -179,15 +179,15 @@ class TestStructuredEncoder:
     def test_context_length_mismatch(self):
         cfg = small_config("attention_block")
         enc = FrozenTextEncoder.from_config(cfg)
-        rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.L)
+        rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.tokens)
         with pytest.raises(ConfigError):
-            enc.encode(np.zeros((1, cfg.L + 1, cfg.d_token)), rows)
+            enc.encode(np.zeros((1, cfg.tokens + 1, cfg.d_token)), rows)
         with pytest.raises(ConfigError):
-            enc.encode(np.zeros((cfg.L, cfg.d_token)), rows)
+            enc.encode(np.zeros((cfg.tokens, cfg.d_token)), rows)
 
     def test_gradient_shape_mismatch(self, small_assets, rng):
         cfg = small_assets.cfg
-        feats, cache = small_assets.text_features(rng.normal(size=(2, cfg.L, cfg.d_token)))
+        feats, cache = small_assets.text_features(rng.normal(size=(2, cfg.tokens, cfg.d_token)))
         with pytest.raises(ConfigError):
             small_assets.encoder.backward(cache, np.zeros(feats.shape[1:]))
 
@@ -197,7 +197,7 @@ class TestReferenceFeatures:
         cfg = small_assets.cfg
         acc = np.zeros_like(small_assets.hand_features)
         for tpl in range(3):
-            ctx = build_handcrafted_context(cfg.seed, cfg.L, cfg.d_token, std=cfg.init_std,
+            ctx = build_handcrafted_context(cfg.seed, cfg.tokens, cfg.d_token, std=cfg.init_std,
                                             template=tpl)
             acc += vlm_oracle.text_features(small_assets.encoder, ctx.vectors,
                                             small_assets.vocab.tokens)[0]
@@ -250,7 +250,7 @@ class TestPredict:
 class TestPromptGradients:
     def test_matches_finite_differences(self, small_assets, rng):
         cfg = small_assets.cfg
-        ctx0 = rng.normal(size=(1, cfg.L, cfg.d_token)) * 0.1
+        ctx0 = rng.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.1
         batch = Batch(features=random_unit_batch(rng, 4, cfg.d_image),
                       labels=rng.integers(0, 4, size=4),
                       master_indices=np.arange(4))
@@ -259,7 +259,7 @@ class TestPromptGradients:
 
         def f(flat):
             _, loss = prompt_gradients(small_assets.encoder,
-                                       PromptContext(flat.reshape(1, cfg.L, cfg.d_token)),
+                                       PromptContext(flat.reshape(1, cfg.tokens, cfg.d_token)),
                                        batch, small_assets.vocab, cfg.tau)
             return loss
 
@@ -268,7 +268,7 @@ class TestPromptGradients:
 
     def test_duplicating_batch_keeps_mean_gradient(self, small_assets, rng):
         cfg = small_assets.cfg
-        ctx = PromptContext(rng.normal(size=(1, cfg.L, cfg.d_token)) * 0.1)
+        ctx = PromptContext(rng.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.1)
         feats = random_unit_batch(rng, 3, cfg.d_image)
         labels = np.array([0, 1, 3])
         b1 = Batch(features=feats, labels=labels, master_indices=np.arange(3))
@@ -316,7 +316,7 @@ class TestFreezing:
         master = MasterDataset(features=feats, labels=labels, class_count=3)
         fed = FederationConfig(protocol="standard", num_clients=2, rounds=3, batch_size=4)
         trainer = make_trainer("promptfl")
-        clients = build_clients(master, [np.arange(6), np.arange(6, 12)], trainer, cfg, fed, seed=0)
+        clients = build_clients(master, [np.arange(6), np.arange(6, 12)], trainer, cfg, seed=0)
         run_federation(trainer, clients, fed, assets, seed=0)
         assert assets.encoder.digest() == enc_digest
         assert assets.vocab.digest() == vocab_digest
