@@ -97,10 +97,12 @@ class DataConfig:
             entries_by_name[name] = entry
             if _is_synthetic(entry):
                 try:
-                    synthetic_spec(self, entry)
-                except ValueError as exc:
-                    raise ConfigError(f"datasets: {entry!r} needs an integer prototype "
-                                      "seed after '#'") from exc
+                    seed = synthetic_spec(self, entry).prototype_seed
+                except ValueError:
+                    seed = -1
+                if seed < 0:
+                    raise ConfigError(f"datasets: {entry!r} needs a non-negative integer "
+                                      "prototype seed after '#'")
 
 
 @dataclass
@@ -192,6 +194,9 @@ def _build(given: dict[str, dict[str, object]]) -> ExperimentConfig:
         for i, entry in enumerate(entries):  # a repeated entry would repeat its cells
             if entry in entries[:i]:
                 raise ConfigError(f"experiment.{key}: {entry!r} is listed more than once")
+    for seed in experiment.seeds:  # seeds every random stream, which needs entropy >= 0
+        if seed < 0:
+            raise ConfigError(f"experiment.seeds: must be >= 0, got {seed}")
     for method in experiment.methods:
         if method not in _METHOD_CHOICES:
             raise ConfigError(f"experiment.methods: unknown method {method!r}")

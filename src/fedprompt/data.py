@@ -1,6 +1,6 @@
 """Synthetic feature datasets, external feature tables, and partitioners."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,13 +11,19 @@ from . import rngs
 
 @dataclass
 class MasterDataset:
-    """Labeled feature set all partitioners operate on."""
+    """Labeled feature set all partitioners operate on.
+
+    A run shares one `MasterDataset` per dataset across its cells, read-only
+    (`freeze`). State derived from it, such as its local maps or a shifted
+    copy, is built once by `derive` and kept on it; `subset` starts empty.
+    """
 
     features: np.ndarray                 # (n, d)
     labels: np.ndarray                   # (n,) ints < class_count
     class_count: int
     domain_tags: np.ndarray | None = None
     local_maps: np.ndarray | None = None  # (n, M, d) region features, built on demand
+    derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -46,13 +52,33 @@ class MasterDataset:
             local_maps=None if self.local_maps is None else self.local_maps[idx],
         )
 
+    def freeze(self) -> "MasterDataset":
+        """Mark every array read-only, so that cells can share the dataset."""
+        for array in (self.features, self.labels, self.domain_tags, self.local_maps):
+            if array is not None:
+                array.flags.writeable = False
+        return self
+
+    def derive(self, key, build):
+        """`build()`'s result for `key`, built on the first call and kept on this dataset."""
+        if key not in self.derived:
+            self.derived[key] = build()
+        return self.derived[key]
+
     def ensure_local_maps(self, M: int, seed: int, spread: float = 0.1) -> np.ndarray:
-        """Deterministic per-sample region features for transport-based scoring."""
-        if self.local_maps is None or self.local_maps.shape[1] != M:
+        """Deterministic per-sample region features for transport-based scoring.
+
+        Sets and returns `local_maps` for (M, seed, spread); the maps of each
+        such key are built once and are read-only.
+        """
+        def build():
             rng = rngs.derive_rng(seed, rngs.LOCAL_MAP)
-            self.local_maps = np.stack(
-                [synth_local_features(f, M, rng, spread=spread) for f in self.features]
-            )
+            maps = np.stack([synth_local_features(f, M, rng, spread=spread)
+                             for f in self.features])
+            maps.flags.writeable = False
+            return maps
+
+        self.local_maps = self.derive(("local_maps", M, seed, spread), build)
         return self.local_maps
 
 
@@ -91,11 +117,13 @@ class PartitionPlan:
         return len(self.client_indices)
 
     def validate_partition(self, universe_size: int) -> None:
-        seen = np.concatenate([np.asarray(ix) for ix in self.client_indices]) if self.client_indices else np.array([], dtype=int)
-        if seen.size != np.unique(seen).size:
-            raise DataError("partition assigns some index twice")
+        # as int64: an empty list would be a float array, which bincount rejects
+        seen = np.concatenate([np.asarray(ix, dtype=np.int64) for ix in self.client_indices]) \
+            if self.client_indices else np.array([], dtype=np.int64)
         if seen.size and (seen.min() < 0 or seen.max() >= universe_size):
             raise DataError("partition index outside the master dataset")
+        if seen.size and np.bincount(seen).max() > 1:
+            raise DataError("partition assigns some index twice")
 
 
 @dataclass(frozen=True)
@@ -206,11 +234,19 @@ def apply_domain_shift(dataset: MasterDataset, shift: DomainShift) -> MasterData
     )
 
 
+def _classes(labels: np.ndarray) -> np.ndarray:
+    """The sorted distinct non-negative integer labels.
+
+    Not np.unique: its first call in a process imports numpy.ma (15-20 ms).
+    """
+    return np.flatnonzero(np.bincount(labels))
+
+
 def balanced_subsample_indices(labels: np.ndarray, per_class: int,
                                rng: np.random.Generator) -> np.ndarray:
     """Uniformly chosen indices giving exactly per_class samples of every class."""
     chosen = []
-    for c in np.unique(labels):
+    for c in _classes(labels):
         idx = np.flatnonzero(labels == c)
         if len(idx) < per_class:
             raise DataError(
@@ -226,7 +262,7 @@ def stratified_split(labels: np.ndarray, fractions: tuple[float, float, float],
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError("split fractions must sum to 1")
     parts: tuple[list, list, list] = ([], [], [])
-    for c in np.unique(labels):
+    for c in _classes(labels):
         idx = rng.permutation(np.flatnonzero(labels == c))
         n = len(idx)
         n_tr = int(round(fractions[0] * n))
@@ -252,7 +288,7 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float,
         raise ConfigError("need at least one client")
     labels = np.asarray(labels)
     buckets: list[list[int]] = [[] for _ in range(num_clients)]
-    classes = np.unique(labels)
+    classes = _classes(labels)
     proportions = np.zeros((len(classes), num_clients))
     for row, c in enumerate(classes):
         idx = np.flatnonzero(labels == c)
@@ -279,7 +315,7 @@ def mirror_partition(class_proportions: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels)
     num_clients = class_proportions.shape[1]
     buckets: list[list[int]] = [[] for _ in range(num_clients)]
-    for row, c in enumerate(np.unique(labels)):
+    for row, c in enumerate(_classes(labels)):
         idx = np.flatnonzero(labels == c)
         assign = rng.choice(num_clients, size=len(idx), p=class_proportions[row])
         for i, a in zip(idx, assign):
@@ -299,7 +335,7 @@ def kshot_iid_partition(labels: np.ndarray, num_clients: int, shots: int,
         raise ConfigError("shots and clients must be positive")
     labels = np.asarray(labels)
     buckets: list[list[int]] = [[] for _ in range(num_clients)]
-    for c in np.unique(labels):
+    for c in _classes(labels):
         idx = np.flatnonzero(labels == c)
         need = shots * num_clients
         if len(idx) < need:

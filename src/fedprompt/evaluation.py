@@ -232,11 +232,16 @@ def _splits(master: MasterDataset, seed: int):
 
 
 def cross_domain_targets(master: MasterDataset, count: int) -> dict[str, MasterDataset]:
-    """Deterministic family of increasingly shifted target domains."""
+    """Deterministic family of increasingly shifted target domains.
+
+    Each target is built once per master and kept on it, read-only, so its
+    local maps persist across cells too.
+    """
     targets = {}
     for k in range(1, count + 1):
         shift = DomainShift(angle=0.3 + 0.2 * k, noise_sigma=0.05 * k, seed=k)
-        targets[f"shift{k}"] = apply_domain_shift(master, shift)
+        targets[f"shift{k}"] = master.derive(
+            ("shift", shift), lambda shift=shift: apply_domain_shift(master, shift).freeze())
     return targets
 
 

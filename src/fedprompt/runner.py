@@ -5,7 +5,6 @@ optional worker pool. Outputs are written once, sorted, so bytes never
 depend on worker count or completion order.
 """
 
-import copy
 import json
 import os
 import traceback
@@ -21,7 +20,7 @@ from .config import (
     serialize_config,
 )
 from .data import MasterDataset
-from .errors import EvaluationError
+from .errors import ConfigError, EvaluationError
 from .evaluation import (
     MetricTable,
     ZERO_SHOT_METHOD,
@@ -29,6 +28,7 @@ from .evaluation import (
     run_cell,
     superiority_indicator,
 )
+from .vlm import build_assets
 
 RESULTS_CSV = "results.csv"
 RESULTS_JSON = "results.json"
@@ -55,6 +55,10 @@ class RunResult:
 
 def plan_cells(config: ExperimentConfig, seed_offset: int = 0) -> list[Cell]:
     seeds = [s + seed_offset for s in config.seeds]
+    negative = [s for s in config.seeds if s + seed_offset < 0]
+    if negative:
+        raise ConfigError(f"--seed-offset {seed_offset} makes experiment.seeds entry "
+                          f"{negative[0]} negative")
     return [
         Cell(scenario, method, dataset_display_name(dataset), seed)
         for scenario in config.scenarios
@@ -66,7 +70,9 @@ def plan_cells(config: ExperimentConfig, seed_offset: int = 0) -> list[Cell]:
 
 # config text -> (config, datasets) parsed and materialized from it. Filled
 # by _execute_cell, so a process parses and loads each run's inputs once
-# instead of once per cell; run() empties it once its cells are done.
+# instead of once per cell; run() empties it once its cells are done. The
+# datasets are shared read-only by the run's cells, and so is the state
+# derived from them (local maps, shifted targets), which lives on them.
 _RUN_INPUTS: dict[str, tuple[ExperimentConfig, dict[str, MasterDataset]]] = {}
 
 
@@ -74,11 +80,7 @@ def _run_inputs(config_text: str) -> tuple[ExperimentConfig, dict[str, MasterDat
     inputs = _RUN_INPUTS.get(config_text)
     if inputs is None:
         config = parse_config_text(config_text)
-        datasets = materialize_datasets(config)
-        for master in datasets.values():
-            for array in (master.features, master.labels, master.domain_tags):
-                if array is not None:
-                    array.flags.writeable = False
+        datasets = {name: master.freeze() for name, master in materialize_datasets(config).items()}
         inputs = _RUN_INPUTS[config_text] = (config, datasets)
     return inputs
 
@@ -89,12 +91,8 @@ def _execute_cell(args: tuple[str, str, str, str, int]) -> tuple[dict, list, lis
     cell_key = {"scenario": scenario, "method": method, "dataset": dataset, "seed": seed}
     try:
         config, datasets = _run_inputs(config_text)
-        # a fresh dataset over the shared read-only arrays, so local maps
-        # and other per-cell state never carry over to the next cell; the
-        # arrays were validated when loaded, so it is a shallow copy
-        master = copy.copy(datasets[dataset])
         spec = config.scenario_spec(scenario)
-        result = run_cell(spec, method, dataset, master, seed, config.plan())
+        result = run_cell(spec, method, dataset, datasets[dataset], seed, config.plan())
         observations = [
             (o.scenario, o.method, o.dataset, o.seed, o.metric, o.value)
             for o in result.observations
@@ -135,6 +133,7 @@ def run(config: ExperimentConfig, jobs: int = 1, dry_run: bool = False,
             outcomes = [_execute_cell(item) for item in work]
     finally:
         _RUN_INPUTS.clear()
+        build_assets.cache_clear()
 
     table = MetricTable()
     curves: list[dict] = []

@@ -26,7 +26,9 @@ def sinkhorn_batched(costs: np.ndarray, eps: float, iters: int = 100,
 
     Runs `iters` passes of row/column scaling on K = exp(-cost/eps) for
     every matrix of the stack, closing with a row scaling, and returns
-    diag(u) K diag(v). The marginals (uniform by default) are shared by
+    diag(u) K diag(v). The passes stop early once a pass leaves the
+    scalings of the whole stack bitwise unchanged, which changes no bit of
+    the plan. The marginals (uniform by default) are shared by
     the whole stack. Row sums match `row_marginal` exactly; column sums
     converge to `col_marginal` with the iterations.
 
@@ -59,8 +61,11 @@ def sinkhorn_batched(costs: np.ndarray, eps: float, iters: int = 100,
     v = np.ones(costs.shape[:-2] + (N,))
     tiny = np.finfo(float).tiny
     for _ in range(iters):
-        u = r / np.maximum(np.einsum("...mn,...n->...m", K, v), tiny)
-        v = (c / np.maximum(np.einsum("...mn,...m->...n", K, u), tiny)) ** col_relax
+        u_next = r / np.maximum(np.einsum("...mn,...n->...m", K, v), tiny)
+        v_next = (c / np.maximum(np.einsum("...mn,...m->...n", K, u_next), tiny)) ** col_relax
+        if np.array_equal(u_next, u) and np.array_equal(v_next, v):
+            break  # a bitwise fixed point: every further pass would repeat it exactly
+        u, v = u_next, v_next
     u = r / np.maximum(np.einsum("...mn,...n->...m", K, v), tiny)
     plan = u[..., :, None] * K * v[..., None, :]
     # the final row scaling makes the row sums exact, except where K

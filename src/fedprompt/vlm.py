@@ -10,6 +10,7 @@ Gradients are computed by hand-written reverse passes through each
 encoder variant; `numerics.finite_diff_gradient` is the test oracle.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 
@@ -48,6 +49,8 @@ class ModelConfig:
                     "meta_hidden", "local_features"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key}: must be >= 1, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if not self.tau > 0:
             raise ConfigError(f"tau: must be positive, got {self.tau}")
         if self.encoder not in ENCODER_VARIANTS:
@@ -351,9 +354,12 @@ def synth_local_features(image_feature: np.ndarray, M: int, rng: np.random.Gener
     return unit_rows(rows, "local features")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelAssets:
-    """Everything frozen for one experiment: encoder, vocabulary, references."""
+    """Everything frozen for one experiment: encoder, vocabulary, references.
+
+    Built by `build_assets` and shared read-only by every cell of a run.
+    """
 
     cfg: ModelConfig
     encoder: FrozenTextEncoder
@@ -389,15 +395,32 @@ class ModelAssets:
                 for tpl in range(n_templates)
             ])
             feats, _ = self.text_features(contexts)
-            self._reference_cache[n_templates] = unit_rows(feats.sum(axis=0) / n_templates)
+            reference = unit_rows(feats.sum(axis=0) / n_templates)
+            reference.flags.writeable = False
+            self._reference_cache[n_templates] = reference
         return self._reference_cache[n_templates]
 
 
+def _read_only(*arrays: np.ndarray | None) -> None:
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+
+
+@functools.cache
 def build_assets(cfg: ModelConfig, class_count: int) -> ModelAssets:
+    """The frozen assets of (cfg, class_count), built once and shared read-only.
+
+    Every cell of a run under one model config gets the same `ModelAssets`;
+    `runner.run` empties the memo (`build_assets.cache_clear()`) when its
+    cells are done. Writing into any of its arrays raises.
+    """
     encoder = FrozenTextEncoder.from_config(cfg)
     vocab = ClassVocabulary.build(cfg, class_count)
     handcrafted = build_handcrafted_context(cfg.seed, cfg.tokens, cfg.d_token, std=cfg.init_std)
     rows = encoder.class_rows(vocab.tokens, cfg.tokens)
     feats, _ = encoder.encode(handcrafted.vectors, rows)
+    _read_only(*encoder.weights.values(), vocab.tokens, handcrafted.vectors, feats, rows.row_sum,
+               rows.head, rows.context_pos, rows.q, rows.k, rows.v, rows.scores)
     return ModelAssets(cfg=cfg, encoder=encoder, vocab=vocab, class_rows=rows,
                        handcrafted=handcrafted, hand_features=feats[0])

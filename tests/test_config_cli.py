@@ -1,6 +1,9 @@
 """Config parsing/validation, the runner's output files, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -26,7 +29,8 @@ from fedprompt.evaluation import SCENARIO_KINDS, ZERO_SHOT_METHOD
 from fedprompt.federation import PROTOCOLS
 from fedprompt.runner import load_results_csv, plan_cells, report, run
 
-TOY = Path(__file__).resolve().parent.parent / "configs" / "toy.ini"
+ROOT = Path(__file__).resolve().parent.parent
+TOY = ROOT / "configs" / "toy.ini"
 VALIDATE_GOLDEN = Path(__file__).resolve().parent / "data" / "golden" / "validate"
 
 
@@ -53,7 +57,7 @@ def valid_configs(draw):
                                        unique=True)),
             "methods": draw(st.lists(st.sampled_from(TRAINER_KINDS + (ZERO_SHOT_METHOD,)),
                                      min_size=1, max_size=4, unique=True)),
-            "seeds": draw(st.lists(st.integers(-10**6, 10**9), min_size=1, max_size=4,
+            "seeds": draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=4,
                                    unique=True)),
             "output_dir": draw(st.text("abcXYZ019_-./% ", min_size=1, max_size=16)
                                .filter(lambda t: t.strip() == t)),
@@ -341,6 +345,82 @@ class TestMaterialize:
             materialize_datasets(cfg)
 
 
+# cells that share a run's frozen state: assets, a dataset's local maps and its
+# shifted targets are built by the first cell that needs them and reused after
+SHARED_STATE_CONFIG = """
+[experiment]
+scenarios = personalized,cross_domain
+methods = zsclip,promptfl,plot,fedotp
+seeds = 0,1
+[federation]
+num_clients = 2
+rounds = 2
+batch_size = 8
+[model]
+d_token = 8
+d_feature = 16
+d_image = 16
+local_features = 2
+[data]
+datasets = synthetic,synthetic#1
+classes = 3
+feature_dim = 16
+samples_per_class = 12
+per_class_subsample = 4
+alpha = 0.5
+"""
+
+RESULT_FILES = ("results.csv", "results.json", "curves.jsonl")
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a new interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+class TestSharedRunState:
+    def test_runs_in_one_process_match_a_fresh_process(self, tmp_path):
+        config = tmp_path / "shared.ini"
+        config.write_text(SHARED_STATE_CONFIG)
+        for name in ("first", "second"):
+            assert run(parse_config(str(config)), output_dir=str(tmp_path / name)).exit_code == 0
+        fresh = fresh_python("-m", "fedprompt.cli", "run", str(config), "--out",
+                             str(tmp_path / "fresh"))
+        assert fresh.returncode == 0, fresh.stderr
+        for name in RESULT_FILES:
+            expected = (tmp_path / "fresh" / name).read_bytes()
+            assert (tmp_path / "first" / name).read_bytes() == expected, name
+            assert (tmp_path / "second" / name).read_bytes() == expected, name
+
+    def test_jobs_do_not_change_bytes(self, tmp_path):
+        cfg = parse_config_text(SHARED_STATE_CONFIG)
+        run(cfg, jobs=1, output_dir=str(tmp_path / "one"))
+        run(cfg, jobs=2, output_dir=str(tmp_path / "two"))
+        for name in RESULT_FILES:
+            assert (tmp_path / "one" / name).read_bytes() == \
+                (tmp_path / "two" / name).read_bytes(), name
+
+    def test_run_leaves_no_shared_state(self, tmp_path):
+        from fedprompt.vlm import build_assets
+
+        assert run(parse_config_text(SHARED_STATE_CONFIG),
+                   output_dir=str(tmp_path)).exit_code == 0
+        assert not runner._RUN_INPUTS
+        assert build_assets.cache_info().currsize == 0
+
+    def test_run_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma (15-20 ms) on its first call in a process
+        script = ("import sys\nfrom fedprompt import cli\n"
+                  "assert cli.main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        result = fresh_python("-c", script, str(TOY), str(tmp_path / "out"))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "False"
+
+
 class TestRunner:
     def test_toy_run_under_ten_seconds(self, tmp_path):
         cfg = parse_config(str(TOY))
@@ -580,6 +660,28 @@ class TestCLI:
         assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert f"error: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,key", [
+        ("[experiment]\nmethods = zsclip\nseeds = 0,-1\n", "experiment.seeds"),
+        ("[experiment]\nmethods = zsclip\n[model]\nseed = -3\n", "model.seed"),
+        ("[data]\ndatasets = synthetic#-1\n", "data.datasets"),
+    ])
+    def test_negative_seeds_rejected_at_parse_time(self, tmp_path, capsys, text, key):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        assert main(["validate", str(bad)]) == 2
+        assert f"error: {key}: " in capsys.readouterr().err
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_offset_making_a_seed_negative_rejected(self, tmp_path, capsys):
+        # toy.ini plans seeds 0 and 1
+        assert main(["run", str(TOY), "--seed-offset", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert "error: --seed-offset -1 makes experiment.seeds entry 0 negative" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main(["run", str(TOY), "--seed-offset", "-1", "--dry-run"]) == 2
 
     def test_run_rejects_duplicate_datasets(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

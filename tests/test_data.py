@@ -20,7 +20,7 @@ from fedprompt.data import (
     stratified_split,
 )
 from fedprompt.errors import ConfigError, DataError
-from fedprompt.vlm import unit_rows
+from fedprompt.vlm import synth_local_features, unit_rows
 from fedprompt import rngs
 
 
@@ -308,6 +308,40 @@ class TestBaseNovelSplit:
             base_novel_split(4, mode="random")
 
 
+class TestLocalMaps:
+    """Region features are keyed by (M, seed, spread) and built once per key."""
+
+    @pytest.fixture
+    def master(self, rng):
+        return MasterDataset(features=unit_rows(rng.normal(size=(6, 5))),
+                             labels=np.arange(6) % 3, class_count=3)
+
+    def test_each_key_gets_its_own_maps(self, master):
+        first = master.ensure_local_maps(3, seed=0)
+        for other in (master.ensure_local_maps(3, seed=1),
+                      master.ensure_local_maps(3, seed=0, spread=0.5)):
+            assert other.shape == first.shape and not np.array_equal(other, first)
+        assert master.ensure_local_maps(2, seed=0).shape == (6, 2, 5)
+        # the first key again: the maps built for it, not a rebuild
+        assert master.ensure_local_maps(3, seed=0) is first
+        assert master.local_maps is first
+
+    def test_maps_match_per_sample_draws(self, master):
+        rng = rngs.derive_rng(4, rngs.LOCAL_MAP)
+        expected = [synth_local_features(f, 3, rng, spread=0.2) for f in master.features]
+        np.testing.assert_array_equal(master.ensure_local_maps(3, seed=4, spread=0.2),
+                                      np.stack(expected))
+
+    def test_maps_are_read_only_and_stay_with_their_dataset(self, master):
+        maps = master.ensure_local_maps(3, seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            maps[0, 0, 0] = 1.0
+        part = master.subset(np.array([1, 4]))
+        np.testing.assert_array_equal(part.local_maps, maps[[1, 4]])
+        assert part.derived == {}
+        assert part.ensure_local_maps(3, seed=0).shape == (2, 3, 5)
+
+
 class TestPartitionPlan:
     def test_validate_partition(self):
         with pytest.raises(DataError, match="twice"):
@@ -319,6 +353,9 @@ class TestPartitionPlan:
         PartitionPlan(client_indices=[[], np.array([0, 1])]).validate_partition(2)
         with pytest.raises(DataError, match="twice"):
             PartitionPlan(client_indices=[[], [1, 1]]).validate_partition(2)
+
+    def test_no_clients(self):
+        PartitionPlan(client_indices=[]).validate_partition(0)
 
 
 class TestStratifiedSplit:

@@ -258,6 +258,21 @@ class TestScenarios:
         datasets = {o.dataset for o in result.observations}
         assert datasets == {"synthetic->shift1", "synthetic->shift2"}
 
+    def test_shifted_targets_built_once_per_master(self, desk_master, monkeypatch):
+        from fedprompt import evaluation
+
+        calls = []
+        shift = evaluation.apply_domain_shift
+        monkeypatch.setattr(evaluation, "apply_domain_shift",
+                            lambda *args: calls.append(args) or shift(*args))
+        master = desk_master.subset(np.arange(len(desk_master)))  # no targets kept yet
+        first = evaluation.cross_domain_targets(master, 2)
+        second = evaluation.cross_domain_targets(master, 3)
+        assert len(calls) == 3
+        assert all(second[name] is target for name, target in first.items())
+        with pytest.raises(ValueError, match="read-only"):
+            first["shift1"].features[0, 0] = 1.0
+
     def test_cost_tradeoff_sweep_shape(self, desk_master):
         from dataclasses import replace
         from fedprompt.algorithms import make_trainer

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import small_config
-from transport_oracle import sinkhorn_relaxed_2d
+from transport_oracle import sinkhorn_batched_all_iters, sinkhorn_relaxed_2d
 from fedprompt.algorithms import CosinePredictor, TransportPredictor
 from fedprompt.errors import ConfigError, DomainError
 from fedprompt.transport import sinkhorn, sinkhorn_batched, sinkhorn_relaxed, uniform
@@ -143,6 +143,39 @@ class TestBatched:
     def test_not_a_matrix_stack(self):
         with pytest.raises(DomainError):
             sinkhorn_batched(np.zeros(4), eps=0.1)
+
+
+class TestFixedPointExit:
+    """The scaling loop stops once a pass changes no bit; the plans must not notice."""
+
+    @staticmethod
+    def transport_costs(rng, n_sets):
+        # the trainers' stack: (batch, classes, regions, prompt sets) of 1 - cosine
+        regions = unit_rows(rng.normal(size=(8, 4, 16)))
+        prompts = unit_rows(rng.normal(size=(5, n_sets, 16)))
+        return 1.0 - np.einsum("bmd,cnd->bcmn", regions, prompts)
+
+    @pytest.mark.parametrize("n_sets,col_relax,stops", [
+        (1, 1.0, True),    # PLOT: one prompt set per class (N = 1), balanced
+        (2, 0.5, True),    # FedOTP: two prompt sets (N = 2), relaxed columns
+        (2, 1.0, False),   # still moving in its last bits after 100 passes
+    ])
+    def test_plans_equal_all_iterations_bitwise(self, n_sets, col_relax, stops, monkeypatch):
+        costs = self.transport_costs(np.random.default_rng(n_sets), n_sets)
+        expected = sinkhorn_batched_all_iters(costs, 0.1, 100, col_relax)
+        einsum, calls = np.einsum, []
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or einsum(*a, **k))
+        plans = sinkhorn_batched(costs, eps=0.1, iters=100, col_relax=col_relax)
+        monkeypatch.undo()
+        assert plans.tobytes() == expected.tobytes()
+        assert (len(calls) < 2 * 100 + 1) == stops  # two products per pass, one to close
+
+    def test_no_fixed_point_runs_every_pass(self):
+        # a stack still moving after `iters` passes is unchanged by the check
+        costs = self.transport_costs(np.random.default_rng(9), 2)
+        for iters in (1, 2, 5):
+            assert sinkhorn_batched(costs, eps=0.1, iters=iters).tobytes() == \
+                sinkhorn_batched_all_iters(costs, 0.1, iters).tobytes()
 
 
 class TestUnderflow:

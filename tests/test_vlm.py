@@ -322,6 +322,29 @@ class TestFreezing:
         assert assets.vocab.digest() == vocab_digest
 
 
+class TestSharedAssets:
+    """`build_assets` builds each (config, class count) once and hands out read-only arrays."""
+
+    def test_equal_keys_share_one_assets(self):
+        assets = build_assets(small_config("attention_block"), 4)
+        assert build_assets(small_config("attention_block"), 4) is assets
+        assert build_assets(small_config("attention_block"), 5) is not assets
+        assert build_assets(small_config("attention_block", seed=8), 4) is not assets
+
+    @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
+    def test_every_array_is_read_only(self, variant):
+        assets = build_assets(small_config(variant), 4)
+        rows = assets.class_rows
+        arrays = [*assets.encoder.weights.values(), assets.vocab.tokens,
+                  assets.handcrafted.vectors, assets.hand_features, assets.reference_features(),
+                  *(a for a in (rows.row_sum, rows.head, rows.context_pos, rows.q, rows.k,
+                                rows.v, rows.scores) if a is not None)]
+        assert len(arrays) == (15 if variant == "attention_block" else 8)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
+
+
 class TestLocalFeatures:
     def test_zero_spread_single(self, rng):
         x = rng.normal(size=8)

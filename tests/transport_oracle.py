@@ -1,7 +1,10 @@
-"""Single-matrix Sinkhorn loop, the oracle for `transport.sinkhorn_batched`.
+"""Sinkhorn oracles for `transport.sinkhorn_batched`.
 
-One (M, N) cost matrix, explicit marginal vectors and plain matrix
-products; the batched solver must agree with it slice for slice.
+`sinkhorn_relaxed_2d` takes one (M, N) cost matrix, explicit marginal
+vectors and plain matrix products; the batched solver must agree with it
+slice for slice. `sinkhorn_batched_all_iters` is the batched solver's own
+arithmetic with every one of its `iters` passes run, which an early exit at
+a fixed point must match bit for bit.
 """
 
 import numpy as np
@@ -19,3 +22,18 @@ def sinkhorn_relaxed_2d(cost: np.ndarray, eps: float, iters: int, row_marginal: 
         v = (col_marginal / np.maximum(K.T @ u, tiny)) ** col_relax
     u = row_marginal / np.maximum(K @ v, tiny)
     return (u[:, None] * K) * v[None, :]
+
+
+def sinkhorn_batched_all_iters(costs: np.ndarray, eps: float, iters: int,
+                               col_relax: float = 1.0) -> np.ndarray:
+    """Uniform-marginal plans of a (..., M, N) stack after exactly `iters` passes."""
+    M, N = costs.shape[-2:]
+    r, c = np.full(M, 1.0 / M), np.full(N, 1.0 / N)
+    K = np.exp(-(costs - costs.min(axis=(-2, -1), keepdims=True)) / eps)
+    v = np.ones(costs.shape[:-2] + (N,))
+    tiny = np.finfo(float).tiny
+    for _ in range(iters):
+        u = r / np.maximum(np.einsum("...mn,...n->...m", K, v), tiny)
+        v = (c / np.maximum(np.einsum("...mn,...m->...n", K, u), tiny)) ** col_relax
+    u = r / np.maximum(np.einsum("...mn,...n->...m", K, v), tiny)
+    return u[..., :, None] * K * v[..., None, :]
