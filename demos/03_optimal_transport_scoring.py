@@ -35,7 +35,7 @@ def class_score(regions, prompts, eps):
 
 print("\nclass scoring by transport: regions of an image vs per-class prompts")
 anchor = unit_rows(rng.normal(size=(1, 32)))[0]
-regions = synth_local_features(anchor, M=6, rng=rng, spread=0.15)
+regions = synth_local_features(anchor, rng.normal(size=(6, 32)), spread=0.15)
 aligned = unit_rows(anchor[None, :] + 0.1 * rng.normal(size=(2, 32)))
 random_prompts = unit_rows(rng.normal(size=(2, 32)))
 s_aligned = class_score(regions, aligned, eps=0.1)

@@ -1,5 +1,6 @@
 """Synthetic feature datasets, external feature tables, and partitioners."""
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,20 +10,32 @@ from .vlm import synth_local_features, unit_rows
 from . import rngs
 
 
+@functools.cache
+def region_noise(seed: int, n: int, M: int, d: int) -> np.ndarray:
+    """The read-only (n, M, d) standard-normal draw behind the local maps of n rows.
+
+    Drawn once per (seed, n, M, d) and shared by every dataset of that
+    shape, such as a master and its shifted targets; `runner.run` empties
+    the memo (`region_noise.cache_clear()`) when its cells are done.
+    """
+    noise = rngs.derive_rng(seed, rngs.LOCAL_MAP).normal(size=(n, M, d))
+    noise.flags.writeable = False
+    return noise
+
+
 @dataclass
 class MasterDataset:
     """Labeled feature set all partitioners operate on.
 
     A run shares one `MasterDataset` per dataset across its cells, read-only
-    (`freeze`). State derived from it, such as its local maps or a shifted
-    copy, is built once by `derive` and kept on it; `subset` starts empty.
+    (`freeze`). State derived from it, such as a shifted copy, is built once
+    by `derive` and kept on it.
     """
 
     features: np.ndarray                 # (n, d)
     labels: np.ndarray                   # (n,) ints < class_count
     class_count: int
     domain_tags: np.ndarray | None = None
-    local_maps: np.ndarray | None = None  # (n, M, d) region features, built on demand
     derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -42,19 +55,9 @@ class MasterDataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "MasterDataset":
-        idx = np.asarray(indices)
-        return MasterDataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            class_count=self.class_count,
-            domain_tags=None if self.domain_tags is None else self.domain_tags[idx],
-            local_maps=None if self.local_maps is None else self.local_maps[idx],
-        )
-
     def freeze(self) -> "MasterDataset":
         """Mark every array read-only, so that cells can share the dataset."""
-        for array in (self.features, self.labels, self.domain_tags, self.local_maps):
+        for array in (self.features, self.labels, self.domain_tags):
             if array is not None:
                 array.flags.writeable = False
         return self
@@ -65,41 +68,37 @@ class MasterDataset:
             self.derived[key] = build()
         return self.derived[key]
 
-    def ensure_local_maps(self, M: int, seed: int, spread: float = 0.1) -> np.ndarray:
-        """Deterministic per-sample region features for transport-based scoring.
+    def ensure_local_maps(self, M: int, seed: int, rows: list[np.ndarray],
+                          spread: float = 0.1) -> list[np.ndarray]:
+        """Region features for transport-based scoring, (len(r), M, d) for each r in `rows`.
 
-        Sets and returns `local_maps` for (M, seed, spread); the maps of each
-        such key are built once and are read-only.
+        A row's maps depend only on its feature and its slice of
+        `region_noise(seed, n, M, d)`, so they equal the per-sample draws
+        of the whole dataset at that row. The maps are read-only and kept
+        by the caller, not on this dataset.
         """
-        def build():
-            rng = rngs.derive_rng(seed, rngs.LOCAL_MAP)
-            maps = np.stack([synth_local_features(f, M, rng, spread=spread)
-                             for f in self.features])
-            maps.flags.writeable = False
-            return maps
-
-        self.local_maps = self.derive(("local_maps", M, seed, spread), build)
-        return self.local_maps
+        noise = region_noise(seed, len(self), M, self.feature_dim)
+        # slice by slice, so the temporaries stay the size of one slice
+        maps = [synth_local_features(self.features[r], noise[r], spread) for r in rows]
+        for part in maps:
+            part.flags.writeable = False
+        return maps
 
 
 @dataclass
 class ClientDataset:
-    """One client's slice of a master dataset; indices stay master-relative."""
+    """A slice of a master dataset (a client's data or a test set); indices
+    stay master-relative."""
 
     features: np.ndarray
     labels: np.ndarray
     master_indices: np.ndarray
-    local_maps: np.ndarray | None = None
+    local_maps: np.ndarray | None = None  # (n, M, d), given to transport cells' slices only
 
     @classmethod
     def from_master(cls, master: MasterDataset, indices: np.ndarray) -> "ClientDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return cls(
-            features=master.features[idx],
-            labels=master.labels[idx],
-            master_indices=idx,
-            local_maps=None if master.local_maps is None else master.local_maps[idx],
-        )
+        return cls(features=master.features[idx], labels=master.labels[idx], master_indices=idx)
 
     def __len__(self) -> int:
         return self.features.shape[0]

@@ -234,8 +234,7 @@ def _splits(master: MasterDataset, seed: int):
 def cross_domain_targets(master: MasterDataset, count: int) -> dict[str, MasterDataset]:
     """Deterministic family of increasingly shifted target domains.
 
-    Each target is built once per master and kept on it, read-only, so its
-    local maps persist across cells too.
+    Each target is built once per master and kept on it, read-only.
     """
     targets = {}
     for k in range(1, count + 1):
@@ -252,7 +251,7 @@ class _Target:
     column: str
     metric: str
     key: str
-    source: MasterDataset  # the full dataset; local maps are drawn on it before slicing
+    source: MasterDataset  # the full dataset the indices slice
     indices: np.ndarray
     class_ids: np.ndarray | None = None
 
@@ -338,10 +337,7 @@ def _run_plan(spec: ScenarioSpec, method: str, column: str, master: MasterDatase
     trained = method != ZERO_SHOT_METHOD
     scenario = _scenario_plan(spec, trained, column, master, seed, plan)
     targets = scenario.targets
-    if method in TRANSPORT_METHODS:
-        for source in [master] + [t.source for t in targets if t.source is not master]:
-            source.ensure_local_maps(cfg.local_features, seed=0)
-    tests = [t.source.subset(t.indices) for t in targets]  # sliced after the local maps exist
+    tests = [ClientDataset.from_master(t.source, t.indices) for t in targets]
 
     def score(make_predictor) -> dict[str, float]:
         """Accuracy per record key, with one predictor per evaluated class set."""
@@ -363,6 +359,11 @@ def _run_plan(spec: ScenarioSpec, method: str, column: str, master: MasterDatase
     trainer = _trainer_for(method, spec)
     fed_cfg = plan.federation
     clients = build_clients(master, scenario.clients, trainer, cfg, seed, scenario.client_tests)
+    if method in TRANSPORT_METHODS:
+        slices = [(master, c.dataset) for c in clients]
+        slices += [(master, c.test_set) for c in clients if c.test_set is not None]
+        _give_local_maps(slices + [(t.source, test) for t, test in zip(targets, tests)],
+                         cfg.local_features)
 
     def evaluate(server, clients, round_index=None) -> dict[str, float]:
         if scenario.client_tests is None:
@@ -394,6 +395,17 @@ def _run_plan(spec: ScenarioSpec, method: str, column: str, master: MasterDatase
               for record in outcome.eval_history]
     return CellResult(_observations(spec, method, seed, targets, scores, chi), curves,
                       scenario.extras)
+
+
+def _give_local_maps(slices: list[tuple[MasterDataset, ClientDataset]], M: int) -> None:
+    """Set the local maps of each (source, slice) pair, with one build per source."""
+    by_source: dict[int, tuple[MasterDataset, list[ClientDataset]]] = {}
+    for source, part in slices:
+        by_source.setdefault(id(source), (source, []))[1].append(part)
+    for source, parts in by_source.values():
+        maps = source.ensure_local_maps(M, 0, [part.master_indices for part in parts])
+        for part, part_maps in zip(parts, maps):
+            part.local_maps = part_maps
 
 
 def _observations(spec: ScenarioSpec, method: str, seed: int, targets: list[_Target],

@@ -19,7 +19,7 @@ from .config import (
     parse_config_text,
     serialize_config,
 )
-from .data import MasterDataset
+from .data import MasterDataset, region_noise
 from .errors import ConfigError, EvaluationError
 from .evaluation import (
     MetricTable,
@@ -72,7 +72,7 @@ def plan_cells(config: ExperimentConfig, seed_offset: int = 0) -> list[Cell]:
 # by _execute_cell, so a process parses and loads each run's inputs once
 # instead of once per cell; run() empties it once its cells are done. The
 # datasets are shared read-only by the run's cells, and so is the state
-# derived from them (local maps, shifted targets), which lives on them.
+# derived from them (shifted targets), which lives on them.
 _RUN_INPUTS: dict[str, tuple[ExperimentConfig, dict[str, MasterDataset]]] = {}
 
 
@@ -112,6 +112,8 @@ def resolve_output_dir(config: ExperimentConfig, override: str | None = None) ->
 def run(config: ExperimentConfig, jobs: int = 1, dry_run: bool = False,
         seed_offset: int = 0, output_dir: str | None = None) -> RunResult:
     """Execute every cell, then write results.csv/results.json/curves.jsonl."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     out_dir = resolve_output_dir(config, output_dir)
     cells = plan_cells(config, seed_offset)
     if dry_run:
@@ -125,15 +127,17 @@ def run(config: ExperimentConfig, jobs: int = 1, dry_run: bool = False,
     if seed_offset:
         config_text = serialize_config(replace(config, seeds=[s + seed_offset for s in config.seeds]))
     work = [(config_text, c.scenario, c.method, c.dataset, c.seed) for c in cells]
+    workers = min(jobs, len(work))  # a pool starts all its workers up front
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(_execute_cell, work))
         else:
             outcomes = [_execute_cell(item) for item in work]
     finally:
         _RUN_INPUTS.clear()
         build_assets.cache_clear()
+        region_noise.cache_clear()
 
     table = MetricTable()
     curves: list[dict] = []
@@ -147,6 +151,9 @@ def run(config: ExperimentConfig, jobs: int = 1, dry_run: bool = False,
         curves.extend(cell_curves)
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    # reports of an earlier run into this directory describe other results
+    for stale in [*out_dir.glob("report_*.csv"), *out_dir.glob("costcurve_*.csv")]:
+        stale.unlink()
     _write_atomic(out_dir / RESULTS_CSV, _results_csv_text(table))
     _write_atomic(out_dir / RESULTS_JSON, _results_json_text(table))
     _write_atomic(out_dir / CURVES_JSONL, _curves_text(curves))
@@ -282,8 +289,7 @@ def report(results_dir: str) -> str:
                     and not metric.startswith("chi") and len(table.methods(scenario)) > 1):
                 chunks.append(f"[{scenario}/{metric}] baseline '{BASELINE_METHOD}' missing; "
                               "superiority column omitted")
-            out = results_dir / f"report_{scenario}_{metric}.csv"
-            out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            _write_atomic(results_dir / f"report_{scenario}_{metric}.csv", "\n".join(lines) + "\n")
             chunks.append(f"# {scenario} / {metric}")
             chunks.extend(lines)
             chunks.append("")
@@ -310,5 +316,5 @@ def _write_cost_curves(table: MetricTable, results_dir: Path, chunks: list[str])
         out = results_dir / f"costcurve_{method}.csv"
         lines = ["params_millions,accuracy,dataset"]
         lines += [f"{chi!r},{acc!r},{dataset}" for chi, acc, dataset in points]
-        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_atomic(out, "\n".join(lines) + "\n")
         chunks.append(f"wrote {out.name} ({len(points)} sweep points)")

@@ -344,14 +344,19 @@ def unit_rows(x: np.ndarray, what: str = "features") -> np.ndarray:
     return x / norms
 
 
-def synth_local_features(image_feature: np.ndarray, M: int, rng: np.random.Generator,
+def synth_local_features(image_features: np.ndarray, noise: np.ndarray,
                          spread: float = 0.1) -> np.ndarray:
-    """M unit-norm perturbed views of one global feature (region surrogate)."""
-    if M < 1:
-        raise ConfigError(f"local feature count must be >= 1, got {M}")
-    base = np.asarray(image_feature, dtype=np.float64)
-    rows = base[None, :] + spread * rng.normal(size=(M, base.shape[0]))
-    return unit_rows(rows, "local features")
+    """Unit-norm perturbed views of global features (region surrogate).
+
+    `image_features` (..., d) and `noise` (..., M, d) give (..., M, d): row
+    m of feature f is `f + spread * noise[m]`, normalised.
+    """
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.ndim < 2 or noise.shape[-2] < 1:
+        raise ConfigError(f"local features need noise of shape (..., M >= 1, d), "
+                          f"got {noise.shape}")
+    base = np.asarray(image_features, dtype=np.float64)
+    return unit_rows(base[..., None, :] + spread * noise, "local features")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -404,12 +405,32 @@ class TestSharedRunState:
                 (tmp_path / "two" / name).read_bytes(), name
 
     def test_run_leaves_no_shared_state(self, tmp_path):
+        from fedprompt.data import region_noise
         from fedprompt.vlm import build_assets
 
         assert run(parse_config_text(SHARED_STATE_CONFIG),
                    output_dir=str(tmp_path)).exit_code == 0
         assert not runner._RUN_INPUTS
         assert build_assets.cache_info().currsize == 0
+        assert region_noise.cache_info().currsize == 0
+
+    def test_region_noise_drawn_once_per_run(self, tmp_path, monkeypatch):
+        # both datasets have 36 rows of width 16, so they, their shifted
+        # targets and every transport cell share one (36, 2, 16) draw
+        from fedprompt import rngs
+
+        draws = []
+        derive = rngs.derive_rng
+
+        def counting(seed, stream, *extra):
+            if stream == rngs.LOCAL_MAP:
+                draws.append(seed)
+            return derive(seed, stream, *extra)
+
+        monkeypatch.setattr(rngs, "derive_rng", counting)
+        assert run(parse_config_text(SHARED_STATE_CONFIG),
+                   output_dir=str(tmp_path)).exit_code == 0
+        assert draws == [0]
 
     def test_run_does_not_import_numpy_ma(self, tmp_path):
         # np.unique imports numpy.ma (15-20 ms) on its first call in a process
@@ -485,6 +506,44 @@ class TestRunner:
         assert run(cfg, output_dir=str(tmp_path / "out")).exit_code == 0
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
             ["curves.jsonl", "results.csv", "results.json"]
+
+    def test_rerun_removes_stale_reports(self, tmp_path):
+        out = tmp_path / "out"
+        toy = parse_config(str(TOY))
+        assert run(toy, output_dir=str(out)).exit_code == 0
+        report(str(out))
+        assert "kgcoop" in (out / "report_global_alpha_g.csv").read_text()
+        stale_curve = out / "costcurve_kgcoop.csv"  # as a cost_tradeoff run would leave
+        stale_curve.write_text("params_millions,accuracy,dataset\n")
+        assert run(replace(toy, methods=["promptfl"]), output_dir=str(out)).exit_code == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(RESULT_FILES)
+        report(str(out))
+        assert "kgcoop" not in (out / "report_global_alpha_g.csv").read_text()
+        assert not list(out.glob(".*.tmp"))
+
+    def test_pool_never_larger_than_the_cell_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records the requested size and runs the cells in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+        cfg = parse_config(str(TOY))  # 4 cells
+        for jobs in (64, 3, 1):
+            assert run(cfg, jobs=jobs, output_dir=str(tmp_path / str(jobs))).exit_code == 0
+        assert sizes == [4, 3]
 
     def test_datasets_loaded_once_per_run(self, tmp_path, monkeypatch):
         calls = []
@@ -673,6 +732,14 @@ class TestCLI:
         assert f"error: {key}: " in capsys.readouterr().err
         assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert f"error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_run_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        for flags in ([], ["--dry-run"]):
+            assert main(["run", str(TOY), "--jobs", jobs, "--out", str(tmp_path / "out"),
+                         *flags]) == 2
+            assert f"error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_seed_offset_making_a_seed_negative_rejected(self, tmp_path, capsys):

@@ -16,11 +16,12 @@ from fedprompt.data import (
     load_feature_table,
     mirror_partition,
     PartitionPlan,
+    region_noise,
     save_feature_table,
     stratified_split,
 )
 from fedprompt.errors import ConfigError, DataError
-from fedprompt.vlm import synth_local_features, unit_rows
+from fedprompt.vlm import unit_rows
 from fedprompt import rngs
 
 
@@ -308,8 +309,15 @@ class TestBaseNovelSplit:
             base_novel_split(4, mode="random")
 
 
+def per_sample_maps(features, M, seed, spread):
+    """The region-feature oracle: one (M, d) draw per sample, in row order."""
+    rng = rngs.derive_rng(seed, rngs.LOCAL_MAP)
+    return np.stack([unit_rows(f[None, :] + spread * rng.normal(size=(M, f.shape[0])))
+                     for f in features])
+
+
 class TestLocalMaps:
-    """Region features are keyed by (M, seed, spread) and built once per key."""
+    """Region features are a pure function of the rows asked for and one shared noise draw."""
 
     @pytest.fixture
     def master(self, rng):
@@ -317,29 +325,53 @@ class TestLocalMaps:
                              labels=np.arange(6) % 3, class_count=3)
 
     def test_each_key_gets_its_own_maps(self, master):
-        first = master.ensure_local_maps(3, seed=0)
-        for other in (master.ensure_local_maps(3, seed=1),
-                      master.ensure_local_maps(3, seed=0, spread=0.5)):
+        rows = [np.arange(6)]
+        [first] = master.ensure_local_maps(3, 0, rows)
+        for [other] in (master.ensure_local_maps(3, 1, rows),
+                        master.ensure_local_maps(3, 0, rows, spread=0.5)):
             assert other.shape == first.shape and not np.array_equal(other, first)
-        assert master.ensure_local_maps(2, seed=0).shape == (6, 2, 5)
-        # the first key again: the maps built for it, not a rebuild
-        assert master.ensure_local_maps(3, seed=0) is first
-        assert master.local_maps is first
+        assert master.ensure_local_maps(2, 0, rows)[0].shape == (6, 2, 5)
+        # the first key again: the same values
+        np.testing.assert_array_equal(master.ensure_local_maps(3, 0, rows)[0], first)
 
     def test_maps_match_per_sample_draws(self, master):
-        rng = rngs.derive_rng(4, rngs.LOCAL_MAP)
-        expected = [synth_local_features(f, 3, rng, spread=0.2) for f in master.features]
-        np.testing.assert_array_equal(master.ensure_local_maps(3, seed=4, spread=0.2),
-                                      np.stack(expected))
+        expected = per_sample_maps(master.features, 3, 4, 0.2)
+        for rows in ([np.arange(6)],
+                     [np.array([4, 1]), np.array([], dtype=np.int64), np.array([0]),
+                      np.array([2, 2, 5])]):
+            maps = master.ensure_local_maps(3, 4, rows, spread=0.2)
+            assert len(maps) == len(rows)
+            for r, got in zip(rows, maps):
+                np.testing.assert_array_equal(got, expected[r])
+
+    def test_shifted_targets_match_per_sample_draws(self, master):
+        rows = [np.array([5, 0, 3]), np.arange(6)]
+        for k in (1, 2):  # the shifts of `evaluation.cross_domain_targets`
+            target = apply_domain_shift(master, DomainShift(angle=0.3 + 0.2 * k,
+                                                            noise_sigma=0.05 * k, seed=k))
+            expected = per_sample_maps(target.features, 3, 0, 0.1)
+            for r, got in zip(rows, target.ensure_local_maps(3, 0, rows)):
+                np.testing.assert_array_equal(got, expected[r])
 
     def test_maps_are_read_only_and_stay_with_their_dataset(self, master):
-        maps = master.ensure_local_maps(3, seed=0)
+        full, part = master.ensure_local_maps(3, 0, [np.arange(6), np.array([1, 4])])
+        for maps in (full, part):
+            with pytest.raises(ValueError, match="read-only"):
+                maps[0, 0, 0] = 1.0
+        np.testing.assert_array_equal(part, full[[1, 4]])
+        # the dataset keeps nothing: the maps live with the caller's slices
+        assert master.derived == {} and not hasattr(master, "local_maps")
+
+    def test_noise_is_one_read_only_draw_per_shape(self):
+        region_noise.cache_clear()
+        noise = region_noise(0, 6, 3, 5)
+        assert region_noise(0, 6, 3, 5) is noise
+        assert region_noise.cache_info().misses == 1
+        np.testing.assert_array_equal(
+            noise, rngs.derive_rng(0, rngs.LOCAL_MAP).normal(size=(6, 3, 5)))
         with pytest.raises(ValueError, match="read-only"):
-            maps[0, 0, 0] = 1.0
-        part = master.subset(np.array([1, 4]))
-        np.testing.assert_array_equal(part.local_maps, maps[[1, 4]])
-        assert part.derived == {}
-        assert part.ensure_local_maps(3, seed=0).shape == (2, 3, 5)
+            noise[0, 0, 0] = 1.0
+        region_noise.cache_clear()
 
 
 class TestPartitionPlan:

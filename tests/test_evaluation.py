@@ -1,5 +1,7 @@
 """Metrics, run aggregation, and the six scenario runners."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +260,38 @@ class TestScenarios:
         datasets = {o.dataset for o in result.observations}
         assert datasets == {"synthetic->shift1", "synthetic->shift2"}
 
+    def test_only_transport_cells_get_local_maps(self, desk_master, monkeypatch):
+        from fedprompt import evaluation
+
+        seen = []
+        federate, evaluate = evaluation.run_federation, evaluation.evaluate_predictor
+
+        def recording_federation(trainer, clients, *args, **kwargs):
+            seen.extend((len(c.dataset), c.dataset.local_maps) for c in clients)
+            seen.extend((len(c.test_set), c.test_set.local_maps) for c in clients
+                        if c.test_set is not None)
+            return federate(trainer, clients, *args, **kwargs)
+
+        def recording_evaluate(predictor, features, labels, class_ids=None, local_maps=None):
+            seen.append((len(labels), local_maps))
+            return evaluate(predictor, features, labels, class_ids, local_maps)
+
+        monkeypatch.setattr(evaluation, "run_federation", recording_federation)
+        monkeypatch.setattr(evaluation, "evaluate_predictor", recording_evaluate)
+        plan = desk_plan(rounds=1)
+        M, d = plan.model.local_features, desk_master.feature_dim
+        for kind in ("personalized", "cross_domain"):
+            spec = ScenarioSpec(kind=kind, cross_targets=2)
+            for method in ("fedotp", "promptfl", "plot", "promptfl"):
+                seen.clear()
+                run_cell(spec, method, "synthetic", desk_master, 0, plan)
+                assert seen
+                for n, maps in seen:
+                    if method == "promptfl":
+                        assert maps is None
+                    else:
+                        assert maps is not None and maps.shape == (n, M, d)
+
     def test_shifted_targets_built_once_per_master(self, desk_master, monkeypatch):
         from fedprompt import evaluation
 
@@ -265,7 +299,7 @@ class TestScenarios:
         shift = evaluation.apply_domain_shift
         monkeypatch.setattr(evaluation, "apply_domain_shift",
                             lambda *args: calls.append(args) or shift(*args))
-        master = desk_master.subset(np.arange(len(desk_master)))  # no targets kept yet
+        master = replace(desk_master)  # no targets kept yet
         first = evaluation.cross_domain_targets(master, 2)
         second = evaluation.cross_domain_targets(master, 3)
         assert len(calls) == 3
@@ -274,7 +308,6 @@ class TestScenarios:
             first["shift1"].features[0, 0] = 1.0
 
     def test_cost_tradeoff_sweep_shape(self, desk_master):
-        from dataclasses import replace
         from fedprompt.algorithms import make_trainer
         from fedprompt.federation import communication_cost_millions
 

@@ -245,10 +245,12 @@ class TestFedOTPTwoClients:
         feats = random_unit_batch(rng, 24, cfg.d_image)
         labels = np.concatenate([rng.integers(0, 2, size=12), rng.integers(2, 4, size=12)])
         master = MasterDataset(features=feats, labels=labels, class_count=4)
-        master.ensure_local_maps(3, seed=0)
         trainer = make_trainer("fedotp", mode="personalized")
         fed = FederationConfig(protocol="personalized", num_clients=2, rounds=3, batch_size=6)
         clients = build_clients(master, [np.arange(12), np.arange(12, 24)], trainer, cfg, seed=1)
+        maps = master.ensure_local_maps(3, 0, [c.dataset.master_indices for c in clients])
+        for client, client_maps in zip(clients, maps):
+            client.dataset.local_maps = client_maps
         run_federation(trainer, clients, fed, assets, seed=1)
         local0 = clients[0].state.local_fields["context_local"]
         local1 = clients[1].state.local_fields["context_local"]

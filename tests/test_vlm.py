@@ -348,24 +348,25 @@ class TestSharedAssets:
 class TestLocalFeatures:
     def test_zero_spread_single(self, rng):
         x = rng.normal(size=8)
-        out = synth_local_features(x, 1, rng, spread=0.0)
+        out = synth_local_features(x, rng.normal(size=(1, 8)), spread=0.0)
         np.testing.assert_allclose(out[0], x / np.linalg.norm(x), atol=1e-15)
 
     def test_rows_unit_norm(self, rng):
-        out = synth_local_features(rng.normal(size=8), 5, rng, spread=0.3)
-        np.testing.assert_allclose(np.linalg.norm(out, axis=1), np.ones(5), atol=1e-12)
+        out = synth_local_features(rng.normal(size=(2, 8)), rng.normal(size=(2, 5, 8)), spread=0.3)
+        assert out.shape == (2, 5, 8)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=-1), np.ones((2, 5)), atol=1e-12)
 
     def test_deterministic_given_rng_state(self):
         x = np.arange(1.0, 9.0)
-        a = synth_local_features(x, 4, np.random.default_rng(5))
-        b = synth_local_features(x, 4, np.random.default_rng(5))
+        a = synth_local_features(x, np.random.default_rng(5).normal(size=(4, 8)))
+        b = synth_local_features(x, np.random.default_rng(5).normal(size=(4, 8)))
         np.testing.assert_array_equal(a, b)
 
     def test_mean_correlates_with_global(self, rng):
         x = rng.normal(size=16)
-        out = synth_local_features(x, 8, rng, spread=0.2)
+        out = synth_local_features(x, rng.normal(size=(8, 16)), spread=0.2)
         assert cosine_similarity(out.mean(axis=0), x) > 0
 
     def test_m_must_be_positive(self, rng):
         with pytest.raises(ConfigError):
-            synth_local_features(np.ones(4), 0, rng)
+            synth_local_features(np.ones(4), np.ones((0, 4)))
