@@ -1,7 +1,9 @@
 """Golden grid: all six scenarios x all nine methods under three protocols.
 
 Each run's `results.csv`, `results.json` and `curves.jsonl` must equal the
-files checked in under `tests/data/golden/<protocol>/` byte for byte. The
+files checked in under `tests/data/golden/<grid>/` byte for byte. The grids
+are the three protocols with the attention_block encoder, plus `linear_pool`:
+the `standard` protocol with the linear_pool encoder. The
 expected files pin every scenario's values, including base/novel, few-shot,
 cost trade-off and centralized cells, so a refactor of the cell pipeline
 that changes any number fails here.
@@ -29,6 +31,10 @@ PROTOCOL_FEDERATION = {
     "partial": "num_clients = 4\nparticipation_fraction = 0.5\nrounds = 3\neval_every = 2",
 }
 
+# grid name -> (protocol, encoder)
+GRIDS = {protocol: (protocol, "attention_block") for protocol in PROTOCOL_FEDERATION}
+GRIDS["linear_pool"] = ("standard", "linear_pool")
+
 CONFIG = """
 [experiment]
 scenarios = global,personalized,base_novel,fewshot,cross_domain,cost_tradeoff
@@ -42,7 +48,7 @@ batch_size = 8
 d_token = 8
 d_feature = 16
 d_image = 16
-encoder = attention_block
+encoder = {encoder}
 token_scale = 0.1
 seed = 11
 local_features = 2
@@ -55,23 +61,25 @@ alpha = 0.5
 """
 
 
-def run_grid(protocol: str, out_dir: Path):
-    text = CONFIG.format(protocol=protocol, federation=PROTOCOL_FEDERATION[protocol])
+def run_grid(grid: str, out_dir: Path):
+    protocol, encoder = GRIDS[grid]
+    text = CONFIG.format(protocol=protocol, federation=PROTOCOL_FEDERATION[protocol],
+                         encoder=encoder)
     return run(parse_config_text(text), jobs=1, output_dir=str(out_dir))
 
 
-@pytest.mark.parametrize("protocol", sorted(PROTOCOL_FEDERATION))
-def test_grid_matches_golden_files(protocol, tmp_path):
-    result = run_grid(protocol, tmp_path)
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_grid_matches_golden_files(grid, tmp_path):
+    result = run_grid(grid, tmp_path)
     assert result.failures == []
     assert len({(o.scenario, o.method) for o in result.table.observations}) == 53  # zsclip: no cost cell
     for name in FILES:
-        assert (tmp_path / name).read_bytes() == (GOLDEN / protocol / name).read_bytes(), name
+        assert (tmp_path / name).read_bytes() == (GOLDEN / grid / name).read_bytes(), name
 
 
 if __name__ == "__main__":
-    for protocol in PROTOCOL_FEDERATION:
-        outcome = run_grid(protocol, GOLDEN / protocol)
+    for grid in GRIDS:
+        outcome = run_grid(grid, GOLDEN / grid)
         if outcome.failures:
-            sys.exit(f"{protocol}: {len(outcome.failures)} cell(s) failed")
-        print(f"wrote {GOLDEN / protocol}")
+            sys.exit(f"{grid}: {len(outcome.failures)} cell(s) failed")
+        print(f"wrote {GOLDEN / grid}")
