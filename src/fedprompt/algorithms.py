@@ -18,6 +18,7 @@ from .vlm import (
     ModelConfig,
     PromptContext,
     build_prompt_context,
+    read_only_encoding,
     unit_rows,
 )
 
@@ -35,13 +36,57 @@ class CommunicablePayload:
     def scalar_count(self) -> int:
         return int(sum(a.size for a in self.fields.values()))
 
-    def copy(self) -> "CommunicablePayload":
-        return CommunicablePayload({k: v.copy() for k, v in self.fields.items()})
+    def read_only(self) -> "CommunicablePayload":
+        """This payload with every field marked read-only, as a broadcast is."""
+        for array in self.fields.values():
+            array.flags.writeable = False
+        return self
 
     def equals(self, other: "CommunicablePayload") -> bool:
         if self.fields.keys() != other.fields.keys():
             return False
         return all(np.array_equal(self.fields[k], other.fields[k]) for k in self.fields)
+
+
+@dataclass(frozen=True)
+class BroadcastEncoding:
+    """Read-only text features of one broadcast context under one class set,
+    with the cache `encoder.backward` takes.
+
+    `federation.ServerState.encoding` builds one per payload and class set;
+    a client's first step and the round's predictors take it instead of
+    encoding the same context again.
+    """
+
+    context: np.ndarray           # (m, L, d_token), a read-only copy of what was encoded
+    class_ids: np.ndarray | None  # a copy of the encoded class set
+    features: np.ndarray          # (m, C, d_feature)
+    cache: tuple
+
+    @classmethod
+    def encode(cls, assets: ModelAssets, context: np.ndarray,
+               class_ids: np.ndarray | None) -> "BroadcastEncoding":
+        features, cache = read_only_encoding(*assets.text_features(context, class_ids))
+        context = np.array(context, dtype=np.float64)
+        context.flags.writeable = False
+        return cls(context, None if class_ids is None else np.array(class_ids), features, cache)
+
+    def take(self, context: np.ndarray, class_ids: np.ndarray | None) -> tuple[np.ndarray, tuple]:
+        """The shared (features, cache) for a consumer that would encode `context`
+        under `class_ids`; raises unless both match bit for bit."""
+        same_ids = (class_ids is None and self.class_ids is None) or (
+            class_ids is not None and self.class_ids is not None
+            and np.array_equal(class_ids, self.class_ids))
+        if not (same_ids and np.array_equal(context, self.context)):
+            raise ValueError("the broadcast encoding is of a different context or class set")
+        return self.features, self.cache
+
+
+def _text_features(assets: ModelAssets, context: np.ndarray, class_ids: np.ndarray | None,
+                   shared: BroadcastEncoding | None):
+    if shared is None:
+        return assets.text_features(context, class_ids)
+    return shared.take(context, class_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +196,7 @@ class TrainContext:
     momentum: float = 0.9
     class_ids: np.ndarray | None = None  # restrict training to these classes
     audit: list | None = None            # collects each batch's master indices
+    shared: BroadcastEncoding | None = None  # the broadcast's encoding, for the first step
 
     def map_labels(self, labels: np.ndarray) -> np.ndarray:
         if self.class_ids is None:
@@ -180,8 +226,8 @@ class ClientTrainState:
 # ---------------------------------------------------------------------------
 
 def _forward_sims(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
-                  class_ids: np.ndarray | None):
-    feats, cache = assets.text_features(context.vectors, class_ids)
+                  class_ids: np.ndarray | None, shared: BroadcastEncoding | None = None):
+    feats, cache = _text_features(assets, context.vectors, class_ids, shared)
     sims = np.einsum("bd,pcd->pbc", xh, feats)
     return feats, cache, sims
 
@@ -196,9 +242,10 @@ def _reference_probs(assets: ModelAssets, xh: np.ndarray,
 
 
 def ce_loss_and_grads(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
-                      labels: np.ndarray, class_ids: np.ndarray | None = None):
+                      labels: np.ndarray, class_ids: np.ndarray | None = None,
+                      shared: BroadcastEncoding | None = None):
     """Plain mean cross-entropy; scores are per-set cosine means."""
-    feats, cache, sims = _forward_sims(assets, context, xh, class_ids)
+    feats, cache, sims = _forward_sims(assets, context, xh, class_ids, shared)
     loss, dlogits, probs = softmax_ce_batch(sims.mean(axis=0), labels, assets.cfg.tau)
     dT = np.einsum("bc,bd->cd", dlogits / context.m, xh)
     grads = assets.encoder.backward(cache, np.asarray([dT] * context.m))
@@ -206,12 +253,12 @@ def ce_loss_and_grads(assets: ModelAssets, context: PromptContext, xh: np.ndarra
 
 
 def loss_kgcoop(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
-                labels: np.ndarray, lambda_kg: float,
-                class_ids: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+                labels: np.ndarray, lambda_kg: float, class_ids: np.ndarray | None = None,
+                shared: BroadcastEncoding | None = None) -> tuple[float, np.ndarray]:
     """CE plus squared distance of class features to their fixed references."""
     if lambda_kg < 0:
         raise ConfigError("lambda_kg must be >= 0")
-    feats, cache, sims = _forward_sims(assets, context, xh, class_ids)
+    feats, cache, sims = _forward_sims(assets, context, xh, class_ids, shared)
     loss, dlogits, _ = softmax_ce_batch(sims.mean(axis=0), labels, assets.cfg.tau)
     hand = assets.hand_features_for(class_ids)
     n_classes = hand.shape[0]
@@ -241,10 +288,10 @@ def project_prograd(g_task: np.ndarray, g_general: np.ndarray, lambda_pg: float 
 
 
 def loss_prograd(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
-                 labels: np.ndarray, lambda_pg: float,
-                 class_ids: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+                 labels: np.ndarray, lambda_pg: float, class_ids: np.ndarray | None = None,
+                 shared: BroadcastEncoding | None = None) -> tuple[float, np.ndarray]:
     """CE gradient projected to not conflict with the zero-shot alignment gradient."""
-    feats, cache, sims = _forward_sims(assets, context, xh, class_ids)
+    feats, cache, sims = _forward_sims(assets, context, xh, class_ids, shared)
     tau = assets.cfg.tau
     mean_sims = sims.mean(axis=0)
     loss, dlogits, probs = softmax_ce_batch(mean_sims, labels, tau)
@@ -264,12 +311,12 @@ def loss_prograd(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
 
 
 def loss_proda(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
-               labels: np.ndarray, lambda_orth: float,
-               class_ids: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+               labels: np.ndarray, lambda_orth: float, class_ids: np.ndarray | None = None,
+               shared: BroadcastEncoding | None = None) -> tuple[float, np.ndarray]:
     """Prompt-ensemble CE plus a hinge penalty on aligned prompt-set features."""
     if context.m < 2:
         raise ConfigError(f"prompt-distribution loss needs >= 2 prompt sets, got {context.m}")
-    feats, cache, sims = _forward_sims(assets, context, xh, class_ids)
+    feats, cache, sims = _forward_sims(assets, context, xh, class_ids, shared)
     loss, dlogits, _ = softmax_ce_batch(sims.mean(axis=0), labels, assets.cfg.tau)
     dT_ce = np.einsum("bc,bd->cd", dlogits / context.m, xh)
     dTs = [dT_ce.copy() for _ in range(context.m)]
@@ -289,11 +336,12 @@ def loss_proda(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
 def loss_src(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
              labels: np.ndarray, mu_text: float, mu_logit: float,
              class_ids: np.ndarray | None = None,
-             reference_features: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+             reference_features: np.ndarray | None = None,
+             shared: BroadcastEncoding | None = None) -> tuple[float, np.ndarray]:
     """CE plus L1 feature consistency and KL(zero-shot || current) self-regularisation."""
     if mu_text < 0 or mu_logit < 0:
         raise ConfigError("self-regularisation weights must be >= 0")
-    feats, cache, sims = _forward_sims(assets, context, xh, class_ids)
+    feats, cache, sims = _forward_sims(assets, context, xh, class_ids, shared)
     tau = assets.cfg.tau
     loss, dlogits, probs = softmax_ce_batch(sims.mean(axis=0), labels, tau)
     if reference_features is None:
@@ -333,8 +381,8 @@ def trajectory_average(contexts: list[np.ndarray], window: int) -> np.ndarray:
 
 def ot_scores_and_grads(assets: ModelAssets, context: PromptContext, batch: Batch,
                         labels: np.ndarray, eps: float, iters: int,
-                        col_relax: float = 1.0,
-                        class_ids: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+                        col_relax: float = 1.0, class_ids: np.ndarray | None = None,
+                        shared: BroadcastEncoding | None = None) -> tuple[float, np.ndarray]:
     """CE over transport-aligned logits; plans are constants of the backward pass.
 
     For each (sample, class) the plan matches the sample's region
@@ -343,7 +391,7 @@ def ot_scores_and_grads(assets: ModelAssets, context: PromptContext, batch: Batc
     """
     if batch.local_maps is None:
         raise ConfigError("transport-based training needs per-sample local feature maps")
-    feats, cache = assets.text_features(context.vectors, class_ids)
+    feats, cache = _text_features(assets, context.vectors, class_ids, shared)
     locals_ = batch.local_maps                     # (B, M, d)
     prompts = feats.transpose(1, 0, 2)             # (C, m, d)
     costs = 1.0 - np.einsum("bmd,cnd->bcmn", locals_, prompts)
@@ -380,7 +428,12 @@ class LocalTrainer:
     def init_payload(self, cfg: ModelConfig, rng: np.random.Generator) -> CommunicablePayload:
         return CommunicablePayload(
             {"context": build_prompt_context(cfg, rng, m=self.n_sets(cfg)).vectors}
-        )
+        ).read_only()
+
+    def broadcast_context(self, payload: CommunicablePayload) -> np.ndarray | None:
+        """The context whose encoding a client's first step and the predictors
+        share (see `BroadcastEncoding`); None when each encodes its own inputs."""
+        return payload.fields["context"]
 
     def init_state(self, cfg: ModelConfig, rng: np.random.Generator) -> ClientTrainState:
         return ClientTrainState()
@@ -395,11 +448,13 @@ class LocalTrainer:
         losses: list[float] = []
         n_samples = 0
         passes: list[dict] = []  # the parameters after each pass over the data
+        shared = ctx.shared      # the broadcast's encoding fits the first step only
         for _ in range(ctx.epochs):
             for batch in iterate_batches(dataset, ctx.rng, ctx.batch_size):
                 if ctx.audit is not None:
                     ctx.audit.append(np.asarray(batch.master_indices))
-                loss, grads = self.grad_step(params, batch, ctx)
+                loss, grads = self.grad_step(params, batch, ctx, shared)
+                shared = None
                 params = sgd_momentum_step(params, grads, state.velocities, ctx.lr, ctx.momentum,
                                            ctx.round_index, ctx.total_rounds)
                 losses.append(loss)
@@ -418,32 +473,38 @@ class LocalTrainer:
         """The parameters a client returns, from those after each of its passes."""
         return passes[-1]
 
-    def grad_step(self, params: dict, batch: Batch, ctx: TrainContext) -> tuple[float, dict]:
+    def grad_step(self, params: dict, batch: Batch, ctx: TrainContext,
+                  shared: BroadcastEncoding | None = None) -> tuple[float, dict]:
         """Loss and gradients of one batch: unit image features and labels as
-        positions in the trained class set go to the trainer's `loss`."""
+        positions in the trained class set go to the trainer's `loss`.
+
+        `shared`, when given, is the encoding of `params`' context."""
         loss, grads = self.loss(ctx.assets, PromptContext(params["context"]),
                                 unit_rows(batch.features), ctx.map_labels(batch.labels),
-                                ctx.class_ids)
+                                ctx.class_ids, shared)
         return loss, {"context": grads}
 
     def loss(self, assets: ModelAssets, context: PromptContext, xh: np.ndarray,
-             labels: np.ndarray, class_ids: np.ndarray | None) -> tuple[float, np.ndarray]:
+             labels: np.ndarray, class_ids: np.ndarray | None,
+             shared: BroadcastEncoding | None = None) -> tuple[float, np.ndarray]:
         """Mean batch loss and its gradient w.r.t. the context (sets, L, d_token)."""
         raise NotImplementedError
 
     # -- inference ---------------------------------------------------------
     def build_predictor(self, payload: CommunicablePayload, assets: ModelAssets,
                         class_ids: np.ndarray | None = None,
-                        state: ClientTrainState | None = None):
-        return CosinePredictor(assets, payload.fields["context"], class_ids)
+                        state: ClientTrainState | None = None,
+                        shared: BroadcastEncoding | None = None):
+        return CosinePredictor(assets, payload.fields["context"], class_ids, shared)
 
 
 class CosinePredictor:
     """Scores are per-set cosine means against fixed text features."""
 
     def __init__(self, assets: ModelAssets, context_vectors: np.ndarray,
-                 class_ids: np.ndarray | None):
-        feats, _ = assets.text_features(PromptContext(context_vectors).vectors, class_ids)
+                 class_ids: np.ndarray | None, shared: BroadcastEncoding | None = None):
+        feats, _ = _text_features(assets, PromptContext(context_vectors).vectors, class_ids,
+                                  shared)
         self.features = feats  # (m, C, d)
         self.tau = assets.cfg.tau
 
@@ -456,8 +517,10 @@ class TransportPredictor:
     """Scores are negative transport costs between regions and prompt features."""
 
     def __init__(self, assets: ModelAssets, context_vectors: np.ndarray,
-                 class_ids: np.ndarray | None, eps: float, iters: int, col_relax: float = 1.0):
-        feats, _ = assets.text_features(PromptContext(context_vectors).vectors, class_ids)
+                 class_ids: np.ndarray | None, eps: float, iters: int, col_relax: float = 1.0,
+                 shared: BroadcastEncoding | None = None):
+        feats, _ = _text_features(assets, PromptContext(context_vectors).vectors, class_ids,
+                                  shared)
         self.prompts = feats.transpose(1, 0, 2)  # (C, m, d)
         self.tau = assets.cfg.tau
         self.eps = eps
@@ -476,8 +539,8 @@ class TransportPredictor:
 class PromptFLTrainer(LocalTrainer):
     kind = "promptfl"
 
-    def loss(self, assets, context, xh, labels, class_ids):
-        return ce_loss_and_grads(assets, context, xh, labels, class_ids)[:2]
+    def loss(self, assets, context, xh, labels, class_ids, shared=None):
+        return ce_loss_and_grads(assets, context, xh, labels, class_ids, shared)[:2]
 
 
 class KgCoOpTrainer(LocalTrainer):
@@ -486,8 +549,8 @@ class KgCoOpTrainer(LocalTrainer):
     def __init__(self, lambda_kg: float = 1.0):
         self.lambda_kg = lambda_kg
 
-    def loss(self, assets, context, xh, labels, class_ids):
-        return loss_kgcoop(assets, context, xh, labels, self.lambda_kg, class_ids)
+    def loss(self, assets, context, xh, labels, class_ids, shared=None):
+        return loss_kgcoop(assets, context, xh, labels, self.lambda_kg, class_ids, shared)
 
 
 class ProGradTrainer(LocalTrainer):
@@ -496,8 +559,8 @@ class ProGradTrainer(LocalTrainer):
     def __init__(self, lambda_pg: float = 1.0):
         self.lambda_pg = lambda_pg
 
-    def loss(self, assets, context, xh, labels, class_ids):
-        return loss_prograd(assets, context, xh, labels, self.lambda_pg, class_ids)
+    def loss(self, assets, context, xh, labels, class_ids, shared=None):
+        return loss_prograd(assets, context, xh, labels, self.lambda_pg, class_ids, shared)
 
 
 class ProDATrainer(LocalTrainer):
@@ -507,8 +570,8 @@ class ProDATrainer(LocalTrainer):
     def __init__(self, lambda_orth: float = 1.0):
         self.lambda_orth = lambda_orth
 
-    def loss(self, assets, context, xh, labels, class_ids):
-        return loss_proda(assets, context, xh, labels, self.lambda_orth, class_ids)
+    def loss(self, assets, context, xh, labels, class_ids, shared=None):
+        return loss_proda(assets, context, xh, labels, self.lambda_orth, class_ids, shared)
 
 
 class SRCTrainer(LocalTrainer):
@@ -526,12 +589,12 @@ class SRCTrainer(LocalTrainer):
         self.window = window
         self.n_templates = n_templates
 
-    def loss(self, assets, context, xh, labels, class_ids):
+    def loss(self, assets, context, xh, labels, class_ids, shared=None):
         refs = assets.reference_features(self.n_templates)
         if class_ids is not None:
             refs = refs[np.asarray(class_ids)]
         return loss_src(assets, context, xh, labels, self.mu_text, self.mu_logit, class_ids,
-                        reference_features=refs)
+                        reference_features=refs, shared=shared)
 
     def end_of_passes(self, passes):
         contexts = [p["context"] for p in passes]
@@ -553,9 +616,12 @@ class CoCoOpTrainer(LocalTrainer):
     def init_payload(self, cfg: ModelConfig, rng: np.random.Generator) -> CommunicablePayload:
         fields = {"context": build_prompt_context(cfg, rng, m=self.n_sets(cfg)).vectors}
         fields.update(metanet_init(cfg, rng))
-        return CommunicablePayload(fields)
+        return CommunicablePayload(fields).read_only()
 
-    def grad_step(self, params, batch, ctx):
+    def broadcast_context(self, payload):
+        return None  # every image conditions its own contexts
+
+    def grad_step(self, params, batch, ctx, shared=None):
         xh = unit_rows(batch.features)
         labels = ctx.map_labels(batch.labels)
         logits, (feats, cache, meta_cache) = conditioned_logits(ctx.assets, params, xh,
@@ -571,7 +637,7 @@ class CoCoOpTrainer(LocalTrainer):
         grads["context"] = dctx.sum(axis=0)
         return loss, grads
 
-    def build_predictor(self, payload, assets, class_ids=None, state=None):
+    def build_predictor(self, payload, assets, class_ids=None, state=None, shared=None):
         return ConditionedPredictor(assets, payload.fields, class_ids)
 
 
@@ -622,16 +688,16 @@ class PLOTTrainer(LocalTrainer):
         self.ot_eps = ot_eps
         self.ot_iters = ot_iters
 
-    def grad_step(self, params, batch, ctx):
+    def grad_step(self, params, batch, ctx, shared=None):
         labels = ctx.map_labels(batch.labels)
         loss, grads = ot_scores_and_grads(ctx.assets, PromptContext(params["context"]), batch,
-                                          labels, self.ot_eps, self.ot_iters,
-                                          col_relax=1.0, class_ids=ctx.class_ids)
+                                          labels, self.ot_eps, self.ot_iters, col_relax=1.0,
+                                          class_ids=ctx.class_ids, shared=shared)
         return loss, {"context": grads}
 
-    def build_predictor(self, payload, assets, class_ids=None, state=None):
+    def build_predictor(self, payload, assets, class_ids=None, state=None, shared=None):
         return TransportPredictor(assets, payload.fields["context"], class_ids,
-                                  self.ot_eps, self.ot_iters)
+                                  self.ot_eps, self.ot_iters, shared=shared)
 
 
 class FedOTPTrainer(LocalTrainer):
@@ -663,7 +729,11 @@ class FedOTPTrainer(LocalTrainer):
         name, = self.payload_shapes(cfg)
         return CommunicablePayload(
             {name: build_prompt_context(cfg, rng, m=self.payload_shapes(cfg)[name][0]).vectors}
-        )
+        ).read_only()
+
+    def broadcast_context(self, payload):
+        # a personalized client scores with its local half appended
+        return payload.fields["context"] if self.mode == "global" else None
 
     def init_state(self, cfg, rng):
         state = super().init_state(cfg, rng)
@@ -677,18 +747,18 @@ class FedOTPTrainer(LocalTrainer):
             return params["context"]
         return np.concatenate([params["context_global"], params["context_local"]], axis=0)
 
-    def grad_step(self, params, batch, ctx):
+    def grad_step(self, params, batch, ctx, shared=None):
         labels = ctx.map_labels(batch.labels)
         stack = self._stacked(params)
         loss, grads = ot_scores_and_grads(ctx.assets, PromptContext(stack), batch, labels,
-                                          self.ot_eps, self.ot_iters,
-                                          col_relax=self.ot_relax, class_ids=ctx.class_ids)
+                                          self.ot_eps, self.ot_iters, col_relax=self.ot_relax,
+                                          class_ids=ctx.class_ids, shared=shared)
         if self.mode == "global":
             return loss, {"context": grads}
         half = params["context_global"].shape[0]
         return loss, {"context_global": grads[:half], "context_local": grads[half:]}
 
-    def build_predictor(self, payload, assets, class_ids=None, state=None):
+    def build_predictor(self, payload, assets, class_ids=None, state=None, shared=None):
         if self.mode == "global":
             stack = payload.fields["context"]
         else:
@@ -698,7 +768,7 @@ class FedOTPTrainer(LocalTrainer):
                 [payload.fields["context_global"], state.local_fields["context_local"]], axis=0
             )
         return TransportPredictor(assets, stack, class_ids, self.ot_eps, self.ot_iters,
-                                  col_relax=self.ot_relax)
+                                  col_relax=self.ot_relax, shared=shared)
 
 
 _TRAINERS = {

@@ -361,15 +361,21 @@ def _run_plan(spec: ScenarioSpec, method: str, column: str, master: MasterDatase
     clients = build_clients(master, scenario.clients, trainer, cfg, seed, scenario.client_tests)
     if method in TRANSPORT_METHODS:
         slices = [(master, c.dataset) for c in clients]
-        slices += [(master, c.test_set) for c in clients if c.test_set is not None]
-        _give_local_maps(slices + [(t.source, test) for t, test in zip(targets, tests)],
-                         cfg.local_features)
+        if scenario.client_tests is None:
+            slices += [(t.source, test) for t, test in zip(targets, tests)]
+        else:  # only the client test sets are scored
+            slices += [(master, c.test_set) for c in clients]
+        _give_local_maps(slices, cfg.local_features)
+
+    def predictor(server, class_ids=None, state=None):
+        return trainer.build_predictor(server.payload, assets, class_ids, state,
+                                       server.encoding(trainer, assets, class_ids))
 
     def evaluate(server, clients, round_index=None) -> dict[str, float]:
         if scenario.client_tests is None:
-            return score(lambda ids: trainer.build_predictor(server.payload, assets, class_ids=ids))
+            return score(lambda ids: predictor(server, ids))
         held = [c for c in clients if len(c.test_set) > 0]
-        predictors = [trainer.build_predictor(server.payload, assets, state=c.state) for c in held]
+        predictors = [predictor(server, state=c.state) for c in held]
         return {targets[0].key: personalized_accuracy(predictors, [c.test_set for c in held])}
 
     audit = None if scenario.class_ids is None else []

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import (
+    BroadcastEncoding,
     ClientTrainState,
     CommunicablePayload,
     LocalTrainer,
@@ -143,10 +144,31 @@ class RoundReport:
 
 @dataclass
 class ServerState:
+    """The broadcast payload, with its encodings, and the round bookkeeping."""
+
     payload: CommunicablePayload
     round_index: int = 0
     ledger: CostLedger = field(default_factory=CostLedger)
     reports: list[RoundReport] = field(default_factory=list)
+    _encodings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        if name == "payload":  # a new broadcast drops the old one's encodings
+            super().__setattr__("_encodings", {})
+        super().__setattr__(name, value)
+
+    def encoding(self, trainer: LocalTrainer, assets: ModelAssets,
+                 class_ids: np.ndarray | None) -> BroadcastEncoding | None:
+        """The payload's encoding under `class_ids`, built at the first request
+        and kept until the payload is replaced; None for a trainer that shares
+        none (`LocalTrainer.broadcast_context`)."""
+        context = trainer.broadcast_context(self.payload)
+        if context is None:
+            return None
+        key = None if class_ids is None else tuple(np.asarray(class_ids).tolist())
+        if key not in self._encodings:
+            self._encodings[key] = BroadcastEncoding.encode(assets, context, class_ids)
+        return self._encodings[key]
 
 
 def sample_count(num_clients: int, fraction: float) -> int:
@@ -195,7 +217,7 @@ def fedavg_aggregate(payloads: list[CommunicablePayload],
     for w, p in zip(weights, payloads):
         for k in keys:
             out[k] = out[k] + w * p.fields[k]
-    return CommunicablePayload(out)
+    return CommunicablePayload(out).read_only()
 
 
 def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
@@ -227,6 +249,7 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
 
     results: dict[int, tuple[CommunicablePayload, TrainStats]] = {}
     order = participating if client_order is None else [c for c in client_order if c in participating]
+    shared = server.encoding(trainer, assets, class_ids)
     for cid in order:
         client = clients[cid]
         ctx = TrainContext(
@@ -240,9 +263,10 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
             momentum=fed_cfg.momentum,
             class_ids=class_ids,
             audit=audit,
+            shared=shared,
         )
-        try:
-            payload, stats = trainer.local_train(server.payload.copy(), client.state,
+        try:  # the payload is read-only; local_train copies what it trains
+            payload, stats = trainer.local_train(server.payload, client.state,
                                                  client.dataset, ctx)
         except Exception:  # noqa: BLE001 - failed clients are excluded, not fatal
             log.exception("round %d: client %d failed, excluded from aggregation", t, cid)

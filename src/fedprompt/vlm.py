@@ -165,12 +165,15 @@ class ClassRows:
         return self.row_sum.shape[0]
 
     def take(self, class_ids: np.ndarray | None) -> "ClassRows":
+        """The rows of a class subset, read-only like the whole set's."""
         if class_ids is None:
             return self
         ids = np.asarray(class_ids)
         per_class = ("row_sum", "head", "q", "k", "v", "scores")
-        return replace(self, **{name: getattr(self, name)[ids] for name in per_class
-                                if getattr(self, name) is not None})
+        taken = {name: getattr(self, name)[ids] for name in per_class
+                 if getattr(self, name) is not None}
+        _read_only(*taken.values())
+        return replace(self, **taken)
 
 
 class FrozenTextEncoder:
@@ -410,6 +413,14 @@ def _read_only(*arrays: np.ndarray | None) -> None:
     for array in arrays:
         if array is not None:
             array.flags.writeable = False
+
+
+def read_only_encoding(features: np.ndarray, cache: tuple) -> tuple[np.ndarray, tuple]:
+    """`FrozenTextEncoder.encode`'s (features, cache), with every array marked
+    read-only so that one encoding can be shared (the class rows already are)."""
+    _rows, u, norms, t, attn_cache = cache
+    _read_only(features, u, norms, t, *(attn_cache or ()))
+    return features, cache
 
 
 @functools.cache

@@ -358,7 +358,7 @@ class TestTrainers:
         payload = trainer.init_payload(cfg, rng)
         state = trainer.init_state(cfg, rng)
         data = client_dataset(rng, 8, cfg.d_image, 4)
-        out, _ = trainer.local_train(payload.copy(), state, data, make_ctx(assets, epochs=0))
+        out, _ = trainer.local_train(payload, state, data, make_ctx(assets, epochs=0))
         assert out.equals(payload)
 
     def test_loss_decreases_on_separable_data(self):
@@ -411,7 +411,7 @@ class TestTrainers:
         trainer = make_trainer("src", mu_text=0.5, mu_logit=0.7, window=2, n_templates=2)
         payload = trainer.init_payload(cfg, np.random.default_rng(1))
         state = trainer.init_state(cfg, np.random.default_rng(1))
-        out, stats = trainer.local_train(payload.copy(), state, data,
+        out, stats = trainer.local_train(payload, state, data,
                                          make_ctx(assets, rng_seed=4, epochs=3, batch_size=4))
 
         context = payload.fields["context"]
@@ -436,7 +436,7 @@ class TestTrainers:
         payload = trainer.init_payload(cfg, rng)
         state = trainer.init_state(cfg, rng)
         data = client_dataset(rng, 8, cfg.d_image, 4)
-        out, stats = trainer.local_train(payload.copy(), state, data, make_ctx(assets, epochs=0))
+        out, stats = trainer.local_train(payload, state, data, make_ctx(assets, epochs=0))
         assert out.equals(payload)
         assert stats.n_batches == 0
 

@@ -1,0 +1,258 @@
+"""The server's encoding of its broadcast, and the read-only broadcast payload.
+
+Every client of a round starts from the same payload, so the server
+encodes the payload's context once per class set; each client's first
+step and the round's predictors reuse that encoding instead of encoding
+the same context again.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import random_unit_batch, small_config
+from test_evaluation import desk_master, desk_plan  # noqa: F401 - fixture
+from fedprompt import algorithms, federation
+from fedprompt.algorithms import (
+    BroadcastEncoding,
+    CommunicablePayload,
+    PromptFLTrainer,
+    TrainContext,
+    ce_loss_and_grads,
+    make_trainer,
+)
+from fedprompt.data import ClientDataset, MasterDataset
+from fedprompt.evaluation import ScenarioSpec, run_cell
+from fedprompt.federation import (
+    FederationConfig,
+    ServerState,
+    build_clients,
+    fedavg_aggregate,
+    run_round,
+)
+from fedprompt.vlm import ClassRows, FrozenTextEncoder, PromptContext, build_assets, unit_rows
+
+CLASSES = 4
+SUBSET = np.array([0, 2, 3])
+# (trainer kind, hyper-parameters): all eight trainers, fedotp in both modes
+TRAINERS = [(kind, {}) for kind in algorithms.TRAINER_KINDS]
+TRAINERS.append(("fedotp", {"mode": "personalized"}))
+
+
+def _arrays(value):
+    """Every array inside an encoding's features or cache."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, ClassRows):
+        for item in vars(value).values():
+            yield from _arrays(item)
+
+
+def _record_encodes(monkeypatch) -> list[np.ndarray]:
+    contexts = []
+    encode = FrozenTextEncoder.encode
+
+    def recording_encode(self, contexts_in, rows):
+        contexts.append(np.array(contexts_in))
+        return encode(self, contexts_in, rows)
+
+    monkeypatch.setattr(FrozenTextEncoder, "encode", recording_encode)
+    return contexts
+
+
+def _client_data(cfg, class_ids, seed=3, n=12):
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(np.arange(CLASSES) if class_ids is None else class_ids, size=n)
+    data = ClientDataset(features=random_unit_batch(rng, n, cfg.d_image), labels=labels,
+                         master_indices=np.arange(n))
+    data.local_maps = unit_rows(data.features[:, None, :]
+                                + 0.1 * rng.normal(size=(n, 3, cfg.d_image)))
+    return data
+
+
+class TestCellEncodes:
+    def test_promptfl_cell_encodes_each_broadcast_once(self, desk_master, monkeypatch):
+        contexts = _record_encodes(monkeypatch)
+        servers = []
+        original = federation.run_round
+
+        def recording_round(server, *args, **kwargs):
+            servers.append((server, server.payload.fields["context"]))
+            return original(server, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "run_round", recording_round)
+        rounds = 3
+        result = run_cell(ScenarioSpec(kind="global"), "promptfl", "synthetic", desk_master, 0,
+                          desk_plan(rounds=rounds, batch_size=2))
+        assert len(result.curves) == rounds
+        # the broadcast of every round, then the final payload the last evaluation scores
+        broadcasts = [context for _, context in servers]
+        broadcasts.append(servers[-1][0].payload.fields["context"])
+        assert len(broadcasts) == rounds + 1
+        for broadcast in broadcasts:
+            assert sum(np.array_equal(c, broadcast) for c in contexts) == 1
+        # the other encodes are later steps of a client, each of a context of its own
+        for i, context in enumerate(contexts):
+            assert not any(np.array_equal(context, other) for other in contexts[i + 1:])
+        assert len(contexts) > rounds + 1
+
+    def test_cocoop_cell_encodes_only_its_conditioned_contexts(self, desk_master, monkeypatch):
+        contexts = _record_encodes(monkeypatch)
+        conditioned = []
+        original = algorithms.conditioned_logits
+
+        def counting_logits(*args, **kwargs):
+            conditioned.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "conditioned_logits", counting_logits)
+        run_cell(ScenarioSpec(kind="global"), "cocoop", "synthetic", desk_master, 0,
+                 desk_plan(rounds=2, batch_size=2))
+        assert len(contexts) == len(conditioned) > 0
+
+
+class TestSharedStep:
+    @pytest.mark.parametrize("encoder", ["linear_pool", "attention_block"])
+    @pytest.mark.parametrize("kind,hyper", TRAINERS,
+                             ids=[kind + ("-" + h["mode"] if h else "") for kind, h in TRAINERS])
+    @pytest.mark.parametrize("class_ids", [None, SUBSET], ids=["all", "subset"])
+    def test_local_train_equals_fresh_encode(self, encoder, kind, hyper, class_ids):
+        cfg = small_config(encoder, prompts=2)
+        assets = build_assets(cfg, CLASSES)
+        trainer = make_trainer(kind, **hyper)
+        payload = trainer.init_payload(cfg, np.random.default_rng(1))
+        shared = ServerState(payload).encoding(trainer, assets, class_ids)
+        assert (shared is None) == (kind == "cocoop" or hyper.get("mode") == "personalized")
+        data = _client_data(cfg, class_ids)
+        outs = []
+        for given in (shared, None):
+            state = trainer.init_state(cfg, np.random.default_rng(2))
+            ctx = TrainContext(assets=assets, round_index=1, total_rounds=5,
+                               rng=np.random.default_rng(4), batch_size=5, epochs=2,
+                               class_ids=class_ids, shared=given)
+            out, stats = trainer.local_train(payload, state, data, ctx)
+            outs.append((out, stats, state))
+        (out_a, stats_a, state_a), (out_b, stats_b, state_b) = outs
+        assert stats_a.n_batches == stats_b.n_batches == 6
+        assert stats_a.mean_loss == stats_b.mean_loss
+        assert out_a.fields.keys() == out_b.fields.keys()
+        for name in out_a.fields:
+            assert out_a.fields[name].tobytes() == out_b.fields[name].tobytes(), name
+        for name in state_a.local_fields:
+            assert state_a.local_fields[name].tobytes() == state_b.local_fields[name].tobytes()
+
+
+class TestBroadcastEncoding:
+    @pytest.fixture(params=["linear_pool", "attention_block"])
+    def encoded(self, request):
+        cfg = small_config(request.param, prompts=2)
+        assets = build_assets(cfg, CLASSES)
+        context = np.random.default_rng(5).normal(size=(2, cfg.tokens, cfg.d_token)) * 0.1
+        return assets, context, BroadcastEncoding.encode(assets, context, SUBSET)
+
+    def test_features_and_cache_are_read_only(self, encoded):
+        _, _, shared = encoded
+        arrays = list(_arrays((shared.features, shared.cache, shared.context)))
+        assert len(arrays) >= 5
+        for array in arrays:
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared.features[0, 0, 0] = 0.0
+
+    def test_equals_a_fresh_encode(self, encoded):
+        assets, context, shared = encoded
+        features, _ = assets.text_features(context, SUBSET)
+        assert shared.features.tobytes() == features.tobytes()
+
+    def test_backward_leaves_it_unchanged(self, encoded):
+        assets, context, shared = encoded
+        before = [a.copy() for a in _arrays((shared.features, shared.cache))]
+        xh = random_unit_batch(np.random.default_rng(6), 5, assets.cfg.d_image)
+        labels = np.array([0, 1, 2, 1, 0])  # positions in SUBSET
+        loss, grads, _ = ce_loss_and_grads(assets, PromptContext(context.copy()), xh, labels,
+                                           SUBSET, shared)
+        fresh_loss, fresh_grads, _ = ce_loss_and_grads(assets, PromptContext(context), xh,
+                                                       labels, SUBSET)
+        assert loss == fresh_loss
+        assert grads.tobytes() == fresh_grads.tobytes()
+        after = list(_arrays((shared.features, shared.cache)))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
+    def test_mismatched_context_or_class_set_raises(self, encoded):
+        assets, context, shared = encoded
+        other = context.copy()
+        other[0, 0, 0] += 1e-12
+        with pytest.raises(ValueError, match="different context or class set"):
+            shared.take(other, SUBSET)
+        for ids in (None, SUBSET[:2], np.array([0, 1, 3])):
+            with pytest.raises(ValueError, match="different context or class set"):
+                shared.take(context, ids)
+        xh = random_unit_batch(np.random.default_rng(6), 2, assets.cfg.d_image)
+        with pytest.raises(ValueError, match="different context or class set"):
+            ce_loss_and_grads(assets, PromptContext(other), xh, np.array([0, 1]), SUBSET, shared)
+
+    def test_writing_into_the_encoded_context_raises(self, encoded):
+        _, context, shared = encoded
+        context[0, 0, 0] += 1.0  # the caller's array; the encoding kept its own copy
+        with pytest.raises(ValueError, match="different context"):
+            shared.take(context, SUBSET)
+
+
+class TestServerEncoding:
+    def test_built_once_per_payload_and_class_set(self):
+        cfg = small_config()
+        assets = build_assets(cfg, CLASSES)
+        trainer = make_trainer("promptfl")
+        server = ServerState(trainer.init_payload(cfg, np.random.default_rng(0)))
+        first = server.encoding(trainer, assets, None)
+        assert server.encoding(trainer, assets, None) is first
+        subset = server.encoding(trainer, assets, SUBSET)
+        assert subset is not first
+        assert server.encoding(trainer, assets, SUBSET.copy()) is subset
+        server.payload = trainer.init_payload(cfg, np.random.default_rng(1))
+        again = server.encoding(trainer, assets, None)
+        assert again is not first
+        assert not np.array_equal(again.features, first.features)
+
+    @pytest.mark.parametrize("kind,hyper", [("cocoop", {}), ("fedotp", {"mode": "personalized"})])
+    def test_trainers_that_encode_their_own_inputs_share_none(self, kind, hyper):
+        cfg = small_config()
+        trainer = make_trainer(kind, **hyper)
+        server = ServerState(trainer.init_payload(cfg, np.random.default_rng(0)))
+        assert server.encoding(trainer, build_assets(cfg, CLASSES), None) is None
+
+
+class TestReadOnlyBroadcast:
+    @pytest.mark.parametrize("kind,hyper", TRAINERS,
+                             ids=[kind + ("-" + h["mode"] if h else "") for kind, h in TRAINERS])
+    def test_init_payload_is_read_only(self, kind, hyper):
+        payload = make_trainer(kind, **hyper).init_payload(small_config(),
+                                                           np.random.default_rng(0))
+        assert all(not a.flags.writeable for a in payload.fields.values())
+
+    def test_aggregate_is_read_only(self):
+        rng = np.random.default_rng(0)
+        payloads = [CommunicablePayload({"w": rng.normal(size=3)}) for _ in range(2)]
+        out = fedavg_aggregate(payloads, np.array([0.25, 0.75]))
+        assert not out.fields["w"].flags.writeable
+
+    def test_client_writing_into_the_broadcast_fails(self):
+        class Scribbler(PromptFLTrainer):
+            def local_train(self, payload, state, dataset, ctx):
+                payload.fields["context"][0, 0, 0] = 0.0
+                return super().local_train(payload, state, dataset, ctx)
+
+        cfg = small_config()
+        assets = build_assets(cfg, CLASSES)
+        data = _client_data(cfg, None, n=12)
+        master = MasterDataset(features=data.features, labels=data.labels, class_count=CLASSES)
+        trainer = Scribbler()
+        clients = build_clients(master, [np.arange(6), np.arange(6, 12)], trainer, cfg, seed=0)
+        server = ServerState(trainer.init_payload(cfg, np.random.default_rng(1)))
+        before = server.payload.fields["context"].copy()
+        fed = FederationConfig(protocol="standard", num_clients=2, rounds=2, batch_size=4)
+        report = run_round(server, clients, trainer, fed, assets, seed=0)
+        assert report.failed == [0, 1]
+        assert np.array_equal(server.payload.fields["context"], before)

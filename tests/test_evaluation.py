@@ -292,6 +292,30 @@ class TestScenarios:
                     else:
                         assert maps is not None and maps.shape == (n, M, d)
 
+    def test_personalized_transport_cell_maps_only_scored_rows(self, desk_master, monkeypatch):
+        # the per-client test sets are scored, not the scenario's test slice
+        from fedprompt import evaluation
+        from fedprompt.data import MasterDataset
+
+        requested, held = [], []
+        ensure = MasterDataset.ensure_local_maps
+        federate = evaluation.run_federation
+
+        def recording_maps(self, M, seed, rows, *args):
+            requested.append(sorted(np.concatenate(rows).tolist()))
+            return ensure(self, M, seed, rows, *args)
+
+        def recording_federation(trainer, clients, *args, **kwargs):
+            held.extend(c.dataset.master_indices for c in clients)
+            held.extend(c.test_set.master_indices for c in clients)
+            return federate(trainer, clients, *args, **kwargs)
+
+        monkeypatch.setattr(MasterDataset, "ensure_local_maps", recording_maps)
+        monkeypatch.setattr(evaluation, "run_federation", recording_federation)
+        run_cell(ScenarioSpec(kind="personalized"), "fedotp", "synthetic", desk_master, 0,
+                 desk_plan(protocol="personalized", rounds=1))
+        assert requested == [sorted(np.concatenate(held).tolist())]
+
     def test_shifted_targets_built_once_per_master(self, desk_master, monkeypatch):
         from fedprompt import evaluation
 

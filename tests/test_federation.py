@@ -98,13 +98,13 @@ class TestAggregate:
 
     def test_convexity_fixed_point(self, rng):
         p = CommunicablePayload({"w": rng.normal(size=6)})
-        out = fedavg_aggregate([p.copy(), p.copy(), p.copy()], np.full(3, 1.0 / 3))
+        out = fedavg_aggregate([p, p, p], np.full(3, 1.0 / 3))
         np.testing.assert_allclose(out.fields["w"], p.fields["w"], atol=1e-15)
 
     def test_weight_sum_violation(self, rng):
         p = CommunicablePayload({"w": rng.normal(size=2)})
         with pytest.raises(AggregationError):
-            fedavg_aggregate([p, p.copy()], np.array([0.6, 0.5]))
+            fedavg_aggregate([p, p], np.array([0.6, 0.5]))
 
     def test_shape_mismatch(self, rng):
         a = CommunicablePayload({"w": rng.normal(size=2)})
