@@ -4,7 +4,7 @@ one-sided relaxation used by the consensus/personal prompt pair.
 
 import numpy as np
 
-from fedprompt.transport import sinkhorn, sinkhorn_relaxed
+from fedprompt.transport import sinkhorn_batched
 from fedprompt.vlm import synth_local_features, unit_rows
 
 rng = np.random.default_rng(0)
@@ -12,14 +12,14 @@ rng = np.random.default_rng(0)
 print("a 2x2 matching problem: cost favours the diagonal")
 cost = np.array([[0.0, 1.0], [1.0, 0.0]])
 for eps in (1.0, 0.1, 0.01):
-    plan = sinkhorn(cost, eps=eps, iters=200)
+    plan = sinkhorn_batched(cost, eps=eps, iters=200)
     print(f"  eps={eps:<5} plan row0 {np.round(plan[0], 3)}  (sharper as eps shrinks)")
 
 print("\none-sided relaxation of the column constraint:")
 # every region is much closer to the first prompt
 cost = np.column_stack([rng.uniform(0.0, 0.2, size=4), rng.uniform(1.5, 2.0, size=4)])
 for relax in (1.0, 0.5, 0.0):
-    plan = sinkhorn_relaxed(cost, eps=0.2, iters=200, col_relax=relax)
+    plan = sinkhorn_batched(cost, eps=0.2, iters=200, col_relax=relax)
     print(f"  relax={relax:<4} column sums {np.round(plan.sum(axis=0), 3)} "
           f"(uniform target is [0.5, 0.5])")
 print("relax=1 reproduces the balanced plan; relax=0 lets mass follow the cheap prompt")
@@ -29,7 +29,7 @@ print("relax=1 reproduces the balanced plan; relax=0 lets mass follow the cheap 
 def class_score(regions, prompts, eps):
     """Transport-aligned class logit: the negative cost of the balanced plan."""
     cost = 1.0 - regions @ prompts.T  # rows of both are unit norm
-    plan = sinkhorn(cost, eps=eps)
+    plan = sinkhorn_batched(cost, eps=eps)
     return -(plan * cost).sum()
 
 

@@ -527,13 +527,35 @@ class TransportPredictor:
         self.iters = iters
         self.col_relax = col_relax
 
-    def probs(self, image_features: np.ndarray, local_maps: np.ndarray | None = None) -> np.ndarray:
+    def costs(self, local_maps: np.ndarray | None) -> np.ndarray:
+        """(B, C, M, N) costs 1 - cosine between each image's regions and the prompts."""
         if local_maps is None:
             raise ConfigError("transport predictor needs local feature maps")
-        costs = 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, self.prompts)
-        plans = sinkhorn_batched(costs, self.eps, self.iters, col_relax=self.col_relax)
-        logits = -(plans * costs).sum(axis=(-2, -1))
-        return softmax_temp(logits, self.tau)
+        return 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, self.prompts)
+
+    def probs(self, image_features: np.ndarray, local_maps: np.ndarray | None = None) -> np.ndarray:
+        return transport_probs([self], [local_maps])[0]
+
+
+def transport_probs(predictors: list[TransportPredictor],
+                    local_maps: list[np.ndarray]) -> list[np.ndarray]:
+    """Class probabilities of each predictor over its own images' local maps.
+
+    The cost tensors of all predictors are solved in one `sinkhorn_batched`
+    stack. A problem's plan does not depend on what else is in the stack,
+    so each predictor's probabilities are bitwise those it scores alone.
+    The predictors must share their solver settings and their (C, M, N).
+    """
+    solver = {(p.eps, p.iters, p.col_relax) for p in predictors}
+    if len(solver) != 1:
+        raise ConfigError(f"transport predictors stacked in one solve differ in "
+                          f"(eps, iters, col_relax): {sorted(solver)}")
+    (eps, iters, col_relax), = solver
+    costs = [p.costs(maps) for p, maps in zip(predictors, local_maps)]
+    plans = sinkhorn_batched(np.concatenate(costs), eps, iters, col_relax=col_relax)
+    starts = np.cumsum([0] + [len(c) for c in costs])
+    return [softmax_temp(-(plans[start:start + len(c)] * c).sum(axis=(-2, -1)), p.tau)
+            for p, c, start in zip(predictors, costs, starts)]
 
 
 class PromptFLTrainer(LocalTrainer):

@@ -12,7 +12,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algorithms import CosinePredictor, LocalTrainer, make_trainer
+from .algorithms import (
+    CosinePredictor,
+    LocalTrainer,
+    TransportPredictor,
+    make_trainer,
+    transport_probs,
+)
 from .data import (
     ClientDataset,
     DomainShift,
@@ -71,17 +77,25 @@ def evaluate_predictor(predictor, features: np.ndarray, labels: np.ndarray,
 
 def personalized_accuracy(predictors: list, test_sets: list[ClientDataset],
                           class_ids: np.ndarray | None = None) -> float:
-    """Client accuracies averaged with weights proportional to their test data."""
-    accs, sizes = [], []
-    for predictor, test in zip(predictors, test_sets):
-        if test is None or len(test) == 0:
-            continue
-        accs.append(evaluate_predictor(predictor, test.features, test.labels,
-                                       class_ids, test.local_maps))
-        sizes.append(len(test))
-    if not sizes:
+    """Client accuracies averaged with weights proportional to their test data.
+
+    Transport predictors are scored together, in one Sinkhorn stack over
+    every client's test set; other predictors are scored client by client.
+    """
+    held = [(predictor, test) for predictor, test in zip(predictors, test_sets)
+            if test is not None and len(test) > 0]
+    if not held:
         raise EvaluationError("every client test set is empty")
-    weights = np.array(sizes, dtype=np.float64)
+    if all(isinstance(predictor, TransportPredictor) for predictor, _ in held):
+        probs = transport_probs([predictor for predictor, _ in held],
+                                [test.local_maps for _, test in held])
+        accs = [accuracy_percent(p.argmax(axis=1), _positions(class_ids, test.labels))
+                for p, (_, test) in zip(probs, held)]
+    else:
+        accs = [evaluate_predictor(predictor, test.features, test.labels, class_ids,
+                                   test.local_maps)
+                for predictor, test in held]
+    weights = np.array([len(test) for _, test in held], dtype=np.float64)
     weights /= weights.sum()
     return float(np.dot(weights, accs))
 
@@ -337,7 +351,9 @@ def _run_plan(spec: ScenarioSpec, method: str, column: str, master: MasterDatase
     trained = method != ZERO_SHOT_METHOD
     scenario = _scenario_plan(spec, trained, column, master, seed, plan)
     targets = scenario.targets
-    tests = [ClientDataset.from_master(t.source, t.indices) for t in targets]
+    # a trained personalized cell scores only its clients' own test sets
+    tests = (None if scenario.client_tests is not None
+             else [ClientDataset.from_master(t.source, t.indices) for t in targets])
 
     def score(make_predictor) -> dict[str, float]:
         """Accuracy per record key, with one predictor per evaluated class set."""

@@ -26,10 +26,13 @@ def sinkhorn_batched(costs: np.ndarray, eps: float, iters: int = 100,
 
     Runs `iters` passes of row/column scaling on K = exp(-cost/eps) for
     every matrix of the stack, closing with a row scaling, and returns
-    diag(u) K diag(v). The passes stop early once a pass leaves the
-    scalings of the whole stack bitwise unchanged, which changes no bit of
-    the plan. The marginals (uniform by default) are shared by
-    the whole stack. Row sums match `row_marginal` exactly; column sums
+    diag(u) K diag(v). The passes stop early once a pass leaves the column
+    scaling v of the whole stack bitwise unchanged, which changes no bit of
+    the plan. Each problem of the stack is solved on its own: a pass
+    computes every problem from that problem alone, and a problem at its
+    fixed point stays there, so its plan does not depend on what else is
+    stacked with it. The marginals (uniform by default) are shared by the
+    whole stack. Row sums match `row_marginal` exactly; column sums
     converge to `col_marginal` with the iterations.
 
     `col_relax` is the exponent lambda/(lambda + eps) of KL-relaxed
@@ -57,15 +60,14 @@ def sinkhorn_batched(costs: np.ndarray, eps: float, iters: int = 100,
     c = _marginal(col_marginal, N, "column")
     # the per-matrix shift cancels in the scaling
     K = np.exp(-(costs - costs.min(axis=(-2, -1), keepdims=True)) / eps)
-    u = np.ones(costs.shape[:-1])
     v = np.ones(costs.shape[:-2] + (N,))
     tiny = np.finfo(float).tiny
     for _ in range(iters):
-        u_next = r / np.maximum(np.einsum("...mn,...n->...m", K, v), tiny)
-        v_next = (c / np.maximum(np.einsum("...mn,...m->...n", K, u_next), tiny)) ** col_relax
-        if np.array_equal(u_next, u) and np.array_equal(v_next, v):
-            break  # a bitwise fixed point: every further pass would repeat it exactly
-        u, v = u_next, v_next
+        u = r / np.maximum(np.einsum("...mn,...n->...m", K, v), tiny)
+        v_next = (c / np.maximum(np.einsum("...mn,...m->...n", K, u), tiny)) ** col_relax
+        if np.array_equal(v_next, v):
+            break  # a bitwise fixed point: each pass is a function of v alone, so all repeat
+        v = v_next
     u = r / np.maximum(np.einsum("...mn,...n->...m", K, v), tiny)
     plan = u[..., :, None] * K * v[..., None, :]
     # the final row scaling makes the row sums exact, except where K
@@ -76,18 +78,3 @@ def sinkhorn_batched(costs: np.ndarray, eps: float, iters: int = 100,
         raise DomainError(f"transport plan misses its row marginal by {err:.3g}: "
                           f"the kernel exp(-cost/{eps}) underflowed; raise eps")
     return plan
-
-
-def sinkhorn(cost: np.ndarray, eps: float, iters: int = 100,
-             row_marginal: np.ndarray | None = None,
-             col_marginal: np.ndarray | None = None) -> np.ndarray:
-    """Balanced entropic plan; `sinkhorn_batched` with col_relax=1."""
-    return sinkhorn_batched(cost, eps, iters, row_marginal, col_marginal)
-
-
-def sinkhorn_relaxed(cost: np.ndarray, eps: float, iters: int = 100,
-                     row_marginal: np.ndarray | None = None,
-                     col_marginal: np.ndarray | None = None,
-                     col_relax: float = 1.0) -> np.ndarray:
-    """One-sided unbalanced entropic plan; see `sinkhorn_batched`."""
-    return sinkhorn_batched(cost, eps, iters, row_marginal, col_marginal, col_relax)

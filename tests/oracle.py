@@ -1,9 +1,11 @@
 """Reference helpers that only the tests use.
 
 Scalar cosine and cross-entropy, the relative error of gradient checks,
-payload and parameter counts. The package computes these in batched form
-(`softmax_ce_batch`, `ModelAssets.text_features`, `payload_scalars`);
-these plain forms are what the tests compare it against.
+payload and parameter counts, and personalized transport accuracy scored
+client by client. The package computes these in batched form
+(`softmax_ce_batch`, `ModelAssets.text_features`, `payload_scalars`,
+`transport_probs`); these plain forms are what the tests compare it
+against.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedprompt.errors import ConfigError, DomainError
-from fedprompt.numerics import CROSS_ENTROPY_CAP, _check_finite
+from fedprompt.numerics import CROSS_ENTROPY_CAP, _check_finite, softmax_temp
+from fedprompt.transport import sinkhorn_batched
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -78,3 +81,24 @@ def metanet_param_count(cfg) -> int:
     """Scalars of the conditioning net: two affine layers d_image -> hidden -> d_token."""
     h, di, dt = cfg.meta_hidden, cfg.d_image, cfg.d_token
     return h * di + h + dt * h + dt
+
+
+def transport_probs_alone(predictor, local_maps: np.ndarray) -> np.ndarray:
+    """A `TransportPredictor`'s class probabilities from a Sinkhorn solve of its own."""
+    costs = 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, predictor.prompts)
+    plans = sinkhorn_batched(costs, predictor.eps, predictor.iters, col_relax=predictor.col_relax)
+    return softmax_temp(-(plans * costs).sum(axis=(-2, -1)), predictor.tau)
+
+
+def personalized_transport_accuracy(predictors, test_sets) -> float:
+    """Size-weighted mean of client accuracies over all classes, one solve per client."""
+    accs, sizes = [], []
+    for predictor, test in zip(predictors, test_sets):
+        if len(test) == 0:
+            continue
+        predicted = transport_probs_alone(predictor, test.local_maps).argmax(axis=1)
+        accs.append(float((predicted == test.labels).mean() * 100.0))
+        sizes.append(len(test))
+    weights = np.array(sizes, dtype=np.float64)
+    weights /= weights.sum()
+    return float(np.dot(weights, accs))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracle import max_abs_diff, relative_error
+from transport_oracle import sinkhorn, sinkhorn_relaxed
 from vlm_oracle import prompt_gradients
 from fedprompt.algorithms import (
     ce_loss_and_grads,
@@ -49,7 +50,6 @@ from fedprompt.federation import (
 )
 from fedprompt.numerics import finite_diff_gradient
 from fedprompt.runner import run
-from fedprompt.transport import sinkhorn, sinkhorn_relaxed
 from fedprompt.vlm import (
     ModelConfig,
     PromptContext,

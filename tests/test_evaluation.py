@@ -316,6 +316,36 @@ class TestScenarios:
                  desk_plan(protocol="personalized", rounds=1))
         assert requested == [sorted(np.concatenate(held).tolist())]
 
+    def test_personalized_transport_scored_in_one_stack(self, desk_master, monkeypatch):
+        # one Sinkhorn solve scores every held client of a round, and the
+        # accuracy is bitwise the client-by-client one
+        from fedprompt import algorithms, evaluation
+        from oracle import personalized_transport_accuracy
+
+        solves, rounds = [], []
+        solve, score = algorithms.sinkhorn_batched, evaluation.personalized_accuracy
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        def recording_score(predictors, test_sets, class_ids=None):
+            rounds.append(len([t for t in test_sets if len(t) > 0]))
+            before = len(solves)
+            value = score(predictors, test_sets, class_ids)
+            assert len(solves) - before == 1
+            assert value == personalized_transport_accuracy(predictors, test_sets)
+            return value
+
+        monkeypatch.setattr(algorithms, "sinkhorn_batched", counting_solve)
+        monkeypatch.setattr(evaluation, "personalized_accuracy", recording_score)
+        plan = desk_plan(protocol="personalized", rounds=2)
+        result = run_cell(ScenarioSpec(kind="personalized"), "fedotp", "synthetic",
+                          desk_master, 0, plan)
+        assert len(rounds) == plan.federation.rounds
+        assert min(rounds) >= 3  # several clients hold test data in every round
+        assert [o.metric for o in result.observations] == ["alpha_p"]
+
     def test_shifted_targets_built_once_per_master(self, desk_master, monkeypatch):
         from fedprompt import evaluation
 

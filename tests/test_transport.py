@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import small_config
-from transport_oracle import sinkhorn_batched_all_iters, sinkhorn_relaxed_2d
-from fedprompt.algorithms import CosinePredictor, TransportPredictor
+from oracle import transport_probs_alone
+from transport_oracle import (
+    sinkhorn,
+    sinkhorn_batched_all_iters,
+    sinkhorn_relaxed,
+    sinkhorn_relaxed_2d,
+)
+from fedprompt.algorithms import CosinePredictor, TransportPredictor, transport_probs
 from fedprompt.errors import ConfigError, DomainError
-from fedprompt.transport import sinkhorn, sinkhorn_batched, sinkhorn_relaxed, uniform
+from fedprompt.transport import sinkhorn_batched, uniform
 from fedprompt.vlm import build_assets, unit_rows
 
 
@@ -178,6 +184,40 @@ class TestFixedPointExit:
                 sinkhorn_batched_all_iters(costs, 0.1, iters).tobytes()
 
 
+class TestStackIndependence:
+    """A problem's plan does not depend on what else is stacked with it."""
+
+    ITERS = 50  # about half of the N = 2 problems still move after this many passes
+
+    @staticmethod
+    def part_costs(rng, size, n_sets):
+        regions = unit_rows(rng.normal(size=(size, 4, 16)))
+        prompts = unit_rows(rng.normal(size=(size, n_sets, 16)))
+        return 1.0 - np.einsum("bmd,bnd->bmn", regions, prompts)
+
+    @pytest.mark.parametrize("n_sets", [1, 2])
+    @pytest.mark.parametrize("col_relax", [1.0, 0.5])
+    def test_concatenation_equals_parts_bitwise(self, n_sets, col_relax, monkeypatch):
+        rng = np.random.default_rng(10 * n_sets + int(2 * col_relax))
+        sizes = [1] * 6 + [2, 100] + rng.integers(1, 101, size=25).tolist()
+        parts = [self.part_costs(rng, size, n_sets) for size in sizes]
+        einsum, calls = np.einsum, []
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or einsum(*a, **k))
+        alone, passes = [], []
+        for costs in parts:
+            calls.clear()
+            alone.append(sinkhorn_batched(costs, eps=0.1, iters=self.ITERS, col_relax=col_relax))
+            passes.append((len(calls) - 1) // 2)  # two products per pass, one to close
+        monkeypatch.undo()
+        stacked = sinkhorn_batched(np.concatenate(parts), eps=0.1, iters=self.ITERS,
+                                   col_relax=col_relax)
+        assert stacked.tobytes() == np.concatenate(alone).tobytes()
+        if n_sets == 1:  # one column: v is at its fixed point after the first pass
+            assert set(passes) == {1}
+        else:  # parts that stop early are stacked with parts that run to the cap
+            assert min(passes) < self.ITERS and self.ITERS in passes, passes
+
+
 class TestUnderflow:
     """At eps=5e-4 a row of exp(-cost/eps) underflows and its mass would vanish."""
 
@@ -228,6 +268,20 @@ class TestClassScore:
         p_cos = cosine.probs(images)
         np.testing.assert_allclose(p_ot, p_cos, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(np.argsort(p_ot, axis=1), np.argsort(p_cos, axis=1))
+
+    def test_stacked_predictors_score_as_alone(self, assets, rng):
+        # one solve for several predictors, each on its own images, changes no bit
+        cfg = assets.cfg
+        predictors = [TransportPredictor(assets, rng.normal(size=(2, cfg.tokens, cfg.d_token)),
+                                         None, eps=0.1, iters=100, col_relax=0.5)
+                      for _ in range(3)]
+        maps = [unit_rows(rng.normal(size=(n, 4, cfg.d_image))) for n in (1, 5, 2)]
+        stacked = transport_probs(predictors, maps)
+        for predictor, part, probs in zip(predictors, maps, stacked):
+            assert probs.tobytes() == transport_probs_alone(predictor, part).tobytes()
+        predictors[1].iters = 50
+        with pytest.raises(ConfigError, match="differ"):
+            transport_probs(predictors, maps)
 
     def test_identical_sets_zero_cost(self, rng):
         feats = unit_rows(rng.normal(size=(3, 5)))

@@ -1,5 +1,7 @@
 """Sinkhorn oracles for `transport.sinkhorn_batched`.
 
+`sinkhorn` and `sinkhorn_relaxed` are the single-matrix forms the tests
+and properties are written in; both are the batched solver on one matrix.
 `sinkhorn_relaxed_2d` takes one (M, N) cost matrix, explicit marginal
 vectors and plain matrix products; the batched solver must agree with it
 slice for slice. `sinkhorn_batched_all_iters` is the batched solver's own
@@ -8,6 +10,23 @@ a fixed point must match bit for bit.
 """
 
 import numpy as np
+
+from fedprompt.transport import sinkhorn_batched
+
+
+def sinkhorn(cost: np.ndarray, eps: float, iters: int = 100,
+             row_marginal: np.ndarray | None = None,
+             col_marginal: np.ndarray | None = None) -> np.ndarray:
+    """Balanced entropic plan of one matrix; `sinkhorn_batched` with col_relax=1."""
+    return sinkhorn_batched(cost, eps, iters, row_marginal, col_marginal)
+
+
+def sinkhorn_relaxed(cost: np.ndarray, eps: float, iters: int = 100,
+                     row_marginal: np.ndarray | None = None,
+                     col_marginal: np.ndarray | None = None,
+                     col_relax: float = 1.0) -> np.ndarray:
+    """One-sided unbalanced entropic plan of one matrix; see `sinkhorn_batched`."""
+    return sinkhorn_batched(cost, eps, iters, row_marginal, col_marginal, col_relax)
 
 
 def sinkhorn_relaxed_2d(cost: np.ndarray, eps: float, iters: int, row_marginal: np.ndarray,
