@@ -6,10 +6,11 @@ only the 4x32 prompt context is ever trained or communicated.
 """
 
 from fedprompt import rngs
+from fedprompt.config import DataConfig, ExperimentConfig
 from fedprompt.data import SyntheticSpec, generate_synthetic_dataset
-from fedprompt.evaluation import ExperimentPlan, ScenarioSpec, run_cell, zero_shot_accuracy, _splits
+from fedprompt.evaluation import build_run_state, run_cell
 from fedprompt.federation import FederationConfig
-from fedprompt.vlm import ModelConfig, build_assets
+from fedprompt.vlm import ModelConfig
 
 dataset = generate_synthetic_dataset(
     SyntheticSpec(classes=10, feature_dim=64, noise_sigma=0.1, samples_per_class=200),
@@ -18,20 +19,21 @@ dataset = generate_synthetic_dataset(
 print(f"dataset: {len(dataset)} samples, {dataset.class_count} classes, "
       f"{dataset.feature_dim}-dim unit features")
 
-plan = ExperimentPlan(
+config = ExperimentConfig(
+    methods=["zsclip", "promptfl"],
     model=ModelConfig(prompts=1, tokens=4, d_token=32, d_feature=64, d_image=64,
                       encoder="attention_block", token_scale=0.05),
     federation=FederationConfig(protocol="standard", num_clients=10, rounds=30),
-    alpha=0.1,                 # strong label skew
-    per_class_subsample=140,   # use the whole training pool
+    data=DataConfig(alpha=0.1,                 # strong label skew
+                    per_class_subsample=140),  # use the whole training pool
 )
+state = build_run_state(config, {"synthetic": dataset})
 
-assets = build_assets(plan.model, dataset.class_count)
-_tr, _va, test_idx = _splits(dataset, seed=0)
-zs = zero_shot_accuracy(assets, dataset.features[test_idx], dataset.labels[test_idx])
+zero_shot = run_cell(state, "global", "zsclip", "synthetic", 0)
+zs = next(o.value for o in zero_shot.observations if o.metric == "alpha_g")
 print(f"zero-shot accuracy with the fixed handcrafted prompt: {zs:.1f}%")
 
-result = run_cell(ScenarioSpec(kind="global"), "promptfl", "synthetic", dataset, 0, plan)
+result = run_cell(state, "global", "promptfl", "synthetic", 0)
 
 print("\nround  test-accuracy  mean-train-loss")
 for row in result.curves:

@@ -345,7 +345,7 @@ def loss_src(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
     tau = assets.cfg.tau
     loss, dlogits, probs = softmax_ce_batch(sims.mean(axis=0), labels, tau)
     if reference_features is None:
-        reference_features = assets.reference_features()
+        reference_features = assets.reference_features
         if class_ids is not None:
             reference_features = reference_features[np.asarray(class_ids)]
     n_classes = reference_features.shape[0]
@@ -602,21 +602,16 @@ class SRCTrainer(LocalTrainer):
 
     kind = "src"
 
-    def __init__(self, mu_text: float = 1.0, mu_logit: float = 1.0, window: int = 3,
-                 n_templates: int = 3):
+    def __init__(self, mu_text: float = 1.0, mu_logit: float = 1.0, window: int = 3):
         if window < 1:
             raise ConfigError(f"trajectory window must be >= 1, got {window}")
         self.mu_text = mu_text
         self.mu_logit = mu_logit
         self.window = window
-        self.n_templates = n_templates
 
     def loss(self, assets, context, xh, labels, class_ids, shared=None):
-        refs = assets.reference_features(self.n_templates)
-        if class_ids is not None:
-            refs = refs[np.asarray(class_ids)]
         return loss_src(assets, context, xh, labels, self.mu_text, self.mu_logit, class_ids,
-                        reference_features=refs, shared=shared)
+                        shared=shared)
 
     def end_of_passes(self, passes):
         contexts = [p["context"] for p in passes]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 from .data import MasterDataset, SyntheticSpec, generate_synthetic_dataset, load_feature_table
 from .errors import ConfigError
-from .evaluation import SCENARIO_KINDS, ZERO_SHOT_METHOD, ExperimentPlan, ScenarioSpec
+from .evaluation import SCENARIO_KINDS, ZERO_SHOT_METHOD, ScenarioSpec
 from .federation import FederationConfig
 from .vlm import ModelConfig
 from .algorithms import TRAINER_KINDS
@@ -77,7 +77,7 @@ class DataConfig:
     feature_dim: int = 1024
     noise_sigma: float = 0.1
     samples_per_class: int = 40
-    per_class_subsample: int | None = None  # None (auto): see ExperimentPlan
+    per_class_subsample: int | None = None  # None (auto): see subsample_per_class
     alpha: float = 0.1
 
     def __post_init__(self):
@@ -121,13 +121,11 @@ class ExperimentConfig:
     def scenario_spec(self, kind: str) -> ScenarioSpec:
         return replace(self.scenario, kind=kind)
 
-    def plan(self) -> ExperimentPlan:
-        return ExperimentPlan(
-            model=self.model,
-            federation=self.federation,
-            alpha=self.data.alpha,
-            per_class_subsample=self.data.per_class_subsample,
-        )
+    def subsample_per_class(self) -> int:
+        """`data.per_class_subsample`; auto is 16 under partial participation, else 8."""
+        if self.data.per_class_subsample is not None:
+            return self.data.per_class_subsample
+        return 16 if self.federation.protocol == "partial" else 8
 
 
 def _raw_tree_from_ini(text: str) -> dict[str, dict[str, object]]:

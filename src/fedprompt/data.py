@@ -1,7 +1,6 @@
 """Synthetic feature datasets, external feature tables, and partitioners."""
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,33 +9,18 @@ from .vlm import synth_local_features, unit_rows
 from . import rngs
 
 
-@functools.cache
-def region_noise(seed: int, n: int, M: int, d: int) -> np.ndarray:
-    """The read-only (n, M, d) standard-normal draw behind the local maps of n rows.
-
-    Drawn once per (seed, n, M, d) and shared by every dataset of that
-    shape, such as a master and its shifted targets; `runner.run` empties
-    the memo (`region_noise.cache_clear()`) when its cells are done.
-    """
-    noise = rngs.derive_rng(seed, rngs.LOCAL_MAP).normal(size=(n, M, d))
-    noise.flags.writeable = False
-    return noise
-
-
 @dataclass
 class MasterDataset:
     """Labeled feature set all partitioners operate on.
 
     A run shares one `MasterDataset` per dataset across its cells, read-only
-    (`freeze`). State derived from it, such as a shifted copy, is built once
-    by `derive` and kept on it.
+    (`freeze`).
     """
 
     features: np.ndarray                 # (n, d)
     labels: np.ndarray                   # (n,) ints < class_count
     class_count: int
     domain_tags: np.ndarray | None = None
-    derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -62,22 +46,23 @@ class MasterDataset:
                 array.flags.writeable = False
         return self
 
-    def derive(self, key, build):
-        """`build()`'s result for `key`, built on the first call and kept on this dataset."""
-        if key not in self.derived:
-            self.derived[key] = build()
-        return self.derived[key]
-
-    def ensure_local_maps(self, M: int, seed: int, rows: list[np.ndarray],
+    def ensure_local_maps(self, M: int, seed: int, rows: list[np.ndarray], noise_table: dict,
                           spread: float = 0.1) -> list[np.ndarray]:
         """Region features for transport-based scoring, (len(r), M, d) for each r in `rows`.
 
-        A row's maps depend only on its feature and its slice of
-        `region_noise(seed, n, M, d)`, so they equal the per-sample draws
-        of the whole dataset at that row. The maps are read-only and kept
-        by the caller, not on this dataset.
+        A row's maps depend only on its feature and its slice of the
+        read-only (n, M, d) standard-normal draw held by `noise_table` under
+        (seed, n, M, d), so they equal the per-sample draws of the whole
+        dataset at that row. The draw is made into the table on first use
+        and shared by every dataset of that shape, such as a master and its
+        shifted targets. The maps are read-only and kept by the caller, not
+        on this dataset.
         """
-        noise = region_noise(seed, len(self), M, self.feature_dim)
+        key = (seed, len(self), M, self.feature_dim)
+        if key not in noise_table:
+            noise_table[key] = rngs.derive_rng(seed, rngs.LOCAL_MAP).normal(size=key[1:])
+            noise_table[key].flags.writeable = False
+        noise = noise_table[key]
         # slice by slice, so the temporaries stay the size of one slice
         maps = [synth_local_features(self.features[r], noise[r], spread) for r in rows]
         for part in maps:
@@ -370,15 +355,6 @@ def base_novel_split(class_count: int, mode: str = "first_half",
 # Feature-table files: '# d=<dim> classes=<C>' header, then
 # '<label>,<domain_tag>,<f_0>,...,<f_{d-1}>' per line.
 # ---------------------------------------------------------------------------
-
-def save_feature_table(dataset: MasterDataset, path: str) -> None:
-    tags = dataset.domain_tags if dataset.domain_tags is not None else np.zeros(len(dataset), dtype=int)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# d={dataset.feature_dim} classes={dataset.class_count}\n")
-        for label, tag, row in zip(dataset.labels, tags, dataset.features):
-            values = ",".join(repr(float(x)) for x in row)
-            fh.write(f"{int(label)},{int(tag)},{values}\n")
-
 
 def load_feature_table(path: str) -> MasterDataset:
     """Parse a feature table, validating dimensions and label range per line."""

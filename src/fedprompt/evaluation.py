@@ -4,11 +4,13 @@ Six evaluation scenarios (shared-model accuracy, personalized accuracy,
 base/novel generalization, few-shot, cross-domain, cost trade-off) run
 through one pipeline, `run_cell`; each scenario only declares a plan: its
 client partition, trained classes, scored targets and when they are
-scored. Also the run-aggregation and baseline-superiority arithmetic used
-in reports.
+scored. Every cell of a run reads one `RunState`, built by
+`build_run_state` before the first cell. Also the run-aggregation and
+baseline-superiority arithmetic used in reports.
 """
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,14 +34,12 @@ from .data import (
     stratified_split,
 )
 from .errors import ConfigError, DomainError, EvaluationError
-from .federation import (
-    FederationConfig,
-    build_clients,
-    communication_cost_millions,
-    run_federation,
-)
+from .federation import build_clients, communication_cost_millions, run_federation
 from .vlm import ModelAssets, ModelConfig, build_assets
 from . import rngs
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 SCENARIO_KINDS = ("global", "personalized", "base_novel", "fewshot", "cross_domain", "cost_tradeoff")
 ZERO_SHOT_METHOD = "zsclip"
@@ -208,21 +208,6 @@ class ScenarioSpec:
 
 
 @dataclass
-class ExperimentPlan:
-    """All per-run knobs a scenario cell needs."""
-
-    model: ModelConfig
-    federation: FederationConfig
-    alpha: float = 0.1
-    per_class_subsample: int | None = None  # None: 16 under partial participation, else 8
-
-    def subsample_per_class(self) -> int:
-        if self.per_class_subsample is not None:
-            return self.per_class_subsample
-        return 16 if self.federation.protocol == "partial" else 8
-
-
-@dataclass
 class CellResult:
     observations: list[Observation]
     curves: list[dict]
@@ -235,27 +220,66 @@ def _trainer_for(method: str, spec: ScenarioSpec) -> LocalTrainer:
     return make_trainer(method)
 
 
-def zero_shot_accuracy(assets: ModelAssets, features: np.ndarray, labels: np.ndarray,
-                       class_ids: np.ndarray | None = None) -> float:
-    predictor = CosinePredictor(assets, assets.handcrafted.vectors, class_ids)
-    return evaluate_predictor(predictor, features, labels, class_ids)
-
-
 def _splits(master: MasterDataset, seed: int):
     return stratified_split(master.labels, (0.7, 0.1, 0.2), rngs.derive_rng(seed, rngs.TVT))
 
 
 def cross_domain_targets(master: MasterDataset, count: int) -> dict[str, MasterDataset]:
-    """Deterministic family of increasingly shifted target domains.
+    """Deterministic family of increasingly shifted target domains."""
+    return {f"shift{k}": apply_domain_shift(master, DomainShift(angle=0.3 + 0.2 * k,
+                                                                noise_sigma=0.05 * k, seed=k))
+            for k in range(1, count + 1)}
 
-    Each target is built once per master and kept on it, read-only.
+
+def _cell_models(spec: ScenarioSpec, method: str,
+                 model: ModelConfig) -> list[tuple[str, ModelConfig]]:
+    """(results column suffix, model config) of each model a cell trains and scores.
+
+    A `cost_tradeoff` cell runs its prompt and token sweeps, and its
+    zero-shot cell runs none: nothing is communicated, so there is no
+    trade-off.
     """
-    targets = {}
-    for k in range(1, count + 1):
-        shift = DomainShift(angle=0.3 + 0.2 * k, noise_sigma=0.05 * k, seed=k)
-        targets[f"shift{k}"] = master.derive(
-            ("shift", shift), lambda shift=shift: apply_domain_shift(master, shift).freeze())
-    return targets
+    if spec.kind != "cost_tradeoff":
+        return [("", model)]
+    if method == ZERO_SHOT_METHOD:
+        return []
+    return ([(f"|prompts={v}", replace(model, prompts=v)) for v in spec.prompt_sweep]
+            + [(f"|tokens={v}", replace(model, tokens=v)) for v in spec.token_sweep])
+
+
+@dataclass(frozen=True)
+class RunState:
+    """What every cell of a run shares, read-only; built once by `build_run_state`."""
+
+    config: "ExperimentConfig"                          # as parsed from the text the cells run
+    datasets: dict[str, MasterDataset]                  # by results column name
+    assets: dict[tuple[ModelConfig, int], ModelAssets]  # by (model config, class count)
+    shifted: dict[str, dict[str, MasterDataset]]        # cross-domain targets by dataset name
+    noise: dict = field(default_factory=dict)           # region noise, drawn at first use
+
+    def freeze(self) -> "RunState":
+        """Mark every array read-only (again, after the state was unpickled in a worker)."""
+        shifted = [target for targets in self.shifted.values() for target in targets.values()]
+        for frozen in [*self.datasets.values(), *shifted, *self.assets.values()]:
+            frozen.freeze()
+        return self
+
+
+def build_run_state(config: "ExperimentConfig",
+                    datasets: dict[str, MasterDataset]) -> RunState:
+    """The run's frozen datasets, the assets of every (model config, class count)
+    its cells use and, for a cross-domain run, each dataset's shifted targets."""
+    keys = dict.fromkeys((cfg, master.class_count)
+                         for kind in config.scenarios for method in config.methods
+                         for _, cfg in _cell_models(config.scenario_spec(kind), method,
+                                                    config.model)
+                         for master in datasets.values())
+    shifted = {}
+    if "cross_domain" in config.scenarios:
+        shifted = {name: cross_domain_targets(master, config.scenario.cross_targets)
+                   for name, master in datasets.items()}
+    return RunState(config, datasets, {key: build_assets(*key) for key in keys},
+                    shifted).freeze()
 
 
 @dataclass
@@ -282,11 +306,13 @@ class _ScenarioPlan:
     extras: dict = field(default_factory=dict)
 
 
-def _scenario_plan(spec: ScenarioSpec, trained: bool, column: str, master: MasterDataset,
-                   seed: int, plan: ExperimentPlan) -> _ScenarioPlan:
+def _scenario_plan(state: RunState, spec: ScenarioSpec, trained: bool, dataset: str,
+                   column: str, seed: int) -> _ScenarioPlan:
     """The scenario's targets and, for a trained method, its client partition."""
+    master = state.datasets[dataset]
     tr, _va, te = _splits(master, seed)
-    fed_cfg = plan.federation
+    config = state.config
+    fed_cfg = config.federation
     pool = tr
     if spec.kind == "base_novel":
         base_ids, novel_ids = base_novel_split(master.class_count, mode=spec.split_mode, seed=seed)
@@ -300,9 +326,8 @@ def _scenario_plan(spec: ScenarioSpec, trained: bool, column: str, master: Maste
         )
         pool = tr[np.isin(master.labels[tr], base_ids)]
     elif spec.kind == "cross_domain":
-        shifted = cross_domain_targets(master, spec.cross_targets)
         scenario = _ScenarioPlan([_Target(f"{column}->{name}", "alpha_xd", f"acc::{name}", target, te)
-                                  for name, target in shifted.items()])
+                                  for name, target in state.shifted[dataset].items()])
     else:
         metric = {"personalized": "alpha_p",
                   "fewshot": f"alpha_fs_{spec.shots}"}.get(spec.kind, "alpha_g")
@@ -318,8 +343,9 @@ def _scenario_plan(spec: ScenarioSpec, trained: bool, column: str, master: Maste
         # the one client holds the whole pool; the other scenarios subsample it below
         scenario.clients = [pool]
     else:  # balanced subsample of the pool, then a label-skewed partition
-        sub = pool[balanced_subsample_indices(master.labels[pool], plan.subsample_per_class(), rng)]
-        raw = dirichlet_partition(master.labels[sub], fed_cfg.num_clients, plan.alpha, rng)
+        sub = pool[balanced_subsample_indices(master.labels[pool], config.subsample_per_class(),
+                                              rng)]
+        raw = dirichlet_partition(master.labels[sub], fed_cfg.num_clients, config.data.alpha, rng)
         scenario.clients = [sub[ix] for ix in raw.client_indices]
         if spec.kind == "personalized":
             # per-client test pools mirror each client's training label distribution
@@ -329,27 +355,25 @@ def _scenario_plan(spec: ScenarioSpec, trained: bool, column: str, master: Maste
     return scenario
 
 
-def run_cell(spec: ScenarioSpec, method: str, dataset_name: str, master: MasterDataset,
-             seed: int, plan: ExperimentPlan) -> CellResult:
-    """One (scenario, method, dataset, seed) experiment."""
-    if spec.kind != "cost_tradeoff":
-        return _run_plan(spec, method, dataset_name, master, seed, plan, plan.model)
-    if method == ZERO_SHOT_METHOD:  # nothing is communicated, so there is no trade-off
-        return CellResult([], [])
-    sweep = ([(f"prompts={v}", replace(plan.model, prompts=v)) for v in spec.prompt_sweep]
-             + [(f"tokens={v}", replace(plan.model, tokens=v)) for v in spec.token_sweep])
-    parts = [_run_plan(spec, method, f"{dataset_name}|{name}", master, seed, plan, cfg)
-             for name, cfg in sweep]
+def run_cell(state: RunState, scenario: str, method: str, dataset: str,
+             seed: int) -> CellResult:
+    """One (scenario, method, dataset, seed) experiment on the run's shared state."""
+    spec = state.config.scenario_spec(scenario)
+    parts = [_run_plan(state, spec, method, dataset, dataset + suffix, seed, cfg)
+             for suffix, cfg in _cell_models(spec, method, state.config.model)]
+    if len(parts) == 1:
+        return parts[0]
     return CellResult([o for part in parts for o in part.observations],
                       [row for part in parts for row in part.curves])
 
 
-def _run_plan(spec: ScenarioSpec, method: str, column: str, master: MasterDataset,
-              seed: int, plan: ExperimentPlan, cfg: ModelConfig) -> CellResult:
+def _run_plan(state: RunState, spec: ScenarioSpec, method: str, dataset: str, column: str,
+              seed: int, cfg: ModelConfig) -> CellResult:
     """The cell pipeline: the scenario's plan, trained and scored under one model config."""
-    assets = build_assets(cfg, master.class_count)
+    master = state.datasets[dataset]
+    assets = state.assets[(cfg, master.class_count)]
     trained = method != ZERO_SHOT_METHOD
-    scenario = _scenario_plan(spec, trained, column, master, seed, plan)
+    scenario = _scenario_plan(state, spec, trained, dataset, column, seed)
     targets = scenario.targets
     # a trained personalized cell scores only its clients' own test sets
     tests = (None if scenario.client_tests is not None
@@ -373,7 +397,7 @@ def _run_plan(spec: ScenarioSpec, method: str, column: str, master: MasterDatase
                           scenario.extras)
 
     trainer = _trainer_for(method, spec)
-    fed_cfg = plan.federation
+    fed_cfg = state.config.federation
     clients = build_clients(master, scenario.clients, trainer, cfg, seed, scenario.client_tests)
     if method in TRANSPORT_METHODS:
         slices = [(master, c.dataset) for c in clients]
@@ -381,17 +405,17 @@ def _run_plan(spec: ScenarioSpec, method: str, column: str, master: MasterDatase
             slices += [(t.source, test) for t, test in zip(targets, tests)]
         else:  # only the client test sets are scored
             slices += [(master, c.test_set) for c in clients]
-        _give_local_maps(slices, cfg.local_features)
+        _give_local_maps(slices, cfg.local_features, state.noise)
 
-    def predictor(server, class_ids=None, state=None):
-        return trainer.build_predictor(server.payload, assets, class_ids, state,
+    def predictor(server, class_ids=None, client_state=None):
+        return trainer.build_predictor(server.payload, assets, class_ids, client_state,
                                        server.encoding(trainer, assets, class_ids))
 
     def evaluate(server, clients, round_index=None) -> dict[str, float]:
         if scenario.client_tests is None:
             return score(lambda ids: predictor(server, ids))
         held = [c for c in clients if len(c.test_set) > 0]
-        predictors = [predictor(server, state=c.state) for c in held]
+        predictors = [predictor(server, client_state=c.state) for c in held]
         return {targets[0].key: personalized_accuracy(predictors, [c.test_set for c in held])}
 
     audit = None if scenario.class_ids is None else []
@@ -419,13 +443,15 @@ def _run_plan(spec: ScenarioSpec, method: str, column: str, master: MasterDatase
                       scenario.extras)
 
 
-def _give_local_maps(slices: list[tuple[MasterDataset, ClientDataset]], M: int) -> None:
+def _give_local_maps(slices: list[tuple[MasterDataset, ClientDataset]], M: int,
+                     noise_table: dict) -> None:
     """Set the local maps of each (source, slice) pair, with one build per source."""
     by_source: dict[int, tuple[MasterDataset, list[ClientDataset]]] = {}
     for source, part in slices:
         by_source.setdefault(id(source), (source, []))[1].append(part)
     for source, parts in by_source.values():
-        maps = source.ensure_local_maps(M, 0, [part.master_indices for part in parts])
+        maps = source.ensure_local_maps(M, 0, [part.master_indices for part in parts],
+                                        noise_table)
         for part, part_maps in zip(parts, maps):
             part.local_maps = part_maps
 

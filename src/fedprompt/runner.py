@@ -1,15 +1,18 @@
 """Experiment execution and reporting on top of the cell pipeline.
 
-Cells are (scenario, method, dataset, seed) units, dispatched to an
-optional worker pool. Outputs are written once, sorted, so bytes never
-depend on worker count or completion order.
+Cells are (scenario, method, dataset, seed) units. `run` builds the run's
+shared state once, then runs every cell on it, in this process or in an
+optional worker pool that is handed the state at start. Outputs are
+written once, sorted, so bytes never depend on worker count or completion
+order.
 """
 
 import json
+import multiprocessing
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .config import (
@@ -19,16 +22,16 @@ from .config import (
     parse_config_text,
     serialize_config,
 )
-from .data import MasterDataset, region_noise
 from .errors import ConfigError, EvaluationError
 from .evaluation import (
     MetricTable,
+    RunState,
     ZERO_SHOT_METHOD,
     aggregate_runs,
+    build_run_state,
     run_cell,
     superiority_indicator,
 )
-from .vlm import build_assets
 
 RESULTS_CSV = "results.csv"
 RESULTS_JSON = "results.json"
@@ -68,31 +71,12 @@ def plan_cells(config: ExperimentConfig, seed_offset: int = 0) -> list[Cell]:
     ]
 
 
-# config text -> (config, datasets) parsed and materialized from it. Filled
-# by _execute_cell, so a process parses and loads each run's inputs once
-# instead of once per cell; run() empties it once its cells are done. The
-# datasets are shared read-only by the run's cells, and so is the state
-# derived from them (shifted targets), which lives on them.
-_RUN_INPUTS: dict[str, tuple[ExperimentConfig, dict[str, MasterDataset]]] = {}
-
-
-def _run_inputs(config_text: str) -> tuple[ExperimentConfig, dict[str, MasterDataset]]:
-    inputs = _RUN_INPUTS.get(config_text)
-    if inputs is None:
-        config = parse_config_text(config_text)
-        datasets = {name: master.freeze() for name, master in materialize_datasets(config).items()}
-        inputs = _RUN_INPUTS[config_text] = (config, datasets)
-    return inputs
-
-
-def _execute_cell(args: tuple[str, str, str, str, int]) -> tuple[dict, list, list, str | None]:
-    """Worker entry point; takes only picklable primitives."""
-    config_text, scenario, method, dataset, seed = args
+def _execute_cell(args: tuple[RunState, str, str, str, int]) -> tuple[dict, list, list, str | None]:
+    """Run one cell on the run's state; a failure becomes a manifest entry."""
+    state, scenario, method, dataset, seed = args
     cell_key = {"scenario": scenario, "method": method, "dataset": dataset, "seed": seed}
     try:
-        config, datasets = _run_inputs(config_text)
-        spec = config.scenario_spec(scenario)
-        result = run_cell(spec, method, dataset, datasets[dataset], seed, config.plan())
+        result = run_cell(state, scenario, method, dataset, seed)
         observations = [
             (o.scenario, o.method, o.dataset, o.seed, o.metric, o.value)
             for o in result.observations
@@ -100,6 +84,26 @@ def _execute_cell(args: tuple[str, str, str, str, int]) -> tuple[dict, list, lis
         return cell_key, observations, result.curves, None
     except Exception:  # noqa: BLE001 - cell failures become a manifest entry
         return cell_key, [], [], traceback.format_exc()
+
+
+# a pool worker's run state, handed over once by the pool's initializer
+_worker_state: RunState | None = None
+
+
+def _adopt_state(state: RunState) -> None:
+    global _worker_state
+    _worker_state = state.freeze()  # unpickled arrays (spawn, forkserver) are writeable
+
+
+def _execute_in_worker(cell: tuple[str, str, str, int]) -> tuple[dict, list, list, str | None]:
+    return _execute_cell((_worker_state, *cell))
+
+
+def _pool_context():
+    """Fork where the platform has it: workers then inherit the run state without
+    a pickle. Other start methods unpickle it once per worker."""
+    return multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
 
 def resolve_output_dir(config: ExperimentConfig, override: str | None = None) -> Path:
@@ -123,21 +127,23 @@ def run(config: ExperimentConfig, jobs: int = 1, dry_run: bool = False,
         print(f"would write results under {out_dir}")
         return RunResult(exit_code=0, table=MetricTable(), output_dir=out_dir, failures=[])
 
-    config_text = serialize_config(config)
-    if seed_offset:
-        config_text = serialize_config(replace(config, seeds=[s + seed_offset for s in config.seeds]))
-    work = [(config_text, c.scenario, c.method, c.dataset, c.seed) for c in cells]
-    workers = min(jobs, len(work))  # a pool starts all its workers up front
+    keys = [(c.scenario, c.method, c.dataset, c.seed) for c in cells]
     try:
+        # the cells run the config as serialized, seed offset included
+        config = parse_config_text(serialize_config(
+            replace(config, seeds=[s + seed_offset for s in config.seeds])))
+        state = build_run_state(config, materialize_datasets(config))
+    except Exception:  # noqa: BLE001 - e.g. an unreadable table fails every cell
+        error = traceback.format_exc()
+        outcomes = [(asdict(cell), [], [], error) for cell in cells]
+    else:
+        workers = min(jobs, len(keys))  # a pool starts all its workers up front
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_execute_cell, work))
+            with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context(),
+                                     initializer=_adopt_state, initargs=(state,)) as pool:
+                outcomes = list(pool.map(_execute_in_worker, keys))
         else:
-            outcomes = [_execute_cell(item) for item in work]
-    finally:
-        _RUN_INPUTS.clear()
-        build_assets.cache_clear()
-        region_noise.cache_clear()
+            outcomes = [_execute_cell((state, *key)) for key in keys]
 
     table = MetricTable()
     curves: list[dict] = []

@@ -12,7 +12,7 @@ encoder variant; `numerics.finite_diff_gradient` is the test oracle.
 
 import functools
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -375,11 +375,18 @@ class ModelAssets:
     class_rows: ClassRows      # the vocabulary's encoder rows after cfg.tokens context tokens
     handcrafted: PromptContext
     hand_features: np.ndarray  # (C, d_feature), from the handcrafted context
-    _reference_cache: dict = field(default_factory=dict)
 
     @property
     def class_count(self) -> int:
         return self.vocab.class_count
+
+    def freeze(self) -> "ModelAssets":
+        """Mark every array read-only, so that cells can share the assets."""
+        rows = self.class_rows
+        _read_only(*self.encoder.weights.values(), self.vocab.tokens, self.handcrafted.vectors,
+                   self.hand_features, rows.row_sum, rows.head, rows.context_pos, rows.q, rows.k,
+                   rows.v, rows.scores)
+        return self
 
     def text_features(self, contexts: np.ndarray,
                       class_ids: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
@@ -392,21 +399,19 @@ class ModelAssets:
             return self.hand_features
         return self.hand_features[np.asarray(class_ids)]
 
-    def reference_features(self, n_templates: int = 3) -> np.ndarray:
-        """Unit class features averaged over several fixed context phrasings."""
-        if n_templates < 1:
-            raise ConfigError(f"reference features need >= 1 template, got {n_templates}")
-        if n_templates not in self._reference_cache:
-            contexts = np.concatenate([
-                build_handcrafted_context(self.cfg.seed, self.cfg.tokens, self.cfg.d_token,
-                                          std=self.cfg.init_std, template=tpl).vectors
-                for tpl in range(n_templates)
-            ])
-            feats, _ = self.text_features(contexts)
-            reference = unit_rows(feats.sum(axis=0) / n_templates)
-            reference.flags.writeable = False
-            self._reference_cache[n_templates] = reference
-        return self._reference_cache[n_templates]
+    @functools.cached_property
+    def reference_features(self) -> np.ndarray:
+        """Unit class features averaged over three fixed context phrasings."""
+        templates = 3
+        contexts = np.concatenate([
+            build_handcrafted_context(self.cfg.seed, self.cfg.tokens, self.cfg.d_token,
+                                      std=self.cfg.init_std, template=tpl).vectors
+            for tpl in range(templates)
+        ])
+        feats, _ = self.text_features(contexts)
+        reference = unit_rows(feats.sum(axis=0) / templates)
+        reference.flags.writeable = False
+        return reference
 
 
 def _read_only(*arrays: np.ndarray | None) -> None:
@@ -423,20 +428,12 @@ def read_only_encoding(features: np.ndarray, cache: tuple) -> tuple[np.ndarray, 
     return features, cache
 
 
-@functools.cache
 def build_assets(cfg: ModelConfig, class_count: int) -> ModelAssets:
-    """The frozen assets of (cfg, class_count), built once and shared read-only.
-
-    Every cell of a run under one model config gets the same `ModelAssets`;
-    `runner.run` empties the memo (`build_assets.cache_clear()`) when its
-    cells are done. Writing into any of its arrays raises.
-    """
+    """The frozen assets of (cfg, class_count); writing into any of its arrays raises."""
     encoder = FrozenTextEncoder.from_config(cfg)
     vocab = ClassVocabulary.build(cfg, class_count)
     handcrafted = build_handcrafted_context(cfg.seed, cfg.tokens, cfg.d_token, std=cfg.init_std)
     rows = encoder.class_rows(vocab.tokens, cfg.tokens)
     feats, _ = encoder.encode(handcrafted.vectors, rows)
-    _read_only(*encoder.weights.values(), vocab.tokens, handcrafted.vectors, feats, rows.row_sum,
-               rows.head, rows.context_pos, rows.q, rows.k, rows.v, rows.scores)
     return ModelAssets(cfg=cfg, encoder=encoder, vocab=vocab, class_rows=rows,
-                       handcrafted=handcrafted, hand_features=feats[0])
+                       handcrafted=handcrafted, hand_features=feats[0]).freeze()

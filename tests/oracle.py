@@ -5,14 +5,17 @@ payload and parameter counts, and personalized transport accuracy scored
 client by client. The package computes these in batched form
 (`softmax_ce_batch`, `ModelAssets.text_features`, `payload_scalars`,
 `transport_probs`); these plain forms are what the tests compare it
-against.
+against. Also zero-shot accuracy on a plain feature set, a feature-table
+writer, and one cell run on a state built for it alone.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from fedprompt.algorithms import CosinePredictor
 from fedprompt.errors import ConfigError, DomainError
+from fedprompt.evaluation import build_run_state, evaluate_predictor, run_cell
 from fedprompt.numerics import CROSS_ENTROPY_CAP, _check_finite, softmax_temp
 from fedprompt.transport import sinkhorn_batched
 
@@ -102,3 +105,27 @@ def personalized_transport_accuracy(predictors, test_sets) -> float:
     weights = np.array(sizes, dtype=np.float64)
     weights /= weights.sum()
     return float(np.dot(weights, accs))
+
+
+def zero_shot_accuracy(assets, features: np.ndarray, labels: np.ndarray,
+                       class_ids: np.ndarray | None = None) -> float:
+    """Accuracy (percent) of the handcrafted prompt on a labeled feature set."""
+    predictor = CosinePredictor(assets, assets.handcrafted.vectors, class_ids)
+    return evaluate_predictor(predictor, features, labels, class_ids)
+
+
+def save_feature_table(dataset, path: str) -> None:
+    """Write a dataset in the feature-table format `data.load_feature_table` reads."""
+    tags = dataset.domain_tags if dataset.domain_tags is not None else np.zeros(len(dataset), dtype=int)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# d={dataset.feature_dim} classes={dataset.class_count}\n")
+        for label, tag, row in zip(dataset.labels, tags, dataset.features):
+            values = ",".join(repr(float(x)) for x in row)
+            fh.write(f"{int(label)},{int(tag)},{values}\n")
+
+
+def one_cell(config, spec, method: str, master, seed: int, name: str = "synthetic"):
+    """`run_cell` of one (spec, method, dataset, seed) cell, on a run state built
+    for that cell alone from `config` and the dataset `master`."""
+    config = replace(config, scenarios=[spec.kind], methods=[method], scenario=spec)
+    return run_cell(build_run_state(config, {name: master}), spec.kind, method, name, seed)

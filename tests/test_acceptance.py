@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracle import max_abs_diff, relative_error
+from oracle import max_abs_diff, one_cell, relative_error, zero_shot_accuracy
 from transport_oracle import sinkhorn, sinkhorn_relaxed
 from vlm_oracle import prompt_gradients
 from fedprompt.algorithms import (
@@ -24,7 +24,7 @@ from fedprompt.algorithms import (
     Batch,
     TrainContext,
 )
-from fedprompt.config import parse_config
+from fedprompt.config import DataConfig, ExperimentConfig, parse_config
 from fedprompt.data import (
     ClientDataset,
     MasterDataset,
@@ -33,12 +33,9 @@ from fedprompt.data import (
     generate_synthetic_dataset,
 )
 from fedprompt.evaluation import (
-    ExperimentPlan,
     ScenarioSpec,
     harmonic_mean,
-    run_cell,
     superiority_indicator,
-    zero_shot_accuracy,
     _splits,
 )
 from fedprompt.federation import (
@@ -220,18 +217,17 @@ def test_criterion_05_learning_beats_zero_shot_at_desk_scale():
     dataset_spec = SyntheticSpec(classes=10, feature_dim=64, noise_sigma=0.1,
                                  samples_per_class=200)
     master = generate_synthetic_dataset(dataset_spec, rngs.derive_rng(0, rngs.DATA))
-    plan = ExperimentPlan(
+    config = ExperimentConfig(
         model=ModelConfig(prompts=1, tokens=4, d_token=32, d_feature=64, d_image=64,
                           encoder="attention_block", seed=0, token_scale=0.05),
         federation=FederationConfig(protocol="standard", num_clients=10, rounds=30),
-        alpha=0.1,
-        per_class_subsample=140,  # the whole training pool
+        data=DataConfig(alpha=0.1, per_class_subsample=140),  # the whole training pool
     )
-    assets = build_assets(plan.model, 10)
+    assets = build_assets(config.model, 10)
     spec = ScenarioSpec(kind="global")
     gaps = []
     for seed in (0, 1, 2):
-        result = run_cell(spec, "promptfl", "synthetic", master, seed, plan)
+        result = one_cell(config, spec, "promptfl", master, seed)
         best = next(o.value for o in result.observations if o.metric == "alpha_g")
         _tr, _va, te = _splits(master, seed)
         zs = zero_shot_accuracy(assets, master.features[te], master.labels[te])
@@ -333,19 +329,18 @@ def test_criterion_08_reduction_suite():
 def test_criterion_09_base_novel_protocol_integrity():
     spec_ds = SyntheticSpec(classes=4, feature_dim=16, noise_sigma=0.1, samples_per_class=30)
     master = generate_synthetic_dataset(spec_ds, rngs.derive_rng(0, rngs.DATA))
-    plan = ExperimentPlan(
+    config = ExperimentConfig(
         model=ModelConfig(prompts=1, tokens=3, d_token=8, d_feature=16, d_image=16,
                           encoder="attention_block", seed=11, token_scale=0.1),
         federation=FederationConfig(protocol="standard", num_clients=4, rounds=2, batch_size=8),
-        alpha=0.5,
-        per_class_subsample=6,
+        data=DataConfig(alpha=0.5, per_class_subsample=6),
     )
     spec = ScenarioSpec(kind="base_novel", split_mode="random")
     audited_batches = 0
     for split_seed in range(10):
         splits = {}
         for method in ("promptfl", "kgcoop"):
-            result = run_cell(spec, method, "synthetic", master, split_seed, plan)
+            result = one_cell(config, spec, method, master, split_seed)
             by_metric = {o.metric: o.value for o in result.observations}
             assert by_metric["alpha_h"] == harmonic_mean(by_metric["alpha_b"], by_metric["alpha_n"])
             novel = result.extras["novel_ids"]

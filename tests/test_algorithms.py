@@ -408,7 +408,7 @@ class TestTrainers:
         cfg = small_config(variant)
         assets = build_assets(cfg, 4)
         data = client_dataset(rng, 10, cfg.d_image, 4)
-        trainer = make_trainer("src", mu_text=0.5, mu_logit=0.7, window=2, n_templates=2)
+        trainer = make_trainer("src", mu_text=0.5, mu_logit=0.7, window=2)
         payload = trainer.init_payload(cfg, np.random.default_rng(1))
         state = trainer.init_state(cfg, np.random.default_rng(1))
         out, stats = trainer.local_train(payload, state, data,
@@ -417,7 +417,7 @@ class TestTrainers:
         context = payload.fields["context"]
         velocities = {}
         batch_rng = np.random.default_rng(4)
-        refs = assets.reference_features(2)
+        refs = assets.reference_features
         trajectory = []
         for _ in range(3):
             for batch in iterate_batches(data, batch_rng, 4):

@@ -6,11 +6,13 @@ step and the round's predictors reuse that encoding instead of encoding
 the same context again.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_unit_batch, small_config
-from test_evaluation import desk_master, desk_plan  # noqa: F401 - fixture
+from test_evaluation import desk_config, desk_master  # noqa: F401 - fixture
 from fedprompt import algorithms, federation
 from fedprompt.algorithms import (
     BroadcastEncoding,
@@ -21,7 +23,7 @@ from fedprompt.algorithms import (
     make_trainer,
 )
 from fedprompt.data import ClientDataset, MasterDataset
-from fedprompt.evaluation import ScenarioSpec, run_cell
+from fedprompt.evaluation import build_run_state, run_cell
 from fedprompt.federation import (
     FederationConfig,
     ServerState,
@@ -72,8 +74,16 @@ def _client_data(cfg, class_ids, seed=3, n=12):
     return data
 
 
+def _desk_state(master, method, **fed_overrides):
+    """A run state of one global cell; its assets are encoded before any recording."""
+    config = replace(desk_config(**fed_overrides), methods=[method])
+    return build_run_state(config, {"synthetic": master})
+
+
 class TestCellEncodes:
     def test_promptfl_cell_encodes_each_broadcast_once(self, desk_master, monkeypatch):
+        rounds = 3
+        state = _desk_state(desk_master, "promptfl", rounds=rounds, batch_size=2)
         contexts = _record_encodes(monkeypatch)
         servers = []
         original = federation.run_round
@@ -83,9 +93,7 @@ class TestCellEncodes:
             return original(server, *args, **kwargs)
 
         monkeypatch.setattr(federation, "run_round", recording_round)
-        rounds = 3
-        result = run_cell(ScenarioSpec(kind="global"), "promptfl", "synthetic", desk_master, 0,
-                          desk_plan(rounds=rounds, batch_size=2))
+        result = run_cell(state, "global", "promptfl", "synthetic", 0)
         assert len(result.curves) == rounds
         # the broadcast of every round, then the final payload the last evaluation scores
         broadcasts = [context for _, context in servers]
@@ -99,6 +107,7 @@ class TestCellEncodes:
         assert len(contexts) > rounds + 1
 
     def test_cocoop_cell_encodes_only_its_conditioned_contexts(self, desk_master, monkeypatch):
+        state = _desk_state(desk_master, "cocoop", rounds=2, batch_size=2)
         contexts = _record_encodes(monkeypatch)
         conditioned = []
         original = algorithms.conditioned_logits
@@ -108,8 +117,7 @@ class TestCellEncodes:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(algorithms, "conditioned_logits", counting_logits)
-        run_cell(ScenarioSpec(kind="global"), "cocoop", "synthetic", desk_master, 0,
-                 desk_plan(rounds=2, batch_size=2))
+        run_cell(state, "global", "cocoop", "synthetic", 0)
         assert len(contexts) == len(conditioned) > 0
 
 

@@ -1,7 +1,9 @@
 """Config parsing/validation, the runner's output files, and the CLI."""
 
 import json
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracle import save_feature_table
 from fedprompt.algorithms import TRAINER_KINDS
 from fedprompt.cli import main
 from fedprompt.config import (
@@ -24,9 +27,9 @@ from fedprompt.config import (
     serialize_config,
 )
 from fedprompt import runner
-from fedprompt.data import MasterDataset, SyntheticSpec, generate_synthetic_dataset, save_feature_table
+from fedprompt.data import MasterDataset, SyntheticSpec, generate_synthetic_dataset
 from fedprompt.errors import ConfigError
-from fedprompt.evaluation import SCENARIO_KINDS, ZERO_SHOT_METHOD
+from fedprompt.evaluation import SCENARIO_KINDS, ZERO_SHOT_METHOD, build_run_state
 from fedprompt.federation import PROTOCOLS
 from fedprompt.runner import load_results_csv, plan_cells, report, run
 
@@ -346,8 +349,8 @@ class TestMaterialize:
             materialize_datasets(cfg)
 
 
-# cells that share a run's frozen state: assets, a dataset's local maps and its
-# shifted targets are built by the first cell that needs them and reused after
+# cells that share a run's frozen state: datasets, assets, shifted targets and
+# the region noise behind the transport cells' local maps
 SHARED_STATE_CONFIG = """
 [experiment]
 scenarios = personalized,cross_domain
@@ -382,6 +385,16 @@ def fresh_python(*args: str) -> subprocess.CompletedProcess:
                           timeout=300)
 
 
+def assert_jobs_agree(tmp_path) -> None:
+    """The shared-state grid writes the same bytes with one worker and with two."""
+    cfg = parse_config_text(SHARED_STATE_CONFIG)
+    assert run(cfg, jobs=1, output_dir=str(tmp_path / "one")).exit_code == 0
+    assert run(cfg, jobs=2, output_dir=str(tmp_path / "two")).exit_code == 0
+    for name in RESULT_FILES:
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "two" / name).read_bytes(), name
+
+
 class TestSharedRunState:
     def test_runs_in_one_process_match_a_fresh_process(self, tmp_path):
         config = tmp_path / "shared.ini"
@@ -397,22 +410,63 @@ class TestSharedRunState:
             assert (tmp_path / "second" / name).read_bytes() == expected, name
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
-        cfg = parse_config_text(SHARED_STATE_CONFIG)
-        run(cfg, jobs=1, output_dir=str(tmp_path / "one"))
-        run(cfg, jobs=2, output_dir=str(tmp_path / "two"))
-        for name in RESULT_FILES:
-            assert (tmp_path / "one" / name).read_bytes() == \
-                (tmp_path / "two" / name).read_bytes(), name
+        assert_jobs_agree(tmp_path)
 
     def test_run_leaves_no_shared_state(self, tmp_path):
-        from fedprompt.data import region_noise
-        from fedprompt.vlm import build_assets
-
+        # a run after another in one process, with the same dataset names and
+        # shapes but other data and encoder weights, writes fresh-process bytes
+        other = tmp_path / "other.ini"
+        other.write_text(SHARED_STATE_CONFIG.replace("[model]\n", "[model]\nseed = 1\n")
+                         .replace("[data]\n", "[data]\nnoise_sigma = 0.2\n"))
         assert run(parse_config_text(SHARED_STATE_CONFIG),
-                   output_dir=str(tmp_path)).exit_code == 0
-        assert not runner._RUN_INPUTS
-        assert build_assets.cache_info().currsize == 0
-        assert region_noise.cache_info().currsize == 0
+                   output_dir=str(tmp_path / "first")).exit_code == 0
+        assert run(parse_config(str(other)), output_dir=str(tmp_path / "second")).exit_code == 0
+        fresh = fresh_python("-m", "fedprompt.cli", "run", str(other), "--out",
+                             str(tmp_path / "fresh"))
+        assert fresh.returncode == 0, fresh.stderr
+        for name in RESULT_FILES:
+            second = (tmp_path / "second" / name).read_bytes()
+            assert second == (tmp_path / "fresh" / name).read_bytes(), name
+            assert second != (tmp_path / "first" / name).read_bytes(), name
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="workers inherit the patched loaders only when forked")
+    def test_workers_never_load_the_run_inputs(self, tmp_path, monkeypatch):
+        # the pool's workers run on the state the parent built; a worker that
+        # parsed the config or loaded a dataset would fail its cells here
+        parent = os.getpid()
+
+        def parent_only(fn):
+            def guarded(*args):
+                if os.getpid() != parent:
+                    raise AssertionError(f"worker called {fn.__name__}")
+                return fn(*args)
+            return guarded
+
+        monkeypatch.setattr(runner, "parse_config_text", parent_only(parse_config_text))
+        monkeypatch.setattr(runner, "materialize_datasets", parent_only(materialize_datasets))
+        assert_jobs_agree(tmp_path)
+
+    def test_jobs_do_not_change_bytes_when_workers_unpickle_the_state(self, tmp_path,
+                                                                       monkeypatch):
+        # test_jobs_do_not_change_bytes forks the workers, which inherit the
+        # state as it is; spawned workers unpickle it once each
+        monkeypatch.setattr(runner, "_pool_context", lambda: multiprocessing.get_context("spawn"))
+        assert_jobs_agree(tmp_path)
+
+    def test_adopted_state_is_read_only_after_unpickling(self, monkeypatch):
+        cfg = parse_config_text(SHARED_STATE_CONFIG)
+        state = pickle.loads(pickle.dumps(build_run_state(cfg, materialize_datasets(cfg))))
+        arrays = [a for master in state.datasets.values() for a in (master.features, master.labels)]
+        arrays += [target.features for targets in state.shifted.values()
+                   for target in targets.values()]
+        arrays += [a for assets in state.assets.values()
+                   for a in (*assets.encoder.weights.values(), assets.hand_features)]
+        assert all(a.flags.writeable for a in arrays)  # what a spawned worker receives
+        monkeypatch.setattr(runner, "_worker_state", None)
+        runner._adopt_state(state)
+        assert runner._worker_state is state
+        assert not any(a.flags.writeable for a in arrays)
 
     def test_region_noise_drawn_once_per_run(self, tmp_path, monkeypatch):
         # both datasets have 36 rows of width 16, so they, their shifted
@@ -527,8 +581,9 @@ class TestRunner:
         class InlinePool:
             """Records the requested size and runs the cells in this process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -540,6 +595,7 @@ class TestRunner:
                 return map(fn, items)
 
         monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(runner, "_worker_state", None)
         cfg = parse_config(str(TOY))  # 4 cells
         for jobs in (64, 3, 1):
             assert run(cfg, jobs=jobs, output_dir=str(tmp_path / str(jobs))).exit_code == 0
@@ -554,9 +610,11 @@ class TestRunner:
 
         monkeypatch.setattr(runner, "materialize_datasets", counting)
         cfg = parse_config(str(TOY))
-        assert run(cfg, output_dir=str(tmp_path / "out")).exit_code == 0
-        assert len(plan_cells(cfg)) == 4 and len(calls) == 1
-        assert not runner._RUN_INPUTS
+        for name in ("first", "second"):
+            assert run(cfg, output_dir=str(tmp_path / name)).exit_code == 0
+        assert len(plan_cells(cfg)) == 4 and len(calls) == 2
+        # each run loads the config the cells run under: the one it serialized
+        assert calls[0] == calls[1] == parse_config_text(serialize_config(cfg))
 
     def test_second_run_reads_rewritten_table(self, tmp_path):
         table = tmp_path / "t" / "feat.txt"

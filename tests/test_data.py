@@ -16,10 +16,9 @@ from fedprompt.data import (
     load_feature_table,
     mirror_partition,
     PartitionPlan,
-    region_noise,
-    save_feature_table,
     stratified_split,
 )
+from oracle import save_feature_table
 from fedprompt.errors import ConfigError, DataError
 from fedprompt.vlm import unit_rows
 from fedprompt import rngs
@@ -325,21 +324,21 @@ class TestLocalMaps:
                              labels=np.arange(6) % 3, class_count=3)
 
     def test_each_key_gets_its_own_maps(self, master):
-        rows = [np.arange(6)]
-        [first] = master.ensure_local_maps(3, 0, rows)
-        for [other] in (master.ensure_local_maps(3, 1, rows),
-                        master.ensure_local_maps(3, 0, rows, spread=0.5)):
+        rows, table = [np.arange(6)], {}
+        [first] = master.ensure_local_maps(3, 0, rows, table)
+        for [other] in (master.ensure_local_maps(3, 1, rows, table),
+                        master.ensure_local_maps(3, 0, rows, table, spread=0.5)):
             assert other.shape == first.shape and not np.array_equal(other, first)
-        assert master.ensure_local_maps(2, 0, rows)[0].shape == (6, 2, 5)
+        assert master.ensure_local_maps(2, 0, rows, table)[0].shape == (6, 2, 5)
         # the first key again: the same values
-        np.testing.assert_array_equal(master.ensure_local_maps(3, 0, rows)[0], first)
+        np.testing.assert_array_equal(master.ensure_local_maps(3, 0, rows, table)[0], first)
 
     def test_maps_match_per_sample_draws(self, master):
         expected = per_sample_maps(master.features, 3, 4, 0.2)
         for rows in ([np.arange(6)],
                      [np.array([4, 1]), np.array([], dtype=np.int64), np.array([0]),
                       np.array([2, 2, 5])]):
-            maps = master.ensure_local_maps(3, 4, rows, spread=0.2)
+            maps = master.ensure_local_maps(3, 4, rows, {}, spread=0.2)
             assert len(maps) == len(rows)
             for r, got in zip(rows, maps):
                 np.testing.assert_array_equal(got, expected[r])
@@ -350,28 +349,32 @@ class TestLocalMaps:
             target = apply_domain_shift(master, DomainShift(angle=0.3 + 0.2 * k,
                                                             noise_sigma=0.05 * k, seed=k))
             expected = per_sample_maps(target.features, 3, 0, 0.1)
-            for r, got in zip(rows, target.ensure_local_maps(3, 0, rows)):
+            for r, got in zip(rows, target.ensure_local_maps(3, 0, rows, {})):
                 np.testing.assert_array_equal(got, expected[r])
 
     def test_maps_are_read_only_and_stay_with_their_dataset(self, master):
-        full, part = master.ensure_local_maps(3, 0, [np.arange(6), np.array([1, 4])])
+        full, part = master.ensure_local_maps(3, 0, [np.arange(6), np.array([1, 4])], {})
         for maps in (full, part):
             with pytest.raises(ValueError, match="read-only"):
                 maps[0, 0, 0] = 1.0
         np.testing.assert_array_equal(part, full[[1, 4]])
         # the dataset keeps nothing: the maps live with the caller's slices
-        assert master.derived == {} and not hasattr(master, "local_maps")
+        assert set(vars(master)) == {"features", "labels", "class_count", "domain_tags"}
 
-    def test_noise_is_one_read_only_draw_per_shape(self):
-        region_noise.cache_clear()
-        noise = region_noise(0, 6, 3, 5)
-        assert region_noise(0, 6, 3, 5) is noise
-        assert region_noise.cache_info().misses == 1
+    def test_noise_is_one_read_only_draw_per_shape(self, master):
+        # the table holds one draw per (seed, n, M, d), shared by a dataset
+        # of the same shape such as a shifted target
+        table = {}
+        master.ensure_local_maps(3, 0, [np.arange(6)], table)
+        target = apply_domain_shift(master, DomainShift(angle=0.5))
+        target.ensure_local_maps(3, 0, [np.array([1])], table)
+        master.ensure_local_maps(3, 0, [np.array([2, 4])], table)
+        assert list(table) == [(0, 6, 3, 5)]
+        noise = table[(0, 6, 3, 5)]
         np.testing.assert_array_equal(
             noise, rngs.derive_rng(0, rngs.LOCAL_MAP).normal(size=(6, 3, 5)))
         with pytest.raises(ValueError, match="read-only"):
             noise[0, 0, 0] = 1.0
-        region_noise.cache_clear()
 
 
 class TestPartitionPlan:

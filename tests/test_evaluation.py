@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import one_cell
+from fedprompt.config import DataConfig, ExperimentConfig
 from fedprompt.data import SyntheticSpec, generate_synthetic_dataset
 from fedprompt.errors import DomainError, EvaluationError
 from fedprompt.evaluation import (
-    ExperimentPlan,
     ScenarioSpec,
     aggregate_runs,
+    build_run_state,
     harmonic_mean,
     personalized_accuracy,
     run_cell,
@@ -23,15 +25,14 @@ from fedprompt.vlm import ModelConfig
 from fedprompt import rngs
 
 
-def desk_plan(**fed_overrides) -> ExperimentPlan:
+def desk_config(**fed_overrides) -> ExperimentConfig:
     fed = dict(protocol="standard", num_clients=4, rounds=3, batch_size=8)
     fed.update(fed_overrides)
-    return ExperimentPlan(
+    return ExperimentConfig(
         model=ModelConfig(prompts=1, tokens=3, d_token=8, d_feature=16, d_image=16,
                           encoder="attention_block", seed=11, token_scale=0.1),
         federation=FederationConfig(**fed),
-        alpha=0.5,
-        per_class_subsample=6,
+        data=DataConfig(alpha=0.5, per_class_subsample=6),
     )
 
 
@@ -189,47 +190,43 @@ class TestPersonalizedAccuracy:
 
 class TestScenarios:
     def test_global_cell_emits_accuracy_and_cost(self, desk_master):
-        plan = desk_plan()
+        config = desk_config()
         spec = ScenarioSpec(kind="global")
-        result = run_cell(spec, "promptfl", "synthetic", desk_master, 0, plan)
+        result = one_cell(config, spec, "promptfl", desk_master, 0)
         metrics = {o.metric for o in result.observations}
         assert metrics == {"alpha_g", "chi_millions"}
-        assert len(result.curves) == plan.federation.rounds
+        assert len(result.curves) == config.federation.rounds
 
     def test_global_cell_deterministic(self, desk_master):
-        plan = desk_plan()
-        spec = ScenarioSpec(kind="global")
-        a = run_cell(spec, "promptfl", "synthetic", desk_master, 0, plan)
-        b = run_cell(spec, "promptfl", "synthetic", desk_master, 0, plan)
+        # also on one shared state: a cell leaves nothing in it that changes the next
+        state = build_run_state(desk_config(), {"synthetic": desk_master})
+        a = run_cell(state, "global", "promptfl", "synthetic", 0)
+        b = run_cell(state, "global", "promptfl", "synthetic", 0)
         assert [(o.metric, o.value) for o in a.observations] == \
                [(o.metric, o.value) for o in b.observations]
 
     def test_best_at_least_final(self, desk_master):
-        plan = desk_plan()
-        result = run_cell(ScenarioSpec(kind="global"), "promptfl", "synthetic",
-                          desk_master, 1, plan)
+        config = desk_config()
+        result = one_cell(config, ScenarioSpec(kind="global"), "promptfl", desk_master, 1)
         best = next(o.value for o in result.observations if o.metric == "alpha_g")
         finals = [r["test_accuracy"] for r in result.curves if r["test_accuracy"] is not None]
         assert best >= finals[-1]
 
     def test_zero_shot_method(self, desk_master):
-        result = run_cell(ScenarioSpec(kind="global"), "zsclip", "synthetic",
-                          desk_master, 0, desk_plan())
+        result = one_cell(desk_config(), ScenarioSpec(kind="global"), "zsclip", desk_master, 0)
         by_metric = {o.metric: o.value for o in result.observations}
         assert by_metric["chi_millions"] == 0.0
         assert 0.0 <= by_metric["alpha_g"] <= 100.0
 
     def test_personalized_cell(self, desk_master):
-        plan = desk_plan(protocol="personalized")
-        result = run_cell(ScenarioSpec(kind="personalized"), "promptfl", "synthetic",
-                          desk_master, 0, plan)
+        config = desk_config(protocol="personalized")
+        result = one_cell(config, ScenarioSpec(kind="personalized"), "promptfl", desk_master, 0)
         metrics = {o.metric for o in result.observations}
         assert metrics == {"alpha_p"}
 
     def test_base_novel_protocol_integrity(self, desk_master):
-        plan = desk_plan()
-        result = run_cell(ScenarioSpec(kind="base_novel"), "promptfl", "synthetic",
-                          desk_master, 0, plan)
+        config = desk_config()
+        result = one_cell(config, ScenarioSpec(kind="base_novel"), "promptfl", desk_master, 0)
         by_metric = {o.metric: o.value for o in result.observations}
         assert set(by_metric) == {"alpha_b", "alpha_n", "alpha_h"}
         # emitted harmonic mean recomputes exactly from the emitted pair
@@ -241,22 +238,22 @@ class TestScenarios:
         assert len(result.extras["audit"]) > 0
 
     def test_base_novel_split_aligned_across_methods(self, desk_master):
-        plan = desk_plan()
+        config = desk_config()
         spec = ScenarioSpec(kind="base_novel")
-        a = run_cell(spec, "promptfl", "synthetic", desk_master, 3, plan)
-        b = run_cell(spec, "kgcoop", "synthetic", desk_master, 3, plan)
+        a = one_cell(config, spec, "promptfl", desk_master, 3)
+        b = one_cell(config, spec, "kgcoop", desk_master, 3)
         np.testing.assert_array_equal(a.extras["base_ids"], b.extras["base_ids"])
 
     def test_fewshot_cell_counts(self, desk_master):
-        plan = desk_plan()
+        config = desk_config()
         spec = ScenarioSpec(kind="fewshot", shots=1)
-        result = run_cell(spec, "promptfl", "synthetic", desk_master, 0, plan)
+        result = one_cell(config, spec, "promptfl", desk_master, 0)
         assert {o.metric for o in result.observations} == {"alpha_fs_1"}
 
     def test_cross_domain_cell(self, desk_master):
-        plan = desk_plan()
+        config = desk_config()
         spec = ScenarioSpec(kind="cross_domain", cross_targets=2)
-        result = run_cell(spec, "promptfl", "synthetic", desk_master, 0, plan)
+        result = one_cell(config, spec, "promptfl", desk_master, 0)
         datasets = {o.dataset for o in result.observations}
         assert datasets == {"synthetic->shift1", "synthetic->shift2"}
 
@@ -278,13 +275,13 @@ class TestScenarios:
 
         monkeypatch.setattr(evaluation, "run_federation", recording_federation)
         monkeypatch.setattr(evaluation, "evaluate_predictor", recording_evaluate)
-        plan = desk_plan(rounds=1)
-        M, d = plan.model.local_features, desk_master.feature_dim
+        config = desk_config(rounds=1)
+        M, d = config.model.local_features, desk_master.feature_dim
         for kind in ("personalized", "cross_domain"):
             spec = ScenarioSpec(kind=kind, cross_targets=2)
             for method in ("fedotp", "promptfl", "plot", "promptfl"):
                 seen.clear()
-                run_cell(spec, method, "synthetic", desk_master, 0, plan)
+                one_cell(config, spec, method, desk_master, 0)
                 assert seen
                 for n, maps in seen:
                     if method == "promptfl":
@@ -312,8 +309,8 @@ class TestScenarios:
 
         monkeypatch.setattr(MasterDataset, "ensure_local_maps", recording_maps)
         monkeypatch.setattr(evaluation, "run_federation", recording_federation)
-        run_cell(ScenarioSpec(kind="personalized"), "fedotp", "synthetic", desk_master, 0,
-                 desk_plan(protocol="personalized", rounds=1))
+        one_cell(desk_config(protocol="personalized", rounds=1), ScenarioSpec(kind="personalized"),
+                 "fedotp", desk_master, 0)
         assert requested == [sorted(np.concatenate(held).tolist())]
 
     def test_personalized_transport_scored_in_one_stack(self, desk_master, monkeypatch):
@@ -339,48 +336,53 @@ class TestScenarios:
 
         monkeypatch.setattr(algorithms, "sinkhorn_batched", counting_solve)
         monkeypatch.setattr(evaluation, "personalized_accuracy", recording_score)
-        plan = desk_plan(protocol="personalized", rounds=2)
-        result = run_cell(ScenarioSpec(kind="personalized"), "fedotp", "synthetic",
-                          desk_master, 0, plan)
-        assert len(rounds) == plan.federation.rounds
+        config = desk_config(protocol="personalized", rounds=2)
+        result = one_cell(config, ScenarioSpec(kind="personalized"), "fedotp", desk_master, 0)
+        assert len(rounds) == config.federation.rounds
         assert min(rounds) >= 3  # several clients hold test data in every round
         assert [o.metric for o in result.observations] == ["alpha_p"]
 
     def test_shifted_targets_built_once_per_master(self, desk_master, monkeypatch):
+        # by the run state, before any cell; every cross-domain cell reads them
         from fedprompt import evaluation
 
         calls = []
         shift = evaluation.apply_domain_shift
         monkeypatch.setattr(evaluation, "apply_domain_shift",
                             lambda *args: calls.append(args) or shift(*args))
-        master = replace(desk_master)  # no targets kept yet
-        first = evaluation.cross_domain_targets(master, 2)
-        second = evaluation.cross_domain_targets(master, 3)
-        assert len(calls) == 3
-        assert all(second[name] is target for name, target in first.items())
+        config = replace(desk_config(rounds=1), scenarios=["global", "cross_domain"],
+                         methods=["zsclip", "promptfl"],
+                         scenario=ScenarioSpec(cross_targets=3))
+        other = replace(desk_master)
+        state = build_run_state(config, {"synthetic": desk_master, "other": other})
+        assert [id(args[0]) for args in calls] == [id(desk_master)] * 3 + [id(other)] * 3
+        assert list(state.shifted["synthetic"]) == ["shift1", "shift2", "shift3"]
+        for method in config.methods:
+            run_cell(state, "cross_domain", method, "synthetic", 0)
+        assert len(calls) == 6
         with pytest.raises(ValueError, match="read-only"):
-            first["shift1"].features[0, 0] = 1.0
+            state.shifted["other"]["shift1"].features[0, 0] = 1.0
 
     def test_cost_tradeoff_sweep_shape(self, desk_master):
         from fedprompt.algorithms import make_trainer
         from fedprompt.federation import communication_cost_millions
 
-        plan = desk_plan(rounds=2)
+        config = desk_config(rounds=2)
         spec = ScenarioSpec(kind="cost_tradeoff", prompt_sweep=(1, 2), token_sweep=(3,))
-        result = run_cell(spec, "promptfl", "synthetic", desk_master, 0, plan)
+        result = one_cell(config, spec, "promptfl", desk_master, 0)
         datasets = {o.dataset for o in result.observations}
         assert datasets == {"synthetic|prompts=1", "synthetic|prompts=2", "synthetic|tokens=3"}
         chi = {o.dataset: o.value for o in result.observations if o.metric == "chi_millions"}
         # the sweep quotes the method's arithmetic cost exactly
         for prompts in (1, 2):
             expected = communication_cost_millions(
-                make_trainer("promptfl"), replace(plan.model, prompts=prompts), plan.federation)
+                make_trainer("promptfl"), replace(config.model, prompts=prompts), config.federation)
             assert chi[f"synthetic|prompts={prompts}"] == expected
         assert chi["synthetic|prompts=2"] == pytest.approx(2 * chi["synthetic|prompts=1"], rel=1e-12)
 
     def test_transport_method_cell(self, desk_master):
-        plan = desk_plan(rounds=2)
-        result = run_cell(ScenarioSpec(kind="global"), "plot", "synthetic", desk_master, 0, plan)
+        config = desk_config(rounds=2)
+        result = one_cell(config, ScenarioSpec(kind="global"), "plot", desk_master, 0)
         assert any(o.metric == "alpha_g" for o in result.observations)
 
     def test_fewshot_accuracy_nondecreasing_in_shots(self):
@@ -389,17 +391,16 @@ class TestScenarios:
         master = generate_synthetic_dataset(
             SyntheticSpec(classes=6, feature_dim=32, noise_sigma=0.15, samples_per_class=100),
             rngs.derive_rng(2, rngs.DATA))
-        plan = ExperimentPlan(
+        config = ExperimentConfig(
             model=ModelConfig(prompts=1, tokens=4, d_token=16, d_feature=32, d_image=32,
                               encoder="attention_block", token_scale=0.05),
             federation=FederationConfig(protocol="standard", num_clients=2, rounds=8),
-            alpha=0.5)
+            data=DataConfig(alpha=0.5))
         means = []
         for shots in (1, 4, 16):
             spec = ScenarioSpec(kind="fewshot", shots=shots)
             accs = [
-                next(o.value for o in run_cell(spec, "promptfl", "synthetic",
-                                               master, seed, plan).observations)
+                next(o.value for o in one_cell(config, spec, "promptfl", master, seed).observations)
                 for seed in (0, 1, 2)
             ]
             means.append(float(np.mean(accs)))

@@ -1,5 +1,7 @@
 """Frozen encoder, vocabulary, prediction head, and prompt gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -202,11 +204,7 @@ class TestReferenceFeatures:
             acc += vlm_oracle.text_features(small_assets.encoder, ctx.vectors,
                                             small_assets.vocab.tokens)[0]
         expected = acc / np.linalg.norm(acc, axis=1, keepdims=True)
-        np.testing.assert_allclose(small_assets.reference_features(3), expected, rtol=0, atol=1e-12)
-
-    def test_needs_a_template(self, small_assets):
-        with pytest.raises(ConfigError):
-            small_assets.reference_features(0)
+        np.testing.assert_allclose(small_assets.reference_features, expected, rtol=0, atol=1e-12)
 
 
 class TestPredict:
@@ -323,20 +321,38 @@ class TestFreezing:
 
 
 class TestSharedAssets:
-    """`build_assets` builds each (config, class count) once and hands out read-only arrays."""
+    """A run builds the assets of each (config, class count) once, with read-only arrays."""
 
-    def test_equal_keys_share_one_assets(self):
-        assets = build_assets(small_config("attention_block"), 4)
-        assert build_assets(small_config("attention_block"), 4) is assets
-        assert build_assets(small_config("attention_block"), 5) is not assets
-        assert build_assets(small_config("attention_block", seed=8), 4) is not assets
+    def test_equal_keys_share_one_assets(self, tmp_path, monkeypatch):
+        # the cost_tradeoff sweep's prompts=1 and tokens=4 entries are the base
+        # model, so global and cost_tradeoff cells use five configs in all
+        from fedprompt import evaluation
+        from fedprompt.config import parse_config_text
+        from fedprompt.runner import run
+
+        calls = []
+        build = evaluation.build_assets
+        monkeypatch.setattr(evaluation, "build_assets",
+                            lambda cfg, C: calls.append((cfg, C)) or build(cfg, C))
+        config = parse_config_text(
+            "[experiment]\nscenarios = global,cost_tradeoff\nmethods = zsclip,promptfl\n"
+            "seeds = 0,1\n[federation]\nnum_clients = 2\nrounds = 1\n"
+            "[model]\nd_token = 8\nd_feature = 16\nd_image = 16\n"
+            "[data]\ndatasets = synthetic,synthetic#1\nclasses = 3\nfeature_dim = 16\n"
+            "samples_per_class = 10\nper_class_subsample = 4\n")
+        for name in ("first", "second"):
+            assert run(config, output_dir=str(tmp_path / name)).exit_code == 0
+        per_run = [(replace(config.model, **change), 3)
+                   for change in ({}, {"prompts": 2}, {"prompts": 4}, {"tokens": 8},
+                                  {"tokens": 16})]
+        assert calls == per_run + per_run
 
     @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
     def test_every_array_is_read_only(self, variant):
         assets = build_assets(small_config(variant), 4)
         rows = assets.class_rows
         arrays = [*assets.encoder.weights.values(), assets.vocab.tokens,
-                  assets.handcrafted.vectors, assets.hand_features, assets.reference_features(),
+                  assets.handcrafted.vectors, assets.hand_features, assets.reference_features,
                   *(a for a in (rows.row_sum, rows.head, rows.context_pos, rows.q, rows.k,
                                 rows.v, rows.scores) if a is not None)]
         assert len(arrays) == (15 if variant == "attention_block" else 8)
