@@ -46,25 +46,25 @@ class MasterDataset:
                 array.flags.writeable = False
         return self
 
-    def ensure_local_maps(self, M: int, seed: int, rows: list[np.ndarray], noise_table: dict,
-                          spread: float = 0.1) -> list[np.ndarray]:
+    def ensure_local_maps(self, M: int, rows: list[np.ndarray],
+                          noise_table: dict) -> list[np.ndarray]:
         """Region features for transport-based scoring, (len(r), M, d) for each r in `rows`.
 
         A row's maps depend only on its feature and its slice of the
         read-only (n, M, d) standard-normal draw held by `noise_table` under
-        (seed, n, M, d), so they equal the per-sample draws of the whole
-        dataset at that row. The draw is made into the table on first use
-        and shared by every dataset of that shape, such as a master and its
+        (n, M, d), so they equal the per-sample draws of the whole dataset
+        at that row. The draw is made into the table on first use and
+        shared by every dataset of that shape, such as a master and its
         shifted targets. The maps are read-only and kept by the caller, not
         on this dataset.
         """
-        key = (seed, len(self), M, self.feature_dim)
+        key = (len(self), M, self.feature_dim)
         if key not in noise_table:
-            noise_table[key] = rngs.derive_rng(seed, rngs.LOCAL_MAP).normal(size=key[1:])
+            noise_table[key] = rngs.derive_rng(0, rngs.LOCAL_MAP).normal(size=key)
             noise_table[key].flags.writeable = False
         noise = noise_table[key]
         # slice by slice, so the temporaries stay the size of one slice
-        maps = [synth_local_features(self.features[r], noise[r], spread) for r in rows]
+        maps = [synth_local_features(self.features[r], noise[r]) for r in rows]
         for part in maps:
             part.flags.writeable = False
         return maps
@@ -357,7 +357,13 @@ def base_novel_split(class_count: int, mode: str = "first_half",
 # ---------------------------------------------------------------------------
 
 def load_feature_table(path: str) -> MasterDataset:
-    """Parse a feature table, validating dimensions and label range per line."""
+    """Parse a feature table, validating dimensions and label range per line.
+
+    The body is read in one `np.loadtxt` call (`_bulk_table`). A body that
+    call declines is read line by line (`_read_rows`), which accepts what
+    `int` and `float` accept and names the failing `path:line`; both give
+    the same arrays for every body the bulk read accepts.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -374,6 +380,45 @@ def load_feature_table(path: str) -> MasterDataset:
         classes = int(fields["classes"])
     except (ValueError, KeyError) as exc:
         raise DataError(f"{path}:1: malformed header {header!r}") from exc
+    table = _bulk_table([line for line in lines[1:] if line.strip()], dim, classes)
+    if table is None:
+        return _read_rows(path, lines, dim, classes)
+    return MasterDataset(
+        features=np.ascontiguousarray(table[:, 2:]),  # a strided view would reduce differently
+        labels=table[:, 0].astype(np.int64),
+        class_count=classes,
+        domain_tags=table[:, 1].astype(np.int64),
+    )
+
+
+def _bulk_table(rows: list[str], dim: int, classes: int) -> np.ndarray | None:
+    """The non-blank body lines as an (n, dim + 2) float64 table, or None when
+    numpy's C reader rejects them or a label or tag fails a check.
+
+    Without the separator `\\x1f`, the C reader takes a subset of what `float`
+    accepts (not `1_000`, nor non-ASCII digits) and gives the same value for
+    it; labels and tags go through `int` and are exact in float64 below
+    2**53 in magnitude.
+    """
+    if not rows:
+        return None  # np.loadtxt warns on an empty body
+    if any("\x1f" in line for line in rows):
+        return None  # the C reader strips it as whitespace around a number; `float` does not
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
+                           converters={0: int, 1: int})
+    except ValueError:
+        return None
+    if table.shape[1] != dim + 2 or not np.all(np.abs(table[:, :2]) < 2.0 ** 53):
+        return None  # also before the int64 cast, which warns on huge values
+    labels = table[:, 0]
+    if int(labels.min()) < 0 or int(labels.max()) >= classes:  # as ints: `classes` may be huge
+        return None
+    return table
+
+
+def _read_rows(path: str, lines: list[str], dim: int, classes: int) -> MasterDataset:
+    """The table body parsed line by line, one `int` or `float` per field."""
     labels, tags, rows = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -69,33 +69,52 @@ def _positions(class_ids: np.ndarray | None, labels: np.ndarray) -> np.ndarray:
 
 def evaluate_predictor(predictor, features: np.ndarray, labels: np.ndarray,
                        class_ids: np.ndarray | None = None,
-                       local_maps: np.ndarray | None = None) -> float:
-    """Top-1 accuracy (percent) of a predictor over a labeled feature set."""
-    probs = predictor.probs(features, local_maps)
-    return accuracy_percent(probs.argmax(axis=1), _positions(class_ids, labels))
+                       local_maps: np.ndarray | None = None,
+                       sizes: list[int] | None = None) -> float | list[float]:
+    """Top-1 accuracy (percent) of a predictor over a labeled feature set; with
+    `sizes`, the accuracy of each consecutive block of that many rows."""
+    predicted = predictor.probs(features, local_maps).argmax(axis=1)
+    target = _positions(class_ids, labels)
+    if sizes is None:
+        return accuracy_percent(predicted, target)
+    bounds = np.cumsum(sizes)[:-1]
+    return [accuracy_percent(p, t)
+            for p, t in zip(np.split(predicted, bounds), np.split(target, bounds))]
 
 
-def personalized_accuracy(predictors: list, test_sets: list[ClientDataset],
+def personalized_accuracy(predictors, test_sets: list[ClientDataset],
                           class_ids: np.ndarray | None = None) -> float:
     """Client accuracies averaged with weights proportional to their test data.
 
-    Transport predictors are scored together, in one Sinkhorn stack over
-    every client's test set; other predictors are scored client by client.
+    `predictors` holds one predictor per client, or is one predictor that
+    every client shares. A shared predictor scores all the test sets in one
+    call over their concatenation: a row's probabilities do not depend on
+    the rows beside it. Transport predictors are scored together, in one
+    Sinkhorn stack over every client's test set; other predictors are
+    scored client by client.
     """
-    held = [(predictor, test) for predictor, test in zip(predictors, test_sets)
-            if test is not None and len(test) > 0]
+    shared = not isinstance(predictors, list)
+    pairs = zip([predictors] * len(test_sets) if shared else predictors, test_sets)
+    held = [(predictor, test) for predictor, test in pairs if test is not None and len(test) > 0]
     if not held:
         raise EvaluationError("every client test set is empty")
-    if all(isinstance(predictor, TransportPredictor) for predictor, _ in held):
+    tests = [test for _, test in held]
+    if shared:
+        maps = None if tests[0].local_maps is None else \
+            np.concatenate([test.local_maps for test in tests])
+        accs = evaluate_predictor(predictors, np.concatenate([test.features for test in tests]),
+                                  np.concatenate([test.labels for test in tests]), class_ids,
+                                  maps, sizes=[len(test) for test in tests])
+    elif all(isinstance(predictor, TransportPredictor) for predictor, _ in held):
         probs = transport_probs([predictor for predictor, _ in held],
-                                [test.local_maps for _, test in held])
+                                [test.local_maps for test in tests])
         accs = [accuracy_percent(p.argmax(axis=1), _positions(class_ids, test.labels))
-                for p, (_, test) in zip(probs, held)]
+                for p, test in zip(probs, tests)]
     else:
         accs = [evaluate_predictor(predictor, test.features, test.labels, class_ids,
                                    test.local_maps)
                 for predictor, test in held]
-    weights = np.array([len(test) for _, test in held], dtype=np.float64)
+    weights = np.array([len(test) for test in tests], dtype=np.float64)
     weights /= weights.sum()
     return float(np.dot(weights, accs))
 
@@ -415,7 +434,11 @@ def _run_plan(state: RunState, spec: ScenarioSpec, method: str, dataset: str, co
         if scenario.client_tests is None:
             return score(lambda ids: predictor(server, ids))
         held = [c for c in clients if len(c.test_set) > 0]
-        predictors = [predictor(server, client_state=c.state) for c in held]
+        if trainer.broadcast_context(server.payload) is not None:
+            # every client scores with the broadcast, so one predictor serves all
+            predictors = predictor(server)
+        else:
+            predictors = [predictor(server, client_state=c.state) for c in held]
         return {targets[0].key: personalized_accuracy(predictors, [c.test_set for c in held])}
 
     audit = None if scenario.class_ids is None else []
@@ -450,8 +473,7 @@ def _give_local_maps(slices: list[tuple[MasterDataset, ClientDataset]], M: int,
     for source, part in slices:
         by_source.setdefault(id(source), (source, []))[1].append(part)
     for source, parts in by_source.values():
-        maps = source.ensure_local_maps(M, 0, [part.master_indices for part in parts],
-                                        noise_table)
+        maps = source.ensure_local_maps(M, [part.master_indices for part in parts], noise_table)
         for part, part_maps in zip(parts, maps):
             part.local_maps = part_maps
 

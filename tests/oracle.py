@@ -1,12 +1,13 @@
 """Reference helpers that only the tests use.
 
 Scalar cosine and cross-entropy, the relative error of gradient checks,
-payload and parameter counts, and personalized transport accuracy scored
-client by client. The package computes these in batched form
-(`softmax_ce_batch`, `ModelAssets.text_features`, `payload_scalars`,
-`transport_probs`); these plain forms are what the tests compare it
-against. Also zero-shot accuracy on a plain feature set, a feature-table
-writer, and one cell run on a state built for it alone.
+payload and parameter counts, and personalized accuracy scored client by
+client, by transport or by one shared predictor. The package computes
+these in batched form (`softmax_ce_batch`, `ModelAssets.text_features`,
+`payload_scalars`, `transport_probs`, one stacked `probs` call); these
+plain forms are what the tests compare it against. Also zero-shot
+accuracy on a plain feature set, a feature-table writer, and one cell
+run on a state built for it alone.
 """
 
 from dataclasses import dataclass, replace
@@ -100,6 +101,21 @@ def personalized_transport_accuracy(predictors, test_sets) -> float:
         if len(test) == 0:
             continue
         predicted = transport_probs_alone(predictor, test.local_maps).argmax(axis=1)
+        accs.append(float((predicted == test.labels).mean() * 100.0))
+        sizes.append(len(test))
+    weights = np.array(sizes, dtype=np.float64)
+    weights /= weights.sum()
+    return float(np.dot(weights, accs))
+
+
+def shared_predictor_accuracy(predictor, test_sets) -> float:
+    """Size-weighted mean of client accuracies over all classes, with one
+    predictor that scores each client's test set in a call of its own."""
+    accs, sizes = [], []
+    for test in test_sets:
+        if len(test) == 0:
+            continue
+        predicted = predictor.probs(test.features, test.local_maps).argmax(axis=1)
         accs.append(float((predicted == test.labels).mean() * 100.0))
         sizes.append(len(test))
     weights = np.array(sizes, dtype=np.float64)

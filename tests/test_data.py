@@ -1,8 +1,13 @@
 """Synthetic generation, partitioners, splits, shifts, and table files."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from fedprompt import data
 from fedprompt.data import (
     DomainShift,
     MasterDataset,
@@ -308,10 +313,11 @@ class TestBaseNovelSplit:
             base_novel_split(4, mode="random")
 
 
-def per_sample_maps(features, M, seed, spread):
-    """The region-feature oracle: one (M, d) draw per sample, in row order."""
-    rng = rngs.derive_rng(seed, rngs.LOCAL_MAP)
-    return np.stack([unit_rows(f[None, :] + spread * rng.normal(size=(M, f.shape[0])))
+def per_sample_maps(features, M):
+    """The region-feature oracle: one (M, d) draw per sample, in row order,
+    from the map stream at seed 0, with spread 0.1."""
+    rng = rngs.derive_rng(0, rngs.LOCAL_MAP)
+    return np.stack([unit_rows(f[None, :] + 0.1 * rng.normal(size=(M, f.shape[0])))
                      for f in features])
 
 
@@ -325,20 +331,18 @@ class TestLocalMaps:
 
     def test_each_key_gets_its_own_maps(self, master):
         rows, table = [np.arange(6)], {}
-        [first] = master.ensure_local_maps(3, 0, rows, table)
-        for [other] in (master.ensure_local_maps(3, 1, rows, table),
-                        master.ensure_local_maps(3, 0, rows, table, spread=0.5)):
-            assert other.shape == first.shape and not np.array_equal(other, first)
-        assert master.ensure_local_maps(2, 0, rows, table)[0].shape == (6, 2, 5)
+        [first] = master.ensure_local_maps(3, rows, table)
+        assert master.ensure_local_maps(2, rows, table)[0].shape == (6, 2, 5)
+        assert list(table) == [(6, 3, 5), (6, 2, 5)]
         # the first key again: the same values
-        np.testing.assert_array_equal(master.ensure_local_maps(3, 0, rows, table)[0], first)
+        np.testing.assert_array_equal(master.ensure_local_maps(3, rows, table)[0], first)
 
     def test_maps_match_per_sample_draws(self, master):
-        expected = per_sample_maps(master.features, 3, 4, 0.2)
+        expected = per_sample_maps(master.features, 3)
         for rows in ([np.arange(6)],
                      [np.array([4, 1]), np.array([], dtype=np.int64), np.array([0]),
                       np.array([2, 2, 5])]):
-            maps = master.ensure_local_maps(3, 4, rows, {}, spread=0.2)
+            maps = master.ensure_local_maps(3, rows, {})
             assert len(maps) == len(rows)
             for r, got in zip(rows, maps):
                 np.testing.assert_array_equal(got, expected[r])
@@ -348,12 +352,12 @@ class TestLocalMaps:
         for k in (1, 2):  # the shifts of `evaluation.cross_domain_targets`
             target = apply_domain_shift(master, DomainShift(angle=0.3 + 0.2 * k,
                                                             noise_sigma=0.05 * k, seed=k))
-            expected = per_sample_maps(target.features, 3, 0, 0.1)
-            for r, got in zip(rows, target.ensure_local_maps(3, 0, rows, {})):
+            expected = per_sample_maps(target.features, 3)
+            for r, got in zip(rows, target.ensure_local_maps(3, rows, {})):
                 np.testing.assert_array_equal(got, expected[r])
 
     def test_maps_are_read_only_and_stay_with_their_dataset(self, master):
-        full, part = master.ensure_local_maps(3, 0, [np.arange(6), np.array([1, 4])], {})
+        full, part = master.ensure_local_maps(3, [np.arange(6), np.array([1, 4])], {})
         for maps in (full, part):
             with pytest.raises(ValueError, match="read-only"):
                 maps[0, 0, 0] = 1.0
@@ -362,15 +366,15 @@ class TestLocalMaps:
         assert set(vars(master)) == {"features", "labels", "class_count", "domain_tags"}
 
     def test_noise_is_one_read_only_draw_per_shape(self, master):
-        # the table holds one draw per (seed, n, M, d), shared by a dataset
-        # of the same shape such as a shifted target
+        # the table holds one draw per (n, M, d), shared by a dataset of
+        # the same shape such as a shifted target
         table = {}
-        master.ensure_local_maps(3, 0, [np.arange(6)], table)
+        master.ensure_local_maps(3, [np.arange(6)], table)
         target = apply_domain_shift(master, DomainShift(angle=0.5))
-        target.ensure_local_maps(3, 0, [np.array([1])], table)
-        master.ensure_local_maps(3, 0, [np.array([2, 4])], table)
-        assert list(table) == [(0, 6, 3, 5)]
-        noise = table[(0, 6, 3, 5)]
+        target.ensure_local_maps(3, [np.array([1])], table)
+        master.ensure_local_maps(3, [np.array([2, 4])], table)
+        assert list(table) == [(6, 3, 5)]
+        noise = table[(6, 3, 5)]
         np.testing.assert_array_equal(
             noise, rngs.derive_rng(0, rngs.LOCAL_MAP).normal(size=(6, 3, 5)))
         with pytest.raises(ValueError, match="read-only"):
@@ -464,3 +468,111 @@ class TestFeatureTable:
         b = dirichlet_partition(loaded.labels, 3, 0.5, np.random.default_rng(11))
         for x, y in zip(a.client_indices, b.client_indices):
             np.testing.assert_array_equal(x, y)
+
+
+# Field texts that `int` or `float` read differently from numpy's C reader,
+# or that one of them rejects.
+_ODD_VALUES = ["1_000", "1_0.5", "+1.5", "-0.0", "--1", " 2.5 ", "\t3", "4\xa0", "\x1f5", "nan",
+               "-inf", "Infinity", "1e400", "-1e400", "1e-400", "", "  ", "\u0663", "\u0663.5",
+               "0x1p3", "1.5j", "'1'", "1\x00"]
+_ODD_INTS = ["1.0", " 1 ", "+1", "-0", "1_0", "\u0661", "", "x", str(2 ** 53 - 1), str(2 ** 53),
+             str(2 ** 53 + 1), str(-(2 ** 53) - 1), str(2 ** 63), "9" * 400, "1" * 5000]
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def mutated_tables(draw):
+    """A feature-table text: a well-formed `repr` table, then a few edits."""
+    dim = draw(st.integers(1, 3))
+    classes = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 4))
+    rows = [[str(draw(st.integers(0, classes - 1))), str(draw(st.integers(-3, 3)))]
+            + [repr(draw(st.floats(-2.0, 2.0))) for _ in range(dim)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        column = draw(st.integers(0, len(row) - 1))
+        row[column] = draw(st.sampled_from(_ODD_INTS if column < 2 else _ODD_VALUES))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2)) if lines else 0):
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["trailing comma", "drop field", "blank", "spaces", "split"]))
+        if edit == "trailing comma":
+            lines[at] += ","
+        elif edit == "drop field":
+            lines[at] = lines[at].rsplit(",", 1)[0]
+        elif edit == "blank":
+            lines.insert(at, "")
+        elif edit == "spaces":
+            lines.insert(at, " \t ")
+        else:  # a line break inside a row
+            cut = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:cut] + draw(st.sampled_from(_BREAKS)) + lines[at][cut:]
+    header_dim = draw(st.sampled_from([dim, dim, dim, dim + 1, 0]))
+    header_classes = draw(st.sampled_from([classes, classes, classes, 1, 10 ** 30]))
+    body = "".join(line + draw(st.sampled_from(_BREAKS[:3])) for line in lines)
+    return f"# d={header_dim} classes={header_classes}\n" + body
+
+
+def _loaded(path):
+    """What `load_feature_table` gives: each array's dtype, shape and bytes
+    (values, for object arrays), or the exception's type and message."""
+    try:
+        ds = load_feature_table(path)
+    except Exception as exc:  # noqa: BLE001 - the two readers must fail alike
+        return type(exc).__name__, str(exc)
+    return ds.class_count, [(a.dtype.str, a.shape, a.flags.c_contiguous,
+                             a.tolist() if a.dtype == object else a.tobytes())
+                            for a in (ds.features, ds.labels, ds.domain_tags)]
+
+
+class TestFeatureTableReaders:
+    """The bulk reader is exact: wherever it accepts a table, the per-line
+    loop gives the same arrays, and elsewhere the loop runs."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_tables())
+    @example("# d=2 classes=2\n")
+    @example("")
+    @example("# d=2 classes=2\n0,0,1.0,2.0\n\n1,1,3.0,4.0\n")
+    @example("# d=2 classes=2\r\n0,0,1.0,2.0\r\n1,1,3.0,4.0\r\n")
+    @example("# d=2 classes=2\r0,0,1.0,2.0\r1,1,3.0,4.0")
+    @example("# d=2 classes=2\n0,0,1_000,2.0\n")
+    @example("# d=2 classes=2\n0,0,\u0661.5,2.0\n")
+    @example("# d=2 classes=2\n1.0,0,1.0,2.0\n")
+    @example("# d=2 classes=2\n0," + str(2 ** 53 + 1) + ",1.0,2.0\n")
+    @example("# d=2 classes=2\n0," + str(2 ** 63) + ",1.0,2.0\n")
+    @example("# d=2 classes=2\n0,0,1.0\x0c,2.0\n")
+    @example("# d=2 classes=2\n0,0,1.0,2.0,\n")
+    @example("# d=2 classes=2\n0,0,1e400,2.0\n")
+    @example("# d=2 classes=2\n0,0,\x1f1.0,2.0\n")
+    def test_bulk_reader_matches_per_line_loop(self, tmp_path, text):
+        path = tmp_path / "table.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        loaded = _loaded(str(path))
+        with mock.patch.object(data, "_bulk_table", lambda *args: None):
+            assert loaded == _loaded(str(path))
+
+    @pytest.mark.parametrize("ending, blank", [("\n", False), ("\r\n", False), ("\n", True)])
+    def test_repr_table_never_reaches_per_line_loop(self, tmp_path, monkeypatch, ending, blank):
+        # a silent fallback would keep every other test green and lose the speed
+        ds = generate_synthetic_dataset(SyntheticSpec(classes=3, feature_dim=16,
+                                                      samples_per_class=5),
+                                        np.random.default_rng(3))
+        ds.domain_tags = np.arange(len(ds)) - 7
+        path = tmp_path / "table.txt"
+        save_feature_table(ds, str(path))
+        lines = path.read_text().splitlines()
+        if blank:
+            lines.insert(3, "")
+        path.write_text(ending.join(lines) + ending, newline="")
+
+        def no_loop(*args):
+            raise AssertionError("the per-line loop ran")
+
+        monkeypatch.setattr(data, "_read_rows", no_loop)
+        loaded = load_feature_table(str(path))
+        for got, want in ((loaded.features, ds.features), (loaded.labels, ds.labels),
+                          (loaded.domain_tags, ds.domain_tags)):
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()

@@ -269,9 +269,10 @@ class TestScenarios:
                         if c.test_set is not None)
             return federate(trainer, clients, *args, **kwargs)
 
-        def recording_evaluate(predictor, features, labels, class_ids=None, local_maps=None):
+        def recording_evaluate(predictor, features, labels, class_ids=None, local_maps=None,
+                               sizes=None):
             seen.append((len(labels), local_maps))
-            return evaluate(predictor, features, labels, class_ids, local_maps)
+            return evaluate(predictor, features, labels, class_ids, local_maps, sizes)
 
         monkeypatch.setattr(evaluation, "run_federation", recording_federation)
         monkeypatch.setattr(evaluation, "evaluate_predictor", recording_evaluate)
@@ -298,9 +299,9 @@ class TestScenarios:
         ensure = MasterDataset.ensure_local_maps
         federate = evaluation.run_federation
 
-        def recording_maps(self, M, seed, rows, *args):
+        def recording_maps(self, M, rows, *args):
             requested.append(sorted(np.concatenate(rows).tolist()))
-            return ensure(self, M, seed, rows, *args)
+            return ensure(self, M, rows, *args)
 
         def recording_federation(trainer, clients, *args, **kwargs):
             held.extend(c.dataset.master_indices for c in clients)
@@ -338,6 +339,40 @@ class TestScenarios:
         monkeypatch.setattr(evaluation, "personalized_accuracy", recording_score)
         config = desk_config(protocol="personalized", rounds=2)
         result = one_cell(config, ScenarioSpec(kind="personalized"), "fedotp", desk_master, 0)
+        assert len(rounds) == config.federation.rounds
+        assert min(rounds) >= 3  # several clients hold test data in every round
+        assert [o.metric for o in result.observations] == ["alpha_p"]
+
+    @pytest.mark.parametrize("method", ["promptfl", "plot"])
+    def test_personalized_broadcast_scored_in_one_call(self, desk_master, monkeypatch, method):
+        # every client scores with the broadcast payload: one predictor, one
+        # probs call per evaluated round over every held test set, and the
+        # accuracy is bitwise the client-by-client one
+        from fedprompt import algorithms, evaluation
+        from oracle import shared_predictor_accuracy
+
+        calls, rounds = [], []
+        predictor_class = algorithms.TransportPredictor if method == "plot" \
+            else algorithms.CosinePredictor
+        probs, score = predictor_class.probs, evaluation.personalized_accuracy
+
+        def counting_probs(self, *args, **kwargs):
+            calls.append(len(args[0]))
+            return probs(self, *args, **kwargs)
+
+        def recording_score(predictors, test_sets, class_ids=None):
+            held = [t for t in test_sets if len(t) > 0]
+            rounds.append(len(held))
+            before = len(calls)
+            value = score(predictors, test_sets, class_ids)
+            assert calls[before:] == [sum(len(t) for t in held)]
+            assert value == shared_predictor_accuracy(predictors, test_sets)
+            return value
+
+        monkeypatch.setattr(predictor_class, "probs", counting_probs)
+        monkeypatch.setattr(evaluation, "personalized_accuracy", recording_score)
+        config = desk_config(protocol="personalized", rounds=2)
+        result = one_cell(config, ScenarioSpec(kind="personalized"), method, desk_master, 0)
         assert len(rounds) == config.federation.rounds
         assert min(rounds) >= 3  # several clients hold test data in every round
         assert [o.metric for o in result.observations] == ["alpha_p"]

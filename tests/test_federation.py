@@ -248,7 +248,7 @@ class TestFedOTPTwoClients:
         trainer = make_trainer("fedotp", mode="personalized")
         fed = FederationConfig(protocol="personalized", num_clients=2, rounds=3, batch_size=6)
         clients = build_clients(master, [np.arange(12), np.arange(12, 24)], trainer, cfg, seed=1)
-        maps = master.ensure_local_maps(3, 0, [c.dataset.master_indices for c in clients], {})
+        maps = master.ensure_local_maps(3, [c.dataset.master_indices for c in clients], {})
         for client, client_maps in zip(clients, maps):
             client.dataset.local_maps = client_maps
         run_federation(trainer, clients, fed, assets, seed=1)
