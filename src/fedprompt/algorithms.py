@@ -42,11 +42,6 @@ class CommunicablePayload:
             array.flags.writeable = False
         return self
 
-    def equals(self, other: "CommunicablePayload") -> bool:
-        if self.fields.keys() != other.fields.keys():
-            return False
-        return all(np.array_equal(self.fields[k], other.fields[k]) for k in self.fields)
-
 
 @dataclass(frozen=True)
 class BroadcastEncoding:
@@ -209,13 +204,6 @@ class TrainContext:
 
 
 @dataclass
-class TrainStats:
-    mean_loss: float
-    n_batches: int
-    n_samples: int
-
-
-@dataclass
 class ClientTrainState:
     velocities: dict[str, np.ndarray] = field(default_factory=dict)  # SGD momentum buffers
     local_fields: dict[str, np.ndarray] = field(default_factory=dict)
@@ -223,13 +211,16 @@ class ClientTrainState:
 
 # ---------------------------------------------------------------------------
 # Loss kernels shared by the trainers
+#
+# Each kernel takes the text features `feats` (sets, C, d_feature) of the
+# trained context and `backward`, which maps a gradient w.r.t. those
+# features to the gradient w.r.t. the context; it returns the mean batch
+# loss and that context gradient.
 # ---------------------------------------------------------------------------
 
-def _forward_sims(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
-                  class_ids: np.ndarray | None, shared: BroadcastEncoding | None = None):
-    feats, cache = _text_features(assets, context.vectors, class_ids, shared)
-    sims = np.einsum("bd,pcd->pbc", xh, feats)
-    return feats, cache, sims
+def _cosine_ce(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: float):
+    """`softmax_ce_batch` of the per-set cosine means of unit image features."""
+    return softmax_ce_batch(np.einsum("bd,pcd->pbc", xh, feats).mean(axis=0), labels, tau)
 
 
 def _reference_probs(assets: ModelAssets, xh: np.ndarray,
@@ -241,35 +232,31 @@ def _reference_probs(assets: ModelAssets, xh: np.ndarray,
     return softmax_temp(sims, assets.cfg.tau)
 
 
-def ce_loss_and_grads(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
-                      labels: np.ndarray, class_ids: np.ndarray | None = None,
-                      shared: BroadcastEncoding | None = None):
+def ce_loss_and_grads(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray,
+                      tau: float) -> tuple[float, np.ndarray]:
     """Plain mean cross-entropy; scores are per-set cosine means."""
-    feats, cache, sims = _forward_sims(assets, context, xh, class_ids, shared)
-    loss, dlogits, probs = softmax_ce_batch(sims.mean(axis=0), labels, assets.cfg.tau)
-    dT = np.einsum("bc,bd->cd", dlogits / context.m, xh)
-    grads = assets.encoder.backward(cache, np.asarray([dT] * context.m))
-    return loss, grads, (feats, sims, probs)
+    m = len(feats)
+    loss, dlogits, _ = _cosine_ce(feats, xh, labels, tau)
+    dT = np.einsum("bc,bd->cd", dlogits / m, xh)
+    return loss, backward(np.asarray([dT] * m))
 
 
-def loss_kgcoop(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
-                labels: np.ndarray, lambda_kg: float, class_ids: np.ndarray | None = None,
-                shared: BroadcastEncoding | None = None) -> tuple[float, np.ndarray]:
-    """CE plus squared distance of class features to their fixed references."""
+def loss_kgcoop(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray, tau: float,
+                hand: np.ndarray, lambda_kg: float) -> tuple[float, np.ndarray]:
+    """CE plus squared distance of class features to the handcrafted ones, `hand`."""
     if lambda_kg < 0:
         raise ConfigError("lambda_kg must be >= 0")
-    feats, cache, sims = _forward_sims(assets, context, xh, class_ids, shared)
-    loss, dlogits, _ = softmax_ce_batch(sims.mean(axis=0), labels, assets.cfg.tau)
-    hand = assets.hand_features_for(class_ids)
+    m = len(feats)
+    loss, dlogits, _ = _cosine_ce(feats, xh, labels, tau)
     n_classes = hand.shape[0]
-    dT_ce = np.einsum("bc,bd->cd", dlogits / context.m, xh)
+    dT_ce = np.einsum("bc,bd->cd", dlogits / m, xh)
     dTs, reg = [], 0.0
-    for p in range(context.m):
+    for p in range(m):
         diff = feats[p] - hand
         reg += float((diff * diff).sum() / n_classes)
-        dTs.append(dT_ce + lambda_kg * 2.0 * diff / (n_classes * context.m))
-    reg /= context.m
-    return loss + lambda_kg * reg, assets.encoder.backward(cache, np.asarray(dTs))
+        dTs.append(dT_ce + lambda_kg * 2.0 * diff / (n_classes * m))
+    reg /= m
+    return loss + lambda_kg * reg, backward(np.asarray(dTs))
 
 
 def project_prograd(g_task: np.ndarray, g_general: np.ndarray, lambda_pg: float = 1.0) -> np.ndarray:
@@ -287,83 +274,74 @@ def project_prograd(g_task: np.ndarray, g_general: np.ndarray, lambda_pg: float 
     return g_task - lambda_pg * (dot / denom) * g_general
 
 
-def loss_prograd(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
-                 labels: np.ndarray, lambda_pg: float, class_ids: np.ndarray | None = None,
-                 shared: BroadcastEncoding | None = None) -> tuple[float, np.ndarray]:
-    """CE gradient projected to not conflict with the zero-shot alignment gradient."""
-    feats, cache, sims = _forward_sims(assets, context, xh, class_ids, shared)
-    tau = assets.cfg.tau
-    mean_sims = sims.mean(axis=0)
-    loss, dlogits, probs = softmax_ce_batch(mean_sims, labels, tau)
-    dT_task = np.einsum("bc,bd->cd", dlogits / context.m, xh)
-    g_task = assets.encoder.backward(cache, np.asarray([dT_task] * context.m))
+def loss_prograd(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray, tau: float,
+                 reference_probs: np.ndarray, lambda_pg: float) -> tuple[float, np.ndarray]:
+    """CE gradient projected to not conflict with the gradient of the KL to the
+    zero-shot predictions `reference_probs`; the one kernel that projects in
+    context space, so it calls `backward` twice."""
+    m = len(feats)
+    loss, dlogits, probs = _cosine_ce(feats, xh, labels, tau)
+    dT_task = np.einsum("bc,bd->cd", dlogits / m, xh)
+    g_task = backward(np.asarray([dT_task] * m))
 
     # gradient of mean KL(current || zero-shot) w.r.t. the same scores
-    q = _reference_probs(assets, xh, class_ids)
-    log_ratio = np.log(probs) - np.log(q)
+    log_ratio = np.log(probs) - np.log(reference_probs)
     kl = (probs * log_ratio).sum(axis=1, keepdims=True)
     dkl = probs * (log_ratio - kl) / (tau * xh.shape[0])
-    dT_gen = np.einsum("bc,bd->cd", dkl / context.m, xh)
-    g_general = assets.encoder.backward(cache, np.asarray([dT_gen] * context.m))
+    dT_gen = np.einsum("bc,bd->cd", dkl / m, xh)
+    g_general = backward(np.asarray([dT_gen] * m))
 
     projected = project_prograd(g_task.ravel(), g_general.ravel(), lambda_pg)
     return loss, projected.reshape(g_task.shape)
 
 
-def loss_proda(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
-               labels: np.ndarray, lambda_orth: float, class_ids: np.ndarray | None = None,
-               shared: BroadcastEncoding | None = None) -> tuple[float, np.ndarray]:
+def loss_proda(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray, tau: float,
+               lambda_orth: float) -> tuple[float, np.ndarray]:
     """Prompt-ensemble CE plus a hinge penalty on aligned prompt-set features."""
-    if context.m < 2:
-        raise ConfigError(f"prompt-distribution loss needs >= 2 prompt sets, got {context.m}")
-    feats, cache, sims = _forward_sims(assets, context, xh, class_ids, shared)
-    loss, dlogits, _ = softmax_ce_batch(sims.mean(axis=0), labels, assets.cfg.tau)
-    dT_ce = np.einsum("bc,bd->cd", dlogits / context.m, xh)
-    dTs = [dT_ce.copy() for _ in range(context.m)]
+    m = len(feats)
+    if m < 2:
+        raise ConfigError(f"prompt-distribution loss needs >= 2 prompt sets, got {m}")
+    loss, dlogits, _ = _cosine_ce(feats, xh, labels, tau)
+    dT_ce = np.einsum("bc,bd->cd", dlogits / m, xh)
+    dTs = [dT_ce.copy() for _ in range(m)]
     n_classes = feats.shape[1]
     penalty = 0.0
-    for i in range(context.m):
-        for j in range(i + 1, context.m):
+    for i in range(m):
+        for j in range(i + 1, m):
             dots = (feats[i] * feats[j]).sum(axis=1)  # unit features: dot == cos
             pos = np.maximum(dots, 0.0)
             penalty += float((pos * pos).mean())
             coef = lambda_orth * 2.0 * pos[:, None] / n_classes
             dTs[i] += coef * feats[j]
             dTs[j] += coef * feats[i]
-    return loss + lambda_orth * penalty, assets.encoder.backward(cache, np.asarray(dTs))
+    return loss + lambda_orth * penalty, backward(np.asarray(dTs))
 
 
-def loss_src(assets: ModelAssets, context: PromptContext, xh: np.ndarray,
-             labels: np.ndarray, mu_text: float, mu_logit: float,
-             class_ids: np.ndarray | None = None,
-             reference_features: np.ndarray | None = None,
-             shared: BroadcastEncoding | None = None) -> tuple[float, np.ndarray]:
-    """CE plus L1 feature consistency and KL(zero-shot || current) self-regularisation."""
+def loss_src(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray, tau: float,
+             reference_probs: np.ndarray, reference_features: np.ndarray,
+             mu_text: float, mu_logit: float) -> tuple[float, np.ndarray]:
+    """CE plus L1 consistency with `reference_features` and KL(zero-shot || current)
+    self-regularisation, the zero-shot predictions being `reference_probs`."""
     if mu_text < 0 or mu_logit < 0:
         raise ConfigError("self-regularisation weights must be >= 0")
-    feats, cache, sims = _forward_sims(assets, context, xh, class_ids, shared)
-    tau = assets.cfg.tau
-    loss, dlogits, probs = softmax_ce_batch(sims.mean(axis=0), labels, tau)
-    if reference_features is None:
-        reference_features = assets.reference_features
-        if class_ids is not None:
-            reference_features = reference_features[np.asarray(class_ids)]
+    m = len(feats)
+    loss, dlogits, probs = _cosine_ce(feats, xh, labels, tau)
     n_classes = reference_features.shape[0]
     batch = xh.shape[0]
 
-    q = _reference_probs(assets, xh, class_ids)
+    q = reference_probs
     log_ratio = np.log(q) - np.log(probs)
     kl = float((q * log_ratio).sum(axis=1).mean())
     dkl_dlogits = (probs - q) / (tau * batch)
 
-    dT_ce = np.einsum("bc,bd->cd", (dlogits + mu_logit * dkl_dlogits) / context.m, xh)
+    dT_ce = np.einsum("bc,bd->cd", (dlogits + mu_logit * dkl_dlogits) / m, xh)
     dTs, l1 = [], 0.0
-    for p in range(context.m):
+    for p in range(m):
         diff = feats[p] - reference_features
         l1 += float(np.abs(diff).sum() / n_classes)
-        dTs.append(dT_ce + mu_text * np.sign(diff) / (n_classes * context.m))
-    l1 /= context.m
-    return loss + mu_text * l1 + mu_logit * kl, assets.encoder.backward(cache, np.asarray(dTs))
+        dTs.append(dT_ce + mu_text * np.sign(diff) / (n_classes * m))
+    l1 /= m
+    return loss + mu_text * l1 + mu_logit * kl, backward(np.asarray(dTs))
 
 
 def trajectory_average(contexts: list[np.ndarray], window: int) -> np.ndarray:
@@ -379,28 +357,24 @@ def trajectory_average(contexts: list[np.ndarray], window: int) -> np.ndarray:
     return sum(wi * c for wi, c in zip(w, tail))
 
 
-def ot_scores_and_grads(assets: ModelAssets, context: PromptContext, batch: Batch,
-                        labels: np.ndarray, eps: float, iters: int,
-                        col_relax: float = 1.0, class_ids: np.ndarray | None = None,
-                        shared: BroadcastEncoding | None = None) -> tuple[float, np.ndarray]:
+def ot_scores_and_grads(feats: np.ndarray, backward, local_maps: np.ndarray | None,
+                        labels: np.ndarray, tau: float, eps: float, iters: int,
+                        col_relax: float = 1.0) -> tuple[float, np.ndarray]:
     """CE over transport-aligned logits; plans are constants of the backward pass.
 
     For each (sample, class) the plan matches the sample's region
-    features to the class's per-set prompt features; the logit is the
-    negative transport cost.
+    features `local_maps` (B, M, d) to the class's per-set prompt
+    features; the logit is the negative transport cost.
     """
-    if batch.local_maps is None:
+    if local_maps is None:
         raise ConfigError("transport-based training needs per-sample local feature maps")
-    feats, cache = _text_features(assets, context.vectors, class_ids, shared)
-    locals_ = batch.local_maps                     # (B, M, d)
     prompts = feats.transpose(1, 0, 2)             # (C, m, d)
-    costs = 1.0 - np.einsum("bmd,cnd->bcmn", locals_, prompts)
+    costs = 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, prompts)
     plans = sinkhorn_batched(costs, eps, iters, col_relax=col_relax)
     logits = -(plans * costs).sum(axis=(-2, -1))   # (B, C)
-    loss, dlogits, _ = softmax_ce_batch(logits, labels, assets.cfg.tau)
+    loss, dlogits, _ = softmax_ce_batch(logits, labels, tau)
     # d logit / d prompt_feat = plan^T @ locals (cost = 1 - <l, f>)
-    dT_sets = np.einsum("bc,bcmn,bmd->ncd", dlogits, plans, locals_)
-    return loss, assets.encoder.backward(cache, np.asarray(dT_sets))
+    return loss, backward(np.einsum("bc,bcmn,bmd->ncd", dlogits, plans, local_maps))
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +382,18 @@ def ot_scores_and_grads(assets: ModelAssets, context: PromptContext, batch: Batc
 # ---------------------------------------------------------------------------
 
 class LocalTrainer:
-    """Shared SGD epoch loop; subclasses supply their `loss` (or a whole
-    `grad_step` when training needs more than the context, unit image
-    features and labels) and the payload layout."""
+    """Shared SGD epoch loop, and the one step that encodes a trained context.
+
+    Subclasses supply their `loss` on the context's text features (or a
+    whole `grad_step` when the context is conditioned on each image) and
+    the payload layout.
+    """
 
     kind: str = ""
     set_multiplier: int = 1  # prompt sets per configured "number of prompts"
+    # the trained prompt contexts, stacked in this order along the set axis
+    # into the one context that a step and a predictor encode
+    context_fields: tuple[str, ...] = ("context",)
 
     def n_sets(self, cfg: ModelConfig) -> int:
         return cfg.prompts * self.set_multiplier
@@ -426,27 +406,34 @@ class LocalTrainer:
         return int(sum(np.prod(s) for s in self.payload_shapes(cfg).values()))
 
     def init_payload(self, cfg: ModelConfig, rng: np.random.Generator) -> CommunicablePayload:
-        return CommunicablePayload(
-            {"context": build_prompt_context(cfg, rng, m=self.n_sets(cfg)).vectors}
-        ).read_only()
+        """A fresh prompt context for each payload field, drawn in field order."""
+        return CommunicablePayload({name: build_prompt_context(cfg, rng, m=shape[0]).vectors
+                                    for name, shape in self.payload_shapes(cfg).items()}
+                                   ).read_only()
 
     def broadcast_context(self, payload: CommunicablePayload) -> np.ndarray | None:
         """The context whose encoding a client's first step and the predictors
-        share (see `BroadcastEncoding`); None when each encodes its own inputs."""
-        return payload.fields["context"]
+        share (see `BroadcastEncoding`); None when a client stacks fields of its
+        own onto the broadcast, or encodes its own inputs."""
+        if not all(name in payload.fields for name in self.context_fields):
+            return None
+        return self._context(payload.fields)
+
+    def _context(self, fields: dict[str, np.ndarray]) -> np.ndarray:
+        return np.concatenate([fields[name] for name in self.context_fields])
 
     def init_state(self, cfg: ModelConfig, rng: np.random.Generator) -> ClientTrainState:
         return ClientTrainState()
 
     # -- training ----------------------------------------------------------
     def local_train(self, payload: CommunicablePayload, state: ClientTrainState,
-                    dataset, ctx: TrainContext) -> tuple[CommunicablePayload, TrainStats]:
+                    dataset, ctx: TrainContext) -> tuple[CommunicablePayload, float]:
+        """The payload a client returns, and its mean batch loss (0.0 with no batch)."""
         if len(dataset) == 0:
             raise DataError("local training on an empty dataset")
         params = {k: v.copy() for k, v in payload.fields.items()}
         params.update({k: v.copy() for k, v in state.local_fields.items()})
         losses: list[float] = []
-        n_samples = 0
         passes: list[dict] = []  # the parameters after each pass over the data
         shared = ctx.shared      # the broadcast's encoding fits the first step only
         for _ in range(ctx.epochs):
@@ -458,16 +445,13 @@ class LocalTrainer:
                 params = sgd_momentum_step(params, grads, state.velocities, ctx.lr, ctx.momentum,
                                            ctx.round_index, ctx.total_rounds)
                 losses.append(loss)
-                n_samples += batch.features.shape[0]
             passes.append(params)
         if passes:
             params = self.end_of_passes(passes)
         new_payload = CommunicablePayload({k: params[k] for k in payload.fields})
         for k in state.local_fields:
             state.local_fields[k] = params[k]
-        mean_loss = float(np.mean(losses)) if losses else 0.0
-        return new_payload, TrainStats(mean_loss=mean_loss, n_batches=len(losses),
-                                       n_samples=n_samples)
+        return new_payload, float(np.mean(losses)) if losses else 0.0
 
     def end_of_passes(self, passes: list[dict]) -> dict:
         """The parameters a client returns, from those after each of its passes."""
@@ -475,19 +459,26 @@ class LocalTrainer:
 
     def grad_step(self, params: dict, batch: Batch, ctx: TrainContext,
                   shared: BroadcastEncoding | None = None) -> tuple[float, dict]:
-        """Loss and gradients of one batch: unit image features and labels as
-        positions in the trained class set go to the trainer's `loss`.
+        """Loss and gradients of one batch.
 
-        `shared`, when given, is the encoding of `params`' context."""
-        loss, grads = self.loss(ctx.assets, PromptContext(params["context"]),
-                                unit_rows(batch.features), ctx.map_labels(batch.labels),
-                                ctx.class_ids, shared)
-        return loss, {"context": grads}
+        The context fields are stacked and encoded in one call (`shared`,
+        when given, is the encoding of that stack). The trainer's `loss`
+        takes the features, the encoder's backward pass and the labels as
+        positions in the trained class set; its context gradient is split
+        back by field.
+        """
+        labels = ctx.map_labels(batch.labels)
+        feats, cache = _text_features(ctx.assets, PromptContext(self._context(params)).vectors,
+                                      ctx.class_ids, shared)
+        loss, grads = self.loss(feats, lambda dT: ctx.assets.encoder.backward(cache, dT),
+                                batch, labels, ctx)
+        bounds = np.cumsum([len(params[name]) for name in self.context_fields])[:-1]
+        return loss, dict(zip(self.context_fields, np.split(grads, bounds)))
 
-    def loss(self, assets: ModelAssets, context: PromptContext, xh: np.ndarray,
-             labels: np.ndarray, class_ids: np.ndarray | None,
-             shared: BroadcastEncoding | None = None) -> tuple[float, np.ndarray]:
-        """Mean batch loss and its gradient w.r.t. the context (sets, L, d_token)."""
+    def loss(self, feats: np.ndarray, backward, batch: Batch, labels: np.ndarray,
+             ctx: TrainContext) -> tuple[float, np.ndarray]:
+        """Mean batch loss and its gradient w.r.t. the stacked context
+        (sets, L, d_token), by one of the loss kernels above."""
         raise NotImplementedError
 
     # -- inference ---------------------------------------------------------
@@ -495,43 +486,47 @@ class LocalTrainer:
                         class_ids: np.ndarray | None = None,
                         state: ClientTrainState | None = None,
                         shared: BroadcastEncoding | None = None):
-        return CosinePredictor(assets, payload.fields["context"], class_ids, shared)
+        """The predictor of the payload's context, with the client's own fields
+        in `state` stacked on; `shared`, when given, is the encoding of that stack."""
+        fields = {**payload.fields, **(state.local_fields if state is not None else {})}
+        if not all(name in fields for name in self.context_fields):
+            raise ConfigError(f"a {self.kind} predictor needs the client state")
+        feats, _ = _text_features(assets, PromptContext(self._context(fields)).vectors,
+                                  class_ids, shared)
+        return self.predictor(feats, assets.cfg.tau)
+
+    def predictor(self, features: np.ndarray, tau: float):
+        """The predictor that scores with an encoded context's text features."""
+        return CosinePredictor(features, tau)
 
 
+@dataclass
 class CosinePredictor:
     """Scores are per-set cosine means against fixed text features."""
 
-    def __init__(self, assets: ModelAssets, context_vectors: np.ndarray,
-                 class_ids: np.ndarray | None, shared: BroadcastEncoding | None = None):
-        feats, _ = _text_features(assets, PromptContext(context_vectors).vectors, class_ids,
-                                  shared)
-        self.features = feats  # (m, C, d)
-        self.tau = assets.cfg.tau
+    features: np.ndarray  # (m, C, d)
+    tau: float
 
     def probs(self, image_features: np.ndarray, local_maps=None) -> np.ndarray:
         sims = np.einsum("bd,pcd->pbc", unit_rows(image_features), self.features).mean(axis=0)
         return softmax_temp(sims, self.tau)
 
 
+@dataclass
 class TransportPredictor:
     """Scores are negative transport costs between regions and prompt features."""
 
-    def __init__(self, assets: ModelAssets, context_vectors: np.ndarray,
-                 class_ids: np.ndarray | None, eps: float, iters: int, col_relax: float = 1.0,
-                 shared: BroadcastEncoding | None = None):
-        feats, _ = _text_features(assets, PromptContext(context_vectors).vectors, class_ids,
-                                  shared)
-        self.prompts = feats.transpose(1, 0, 2)  # (C, m, d)
-        self.tau = assets.cfg.tau
-        self.eps = eps
-        self.iters = iters
-        self.col_relax = col_relax
+    features: np.ndarray  # (m, C, d)
+    tau: float
+    eps: float
+    iters: int
+    col_relax: float = 1.0
 
     def costs(self, local_maps: np.ndarray | None) -> np.ndarray:
         """(B, C, M, N) costs 1 - cosine between each image's regions and the prompts."""
         if local_maps is None:
             raise ConfigError("transport predictor needs local feature maps")
-        return 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, self.prompts)
+        return 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, self.features.transpose(1, 0, 2))
 
     def probs(self, image_features: np.ndarray, local_maps: np.ndarray | None = None) -> np.ndarray:
         return transport_probs([self], [local_maps])[0]
@@ -561,8 +556,9 @@ def transport_probs(predictors: list[TransportPredictor],
 class PromptFLTrainer(LocalTrainer):
     kind = "promptfl"
 
-    def loss(self, assets, context, xh, labels, class_ids, shared=None):
-        return ce_loss_and_grads(assets, context, xh, labels, class_ids, shared)[:2]
+    def loss(self, feats, backward, batch, labels, ctx):
+        return ce_loss_and_grads(feats, backward, unit_rows(batch.features), labels,
+                                 ctx.assets.cfg.tau)
 
 
 class KgCoOpTrainer(LocalTrainer):
@@ -571,8 +567,9 @@ class KgCoOpTrainer(LocalTrainer):
     def __init__(self, lambda_kg: float = 1.0):
         self.lambda_kg = lambda_kg
 
-    def loss(self, assets, context, xh, labels, class_ids, shared=None):
-        return loss_kgcoop(assets, context, xh, labels, self.lambda_kg, class_ids, shared)
+    def loss(self, feats, backward, batch, labels, ctx):
+        return loss_kgcoop(feats, backward, unit_rows(batch.features), labels, ctx.assets.cfg.tau,
+                           ctx.assets.hand_features_for(ctx.class_ids), self.lambda_kg)
 
 
 class ProGradTrainer(LocalTrainer):
@@ -581,8 +578,10 @@ class ProGradTrainer(LocalTrainer):
     def __init__(self, lambda_pg: float = 1.0):
         self.lambda_pg = lambda_pg
 
-    def loss(self, assets, context, xh, labels, class_ids, shared=None):
-        return loss_prograd(assets, context, xh, labels, self.lambda_pg, class_ids, shared)
+    def loss(self, feats, backward, batch, labels, ctx):
+        xh = unit_rows(batch.features)
+        return loss_prograd(feats, backward, xh, labels, ctx.assets.cfg.tau,
+                            _reference_probs(ctx.assets, xh, ctx.class_ids), self.lambda_pg)
 
 
 class ProDATrainer(LocalTrainer):
@@ -592,8 +591,9 @@ class ProDATrainer(LocalTrainer):
     def __init__(self, lambda_orth: float = 1.0):
         self.lambda_orth = lambda_orth
 
-    def loss(self, assets, context, xh, labels, class_ids, shared=None):
-        return loss_proda(assets, context, xh, labels, self.lambda_orth, class_ids, shared)
+    def loss(self, feats, backward, batch, labels, ctx):
+        return loss_proda(feats, backward, unit_rows(batch.features), labels, ctx.assets.cfg.tau,
+                          self.lambda_orth)
 
 
 class SRCTrainer(LocalTrainer):
@@ -609,9 +609,14 @@ class SRCTrainer(LocalTrainer):
         self.mu_logit = mu_logit
         self.window = window
 
-    def loss(self, assets, context, xh, labels, class_ids, shared=None):
-        return loss_src(assets, context, xh, labels, self.mu_text, self.mu_logit, class_ids,
-                        shared=shared)
+    def loss(self, feats, backward, batch, labels, ctx):
+        xh = unit_rows(batch.features)
+        references = ctx.assets.reference_features
+        if ctx.class_ids is not None:
+            references = references[np.asarray(ctx.class_ids)]
+        return loss_src(feats, backward, xh, labels, ctx.assets.cfg.tau,
+                        _reference_probs(ctx.assets, xh, ctx.class_ids), references,
+                        self.mu_text, self.mu_logit)
 
     def end_of_passes(self, passes):
         contexts = [p["context"] for p in passes]
@@ -698,31 +703,12 @@ class ConditionedPredictor:
         return softmax_temp(np.concatenate(logits), self.assets.cfg.tau)
 
 
-class PLOTTrainer(LocalTrainer):
-    kind = "plot"
-
-    def __init__(self, ot_eps: float = 0.1, ot_iters: int = 100):
-        self.ot_eps = ot_eps
-        self.ot_iters = ot_iters
-
-    def grad_step(self, params, batch, ctx, shared=None):
-        labels = ctx.map_labels(batch.labels)
-        loss, grads = ot_scores_and_grads(ctx.assets, PromptContext(params["context"]), batch,
-                                          labels, self.ot_eps, self.ot_iters, col_relax=1.0,
-                                          class_ids=ctx.class_ids, shared=shared)
-        return loss, {"context": grads}
-
-    def build_predictor(self, payload, assets, class_ids=None, state=None, shared=None):
-        return TransportPredictor(assets, payload.fields["context"], class_ids,
-                                  self.ot_eps, self.ot_iters, shared=shared)
-
-
 class FedOTPTrainer(LocalTrainer):
     """Consensus + personal prompt pair scored by one-sided relaxed transport.
 
     In "global" mode both prompt sets travel; in "personalized" mode only
-    the consensus half is communicated and the personal half stays in
-    client state.
+    the consensus half is communicated, and the personal half stays in
+    client state and is stacked after it for every step and prediction.
     """
 
     kind = "fedotp"
@@ -736,21 +722,13 @@ class FedOTPTrainer(LocalTrainer):
         self.ot_relax = ot_relax
         self.ot_eps = ot_eps
         self.ot_iters = ot_iters
+        if mode == "personalized":
+            self.context_fields = ("context_global", "context_local")
 
     def payload_shapes(self, cfg: ModelConfig) -> dict[str, tuple]:
         if self.mode == "global":
-            return {"context": (2 * cfg.prompts, cfg.tokens, cfg.d_token)}
+            return super().payload_shapes(cfg)
         return {"context_global": (cfg.prompts, cfg.tokens, cfg.d_token)}
-
-    def init_payload(self, cfg: ModelConfig, rng: np.random.Generator) -> CommunicablePayload:
-        name, = self.payload_shapes(cfg)
-        return CommunicablePayload(
-            {name: build_prompt_context(cfg, rng, m=self.payload_shapes(cfg)[name][0]).vectors}
-        ).read_only()
-
-    def broadcast_context(self, payload):
-        # a personalized client scores with its local half appended
-        return payload.fields["context"] if self.mode == "global" else None
 
     def init_state(self, cfg, rng):
         state = super().init_state(cfg, rng)
@@ -759,33 +737,23 @@ class FedOTPTrainer(LocalTrainer):
                 build_prompt_context(cfg, rng, m=cfg.prompts).vectors
         return state
 
-    def _stacked(self, params) -> np.ndarray:
-        if self.mode == "global":
-            return params["context"]
-        return np.concatenate([params["context_global"], params["context_local"]], axis=0)
+    def loss(self, feats, backward, batch, labels, ctx):
+        return ot_scores_and_grads(feats, backward, batch.local_maps, labels, ctx.assets.cfg.tau,
+                                   self.ot_eps, self.ot_iters, self.ot_relax)
 
-    def grad_step(self, params, batch, ctx, shared=None):
-        labels = ctx.map_labels(batch.labels)
-        stack = self._stacked(params)
-        loss, grads = ot_scores_and_grads(ctx.assets, PromptContext(stack), batch, labels,
-                                          self.ot_eps, self.ot_iters, col_relax=self.ot_relax,
-                                          class_ids=ctx.class_ids, shared=shared)
-        if self.mode == "global":
-            return loss, {"context": grads}
-        half = params["context_global"].shape[0]
-        return loss, {"context_global": grads[:half], "context_local": grads[half:]}
+    def predictor(self, features, tau):
+        return TransportPredictor(features, tau, self.ot_eps, self.ot_iters, self.ot_relax)
 
-    def build_predictor(self, payload, assets, class_ids=None, state=None, shared=None):
-        if self.mode == "global":
-            stack = payload.fields["context"]
-        else:
-            if state is None:
-                raise ConfigError("personalized transport prediction needs the client state")
-            stack = np.concatenate(
-                [payload.fields["context_global"], state.local_fields["context_local"]], axis=0
-            )
-        return TransportPredictor(assets, stack, class_ids, self.ot_eps, self.ot_iters,
-                                  col_relax=self.ot_relax, shared=shared)
+
+class PLOTTrainer(FedOTPTrainer):
+    """PLOT: FedOTP's global mode over the configured prompt sets alone, with
+    balanced transport marginals."""
+
+    kind = "plot"
+    set_multiplier = 1
+
+    def __init__(self, ot_eps: float = 0.1, ot_iters: int = 100):
+        super().__init__("global", ot_relax=1.0, ot_eps=ot_eps, ot_iters=ot_iters)
 
 
 _TRAINERS = {

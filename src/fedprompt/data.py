@@ -380,6 +380,8 @@ def load_feature_table(path: str) -> MasterDataset:
         classes = int(fields["classes"])
     except (ValueError, KeyError) as exc:
         raise DataError(f"{path}:1: malformed header {header!r}") from exc
+    if dim < 1 or classes < 1:
+        raise DataError(f"{path}:1: header {header!r} needs d >= 1 and classes >= 1")
     table = _bulk_table([line for line in lines[1:] if line.strip()], dim, classes)
     if table is None:
         return _read_rows(path, lines, dim, classes)

@@ -11,7 +11,6 @@ from .algorithms import (
     CommunicablePayload,
     LocalTrainer,
     TrainContext,
-    TrainStats,
 )
 from .data import ClientDataset, MasterDataset
 from .errors import AggregationError, ConfigError
@@ -20,13 +19,12 @@ from . import rngs
 
 log = logging.getLogger(__name__)
 
-PROTOCOLS = ("standard", "partial", "personalized", "centralized")
+PROTOCOLS = ("standard", "partial", "centralized")
 
 # (num_clients, participation_fraction) each protocol uses unless given
 PROTOCOL_DEFAULTS = {
     "standard": (10, 1.0),
     "partial": (100, 0.1),
-    "personalized": (10, 1.0),
     "centralized": (1, 1.0),
 }
 
@@ -52,7 +50,9 @@ class FederationConfig:
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}")
+            hint = ("; personalized evaluation is the scenario `experiment.scenarios = "
+                    "personalized`" if self.protocol == "personalized" else "")
+            raise ConfigError(f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}{hint}")
         clients, fraction = PROTOCOL_DEFAULTS[self.protocol]
         if self.num_clients is None:
             self.num_clients = clients
@@ -78,7 +78,7 @@ class FederationConfig:
             raise ConfigError(f"eval_every: must be >= 1, got {self.eval_every}")
         if self.protocol == "centralized" and self.num_clients != 1:
             raise ConfigError("num_clients: the centralized protocol uses exactly one client")
-        if self.protocol in ("standard", "personalized", "centralized") and self.participation_fraction != 1.0:
+        if self.protocol in ("standard", "centralized") and self.participation_fraction != 1.0:
             raise ConfigError(f"participation_fraction: the {self.protocol} protocol uses full participation")
         if self.sample_size < 1:
             raise ConfigError(f"participation_fraction: {self.participation_fraction} of "
@@ -247,7 +247,7 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
     declared = trainer.payload_scalars(assets.cfg)
     report.download_scalars = declared * len(participating)
 
-    results: dict[int, tuple[CommunicablePayload, TrainStats]] = {}
+    results: dict[int, tuple[CommunicablePayload, float]] = {}  # payload, mean loss
     order = participating if client_order is None else [c for c in client_order if c in participating]
     shared = server.encoding(trainer, assets, class_ids)
     for cid in order:
@@ -266,8 +266,8 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
             shared=shared,
         )
         try:  # the payload is read-only; local_train copies what it trains
-            payload, stats = trainer.local_train(server.payload, client.state,
-                                                 client.dataset, ctx)
+            payload, loss = trainer.local_train(server.payload, client.state,
+                                                client.dataset, ctx)
         except Exception:  # noqa: BLE001 - failed clients are excluded, not fatal
             log.exception("round %d: client %d failed, excluded from aggregation", t, cid)
             report.failed.append(cid)
@@ -276,7 +276,7 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
             raise AggregationError(
                 f"client {cid} returned {payload.scalar_count} scalars, declared {declared}"
             )
-        results[cid] = (payload, stats)
+        results[cid] = (payload, loss)
 
     if not results:
         log.warning("round %d: every client failed, round skipped", t)
@@ -290,7 +290,7 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
     weights = compute_weights(np.array([len(clients[c].dataset) for c in ordered_ids]))
     aggregated = fedavg_aggregate([results[c][0] for c in ordered_ids], weights)
     server.payload = aggregated
-    report.client_losses = {c: results[c][1].mean_loss for c in ordered_ids}
+    report.client_losses = {c: results[c][1] for c in ordered_ids}
     report.weights = {c: float(w) for c, w in zip(ordered_ids, weights)}
     server.ledger.record_round(report.download_scalars, report.upload_scalars)
     server.round_index += 1

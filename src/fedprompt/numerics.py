@@ -5,8 +5,6 @@ bit-identical. Public operations validate their inputs and never let
 NaN/Inf escape.
 """
 
-from typing import Callable
-
 import numpy as np
 
 from .errors import ConfigError, DomainError
@@ -57,21 +55,3 @@ def softmax_ce_batch(
     dlogits[idx, labels] -= 1.0
     dlogits /= tau * n
     return float(losses.mean()), dlogits, probs
-
-
-def finite_diff_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = grad.reshape(-1)
-    xf = x.reshape(-1)
-    for k in range(xf.size):
-        orig = xf[k]
-        xf[k] = orig + h
-        up = f(x)
-        xf[k] = orig - h
-        down = f(x)
-        xf[k] = orig
-        flat[k] = (up - down) / (2.0 * h)
-    return grad
-

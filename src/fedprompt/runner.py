@@ -12,7 +12,7 @@ import multiprocessing
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import (
@@ -115,7 +115,11 @@ def resolve_output_dir(config: ExperimentConfig, override: str | None = None) ->
 
 def run(config: ExperimentConfig, jobs: int = 1, dry_run: bool = False,
         seed_offset: int = 0, output_dir: str | None = None) -> RunResult:
-    """Execute every cell, then write results.csv/results.json/curves.jsonl."""
+    """Execute every cell, then write results.csv/results.json/curves.jsonl.
+
+    A cell that fails becomes an entry of failures.json; an error while the
+    run's state is built (a bad feature table, say) raises before any file
+    is written."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     out_dir = resolve_output_dir(config, output_dir)
@@ -128,22 +132,17 @@ def run(config: ExperimentConfig, jobs: int = 1, dry_run: bool = False,
         return RunResult(exit_code=0, table=MetricTable(), output_dir=out_dir, failures=[])
 
     keys = [(c.scenario, c.method, c.dataset, c.seed) for c in cells]
-    try:
-        # the cells run the config as serialized, seed offset included
-        config = parse_config_text(serialize_config(
-            replace(config, seeds=[s + seed_offset for s in config.seeds])))
-        state = build_run_state(config, materialize_datasets(config))
-    except Exception:  # noqa: BLE001 - e.g. an unreadable table fails every cell
-        error = traceback.format_exc()
-        outcomes = [(asdict(cell), [], [], error) for cell in cells]
+    # the cells run the config as serialized, seed offset included
+    config = parse_config_text(serialize_config(
+        replace(config, seeds=[s + seed_offset for s in config.seeds])))
+    state = build_run_state(config, materialize_datasets(config))
+    workers = min(jobs, len(keys))  # a pool starts all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context(),
+                                 initializer=_adopt_state, initargs=(state,)) as pool:
+            outcomes = list(pool.map(_execute_in_worker, keys))
     else:
-        workers = min(jobs, len(keys))  # a pool starts all its workers up front
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context(),
-                                     initializer=_adopt_state, initargs=(state,)) as pool:
-                outcomes = list(pool.map(_execute_in_worker, keys))
-        else:
-            outcomes = [_execute_cell((state, *key)) for key in keys]
+        outcomes = [_execute_cell((state, *key)) for key in keys]
 
     table = MetricTable()
     curves: list[dict] = []

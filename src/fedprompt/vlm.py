@@ -7,11 +7,10 @@ class vocabulary are frozen at construction and shared by value across
 server and clients.
 
 Gradients are computed by hand-written reverse passes through each
-encoder variant; `numerics.finite_diff_gradient` is the test oracle.
+encoder variant; the tests check them against central differences.
 """
 
 import functools
-import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,21 +79,6 @@ class PromptContext:
             raise DomainError("prompt context contains non-finite entries")
         self.vectors = v
 
-    @property
-    def m(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def L(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def d_token(self) -> int:
-        return self.vectors.shape[2]
-
-    def copy(self) -> "PromptContext":
-        return PromptContext(self.vectors.copy())
-
 
 def build_prompt_context(cfg: ModelConfig, rng: np.random.Generator, m: int | None = None) -> PromptContext:
     """Gaussian-initialised trainable context."""
@@ -134,9 +118,6 @@ class ClassVocabulary:
     @property
     def class_count(self) -> int:
         return self.tokens.shape[0]
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.tokens.tobytes()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -329,13 +310,6 @@ class FrozenTextEncoder:
         dX = (dQ.reshape(n * L, d) @ w["wq"].T + dK.reshape(n * L, d) @ w["wk"].T
               + dV.reshape(n * L, d) @ w["wv"].T).reshape(n, L, d)
         return dX + (dh.sum(axis=1) / S)[:, None, :]
-
-    def digest(self) -> str:
-        hasher = hashlib.sha256()
-        for key in sorted(self.weights):
-            hasher.update(key.encode())
-            hasher.update(self.weights[key].tobytes())
-        return hasher.hexdigest()
 
 
 def unit_rows(x: np.ndarray, what: str = "features") -> np.ndarray:

@@ -1,16 +1,18 @@
 """Reference helpers that only the tests use.
 
-Scalar cosine and cross-entropy, the relative error of gradient checks,
-payload and parameter counts, and personalized accuracy scored client by
-client, by transport or by one shared predictor. The package computes
-these in batched form (`softmax_ce_batch`, `ModelAssets.text_features`,
-`payload_scalars`, `transport_probs`, one stacked `probs` call); these
-plain forms are what the tests compare it against. Also zero-shot
-accuracy on a plain feature set, a feature-table writer, and one cell
-run on a state built for it alone.
+Scalar cosine and cross-entropy, central-difference gradients and the
+relative error of gradient checks, payload equality and parameter counts,
+and personalized accuracy scored client by client, by transport or by one
+shared predictor. The package computes these in batched form
+(`softmax_ce_batch`, `ModelAssets.text_features`, `payload_scalars`,
+`transport_probs`, one stacked `probs` call); these plain forms are what
+the tests compare it against. Also a context's encoding as the loss
+kernels take it, zero-shot accuracy on a plain feature set, a
+feature-table writer, and one cell run on a state built for it alone.
 """
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -61,6 +63,30 @@ def cross_entropy(probs: np.ndarray, label: int, cap: float = CROSS_ENTROPY_CAP)
     return CrossEntropyResult(loss=min(loss, cap), grad_logits=grad, saturated=saturated)
 
 
+def finite_diff_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
+                         h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function, one coordinate at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat = grad.reshape(-1)
+    xf = x.reshape(-1)
+    for k in range(xf.size):
+        orig = xf[k]
+        xf[k] = orig + h
+        up = f(x)
+        xf[k] = orig - h
+        down = f(x)
+        xf[k] = orig
+        flat[k] = (up - down) / (2.0 * h)
+    return grad
+
+
+def encoded(assets, context: np.ndarray, class_ids: np.ndarray | None = None):
+    """A context's text features and the backward pass, as the loss kernels take them."""
+    feats, cache = assets.text_features(context, class_ids)
+    return feats, lambda dfeatures: assets.encoder.backward(cache, dfeatures)
+
+
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     """Norm-wise relative difference used by gradient checks."""
     na = np.linalg.norm(a)
@@ -81,6 +107,12 @@ def max_abs_diff(a, b) -> float:
     )
 
 
+def payloads_equal(a, b) -> bool:
+    """Two payloads hold the same fields with bitwise-equal values."""
+    return a.fields.keys() == b.fields.keys() and \
+        all(np.array_equal(a.fields[k], b.fields[k]) for k in a.fields)
+
+
 def metanet_param_count(cfg) -> int:
     """Scalars of the conditioning net: two affine layers d_image -> hidden -> d_token."""
     h, di, dt = cfg.meta_hidden, cfg.d_image, cfg.d_token
@@ -89,7 +121,7 @@ def metanet_param_count(cfg) -> int:
 
 def transport_probs_alone(predictor, local_maps: np.ndarray) -> np.ndarray:
     """A `TransportPredictor`'s class probabilities from a Sinkhorn solve of its own."""
-    costs = 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, predictor.prompts)
+    costs = 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, predictor.features.transpose(1, 0, 2))
     plans = sinkhorn_batched(costs, predictor.eps, predictor.iters, col_relax=predictor.col_relax)
     return softmax_temp(-(plans * costs).sum(axis=(-2, -1)), predictor.tau)
 
@@ -126,7 +158,8 @@ def shared_predictor_accuracy(predictor, test_sets) -> float:
 def zero_shot_accuracy(assets, features: np.ndarray, labels: np.ndarray,
                        class_ids: np.ndarray | None = None) -> float:
     """Accuracy (percent) of the handcrafted prompt on a labeled feature set."""
-    predictor = CosinePredictor(assets, assets.handcrafted.vectors, class_ids)
+    hand, _ = assets.text_features(assets.handcrafted.vectors, class_ids)
+    predictor = CosinePredictor(hand, assets.cfg.tau)
     return evaluate_predictor(predictor, features, labels, class_ids)
 
 

@@ -9,15 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracle import max_abs_diff, one_cell, relative_error, zero_shot_accuracy
+from oracle import (
+    finite_diff_gradient,
+    max_abs_diff,
+    one_cell,
+    relative_error,
+    zero_shot_accuracy,
+)
 from transport_oracle import sinkhorn, sinkhorn_relaxed
 from vlm_oracle import prompt_gradients
 from fedprompt.algorithms import (
-    ce_loss_and_grads,
     iterate_batches,
-    loss_kgcoop,
-    loss_proda,
-    loss_src,
     make_trainer,
     project_prograd,
     sgd_momentum_step,
@@ -45,7 +47,6 @@ from fedprompt.federation import (
     communication_cost_millions,
     run_federation,
 )
-from fedprompt.numerics import finite_diff_gradient
 from fedprompt.runner import run
 from fedprompt.vlm import (
     ModelConfig,
@@ -137,23 +138,23 @@ def test_criterion_03_gradient_correctness():
                                seed=inst["seed"], token_scale=0.2, meta_hidden=6)
             assets2 = build_assets(cfg2, inst["classes"])
 
+            batch = Batch(features=xh, labels=labels, master_indices=np.arange(len(labels)))
+            ctx = TrainContext(assets=assets, round_index=0, total_rounds=10,
+                               rng=np.random.default_rng(0))
+            ctx2 = TrainContext(assets=assets2, round_index=0, total_rounds=10,
+                                rng=np.random.default_rng(0))
+            # each loss kernel through the training step that encodes its context
             cases = [
-                ("ce", lambda v: ce_loss_and_grads(assets, PromptContext(v), xh, labels)[:1][0],
-                 lambda v: ce_loss_and_grads(assets, PromptContext(v), xh, labels)[1], v1),
-                ("kgcoop",
-                 lambda v: loss_kgcoop(assets, PromptContext(v), xh, labels, inst["weight"])[0],
-                 lambda v: loss_kgcoop(assets, PromptContext(v), xh, labels, inst["weight"])[1], v1),
-                ("src",
-                 lambda v: loss_src(assets, PromptContext(v), xh, labels,
-                                    inst["weight"], inst["weight2"])[0],
-                 lambda v: loss_src(assets, PromptContext(v), xh, labels,
-                                    inst["weight"], inst["weight2"])[1], v1),
-                ("proda",
-                 lambda v: loss_proda(assets2, PromptContext(v), xh, labels, inst["weight"])[0],
-                 lambda v: loss_proda(assets2, PromptContext(v), xh, labels, inst["weight"])[1], v2),
+                ("ce", make_trainer("promptfl"), ctx, v1),
+                ("kgcoop", make_trainer("kgcoop", lambda_kg=inst["weight"]), ctx, v1),
+                ("src", make_trainer("src", mu_text=inst["weight"], mu_logit=inst["weight2"]),
+                 ctx, v1),
+                ("proda", make_trainer("proda", lambda_orth=inst["weight"]), ctx2, v2),
             ]
-            for name, f_loss, f_grad, v0 in cases:
-                grads = f_grad(v0)
+            for name, trainer, step_ctx, v0 in cases:
+                def f_loss(v, trainer=trainer, step_ctx=step_ctx):
+                    return trainer.grad_step({"context": v}, batch, step_ctx)[0]
+                grads = trainer.grad_step({"context": v0}, batch, step_ctx)[1]["context"]
                 fd = finite_diff_gradient(lambda flat: f_loss(flat.reshape(v0.shape)),
                                           v0.copy().ravel()).reshape(v0.shape)
                 err = relative_error(grads, fd)
@@ -163,9 +164,6 @@ def test_criterion_03_gradient_correctness():
             # conditioned-prompt path: full parameter set, field by field
             trainer = make_trainer("cocoop")
             payload = trainer.init_payload(cfg, np.random.default_rng(inst["seed"]))
-            batch = Batch(features=xh, labels=labels, master_indices=np.arange(len(labels)))
-            ctx = TrainContext(assets=assets, round_index=0, total_rounds=10,
-                               rng=np.random.default_rng(0))
             params = {k: a.copy() for k, a in payload.fields.items()}
             _, grads = trainer.grad_step(params, batch, ctx)
             for field in params:

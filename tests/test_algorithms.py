@@ -7,12 +7,20 @@ from hypothesis import strategies as st
 
 import vlm_oracle
 from conftest import random_unit_batch, small_config
-from oracle import max_abs_diff, metanet_param_count, relative_error
+from oracle import (
+    encoded,
+    finite_diff_gradient,
+    max_abs_diff,
+    metanet_param_count,
+    payloads_equal,
+    relative_error,
+)
 from fedprompt.algorithms import (
     Batch,
     CommunicablePayload,
     ConditionedPredictor,
     TrainContext,
+    _reference_probs,
     cosine_lr,
     iterate_batches,
     loss_kgcoop,
@@ -27,8 +35,8 @@ from fedprompt.algorithms import (
 )
 from fedprompt.data import ClientDataset
 from fedprompt.errors import ConfigError, DataError
-from fedprompt.numerics import finite_diff_gradient, softmax_ce_batch, softmax_temp
-from fedprompt.vlm import ModelConfig, PromptContext, build_assets, unit_rows
+from fedprompt.numerics import softmax_ce_batch, softmax_temp
+from fedprompt.vlm import ModelConfig, build_assets, unit_rows
 
 
 def client_dataset(rng, n, d, classes):
@@ -212,9 +220,11 @@ class TestLossGradients:
         v = rng.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.1
         xh = random_unit_batch(rng, 3, cfg.d_image)
         y = np.array([0, 1, 3])
-        _, g = loss_kgcoop(assets, PromptContext(v), xh, y, 1.7)
+        hand = assets.hand_features
+        _, g = loss_kgcoop(*encoded(assets, v), xh, y, cfg.tau, hand, 1.7)
         fd = finite_diff_gradient(
-            lambda f: loss_kgcoop(assets, PromptContext(f.reshape(v.shape)), xh, y, 1.7)[0],
+            lambda f: loss_kgcoop(*encoded(assets, f.reshape(v.shape)), xh, y, cfg.tau, hand,
+                                  1.7)[0],
             v.copy().ravel()).reshape(v.shape)
         assert relative_error(g, fd) < 1e-4
 
@@ -223,8 +233,9 @@ class TestLossGradients:
         assets = build_assets(cfg, 4)
         xh = random_unit_batch(rng, 2, cfg.d_image)
         y = np.array([0, 1])
-        ce_loss, _, _ = ce_loss_and_grads(assets, assets.handcrafted, xh, y)
-        reg_loss, _ = loss_kgcoop(assets, assets.handcrafted, xh, y, 5.0)
+        hand = encoded(assets, assets.handcrafted.vectors)
+        ce_loss, _ = ce_loss_and_grads(*hand, xh, y, cfg.tau)
+        reg_loss, _ = loss_kgcoop(*hand, xh, y, cfg.tau, assets.hand_features, 5.0)
         assert reg_loss == pytest.approx(ce_loss, abs=1e-12)
 
     @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
@@ -234,9 +245,9 @@ class TestLossGradients:
         v = rng.normal(size=(2, cfg.tokens, cfg.d_token)) * 0.1
         xh = random_unit_batch(rng, 3, cfg.d_image)
         y = np.array([2, 1, 0])
-        _, g = loss_proda(assets, PromptContext(v), xh, y, 0.9)
+        _, g = loss_proda(*encoded(assets, v), xh, y, cfg.tau, 0.9)
         fd = finite_diff_gradient(
-            lambda f: loss_proda(assets, PromptContext(f.reshape(v.shape)), xh, y, 0.9)[0],
+            lambda f: loss_proda(*encoded(assets, f.reshape(v.shape)), xh, y, cfg.tau, 0.9)[0],
             v.copy().ravel()).reshape(v.shape)
         assert relative_error(g, fd) < 1e-4
 
@@ -244,8 +255,8 @@ class TestLossGradients:
         cfg = small_config()
         assets = build_assets(cfg, 4)
         with pytest.raises(ConfigError):
-            loss_proda(assets, PromptContext(np.zeros((1, cfg.tokens, cfg.d_token))),
-                       random_unit_batch(rng, 2, cfg.d_image), np.array([0, 1]), 1.0)
+            loss_proda(*encoded(assets, np.zeros((1, cfg.tokens, cfg.d_token))),
+                       random_unit_batch(rng, 2, cfg.d_image), np.array([0, 1]), cfg.tau, 1.0)
 
     def test_proda_identical_sets_reduce_to_single_ce(self, rng):
         # with equal prompt sets and no penalty, the ensemble CE equals the
@@ -257,9 +268,9 @@ class TestLossGradients:
         v = rng.normal(size=(1, cfg1.tokens, cfg1.d_token)) * 0.1
         xh = random_unit_batch(rng, 3, cfg1.d_image)
         y = np.array([0, 3, 2])
-        ce, g_single, _ = ce_loss_and_grads(assets1, PromptContext(v), xh, y)
+        ce, g_single = ce_loss_and_grads(*encoded(assets1, v), xh, y, cfg1.tau)
         dup = np.concatenate([v, v], axis=0)
-        ens, g_pair = loss_proda(assets2, PromptContext(dup), xh, y, 0.0)
+        ens, g_pair = loss_proda(*encoded(assets2, dup), xh, y, cfg2.tau, 0.0)
         assert ens == pytest.approx(ce, abs=1e-12)
         np.testing.assert_allclose(g_pair[0], g_single[0] / 2.0, atol=1e-15)
         np.testing.assert_allclose(g_pair[1], g_single[0] / 2.0, atol=1e-15)
@@ -268,13 +279,12 @@ class TestLossGradients:
         cfg = small_config(prompts=2)
         assets = build_assets(cfg, 4)
         v = rng.normal(size=(2, cfg.tokens, cfg.d_token)) * 0.1
-        ctx = PromptContext(v)
         xh = random_unit_batch(rng, 2, cfg.d_image)
         y = np.array([0, 1])
-        feats, _ = assets.text_features(ctx.vectors)
+        feats, backward = encoded(assets, v)
         dots = (feats[0] * feats[1]).sum(axis=1)
-        loss_on, _ = loss_proda(assets, ctx, xh, y, 1.0)
-        loss_off, _ = loss_proda(assets, ctx, xh, y, 0.0)
+        loss_on, _ = loss_proda(feats, backward, xh, y, cfg.tau, 1.0)
+        loss_off, _ = loss_proda(feats, backward, xh, y, cfg.tau, 0.0)
         expected_penalty = float((np.maximum(dots, 0) ** 2).mean())
         assert loss_on - loss_off == pytest.approx(expected_penalty, abs=1e-12)
 
@@ -285,9 +295,12 @@ class TestLossGradients:
         v = rng.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.1
         xh = random_unit_batch(rng, 3, cfg.d_image)
         y = np.array([1, 2, 0])
-        _, g = loss_src(assets, PromptContext(v), xh, y, 0.6, 0.4)
+        q = _reference_probs(assets, xh, None)
+        refs = assets.reference_features
+        _, g = loss_src(*encoded(assets, v), xh, y, cfg.tau, q, refs, 0.6, 0.4)
         fd = finite_diff_gradient(
-            lambda f: loss_src(assets, PromptContext(f.reshape(v.shape)), xh, y, 0.6, 0.4)[0],
+            lambda f: loss_src(*encoded(assets, f.reshape(v.shape)), xh, y, cfg.tau, q, refs,
+                               0.6, 0.4)[0],
             v.copy().ravel()).reshape(v.shape)
         assert relative_error(g, fd) < 1e-4
 
@@ -296,9 +309,10 @@ class TestLossGradients:
         assets = build_assets(cfg, 4)
         xh = random_unit_batch(rng, 2, cfg.d_image)
         y = np.array([0, 1])
-        ce_loss, _, _ = ce_loss_and_grads(assets, assets.handcrafted, xh, y)
-        src_loss, _ = loss_src(assets, assets.handcrafted, xh, y, 3.0, 3.0,
-                               reference_features=assets.hand_features)
+        hand = encoded(assets, assets.handcrafted.vectors)
+        ce_loss, _ = ce_loss_and_grads(*hand, xh, y, cfg.tau)
+        src_loss, _ = loss_src(*hand, xh, y, cfg.tau, _reference_probs(assets, xh, None),
+                               assets.hand_features, 3.0, 3.0)
         assert src_loss == pytest.approx(ce_loss, abs=1e-12)
 
 
@@ -359,7 +373,7 @@ class TestTrainers:
         state = trainer.init_state(cfg, rng)
         data = client_dataset(rng, 8, cfg.d_image, 4)
         out, _ = trainer.local_train(payload, state, data, make_ctx(assets, epochs=0))
-        assert out.equals(payload)
+        assert payloads_equal(out, payload)
 
     def test_loss_decreases_on_separable_data(self):
         # two well-separated classes; the first few steps should trend down
@@ -380,8 +394,8 @@ class TestTrainers:
         for step in range(5):
             ctx = make_ctx(assets, rng_seed=step, batch_size=80,
                            round_index=0, total_rounds=100)
-            payload, stats = trainer.local_train(payload, state, data, ctx)
-            losses.append(stats.mean_loss)
+            payload, loss = trainer.local_train(payload, state, data, ctx)
+            losses.append(loss)
         assert losses[-1] < losses[0]
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
@@ -411,8 +425,8 @@ class TestTrainers:
         trainer = make_trainer("src", mu_text=0.5, mu_logit=0.7, window=2)
         payload = trainer.init_payload(cfg, np.random.default_rng(1))
         state = trainer.init_state(cfg, np.random.default_rng(1))
-        out, stats = trainer.local_train(payload, state, data,
-                                         make_ctx(assets, rng_seed=4, epochs=3, batch_size=4))
+        ctx = make_ctx(assets, rng_seed=4, epochs=3, batch_size=4, audit=[])
+        out, _ = trainer.local_train(payload, state, data, ctx)
 
         context = payload.fields["context"]
         velocities = {}
@@ -421,13 +435,14 @@ class TestTrainers:
         trajectory = []
         for _ in range(3):
             for batch in iterate_batches(data, batch_rng, 4):
-                _, grads = loss_src(assets, PromptContext(context), unit_rows(batch.features),
-                                    batch.labels, 0.5, 0.7, reference_features=refs)
+                xh = unit_rows(batch.features)
+                _, grads = loss_src(*encoded(assets, context), xh, batch.labels, cfg.tau,
+                                    _reference_probs(assets, xh, None), refs, 0.5, 0.7)
                 context = sgd_momentum_step({"context": context}, {"context": grads},
                                             velocities, 0.002, 0.9, 0, 10)["context"]
             trajectory.append(context)
         np.testing.assert_array_equal(out.fields["context"], trajectory_average(trajectory, 2))
-        assert stats.n_batches == 9 and stats.n_samples == 30
+        assert len(ctx.audit) == 9 and sum(len(batch) for batch in ctx.audit) == 30
 
     def test_src_zero_epochs_payload_bitwise_identical(self, rng):
         cfg = small_config()
@@ -436,9 +451,10 @@ class TestTrainers:
         payload = trainer.init_payload(cfg, rng)
         state = trainer.init_state(cfg, rng)
         data = client_dataset(rng, 8, cfg.d_image, 4)
-        out, stats = trainer.local_train(payload, state, data, make_ctx(assets, epochs=0))
-        assert out.equals(payload)
-        assert stats.n_batches == 0
+        ctx = make_ctx(assets, epochs=0, audit=[])
+        out, loss = trainer.local_train(payload, state, data, ctx)
+        assert payloads_equal(out, payload)
+        assert ctx.audit == [] and loss == 0.0
 
 
 def _one_step_payload(kind, cfg, assets, data, seed=0, **hyper):
@@ -549,7 +565,7 @@ class TestTransportGradientSurrogate:
                       master_indices=np.arange(2), local_maps=maps)
 
         from fedprompt.algorithms import ot_scores_and_grads
-        loss, grads = ot_scores_and_grads(assets, PromptContext(v), batch, labels,
+        loss, grads = ot_scores_and_grads(*encoded(assets, v), batch.local_maps, labels, cfg.tau,
                                           eps=0.2, iters=60)
 
         # freeze the plans obtained at v, then vary the context

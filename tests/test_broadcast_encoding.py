@@ -15,11 +15,11 @@ from conftest import random_unit_batch, small_config
 from test_evaluation import desk_config, desk_master  # noqa: F401 - fixture
 from fedprompt import algorithms, federation
 from fedprompt.algorithms import (
+    Batch,
     BroadcastEncoding,
     CommunicablePayload,
     PromptFLTrainer,
     TrainContext,
-    ce_loss_and_grads,
     make_trainer,
 )
 from fedprompt.data import ClientDataset, MasterDataset
@@ -31,7 +31,7 @@ from fedprompt.federation import (
     fedavg_aggregate,
     run_round,
 )
-from fedprompt.vlm import ClassRows, FrozenTextEncoder, PromptContext, build_assets, unit_rows
+from fedprompt.vlm import ClassRows, FrozenTextEncoder, build_assets, unit_rows
 
 CLASSES = 4
 SUBSET = np.array([0, 2, 3])
@@ -139,17 +139,27 @@ class TestSharedStep:
             state = trainer.init_state(cfg, np.random.default_rng(2))
             ctx = TrainContext(assets=assets, round_index=1, total_rounds=5,
                                rng=np.random.default_rng(4), batch_size=5, epochs=2,
-                               class_ids=class_ids, shared=given)
-            out, stats = trainer.local_train(payload, state, data, ctx)
-            outs.append((out, stats, state))
-        (out_a, stats_a, state_a), (out_b, stats_b, state_b) = outs
-        assert stats_a.n_batches == stats_b.n_batches == 6
-        assert stats_a.mean_loss == stats_b.mean_loss
+                               class_ids=class_ids, audit=[], shared=given)
+            out, loss = trainer.local_train(payload, state, data, ctx)
+            outs.append((out, loss, state, len(ctx.audit)))
+        (out_a, loss_a, state_a, batches_a), (out_b, loss_b, state_b, batches_b) = outs
+        assert batches_a == batches_b == 6
+        assert loss_a == loss_b
         assert out_a.fields.keys() == out_b.fields.keys()
         for name in out_a.fields:
             assert out_a.fields[name].tobytes() == out_b.fields[name].tobytes(), name
         for name in state_a.local_fields:
             assert state_a.local_fields[name].tobytes() == state_b.local_fields[name].tobytes()
+
+
+def _batch(assets, labels):
+    features = random_unit_batch(np.random.default_rng(6), len(labels), assets.cfg.d_image)
+    return Batch(features=features, labels=labels, master_indices=np.arange(len(labels)))
+
+
+def _subset_ctx(assets):
+    return TrainContext(assets=assets, round_index=0, total_rounds=5,
+                        rng=np.random.default_rng(0), class_ids=SUBSET)
 
 
 class TestBroadcastEncoding:
@@ -177,14 +187,12 @@ class TestBroadcastEncoding:
     def test_backward_leaves_it_unchanged(self, encoded):
         assets, context, shared = encoded
         before = [a.copy() for a in _arrays((shared.features, shared.cache))]
-        xh = random_unit_batch(np.random.default_rng(6), 5, assets.cfg.d_image)
-        labels = np.array([0, 1, 2, 1, 0])  # positions in SUBSET
-        loss, grads, _ = ce_loss_and_grads(assets, PromptContext(context.copy()), xh, labels,
-                                           SUBSET, shared)
-        fresh_loss, fresh_grads, _ = ce_loss_and_grads(assets, PromptContext(context), xh,
-                                                       labels, SUBSET)
+        batch = _batch(assets, SUBSET[[0, 1, 2, 1, 0]])
+        ctx = _subset_ctx(assets)
+        loss, grads = PromptFLTrainer().grad_step({"context": context.copy()}, batch, ctx, shared)
+        fresh_loss, fresh_grads = PromptFLTrainer().grad_step({"context": context}, batch, ctx)
         assert loss == fresh_loss
-        assert grads.tobytes() == fresh_grads.tobytes()
+        assert grads["context"].tobytes() == fresh_grads["context"].tobytes()
         after = list(_arrays((shared.features, shared.cache)))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
@@ -197,9 +205,9 @@ class TestBroadcastEncoding:
         for ids in (None, SUBSET[:2], np.array([0, 1, 3])):
             with pytest.raises(ValueError, match="different context or class set"):
                 shared.take(context, ids)
-        xh = random_unit_batch(np.random.default_rng(6), 2, assets.cfg.d_image)
         with pytest.raises(ValueError, match="different context or class set"):
-            ce_loss_and_grads(assets, PromptContext(other), xh, np.array([0, 1]), SUBSET, shared)
+            PromptFLTrainer().grad_step({"context": other}, _batch(assets, SUBSET[:2]),
+                                        _subset_ctx(assets), shared)
 
     def test_writing_into_the_encoded_context_raises(self, encoded):
         _, context, shared = encoded

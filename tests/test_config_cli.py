@@ -276,6 +276,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="federation.protocol"):
             parse_config_text("[federation]\nprotocol = gossip\n")
 
+    def test_personalized_protocol_points_to_the_scenario(self):
+        # personalized evaluation is a scenario; the protocol of that name was
+        # an alias of `standard`
+        with pytest.raises(ConfigError, match="^federation.protocol: .*"
+                                              "`experiment.scenarios = personalized`"):
+            parse_config_text("[federation]\nprotocol = personalized\n")
+
     @pytest.mark.parametrize("section,key", [
         ("federation", "lr"), ("federation", "momentum"),
         ("federation", "participation_fraction"), ("model", "tau"), ("model", "init_std"),
@@ -542,21 +549,49 @@ class TestRunner:
         cells = plan_cells(cfg)
         assert len(cells) == 1 * 2 * 1 * 2  # scenarios x methods x datasets x seeds
 
-    def test_failure_manifest_and_exit_code(self, tmp_path):
-        # a file dataset that disappears before the run produces a failure
-        # manifest entry for every planned cell and a nonzero exit
-        cfg = parse_config_text(table_config_text(tmp_path / "gone.txt", methods="promptfl,zsclip"))
-        result = run(cfg, output_dir=str(tmp_path / "out"))
-        assert result.exit_code == 1
-        manifest = json.loads((tmp_path / "out" / "failures.json").read_text())
-        assert sorted(entry["cell"]["method"] for entry in manifest) == ["promptfl", "zsclip"]
+    def test_failure_manifest_and_exit_code(self, tmp_path, capsys):
+        # a file dataset that disappears before the run is an input error: one
+        # line naming the table, exit 2, and no result file
+        config = tmp_path / "run.ini"
+        config.write_text(table_config_text(tmp_path / "gone.txt", methods="promptfl,zsclip"))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read feature table ") and err.count("\n") == 1
+        assert "gone.txt" in err
+        assert not (tmp_path / "out").exists()
 
-    def test_successful_rerun_removes_stale_failures(self, tmp_path):
+    @pytest.mark.parametrize("text,where", [
+        ("# d=-1 classes=4\n0,0\n", ":1: "),
+        ("# d=16 classes=0\n", ":1: "),
+        ("# d=2 classes=4\n0,0,0.5,0.5\n0,0,0.5,x\n", ":3: "),
+    ])
+    def test_bad_feature_table_is_an_input_error(self, tmp_path, capsys, text, where):
         table = tmp_path / "feat.txt"
-        cfg = parse_config_text(table_config_text(table))
-        assert run(cfg, output_dir=str(tmp_path / "out")).exit_code == 1
-        assert (tmp_path / "out" / "failures.json").exists()
+        table.write_text(text)
+        config = tmp_path / "run.ini"
+        config.write_text(table_config_text(table, methods="promptfl,zsclip"))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {table}{where}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_successful_rerun_removes_stale_failures(self, tmp_path, monkeypatch):
+        table = tmp_path / "feat.txt"
         write_table(table, seed=0)
+        cfg = parse_config_text(table_config_text(table, methods="promptfl,zsclip"))
+        cell = runner.run_cell
+
+        def failing_cell(state, scenario, method, dataset, seed):
+            if method == "zsclip":
+                raise RuntimeError("cell failed")
+            return cell(state, scenario, method, dataset, seed)
+
+        monkeypatch.setattr(runner, "run_cell", failing_cell)
+        assert run(cfg, output_dir=str(tmp_path / "out")).exit_code == 1
+        manifest = json.loads((tmp_path / "out" / "failures.json").read_text())
+        assert [entry["cell"]["method"] for entry in manifest] == ["zsclip"]
+        assert "cell failed" in manifest[0]["error"]
+        monkeypatch.setattr(runner, "run_cell", cell)
         assert run(cfg, output_dir=str(tmp_path / "out")).exit_code == 0
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
             ["curves.jsonl", "results.csv", "results.json"]
@@ -734,6 +769,7 @@ class TestCLI:
         ("[data]\nnoise_sigma = -1\n", "data.noise_sigma"),
         ("[federation]\nnum_clients = " + "9" * 400 + "\n", "federation.num_clients"),
         ("[data]\ndatasets =\n", "data.datasets"),
+        ("[federation]\nprotocol = personalized\n", "federation.protocol"),
     ])
     def test_validate_names_the_bad_key(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.ini"

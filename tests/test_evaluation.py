@@ -219,7 +219,7 @@ class TestScenarios:
         assert 0.0 <= by_metric["alpha_g"] <= 100.0
 
     def test_personalized_cell(self, desk_master):
-        config = desk_config(protocol="personalized")
+        config = desk_config()
         result = one_cell(config, ScenarioSpec(kind="personalized"), "promptfl", desk_master, 0)
         metrics = {o.metric for o in result.observations}
         assert metrics == {"alpha_p"}
@@ -310,7 +310,7 @@ class TestScenarios:
 
         monkeypatch.setattr(MasterDataset, "ensure_local_maps", recording_maps)
         monkeypatch.setattr(evaluation, "run_federation", recording_federation)
-        one_cell(desk_config(protocol="personalized", rounds=1), ScenarioSpec(kind="personalized"),
+        one_cell(desk_config(rounds=1), ScenarioSpec(kind="personalized"),
                  "fedotp", desk_master, 0)
         assert requested == [sorted(np.concatenate(held).tolist())]
 
@@ -337,7 +337,7 @@ class TestScenarios:
 
         monkeypatch.setattr(algorithms, "sinkhorn_batched", counting_solve)
         monkeypatch.setattr(evaluation, "personalized_accuracy", recording_score)
-        config = desk_config(protocol="personalized", rounds=2)
+        config = desk_config(rounds=2)
         result = one_cell(config, ScenarioSpec(kind="personalized"), "fedotp", desk_master, 0)
         assert len(rounds) == config.federation.rounds
         assert min(rounds) >= 3  # several clients hold test data in every round
@@ -371,7 +371,7 @@ class TestScenarios:
 
         monkeypatch.setattr(predictor_class, "probs", counting_probs)
         monkeypatch.setattr(evaluation, "personalized_accuracy", recording_score)
-        config = desk_config(protocol="personalized", rounds=2)
+        config = desk_config(rounds=2)
         result = one_cell(config, ScenarioSpec(kind="personalized"), method, desk_master, 0)
         assert len(rounds) == config.federation.rounds
         assert min(rounds) >= 3  # several clients hold test data in every round

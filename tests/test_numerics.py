@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedprompt.errors import ConfigError, DomainError
-from fedprompt.numerics import finite_diff_gradient, softmax_ce_batch, softmax_temp
-from oracle import cosine_similarity, cross_entropy, relative_error
+from fedprompt.numerics import softmax_ce_batch, softmax_temp
+from oracle import cosine_similarity, cross_entropy, finite_diff_gradient, relative_error
 
 
 class TestSoftmaxTemp:

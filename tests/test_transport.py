@@ -262,8 +262,9 @@ class TestClassScore:
         context = rng.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.3
         images = rng.normal(size=(7, cfg.d_image))
         maps = unit_rows(images)[:, None, :]
-        transport = TransportPredictor(assets, context, None, eps=0.1, iters=100)
-        cosine = CosinePredictor(assets, context, None)
+        features, _ = assets.text_features(context)
+        transport = TransportPredictor(features, cfg.tau, eps=0.1, iters=100)
+        cosine = CosinePredictor(features, cfg.tau)
         p_ot = transport.probs(images, maps)
         p_cos = cosine.probs(images)
         np.testing.assert_allclose(p_ot, p_cos, rtol=0, atol=1e-12)
@@ -272,9 +273,9 @@ class TestClassScore:
     def test_stacked_predictors_score_as_alone(self, assets, rng):
         # one solve for several predictors, each on its own images, changes no bit
         cfg = assets.cfg
-        predictors = [TransportPredictor(assets, rng.normal(size=(2, cfg.tokens, cfg.d_token)),
-                                         None, eps=0.1, iters=100, col_relax=0.5)
-                      for _ in range(3)]
+        predictors = [TransportPredictor(
+            assets.text_features(rng.normal(size=(2, cfg.tokens, cfg.d_token)))[0], cfg.tau,
+            eps=0.1, iters=100, col_relax=0.5) for _ in range(3)]
         maps = [unit_rows(rng.normal(size=(n, 4, cfg.d_image))) for n in (1, 5, 2)]
         stacked = transport_probs(predictors, maps)
         for predictor, part, probs in zip(predictors, maps, stacked):
@@ -292,8 +293,8 @@ class TestClassScore:
         context = rng.normal(size=(2, cfg.tokens, cfg.d_token)) * 0.3
         images = rng.normal(size=(5, cfg.d_image))
         maps = unit_rows(images[:, None, :] + 0.2 * rng.normal(size=(5, 4, cfg.d_image)))
-        predictor = TransportPredictor(assets, context, None, eps=0.1, iters=100,
-                                       col_relax=0.5)
+        predictor = TransportPredictor(assets.text_features(context)[0], cfg.tau, eps=0.1,
+                                       iters=100, col_relax=0.5)
         np.testing.assert_allclose(predictor.probs(images, maps),
                                    predictor.probs(images, maps[:, ::-1].copy()),
                                    rtol=0, atol=1e-12)

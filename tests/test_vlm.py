@@ -7,10 +7,10 @@ import pytest
 
 import vlm_oracle
 from conftest import random_unit_batch, small_config
-from oracle import cosine_similarity, relative_error
-from vlm_oracle import predict, prompt_gradients
+from oracle import cosine_similarity, finite_diff_gradient, relative_error
+from vlm_oracle import encoder_digest, predict, prompt_gradients, vocabulary_digest
 from fedprompt.errors import ConfigError, DomainError
-from fedprompt.numerics import finite_diff_gradient, softmax_temp
+from fedprompt.numerics import softmax_temp
 from fedprompt.vlm import (
     ClassVocabulary,
     FrozenTextEncoder,
@@ -137,7 +137,8 @@ class TestEncoder:
 
     def test_digest_stable(self):
         cfg = small_config()
-        assert FrozenTextEncoder.from_config(cfg).digest() == FrozenTextEncoder.from_config(cfg).digest()
+        assert encoder_digest(FrozenTextEncoder.from_config(cfg)) == \
+            encoder_digest(FrozenTextEncoder.from_config(cfg))
 
 
 class TestStructuredEncoder:
@@ -307,8 +308,8 @@ class TestFreezing:
 
         cfg = small_config("attention_block", d_token=6, d_feature=10, d_image=10)
         assets = build_assets(cfg, 3)
-        enc_digest = assets.encoder.digest()
-        vocab_digest = assets.vocab.digest()
+        enc_digest = encoder_digest(assets.encoder)
+        vocab_digest = vocabulary_digest(assets.vocab)
         feats = random_unit_batch(rng, 12, cfg.d_image)
         labels = rng.integers(0, 3, size=12)
         master = MasterDataset(features=feats, labels=labels, class_count=3)
@@ -316,8 +317,8 @@ class TestFreezing:
         trainer = make_trainer("promptfl")
         clients = build_clients(master, [np.arange(6), np.arange(6, 12)], trainer, cfg, seed=0)
         run_federation(trainer, clients, fed, assets, seed=0)
-        assert assets.encoder.digest() == enc_digest
-        assert assets.vocab.digest() == vocab_digest
+        assert encoder_digest(assets.encoder) == enc_digest
+        assert vocabulary_digest(assets.vocab) == vocab_digest
 
 
 class TestSharedAssets:

@@ -4,8 +4,10 @@ Every (context, class) pair is laid out as its own full token sequence
 [context; class tokens] and run through the frozen weights with 3-D
 matmuls, and the gradient comes back for every token row. The fast path
 encodes each context once against cached class rows; it must agree with
-this layout to rounding.
+this layout to rounding. Also digests of the frozen weights and vocabulary.
 """
+
+import hashlib
 
 import numpy as np
 
@@ -82,6 +84,20 @@ def context_grads(encoder, contexts: np.ndarray, class_tokens: np.ndarray,
     return dtokens.reshape(n, class_tokens.shape[0], -1, d)[:, :, :L].sum(axis=1)
 
 
+def encoder_digest(encoder) -> str:
+    """SHA-256 over the frozen encoder weights, by weight name."""
+    hasher = hashlib.sha256()
+    for key in sorted(encoder.weights):
+        hasher.update(key.encode())
+        hasher.update(encoder.weights[key].tobytes())
+    return hasher.hexdigest()
+
+
+def vocabulary_digest(vocab) -> str:
+    """SHA-256 of the frozen class tokens."""
+    return hashlib.sha256(vocab.tokens.tobytes()).hexdigest()
+
+
 def predict(image_feature: np.ndarray, class_features: list[np.ndarray] | np.ndarray,
             tau: float) -> np.ndarray:
     """Class probabilities of one image: temperature softmax over cosine similarities."""
@@ -104,12 +120,13 @@ def prompt_gradients(encoder, context, batch, vocab, tau: float,
     labels = np.asarray(batch.labels)
     if feats.shape[0] == 0:
         raise DomainError("empty batch")
-    rows = encoder.class_rows(vocab.tokens, context.L).take(class_ids)
+    m, L, _ = context.vectors.shape
+    rows = encoder.class_rows(vocab.tokens, L).take(class_ids)
     set_feats, cache = encoder.encode(context.vectors, rows)
     xh = unit_rows(feats)
     sims = np.einsum("bd,pcd->pbc", xh, set_feats)  # (m, B, C)
     loss, dlogits, _ = softmax_ce_batch(sims.mean(axis=0), labels, tau)
     # ambient partial w.r.t. the unit feature; the encoder backward applies
     # the normalisation Jacobian, so tangential projection is implicit
-    dT = np.einsum("bc,bd->cd", dlogits / context.m, xh)
+    dT = np.einsum("bc,bd->cd", dlogits / m, xh)
     return encoder.backward(cache, np.broadcast_to(dT, set_feats.shape)), loss
