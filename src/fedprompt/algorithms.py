@@ -7,9 +7,11 @@ buffers, personal prompts) never travels.
 """
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .data import class_positions
 from .errors import ConfigError, DataError, DomainError
 from .numerics import softmax_ce_batch, softmax_temp
 from .transport import sinkhorn_batched
@@ -21,6 +23,9 @@ from .vlm import (
     read_only_encoding,
     unit_rows,
 )
+
+if TYPE_CHECKING:
+    from .federation import FederationConfig
 
 # ---------------------------------------------------------------------------
 # Communicable payloads
@@ -183,24 +188,11 @@ class TrainContext:
 
     assets: ModelAssets
     round_index: int
-    total_rounds: int
+    federation: "FederationConfig"  # epochs, batch size and the SGD schedule
     rng: np.random.Generator
-    batch_size: int = 16
-    epochs: int = 1
-    lr: float = 0.002
-    momentum: float = 0.9
     class_ids: np.ndarray | None = None  # restrict training to these classes
     audit: list | None = None            # collects each batch's master indices
     shared: BroadcastEncoding | None = None  # the broadcast's encoding, for the first step
-
-    def map_labels(self, labels: np.ndarray) -> np.ndarray:
-        if self.class_ids is None:
-            return labels
-        pos = np.searchsorted(self.class_ids, labels)
-        bad = (pos >= len(self.class_ids)) | (self.class_ids[np.minimum(pos, len(self.class_ids) - 1)] != labels)
-        if np.any(bad):
-            raise DataError("batch contains labels outside the trained class set")
-        return pos
 
 
 @dataclass
@@ -436,14 +428,15 @@ class LocalTrainer:
         losses: list[float] = []
         passes: list[dict] = []  # the parameters after each pass over the data
         shared = ctx.shared      # the broadcast's encoding fits the first step only
-        for _ in range(ctx.epochs):
-            for batch in iterate_batches(dataset, ctx.rng, ctx.batch_size):
+        fed = ctx.federation
+        for _ in range(fed.local_epochs):
+            for batch in iterate_batches(dataset, ctx.rng, fed.batch_size):
                 if ctx.audit is not None:
                     ctx.audit.append(np.asarray(batch.master_indices))
                 loss, grads = self.grad_step(params, batch, ctx, shared)
                 shared = None
-                params = sgd_momentum_step(params, grads, state.velocities, ctx.lr, ctx.momentum,
-                                           ctx.round_index, ctx.total_rounds)
+                params = sgd_momentum_step(params, grads, state.velocities, fed.lr, fed.momentum,
+                                           ctx.round_index, fed.rounds)
                 losses.append(loss)
             passes.append(params)
         if passes:
@@ -467,7 +460,7 @@ class LocalTrainer:
         positions in the trained class set; its context gradient is split
         back by field.
         """
-        labels = ctx.map_labels(batch.labels)
+        labels = class_positions(batch.labels, ctx.class_ids)
         feats, cache = _text_features(ctx.assets, PromptContext(self._context(params)).vectors,
                                       ctx.class_ids, shared)
         loss, grads = self.loss(feats, lambda dT: ctx.assets.encoder.backward(cache, dT),
@@ -563,9 +556,7 @@ class PromptFLTrainer(LocalTrainer):
 
 class KgCoOpTrainer(LocalTrainer):
     kind = "kgcoop"
-
-    def __init__(self, lambda_kg: float = 1.0):
-        self.lambda_kg = lambda_kg
+    lambda_kg = 1.0
 
     def loss(self, feats, backward, batch, labels, ctx):
         return loss_kgcoop(feats, backward, unit_rows(batch.features), labels, ctx.assets.cfg.tau,
@@ -574,9 +565,7 @@ class KgCoOpTrainer(LocalTrainer):
 
 class ProGradTrainer(LocalTrainer):
     kind = "prograd"
-
-    def __init__(self, lambda_pg: float = 1.0):
-        self.lambda_pg = lambda_pg
+    lambda_pg = 1.0
 
     def loss(self, feats, backward, batch, labels, ctx):
         xh = unit_rows(batch.features)
@@ -587,9 +576,7 @@ class ProGradTrainer(LocalTrainer):
 class ProDATrainer(LocalTrainer):
     kind = "proda"
     set_multiplier = 2
-
-    def __init__(self, lambda_orth: float = 1.0):
-        self.lambda_orth = lambda_orth
+    lambda_orth = 1.0
 
     def loss(self, feats, backward, batch, labels, ctx):
         return loss_proda(feats, backward, unit_rows(batch.features), labels, ctx.assets.cfg.tau,
@@ -601,13 +588,9 @@ class SRCTrainer(LocalTrainer):
     average of its contexts after the last `window` passes."""
 
     kind = "src"
-
-    def __init__(self, mu_text: float = 1.0, mu_logit: float = 1.0, window: int = 3):
-        if window < 1:
-            raise ConfigError(f"trajectory window must be >= 1, got {window}")
-        self.mu_text = mu_text
-        self.mu_logit = mu_logit
-        self.window = window
+    mu_text = 1.0
+    mu_logit = 1.0
+    window = 3
 
     def loss(self, feats, backward, batch, labels, ctx):
         xh = unit_rows(batch.features)
@@ -645,7 +628,7 @@ class CoCoOpTrainer(LocalTrainer):
 
     def grad_step(self, params, batch, ctx, shared=None):
         xh = unit_rows(batch.features)
-        labels = ctx.map_labels(batch.labels)
+        labels = class_positions(batch.labels, ctx.class_ids)
         logits, (feats, cache, meta_cache) = conditioned_logits(ctx.assets, params, xh,
                                                                 ctx.class_ids)
         loss, dlogits, _ = softmax_ce_batch(logits, labels, ctx.assets.cfg.tau)
@@ -704,38 +687,14 @@ class ConditionedPredictor:
 
 
 class FedOTPTrainer(LocalTrainer):
-    """Consensus + personal prompt pair scored by one-sided relaxed transport.
-
-    In "global" mode both prompt sets travel; in "personalized" mode only
-    the consensus half is communicated, and the personal half stays in
-    client state and is stacked after it for every step and prediction.
-    """
+    """Consensus + personal prompt pair scored by one-sided relaxed transport;
+    both prompt sets travel (see `PersonalizedFedOTPTrainer`)."""
 
     kind = "fedotp"
     set_multiplier = 2
-
-    def __init__(self, mode: str = "global", ot_relax: float = 0.5,
-                 ot_eps: float = 0.1, ot_iters: int = 100):
-        if mode not in ("global", "personalized"):
-            raise ConfigError(f"fedotp mode must be 'global' or 'personalized', got {mode!r}")
-        self.mode = mode
-        self.ot_relax = ot_relax
-        self.ot_eps = ot_eps
-        self.ot_iters = ot_iters
-        if mode == "personalized":
-            self.context_fields = ("context_global", "context_local")
-
-    def payload_shapes(self, cfg: ModelConfig) -> dict[str, tuple]:
-        if self.mode == "global":
-            return super().payload_shapes(cfg)
-        return {"context_global": (cfg.prompts, cfg.tokens, cfg.d_token)}
-
-    def init_state(self, cfg, rng):
-        state = super().init_state(cfg, rng)
-        if self.mode == "personalized":
-            state.local_fields["context_local"] = \
-                build_prompt_context(cfg, rng, m=cfg.prompts).vectors
-        return state
+    ot_relax = 0.5  # the column exponent of `sinkhorn_batched`
+    ot_eps = 0.1
+    ot_iters = 100
 
     def loss(self, feats, backward, batch, labels, ctx):
         return ot_scores_and_grads(feats, backward, batch.local_maps, labels, ctx.assets.cfg.tau,
@@ -745,15 +704,28 @@ class FedOTPTrainer(LocalTrainer):
         return TransportPredictor(features, tau, self.ot_eps, self.ot_iters, self.ot_relax)
 
 
+class PersonalizedFedOTPTrainer(FedOTPTrainer):
+    """FedOTP under personalized evaluation: only the consensus half is
+    communicated; the personal half stays in client state and is stacked
+    after it for every step and prediction."""
+
+    context_fields = ("context_global", "context_local")
+
+    def payload_shapes(self, cfg: ModelConfig) -> dict[str, tuple]:
+        return {"context_global": (cfg.prompts, cfg.tokens, cfg.d_token)}
+
+    def init_state(self, cfg, rng):
+        return ClientTrainState(local_fields={
+            "context_local": build_prompt_context(cfg, rng, m=cfg.prompts).vectors})
+
+
 class PLOTTrainer(FedOTPTrainer):
-    """PLOT: FedOTP's global mode over the configured prompt sets alone, with
-    balanced transport marginals."""
+    """PLOT: FedOTP over the configured prompt sets alone, with balanced
+    transport marginals."""
 
     kind = "plot"
     set_multiplier = 1
-
-    def __init__(self, ot_eps: float = 0.1, ot_iters: int = 100):
-        super().__init__("global", ot_relax=1.0, ot_eps=ot_eps, ot_iters=ot_iters)
+    ot_relax = 1.0
 
 
 _TRAINERS = {
@@ -771,7 +743,7 @@ _TRAINERS = {
 TRAINER_KINDS = tuple(_TRAINERS)
 
 
-def make_trainer(kind: str, **hyper) -> LocalTrainer:
+def make_trainer(kind: str) -> LocalTrainer:
     if kind not in _TRAINERS:
         raise ConfigError(f"unknown trainer kind {kind!r}; choose from {sorted(_TRAINERS)}")
-    return _TRAINERS[kind](**hyper)
+    return _TRAINERS[kind]()

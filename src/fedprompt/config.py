@@ -16,7 +16,13 @@ import json
 import sys
 from dataclasses import dataclass, field, replace
 
-from .data import MasterDataset, SyntheticSpec, generate_synthetic_dataset, load_feature_table
+from .data import (
+    MasterDataset,
+    SyntheticSpec,
+    generate_synthetic_dataset,
+    load_feature_table,
+    read_table_header,
+)
 from .errors import ConfigError
 from .evaluation import SCENARIO_KINDS, ZERO_SHOT_METHOD, ScenarioSpec
 from .federation import FederationConfig
@@ -273,10 +279,20 @@ def materialize_datasets(config: ExperimentConfig) -> dict[str, MasterDataset]:
             datasets[entry] = generate_synthetic_dataset(spec, rng)
         else:
             loaded = load_feature_table(entry)
-            if loaded.feature_dim != config.model.d_image:
-                raise ConfigError(
-                    f"{entry}: feature width {loaded.feature_dim} does not match "
-                    f"model.d_image {config.model.d_image}"
-                )
+            _check_width(entry, loaded.feature_dim, config.model)
             datasets[dataset_display_name(entry)] = loaded
     return datasets
+
+
+def check_table_headers(config: ExperimentConfig) -> None:
+    """Check the header of every feature table the config names, and its width
+    against the model; `materialize_datasets` checks the bodies."""
+    for entry in config.data.datasets:
+        if not _is_synthetic(entry):
+            _check_width(entry, read_table_header(entry)[0], config.model)
+
+
+def _check_width(entry: str, dim: int, model: ModelConfig) -> None:
+    if dim != model.d_image:
+        raise ConfigError(f"{entry}:1: feature width {dim} does not match "
+                          f"model.d_image {model.d_image}")

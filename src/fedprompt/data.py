@@ -169,11 +169,9 @@ def generate_synthetic_dataset(spec: SyntheticSpec, rng: np.random.Generator) ->
 
 @dataclass(frozen=True)
 class DomainShift:
-    """Fixed orthogonal rotation + scale + noise applied to every feature."""
+    """Fixed orthogonal rotation + noise applied to every feature."""
 
     angle: float = 0.0
-    planes: tuple[tuple[int, int], ...] | None = None  # default: disjoint coordinate pairs
-    scale: float = 1.0
     noise_sigma: float = 0.0
     seed: int = 0
 
@@ -196,17 +194,12 @@ def _rotate_planes(x: np.ndarray, planes, angle: float) -> np.ndarray:
 
 
 def apply_domain_shift(dataset: MasterDataset, shift: DomainShift) -> MasterDataset:
-    """Same labels, features mapped into a shifted domain and renormalised."""
-    if not np.isfinite([shift.angle, shift.scale, shift.noise_sigma]).all():
+    """Same labels, features rotated by `shift.angle` in every coordinate plane
+    (2k, 2k + 1), noised and renormalised."""
+    if not np.isfinite([shift.angle, shift.noise_sigma]).all():
         raise ConfigError("domain shift parameters must be finite")
-    d = dataset.feature_dim
-    planes = shift.planes
-    if planes is None:
-        planes = tuple((2 * k, 2 * k + 1) for k in range(d // 2))
-    for i, j in planes:
-        if i == j or not (0 <= i < d and 0 <= j < d):
-            raise ConfigError(f"domain shift plane ({i}, {j}) needs two distinct axes below {d}")
-    x = _rotate_planes(dataset.features, planes, shift.angle) * shift.scale
+    planes = [(2 * k, 2 * k + 1) for k in range(dataset.feature_dim // 2)]
+    x = _rotate_planes(dataset.features, planes, shift.angle)
     if shift.noise_sigma > 0:
         rng = rngs.derive_rng(shift.seed, rngs.SHIFT)
         x = x + shift.noise_sigma * rng.normal(size=x.shape)
@@ -224,6 +217,19 @@ def _classes(labels: np.ndarray) -> np.ndarray:
     Not np.unique: its first call in a process imports numpy.ma (15-20 ms).
     """
     return np.flatnonzero(np.bincount(labels))
+
+
+def class_positions(labels: np.ndarray, class_ids: np.ndarray | None) -> np.ndarray:
+    """Each label's position in the sorted class set `class_ids`; the labels
+    themselves when every class is in the set (None)."""
+    if class_ids is None:
+        return labels
+    class_ids = np.asarray(class_ids)
+    pos = np.searchsorted(class_ids, labels)
+    outside = class_ids[np.minimum(pos, len(class_ids) - 1)] != labels
+    if np.any(outside):
+        raise DataError(f"label {labels[outside][0]} is outside the class set {class_ids.tolist()}")
+    return pos
 
 
 def balanced_subsample_indices(labels: np.ndarray, per_class: int,
@@ -364,11 +370,35 @@ def load_feature_table(path: str) -> MasterDataset:
     `int` and `float` accept and names the failing `path:line`; both give
     the same arrays for every body the bulk read accepts.
     """
+    lines = _table_lines(path, whole=True)
+    dim, classes = _parse_header(path, lines)
+    table = _bulk_table([line for line in lines[1:] if line.strip()], dim, classes)
+    if table is None:
+        return _read_rows(path, lines, dim, classes)
+    return MasterDataset(
+        features=np.ascontiguousarray(table[:, 2:]),  # a strided view would reduce differently
+        labels=table[:, 0].astype(np.int64),
+        class_count=classes,
+        domain_tags=table[:, 1].astype(np.int64),
+    )
+
+
+def read_table_header(path: str) -> tuple[int, int]:
+    """The (d, classes) of a feature table, from its first line alone."""
+    return _parse_header(path, _table_lines(path, whole=False))
+
+
+def _table_lines(path: str, whole: bool) -> list[str]:
+    """The lines of the table file, or of its first line alone."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
+            return (fh.read() if whole else fh.readline()).splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read feature table {path}: {exc}") from exc
+
+
+def _parse_header(path: str, lines: list[str]) -> tuple[int, int]:
+    """The (d, classes) that the first of a table's `lines` declares."""
     if not lines:
         raise DataError(f"{path}: no samples (empty file)")
     header = lines[0]
@@ -382,15 +412,7 @@ def load_feature_table(path: str) -> MasterDataset:
         raise DataError(f"{path}:1: malformed header {header!r}") from exc
     if dim < 1 or classes < 1:
         raise DataError(f"{path}:1: header {header!r} needs d >= 1 and classes >= 1")
-    table = _bulk_table([line for line in lines[1:] if line.strip()], dim, classes)
-    if table is None:
-        return _read_rows(path, lines, dim, classes)
-    return MasterDataset(
-        features=np.ascontiguousarray(table[:, 2:]),  # a strided view would reduce differently
-        labels=table[:, 0].astype(np.int64),
-        class_count=classes,
-        domain_tags=table[:, 1].astype(np.int64),
-    )
+    return dim, classes
 
 
 def _bulk_table(rows: list[str], dim: int, classes: int) -> np.ndarray | None:

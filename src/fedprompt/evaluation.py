@@ -17,6 +17,7 @@ import numpy as np
 from .algorithms import (
     CosinePredictor,
     LocalTrainer,
+    PersonalizedFedOTPTrainer,
     TransportPredictor,
     make_trainer,
     transport_probs,
@@ -28,6 +29,7 @@ from .data import (
     apply_domain_shift,
     balanced_subsample_indices,
     base_novel_split,
+    class_positions,
     dirichlet_partition,
     kshot_iid_partition,
     mirror_partition,
@@ -56,17 +58,6 @@ def accuracy_percent(predicted: np.ndarray, target: np.ndarray) -> float:
     return float((np.asarray(predicted) == np.asarray(target)).mean() * 100.0)
 
 
-def _positions(class_ids: np.ndarray | None, labels: np.ndarray) -> np.ndarray:
-    if class_ids is None:
-        return labels
-    class_ids = np.asarray(class_ids)
-    pos = np.searchsorted(class_ids, labels)
-    clipped = np.minimum(pos, len(class_ids) - 1)
-    if np.any(class_ids[clipped] != labels):
-        raise EvaluationError("test labels outside the evaluated class set")
-    return pos
-
-
 def evaluate_predictor(predictor, features: np.ndarray, labels: np.ndarray,
                        class_ids: np.ndarray | None = None,
                        local_maps: np.ndarray | None = None,
@@ -74,7 +65,7 @@ def evaluate_predictor(predictor, features: np.ndarray, labels: np.ndarray,
     """Top-1 accuracy (percent) of a predictor over a labeled feature set; with
     `sizes`, the accuracy of each consecutive block of that many rows."""
     predicted = predictor.probs(features, local_maps).argmax(axis=1)
-    target = _positions(class_ids, labels)
+    target = class_positions(labels, class_ids)
     if sizes is None:
         return accuracy_percent(predicted, target)
     bounds = np.cumsum(sizes)[:-1]
@@ -82,8 +73,7 @@ def evaluate_predictor(predictor, features: np.ndarray, labels: np.ndarray,
             for p, t in zip(np.split(predicted, bounds), np.split(target, bounds))]
 
 
-def personalized_accuracy(predictors, test_sets: list[ClientDataset],
-                          class_ids: np.ndarray | None = None) -> float:
+def personalized_accuracy(predictors, test_sets: list[ClientDataset]) -> float:
     """Client accuracies averaged with weights proportional to their test data.
 
     `predictors` holds one predictor per client, or is one predictor that
@@ -103,16 +93,15 @@ def personalized_accuracy(predictors, test_sets: list[ClientDataset],
         maps = None if tests[0].local_maps is None else \
             np.concatenate([test.local_maps for test in tests])
         accs = evaluate_predictor(predictors, np.concatenate([test.features for test in tests]),
-                                  np.concatenate([test.labels for test in tests]), class_ids,
-                                  maps, sizes=[len(test) for test in tests])
+                                  np.concatenate([test.labels for test in tests]),
+                                  local_maps=maps, sizes=[len(test) for test in tests])
     elif all(isinstance(predictor, TransportPredictor) for predictor, _ in held):
         probs = transport_probs([predictor for predictor, _ in held],
                                 [test.local_maps for test in tests])
-        accs = [accuracy_percent(p.argmax(axis=1), _positions(class_ids, test.labels))
-                for p, test in zip(probs, tests)]
+        accs = [accuracy_percent(p.argmax(axis=1), test.labels) for p, test in zip(probs, tests)]
     else:
-        accs = [evaluate_predictor(predictor, test.features, test.labels, class_ids,
-                                   test.local_maps)
+        accs = [evaluate_predictor(predictor, test.features, test.labels,
+                                   local_maps=test.local_maps)
                 for predictor, test in held]
     weights = np.array([len(test) for test in tests], dtype=np.float64)
     weights /= weights.sum()
@@ -230,12 +219,11 @@ class ScenarioSpec:
 class CellResult:
     observations: list[Observation]
     curves: list[dict]
-    extras: dict = field(default_factory=dict)
 
 
 def _trainer_for(method: str, spec: ScenarioSpec) -> LocalTrainer:
-    if method == "fedotp":
-        return make_trainer(method, mode="personalized" if spec.kind == "personalized" else "global")
+    if method == "fedotp" and spec.kind == "personalized":
+        return PersonalizedFedOTPTrainer()
     return make_trainer(method)
 
 
@@ -322,7 +310,6 @@ class _ScenarioPlan:
     client_tests: list[np.ndarray] | None = None  # personalized: test indices per client
     class_ids: np.ndarray | None = None           # the classes trained on (None: all)
     per_round: bool = True                        # best over evaluated rounds, else final only
-    extras: dict = field(default_factory=dict)
 
 
 def _scenario_plan(state: RunState, spec: ScenarioSpec, trained: bool, dataset: str,
@@ -341,7 +328,6 @@ def _scenario_plan(state: RunState, spec: ScenarioSpec, trained: bool, dataset: 
             [_Target(column, "alpha_b", "acc::base", master, te_base, base_ids),
              _Target(column, "alpha_n", "acc::novel", master, te_novel, novel_ids)],
             class_ids=base_ids, per_round=False,
-            extras={"base_ids": base_ids, "novel_ids": novel_ids},
         )
         pool = tr[np.isin(master.labels[tr], base_ids)]
     elif spec.kind == "cross_domain":
@@ -413,8 +399,7 @@ def _run_plan(state: RunState, spec: ScenarioSpec, method: str, dataset: str, co
         scores = score(lambda ids: CosinePredictor(
             assets.text_features(assets.handcrafted.vectors, ids)[0], assets.cfg.tau))
         chi = 0.0 if spec.kind == "global" else None
-        return CellResult(_observations(spec, method, seed, targets, scores, chi), [],
-                          scenario.extras)
+        return CellResult(_observations(spec, method, seed, targets, scores, chi), [])
 
     trainer = _trainer_for(method, spec)
     fed_cfg = state.config.federation
@@ -431,7 +416,7 @@ def _run_plan(state: RunState, spec: ScenarioSpec, method: str, dataset: str, co
         return trainer.build_predictor(server.payload, assets, class_ids, client_state,
                                        server.encoding(trainer, assets, class_ids))
 
-    def evaluate(server, clients, round_index=None) -> dict[str, float]:
+    def evaluate(server, clients) -> dict[str, float]:
         if scenario.client_tests is None:
             return score(lambda ids: predictor(server, ids))
         held = [c for c in clients if len(c.test_set) > 0]
@@ -452,7 +437,6 @@ def _run_plan(state: RunState, spec: ScenarioSpec, method: str, dataset: str, co
         if leaked:
             raise EvaluationError(f"{leaked} samples of untrained classes leaked into "
                                   "training batches")
-        scenario.extras["audit"] = audit
     scores = outcome.best if scenario.per_round else evaluate(outcome.server, clients)
     chi = None
     if spec.kind == "global":  # what actually moved (skipped empty clients exchange nothing)
@@ -463,8 +447,7 @@ def _run_plan(state: RunState, spec: ScenarioSpec, method: str, dataset: str, co
                "round": record["round"], "train_loss": record.get("train_loss"),
                "test_accuracy": record.get("test_accuracy"), "chi": record.get("chi")}
               for record in outcome.eval_history]
-    return CellResult(_observations(spec, method, seed, targets, scores, chi), curves,
-                      scenario.extras)
+    return CellResult(_observations(spec, method, seed, targets, scores, chi), curves)
 
 
 def _give_local_maps(slices: list[tuple[MasterDataset, ClientDataset]], M: int,

@@ -222,8 +222,7 @@ def fedavg_aggregate(payloads: list[CommunicablePayload],
 
 def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
               fed_cfg: FederationConfig, assets: ModelAssets, seed: int,
-              class_ids: np.ndarray | None = None, audit: list | None = None,
-              client_order: list[int] | None = None) -> RoundReport:
+              class_ids: np.ndarray | None = None, audit: list | None = None) -> RoundReport:
     """One communication round: sample, broadcast, train, collect, aggregate."""
     t = server.round_index
     rng = rngs.derive_rng(seed, rngs.SAMPLING, t)
@@ -239,59 +238,37 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
     )
     if not participating:
         log.warning("round %d: no client holds data, round skipped", t)
-        server.round_index += 1
-        server.ledger.record_round(0, 0)
-        server.reports.append(report)
-        return report
-
-    declared = trainer.payload_scalars(assets.cfg)
-    report.download_scalars = declared * len(participating)
-
-    results: dict[int, tuple[CommunicablePayload, float]] = {}  # payload, mean loss
-    order = participating if client_order is None else [c for c in client_order if c in participating]
-    shared = server.encoding(trainer, assets, class_ids)
-    for cid in order:
-        client = clients[cid]
-        ctx = TrainContext(
-            assets=assets,
-            round_index=t,
-            total_rounds=fed_cfg.rounds,
-            rng=rngs.derive_rng(seed, rngs.CLIENT, cid, t),
-            batch_size=fed_cfg.batch_size,
-            epochs=fed_cfg.local_epochs,
-            lr=fed_cfg.lr,
-            momentum=fed_cfg.momentum,
-            class_ids=class_ids,
-            audit=audit,
-            shared=shared,
-        )
-        try:  # the payload is read-only; local_train copies what it trains
-            payload, loss = trainer.local_train(server.payload, client.state,
-                                                client.dataset, ctx)
-        except Exception:  # noqa: BLE001 - failed clients are excluded, not fatal
-            log.exception("round %d: client %d failed, excluded from aggregation", t, cid)
-            report.failed.append(cid)
-            continue
-        if payload.scalar_count != declared:
-            raise AggregationError(
-                f"client {cid} returned {payload.scalar_count} scalars, declared {declared}"
-            )
-        results[cid] = (payload, loss)
-
-    if not results:
-        log.warning("round %d: every client failed, round skipped", t)
-        server.round_index += 1
-        server.ledger.record_round(report.download_scalars, 0)
-        server.reports.append(report)
-        return report
-
-    ordered_ids = sorted(results)
-    report.upload_scalars = declared * len(ordered_ids)
-    weights = compute_weights(np.array([len(clients[c].dataset) for c in ordered_ids]))
-    aggregated = fedavg_aggregate([results[c][0] for c in ordered_ids], weights)
-    server.payload = aggregated
-    report.client_losses = {c: results[c][1] for c in ordered_ids}
-    report.weights = {c: float(w) for c, w in zip(ordered_ids, weights)}
+    else:
+        declared = trainer.payload_scalars(assets.cfg)
+        report.download_scalars = declared * len(participating)
+        results: dict[int, tuple[CommunicablePayload, float]] = {}  # payload, mean loss
+        shared = server.encoding(trainer, assets, class_ids)
+        for cid in participating:
+            client = clients[cid]
+            ctx = TrainContext(assets=assets, round_index=t, federation=fed_cfg,
+                               rng=rngs.derive_rng(seed, rngs.CLIENT, cid, t),
+                               class_ids=class_ids, audit=audit, shared=shared)
+            try:  # the payload is read-only; local_train copies what it trains
+                payload, loss = trainer.local_train(server.payload, client.state,
+                                                    client.dataset, ctx)
+            except Exception:  # noqa: BLE001 - failed clients are excluded, not fatal
+                log.exception("round %d: client %d failed, excluded from aggregation", t, cid)
+                report.failed.append(cid)
+                continue
+            if payload.scalar_count != declared:
+                raise AggregationError(
+                    f"client {cid} returned {payload.scalar_count} scalars, declared {declared}"
+                )
+            results[cid] = (payload, loss)
+        if not results:
+            log.warning("round %d: every client failed, round skipped", t)
+        else:
+            ordered_ids = sorted(results)
+            report.upload_scalars = declared * len(ordered_ids)
+            weights = compute_weights(np.array([len(clients[c].dataset) for c in ordered_ids]))
+            server.payload = fedavg_aggregate([results[c][0] for c in ordered_ids], weights)
+            report.client_losses = {c: results[c][1] for c in ordered_ids}
+            report.weights = {c: float(w) for c, w in zip(ordered_ids, weights)}
     server.ledger.record_round(report.download_scalars, report.upload_scalars)
     server.round_index += 1
     server.reports.append(report)
@@ -319,7 +296,7 @@ def run_federation(trainer: LocalTrainer, clients: list[Client], fed_cfg: Federa
         report = run_round(server, clients, trainer, fed_cfg, assets, seed,
                            class_ids=class_ids, audit=audit)
         if eval_fn is not None and ((t + 1) % fed_cfg.eval_every == 0 or t == fed_cfg.rounds - 1):
-            metrics = eval_fn(server, clients, t)
+            metrics = eval_fn(server, clients)
             record = {"round": t, **metrics}
             history.append(record)
             for key, value in metrics.items():

@@ -35,22 +35,23 @@ def softmax_temp(logits: np.ndarray, tau: float) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_ce_batch(
-    logits: np.ndarray, labels: np.ndarray, tau: float, cap: float = CROSS_ENTROPY_CAP
-) -> tuple[float, np.ndarray, np.ndarray]:
+def softmax_ce_batch(logits: np.ndarray, labels: np.ndarray,
+                     tau: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean fused softmax/cross-entropy over a batch of raw scores.
 
     Returns (mean loss, d(loss)/d(scores), probabilities). Scores are
     divided by `tau` before the softmax, and the gradient carries the
-    1/tau factor and the 1/batch averaging.
+    1/tau factor and the 1/batch averaging. A sample's loss is capped at
+    `CROSS_ENTROPY_CAP`.
     """
     probs = softmax_temp(logits, tau)
     n = logits.shape[0]
     idx = np.arange(n)
     p_label = probs[idx, labels]
     with np.errstate(divide="ignore"):
-        losses = np.where(p_label > 0.0, -np.log(np.maximum(p_label, np.finfo(float).tiny)), cap)
-    losses = np.minimum(losses, cap)
+        losses = np.where(p_label > 0.0, -np.log(np.maximum(p_label, np.finfo(float).tiny)),
+                          CROSS_ENTROPY_CAP)
+    losses = np.minimum(losses, CROSS_ENTROPY_CAP)
     dlogits = probs.copy()
     dlogits[idx, labels] -= 1.0
     dlogits /= tau * n

@@ -5,22 +5,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 
-def uniform(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / n)
-
-
-def _marginal(given, n: int, name: str) -> np.ndarray:
-    m = uniform(n) if given is None else np.asarray(given, dtype=np.float64)
-    if m.shape != (n,):
-        raise DomainError(f"{name} marginal has shape {m.shape}, the cost side has {n} entries")
-    if not (np.all(m >= 0) and abs(m.sum() - 1.0) <= 1e-9):  # NaN fails too
-        raise DomainError(f"{name} marginal is not a distribution")
-    return m
-
-
 def sinkhorn_batched(costs: np.ndarray, eps: float, iters: int = 100,
-                     row_marginal: np.ndarray | None = None,
-                     col_marginal: np.ndarray | None = None,
                      col_relax: float = 1.0) -> np.ndarray:
     """Entropic transport plans for a stack of cost matrices (..., M, N).
 
@@ -31,20 +16,18 @@ def sinkhorn_batched(costs: np.ndarray, eps: float, iters: int = 100,
     the plan. Each problem of the stack is solved on its own: a pass
     computes every problem from that problem alone, and a problem at its
     fixed point stays there, so its plan does not depend on what else is
-    stacked with it. The marginals (uniform by default) are shared by the
-    whole stack. Row sums match `row_marginal` exactly; column sums
-    converge to `col_marginal` with the iterations.
+    stacked with it. The marginals are uniform: row sums are exactly 1/M,
+    and column sums converge to 1/N with the iterations.
 
     `col_relax` is the exponent lambda/(lambda + eps) of KL-relaxed
     unbalanced Sinkhorn (Chizat et al., Math. Comp. 2018) on the column
-    side, where lambda weighs the penalty lambda * KL(plan^T 1 || col_marginal)
+    side, where lambda weighs the penalty lambda * KL(plan^T 1 || 1/N)
     that replaces the column constraint: 1 (lambda -> inf) is the balanced
     problem, 0 (lambda = 0) drops the column constraint.
 
     Raises ConfigError for eps <= 0 or col_relax outside [0, 1], and
-    DomainError for non-finite costs, marginals that are not
-    distributions of the right length, or an eps so small that a row of
-    K underflows.
+    DomainError for non-finite costs or an eps so small that a row of K
+    underflows.
     """
     if not (0.0 <= col_relax <= 1.0):
         raise ConfigError(f"col_relax must lie in [0, 1], got {col_relax}")
@@ -56,8 +39,7 @@ def sinkhorn_batched(costs: np.ndarray, eps: float, iters: int = 100,
     if not np.all(np.isfinite(costs)):
         raise DomainError("cost tensor contains non-finite entries")
     M, N = costs.shape[-2], costs.shape[-1]
-    r = _marginal(row_marginal, M, "row")
-    c = _marginal(col_marginal, N, "column")
+    r, c = np.full(M, 1.0 / M), np.full(N, 1.0 / N)
     # the per-matrix shift cancels in the scaling
     K = np.exp(-(costs - costs.min(axis=(-2, -1), keepdims=True)) / eps)
     v = np.ones(costs.shape[:-2] + (N,))

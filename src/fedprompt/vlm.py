@@ -86,17 +86,14 @@ def build_prompt_context(cfg: ModelConfig, rng: np.random.Generator, m: int | No
     return PromptContext(rng.normal(size=(sets, cfg.tokens, cfg.d_token)) * cfg.init_std)
 
 
-def build_handcrafted_context(seed: int, L: int, d_token: int, m: int = 1,
-                              std: float = 0.02, template: int = 0) -> PromptContext:
-    """Fixed non-trained context; identical everywhere for a given seed.
+def build_handcrafted_context(cfg: ModelConfig, template: int = 0) -> PromptContext:
+    """Fixed non-trained single-set context; identical everywhere for a given `cfg.seed`.
 
     `template` selects among alternative fixed phrasings (used to average
     several references for self-regularised training).
     """
-    if L < 1 or d_token < 1:
-        raise ConfigError("handcrafted context needs positive dimensions")
-    rng = rngs.derive_rng(seed, rngs.HANDCRAFTED, template)
-    return PromptContext(rng.normal(size=(m, L, d_token)) * std)
+    rng = rngs.derive_rng(cfg.seed, rngs.HANDCRAFTED, template)
+    return PromptContext(rng.normal(size=(1, cfg.tokens, cfg.d_token)) * cfg.init_std)
 
 
 @dataclass
@@ -172,16 +169,13 @@ class FrozenTextEncoder:
     experiment, and `backward` forms the gradient of the context rows only.
     """
 
-    def __init__(self, variant: str, d_token: int, d_feature: int, seed: int,
-                 token_scale: float = 0.05):
-        if variant not in ENCODER_VARIANTS:
-            raise ConfigError(f"unknown encoder variant {variant!r}")
-        self.variant = variant
-        self.d_token = d_token
-        self.d_feature = d_feature
-        self.seed = seed
-        self.token_scale = token_scale
-        rng = rngs.derive_rng(seed, rngs.ENCODER)
+    def __init__(self, cfg: ModelConfig):
+        self.variant = variant = cfg.encoder
+        self.d_token = d_token = cfg.d_token
+        self.d_feature = d_feature = cfg.d_feature
+        self.seed = cfg.seed
+        self.token_scale = token_scale = cfg.token_scale
+        rng = rngs.derive_rng(cfg.seed, rngs.ENCODER)
         w: dict[str, np.ndarray] = {}
         if variant == "attention_block":
             a = 1.0 / token_scale
@@ -191,10 +185,6 @@ class FrozenTextEncoder:
         w["w_out"] = rng.normal(size=(d_feature, d_token)) * 4.0 / (token_scale * np.sqrt(d_token))
         w["b_out"] = rng.normal(size=d_feature) * 0.1
         self.weights = w
-
-    @classmethod
-    def from_config(cls, cfg: ModelConfig) -> "FrozenTextEncoder":
-        return cls(cfg.encoder, cfg.d_token, cfg.d_feature, cfg.seed, token_scale=cfg.token_scale)
 
     def positions(self, length: int) -> np.ndarray:
         """Fixed position offsets of the first `length` sequence rows (attention_block)."""
@@ -378,8 +368,7 @@ class ModelAssets:
         """Unit class features averaged over three fixed context phrasings."""
         templates = 3
         contexts = np.concatenate([
-            build_handcrafted_context(self.cfg.seed, self.cfg.tokens, self.cfg.d_token,
-                                      std=self.cfg.init_std, template=tpl).vectors
+            build_handcrafted_context(self.cfg, template=tpl).vectors
             for tpl in range(templates)
         ])
         feats, _ = self.text_features(contexts)
@@ -404,9 +393,9 @@ def read_only_encoding(features: np.ndarray, cache: tuple) -> tuple[np.ndarray, 
 
 def build_assets(cfg: ModelConfig, class_count: int) -> ModelAssets:
     """The frozen assets of (cfg, class_count); writing into any of its arrays raises."""
-    encoder = FrozenTextEncoder.from_config(cfg)
+    encoder = FrozenTextEncoder(cfg)
     vocab = ClassVocabulary.build(cfg, class_count)
-    handcrafted = build_handcrafted_context(cfg.seed, cfg.tokens, cfg.d_token, std=cfg.init_std)
+    handcrafted = build_handcrafted_context(cfg)
     rows = encoder.class_rows(vocab.tokens, cfg.tokens)
     feats, _ = encoder.encode(handcrafted.vectors, rows)
     return ModelAssets(cfg=cfg, encoder=encoder, vocab=vocab, class_rows=rows,

@@ -7,16 +7,19 @@ shared predictor. The package computes these in batched form
 (`softmax_ce_batch`, `ModelAssets.text_features`, `payload_scalars`,
 `transport_probs`, one stacked `probs` call); these plain forms are what
 the tests compare it against. Also a context's encoding as the loss
-kernels take it, zero-shot accuracy on a plain feature set, a
-feature-table writer, and one cell run on a state built for it alone.
+kernels take it, a trainer with other loss weights, zero-shot accuracy on a plain feature set, a
+feature-table writer, and one cell run on a state built for it alone, with
+the training batches it drew.
 """
 
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+import pytest
 
-from fedprompt.algorithms import CosinePredictor
+from fedprompt import evaluation
+from fedprompt.algorithms import CosinePredictor, make_trainer
 from fedprompt.errors import ConfigError, DomainError
 from fedprompt.evaluation import build_run_state, evaluate_predictor, run_cell
 from fedprompt.numerics import CROSS_ENTROPY_CAP, _check_finite, softmax_temp
@@ -85,6 +88,17 @@ def encoded(assets, context: np.ndarray, class_ids: np.ndarray | None = None):
     """A context's text features and the backward pass, as the loss kernels take them."""
     feats, cache = assets.text_features(context, class_ids)
     return feats, lambda dfeatures: assets.encoder.backward(cache, dfeatures)
+
+
+def trainer_with(kind: str, **settings):
+    """`make_trainer(kind)` with some of its class-level settings (loss weights,
+    trajectory window) set on the instance instead."""
+    trainer = make_trainer(kind)
+    for name, value in settings.items():
+        if not hasattr(trainer, name):
+            raise AttributeError(f"a {kind} trainer has no setting {name!r}")
+        setattr(trainer, name, value)
+    return trainer
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -178,3 +192,20 @@ def one_cell(config, spec, method: str, master, seed: int, name: str = "syntheti
     for that cell alone from `config` and the dataset `master`."""
     config = replace(config, scenarios=[spec.kind], methods=[method], scenario=spec)
     return run_cell(build_run_state(config, {name: master}), spec.kind, method, name, seed)
+
+
+def audited_cell(config, spec, method: str, master, seed: int):
+    """`one_cell` of a cell that trains on a class subset, and the master indices
+    of each training batch it drew, in order."""
+    audits = []
+    run_federation = evaluation.run_federation
+
+    def recording(*args, audit=None, **kwargs):
+        audits.append(audit)
+        return run_federation(*args, audit=audit, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "run_federation", recording)
+        result = one_cell(config, spec, method, master, seed)
+    (audit,) = audits
+    return result, audit

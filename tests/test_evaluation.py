@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import one_cell
+from oracle import audited_cell, one_cell
+from fedprompt import evaluation
+from fedprompt.algorithms import CosinePredictor
 from fedprompt.config import DataConfig, ExperimentConfig
-from fedprompt.data import SyntheticSpec, generate_synthetic_dataset
-from fedprompt.errors import DomainError, EvaluationError
+from fedprompt.data import SyntheticSpec, base_novel_split, generate_synthetic_dataset
+from fedprompt.errors import DataError, DomainError, EvaluationError
 from fedprompt.evaluation import (
     ScenarioSpec,
     aggregate_runs,
     build_run_state,
+    evaluate_predictor,
     harmonic_mean,
     personalized_accuracy,
     run_cell,
@@ -226,23 +229,51 @@ class TestScenarios:
 
     def test_base_novel_protocol_integrity(self, desk_master):
         config = desk_config()
-        result = one_cell(config, ScenarioSpec(kind="base_novel"), "promptfl", desk_master, 0)
+        result, audit = audited_cell(config, ScenarioSpec(kind="base_novel"), "promptfl",
+                                     desk_master, 0)
         by_metric = {o.metric: o.value for o in result.observations}
         assert set(by_metric) == {"alpha_b", "alpha_n", "alpha_h"}
         # emitted harmonic mean recomputes exactly from the emitted pair
         assert by_metric["alpha_h"] == harmonic_mean(by_metric["alpha_b"], by_metric["alpha_n"])
         # no training batch touched a novel-class sample
-        novel = result.extras["novel_ids"]
-        for batch in result.extras["audit"]:
+        _base, novel = base_novel_split(desk_master.class_count, mode="random", seed=0)
+        for batch in audit:
             assert not np.isin(desk_master.labels[batch], novel).any()
-        assert len(result.extras["audit"]) > 0
+        assert len(audit) > 0
 
     def test_base_novel_split_aligned_across_methods(self, desk_master):
+        # the same split and partition: both methods draw the same batches
         config = desk_config()
         spec = ScenarioSpec(kind="base_novel")
-        a = one_cell(config, spec, "promptfl", desk_master, 3)
-        b = one_cell(config, spec, "kgcoop", desk_master, 3)
-        np.testing.assert_array_equal(a.extras["base_ids"], b.extras["base_ids"])
+        _, a = audited_cell(config, spec, "promptfl", desk_master, 3)
+        _, b = audited_cell(config, spec, "kgcoop", desk_master, 3)
+        assert [batch.tolist() for batch in a] == [batch.tolist() for batch in b]
+        base, _novel = base_novel_split(desk_master.class_count, mode="random", seed=3)
+        assert set(desk_master.labels[np.concatenate(a)]) <= set(base.tolist())
+
+    def test_novel_sample_in_a_client_pool_fails_the_cell(self, desk_master, monkeypatch):
+        # force one novel-class sample into the first client's training pool
+        plan = evaluation._scenario_plan
+
+        def leaky_plan(state, spec, trained, dataset, column, seed):
+            scenario = plan(state, spec, trained, dataset, column, seed)
+            novel = np.flatnonzero(~np.isin(desk_master.labels, scenario.class_ids))
+            scenario.clients[0] = np.append(scenario.clients[0], novel[0])
+            return scenario
+
+        monkeypatch.setattr(evaluation, "_scenario_plan", leaky_plan)
+        config = desk_config()
+        # the client's batch holding it fails in each of the 3 rounds, and each is audited
+        assert config.federation.rounds == 3
+        with pytest.raises(EvaluationError, match="^3 samples of untrained classes leaked"):
+            one_cell(config, ScenarioSpec(kind="base_novel"), "promptfl", desk_master, 0)
+
+    def test_test_label_outside_the_class_set(self):
+        predictor = CosinePredictor(np.eye(3)[None], tau=1.0)
+        features, labels = np.eye(3), np.array([0, 1, 2])
+        assert evaluate_predictor(predictor, features, labels) == 100.0
+        with pytest.raises(DataError, match=r"label 1 is outside the class set \[0, 2\]"):
+            evaluate_predictor(predictor, features, labels, np.array([0, 2]))
 
     def test_fewshot_cell_counts(self, desk_master):
         config = desk_config()
@@ -327,10 +358,10 @@ class TestScenarios:
             solves.append(args[0].shape)
             return solve(*args, **kwargs)
 
-        def recording_score(predictors, test_sets, class_ids=None):
+        def recording_score(predictors, test_sets):
             rounds.append(len([t for t in test_sets if len(t) > 0]))
             before = len(solves)
-            value = score(predictors, test_sets, class_ids)
+            value = score(predictors, test_sets)
             assert len(solves) - before == 1
             assert value == personalized_transport_accuracy(predictors, test_sets)
             return value
@@ -360,11 +391,11 @@ class TestScenarios:
             calls.append(len(args[0]))
             return probs(self, *args, **kwargs)
 
-        def recording_score(predictors, test_sets, class_ids=None):
+        def recording_score(predictors, test_sets):
             held = [t for t in test_sets if len(t) > 0]
             rounds.append(len(held))
             before = len(calls)
-            value = score(predictors, test_sets, class_ids)
+            value = score(predictors, test_sets)
             assert calls[before:] == [sum(len(t) for t in held)]
             assert value == shared_predictor_accuracy(predictors, test_sets)
             return value

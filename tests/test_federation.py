@@ -8,6 +8,8 @@ from oracle import payloads_equal
 from vlm_oracle import prompt_gradients
 from fedprompt.algorithms import (
     CommunicablePayload,
+    PersonalizedFedOTPTrainer,
+    TrainContext,
     iterate_batches,
     make_trainer,
     sgd_momentum_step,
@@ -15,6 +17,7 @@ from fedprompt.algorithms import (
 from fedprompt.data import ClientDataset, MasterDataset
 from fedprompt.errors import AggregationError, ConfigError
 from fedprompt.federation import (
+    Client,
     CostLedger,
     FederationConfig,
     ServerState,
@@ -196,12 +199,52 @@ class TestRunRound:
         assert sorted(report.weights) == [0, 2]
         assert sum(report.weights.values()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_every_exit_closes_the_round(self, rng, monkeypatch):
+        # no participant, every participant failed, and a trained round each
+        # advance the round, record its traffic and keep its report
+        cfg, assets, trainer, fed, clients, server = self._setup(rng)
+        declared = trainer.payload_scalars(cfg)
+        broadcast = server.payload
+        empty = [Client(c.client_id, ClientDataset.from_master(toy_master(rng), []), c.state)
+                 for c in clients]
+        first = run_round(server, empty, trainer, fed, assets, seed=0)
+        assert first.participating == [] and first.skipped_empty == [0, 1, 2]
+
+        def crash(payload, state, dataset, ctx):
+            raise RuntimeError("client crashed")
+
+        monkeypatch.setattr(trainer, "local_train", crash)
+        second = run_round(server, clients, trainer, fed, assets, seed=0)
+        assert second.failed == [0, 1, 2] and server.payload is broadcast
+        monkeypatch.undo()
+        third = run_round(server, clients, trainer, fed, assets, seed=0)
+        assert server.round_index == 3
+        assert server.reports == [first, second, third]
+        assert [r.round_index for r in server.reports] == [0, 1, 2]
+        assert server.ledger.downloaded == [0, 3 * declared, 3 * declared]
+        assert server.ledger.uploaded == [0, 0, 3 * declared]
+
     def test_scheduling_independence(self):
-        cfg, assets, trainer, fed, clients_a, server_a = self._setup(np.random.default_rng(8))
-        _, _, _, _, clients_b, server_b = self._setup(np.random.default_rng(8))
-        run_round(server_a, clients_a, trainer, fed, assets, seed=0)
-        run_round(server_b, clients_b, trainer, fed, assets, seed=0, client_order=[2, 0, 1])
-        assert payloads_equal(server_a.payload, server_b.payload)
+        # a client's update reads nothing another client wrote in the round,
+        # the shared broadcast encoding included, so the training order
+        # cannot change what any client returns
+        cfg, assets, trainer, fed, clients_a, server = self._setup(np.random.default_rng(8))
+        _, _, _, _, clients_b, _ = self._setup(np.random.default_rng(8))
+        shared = server.encoding(trainer, assets, None)
+
+        def train(clients, order):
+            out = {}
+            for cid in order:
+                ctx = TrainContext(assets=assets, round_index=0, federation=fed,
+                                   rng=rngs.derive_rng(0, rngs.CLIENT, cid, 0), shared=shared)
+                out[cid] = trainer.local_train(server.payload, clients[cid].state,
+                                               clients[cid].dataset, ctx)
+            return out
+
+        in_order, shuffled = train(clients_a, [0, 1, 2]), train(clients_b, [2, 0, 1])
+        for cid in range(3):
+            assert payloads_equal(in_order[cid][0], shuffled[cid][0])
+            assert in_order[cid][1] == shuffled[cid][1]
 
     def test_aggregation_permutation_invariant(self, rng):
         payloads = [CommunicablePayload({"w": rng.normal(size=5)}) for _ in range(4)]
@@ -246,7 +289,7 @@ class TestFedOTPTwoClients:
         feats = random_unit_batch(rng, 24, cfg.d_image)
         labels = np.concatenate([rng.integers(0, 2, size=12), rng.integers(2, 4, size=12)])
         master = MasterDataset(features=feats, labels=labels, class_count=4)
-        trainer = make_trainer("fedotp", mode="personalized")
+        trainer = PersonalizedFedOTPTrainer()
         fed = FederationConfig(protocol="standard", num_clients=2, rounds=3, batch_size=6)
         clients = build_clients(master, [np.arange(12), np.arange(12, 24)], trainer, cfg, seed=1)
         maps = master.ensure_local_maps(3, [c.dataset.master_indices for c in clients], {})

@@ -51,18 +51,20 @@ class TestPromptContext:
             PromptContext(np.array([[[np.inf]]]))
 
     def test_handcrafted_deterministic(self):
-        a = build_handcrafted_context(3, 4, 8)
-        b = build_handcrafted_context(3, 4, 8)
+        a = build_handcrafted_context(ModelConfig(seed=3, tokens=4, d_token=8))
+        b = build_handcrafted_context(ModelConfig(seed=3, tokens=4, d_token=8))
+        assert a.vectors.shape == (1, 4, 8)
         np.testing.assert_array_equal(a.vectors, b.vectors)
 
     def test_handcrafted_seeds_differ(self):
-        a = build_handcrafted_context(1, 4, 8)
-        b = build_handcrafted_context(2, 4, 8)
+        a = build_handcrafted_context(ModelConfig(seed=1, tokens=4, d_token=8))
+        b = build_handcrafted_context(ModelConfig(seed=2, tokens=4, d_token=8))
         assert np.any(a.vectors != b.vectors)
 
     def test_handcrafted_templates_differ(self):
-        a = build_handcrafted_context(1, 4, 8, template=0)
-        b = build_handcrafted_context(1, 4, 8, template=1)
+        cfg = ModelConfig(seed=1, tokens=4, d_token=8)
+        a = build_handcrafted_context(cfg, template=0)
+        b = build_handcrafted_context(cfg, template=1)
         assert np.any(a.vectors != b.vectors)
 
 
@@ -84,7 +86,7 @@ class TestEncoder:
     @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
     def test_unit_norm_many_contexts(self, variant, rng):
         cfg = small_config(variant)
-        enc = FrozenTextEncoder.from_config(cfg)
+        enc = FrozenTextEncoder(cfg)
         rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.tokens)
         for _ in range(500):  # 1000 random contexts across the two variants
             feats, _ = enc.encode(rng.normal(size=(1, cfg.tokens, cfg.d_token)), rows)
@@ -99,7 +101,7 @@ class TestEncoder:
         dfeats = rng.normal(size=(2, 3, cfg.d_feature))
         runs = []
         for _ in range(2):  # fresh encoder and class rows each time
-            enc = FrozenTextEncoder.from_config(cfg)
+            enc = FrozenTextEncoder(cfg)
             rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.tokens)
             feats, cache = enc.encode(ctx, rows)
             runs.append((feats, enc.backward(cache, dfeats)))
@@ -109,7 +111,7 @@ class TestEncoder:
     @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
     def test_coordinate_gradient_matches_finite_differences(self, variant, rng):
         cfg = small_config(variant)
-        enc = FrozenTextEncoder.from_config(cfg)
+        enc = FrozenTextEncoder(cfg)
         vocab = ClassVocabulary.build(cfg, 3)
         ctx0 = rng.normal(size=(cfg.tokens, cfg.d_token)) * 0.2
         coord = 3  # one output coordinate of the class feature
@@ -130,15 +132,15 @@ class TestEncoder:
     def test_token_width_mismatch(self):
         for variant in ("linear_pool", "attention_block"):
             cfg = small_config(variant)
-            enc = FrozenTextEncoder.from_config(cfg)
+            enc = FrozenTextEncoder(cfg)
             rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.tokens)
             with pytest.raises(ConfigError):
                 enc.encode(np.zeros((1, cfg.tokens, cfg.d_token + 1)), rows)
 
     def test_digest_stable(self):
         cfg = small_config()
-        assert encoder_digest(FrozenTextEncoder.from_config(cfg)) == \
-            encoder_digest(FrozenTextEncoder.from_config(cfg))
+        assert encoder_digest(FrozenTextEncoder(cfg)) == \
+            encoder_digest(FrozenTextEncoder(cfg))
 
 
 class TestStructuredEncoder:
@@ -181,7 +183,7 @@ class TestStructuredEncoder:
 
     def test_context_length_mismatch(self):
         cfg = small_config("attention_block")
-        enc = FrozenTextEncoder.from_config(cfg)
+        enc = FrozenTextEncoder(cfg)
         rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.tokens)
         with pytest.raises(ConfigError):
             enc.encode(np.zeros((1, cfg.tokens + 1, cfg.d_token)), rows)
@@ -200,8 +202,7 @@ class TestReferenceFeatures:
         cfg = small_assets.cfg
         acc = np.zeros_like(small_assets.hand_features)
         for tpl in range(3):
-            ctx = build_handcrafted_context(cfg.seed, cfg.tokens, cfg.d_token, std=cfg.init_std,
-                                            template=tpl)
+            ctx = build_handcrafted_context(cfg, template=tpl)
             acc += vlm_oracle.text_features(small_assets.encoder, ctx.vectors,
                                             small_assets.vocab.tokens)[0]
         expected = acc / np.linalg.norm(acc, axis=1, keepdims=True)

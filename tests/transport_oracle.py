@@ -1,10 +1,10 @@
 """Sinkhorn oracles for `transport.sinkhorn_batched`.
 
 `sinkhorn` and `sinkhorn_relaxed` are the single-matrix forms the tests
-and properties are written in; both are the batched solver on one matrix.
-`sinkhorn_relaxed_2d` takes one (M, N) cost matrix, explicit marginal
-vectors and plain matrix products; the batched solver must agree with it
-slice for slice. `sinkhorn_batched_all_iters` is the batched solver's own
+and properties are written in; both are the batched solver on one matrix,
+whose marginals are uniform. `sinkhorn_relaxed_2d` takes one (M, N) cost
+matrix, explicit marginal vectors and plain matrix products; at uniform
+marginals the batched solver must agree with it slice for slice. `sinkhorn_batched_all_iters` is the batched solver's own
 arithmetic with every one of its `iters` passes run, which an early exit at
 a fixed point must match bit for bit.
 """
@@ -14,19 +14,20 @@ import numpy as np
 from fedprompt.transport import sinkhorn_batched
 
 
-def sinkhorn(cost: np.ndarray, eps: float, iters: int = 100,
-             row_marginal: np.ndarray | None = None,
-             col_marginal: np.ndarray | None = None) -> np.ndarray:
+def sinkhorn(cost: np.ndarray, eps: float, iters: int = 100) -> np.ndarray:
     """Balanced entropic plan of one matrix; `sinkhorn_batched` with col_relax=1."""
-    return sinkhorn_batched(cost, eps, iters, row_marginal, col_marginal)
+    return sinkhorn_batched(cost, eps, iters)
 
 
 def sinkhorn_relaxed(cost: np.ndarray, eps: float, iters: int = 100,
-                     row_marginal: np.ndarray | None = None,
-                     col_marginal: np.ndarray | None = None,
                      col_relax: float = 1.0) -> np.ndarray:
     """One-sided unbalanced entropic plan of one matrix; see `sinkhorn_batched`."""
-    return sinkhorn_batched(cost, eps, iters, row_marginal, col_marginal, col_relax)
+    return sinkhorn_batched(cost, eps, iters, col_relax)
+
+
+def uniform(n: int) -> np.ndarray:
+    """The uniform marginal over n entries, as `sinkhorn_batched` computes it."""
+    return np.full(n, 1.0 / n)
 
 
 def sinkhorn_relaxed_2d(cost: np.ndarray, eps: float, iters: int, row_marginal: np.ndarray,
@@ -47,7 +48,7 @@ def sinkhorn_batched_all_iters(costs: np.ndarray, eps: float, iters: int,
                                col_relax: float = 1.0) -> np.ndarray:
     """Uniform-marginal plans of a (..., M, N) stack after exactly `iters` passes."""
     M, N = costs.shape[-2:]
-    r, c = np.full(M, 1.0 / M), np.full(N, 1.0 / N)
+    r, c = uniform(M), uniform(N)
     K = np.exp(-(costs - costs.min(axis=(-2, -1), keepdims=True)) / eps)
     v = np.ones(costs.shape[:-2] + (N,))
     tiny = np.finfo(float).tiny
