@@ -351,7 +351,7 @@ def trajectory_average(contexts: list[np.ndarray], window: int) -> np.ndarray:
 
 def ot_scores_and_grads(feats: np.ndarray, backward, local_maps: np.ndarray | None,
                         labels: np.ndarray, tau: float, eps: float, iters: int,
-                        col_relax: float = 1.0) -> tuple[float, np.ndarray]:
+                        col_relax: float) -> tuple[float, np.ndarray]:
     """CE over transport-aligned logits; plans are constants of the backward pass.
 
     For each (sample, class) the plan matches the sample's region
@@ -365,8 +365,10 @@ def ot_scores_and_grads(feats: np.ndarray, backward, local_maps: np.ndarray | No
     plans = sinkhorn_batched(costs, eps, iters, col_relax=col_relax)
     logits = -(plans * costs).sum(axis=(-2, -1))   # (B, C)
     loss, dlogits, _ = softmax_ce_batch(logits, labels, tau)
-    # d logit / d prompt_feat = plan^T @ locals (cost = 1 - <l, f>)
-    return loss, backward(np.einsum("bc,bcmn,bmd->ncd", dlogits, plans, local_maps))
+    # d logit / d prompt_feat = plan^T @ locals (cost = 1 - <l, f>); weighting
+    # the plans first leaves a two-operand contraction, with the same bits
+    weighted = dlogits[:, :, None, None] * plans
+    return loss, backward(np.einsum("bcmn,bmd->ncd", weighted, local_maps))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +515,7 @@ class TransportPredictor:
     tau: float
     eps: float
     iters: int
-    col_relax: float = 1.0
+    col_relax: float
 
     def costs(self, local_maps: np.ndarray | None) -> np.ndarray:
         """(B, C, M, N) costs 1 - cosine between each image's regions and the prompts."""

@@ -396,8 +396,8 @@ def _run_plan(state: RunState, spec: ScenarioSpec, method: str, dataset: str, co
         return scores
 
     if not trained:
-        scores = score(lambda ids: CosinePredictor(
-            assets.text_features(assets.handcrafted.vectors, ids)[0], assets.cfg.tau))
+        scores = score(lambda ids: CosinePredictor(assets.hand_features_for(ids)[None],
+                                                   assets.cfg.tau))
         chi = 0.0 if spec.kind == "global" else None
         return CellResult(_observations(spec, method, seed, targets, scores, chi), [])
 

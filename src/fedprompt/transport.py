@@ -4,6 +4,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
+_TINY = np.finfo(float).tiny
+
 
 def sinkhorn_batched(costs: np.ndarray, eps: float, iters: int = 100,
                      col_relax: float = 1.0) -> np.ndarray:
@@ -38,25 +40,67 @@ def sinkhorn_batched(costs: np.ndarray, eps: float, iters: int = 100,
         raise DomainError(f"costs must be a stack of (M, N) matrices, got shape {costs.shape}")
     if not np.all(np.isfinite(costs)):
         raise DomainError("cost tensor contains non-finite entries")
-    M, N = costs.shape[-2], costs.shape[-1]
-    r, c = np.full(M, 1.0 / M), np.full(N, 1.0 / N)
+    stack, (M, N) = costs.shape[:-2], costs.shape[-2:]
     # the per-matrix shift cancels in the scaling
     K = np.exp(-(costs - costs.min(axis=(-2, -1), keepdims=True)) / eps)
-    v = np.ones(costs.shape[:-2] + (N,))
-    tiny = np.finfo(float).tiny
+    # the passes run on copies of K with the P problems of the stack on the
+    # last, contiguous axis, one copy per summed axis, and buffers allocated once
+    K_cols = np.moveaxis(K.reshape(-1, M, N), 0, -1).copy()           # (M, N, P)
+    K_rows = np.moveaxis(K.reshape(-1, M, N), (0, 2), (2, 0)).copy()  # (N, M, P)
+    P = K_cols.shape[-1]
+    u, v, v_next = np.empty((M, P)), np.ones((N, P)), np.empty((N, P))
+    row_terms, col_terms = np.empty((N, M, P)), np.empty((M, N, P))
     for _ in range(iters):
-        u = r / np.maximum(np.einsum("...mn,...n->...m", K, v), tiny)
-        v_next = (c / np.maximum(np.einsum("...mn,...m->...n", K, u), tiny)) ** col_relax
+        _divide_by_sum(1.0 / M, np.multiply(K_rows, v[:, None], out=row_terms), u,
+                       pairwise=False)
+        _divide_by_sum(1.0 / N, np.multiply(K_cols, u[:, None], out=col_terms), v_next,
+                       pairwise=N == 1)
+        v_next **= col_relax
         if np.array_equal(v_next, v):
             break  # a bitwise fixed point: each pass is a function of v alone, so all repeat
-        v = v_next
-    u = r / np.maximum(np.einsum("...mn,...n->...m", K, v), tiny)
+        v, v_next = v_next, v
+    _divide_by_sum(1.0 / M, np.multiply(K_rows, v[:, None], out=row_terms), u, pairwise=False)
+    u, v = u.T.reshape(stack + (M,)), v.T.reshape(stack + (N,))
     plan = u[..., :, None] * K * v[..., None, :]
     # the final row scaling makes the row sums exact, except where K
     # underflowed to zero along a whole row: no scaling can place that
     # row's mass, and the plan would silently drop it
-    err = float(np.max(np.abs(plan.sum(axis=-1) - r)))
+    err = float(np.max(np.abs(plan.sum(axis=-1) - 1.0 / M)))
     if not err <= 1e-9:  # NaN fails too
         raise DomainError(f"transport plan misses its row marginal by {err:.3g}: "
                           f"the kernel exp(-cost/{eps}) underflowed; raise eps")
     return plan
+
+
+def _divide_by_sum(marginal: float, terms: np.ndarray, out: np.ndarray, pairwise: bool) -> None:
+    """out = marginal / max(terms[0] + terms[1] + ..., tiny); overwrites `terms`.
+
+    The terms are added elementwise along the stack in an order fixed by
+    the length of the summed axis alone, so a problem's additions never
+    depend on how many problems the stack holds. numpy's `sum` would not
+    do: it adds a one-problem stack's axis pairwise once it has about 8
+    entries, and a larger stack's in index order.
+
+    The order is index order, ((t0 + t1) + t2) + t3, unless `pairwise`:
+    then the axis folds in half until one slice is left, its last half
+    added onto its first and an odd middle slice waiting a round, so four
+    terms add up as (t0 + t2) + (t1 + t3). The solver folds the column sums
+    of one-column problems: with two or four rows, the first pass's terms
+    there are 1/M or one ulp below it, and the term whose kernel entry is
+    the shifted maximum 1 is exactly 1/M, so the folded sum rounds to
+    exactly 1, v stays 1 and the loop stops after one pass. Index order
+    lands about one such four-row sum in 1,250 an ulp low. Every other sum
+    keeps index order, the order the golden grids under tests/data/golden
+    were recorded with.
+    """
+    n = len(terms)
+    if pairwise:
+        while n > 1:
+            half = n // 2
+            np.add(terms[:half], terms[n - half:n], out=terms[:half])
+            n -= half
+    else:
+        for k in range(1, n):
+            terms[0] += terms[k]
+    np.maximum(terms[0], _TINY, out=out)
+    np.divide(marginal, out, out=out)

@@ -6,7 +6,8 @@ and personalized accuracy scored client by client, by transport or by one
 shared predictor. The package computes these in batched form
 (`softmax_ce_batch`, `ModelAssets.text_features`, `payload_scalars`,
 `transport_probs`, one stacked `probs` call); these plain forms are what
-the tests compare it against. Also a context's encoding as the loss
+the tests compare it against. Also the transport loss with its plan
+gradient in one three-operand contraction, a context's encoding as the loss
 kernels take it, a trainer with other loss weights, zero-shot accuracy on a plain feature set, a
 feature-table writer, and one cell run on a state built for it alone, with
 the training batches it drew.
@@ -22,7 +23,7 @@ from fedprompt import evaluation
 from fedprompt.algorithms import CosinePredictor, make_trainer
 from fedprompt.errors import ConfigError, DomainError
 from fedprompt.evaluation import build_run_state, evaluate_predictor, run_cell
-from fedprompt.numerics import CROSS_ENTROPY_CAP, _check_finite, softmax_temp
+from fedprompt.numerics import CROSS_ENTROPY_CAP, _check_finite, softmax_ce_batch, softmax_temp
 from fedprompt.transport import sinkhorn_batched
 
 
@@ -138,6 +139,16 @@ def transport_probs_alone(predictor, local_maps: np.ndarray) -> np.ndarray:
     costs = 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, predictor.features.transpose(1, 0, 2))
     plans = sinkhorn_batched(costs, predictor.eps, predictor.iters, col_relax=predictor.col_relax)
     return softmax_temp(-(plans * costs).sum(axis=(-2, -1)), predictor.tau)
+
+
+def ot_scores_and_grads_three_operand(feats, backward, local_maps, labels, tau, eps, iters,
+                                      col_relax):
+    """`ot_scores_and_grads` with its plan gradient contracted by one
+    three-operand einsum over (dlogits, plans, local maps)."""
+    costs = 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, feats.transpose(1, 0, 2))
+    plans = sinkhorn_batched(costs, eps, iters, col_relax=col_relax)
+    loss, dlogits, _ = softmax_ce_batch(-(plans * costs).sum(axis=(-2, -1)), labels, tau)
+    return loss, backward(np.einsum("bc,bcmn,bmd->ncd", dlogits, plans, local_maps))
 
 
 def personalized_transport_accuracy(predictors, test_sets) -> float:

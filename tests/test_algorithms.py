@@ -12,6 +12,7 @@ from oracle import (
     finite_diff_gradient,
     max_abs_diff,
     metanet_param_count,
+    ot_scores_and_grads_three_operand,
     payloads_equal,
     relative_error,
     trainer_with,
@@ -30,6 +31,7 @@ from fedprompt.algorithms import (
     loss_src,
     make_trainer,
     metanet_forward,
+    ot_scores_and_grads,
     project_prograd,
     sgd_momentum_step,
     trajectory_average,
@@ -557,6 +559,27 @@ class TestFedOTP:
 
 
 class TestTransportGradientSurrogate:
+    @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
+    @pytest.mark.parametrize("n_sets,col_relax", [(1, 1.0), (2, 0.5)])  # PLOT, FedOTP
+    def test_plan_gradient_equals_three_operand_contraction_bitwise(self, variant, n_sets,
+                                                                    col_relax):
+        # weighting the plans by dlogits before contracting with the region
+        # features gives the bits of the one three-operand contraction
+        cfg = small_config(variant, prompts=n_sets, d_feature=512, d_image=512)
+        assets = build_assets(cfg, 5)
+        rng = np.random.default_rng(n_sets)
+        context = rng.normal(size=(n_sets, cfg.tokens, cfg.d_token)) * 0.3
+        for batch in (1, 3, 16):
+            for regions in (1, 2, 4):
+                maps = unit_rows(rng.normal(size=(batch, regions, cfg.d_image)))
+                labels = rng.integers(0, 5, size=batch)
+                args = (maps, labels, cfg.tau, 0.1, 100, col_relax)
+                loss, grads = ot_scores_and_grads(*encoded(assets, context), *args)
+                ref_loss, ref_grads = ot_scores_and_grads_three_operand(
+                    *encoded(assets, context), *args)
+                assert loss == ref_loss
+                assert grads.tobytes() == ref_grads.tobytes(), (batch, regions)
+
     def test_plot_gradient_matches_plan_frozen_objective(self, rng):
         # the exported gradient is exact for the objective in which the
         # transport plans are constants
@@ -574,9 +597,8 @@ class TestTransportGradientSurrogate:
         batch = Batch(features=feats_img, labels=labels,
                       master_indices=np.arange(2), local_maps=maps)
 
-        from fedprompt.algorithms import ot_scores_and_grads
         loss, grads = ot_scores_and_grads(*encoded(assets, v), batch.local_maps, labels, cfg.tau,
-                                          eps=0.2, iters=60)
+                                          eps=0.2, iters=60, col_relax=1.0)
 
         # freeze the plans obtained at v, then vary the context
         feats0, _ = assets.text_features(v)
