@@ -33,9 +33,16 @@ if TYPE_CHECKING:
 
 @dataclass
 class CommunicablePayload:
-    """Named float64 arrays that travel between server and clients."""
+    """Named float64 arrays that travel between server and clients.
+
+    A broadcast also keeps the encodings of its context by class set
+    (`LocalTrainer.broadcast_encoding`). They never travel and take no part
+    in equality: a new broadcast is a new payload, so they die with it.
+    """
 
     fields: dict[str, np.ndarray]
+    encodings: dict[tuple | None, "BroadcastEncoding"] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def scalar_count(self) -> int:
@@ -50,43 +57,22 @@ class CommunicablePayload:
 
 @dataclass(frozen=True)
 class BroadcastEncoding:
-    """Read-only text features of one broadcast context under one class set,
-    with the cache `encoder.backward` takes.
+    """Read-only text features of a broadcast's context under one class set,
+    with the cache `encoder.backward` takes and the assets it was encoded
+    under; a client's first step and the predictors take it instead of
+    encoding the same context again."""
 
-    `federation.ServerState.encoding` builds one per payload and class set;
-    a client's first step and the round's predictors take it instead of
-    encoding the same context again.
-    """
-
-    context: np.ndarray           # (m, L, d_token), a read-only copy of what was encoded
-    class_ids: np.ndarray | None  # a copy of the encoded class set
-    features: np.ndarray          # (m, C, d_feature)
+    assets: ModelAssets
+    context: np.ndarray  # (m, L, d_token), read-only: what was encoded
+    features: np.ndarray  # (m, C, d_feature)
     cache: tuple
 
-    @classmethod
-    def encode(cls, assets: ModelAssets, context: np.ndarray,
-               class_ids: np.ndarray | None) -> "BroadcastEncoding":
-        features, cache = read_only_encoding(*assets.text_features(context, class_ids))
-        context = np.array(context, dtype=np.float64)
-        context.flags.writeable = False
-        return cls(context, None if class_ids is None else np.array(class_ids), features, cache)
-
-    def take(self, context: np.ndarray, class_ids: np.ndarray | None) -> tuple[np.ndarray, tuple]:
-        """The shared (features, cache) for a consumer that would encode `context`
-        under `class_ids`; raises unless both match bit for bit."""
-        same_ids = (class_ids is None and self.class_ids is None) or (
-            class_ids is not None and self.class_ids is not None
-            and np.array_equal(class_ids, self.class_ids))
-        if not (same_ids and np.array_equal(context, self.context)):
-            raise ValueError("the broadcast encoding is of a different context or class set")
+    def take(self, context: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The (features, cache) for a consumer that would encode `context`;
+        raises unless it matches the encoded context bit for bit."""
+        if not np.array_equal(context, self.context):
+            raise ValueError("the broadcast encoding is of a different context")
         return self.features, self.cache
-
-
-def _text_features(assets: ModelAssets, context: np.ndarray, class_ids: np.ndarray | None,
-                   shared: BroadcastEncoding | None):
-    if shared is None:
-        return assets.text_features(context, class_ids)
-    return shared.take(context, class_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +178,6 @@ class TrainContext:
     rng: np.random.Generator
     class_ids: np.ndarray | None = None  # restrict training to these classes
     audit: list | None = None            # collects each batch's master indices
-    shared: BroadcastEncoding | None = None  # the broadcast's encoding, for the first step
 
 
 @dataclass
@@ -251,7 +236,7 @@ def loss_kgcoop(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray,
     return loss + lambda_kg * reg, backward(np.asarray(dTs))
 
 
-def project_prograd(g_task: np.ndarray, g_general: np.ndarray, lambda_pg: float = 1.0) -> np.ndarray:
+def project_prograd(g_task: np.ndarray, g_general: np.ndarray, lambda_pg: float) -> np.ndarray:
     """Drop the component of g_task that conflicts with the reference direction."""
     g_task = np.asarray(g_task, dtype=np.float64)
     g_general = np.asarray(g_general, dtype=np.float64)
@@ -388,6 +373,10 @@ class LocalTrainer:
     # the trained prompt contexts, stacked in this order along the set axis
     # into the one context that a step and a predictor encode
     context_fields: tuple[str, ...] = ("context",)
+    # whether every client trains from and scores with the broadcast context as
+    # it is, so that one encoding of it and one predictor serve them all; not so
+    # when a client conditions it on each image or stacks fields of its own on
+    scores_with_broadcast = True
 
     def n_sets(self, cfg: ModelConfig) -> int:
         return cfg.prompts * self.set_multiplier
@@ -405,13 +394,21 @@ class LocalTrainer:
                                     for name, shape in self.payload_shapes(cfg).items()}
                                    ).read_only()
 
-    def broadcast_context(self, payload: CommunicablePayload) -> np.ndarray | None:
-        """The context whose encoding a client's first step and the predictors
-        share (see `BroadcastEncoding`); None when a client stacks fields of its
-        own onto the broadcast, or encodes its own inputs."""
-        if not all(name in payload.fields for name in self.context_fields):
+    def broadcast_encoding(self, payload: CommunicablePayload, assets: ModelAssets,
+                           class_ids: np.ndarray | None) -> BroadcastEncoding | None:
+        """The encoding of the broadcast's context under `class_ids`, made at the
+        first request and kept on the payload; one made under other assets is
+        made again. None unless the trainer `scores_with_broadcast`."""
+        if not self.scores_with_broadcast:
             return None
-        return self._context(payload.fields)
+        key = None if class_ids is None else tuple(np.asarray(class_ids).tolist())
+        encoding = payload.encodings.get(key)
+        if encoding is None or encoding.assets is not assets:
+            context = self._context(payload.fields)
+            context.flags.writeable = False
+            features, cache = read_only_encoding(*assets.text_features(context, class_ids))
+            encoding = payload.encodings[key] = BroadcastEncoding(assets, context, features, cache)
+        return encoding
 
     def _context(self, fields: dict[str, np.ndarray]) -> np.ndarray:
         return np.concatenate([fields[name] for name in self.context_fields])
@@ -429,7 +426,8 @@ class LocalTrainer:
         params.update({k: v.copy() for k, v in state.local_fields.items()})
         losses: list[float] = []
         passes: list[dict] = []  # the parameters after each pass over the data
-        shared = ctx.shared      # the broadcast's encoding fits the first step only
+        # the broadcast's encoding fits the first step only
+        shared = self.broadcast_encoding(payload, ctx.assets, ctx.class_ids)
         fed = ctx.federation
         for _ in range(fed.local_epochs):
             for batch in iterate_batches(dataset, ctx.rng, fed.batch_size):
@@ -453,7 +451,7 @@ class LocalTrainer:
         return passes[-1]
 
     def grad_step(self, params: dict, batch: Batch, ctx: TrainContext,
-                  shared: BroadcastEncoding | None = None) -> tuple[float, dict]:
+                  shared: BroadcastEncoding | None) -> tuple[float, dict]:
         """Loss and gradients of one batch.
 
         The context fields are stacked and encoded in one call (`shared`,
@@ -463,8 +461,9 @@ class LocalTrainer:
         back by field.
         """
         labels = class_positions(batch.labels, ctx.class_ids)
-        feats, cache = _text_features(ctx.assets, PromptContext(self._context(params)).vectors,
-                                      ctx.class_ids, shared)
+        context = PromptContext(self._context(params)).vectors
+        feats, cache = (ctx.assets.text_features(context, ctx.class_ids) if shared is None
+                        else shared.take(context))
         loss, grads = self.loss(feats, lambda dT: ctx.assets.encoder.backward(cache, dT),
                                 batch, labels, ctx)
         bounds = np.cumsum([len(params[name]) for name in self.context_fields])[:-1]
@@ -478,16 +477,16 @@ class LocalTrainer:
 
     # -- inference ---------------------------------------------------------
     def build_predictor(self, payload: CommunicablePayload, assets: ModelAssets,
-                        class_ids: np.ndarray | None = None,
-                        state: ClientTrainState | None = None,
-                        shared: BroadcastEncoding | None = None):
-        """The predictor of the payload's context, with the client's own fields
-        in `state` stacked on; `shared`, when given, is the encoding of that stack."""
+                        class_ids: np.ndarray | None, state: ClientTrainState | None):
+        """The predictor of the payload's context: the broadcast's encoding, or a
+        fresh one with the client's own fields in `state` stacked on."""
+        shared = self.broadcast_encoding(payload, assets, class_ids)
+        if shared is not None:
+            return self.predictor(shared.features, assets.cfg.tau)
         fields = {**payload.fields, **(state.local_fields if state is not None else {})}
         if not all(name in fields for name in self.context_fields):
             raise ConfigError(f"a {self.kind} predictor needs the client state")
-        feats, _ = _text_features(assets, PromptContext(self._context(fields)).vectors,
-                                  class_ids, shared)
+        feats, _ = assets.text_features(PromptContext(self._context(fields)).vectors, class_ids)
         return self.predictor(feats, assets.cfg.tau)
 
     def predictor(self, features: np.ndarray, tau: float):
@@ -502,7 +501,7 @@ class CosinePredictor:
     features: np.ndarray  # (m, C, d)
     tau: float
 
-    def probs(self, image_features: np.ndarray, local_maps=None) -> np.ndarray:
+    def probs(self, image_features: np.ndarray, local_maps) -> np.ndarray:
         sims = np.einsum("bd,pcd->pbc", unit_rows(image_features), self.features).mean(axis=0)
         return softmax_temp(sims, self.tau)
 
@@ -523,7 +522,7 @@ class TransportPredictor:
             raise ConfigError("transport predictor needs local feature maps")
         return 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, self.features.transpose(1, 0, 2))
 
-    def probs(self, image_features: np.ndarray, local_maps: np.ndarray | None = None) -> np.ndarray:
+    def probs(self, image_features: np.ndarray, local_maps: np.ndarray | None) -> np.ndarray:
         return transport_probs([self], [local_maps])[0]
 
 
@@ -610,6 +609,7 @@ class SRCTrainer(LocalTrainer):
 
 class CoCoOpTrainer(LocalTrainer):
     kind = "cocoop"
+    scores_with_broadcast = False  # every image conditions its own contexts
 
     def payload_shapes(self, cfg: ModelConfig) -> dict[str, tuple]:
         return {
@@ -625,10 +625,7 @@ class CoCoOpTrainer(LocalTrainer):
         fields.update(metanet_init(cfg, rng))
         return CommunicablePayload(fields).read_only()
 
-    def broadcast_context(self, payload):
-        return None  # every image conditions its own contexts
-
-    def grad_step(self, params, batch, ctx, shared=None):
+    def grad_step(self, params, batch, ctx, shared):
         xh = unit_rows(batch.features)
         labels = class_positions(batch.labels, ctx.class_ids)
         logits, (feats, cache, meta_cache) = conditioned_logits(ctx.assets, params, xh,
@@ -644,7 +641,7 @@ class CoCoOpTrainer(LocalTrainer):
         grads["context"] = dctx.sum(axis=0)
         return loss, grads
 
-    def build_predictor(self, payload, assets, class_ids=None, state=None, shared=None):
+    def build_predictor(self, payload, assets, class_ids, state):
         return ConditionedPredictor(assets, payload.fields, class_ids)
 
 
@@ -678,7 +675,7 @@ class ConditionedPredictor:
         self.fields = fields
         self.class_ids = class_ids
 
-    def probs(self, image_features: np.ndarray, local_maps=None) -> np.ndarray:
+    def probs(self, image_features: np.ndarray, local_maps) -> np.ndarray:
         xh = unit_rows(image_features)
         classes = self.assets.class_count if self.class_ids is None else len(self.class_ids)
         block = max(1, self.PAIRS_PER_BLOCK // (self.fields["context"].shape[0] * classes))
@@ -712,6 +709,7 @@ class PersonalizedFedOTPTrainer(FedOTPTrainer):
     after it for every step and prediction."""
 
     context_fields = ("context_global", "context_local")
+    scores_with_broadcast = False
 
     def payload_shapes(self, cfg: ModelConfig) -> dict[str, tuple]:
         return {"context_global": (cfg.prompts, cfg.tokens, cfg.d_token)}

@@ -35,7 +35,7 @@ from .data import (
     mirror_partition,
     stratified_split,
 )
-from .errors import ConfigError, DomainError, EvaluationError
+from .errors import ConfigError, DataError, DomainError, EvaluationError
 from .federation import build_clients, communication_cost_millions, run_federation
 from .vlm import ModelAssets, ModelConfig, build_assets
 from . import rngs
@@ -46,6 +46,9 @@ if TYPE_CHECKING:
 SCENARIO_KINDS = ("global", "personalized", "base_novel", "fewshot", "cross_domain", "cost_tradeoff")
 ZERO_SHOT_METHOD = "zsclip"
 TRANSPORT_METHODS = ("plot", "fedotp")
+# the prompt-set and context-length values a `cost_tradeoff` cell sweeps
+PROMPT_SWEEP = (1, 2, 4)
+TOKEN_SWEEP = (4, 8, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +62,8 @@ def accuracy_percent(predicted: np.ndarray, target: np.ndarray) -> float:
 
 
 def evaluate_predictor(predictor, features: np.ndarray, labels: np.ndarray,
-                       class_ids: np.ndarray | None = None,
-                       local_maps: np.ndarray | None = None,
+                       class_ids: np.ndarray | None = None, *,
+                       local_maps: np.ndarray | None,
                        sizes: list[int] | None = None) -> float | list[float]:
     """Top-1 accuracy (percent) of a predictor over a labeled feature set; with
     `sizes`, the accuracy of each consecutive block of that many rows."""
@@ -201,8 +204,6 @@ class ScenarioSpec:
     shots: int = 1
     split_mode: str = "random"
     cross_targets: int = 2
-    prompt_sweep: tuple = (1, 2, 4)
-    token_sweep: tuple = (4, 8, 16)
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
@@ -242,7 +243,7 @@ def _cell_models(spec: ScenarioSpec, method: str,
                  model: ModelConfig) -> list[tuple[str, ModelConfig]]:
     """(results column suffix, model config) of each model a cell trains and scores.
 
-    A `cost_tradeoff` cell runs its prompt and token sweeps, and its
+    A `cost_tradeoff` cell runs `PROMPT_SWEEP` and `TOKEN_SWEEP`, and its
     zero-shot cell runs none: nothing is communicated, so there is no
     trade-off.
     """
@@ -250,8 +251,8 @@ def _cell_models(spec: ScenarioSpec, method: str,
         return [("", model)]
     if method == ZERO_SHOT_METHOD:
         return []
-    return ([(f"|prompts={v}", replace(model, prompts=v)) for v in spec.prompt_sweep]
-            + [(f"|tokens={v}", replace(model, tokens=v)) for v in spec.token_sweep])
+    return ([(f"|prompts={v}", replace(model, prompts=v)) for v in PROMPT_SWEEP]
+            + [(f"|tokens={v}", replace(model, tokens=v)) for v in TOKEN_SWEEP])
 
 
 @dataclass(frozen=True)
@@ -275,7 +276,10 @@ class RunState:
 def build_run_state(config: "ExperimentConfig",
                     datasets: dict[str, MasterDataset]) -> RunState:
     """The run's frozen datasets, the assets of every (model config, class count)
-    its cells use and, for a cross-domain run, each dataset's shifted targets."""
+    its cells use and, for a cross-domain run, each dataset's shifted targets.
+
+    Each client partition the trained cells will draw is drawn here once, so
+    that one the data cannot hold fails the run before any cell runs."""
     keys = dict.fromkeys((cfg, master.class_count)
                          for kind in config.scenarios for method in config.methods
                          for _, cfg in _cell_models(config.scenario_spec(kind), method,
@@ -285,8 +289,22 @@ def build_run_state(config: "ExperimentConfig",
     if "cross_domain" in config.scenarios:
         shifted = {name: cross_domain_targets(master, config.scenario.cross_targets)
                    for name, master in datasets.items()}
-    return RunState(config, datasets, {key: build_assets(*key) for key in keys},
-                    shifted).freeze()
+    state = RunState(config, datasets, {key: build_assets(*key) for key in keys},
+                     shifted).freeze()
+    if all(method == ZERO_SHOT_METHOD for method in config.methods):
+        return state  # zero-shot cells draw no partition
+    for kind in config.scenarios:
+        spec = config.scenario_spec(kind)
+        limits = ("scenario.shots and federation.num_clients" if kind == "fewshot"
+                  else "data.per_class_subsample")
+        for name in datasets:
+            for seed in config.seeds:
+                try:
+                    _scenario_plan(state, spec, True, name, name, seed)
+                except DataError as exc:
+                    raise ConfigError(f"{limits}: too large for dataset {name!r} in the {kind} "
+                                      f"scenario (seed {seed}): {exc}") from exc
+    return state
 
 
 @dataclass
@@ -392,7 +410,7 @@ def _run_plan(state: RunState, spec: ScenarioSpec, method: str, dataset: str, co
             if ids not in predictors:
                 predictors[ids] = make_predictor(target.class_ids)
             scores[target.key] = evaluate_predictor(predictors[ids], test.features, test.labels,
-                                                    target.class_ids, test.local_maps)
+                                                    target.class_ids, local_maps=test.local_maps)
         return scores
 
     if not trained:
@@ -412,19 +430,15 @@ def _run_plan(state: RunState, spec: ScenarioSpec, method: str, dataset: str, co
             slices += [(master, c.test_set) for c in clients]
         _give_local_maps(slices, cfg.local_features, state.noise)
 
-    def predictor(server, class_ids=None, client_state=None):
-        return trainer.build_predictor(server.payload, assets, class_ids, client_state,
-                                       server.encoding(trainer, assets, class_ids))
-
     def evaluate(server, clients) -> dict[str, float]:
+        payload = server.payload
         if scenario.client_tests is None:
-            return score(lambda ids: predictor(server, ids))
+            return score(lambda ids: trainer.build_predictor(payload, assets, ids, None))
         held = [c for c in clients if len(c.test_set) > 0]
-        if trainer.broadcast_context(server.payload) is not None:
-            # every client scores with the broadcast, so one predictor serves all
-            predictors = predictor(server)
+        if trainer.scores_with_broadcast:  # one predictor serves every client
+            predictors = trainer.build_predictor(payload, assets, None, None)
         else:
-            predictors = [predictor(server, client_state=c.state) for c in held]
+            predictors = [trainer.build_predictor(payload, assets, None, c.state) for c in held]
         return {targets[0].key: personalized_accuracy(predictors, [c.test_set for c in held])}
 
     audit = None if scenario.class_ids is None else []

@@ -5,13 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import (
-    BroadcastEncoding,
-    ClientTrainState,
-    CommunicablePayload,
-    LocalTrainer,
-    TrainContext,
-)
+from .algorithms import ClientTrainState, CommunicablePayload, LocalTrainer, TrainContext
 from .data import ClientDataset, MasterDataset
 from .errors import AggregationError, ConfigError
 from .vlm import ModelAssets, ModelConfig
@@ -144,31 +138,12 @@ class RoundReport:
 
 @dataclass
 class ServerState:
-    """The broadcast payload, with its encodings, and the round bookkeeping."""
+    """The broadcast payload and the round bookkeeping."""
 
     payload: CommunicablePayload
     round_index: int = 0
     ledger: CostLedger = field(default_factory=CostLedger)
     reports: list[RoundReport] = field(default_factory=list)
-    _encodings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __setattr__(self, name, value):
-        if name == "payload":  # a new broadcast drops the old one's encodings
-            super().__setattr__("_encodings", {})
-        super().__setattr__(name, value)
-
-    def encoding(self, trainer: LocalTrainer, assets: ModelAssets,
-                 class_ids: np.ndarray | None) -> BroadcastEncoding | None:
-        """The payload's encoding under `class_ids`, built at the first request
-        and kept until the payload is replaced; None for a trainer that shares
-        none (`LocalTrainer.broadcast_context`)."""
-        context = trainer.broadcast_context(self.payload)
-        if context is None:
-            return None
-        key = None if class_ids is None else tuple(np.asarray(class_ids).tolist())
-        if key not in self._encodings:
-            self._encodings[key] = BroadcastEncoding.encode(assets, context, class_ids)
-        return self._encodings[key]
 
 
 def sample_count(num_clients: int, fraction: float) -> int:
@@ -242,12 +217,11 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
         declared = trainer.payload_scalars(assets.cfg)
         report.download_scalars = declared * len(participating)
         results: dict[int, tuple[CommunicablePayload, float]] = {}  # payload, mean loss
-        shared = server.encoding(trainer, assets, class_ids)
         for cid in participating:
             client = clients[cid]
             ctx = TrainContext(assets=assets, round_index=t, federation=fed_cfg,
                                rng=rngs.derive_rng(seed, rngs.CLIENT, cid, t),
-                               class_ids=class_ids, audit=audit, shared=shared)
+                               class_ids=class_ids, audit=audit)
             try:  # the payload is read-only; local_train copies what it trains
                 payload, loss = trainer.local_train(server.payload, client.state,
                                                     client.dataset, ctx)

@@ -106,7 +106,7 @@ def _pool_context():
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
 
-def resolve_output_dir(config: ExperimentConfig, override: str | None = None) -> Path:
+def resolve_output_dir(config: ExperimentConfig, override: str | None) -> Path:
     if override:
         return Path(override)
     env = os.environ.get("FEDPROMPT_OUT")

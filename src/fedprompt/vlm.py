@@ -80,10 +80,9 @@ class PromptContext:
         self.vectors = v
 
 
-def build_prompt_context(cfg: ModelConfig, rng: np.random.Generator, m: int | None = None) -> PromptContext:
-    """Gaussian-initialised trainable context."""
-    sets = cfg.prompts if m is None else m
-    return PromptContext(rng.normal(size=(sets, cfg.tokens, cfg.d_token)) * cfg.init_std)
+def build_prompt_context(cfg: ModelConfig, rng: np.random.Generator, m: int) -> PromptContext:
+    """Gaussian-initialised trainable context of `m` prompt sets."""
+    return PromptContext(rng.normal(size=(m, cfg.tokens, cfg.d_token)) * cfg.init_std)
 
 
 def build_handcrafted_context(cfg: ModelConfig, template: int = 0) -> PromptContext:

@@ -185,7 +185,7 @@ def zero_shot_accuracy(assets, features: np.ndarray, labels: np.ndarray,
     """Accuracy (percent) of the handcrafted prompt on a labeled feature set."""
     hand, _ = assets.text_features(assets.handcrafted.vectors, class_ids)
     predictor = CosinePredictor(hand, assets.cfg.tau)
-    return evaluate_predictor(predictor, features, labels, class_ids)
+    return evaluate_predictor(predictor, features, labels, class_ids, local_maps=None)
 
 
 def save_feature_table(dataset, path: str) -> None:

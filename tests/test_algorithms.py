@@ -178,7 +178,7 @@ class TestCoCoOpBatched:
             labels = class_ids[labels % len(class_ids)]
         ctx = make_ctx(assets, class_ids=class_ids)
         batch = Batch(features=xh, labels=labels, master_indices=np.arange(len(labels)))
-        loss, grads = make_trainer("cocoop").grad_step(params, batch, ctx)
+        loss, grads = make_trainer("cocoop").grad_step(params, batch, ctx, None)
         positions = class_positions(labels, class_ids)
         expected_loss, _, expected = per_image_cocoop(assets, params, xh, positions, class_ids)
         assert loss == pytest.approx(expected_loss, rel=1e-12)
@@ -194,14 +194,14 @@ class TestCoCoOpBatched:
         trainer = make_trainer("cocoop")
         ctx = make_ctx(assets)
         batch = Batch(features=xh, labels=labels, master_indices=np.arange(len(labels)))
-        _, grads = trainer.grad_step(params, batch, ctx)
+        _, grads = trainer.grad_step(params, batch, ctx, None)
         for name, entries in (("meta_w1", [(0, 0), (3, 5), (17, 11)]),
                               ("meta_b2", [(0,), (4,), (7,)])):
             for entry in entries:
                 def f(value, name=name, entry=entry):
                     probe = {k: v.copy() for k, v in params.items()}
                     probe[name][entry] = value[0]
-                    return trainer.grad_step(probe, batch, ctx)[0]
+                    return trainer.grad_step(probe, batch, ctx, None)[0]
                 fd = finite_diff_gradient(f, np.array([params[name][entry]]))[0]
                 assert grads[name][entry] == pytest.approx(fd, rel=1e-4, abs=1e-9), (name, entry)
 
@@ -210,10 +210,10 @@ class TestCoCoOpBatched:
         assets, params, xh, _ = self._setup(variant, rng, n=7)
         expected = softmax_temp(per_image_cocoop(assets, params, xh, np.zeros(7, int))[1],
                                 assets.cfg.tau)
-        whole = ConditionedPredictor(assets, params, None).probs(xh)
+        whole = ConditionedPredictor(assets, params, None).probs(xh, None)
         # three images per encode call: blocks of 3, 3 and 1
         monkeypatch.setattr(ConditionedPredictor, "PAIRS_PER_BLOCK", 3 * 2 * 4)
-        blocked = ConditionedPredictor(assets, params, None).probs(xh)
+        blocked = ConditionedPredictor(assets, params, None).probs(xh, None)
         np.testing.assert_allclose(whole, expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(blocked, expected, rtol=0, atol=1e-12)
 
@@ -423,7 +423,7 @@ class TestTrainers:
         batch = Batch(features=random_unit_batch(rng, 3, cfg.d_image), labels=np.array([3, 1, 0]),
                       master_indices=np.arange(3))
         with pytest.raises(DataError, match=r"label 1 is outside the class set \[0, 2, 3\]"):
-            trainer.grad_step(params, batch, make_ctx(assets, class_ids=np.array([0, 2, 3])))
+            trainer.grad_step(params, batch, make_ctx(assets, class_ids=np.array([0, 2, 3])), None)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):

@@ -1,9 +1,10 @@
-"""The server's encoding of its broadcast, and the read-only broadcast payload.
+"""The broadcast payload's encodings of its own context, and the read-only
+broadcast payload.
 
-Every client of a round starts from the same payload, so the server
-encodes the payload's context once per class set; each client's first
-step and the round's predictors reuse that encoding instead of encoding
-the same context again.
+Every client of a round starts from the same payload, so its context is
+encoded once per class set and the encoding is kept on the payload; each
+client's first step and the round's predictors reuse it instead of
+encoding the same context again.
 """
 
 from dataclasses import replace
@@ -16,7 +17,6 @@ from test_evaluation import desk_config, desk_master  # noqa: F401 - fixture
 from fedprompt import algorithms, federation
 from fedprompt.algorithms import (
     Batch,
-    BroadcastEncoding,
     CommunicablePayload,
     PersonalizedFedOTPTrainer,
     PromptFLTrainer,
@@ -132,18 +132,21 @@ class TestSharedStep:
         assets = build_assets(cfg, CLASSES)
         trainer = trainer_class()
         payload = trainer.init_payload(cfg, np.random.default_rng(1))
-        shared = ServerState(payload).encoding(trainer, assets, class_ids)
-        assert (shared is None) == (name in ("cocoop", "fedotp-personalized"))
+        sharing = name not in ("cocoop", "fedotp-personalized")
+        assert trainer.scores_with_broadcast == sharing
         data = _client_data(cfg, class_ids)
         outs = []
-        for given in (shared, None):
+        for share in (True, False):
+            if not share:  # every step encodes its own context
+                trainer.broadcast_encoding = lambda *args: None
             state = trainer.init_state(cfg, np.random.default_rng(2))
             ctx = TrainContext(assets=assets, round_index=1,
                                federation=FederationConfig(rounds=5, batch_size=5, local_epochs=2),
-                               rng=np.random.default_rng(4), class_ids=class_ids, audit=[],
-                               shared=given)
+                               rng=np.random.default_rng(4), class_ids=class_ids, audit=[])
             out, loss = trainer.local_train(payload, state, data, ctx)
             outs.append((out, loss, state, len(ctx.audit)))
+        key = None if class_ids is None else tuple(class_ids.tolist())
+        assert list(payload.encodings) == ([key] if sharing else [])
         (out_a, loss_a, state_a, batches_a), (out_b, loss_b, state_b, batches_b) = outs
         assert batches_a == batches_b == 6
         assert loss_a == loss_b
@@ -170,7 +173,8 @@ class TestBroadcastEncoding:
         cfg = small_config(request.param, prompts=2)
         assets = build_assets(cfg, CLASSES)
         context = np.random.default_rng(5).normal(size=(2, cfg.tokens, cfg.d_token)) * 0.1
-        return assets, context, BroadcastEncoding.encode(assets, context, SUBSET)
+        payload = CommunicablePayload({"context": context}).read_only()
+        return assets, payload, PromptFLTrainer().broadcast_encoding(payload, assets, SUBSET)
 
     def test_features_and_cache_are_read_only(self, encoded):
         _, _, shared = encoded
@@ -182,65 +186,135 @@ class TestBroadcastEncoding:
             shared.features[0, 0, 0] = 0.0
 
     def test_equals_a_fresh_encode(self, encoded):
-        assets, context, shared = encoded
-        features, _ = assets.text_features(context, SUBSET)
+        assets, payload, shared = encoded
+        features, _ = assets.text_features(payload.fields["context"], SUBSET)
         assert shared.features.tobytes() == features.tobytes()
 
     def test_backward_leaves_it_unchanged(self, encoded):
-        assets, context, shared = encoded
+        assets, payload, shared = encoded
+        context = payload.fields["context"]
         before = [a.copy() for a in _arrays((shared.features, shared.cache))]
         batch = _batch(assets, SUBSET[[0, 1, 2, 1, 0]])
         ctx = _subset_ctx(assets)
         loss, grads = PromptFLTrainer().grad_step({"context": context.copy()}, batch, ctx, shared)
-        fresh_loss, fresh_grads = PromptFLTrainer().grad_step({"context": context}, batch, ctx)
+        fresh_loss, fresh_grads = PromptFLTrainer().grad_step({"context": context}, batch, ctx,
+                                                              None)
         assert loss == fresh_loss
         assert grads["context"].tobytes() == fresh_grads["context"].tobytes()
         after = list(_arrays((shared.features, shared.cache)))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
-    def test_mismatched_context_or_class_set_raises(self, encoded):
-        assets, context, shared = encoded
-        other = context.copy()
+    def test_mismatched_context_raises(self, encoded):
+        assets, payload, shared = encoded
+        other = payload.fields["context"].copy()
         other[0, 0, 0] += 1e-12
-        with pytest.raises(ValueError, match="different context or class set"):
-            shared.take(other, SUBSET)
-        for ids in (None, SUBSET[:2], np.array([0, 1, 3])):
-            with pytest.raises(ValueError, match="different context or class set"):
-                shared.take(context, ids)
-        with pytest.raises(ValueError, match="different context or class set"):
+        with pytest.raises(ValueError, match="different context"):
+            shared.take(other)
+        with pytest.raises(ValueError, match="different context"):
             PromptFLTrainer().grad_step({"context": other}, _batch(assets, SUBSET[:2]),
                                         _subset_ctx(assets), shared)
 
+    def test_each_class_set_has_its_own_encoding(self, encoded):
+        assets, payload, shared = encoded
+        for ids in (None, SUBSET[:2], np.array([0, 1, 3])):
+            other = PromptFLTrainer().broadcast_encoding(payload, assets, ids)
+            assert other is not shared
+            features, _ = assets.text_features(payload.fields["context"], ids)
+            assert other.features.tobytes() == features.tobytes()
+
     def test_writing_into_the_encoded_context_raises(self, encoded):
-        _, context, shared = encoded
-        context[0, 0, 0] += 1.0  # the caller's array; the encoding kept its own copy
-        with pytest.raises(ValueError, match="different context"):
-            shared.take(context, SUBSET)
+        _, payload, shared = encoded
+        # a read-only copy of the broadcast's context, which is read-only too
+        assert not np.shares_memory(shared.context, payload.fields["context"])
+        features, cache = shared.take(payload.fields["context"])
+        assert features is shared.features and cache is shared.cache
+        for context in (shared.context, payload.fields["context"]):
+            with pytest.raises(ValueError, match="read-only"):
+                context[0, 0, 0] += 1.0
 
 
 class TestServerEncoding:
-    def test_built_once_per_payload_and_class_set(self):
+    """The encodings of the server's broadcast live on the payload itself."""
+
+    def test_built_once_per_payload_and_class_set(self, monkeypatch):
         cfg = small_config()
         assets = build_assets(cfg, CLASSES)
         trainer = make_trainer("promptfl")
-        server = ServerState(trainer.init_payload(cfg, np.random.default_rng(0)))
-        first = server.encoding(trainer, assets, None)
-        assert server.encoding(trainer, assets, None) is first
-        subset = server.encoding(trainer, assets, SUBSET)
+        payload = trainer.init_payload(cfg, np.random.default_rng(0))
+        contexts = _record_encodes(monkeypatch)
+        first = trainer.broadcast_encoding(payload, assets, None)
+        assert trainer.broadcast_encoding(payload, assets, None) is first
+        subset = trainer.broadcast_encoding(payload, assets, SUBSET)
         assert subset is not first
-        assert server.encoding(trainer, assets, SUBSET.copy()) is subset
-        server.payload = trainer.init_payload(cfg, np.random.default_rng(1))
-        again = server.encoding(trainer, assets, None)
+        assert trainer.broadcast_encoding(payload, assets, SUBSET.copy()) is subset
+        assert len(contexts) == 2
+        assert trainer.build_predictor(payload, assets, SUBSET, None).features is subset.features
+        assert len(contexts) == 2
+        # a new broadcast is a new payload, with encodings of its own
+        other = trainer.init_payload(cfg, np.random.default_rng(1))
+        again = trainer.broadcast_encoding(other, assets, None)
         assert again is not first
         assert not np.array_equal(again.features, first.features)
+        assert trainer.broadcast_encoding(payload, assets, None) is first
+
+    def test_other_assets_encode_again(self):
+        cfg = small_config()
+        trainer = make_trainer("promptfl")
+        payload = trainer.init_payload(cfg, np.random.default_rng(0))
+        assets, other = build_assets(cfg, CLASSES), build_assets(cfg, CLASSES)
+        first = trainer.broadcast_encoding(payload, assets, None)
+        again = trainer.broadcast_encoding(payload, other, None)
+        assert again is not first
+        assert first.assets is assets and again.assets is other
 
     @pytest.mark.parametrize("trainer_class", [type(make_trainer("cocoop")),
                                                PersonalizedFedOTPTrainer])
     def test_trainers_that_encode_their_own_inputs_share_none(self, trainer_class):
         cfg = small_config()
         trainer = trainer_class()
-        server = ServerState(trainer.init_payload(cfg, np.random.default_rng(0)))
-        assert server.encoding(trainer, build_assets(cfg, CLASSES), None) is None
+        payload = trainer.init_payload(cfg, np.random.default_rng(0))
+        assert trainer.broadcast_encoding(payload, build_assets(cfg, CLASSES), None) is None
+        assert payload.encodings == {}
+
+    def test_new_payloads_start_with_none(self):
+        cfg = small_config()
+        assets = build_assets(cfg, CLASSES)
+        for name, trainer_class in TRAINERS:
+            assert trainer_class().init_payload(cfg, np.random.default_rng(0)).encodings == {}, name
+        trainer = PromptFLTrainer()
+        payload = trainer.init_payload(cfg, np.random.default_rng(0))
+        ctx = TrainContext(assets=assets, round_index=0, federation=FederationConfig(rounds=5),
+                           rng=np.random.default_rng(4))
+        out, _ = trainer.local_train(payload, trainer.init_state(cfg, None),
+                                     _client_data(cfg, None), ctx)
+        assert list(payload.encodings) == [None]
+        assert out.encodings == {}
+        assert fedavg_aggregate([payload, out], np.array([0.5, 0.5])).encodings == {}
+
+    def test_first_step_checks_the_encoded_context(self):
+        cfg = small_config()
+        assets = build_assets(cfg, CLASSES)
+        trainer = PromptFLTrainer()
+        payload = trainer.init_payload(cfg, np.random.default_rng(0))
+        other = trainer.init_payload(cfg, np.random.default_rng(1))
+        payload.encodings[None] = trainer.broadcast_encoding(other, assets, None)
+        ctx = TrainContext(assets=assets, round_index=0, federation=FederationConfig(rounds=5),
+                           rng=np.random.default_rng(4))
+        with pytest.raises(ValueError, match="different context"):
+            trainer.local_train(payload, trainer.init_state(cfg, None),
+                                _client_data(cfg, None), ctx)
+
+    def test_encodings_leave_equality_and_size_alone(self):
+        cfg = small_config()
+        trainer = PromptFLTrainer()
+        payload = trainer.init_payload(cfg, np.random.default_rng(0))
+        bare = CommunicablePayload(payload.fields)
+        size = payload.scalar_count
+        trainer.broadcast_encoding(payload, build_assets(cfg, CLASSES), None)
+        assert payload.encodings and not bare.encodings
+        assert payload == bare
+        assert payload.scalar_count == bare.scalar_count == size
+        assert "encodings" not in repr(payload)
 
 
 class TestReadOnlyBroadcast:

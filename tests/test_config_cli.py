@@ -560,6 +560,29 @@ class TestRunner:
         assert "gone.txt" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("scenario,protocol,subsample,keys", [
+        ("fewshot", "partial", 6, "scenario.shots and federation.num_clients"),
+        ("global", "standard", 15, "data.per_class_subsample"),
+    ])
+    def test_infeasible_partition_fails_before_any_cell(self, tmp_path, capsys, scenario,
+                                                        protocol, subsample, keys):
+        # 20 samples per class leave 14 for training: too few for one shot on each
+        # of 100 clients, or for a balanced subsample of 15 per class
+        config = tmp_path / "run.ini"
+        config.write_text(f"[experiment]\nscenarios = {scenario}\nmethods = zsclip,promptfl\n"
+                          f"seeds = 0\n[federation]\nprotocol = {protocol}\n"
+                          "[model]\nd_token = 8\nd_feature = 16\nd_image = 16\n"
+                          "[data]\nclasses = 4\nfeature_dim = 16\nsamples_per_class = 20\n"
+                          f"per_class_subsample = {subsample}\n")
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {keys}: ") and "'synthetic'" in err
+        assert not (tmp_path / "out").exists()
+        # zero-shot cells draw no partition, so they run on the same data
+        config.write_text(config.read_text().replace("zsclip,promptfl", "zsclip"))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("text,where", [
         ("# d=-1 classes=4\n0,0\n", ":1: "),
         ("# d=16 classes=0\n", ":1: "),

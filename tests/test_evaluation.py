@@ -271,9 +271,9 @@ class TestScenarios:
     def test_test_label_outside_the_class_set(self):
         predictor = CosinePredictor(np.eye(3)[None], tau=1.0)
         features, labels = np.eye(3), np.array([0, 1, 2])
-        assert evaluate_predictor(predictor, features, labels) == 100.0
+        assert evaluate_predictor(predictor, features, labels, local_maps=None) == 100.0
         with pytest.raises(DataError, match=r"label 1 is outside the class set \[0, 2\]"):
-            evaluate_predictor(predictor, features, labels, np.array([0, 2]))
+            evaluate_predictor(predictor, features, labels, np.array([0, 2]), local_maps=None)
 
     def test_fewshot_cell_counts(self, desk_master):
         config = desk_config()
@@ -300,10 +300,11 @@ class TestScenarios:
                         if c.test_set is not None)
             return federate(trainer, clients, *args, **kwargs)
 
-        def recording_evaluate(predictor, features, labels, class_ids=None, local_maps=None,
+        def recording_evaluate(predictor, features, labels, class_ids=None, *, local_maps,
                                sizes=None):
             seen.append((len(labels), local_maps))
-            return evaluate(predictor, features, labels, class_ids, local_maps, sizes)
+            return evaluate(predictor, features, labels, class_ids, local_maps=local_maps,
+                            sizes=sizes)
 
         monkeypatch.setattr(evaluation, "run_federation", recording_federation)
         monkeypatch.setattr(evaluation, "evaluate_predictor", recording_evaluate)
@@ -429,12 +430,14 @@ class TestScenarios:
         with pytest.raises(ValueError, match="read-only"):
             state.shifted["other"]["shift1"].features[0, 0] = 1.0
 
-    def test_cost_tradeoff_sweep_shape(self, desk_master):
+    def test_cost_tradeoff_sweep_shape(self, desk_master, monkeypatch):
         from fedprompt.algorithms import make_trainer
         from fedprompt.federation import communication_cost_millions
 
         config = desk_config(rounds=2)
-        spec = ScenarioSpec(kind="cost_tradeoff", prompt_sweep=(1, 2), token_sweep=(3,))
+        monkeypatch.setattr(evaluation, "PROMPT_SWEEP", (1, 2))
+        monkeypatch.setattr(evaluation, "TOKEN_SWEEP", (3,))
+        spec = ScenarioSpec(kind="cost_tradeoff")
         result = one_cell(config, spec, "promptfl", desk_master, 0)
         datasets = {o.dataset for o in result.observations}
         assert datasets == {"synthetic|prompts=1", "synthetic|prompts=2", "synthetic|tokens=3"}

@@ -226,22 +226,22 @@ class TestRunRound:
 
     def test_scheduling_independence(self):
         # a client's update reads nothing another client wrote in the round,
-        # the shared broadcast encoding included, so the training order
+        # the broadcast's shared encoding included, so the training order
         # cannot change what any client returns
         cfg, assets, trainer, fed, clients_a, server = self._setup(np.random.default_rng(8))
         _, _, _, _, clients_b, _ = self._setup(np.random.default_rng(8))
-        shared = server.encoding(trainer, assets, None)
 
         def train(clients, order):
             out = {}
             for cid in order:
                 ctx = TrainContext(assets=assets, round_index=0, federation=fed,
-                                   rng=rngs.derive_rng(0, rngs.CLIENT, cid, 0), shared=shared)
+                                   rng=rngs.derive_rng(0, rngs.CLIENT, cid, 0))
                 out[cid] = trainer.local_train(server.payload, clients[cid].state,
                                                clients[cid].dataset, ctx)
             return out
 
         in_order, shuffled = train(clients_a, [0, 1, 2]), train(clients_b, [2, 0, 1])
+        assert list(server.payload.encodings) == [None]  # every client took the one encoding
         for cid in range(3):
             assert payloads_equal(in_order[cid][0], shuffled[cid][0])
             assert in_order[cid][1] == shuffled[cid][1]

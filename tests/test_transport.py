@@ -263,7 +263,7 @@ class TestClassScore:
         transport = TransportPredictor(features, cfg.tau, eps=0.1, iters=100, col_relax=1.0)
         cosine = CosinePredictor(features, cfg.tau)
         p_ot = transport.probs(images, maps)
-        p_cos = cosine.probs(images)
+        p_cos = cosine.probs(images, None)
         np.testing.assert_allclose(p_ot, p_cos, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(np.argsort(p_ot, axis=1), np.argsort(p_cos, axis=1))
 

@@ -43,7 +43,7 @@ class TestModelConfig:
 class TestPromptContext:
     def test_param_count(self):
         cfg = ModelConfig(tokens=4, d_token=512, d_feature=16, d_image=16)
-        ctx = build_prompt_context(cfg, np.random.default_rng(0))
+        ctx = build_prompt_context(cfg, np.random.default_rng(0), m=cfg.prompts)
         assert ctx.vectors.size == 2048
 
     def test_rejects_nonfinite(self):
@@ -239,7 +239,7 @@ class TestPredict:
     def test_equivalence_with_manual_composition(self, small_assets, rng):
         # scores composed by hand from cosine_similarity + softmax_temp
         cfg = small_assets.cfg
-        ctx = build_prompt_context(cfg, rng)
+        ctx = build_prompt_context(cfg, rng, m=cfg.prompts)
         feats, _ = small_assets.text_features(ctx.vectors)
         x = rng.normal(size=cfg.d_image)
         probs = predict(x, list(feats[0]), tau=cfg.tau)
@@ -284,7 +284,7 @@ class TestPromptGradients:
         # gradient through the saturated softmax nearly vanishes
         cfg = small_config("linear_pool", tau=0.01)
         assets = build_assets(cfg, 2)
-        ctx = build_prompt_context(cfg, rng)
+        ctx = build_prompt_context(cfg, rng, m=cfg.prompts)
         feats, _ = assets.text_features(ctx.vectors)
         x = feats[0, 0]  # image aligned exactly with class-0 feature
         batch = Batch(features=x[None, :], labels=np.array([0]), master_indices=np.array([0]))
@@ -294,7 +294,7 @@ class TestPromptGradients:
 
     def test_empty_batch_rejected(self, small_assets, rng):
         cfg = small_assets.cfg
-        ctx = build_prompt_context(cfg, rng)
+        ctx = build_prompt_context(cfg, rng, m=cfg.prompts)
         batch = Batch(features=np.zeros((0, cfg.d_image)), labels=np.zeros(0, dtype=int),
                       master_indices=np.zeros(0, dtype=int))
         with pytest.raises(DomainError):
