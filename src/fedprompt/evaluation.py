@@ -36,7 +36,7 @@ from .data import (
     stratified_split,
 )
 from .errors import ConfigError, DataError, DomainError, EvaluationError
-from .federation import build_clients, communication_cost_millions, run_federation
+from .federation import RoundReport, build_clients, communication_cost_millions, run_federation
 from .vlm import ModelAssets, ModelConfig, build_assets
 from . import rngs
 
@@ -133,6 +133,17 @@ def superiority_indicator(method_means, baseline_means) -> int:
     if method_means.shape != baseline_means.shape:
         raise EvaluationError("method and baseline rows have different lengths")
     return int((method_means > baseline_means).sum())
+
+
+def best_scores(reports: list[RoundReport]) -> dict[str, float]:
+    """Each score's best value over the evaluated rounds, the earliest on a tie;
+    the reported value of a scenario scored every round."""
+    best: dict[str, float] = {}
+    for report in reports:
+        for key, value in (report.scores or {}).items():
+            if value is not None and (key not in best or value > best[key]):
+                best[key] = value
+    return best
 
 
 def aggregate_runs(values) -> tuple[float, float]:
@@ -327,7 +338,7 @@ class _ScenarioPlan:
     clients: list[np.ndarray] | None = None       # training indices per client (trained only)
     client_tests: list[np.ndarray] | None = None  # personalized: test indices per client
     class_ids: np.ndarray | None = None           # the classes trained on (None: all)
-    per_round: bool = True                        # best over evaluated rounds, else final only
+    per_round: bool = True                        # `best_scores` of the rounds, else final only
 
 
 def _scenario_plan(state: RunState, spec: ScenarioSpec, trained: bool, dataset: str,
@@ -442,25 +453,28 @@ def _run_plan(state: RunState, spec: ScenarioSpec, method: str, dataset: str, co
         return {targets[0].key: personalized_accuracy(predictors, [c.test_set for c in held])}
 
     audit = None if scenario.class_ids is None else []
-    outcome = run_federation(trainer, clients, fed_cfg, assets, seed,
-                             eval_fn=evaluate if scenario.per_round else None,
-                             class_ids=scenario.class_ids, audit=audit)
+    server = run_federation(trainer, clients, fed_cfg, assets, seed,
+                            eval_fn=evaluate if scenario.per_round else None,
+                            class_ids=scenario.class_ids, audit=audit)
     if audit is not None:
         leaked = sum(int(np.isin(master.labels[batch], scenario.class_ids, invert=True).sum())
                      for batch in audit)
         if leaked:
             raise EvaluationError(f"{leaked} samples of untrained classes leaked into "
                                   "training batches")
-    scores = outcome.best if scenario.per_round else evaluate(outcome.server, clients)
+    scores = best_scores(server.reports) if scenario.per_round else evaluate(server, clients)
+    curves, moved = [], 0
+    for report in server.reports:
+        moved += report.download_scalars + report.upload_scalars
+        curves.append({"scenario": spec.kind, "method": method, "dataset": column, "seed": seed,
+                       "round": report.round_index, "train_loss": report.train_loss,
+                       "test_accuracy": (report.scores or {}).get("test_accuracy"),
+                       "chi": moved})
     chi = None
     if spec.kind == "global":  # what actually moved (skipped empty clients exchange nothing)
-        chi = outcome.server.ledger.chi_millions
+        chi = moved / 1e6
     elif spec.kind == "cost_tradeoff":  # the trade-off tables quote the method's arithmetic cost
         chi = communication_cost_millions(trainer, cfg, fed_cfg)
-    curves = [{"scenario": spec.kind, "method": method, "dataset": column, "seed": seed,
-               "round": record["round"], "train_loss": record.get("train_loss"),
-               "test_accuracy": record.get("test_accuracy"), "chi": record.get("chi")}
-              for record in outcome.eval_history]
     return CellResult(_observations(spec, method, seed, targets, scores, chi), curves)
 
 
@@ -478,7 +492,7 @@ def _give_local_maps(slices: list[tuple[MasterDataset, ClientDataset]], M: int,
 
 def _observations(spec: ScenarioSpec, method: str, seed: int, targets: list[_Target],
                   scores: dict[str, float], chi: float | None) -> list[Observation]:
-    rows = [(t.column, t.metric, scores.get(t.key, 0.0)) for t in targets]
+    rows = [(t.column, t.metric, scores[t.key]) for t in targets]
     if spec.kind == "base_novel":
         rows.append((targets[0].column, "alpha_h", harmonic_mean(rows[0][2], rows[1][2])))
     if chi is not None:

@@ -1,4 +1,9 @@
-"""Server/client round orchestration and communication accounting."""
+"""Client sampling, FedAvg aggregation and the round loop.
+
+Each round's `RoundReport` is its one record: clients sampled, skipped,
+trained and failed, their weights, the scalars moved each way and any
+scores. The reported scores, the live cost and the curves derive from it.
+"""
 
 import logging
 from dataclasses import dataclass, field
@@ -80,44 +85,21 @@ class FederationConfig:
 
     @property
     def sample_size(self) -> int:
-        return sample_count(self.num_clients, self.participation_fraction)
-
-
-@dataclass
-class CostLedger:
-    """Scalars moved between server and clients, both directions."""
-
-    downloaded: list[int] = field(default_factory=list)
-    uploaded: list[int] = field(default_factory=list)
-
-    def record_round(self, down: int, up: int) -> None:
-        self.downloaded.append(int(down))
-        self.uploaded.append(int(up))
-
-    @property
-    def chi(self) -> int:
-        return sum(self.downloaded) + sum(self.uploaded)
-
-    @property
-    def chi_millions(self) -> float:
-        return self.chi / 1e6
-
-    @staticmethod
-    def closed_form(payload_scalars: int, rounds: int, sampled_clients: int) -> int:
-        """Total scalars when payload and sample size are constant."""
-        return payload_scalars * rounds * sampled_clients * 2
+        """Clients sampled per round: the fraction of the clients, rounded half to even."""
+        return int(round(self.participation_fraction * self.num_clients))
 
 
 def communication_cost_millions(trainer: LocalTrainer, model_cfg: ModelConfig,
                                 fed_cfg: FederationConfig) -> float:
-    """Closed-form total communication in millions of scalars."""
-    scalars = trainer.payload_scalars(model_cfg)
-    return CostLedger.closed_form(scalars, fed_cfg.rounds, fed_cfg.sample_size) / 1e6
+    """Closed-form total communication in millions of scalars: the declared
+    payload, sent to and back from every sampled client, every round."""
+    return trainer.payload_scalars(model_cfg) * fed_cfg.rounds * fed_cfg.sample_size * 2 / 1e6
 
 
 @dataclass
 class Client:
-    client_id: int
+    """A client's training data and state; its id is its position in the client list."""
+
     dataset: ClientDataset
     state: ClientTrainState
     test_set: ClientDataset | None = None
@@ -125,6 +107,9 @@ class Client:
 
 @dataclass
 class RoundReport:
+    """The record of one round. Client ids are positions in the client list;
+    `scores` is what `eval_fn` returned after an evaluated round, else None."""
+
     round_index: int
     sampled: list[int]
     participating: list[int]
@@ -134,33 +119,29 @@ class RoundReport:
     weights: dict[int, float]
     download_scalars: int
     upload_scalars: int
+    scores: dict[str, float] | None
+
+    @property
+    def train_loss(self) -> float | None:
+        """The mean of the trained clients' losses; None if no client trained."""
+        if not self.client_losses:
+            return None
+        return sum(self.client_losses.values()) / len(self.client_losses)
 
 
 @dataclass
 class ServerState:
-    """The broadcast payload and the round bookkeeping."""
+    """The broadcast payload and the report of every round run so far."""
 
     payload: CommunicablePayload
-    round_index: int = 0
-    ledger: CostLedger = field(default_factory=CostLedger)
     reports: list[RoundReport] = field(default_factory=list)
 
 
-def sample_count(num_clients: int, fraction: float) -> int:
-    """Clients sampled per round: the fraction of the clients, rounded half to even."""
-    return int(round(fraction * num_clients))
-
-
-def sample_clients(num_clients: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
+def sample_clients(fed_cfg: FederationConfig, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample without replacement, sorted for deterministic aggregation."""
-    if not (0.0 < fraction <= 1.0):
-        raise ConfigError(f"participation fraction must lie in (0, 1], got {fraction}")
-    k = sample_count(num_clients, fraction)
-    if k < 1:
-        raise ConfigError(f"participation fraction {fraction} selects no clients out of {num_clients}")
-    if k >= num_clients:
-        return np.arange(num_clients)
-    return np.sort(rng.choice(num_clients, size=k, replace=False))
+    if fed_cfg.sample_size >= fed_cfg.num_clients:
+        return np.arange(fed_cfg.num_clients)
+    return np.sort(rng.choice(fed_cfg.num_clients, size=fed_cfg.sample_size, replace=False))
 
 
 def compute_weights(sizes: np.ndarray) -> np.ndarray:
@@ -199,9 +180,8 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
               fed_cfg: FederationConfig, assets: ModelAssets, seed: int,
               class_ids: np.ndarray | None = None, audit: list | None = None) -> RoundReport:
     """One communication round: sample, broadcast, train, collect, aggregate."""
-    t = server.round_index
-    rng = rngs.derive_rng(seed, rngs.SAMPLING, t)
-    sampled = sample_clients(fed_cfg.num_clients, fed_cfg.participation_fraction, rng)
+    t = len(server.reports)
+    sampled = sample_clients(fed_cfg, rngs.derive_rng(seed, rngs.SAMPLING, t))
     participating = [int(c) for c in sampled if len(clients[c].dataset) > 0]
     skipped = [int(c) for c in sampled if len(clients[c].dataset) == 0]
     for cid in skipped:
@@ -209,7 +189,7 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
     report = RoundReport(
         round_index=t, sampled=[int(c) for c in sampled], participating=participating,
         skipped_empty=skipped, failed=[], client_losses={}, weights={},
-        download_scalars=0, upload_scalars=0,
+        download_scalars=0, upload_scalars=0, scores=None,
     )
     if not participating:
         log.warning("round %d: no client holds data, round skipped", t)
@@ -243,49 +223,25 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
             server.payload = fedavg_aggregate([results[c][0] for c in ordered_ids], weights)
             report.client_losses = {c: results[c][1] for c in ordered_ids}
             report.weights = {c: float(w) for c, w in zip(ordered_ids, weights)}
-    server.ledger.record_round(report.download_scalars, report.upload_scalars)
-    server.round_index += 1
     server.reports.append(report)
     return report
-
-
-@dataclass
-class FederationOutcome:
-    server: ServerState
-    eval_history: list[dict]          # one record per evaluated round
-    best: dict[str, float]            # max over rounds per metric
 
 
 def run_federation(trainer: LocalTrainer, clients: list[Client], fed_cfg: FederationConfig,
                    assets: ModelAssets, seed: int, eval_fn=None,
                    class_ids: np.ndarray | None = None,
-                   audit: list | None = None) -> FederationOutcome:
-    """Full communication loop for one seed, tracking best evaluation metrics."""
+                   audit: list | None = None) -> ServerState:
+    """The communication loop for one seed. Every `eval_every` rounds, and
+    after the last, the round's report keeps what `eval_fn` scores."""
     server = ServerState(
         payload=trainer.init_payload(assets.cfg, rngs.derive_rng(seed, rngs.PROMPT_INIT))
     )
-    history: list[dict] = []
-    best: dict[str, float] = {}
     for t in range(fed_cfg.rounds):
         report = run_round(server, clients, trainer, fed_cfg, assets, seed,
                            class_ids=class_ids, audit=audit)
         if eval_fn is not None and ((t + 1) % fed_cfg.eval_every == 0 or t == fed_cfg.rounds - 1):
-            metrics = eval_fn(server, clients)
-            record = {"round": t, **metrics}
-            history.append(record)
-            for key, value in metrics.items():
-                if value is None:
-                    continue
-                if key not in best or value > best[key]:
-                    best[key] = value
-        else:
-            history.append({"round": t})
-        history[-1]["train_loss"] = (
-            sum(report.client_losses.values()) / len(report.client_losses)
-            if report.client_losses else None
-        )
-        history[-1]["chi"] = server.ledger.chi
-    return FederationOutcome(server=server, eval_history=history, best=best)
+            report.scores = eval_fn(server, clients)
+    return server
 
 
 def build_clients(master: MasterDataset, client_indices: list[np.ndarray], trainer: LocalTrainer,
@@ -300,7 +256,6 @@ def build_clients(master: MasterDataset, client_indices: list[np.ndarray], train
         if test_indices is not None:
             test_set = ClientDataset.from_master(master, test_indices[cid])
         clients.append(Client(
-            client_id=cid,
             dataset=ClientDataset.from_master(master, indices),
             state=state,
             test_set=test_set,

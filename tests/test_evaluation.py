@@ -1,6 +1,7 @@
 """Metrics, run aggregation, and the six scenario runners."""
 
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -214,6 +215,32 @@ class TestScenarios:
         best = next(o.value for o in result.observations if o.metric == "alpha_g")
         finals = [r["test_accuracy"] for r in result.curves if r["test_accuracy"] is not None]
         assert best >= finals[-1]
+
+    def test_curves_and_cost_derive_from_the_round_reports(self, desk_master, monkeypatch):
+        servers, federate = [], evaluation.run_federation
+
+        def recording_federation(*args, **kwargs):
+            servers.append(federate(*args, **kwargs))
+            return servers[-1]
+
+        monkeypatch.setattr(evaluation, "run_federation", recording_federation)
+        result = one_cell(desk_config(), ScenarioSpec(kind="global"), "promptfl", desk_master, 0)
+        (server,) = servers
+        moved = list(accumulate(r.download_scalars + r.upload_scalars for r in server.reports))
+        assert [row["chi"] for row in result.curves] == moved
+        assert [row["round"] for row in result.curves] == [r.round_index for r in server.reports]
+        assert [row["train_loss"] for row in result.curves] == \
+               [r.train_loss for r in server.reports]
+        assert [row["test_accuracy"] for row in result.curves] == \
+               [r.scores["test_accuracy"] for r in server.reports]
+        chi = next(o.value for o in result.observations if o.metric == "chi_millions")
+        assert chi == moved[-1] / 1e6
+
+    def test_missing_score_fails_the_cell(self, desk_master, monkeypatch):
+        # a target no round scored is an error, not a 0.0 in results.csv
+        monkeypatch.setattr(evaluation, "evaluate_predictor", lambda *args, **kwargs: None)
+        with pytest.raises(KeyError, match="test_accuracy"):
+            one_cell(desk_config(), ScenarioSpec(kind="global"), "promptfl", desk_master, 0)
 
     def test_zero_shot_method(self, desk_master):
         result = one_cell(desk_config(), ScenarioSpec(kind="global"), "zsclip", desk_master, 0)

@@ -1,4 +1,4 @@
-"""Sampling, aggregation, round orchestration, ledger arithmetic."""
+"""Sampling, aggregation, round orchestration, communication accounting."""
 
 import numpy as np
 import pytest
@@ -16,9 +16,9 @@ from fedprompt.algorithms import (
 )
 from fedprompt.data import ClientDataset, MasterDataset
 from fedprompt.errors import AggregationError, ConfigError
+from fedprompt.evaluation import best_scores
 from fedprompt.federation import (
     Client,
-    CostLedger,
     FederationConfig,
     ServerState,
     build_clients,
@@ -44,29 +44,26 @@ def manual_plan(n, num_clients):
 
 class TestSampling:
     def test_full_participation(self):
-        out = sample_clients(7, 1.0, np.random.default_rng(0))
+        out = sample_clients(FederationConfig(num_clients=7), np.random.default_rng(0))
         np.testing.assert_array_equal(out, np.arange(7))
 
     def test_ten_percent_of_hundred(self):
-        out = sample_clients(100, 0.1, np.random.default_rng(1))
+        out = sample_clients(FederationConfig(protocol="partial"), np.random.default_rng(1))
         assert len(out) == 10
         assert len(np.unique(out)) == 10
         np.testing.assert_array_equal(out, np.sort(out))
 
     def test_deterministic(self):
-        a = sample_clients(50, 0.3, np.random.default_rng(9))
-        b = sample_clients(50, 0.3, np.random.default_rng(9))
+        fed = FederationConfig(protocol="partial", num_clients=50, participation_fraction=0.3)
+        a = sample_clients(fed, np.random.default_rng(9))
+        b = sample_clients(fed, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ConfigError):
-            sample_clients(100, 0.001, np.random.default_rng(0))
 
     def test_config_sample_size_is_the_sample_drawn(self):
         for clients, fraction in ((100, 0.1), (3, 0.5), (5, 0.5), (10, 0.25), (3, 0.2)):
             fed = FederationConfig(protocol="partial", num_clients=clients,
                                    participation_fraction=fraction)
-            assert fed.sample_size == len(sample_clients(clients, fraction, np.random.default_rng(0)))
+            assert fed.sample_size == len(sample_clients(fed, np.random.default_rng(0)))
 
     def test_config_selecting_no_client_rejected(self):
         with pytest.raises(ConfigError, match="participation_fraction"):
@@ -118,17 +115,21 @@ class TestAggregate:
 
 
 class TestLedger:
+    """The closed-form cost, and the scalars each round report records."""
+
     def test_closed_form_promptfl_paper_dims(self):
         cfg = ModelConfig()  # 2048-scalar payload
         fed = FederationConfig(protocol="standard", num_clients=10, rounds=50)
         trainer = make_trainer("promptfl")
         chi = communication_cost_millions(trainer, cfg, fed)
         assert round(chi, 2) == 2.05
-        assert CostLedger.closed_form(2048, 50, 10) == 2048 * 50 * 10 * 2
+        assert chi == 2048 * 50 * 10 * 2 / 1e6
 
     def test_per_round_delta(self):
         # 2048 scalars x 10 clients x both directions
-        assert CostLedger.closed_form(2048, 1, 10) == 40960
+        fed = FederationConfig(protocol="standard", num_clients=10, rounds=1)
+        chi = communication_cost_millions(make_trainer("promptfl"), ModelConfig(), fed)
+        assert chi == 40960 / 1e6
 
     def test_prompt_sweep_cost_column(self):
         fed = FederationConfig(protocol="standard", num_clients=10, rounds=50)
@@ -144,9 +145,10 @@ class TestLedger:
         trainer = make_trainer("promptfl")
         fed = FederationConfig(protocol="standard", num_clients=4, rounds=3, batch_size=8)
         clients = build_clients(master, manual_plan(len(master), 4), trainer, cfg, seed=0)
-        out = run_federation(trainer, clients, fed, assets, seed=0)
-        expected = CostLedger.closed_form(trainer.payload_scalars(cfg), 3, 4)
-        assert out.server.ledger.chi == expected
+        server = run_federation(trainer, clients, fed, assets, seed=0)
+        moved = sum(r.download_scalars + r.upload_scalars for r in server.reports)
+        assert moved / 1e6 == communication_cost_millions(trainer, cfg, fed)
+        assert moved == trainer.payload_scalars(cfg) * 3 * 4 * 2
 
     def test_payload_size_constant_across_rounds(self, rng):
         cfg = small_config()
@@ -155,10 +157,10 @@ class TestLedger:
         trainer = make_trainer("promptfl")
         fed = FederationConfig(protocol="standard", num_clients=2, rounds=4, batch_size=8)
         clients = build_clients(master, manual_plan(len(master), 2), trainer, cfg, seed=0)
-        out = run_federation(trainer, clients, fed, assets, seed=0)
+        server = run_federation(trainer, clients, fed, assets, seed=0)
         per_round = trainer.payload_scalars(cfg) * 2
-        assert out.server.ledger.downloaded == [per_round] * 4
-        assert out.server.ledger.uploaded == [per_round] * 4
+        assert [r.download_scalars for r in server.reports] == [per_round] * 4
+        assert [r.upload_scalars for r in server.reports] == [per_round] * 4
 
 
 class TestRunRound:
@@ -205,7 +207,7 @@ class TestRunRound:
         cfg, assets, trainer, fed, clients, server = self._setup(rng)
         declared = trainer.payload_scalars(cfg)
         broadcast = server.payload
-        empty = [Client(c.client_id, ClientDataset.from_master(toy_master(rng), []), c.state)
+        empty = [Client(ClientDataset.from_master(toy_master(rng), []), c.state)
                  for c in clients]
         first = run_round(server, empty, trainer, fed, assets, seed=0)
         assert first.participating == [] and first.skipped_empty == [0, 1, 2]
@@ -218,11 +220,10 @@ class TestRunRound:
         assert second.failed == [0, 1, 2] and server.payload is broadcast
         monkeypatch.undo()
         third = run_round(server, clients, trainer, fed, assets, seed=0)
-        assert server.round_index == 3
         assert server.reports == [first, second, third]
         assert [r.round_index for r in server.reports] == [0, 1, 2]
-        assert server.ledger.downloaded == [0, 3 * declared, 3 * declared]
-        assert server.ledger.uploaded == [0, 0, 3 * declared]
+        assert [r.download_scalars for r in server.reports] == [0, 3 * declared, 3 * declared]
+        assert [r.upload_scalars for r in server.reports] == [0, 0, 3 * declared]
 
     def test_scheduling_independence(self):
         # a client's update reads nothing another client wrote in the round,
@@ -254,6 +255,54 @@ class TestRunRound:
         assert payloads_equal(base, again)
 
 
+class TestRoundRecord:
+    def _federation(self, rng, monkeypatch, eval_every=1):
+        cfg = small_config()
+        assets = build_assets(cfg, 4)
+        plan = manual_plan(30, 4)
+        plan[1] = np.array([], dtype=int)
+        trainer = make_trainer("promptfl")
+        fed = FederationConfig(protocol="standard", num_clients=4, rounds=5, batch_size=8,
+                               eval_every=eval_every)
+        clients = build_clients(toy_master(rng, n=30), plan, trainer, cfg, seed=0)
+        original = trainer.local_train
+
+        def flaky(payload, state, dataset, ctx):
+            if dataset is clients[2].dataset:
+                raise RuntimeError("client crashed")
+            return original(payload, state, dataset, ctx)
+
+        monkeypatch.setattr(trainer, "local_train", flaky)
+        return cfg, assets, trainer, fed, clients
+
+    def test_reports_with_an_empty_and_a_failing_client(self, rng, monkeypatch):
+        cfg, assets, trainer, fed, clients = self._federation(rng, monkeypatch)
+        server = run_federation(trainer, clients, fed, assets, seed=0)
+        declared = trainer.payload_scalars(cfg)
+        assert len(server.reports) == fed.rounds
+        for t, report in enumerate(server.reports):
+            assert report.round_index == t and report.scores is None
+            assert report.skipped_empty == [1] and report.failed == [2]
+            assert report.sampled == sorted(report.participating + report.skipped_empty)
+            assert set(report.failed) <= set(report.participating)
+            trained = [c for c in report.participating if c not in report.failed]
+            assert sorted(report.weights) == sorted(report.client_losses) == trained
+            assert sum(report.weights.values()) == pytest.approx(1.0, abs=1e-12)
+            assert report.download_scalars == declared * len(report.participating)
+            assert report.upload_scalars == declared * len(trained)
+            assert report.train_loss == sum(report.client_losses.values()) / len(trained)
+
+    def test_best_scores_skip_none_and_unevaluated_rounds(self, rng, monkeypatch):
+        _, assets, trainer, fed, clients = self._federation(rng, monkeypatch, eval_every=2)
+        scripted = iter([{"a": 10.0, "b": None, "c": None}, {"a": 30.0, "b": 5.0, "c": None},
+                         {"a": 20.0, "b": None, "c": None}])
+        server = run_federation(trainer, clients, fed, assets, seed=0,
+                                eval_fn=lambda server, clients: next(scripted))
+        # rounds 1 and 3 end an `eval_every` window, round 4 is the last
+        assert [r.scores is not None for r in server.reports] == [False, True, False, True, True]
+        assert best_scores(server.reports) == {"a": 30.0, "b": 5.0}
+
+
 class TestCentralizedEquivalence:
     def test_single_client_matches_standalone_sgd(self, rng):
         # independent oracle: plain SGD over the same data, schedule, and
@@ -264,7 +313,7 @@ class TestCentralizedEquivalence:
         trainer = make_trainer("promptfl")
         fed = FederationConfig(protocol="centralized", num_clients=1, rounds=10, batch_size=8)
         clients = build_clients(master, [np.arange(24)], trainer, cfg, seed=3)
-        outcome = run_federation(trainer, clients, fed, assets, seed=3)
+        server = run_federation(trainer, clients, fed, assets, seed=3)
 
         context = trainer.init_payload(cfg, rngs.derive_rng(3, rngs.PROMPT_INIT)).fields["context"]
         data = ClientDataset.from_master(master, np.arange(24))
@@ -277,7 +326,7 @@ class TestCentralizedEquivalence:
                 context = sgd_momentum_step({"context": context}, {"context": grads},
                                             state.velocities, fed.lr, fed.momentum,
                                             t, 10)["context"]
-        assert np.max(np.abs(outcome.server.payload.fields["context"] - context)) < 1e-12
+        assert np.max(np.abs(server.payload.fields["context"] - context)) < 1e-12
 
 
 class TestFedOTPTwoClients:
