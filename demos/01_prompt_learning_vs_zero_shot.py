@@ -24,7 +24,8 @@ config = ExperimentConfig(
     model=ModelConfig(prompts=1, tokens=4, d_token=32, d_feature=64, d_image=64,
                       encoder="attention_block", token_scale=0.05),
     federation=FederationConfig(protocol="standard", num_clients=10, rounds=30),
-    data=DataConfig(alpha=0.1,                 # strong label skew
+    data=DataConfig(feature_dim=64,            # the dataset above
+                    alpha=0.1,                 # strong label skew
                     per_class_subsample=140),  # use the whole training pool
 )
 state = build_run_state(config, {"synthetic": dataset})

@@ -1,24 +1,27 @@
 """Declarative experiment configuration.
 
 Accepts sectioned key=value text (INI-shaped) or a JSON object with the
-same section/key tree. Each section is a dataclass whose field names are
-the section's keys and whose defaults are its defaults: `[experiment]`
-is the top level of `ExperimentConfig`, `[federation]`
-`FederationConfig`, `[model]` `ModelConfig`, `[data]` `DataConfig` and
-`[scenario]` `ScenarioSpec`. Unknown sections or keys are rejected,
-every value is type-checked, and an empty file yields the all-defaults
-experiment (synthetic data, promptfl, global scenario).
+same section/key tree. The keys are the fields of `ExperimentConfig`: its
+plain fields are `[experiment]`, and each dataclass-typed field is a
+section whose fields, annotations and defaults are its keys, key types and
+defaults. A key annotated `X | None` takes `auto` (None). Unknown sections
+or keys are rejected, and the dataclasses check every value, so a config
+built in code is checked as a parsed one is. An empty file yields the
+all-defaults experiment.
 """
 
 import configparser
 import io
 import json
 import sys
-from dataclasses import dataclass, field, replace
+import types
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .data import (
     MasterDataset,
     SyntheticSpec,
+    _near_orthogonal_prototypes,
     generate_synthetic_dataset,
     load_feature_table,
     read_table_header,
@@ -30,45 +33,8 @@ from .vlm import ModelConfig
 from .algorithms import TRAINER_KINDS
 from . import rngs
 
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.replace(",", " ").split()]
-
-
-def _parse_str_list(text: str) -> list[str]:
-    return text.replace(",", " ").split()
-
-
-def _parse_auto_int(text: str):
-    s = text.strip().lower()
-    return None if s in ("auto", "none", "") else int(s)
-
-
-# section -> key -> converter from the key's text; the section dataclasses
-# hold the defaults
-_SCHEMA = {
-    "experiment": {
-        "scenarios": _parse_str_list, "methods": _parse_str_list, "seeds": _parse_int_list,
-        "output_dir": str,
-    },
-    "federation": {
-        "protocol": str, "num_clients": int, "participation_fraction": float, "rounds": int,
-        "local_epochs": int, "batch_size": int, "lr": float, "momentum": float,
-        "eval_every": int,
-    },
-    "model": {
-        "prompts": int, "tokens": int, "d_token": int, "d_feature": int, "d_image": int,
-        "encoder": str, "tau": float, "seed": int, "init_std": float, "token_scale": float,
-        "n_class_tokens": int, "meta_hidden": int, "local_features": int,
-    },
-    "data": {
-        "datasets": _parse_str_list, "classes": int, "feature_dim": int, "noise_sigma": float,
-        "samples_per_class": int, "per_class_subsample": _parse_auto_int, "alpha": float,
-    },
-    "scenario": {"shots": int, "split_mode": str, "cross_targets": int},
-}
-
 _METHOD_CHOICES = tuple(TRAINER_KINDS) + (ZERO_SHOT_METHOD,)
+_MAX_SYNTHETIC_CLASSES = 1000  # the config check draws the prototypes, in time quadratic in it
 
 
 @dataclass
@@ -94,6 +60,9 @@ class DataConfig:
         if self.per_class_subsample is not None and self.per_class_subsample < 1:
             raise ConfigError(f"per_class_subsample: must be >= 1 or auto, "
                               f"got {self.per_class_subsample}")
+        if any(map(_is_synthetic, self.datasets)) and self.classes > _MAX_SYNTHETIC_CLASSES:
+            raise ConfigError(f"classes: must be <= {_MAX_SYNTHETIC_CLASSES} for synthetic "
+                              f"data, got {self.classes}")
         entries_by_name: dict[str, str] = {}
         for entry in self.datasets:
             name = dataset_display_name(entry)
@@ -113,7 +82,8 @@ class DataConfig:
 
 @dataclass
 class ExperimentConfig:
-    """The `[experiment]` keys, and every other section by name."""
+    """The `[experiment]` keys, and every other section by name; the check of
+    the `[experiment]` values and of what one section implies for another."""
 
     scenarios: list[str] = field(default_factory=lambda: ["global"])
     methods: list[str] = field(default_factory=lambda: ["promptfl"])
@@ -124,14 +94,63 @@ class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
     scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
 
-    def scenario_spec(self, kind: str) -> ScenarioSpec:
-        return replace(self.scenario, kind=kind)
+    def __post_init__(self):
+        for key in ("scenarios", "methods", "seeds"):
+            entries = getattr(self, key)
+            if not entries:  # an empty list plans no cell
+                raise ConfigError(f"experiment.{key}: need at least one entry")
+            for i, entry in enumerate(entries):  # a repeated entry would repeat its cells
+                if entry in entries[:i]:
+                    raise ConfigError(f"experiment.{key}: {entry!r} is listed more than once")
+        for seed in self.seeds:  # seeds every random stream, which needs entropy >= 0
+            if seed < 0:
+                raise ConfigError(f"experiment.seeds: must be >= 0, got {seed}")
+        for method in self.methods:
+            if method not in _METHOD_CHOICES:
+                raise ConfigError(f"experiment.methods: unknown method {method!r}")
+        for kind in self.scenarios:
+            if kind not in SCENARIO_KINDS:
+                raise ConfigError(f"experiment.scenarios: unknown scenario {kind!r}")
+        synthetic = [entry for entry in self.data.datasets if _is_synthetic(entry)]
+        if synthetic and self.data.feature_dim != self.model.d_image:
+            raise ConfigError(
+                f"data.feature_dim: synthetic features are {self.data.feature_dim}-dimensional "
+                f"but model.d_image is {self.model.d_image}; they must match"
+            )
+        for entry in synthetic:  # drawn as the run draws them, once the width is the model's
+            spec = synthetic_spec(self.data, entry)
+            try:
+                _near_orthogonal_prototypes(spec, _prototype_rng(spec))
+            except ConfigError as exc:
+                raise ConfigError(
+                    f"data.feature_dim: {spec.feature_dim} dimensions cannot hold "
+                    f"data.classes = {spec.classes} near-orthogonal prototypes of {entry!r}"
+                ) from exc
 
     def subsample_per_class(self) -> int:
         """`data.per_class_subsample`; auto is 16 under partial participation, else 8."""
         if self.data.per_class_subsample is not None:
             return self.data.per_class_subsample
         return 16 if self.federation.protocol == "partial" else 8
+
+
+def _converter(annotation):
+    """The parser of a key's text, by its field's annotation."""
+    if isinstance(annotation, types.UnionType):  # `X | None`: auto (or nothing) is None
+        (inner,) = set(typing.get_args(annotation)) - {type(None)}
+        convert = _converter(inner)
+        return lambda text: None if text.strip().lower() in ("auto", "none", "") else convert(text)
+    if typing.get_origin(annotation) is list:  # comma- or space-separated items
+        (item,) = typing.get_args(annotation)
+        return lambda text: [item(x) for x in text.replace(",", " ").split()]
+    return annotation
+
+
+# each dataclass-typed field of `ExperimentConfig` is a section; its other fields are `[experiment]`
+_SECTIONS = {f.name: f.type for f in fields(ExperimentConfig) if is_dataclass(f.type)}
+# section -> key -> converter from the key's text
+_SCHEMA = {section: {f.name: _converter(f.type) for f in fields(cls) if not is_dataclass(f.type)}
+           for section, cls in {"experiment": ExperimentConfig, **_SECTIONS}.items()}
 
 
 def _raw_tree_from_ini(text: str) -> dict[str, dict[str, object]]:
@@ -178,46 +197,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{section}.{key}: unknown key")
             given[section][key] = _convert(section, key, raw, _SCHEMA[section][key])
-    return _build(given)
-
-
-def _in_section(section: str, build, **kwargs):
-    """build(**kwargs); its errors name a key, to which the section is prefixed."""
-    try:
-        return build(**kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{section}.{exc}") from exc
-
-
-def _build(given: dict[str, dict[str, object]]) -> ExperimentConfig:
-    experiment = ExperimentConfig(**given["experiment"])
-    for key in ("scenarios", "methods", "seeds"):
-        entries = getattr(experiment, key)
-        if not entries:  # an empty list plans no cell
-            raise ConfigError(f"experiment.{key}: need at least one entry")
-        for i, entry in enumerate(entries):  # a repeated entry would repeat its cells
-            if entry in entries[:i]:
-                raise ConfigError(f"experiment.{key}: {entry!r} is listed more than once")
-    for seed in experiment.seeds:  # seeds every random stream, which needs entropy >= 0
-        if seed < 0:
-            raise ConfigError(f"experiment.seeds: must be >= 0, got {seed}")
-    for method in experiment.methods:
-        if method not in _METHOD_CHOICES:
-            raise ConfigError(f"experiment.methods: unknown method {method!r}")
-    for kind in experiment.scenarios:
-        if kind not in SCENARIO_KINDS:
-            raise ConfigError(f"experiment.scenarios: unknown scenario {kind!r}")
-
-    scenario = _in_section("scenario", ScenarioSpec, **given["scenario"])
-    federation = _in_section("federation", FederationConfig, **given["federation"])
-    model = _in_section("model", ModelConfig, **given["model"])
-    data = _in_section("data", DataConfig, **given["data"])
-    if any(map(_is_synthetic, data.datasets)) and data.feature_dim != model.d_image:
-        raise ConfigError(
-            f"data.feature_dim: synthetic features are {data.feature_dim}-dimensional but "
-            f"model.d_image is {model.d_image}; they must match"
-        )
-    return replace(experiment, federation=federation, model=model, data=data, scenario=scenario)
+    experiment = ExperimentConfig(**given["experiment"])  # its errors win over a section's
+    sections = {}
+    for section, cls in _SECTIONS.items():
+        try:
+            sections[section] = cls(**given[section])
+        except ConfigError as exc:  # a section's errors name a key; prefix the section
+            raise ConfigError(f"{section}.{exc}") from exc
+    return replace(experiment, **sections)
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -269,14 +256,18 @@ def synthetic_spec(data: DataConfig, entry: str) -> SyntheticSpec:
     )
 
 
+def _prototype_rng(spec: SyntheticSpec):
+    """The stream a synthetic dataset is drawn from, its prototypes first."""
+    return rngs.derive_rng(spec.prototype_seed, rngs.DATA)
+
+
 def materialize_datasets(config: ExperimentConfig) -> dict[str, MasterDataset]:
     """Build every dataset named in the config; file paths are loaded and checked."""
     datasets: dict[str, MasterDataset] = {}
     for entry in config.data.datasets:
         if _is_synthetic(entry):
             spec = synthetic_spec(config.data, entry)
-            rng = rngs.derive_rng(spec.prototype_seed, rngs.DATA)
-            datasets[entry] = generate_synthetic_dataset(spec, rng)
+            datasets[entry] = generate_synthetic_dataset(spec, _prototype_rng(spec))
         else:
             loaded = load_feature_table(entry)
             _check_width(entry, loaded.feature_dim, config.model)

@@ -205,20 +205,17 @@ class MetricTable:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One scenario and its options (the `[scenario]` section); the single
-    check of the option values.
+    """The scenario options (the `[scenario]` section); the single check of
+    their values. The scenario kind is a cell's coordinate, not an option.
 
     Errors name the config key; the config parser adds the `scenario.` prefix.
     """
 
-    kind: str = "global"
     shots: int = 1
     split_mode: str = "random"
     cross_targets: int = 2
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise ConfigError(f"unknown scenario kind {self.kind!r}; choose from {SCENARIO_KINDS}")
         if self.shots < 1:
             raise ConfigError(f"shots: must be >= 1, got {self.shots}")
         if self.split_mode not in ("random", "first_half"):
@@ -233,8 +230,8 @@ class CellResult:
     curves: list[dict]
 
 
-def _trainer_for(method: str, spec: ScenarioSpec) -> LocalTrainer:
-    if method == "fedotp" and spec.kind == "personalized":
+def _trainer_for(method: str, kind: str) -> LocalTrainer:
+    if method == "fedotp" and kind == "personalized":
         return PersonalizedFedOTPTrainer()
     return make_trainer(method)
 
@@ -250,15 +247,14 @@ def cross_domain_targets(master: MasterDataset, count: int) -> dict[str, MasterD
             for k in range(1, count + 1)}
 
 
-def _cell_models(spec: ScenarioSpec, method: str,
-                 model: ModelConfig) -> list[tuple[str, ModelConfig]]:
+def _cell_models(kind: str, method: str, model: ModelConfig) -> list[tuple[str, ModelConfig]]:
     """(results column suffix, model config) of each model a cell trains and scores.
 
     A `cost_tradeoff` cell runs `PROMPT_SWEEP` and `TOKEN_SWEEP`, and its
     zero-shot cell runs none: nothing is communicated, so there is no
     trade-off.
     """
-    if spec.kind != "cost_tradeoff":
+    if kind != "cost_tradeoff":
         return [("", model)]
     if method == ZERO_SHOT_METHOD:
         return []
@@ -293,8 +289,7 @@ def build_run_state(config: "ExperimentConfig",
     that one the data cannot hold fails the run before any cell runs."""
     keys = dict.fromkeys((cfg, master.class_count)
                          for kind in config.scenarios for method in config.methods
-                         for _, cfg in _cell_models(config.scenario_spec(kind), method,
-                                                    config.model)
+                         for _, cfg in _cell_models(kind, method, config.model)
                          for master in datasets.values())
     shifted = {}
     if "cross_domain" in config.scenarios:
@@ -305,13 +300,12 @@ def build_run_state(config: "ExperimentConfig",
     if all(method == ZERO_SHOT_METHOD for method in config.methods):
         return state  # zero-shot cells draw no partition
     for kind in config.scenarios:
-        spec = config.scenario_spec(kind)
         limits = ("scenario.shots and federation.num_clients" if kind == "fewshot"
                   else "data.per_class_subsample")
         for name in datasets:
             for seed in config.seeds:
                 try:
-                    _scenario_plan(state, spec, True, name, name, seed)
+                    _scenario_plan(state, kind, True, name, name, seed)
                 except DataError as exc:
                     raise ConfigError(f"{limits}: too large for dataset {name!r} in the {kind} "
                                       f"scenario (seed {seed}): {exc}") from exc
@@ -341,15 +335,15 @@ class _ScenarioPlan:
     per_round: bool = True                        # `best_scores` of the rounds, else final only
 
 
-def _scenario_plan(state: RunState, spec: ScenarioSpec, trained: bool, dataset: str,
+def _scenario_plan(state: RunState, kind: str, trained: bool, dataset: str,
                    column: str, seed: int) -> _ScenarioPlan:
     """The scenario's targets and, for a trained method, its client partition."""
     master = state.datasets[dataset]
     tr, _va, te = _splits(master, seed)
     config = state.config
-    fed_cfg = config.federation
+    fed_cfg, spec = config.federation, config.scenario
     pool = tr
-    if spec.kind == "base_novel":
+    if kind == "base_novel":
         base_ids, novel_ids = base_novel_split(master.class_count, mode=spec.split_mode, seed=seed)
         te_base = te[np.isin(master.labels[te], base_ids)]
         te_novel = te[np.isin(master.labels[te], novel_ids)]
@@ -359,21 +353,21 @@ def _scenario_plan(state: RunState, spec: ScenarioSpec, trained: bool, dataset: 
             class_ids=base_ids, per_round=False,
         )
         pool = tr[np.isin(master.labels[tr], base_ids)]
-    elif spec.kind == "cross_domain":
+    elif kind == "cross_domain":
         scenario = _ScenarioPlan([_Target(f"{column}->{name}", "alpha_xd", f"acc::{name}", target, te)
                                   for name, target in state.shifted[dataset].items()])
     else:
         metric = {"personalized": "alpha_p",
-                  "fewshot": f"alpha_fs_{spec.shots}"}.get(spec.kind, "alpha_g")
+                  "fewshot": f"alpha_fs_{spec.shots}"}.get(kind, "alpha_g")
         scenario = _ScenarioPlan([_Target(column, metric, "test_accuracy", master, te)])
     if not trained:  # zero-shot trains nothing, so it needs (and may fail) no partition
         return scenario
 
     rng = rngs.derive_rng(seed, rngs.PARTITION)
-    if spec.kind == "fewshot":
+    if kind == "fewshot":
         raw = kshot_iid_partition(master.labels[pool], fed_cfg.num_clients, spec.shots, rng)
         scenario.clients = [pool[ix] for ix in raw.client_indices]
-    elif fed_cfg.protocol == "centralized" and spec.kind in ("global", "cost_tradeoff"):
+    elif fed_cfg.protocol == "centralized" and kind in ("global", "cost_tradeoff"):
         # the one client holds the whole pool; the other scenarios subsample it below
         scenario.clients = [pool]
     else:  # balanced subsample of the pool, then a label-skewed partition
@@ -381,7 +375,7 @@ def _scenario_plan(state: RunState, spec: ScenarioSpec, trained: bool, dataset: 
                                               rng)]
         raw = dirichlet_partition(master.labels[sub], fed_cfg.num_clients, config.data.alpha, rng)
         scenario.clients = [sub[ix] for ix in raw.client_indices]
-        if spec.kind == "personalized":
+        if kind == "personalized":
             # per-client test pools mirror each client's training label distribution
             tests = mirror_partition(raw.class_proportions, master.labels[te],
                                      rngs.derive_rng(seed, rngs.PARTITION, 1))
@@ -392,22 +386,21 @@ def _scenario_plan(state: RunState, spec: ScenarioSpec, trained: bool, dataset: 
 def run_cell(state: RunState, scenario: str, method: str, dataset: str,
              seed: int) -> CellResult:
     """One (scenario, method, dataset, seed) experiment on the run's shared state."""
-    spec = state.config.scenario_spec(scenario)
-    parts = [_run_plan(state, spec, method, dataset, dataset + suffix, seed, cfg)
-             for suffix, cfg in _cell_models(spec, method, state.config.model)]
+    parts = [_run_plan(state, scenario, method, dataset, dataset + suffix, seed, cfg)
+             for suffix, cfg in _cell_models(scenario, method, state.config.model)]
     if len(parts) == 1:
         return parts[0]
     return CellResult([o for part in parts for o in part.observations],
                       [row for part in parts for row in part.curves])
 
 
-def _run_plan(state: RunState, spec: ScenarioSpec, method: str, dataset: str, column: str,
+def _run_plan(state: RunState, kind: str, method: str, dataset: str, column: str,
               seed: int, cfg: ModelConfig) -> CellResult:
     """The cell pipeline: the scenario's plan, trained and scored under one model config."""
     master = state.datasets[dataset]
     assets = state.assets[(cfg, master.class_count)]
     trained = method != ZERO_SHOT_METHOD
-    scenario = _scenario_plan(state, spec, trained, dataset, column, seed)
+    scenario = _scenario_plan(state, kind, trained, dataset, column, seed)
     targets = scenario.targets
     # a trained personalized cell scores only its clients' own test sets
     tests = (None if scenario.client_tests is not None
@@ -427,10 +420,10 @@ def _run_plan(state: RunState, spec: ScenarioSpec, method: str, dataset: str, co
     if not trained:
         scores = score(lambda ids: CosinePredictor(assets.hand_features_for(ids)[None],
                                                    assets.cfg.tau))
-        chi = 0.0 if spec.kind == "global" else None
-        return CellResult(_observations(spec, method, seed, targets, scores, chi), [])
+        chi = 0.0 if kind == "global" else None
+        return CellResult(_observations(kind, method, seed, targets, scores, chi), [])
 
-    trainer = _trainer_for(method, spec)
+    trainer = _trainer_for(method, kind)
     fed_cfg = state.config.federation
     clients = build_clients(master, scenario.clients, trainer, cfg, seed, scenario.client_tests)
     if method in TRANSPORT_METHODS:
@@ -466,16 +459,16 @@ def _run_plan(state: RunState, spec: ScenarioSpec, method: str, dataset: str, co
     curves, moved = [], 0
     for report in server.reports:
         moved += report.download_scalars + report.upload_scalars
-        curves.append({"scenario": spec.kind, "method": method, "dataset": column, "seed": seed,
+        curves.append({"scenario": kind, "method": method, "dataset": column, "seed": seed,
                        "round": report.round_index, "train_loss": report.train_loss,
                        "test_accuracy": (report.scores or {}).get("test_accuracy"),
                        "chi": moved})
     chi = None
-    if spec.kind == "global":  # what actually moved (skipped empty clients exchange nothing)
+    if kind == "global":  # what actually moved (skipped empty clients exchange nothing)
         chi = moved / 1e6
-    elif spec.kind == "cost_tradeoff":  # the trade-off tables quote the method's arithmetic cost
+    elif kind == "cost_tradeoff":  # the trade-off tables quote the method's arithmetic cost
         chi = communication_cost_millions(trainer, cfg, fed_cfg)
-    return CellResult(_observations(spec, method, seed, targets, scores, chi), curves)
+    return CellResult(_observations(kind, method, seed, targets, scores, chi), curves)
 
 
 def _give_local_maps(slices: list[tuple[MasterDataset, ClientDataset]], M: int,
@@ -490,12 +483,12 @@ def _give_local_maps(slices: list[tuple[MasterDataset, ClientDataset]], M: int,
             part.local_maps = part_maps
 
 
-def _observations(spec: ScenarioSpec, method: str, seed: int, targets: list[_Target],
+def _observations(kind: str, method: str, seed: int, targets: list[_Target],
                   scores: dict[str, float], chi: float | None) -> list[Observation]:
     rows = [(t.column, t.metric, scores[t.key]) for t in targets]
-    if spec.kind == "base_novel":
+    if kind == "base_novel":
         rows.append((targets[0].column, "alpha_h", harmonic_mean(rows[0][2], rows[1][2])))
     if chi is not None:
         rows.append((targets[0].column, "chi_millions", chi))
-    return [Observation(spec.kind, method, column, seed, metric, value)
+    return [Observation(kind, method, column, seed, metric, value)
             for column, metric, value in rows]

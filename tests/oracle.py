@@ -198,14 +198,14 @@ def save_feature_table(dataset, path: str) -> None:
             fh.write(f"{int(label)},{int(tag)},{values}\n")
 
 
-def one_cell(config, spec, method: str, master, seed: int, name: str = "synthetic"):
-    """`run_cell` of one (spec, method, dataset, seed) cell, on a run state built
-    for that cell alone from `config` and the dataset `master`."""
-    config = replace(config, scenarios=[spec.kind], methods=[method], scenario=spec)
-    return run_cell(build_run_state(config, {name: master}), spec.kind, method, name, seed)
+def one_cell(config, kind: str, method: str, master, seed: int, name: str = "synthetic"):
+    """`run_cell` of one (scenario kind, method, dataset, seed) cell, on a run state
+    built for that cell alone from `config` and the dataset `master`."""
+    config = replace(config, scenarios=[kind], methods=[method])
+    return run_cell(build_run_state(config, {name: master}), kind, method, name, seed)
 
 
-def audited_cell(config, spec, method: str, master, seed: int):
+def audited_cell(config, kind: str, method: str, master, seed: int):
     """`one_cell` of a cell that trains on a class subset, and the master indices
     of each training batch it drew, in order."""
     audits = []
@@ -217,6 +217,6 @@ def audited_cell(config, spec, method: str, master, seed: int):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluation, "run_federation", recording)
-        result = one_cell(config, spec, method, master, seed)
+        result = one_cell(config, kind, method, master, seed)
     (audit,) = audits
     return result, audit

@@ -222,13 +222,13 @@ def test_criterion_05_learning_beats_zero_shot_at_desk_scale():
         model=ModelConfig(prompts=1, tokens=4, d_token=32, d_feature=64, d_image=64,
                           encoder="attention_block", seed=0, token_scale=0.05),
         federation=FederationConfig(protocol="standard", num_clients=10, rounds=30),
-        data=DataConfig(alpha=0.1, per_class_subsample=140),  # the whole training pool
+        data=DataConfig(feature_dim=64, alpha=0.1,
+                        per_class_subsample=140),  # the whole training pool
     )
     assets = build_assets(config.model, 10)
-    spec = ScenarioSpec(kind="global")
     gaps = []
     for seed in (0, 1, 2):
-        result = one_cell(config, spec, "promptfl", master, seed)
+        result = one_cell(config, "global", "promptfl", master, seed)
         best = next(o.value for o in result.observations if o.metric == "alpha_g")
         _tr, _va, te = _splits(master, seed)
         zs = zero_shot_accuracy(assets, master.features[te], master.labels[te])
@@ -333,14 +333,14 @@ def test_criterion_09_base_novel_protocol_integrity():
         model=ModelConfig(prompts=1, tokens=3, d_token=8, d_feature=16, d_image=16,
                           encoder="attention_block", seed=11, token_scale=0.1),
         federation=FederationConfig(protocol="standard", num_clients=4, rounds=2, batch_size=8),
-        data=DataConfig(alpha=0.5, per_class_subsample=6),
+        data=DataConfig(feature_dim=16, alpha=0.5, per_class_subsample=6),
+        scenario=ScenarioSpec(split_mode="random"),
     )
-    spec = ScenarioSpec(kind="base_novel", split_mode="random")
     audited_batches = 0
     for split_seed in range(10):
         splits = {}
         for method in ("promptfl", "kgcoop"):
-            result, audit = audited_cell(config, spec, method, master, split_seed)
+            result, audit = audited_cell(config, "base_novel", method, master, split_seed)
             by_metric = {o.metric: o.value for o in result.observations}
             assert by_metric["alpha_h"] == harmonic_mean(by_metric["alpha_b"], by_metric["alpha_n"])
             _base, novel = base_novel_split(master.class_count, mode="random", seed=split_seed)

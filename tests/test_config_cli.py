@@ -20,17 +20,18 @@ from fedprompt.algorithms import TRAINER_KINDS
 from fedprompt.cli import main
 from fedprompt.config import (
     _SCHEMA,
+    DataConfig,
     ExperimentConfig,
     materialize_datasets,
     parse_config,
     parse_config_text,
     serialize_config,
 )
-from fedprompt import runner
+from fedprompt import rngs, runner
 from fedprompt.data import MasterDataset, SyntheticSpec, generate_synthetic_dataset
 from fedprompt.errors import ConfigError
 from fedprompt.evaluation import SCENARIO_KINDS, ZERO_SHOT_METHOD, build_run_state
-from fedprompt.federation import PROTOCOLS
+from fedprompt.federation import PROTOCOLS, FederationConfig
 from fedprompt.runner import load_results_csv, plan_cells, report, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -256,6 +257,63 @@ class TestParsing:
         with pytest.raises(ConfigError, match="feature_dim"):
             parse_config_text("[data]\nfeature_dim = 32\n")
 
+    @pytest.mark.parametrize("text,values", [
+        ("[experiment]\nmethods = nope,nope\nseeds = -1\nscenarios =\n",
+         dict(methods=["nope", "nope"], seeds=[-1], scenarios=[])),
+        ("[experiment]\nmethods =\n", dict(methods=[])),
+        ("[experiment]\nseeds =\n", dict(seeds=[])),
+        ("[experiment]\nmethods = promptfl,promptfl\n", dict(methods=["promptfl", "promptfl"])),
+        ("[experiment]\nscenarios = global,global\n", dict(scenarios=["global", "global"])),
+        ("[experiment]\nseeds = 0,1,0\n", dict(seeds=[0, 1, 0])),
+        ("[experiment]\nseeds = 0,-1\n", dict(seeds=[0, -1])),
+        ("[experiment]\nmethods = nope\n", dict(methods=["nope"])),
+        ("[experiment]\nscenarios = nope\n", dict(scenarios=["nope"])),
+        ("[data]\nfeature_dim = 32\n", dict(data=DataConfig(feature_dim=32))),
+    ])
+    def test_config_built_in_code_is_checked_as_parsed(self, text, values):
+        with pytest.raises(ConfigError) as parsed:
+            parse_config_text(text)
+        with pytest.raises(ConfigError) as built:
+            ExperimentConfig(**values)
+        assert str(built.value) == str(parsed.value)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_auto_federation_keys_take_the_protocol_default(self, protocol):
+        for text in (f"[federation]\nprotocol = {protocol}\nnum_clients = auto\n"
+                     "participation_fraction = auto\n",
+                     json.dumps({"federation": {"protocol": protocol, "num_clients": "auto",
+                                                "participation_fraction": "auto"}})):
+            assert parse_config_text(text).federation == FederationConfig(protocol=protocol)
+
+    @pytest.mark.parametrize("width", [4, 5, 6])
+    def test_prototype_check_is_the_runs_draw(self, width):
+        # a synthetic config parses exactly when the run can draw its prototypes,
+        # and near the limit that depends on the prototype seed
+        by_classes = {}
+        for classes in range(width, 14):
+            for seed in range(4):
+                spec = SyntheticSpec(classes=classes, feature_dim=width, samples_per_class=1,
+                                     prototype_seed=seed)
+                try:
+                    generate_synthetic_dataset(spec, rngs.derive_rng(seed, rngs.DATA))
+                    drawn = True
+                except ConfigError:
+                    drawn = False
+                text = (f"[model]\nd_token = 8\nd_feature = {width}\nd_image = {width}\n"
+                        f"[data]\ndatasets = synthetic#{seed}\nclasses = {classes}\n"
+                        f"feature_dim = {width}\n")
+                try:
+                    parse_config_text(text)
+                    parsed = True
+                except ConfigError as exc:
+                    assert str(exc).startswith("data.feature_dim: ")
+                    assert "data.classes" in str(exc)
+                    parsed = False
+                assert parsed == drawn, (classes, seed)
+                by_classes.setdefault(classes, set()).add(drawn)
+        assert {True} in by_classes.values() and {False} in by_classes.values()
+        assert {True, False} in by_classes.values()
+
     def test_repeated_dataset_rejected(self):
         with pytest.raises(ConfigError, match="data.datasets"):
             parse_config_text("[data]\ndatasets = synthetic,synthetic\n")
@@ -311,7 +369,7 @@ class TestParsing:
             parse_config_text(f"[model]\n{key} = {value}\n")
 
     @pytest.mark.parametrize("key,value", [
-        ("classes", "1"), ("noise_sigma", "-1"), ("samples_per_class", "0"),
+        ("classes", "1"), ("classes", "1001"), ("noise_sigma", "-1"), ("samples_per_class", "0"),
     ])
     def test_synthetic_data_values_checked_at_parse_time(self, key, value):
         with pytest.raises(ConfigError, match=f"^data.{key}: "):
@@ -333,6 +391,16 @@ class TestParsing:
     def test_scenario_values_checked_at_parse_time(self, key, value):
         with pytest.raises(ConfigError, match=f"^scenario.{key}: "):
             parse_config_text(f"[scenario]\n{key} = {value}\n")
+
+
+def test_readme_config_table_lists_every_key():
+    # one README row per (section, key) the config dataclasses declare, in field order
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config format", 1)[1].split("\n### ", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines() if line.startswith("| ")]
+    assert rows[0] == [" Section ", " Key "]
+    listed = [(section.strip(), key.strip()) for section, key in rows[1:]]
+    assert listed == [(section, key) for section, keys in _SCHEMA.items() for key in keys]
 
 
 class TestMaterialize:
@@ -839,6 +907,19 @@ class TestCLI:
         assert capsys.readouterr().out.endswith("# ok: 1 cells planned\n")
         assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {table}:2: ")
+
+    def test_unreachable_synthetic_prototypes_fail_at_parse_time(self, tmp_path, capsys):
+        # the draw cannot place 10 prototypes with pairwise |cos| < 0.5 in 4 dimensions
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[model]\nd_token = 8\nd_feature = 4\nd_image = 4\n"
+                       "[data]\nclasses = 10\nfeature_dim = 4\n")
+        for argv in (["validate", str(bad)], ["run", str(bad), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: data.feature_dim: ")
+            assert "data.classes" in captured.err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text,key", [
         ("[data]\nnoise_sigma = -1\n", "data.noise_sigma"),

@@ -36,7 +36,7 @@ def desk_config(**fed_overrides) -> ExperimentConfig:
         model=ModelConfig(prompts=1, tokens=3, d_token=8, d_feature=16, d_image=16,
                           encoder="attention_block", seed=11, token_scale=0.1),
         federation=FederationConfig(**fed),
-        data=DataConfig(alpha=0.5, per_class_subsample=6),
+        data=DataConfig(feature_dim=16, alpha=0.5, per_class_subsample=6),
     )
 
 
@@ -195,8 +195,7 @@ class TestPersonalizedAccuracy:
 class TestScenarios:
     def test_global_cell_emits_accuracy_and_cost(self, desk_master):
         config = desk_config()
-        spec = ScenarioSpec(kind="global")
-        result = one_cell(config, spec, "promptfl", desk_master, 0)
+        result = one_cell(config, "global", "promptfl", desk_master, 0)
         metrics = {o.metric for o in result.observations}
         assert metrics == {"alpha_g", "chi_millions"}
         assert len(result.curves) == config.federation.rounds
@@ -211,7 +210,7 @@ class TestScenarios:
 
     def test_best_at_least_final(self, desk_master):
         config = desk_config()
-        result = one_cell(config, ScenarioSpec(kind="global"), "promptfl", desk_master, 1)
+        result = one_cell(config, "global", "promptfl", desk_master, 1)
         best = next(o.value for o in result.observations if o.metric == "alpha_g")
         finals = [r["test_accuracy"] for r in result.curves if r["test_accuracy"] is not None]
         assert best >= finals[-1]
@@ -224,7 +223,7 @@ class TestScenarios:
             return servers[-1]
 
         monkeypatch.setattr(evaluation, "run_federation", recording_federation)
-        result = one_cell(desk_config(), ScenarioSpec(kind="global"), "promptfl", desk_master, 0)
+        result = one_cell(desk_config(), "global", "promptfl", desk_master, 0)
         (server,) = servers
         moved = list(accumulate(r.download_scalars + r.upload_scalars for r in server.reports))
         assert [row["chi"] for row in result.curves] == moved
@@ -240,24 +239,23 @@ class TestScenarios:
         # a target no round scored is an error, not a 0.0 in results.csv
         monkeypatch.setattr(evaluation, "evaluate_predictor", lambda *args, **kwargs: None)
         with pytest.raises(KeyError, match="test_accuracy"):
-            one_cell(desk_config(), ScenarioSpec(kind="global"), "promptfl", desk_master, 0)
+            one_cell(desk_config(), "global", "promptfl", desk_master, 0)
 
     def test_zero_shot_method(self, desk_master):
-        result = one_cell(desk_config(), ScenarioSpec(kind="global"), "zsclip", desk_master, 0)
+        result = one_cell(desk_config(), "global", "zsclip", desk_master, 0)
         by_metric = {o.metric: o.value for o in result.observations}
         assert by_metric["chi_millions"] == 0.0
         assert 0.0 <= by_metric["alpha_g"] <= 100.0
 
     def test_personalized_cell(self, desk_master):
         config = desk_config()
-        result = one_cell(config, ScenarioSpec(kind="personalized"), "promptfl", desk_master, 0)
+        result = one_cell(config, "personalized", "promptfl", desk_master, 0)
         metrics = {o.metric for o in result.observations}
         assert metrics == {"alpha_p"}
 
     def test_base_novel_protocol_integrity(self, desk_master):
         config = desk_config()
-        result, audit = audited_cell(config, ScenarioSpec(kind="base_novel"), "promptfl",
-                                     desk_master, 0)
+        result, audit = audited_cell(config, "base_novel", "promptfl", desk_master, 0)
         by_metric = {o.metric: o.value for o in result.observations}
         assert set(by_metric) == {"alpha_b", "alpha_n", "alpha_h"}
         # emitted harmonic mean recomputes exactly from the emitted pair
@@ -271,9 +269,8 @@ class TestScenarios:
     def test_base_novel_split_aligned_across_methods(self, desk_master):
         # the same split and partition: both methods draw the same batches
         config = desk_config()
-        spec = ScenarioSpec(kind="base_novel")
-        _, a = audited_cell(config, spec, "promptfl", desk_master, 3)
-        _, b = audited_cell(config, spec, "kgcoop", desk_master, 3)
+        _, a = audited_cell(config, "base_novel", "promptfl", desk_master, 3)
+        _, b = audited_cell(config, "base_novel", "kgcoop", desk_master, 3)
         assert [batch.tolist() for batch in a] == [batch.tolist() for batch in b]
         base, _novel = base_novel_split(desk_master.class_count, mode="random", seed=3)
         assert set(desk_master.labels[np.concatenate(a)]) <= set(base.tolist())
@@ -282,8 +279,8 @@ class TestScenarios:
         # force one novel-class sample into the first client's training pool
         plan = evaluation._scenario_plan
 
-        def leaky_plan(state, spec, trained, dataset, column, seed):
-            scenario = plan(state, spec, trained, dataset, column, seed)
+        def leaky_plan(state, kind, trained, dataset, column, seed):
+            scenario = plan(state, kind, trained, dataset, column, seed)
             novel = np.flatnonzero(~np.isin(desk_master.labels, scenario.class_ids))
             scenario.clients[0] = np.append(scenario.clients[0], novel[0])
             return scenario
@@ -293,7 +290,7 @@ class TestScenarios:
         # the client's batch holding it fails in each of the 3 rounds, and each is audited
         assert config.federation.rounds == 3
         with pytest.raises(EvaluationError, match="^3 samples of untrained classes leaked"):
-            one_cell(config, ScenarioSpec(kind="base_novel"), "promptfl", desk_master, 0)
+            one_cell(config, "base_novel", "promptfl", desk_master, 0)
 
     def test_test_label_outside_the_class_set(self):
         predictor = CosinePredictor(np.eye(3)[None], tau=1.0)
@@ -303,15 +300,13 @@ class TestScenarios:
             evaluate_predictor(predictor, features, labels, np.array([0, 2]), local_maps=None)
 
     def test_fewshot_cell_counts(self, desk_master):
-        config = desk_config()
-        spec = ScenarioSpec(kind="fewshot", shots=1)
-        result = one_cell(config, spec, "promptfl", desk_master, 0)
+        config = replace(desk_config(), scenario=ScenarioSpec(shots=1))
+        result = one_cell(config, "fewshot", "promptfl", desk_master, 0)
         assert {o.metric for o in result.observations} == {"alpha_fs_1"}
 
     def test_cross_domain_cell(self, desk_master):
-        config = desk_config()
-        spec = ScenarioSpec(kind="cross_domain", cross_targets=2)
-        result = one_cell(config, spec, "promptfl", desk_master, 0)
+        config = replace(desk_config(), scenario=ScenarioSpec(cross_targets=2))
+        result = one_cell(config, "cross_domain", "promptfl", desk_master, 0)
         datasets = {o.dataset for o in result.observations}
         assert datasets == {"synthetic->shift1", "synthetic->shift2"}
 
@@ -335,13 +330,12 @@ class TestScenarios:
 
         monkeypatch.setattr(evaluation, "run_federation", recording_federation)
         monkeypatch.setattr(evaluation, "evaluate_predictor", recording_evaluate)
-        config = desk_config(rounds=1)
+        config = replace(desk_config(rounds=1), scenario=ScenarioSpec(cross_targets=2))
         M, d = config.model.local_features, desk_master.feature_dim
         for kind in ("personalized", "cross_domain"):
-            spec = ScenarioSpec(kind=kind, cross_targets=2)
             for method in ("fedotp", "promptfl", "plot", "promptfl"):
                 seen.clear()
-                one_cell(config, spec, method, desk_master, 0)
+                one_cell(config, kind, method, desk_master, 0)
                 assert seen
                 for n, maps in seen:
                     if method == "promptfl":
@@ -369,8 +363,7 @@ class TestScenarios:
 
         monkeypatch.setattr(MasterDataset, "ensure_local_maps", recording_maps)
         monkeypatch.setattr(evaluation, "run_federation", recording_federation)
-        one_cell(desk_config(rounds=1), ScenarioSpec(kind="personalized"),
-                 "fedotp", desk_master, 0)
+        one_cell(desk_config(rounds=1), "personalized", "fedotp", desk_master, 0)
         assert requested == [sorted(np.concatenate(held).tolist())]
 
     def test_personalized_transport_scored_in_one_stack(self, desk_master, monkeypatch):
@@ -397,7 +390,7 @@ class TestScenarios:
         monkeypatch.setattr(algorithms, "sinkhorn_batched", counting_solve)
         monkeypatch.setattr(evaluation, "personalized_accuracy", recording_score)
         config = desk_config(rounds=2)
-        result = one_cell(config, ScenarioSpec(kind="personalized"), "fedotp", desk_master, 0)
+        result = one_cell(config, "personalized", "fedotp", desk_master, 0)
         assert len(rounds) == config.federation.rounds
         assert min(rounds) >= 3  # several clients hold test data in every round
         assert [o.metric for o in result.observations] == ["alpha_p"]
@@ -431,7 +424,7 @@ class TestScenarios:
         monkeypatch.setattr(predictor_class, "probs", counting_probs)
         monkeypatch.setattr(evaluation, "personalized_accuracy", recording_score)
         config = desk_config(rounds=2)
-        result = one_cell(config, ScenarioSpec(kind="personalized"), method, desk_master, 0)
+        result = one_cell(config, "personalized", method, desk_master, 0)
         assert len(rounds) == config.federation.rounds
         assert min(rounds) >= 3  # several clients hold test data in every round
         assert [o.metric for o in result.observations] == ["alpha_p"]
@@ -464,8 +457,7 @@ class TestScenarios:
         config = desk_config(rounds=2)
         monkeypatch.setattr(evaluation, "PROMPT_SWEEP", (1, 2))
         monkeypatch.setattr(evaluation, "TOKEN_SWEEP", (3,))
-        spec = ScenarioSpec(kind="cost_tradeoff")
-        result = one_cell(config, spec, "promptfl", desk_master, 0)
+        result = one_cell(config, "cost_tradeoff", "promptfl", desk_master, 0)
         datasets = {o.dataset for o in result.observations}
         assert datasets == {"synthetic|prompts=1", "synthetic|prompts=2", "synthetic|tokens=3"}
         chi = {o.dataset: o.value for o in result.observations if o.metric == "chi_millions"}
@@ -478,7 +470,7 @@ class TestScenarios:
 
     def test_transport_method_cell(self, desk_master):
         config = desk_config(rounds=2)
-        result = one_cell(config, ScenarioSpec(kind="global"), "plot", desk_master, 0)
+        result = one_cell(config, "global", "plot", desk_master, 0)
         assert any(o.metric == "alpha_g" for o in result.observations)
 
     def test_fewshot_accuracy_nondecreasing_in_shots(self):
@@ -491,12 +483,13 @@ class TestScenarios:
             model=ModelConfig(prompts=1, tokens=4, d_token=16, d_feature=32, d_image=32,
                               encoder="attention_block", token_scale=0.05),
             federation=FederationConfig(protocol="standard", num_clients=2, rounds=8),
-            data=DataConfig(alpha=0.5))
+            data=DataConfig(feature_dim=32, alpha=0.5))
         means = []
         for shots in (1, 4, 16):
-            spec = ScenarioSpec(kind="fewshot", shots=shots)
+            shot_config = replace(config, scenario=ScenarioSpec(shots=shots))
             accs = [
-                next(o.value for o in one_cell(config, spec, "promptfl", master, seed).observations)
+                next(o.value for o in one_cell(shot_config, "fewshot", "promptfl", master,
+                                               seed).observations)
                 for seed in (0, 1, 2)
             ]
             means.append(float(np.mean(accs)))
