@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import class_positions
+from .data import ClientDataset, class_positions
 from .errors import ConfigError, DataError, DomainError
 from .numerics import softmax_ce_batch, softmax_temp
 from .transport import sinkhorn_batched
@@ -35,14 +35,14 @@ if TYPE_CHECKING:
 class CommunicablePayload:
     """Named float64 arrays that travel between server and clients.
 
-    A broadcast also keeps the encodings of its context by class set
-    (`LocalTrainer.broadcast_encoding`). They never travel and take no part
-    in equality: a new broadcast is a new payload, so they die with it.
+    A broadcast also keeps the last encoding of its context
+    (`LocalTrainer.broadcast_encoding`). It never travels and takes no part
+    in equality: a new broadcast is a new payload, so it dies with it.
     """
 
     fields: dict[str, np.ndarray]
-    encodings: dict[tuple | None, "BroadcastEncoding"] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    encoding: "BroadcastEncoding | None" = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def scalar_count(self) -> int:
@@ -57,10 +57,10 @@ class CommunicablePayload:
 
 @dataclass(frozen=True)
 class BroadcastEncoding:
-    """Read-only text features of a broadcast's context under one class set,
-    with the cache `encoder.backward` takes and the assets it was encoded
-    under; a client's first step and the predictors take it instead of
-    encoding the same context again."""
+    """Read-only text features of a broadcast's context, with the cache
+    `encoder.backward` takes and the assets it was encoded under; a client's
+    first step and the predictors take it instead of encoding the same
+    context again."""
 
     assets: ModelAssets
     context: np.ndarray  # (m, L, d_token), read-only: what was encoded
@@ -146,21 +146,13 @@ def metanet_backward(meta: dict[str, np.ndarray], cache: tuple,
 # Batch plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Batch:
-    features: np.ndarray
-    labels: np.ndarray
-    master_indices: np.ndarray
-    local_maps: np.ndarray | None = None
-
-
-def iterate_batches(dataset, rng: np.random.Generator, batch_size: int):
+def iterate_batches(dataset: ClientDataset, rng: np.random.Generator, batch_size: int):
     """Shuffled minibatches over one client's data."""
     n = len(dataset)
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
         sel = order[start:start + batch_size]
-        yield Batch(
+        yield ClientDataset(
             features=dataset.features[sel],
             labels=dataset.labels[sel],
             master_indices=dataset.master_indices[sel],
@@ -172,12 +164,11 @@ def iterate_batches(dataset, rng: np.random.Generator, batch_size: int):
 class TrainContext:
     """Everything a trainer needs for one local pass."""
 
-    assets: ModelAssets
+    assets: ModelAssets             # cut to the trained classes
     round_index: int
     federation: "FederationConfig"  # epochs, batch size and the SGD schedule
     rng: np.random.Generator
-    class_ids: np.ndarray | None = None  # restrict training to these classes
-    audit: list | None = None            # collects each batch's master indices
+    audit: list | None = None       # collects each batch's master indices
 
 
 @dataclass
@@ -200,12 +191,10 @@ def _cosine_ce(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: float
     return softmax_ce_batch(np.einsum("bd,pcd->pbc", xh, feats).mean(axis=0), labels, tau)
 
 
-def _reference_probs(assets: ModelAssets, xh: np.ndarray,
-                     class_ids: np.ndarray | None) -> np.ndarray:
+def _reference_probs(assets: ModelAssets, xh: np.ndarray) -> np.ndarray:
     """Zero-shot predictions via the same scoring expression as the live path,
     so they cancel bitwise when the trained context equals the reference."""
-    hand = assets.hand_features_for(class_ids)
-    sims = np.einsum("bd,pcd->pbc", xh, hand[None]).mean(axis=0)
+    sims = np.einsum("bd,pcd->pbc", xh, assets.hand_features[None]).mean(axis=0)
     return softmax_temp(sims, assets.cfg.tau)
 
 
@@ -334,6 +323,14 @@ def trajectory_average(contexts: list[np.ndarray], window: int) -> np.ndarray:
     return sum(wi * c for wi, c in zip(w, tail))
 
 
+def transport_costs(local_maps: np.ndarray | None, feats: np.ndarray) -> np.ndarray:
+    """(B, C, M, N) costs 1 - cosine between each image's regions `local_maps`
+    (B, M, d) and each class's N prompt-set features `feats` (N, C, d)."""
+    if local_maps is None:
+        raise ConfigError("transport scoring needs per-sample local feature maps")
+    return 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, feats.transpose(1, 0, 2))
+
+
 def ot_scores_and_grads(feats: np.ndarray, backward, local_maps: np.ndarray | None,
                         labels: np.ndarray, tau: float, eps: float, iters: int,
                         col_relax: float) -> tuple[float, np.ndarray]:
@@ -343,10 +340,7 @@ def ot_scores_and_grads(feats: np.ndarray, backward, local_maps: np.ndarray | No
     features `local_maps` (B, M, d) to the class's per-set prompt
     features; the logit is the negative transport cost.
     """
-    if local_maps is None:
-        raise ConfigError("transport-based training needs per-sample local feature maps")
-    prompts = feats.transpose(1, 0, 2)             # (C, m, d)
-    costs = 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, prompts)
+    costs = transport_costs(local_maps, feats)
     plans = sinkhorn_batched(costs, eps, iters, col_relax=col_relax)
     logits = -(plans * costs).sum(axis=(-2, -1))   # (B, C)
     loss, dlogits, _ = softmax_ce_batch(logits, labels, tau)
@@ -394,20 +388,19 @@ class LocalTrainer:
                                     for name, shape in self.payload_shapes(cfg).items()}
                                    ).read_only()
 
-    def broadcast_encoding(self, payload: CommunicablePayload, assets: ModelAssets,
-                           class_ids: np.ndarray | None) -> BroadcastEncoding | None:
-        """The encoding of the broadcast's context under `class_ids`, made at the
-        first request and kept on the payload; one made under other assets is
-        made again. None unless the trainer `scores_with_broadcast`."""
+    def broadcast_encoding(self, payload: CommunicablePayload,
+                           assets: ModelAssets) -> BroadcastEncoding | None:
+        """The encoding of the broadcast's context under `assets`, made at the
+        first request and kept on the payload until one is asked for under
+        other assets. None unless the trainer `scores_with_broadcast`."""
         if not self.scores_with_broadcast:
             return None
-        key = None if class_ids is None else tuple(np.asarray(class_ids).tolist())
-        encoding = payload.encodings.get(key)
+        encoding = payload.encoding
         if encoding is None or encoding.assets is not assets:
             context = self._context(payload.fields)
             context.flags.writeable = False
-            features, cache = read_only_encoding(*assets.text_features(context, class_ids))
-            encoding = payload.encodings[key] = BroadcastEncoding(assets, context, features, cache)
+            features, cache = read_only_encoding(*assets.text_features(context))
+            encoding = payload.encoding = BroadcastEncoding(assets, context, features, cache)
         return encoding
 
     def _context(self, fields: dict[str, np.ndarray]) -> np.ndarray:
@@ -418,7 +411,7 @@ class LocalTrainer:
 
     # -- training ----------------------------------------------------------
     def local_train(self, payload: CommunicablePayload, state: ClientTrainState,
-                    dataset, ctx: TrainContext) -> tuple[CommunicablePayload, float]:
+                    dataset: ClientDataset, ctx: TrainContext) -> tuple[CommunicablePayload, float]:
         """The payload a client returns, and its mean batch loss (0.0 with no batch)."""
         if len(dataset) == 0:
             raise DataError("local training on an empty dataset")
@@ -427,7 +420,7 @@ class LocalTrainer:
         losses: list[float] = []
         passes: list[dict] = []  # the parameters after each pass over the data
         # the broadcast's encoding fits the first step only
-        shared = self.broadcast_encoding(payload, ctx.assets, ctx.class_ids)
+        shared = self.broadcast_encoding(payload, ctx.assets)
         fed = ctx.federation
         for _ in range(fed.local_epochs):
             for batch in iterate_batches(dataset, ctx.rng, fed.batch_size):
@@ -450,7 +443,7 @@ class LocalTrainer:
         """The parameters a client returns, from those after each of its passes."""
         return passes[-1]
 
-    def grad_step(self, params: dict, batch: Batch, ctx: TrainContext,
+    def grad_step(self, params: dict, batch: ClientDataset, ctx: TrainContext,
                   shared: BroadcastEncoding | None) -> tuple[float, dict]:
         """Loss and gradients of one batch.
 
@@ -460,16 +453,16 @@ class LocalTrainer:
         positions in the trained class set; its context gradient is split
         back by field.
         """
-        labels = class_positions(batch.labels, ctx.class_ids)
+        labels = class_positions(batch.labels, ctx.assets.class_ids)
         context = PromptContext(self._context(params)).vectors
-        feats, cache = (ctx.assets.text_features(context, ctx.class_ids) if shared is None
+        feats, cache = (ctx.assets.text_features(context) if shared is None
                         else shared.take(context))
         loss, grads = self.loss(feats, lambda dT: ctx.assets.encoder.backward(cache, dT),
                                 batch, labels, ctx)
         bounds = np.cumsum([len(params[name]) for name in self.context_fields])[:-1]
         return loss, dict(zip(self.context_fields, np.split(grads, bounds)))
 
-    def loss(self, feats: np.ndarray, backward, batch: Batch, labels: np.ndarray,
+    def loss(self, feats: np.ndarray, backward, batch: ClientDataset, labels: np.ndarray,
              ctx: TrainContext) -> tuple[float, np.ndarray]:
         """Mean batch loss and its gradient w.r.t. the stacked context
         (sets, L, d_token), by one of the loss kernels above."""
@@ -477,16 +470,17 @@ class LocalTrainer:
 
     # -- inference ---------------------------------------------------------
     def build_predictor(self, payload: CommunicablePayload, assets: ModelAssets,
-                        class_ids: np.ndarray | None, state: ClientTrainState | None):
-        """The predictor of the payload's context: the broadcast's encoding, or a
-        fresh one with the client's own fields in `state` stacked on."""
-        shared = self.broadcast_encoding(payload, assets, class_ids)
+                        state: ClientTrainState | None):
+        """The predictor of the payload's context under `assets`' classes: the
+        broadcast's encoding, or a fresh one with the client's own fields in
+        `state` stacked on."""
+        shared = self.broadcast_encoding(payload, assets)
         if shared is not None:
             return self.predictor(shared.features, assets.cfg.tau)
         fields = {**payload.fields, **(state.local_fields if state is not None else {})}
         if not all(name in fields for name in self.context_fields):
             raise ConfigError(f"a {self.kind} predictor needs the client state")
-        feats, _ = assets.text_features(PromptContext(self._context(fields)).vectors, class_ids)
+        feats, _ = assets.text_features(PromptContext(self._context(fields)).vectors)
         return self.predictor(feats, assets.cfg.tau)
 
     def predictor(self, features: np.ndarray, tau: float):
@@ -516,12 +510,6 @@ class TransportPredictor:
     iters: int
     col_relax: float
 
-    def costs(self, local_maps: np.ndarray | None) -> np.ndarray:
-        """(B, C, M, N) costs 1 - cosine between each image's regions and the prompts."""
-        if local_maps is None:
-            raise ConfigError("transport predictor needs local feature maps")
-        return 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, self.features.transpose(1, 0, 2))
-
     def probs(self, image_features: np.ndarray, local_maps: np.ndarray | None) -> np.ndarray:
         return transport_probs([self], [local_maps])[0]
 
@@ -540,7 +528,7 @@ def transport_probs(predictors: list[TransportPredictor],
         raise ConfigError(f"transport predictors stacked in one solve differ in "
                           f"(eps, iters, col_relax): {sorted(solver)}")
     (eps, iters, col_relax), = solver
-    costs = [p.costs(maps) for p, maps in zip(predictors, local_maps)]
+    costs = [transport_costs(maps, p.features) for p, maps in zip(predictors, local_maps)]
     plans = sinkhorn_batched(np.concatenate(costs), eps, iters, col_relax=col_relax)
     starts = np.cumsum([0] + [len(c) for c in costs])
     return [softmax_temp(-(plans[start:start + len(c)] * c).sum(axis=(-2, -1)), p.tau)
@@ -561,7 +549,7 @@ class KgCoOpTrainer(LocalTrainer):
 
     def loss(self, feats, backward, batch, labels, ctx):
         return loss_kgcoop(feats, backward, unit_rows(batch.features), labels, ctx.assets.cfg.tau,
-                           ctx.assets.hand_features_for(ctx.class_ids), self.lambda_kg)
+                           ctx.assets.hand_features, self.lambda_kg)
 
 
 class ProGradTrainer(LocalTrainer):
@@ -571,7 +559,7 @@ class ProGradTrainer(LocalTrainer):
     def loss(self, feats, backward, batch, labels, ctx):
         xh = unit_rows(batch.features)
         return loss_prograd(feats, backward, xh, labels, ctx.assets.cfg.tau,
-                            _reference_probs(ctx.assets, xh, ctx.class_ids), self.lambda_pg)
+                            _reference_probs(ctx.assets, xh), self.lambda_pg)
 
 
 class ProDATrainer(LocalTrainer):
@@ -595,11 +583,8 @@ class SRCTrainer(LocalTrainer):
 
     def loss(self, feats, backward, batch, labels, ctx):
         xh = unit_rows(batch.features)
-        references = ctx.assets.reference_features
-        if ctx.class_ids is not None:
-            references = references[np.asarray(ctx.class_ids)]
         return loss_src(feats, backward, xh, labels, ctx.assets.cfg.tau,
-                        _reference_probs(ctx.assets, xh, ctx.class_ids), references,
+                        _reference_probs(ctx.assets, xh), ctx.assets.reference_features,
                         self.mu_text, self.mu_logit)
 
     def end_of_passes(self, passes):
@@ -627,9 +612,8 @@ class CoCoOpTrainer(LocalTrainer):
 
     def grad_step(self, params, batch, ctx, shared):
         xh = unit_rows(batch.features)
-        labels = class_positions(batch.labels, ctx.class_ids)
-        logits, (feats, cache, meta_cache) = conditioned_logits(ctx.assets, params, xh,
-                                                                ctx.class_ids)
+        labels = class_positions(batch.labels, ctx.assets.class_ids)
+        logits, (feats, cache, meta_cache) = conditioned_logits(ctx.assets, params, xh)
         loss, dlogits, _ = softmax_ce_batch(logits, labels, ctx.assets.cfg.tau)
         B, m, C, d_feature = feats.shape
         # every prompt set of image b gets d logits[b] / m along that image's feature
@@ -641,12 +625,11 @@ class CoCoOpTrainer(LocalTrainer):
         grads["context"] = dctx.sum(axis=0)
         return loss, grads
 
-    def build_predictor(self, payload, assets, class_ids, state):
-        return ConditionedPredictor(assets, payload.fields, class_ids)
+    def build_predictor(self, payload, assets, state):
+        return ConditionedPredictor(assets, payload.fields)
 
 
-def conditioned_logits(assets: ModelAssets, params: dict[str, np.ndarray], xh: np.ndarray,
-                       class_ids: np.ndarray | None):
+def conditioned_logits(assets: ModelAssets, params: dict[str, np.ndarray], xh: np.ndarray):
     """Scores (B, C) of unit image features under their own conditioned prompts.
 
     Every image shifts all m context sets by its meta-net bias; the B*m
@@ -656,7 +639,7 @@ def conditioned_logits(assets: ModelAssets, params: dict[str, np.ndarray], xh: n
     context = params["context"]
     bias, meta_cache = metanet_forward(params, xh)
     shifted = context[None] + bias[:, None, None, :]                    # (B, m, L, d)
-    feats, cache = assets.text_features(shifted.reshape((-1,) + context.shape[1:]), class_ids)
+    feats, cache = assets.text_features(shifted.reshape((-1,) + context.shape[1:]))
     feats = feats.reshape(shifted.shape[:2] + feats.shape[1:])
     logits = np.einsum("bd,bpcd->bpc", xh, feats).mean(axis=1)
     return logits, (feats, cache, meta_cache)
@@ -669,18 +652,15 @@ class ConditionedPredictor:
     # (pairs, d_token) float64 temporaries, about 5 MB per call at d_token=512.
     PAIRS_PER_BLOCK = 256
 
-    def __init__(self, assets: ModelAssets, fields: dict[str, np.ndarray],
-                 class_ids: np.ndarray | None):
+    def __init__(self, assets: ModelAssets, fields: dict[str, np.ndarray]):
         self.assets = assets
         self.fields = fields
-        self.class_ids = class_ids
 
     def probs(self, image_features: np.ndarray, local_maps) -> np.ndarray:
         xh = unit_rows(image_features)
-        classes = self.assets.class_count if self.class_ids is None else len(self.class_ids)
-        block = max(1, self.PAIRS_PER_BLOCK // (self.fields["context"].shape[0] * classes))
-        logits = [conditioned_logits(self.assets, self.fields, xh[start:start + block],
-                                     self.class_ids)[0]
+        pairs = self.fields["context"].shape[0] * self.assets.class_count
+        block = max(1, self.PAIRS_PER_BLOCK // pairs)
+        logits = [conditioned_logits(self.assets, self.fields, xh[start:start + block])[0]
                   for start in range(0, xh.shape[0], block)]
         return softmax_temp(np.concatenate(logits), self.assets.cfg.tau)
 

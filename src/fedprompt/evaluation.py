@@ -405,21 +405,29 @@ def _run_plan(state: RunState, kind: str, method: str, dataset: str, column: str
     # a trained personalized cell scores only its clients' own test sets
     tests = (None if scenario.client_tests is not None
              else [ClientDataset.from_master(t.source, t.indices) for t in targets])
+    # one cut of the assets per class set trained or scored, so that a
+    # broadcast encoding made under it serves every use of that set
+    cuts: dict[bytes | None, ModelAssets] = {}
+
+    def cut(class_ids: np.ndarray | None) -> ModelAssets:
+        key = None if class_ids is None else class_ids.tobytes()
+        return cuts.get(key) or cuts.setdefault(key, assets.for_classes(class_ids))
 
     def score(make_predictor) -> dict[str, float]:
         """Accuracy per record key, with one predictor per evaluated class set."""
         predictors, scores = {}, {}
         for target, test in zip(targets, tests):
-            ids = None if target.class_ids is None else target.class_ids.tobytes()
-            if ids not in predictors:
-                predictors[ids] = make_predictor(target.class_ids)
-            scores[target.key] = evaluate_predictor(predictors[ids], test.features, test.labels,
-                                                    target.class_ids, local_maps=test.local_maps)
+            scored = cut(target.class_ids)
+            if id(scored) not in predictors:
+                predictors[id(scored)] = make_predictor(scored)
+            scores[target.key] = evaluate_predictor(predictors[id(scored)], test.features,
+                                                    test.labels, scored.class_ids,
+                                                    local_maps=test.local_maps)
         return scores
 
     if not trained:
-        scores = score(lambda ids: CosinePredictor(assets.hand_features_for(ids)[None],
-                                                   assets.cfg.tau))
+        scores = score(lambda scored: CosinePredictor(scored.hand_features[None],
+                                                      scored.cfg.tau))
         chi = 0.0 if kind == "global" else None
         return CellResult(_observations(kind, method, seed, targets, scores, chi), [])
 
@@ -437,18 +445,17 @@ def _run_plan(state: RunState, kind: str, method: str, dataset: str, column: str
     def evaluate(server, clients) -> dict[str, float]:
         payload = server.payload
         if scenario.client_tests is None:
-            return score(lambda ids: trainer.build_predictor(payload, assets, ids, None))
+            return score(lambda scored: trainer.build_predictor(payload, scored, None))
         held = [c for c in clients if len(c.test_set) > 0]
         if trainer.scores_with_broadcast:  # one predictor serves every client
-            predictors = trainer.build_predictor(payload, assets, None, None)
+            predictors = trainer.build_predictor(payload, assets, None)
         else:
-            predictors = [trainer.build_predictor(payload, assets, None, c.state) for c in held]
+            predictors = [trainer.build_predictor(payload, assets, c.state) for c in held]
         return {targets[0].key: personalized_accuracy(predictors, [c.test_set for c in held])}
 
     audit = None if scenario.class_ids is None else []
-    server = run_federation(trainer, clients, fed_cfg, assets, seed,
-                            eval_fn=evaluate if scenario.per_round else None,
-                            class_ids=scenario.class_ids, audit=audit)
+    server = run_federation(trainer, clients, fed_cfg, cut(scenario.class_ids), seed,
+                            eval_fn=evaluate if scenario.per_round else None, audit=audit)
     if audit is not None:
         leaked = sum(int(np.isin(master.labels[batch], scenario.class_ids, invert=True).sum())
                      for batch in audit)

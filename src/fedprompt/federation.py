@@ -178,8 +178,9 @@ def fedavg_aggregate(payloads: list[CommunicablePayload],
 
 def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
               fed_cfg: FederationConfig, assets: ModelAssets, seed: int,
-              class_ids: np.ndarray | None = None, audit: list | None = None) -> RoundReport:
-    """One communication round: sample, broadcast, train, collect, aggregate."""
+              audit: list | None = None) -> RoundReport:
+    """One communication round: sample, broadcast, train, collect, aggregate.
+    Clients train on the classes of `assets` (see `ModelAssets.for_classes`)."""
     t = len(server.reports)
     sampled = sample_clients(fed_cfg, rngs.derive_rng(seed, rngs.SAMPLING, t))
     participating = [int(c) for c in sampled if len(clients[c].dataset) > 0]
@@ -200,8 +201,7 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
         for cid in participating:
             client = clients[cid]
             ctx = TrainContext(assets=assets, round_index=t, federation=fed_cfg,
-                               rng=rngs.derive_rng(seed, rngs.CLIENT, cid, t),
-                               class_ids=class_ids, audit=audit)
+                               rng=rngs.derive_rng(seed, rngs.CLIENT, cid, t), audit=audit)
             try:  # the payload is read-only; local_train copies what it trains
                 payload, loss = trainer.local_train(server.payload, client.state,
                                                     client.dataset, ctx)
@@ -229,7 +229,6 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
 
 def run_federation(trainer: LocalTrainer, clients: list[Client], fed_cfg: FederationConfig,
                    assets: ModelAssets, seed: int, eval_fn=None,
-                   class_ids: np.ndarray | None = None,
                    audit: list | None = None) -> ServerState:
     """The communication loop for one seed. Every `eval_every` rounds, and
     after the last, the round's report keeps what `eval_fn` scores."""
@@ -237,8 +236,7 @@ def run_federation(trainer: LocalTrainer, clients: list[Client], fed_cfg: Federa
         payload=trainer.init_payload(assets.cfg, rngs.derive_rng(seed, rngs.PROMPT_INIT))
     )
     for t in range(fed_cfg.rounds):
-        report = run_round(server, clients, trainer, fed_cfg, assets, seed,
-                           class_ids=class_ids, audit=audit)
+        report = run_round(server, clients, trainer, fed_cfg, assets, seed, audit=audit)
         if eval_fn is not None and ((t + 1) % fed_cfg.eval_every == 0 or t == fed_cfg.rounds - 1):
             report.scores = eval_fn(server, clients)
     return server

@@ -141,10 +141,8 @@ class ClassRows:
     def class_count(self) -> int:
         return self.row_sum.shape[0]
 
-    def take(self, class_ids: np.ndarray | None) -> "ClassRows":
+    def take(self, class_ids: np.ndarray) -> "ClassRows":
         """The rows of a class subset, read-only like the whole set's."""
-        if class_ids is None:
-            return self
         ids = np.asarray(class_ids)
         per_class = ("row_sum", "head", "q", "k", "v", "scores")
         taken = {name: getattr(self, name)[ids] for name in per_class
@@ -329,19 +327,22 @@ def synth_local_features(image_features: np.ndarray, noise: np.ndarray,
 class ModelAssets:
     """Everything frozen for one experiment: encoder, vocabulary, references.
 
-    Built by `build_assets` and shared read-only by every cell of a run.
+    Built by `build_assets` and shared read-only by every cell of a run;
+    `for_classes` cuts them to the class subset a cell trains or scores.
     """
 
     cfg: ModelConfig
     encoder: FrozenTextEncoder
-    vocab: ClassVocabulary
-    class_rows: ClassRows      # the vocabulary's encoder rows after cfg.tokens context tokens
+    vocab: ClassVocabulary     # the whole vocabulary, also in a cut
+    class_rows: ClassRows      # the classes' encoder rows after cfg.tokens context tokens
     handcrafted: PromptContext
     hand_features: np.ndarray  # (C, d_feature), from the handcrafted context
+    class_ids: np.ndarray | None = None      # the sorted class subset of a cut (None: all)
+    whole: "ModelAssets | None" = None       # the uncut assets a cut slices
 
     @property
     def class_count(self) -> int:
-        return self.vocab.class_count
+        return self.class_rows.class_count
 
     def freeze(self) -> "ModelAssets":
         """Mark every array read-only, so that cells can share the assets."""
@@ -351,27 +352,37 @@ class ModelAssets:
                    rows.v, rows.scores)
         return self
 
-    def text_features(self, contexts: np.ndarray,
-                      class_ids: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
-        """Unit features (n, C, d_feature) of n contexts (n, L, d_token), with the
-        cache `encoder.backward` takes."""
-        return self.encoder.encode(contexts, self.class_rows.take(class_ids))
-
-    def hand_features_for(self, class_ids: np.ndarray | None) -> np.ndarray:
+    def for_classes(self, class_ids: np.ndarray | None) -> "ModelAssets":
+        """These whole-set assets cut to the sorted class subset `class_ids`
+        (None: all). The cut's handcrafted and reference features are slices
+        of the whole set's, which an encoding on the cut's rows can miss in
+        the last bit."""
         if class_ids is None:
-            return self.hand_features
-        return self.hand_features[np.asarray(class_ids)]
+            return self
+        ids = np.array(class_ids)
+        hand = self.hand_features[ids]
+        _read_only(ids, hand)
+        return replace(self, class_rows=self.class_rows.take(ids), hand_features=hand,
+                       class_ids=ids, whole=self)
+
+    def text_features(self, contexts: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Unit features (n, C, d_feature) of n contexts (n, L, d_token) under these
+        assets' classes, with the cache `encoder.backward` takes."""
+        return self.encoder.encode(contexts, self.class_rows)
 
     @functools.cached_property
     def reference_features(self) -> np.ndarray:
         """Unit class features averaged over three fixed context phrasings."""
-        templates = 3
-        contexts = np.concatenate([
-            build_handcrafted_context(self.cfg, template=tpl).vectors
-            for tpl in range(templates)
-        ])
-        feats, _ = self.text_features(contexts)
-        reference = unit_rows(feats.sum(axis=0) / templates)
+        if self.whole is not None:
+            reference = self.whole.reference_features[self.class_ids]
+        else:
+            templates = 3
+            contexts = np.concatenate([
+                build_handcrafted_context(self.cfg, template=tpl).vectors
+                for tpl in range(templates)
+            ])
+            feats, _ = self.text_features(contexts)
+            reference = unit_rows(feats.sum(axis=0) / templates)
         reference.flags.writeable = False
         return reference
 

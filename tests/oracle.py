@@ -85,9 +85,9 @@ def finite_diff_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
     return grad
 
 
-def encoded(assets, context: np.ndarray, class_ids: np.ndarray | None = None):
+def encoded(assets, context: np.ndarray):
     """A context's text features and the backward pass, as the loss kernels take them."""
-    feats, cache = assets.text_features(context, class_ids)
+    feats, cache = assets.text_features(context)
     return feats, lambda dfeatures: assets.encoder.backward(cache, dfeatures)
 
 
@@ -180,12 +180,11 @@ def shared_predictor_accuracy(predictor, test_sets) -> float:
     return float(np.dot(weights, accs))
 
 
-def zero_shot_accuracy(assets, features: np.ndarray, labels: np.ndarray,
-                       class_ids: np.ndarray | None = None) -> float:
+def zero_shot_accuracy(assets, features: np.ndarray, labels: np.ndarray) -> float:
     """Accuracy (percent) of the handcrafted prompt on a labeled feature set."""
-    hand, _ = assets.text_features(assets.handcrafted.vectors, class_ids)
+    hand, _ = assets.text_features(assets.handcrafted.vectors)
     predictor = CosinePredictor(hand, assets.cfg.tau)
-    return evaluate_predictor(predictor, features, labels, class_ids, local_maps=None)
+    return evaluate_predictor(predictor, features, labels, local_maps=None)
 
 
 def save_feature_table(dataset, path: str) -> None:

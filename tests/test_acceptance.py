@@ -25,7 +25,6 @@ from fedprompt.algorithms import (
     make_trainer,
     project_prograd,
     sgd_momentum_step,
-    Batch,
     TrainContext,
 )
 from fedprompt.config import DataConfig, ExperimentConfig, parse_config
@@ -140,7 +139,8 @@ def test_criterion_03_gradient_correctness():
                                seed=inst["seed"], token_scale=0.2, meta_hidden=6)
             assets2 = build_assets(cfg2, inst["classes"])
 
-            batch = Batch(features=xh, labels=labels, master_indices=np.arange(len(labels)))
+            batch = ClientDataset(features=xh, labels=labels,
+                                  master_indices=np.arange(len(labels)))
             fed = FederationConfig(rounds=10)
             ctx = TrainContext(assets=assets, round_index=0, federation=fed,
                                rng=np.random.default_rng(0))

@@ -18,7 +18,6 @@ from oracle import (
     trainer_with,
 )
 from fedprompt.algorithms import (
-    Batch,
     CommunicablePayload,
     ConditionedPredictor,
     PersonalizedFedOTPTrainer,
@@ -50,12 +49,12 @@ def client_dataset(rng, n, d, classes):
     return ClientDataset(features=feats, labels=labels, master_indices=np.arange(n))
 
 
-def make_ctx(assets, rng_seed=0, class_ids=None, audit=None, **federation):
+def make_ctx(assets, rng_seed=0, audit=None, **federation):
     """A round-0 training context; `federation` sets `FederationConfig` fields
     (10 rounds unless given)."""
     return TrainContext(assets=assets, round_index=0,
                         federation=FederationConfig(**{"rounds": 10, **federation}),
-                        rng=np.random.default_rng(rng_seed), class_ids=class_ids, audit=audit)
+                        rng=np.random.default_rng(rng_seed), audit=audit)
 
 
 class TestSGD:
@@ -176,8 +175,8 @@ class TestCoCoOpBatched:
         assets, params, xh, labels = self._setup(variant, rng)
         if class_ids is not None:
             labels = class_ids[labels % len(class_ids)]
-        ctx = make_ctx(assets, class_ids=class_ids)
-        batch = Batch(features=xh, labels=labels, master_indices=np.arange(len(labels)))
+        ctx = make_ctx(assets.for_classes(class_ids))
+        batch = ClientDataset(features=xh, labels=labels, master_indices=np.arange(len(labels)))
         loss, grads = make_trainer("cocoop").grad_step(params, batch, ctx, None)
         positions = class_positions(labels, class_ids)
         expected_loss, _, expected = per_image_cocoop(assets, params, xh, positions, class_ids)
@@ -193,7 +192,7 @@ class TestCoCoOpBatched:
         assets, params, xh, labels = self._setup(variant, rng, m=1)
         trainer = make_trainer("cocoop")
         ctx = make_ctx(assets)
-        batch = Batch(features=xh, labels=labels, master_indices=np.arange(len(labels)))
+        batch = ClientDataset(features=xh, labels=labels, master_indices=np.arange(len(labels)))
         _, grads = trainer.grad_step(params, batch, ctx, None)
         for name, entries in (("meta_w1", [(0, 0), (3, 5), (17, 11)]),
                               ("meta_b2", [(0,), (4,), (7,)])):
@@ -210,10 +209,10 @@ class TestCoCoOpBatched:
         assets, params, xh, _ = self._setup(variant, rng, n=7)
         expected = softmax_temp(per_image_cocoop(assets, params, xh, np.zeros(7, int))[1],
                                 assets.cfg.tau)
-        whole = ConditionedPredictor(assets, params, None).probs(xh, None)
+        whole = ConditionedPredictor(assets, params).probs(xh, None)
         # three images per encode call: blocks of 3, 3 and 1
         monkeypatch.setattr(ConditionedPredictor, "PAIRS_PER_BLOCK", 3 * 2 * 4)
-        blocked = ConditionedPredictor(assets, params, None).probs(xh, None)
+        blocked = ConditionedPredictor(assets, params).probs(xh, None)
         np.testing.assert_allclose(whole, expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(blocked, expected, rtol=0, atol=1e-12)
 
@@ -301,7 +300,7 @@ class TestLossGradients:
         v = rng.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.1
         xh = random_unit_batch(rng, 3, cfg.d_image)
         y = np.array([1, 2, 0])
-        q = _reference_probs(assets, xh, None)
+        q = _reference_probs(assets, xh)
         refs = assets.reference_features
         _, g = loss_src(*encoded(assets, v), xh, y, cfg.tau, q, refs, 0.6, 0.4)
         fd = finite_diff_gradient(
@@ -317,7 +316,7 @@ class TestLossGradients:
         y = np.array([0, 1])
         hand = encoded(assets, assets.handcrafted.vectors)
         ce_loss, _ = ce_loss_and_grads(*hand, xh, y, cfg.tau)
-        src_loss, _ = loss_src(*hand, xh, y, cfg.tau, _reference_probs(assets, xh, None),
+        src_loss, _ = loss_src(*hand, xh, y, cfg.tau, _reference_probs(assets, xh),
                                assets.hand_features, 3.0, 3.0)
         assert src_loss == pytest.approx(ce_loss, abs=1e-12)
 
@@ -420,10 +419,11 @@ class TestTrainers:
         assets = build_assets(cfg, 4)
         trainer = make_trainer("promptfl")
         params = dict(trainer.init_payload(cfg, rng).fields)
-        batch = Batch(features=random_unit_batch(rng, 3, cfg.d_image), labels=np.array([3, 1, 0]),
-                      master_indices=np.arange(3))
+        batch = ClientDataset(features=random_unit_batch(rng, 3, cfg.d_image), labels=np.array([3, 1, 0]),
+                              master_indices=np.arange(3))
         with pytest.raises(DataError, match=r"label 1 is outside the class set \[0, 2, 3\]"):
-            trainer.grad_step(params, batch, make_ctx(assets, class_ids=np.array([0, 2, 3])), None)
+            trainer.grad_step(params, batch, make_ctx(assets.for_classes(np.array([0, 2, 3]))),
+                              None)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -452,7 +452,7 @@ class TestTrainers:
             for batch in iterate_batches(data, batch_rng, 4):
                 xh = unit_rows(batch.features)
                 _, grads = loss_src(*encoded(assets, context), xh, batch.labels, cfg.tau,
-                                    _reference_probs(assets, xh, None), refs, 0.5, 0.7)
+                                    _reference_probs(assets, xh), refs, 0.5, 0.7)
                 context = sgd_momentum_step({"context": context}, {"context": grads},
                                             velocities, 0.002, 0.9, 0, 10)["context"]
             trajectory.append(context)
@@ -594,8 +594,8 @@ class TestTransportGradientSurrogate:
             unit_rows(f[None, :] + 0.2 * rng.normal(size=(3, cfg.d_image))) for f in feats_img
         ])
         labels = np.array([0, 2])
-        batch = Batch(features=feats_img, labels=labels,
-                      master_indices=np.arange(2), local_maps=maps)
+        batch = ClientDataset(features=feats_img, labels=labels,
+                              master_indices=np.arange(2), local_maps=maps)
 
         loss, grads = ot_scores_and_grads(*encoded(assets, v), batch.local_maps, labels, cfg.tau,
                                           eps=0.2, iters=60, col_relax=1.0)

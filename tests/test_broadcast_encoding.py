@@ -1,10 +1,10 @@
-"""The broadcast payload's encodings of its own context, and the read-only
+"""The broadcast payload's encoding of its own context, and the read-only
 broadcast payload.
 
 Every client of a round starts from the same payload, so its context is
-encoded once per class set and the encoding is kept on the payload; each
-client's first step and the round's predictors reuse it instead of
-encoding the same context again.
+encoded once under the cell's assets and the encoding is kept on the
+payload; each client's first step and the round's predictors reuse it
+instead of encoding the same context again.
 """
 
 from dataclasses import replace
@@ -16,7 +16,6 @@ from conftest import random_unit_batch, small_config
 from test_evaluation import desk_config, desk_master  # noqa: F401 - fixture
 from fedprompt import algorithms, federation
 from fedprompt.algorithms import (
-    Batch,
     CommunicablePayload,
     PersonalizedFedOTPTrainer,
     PromptFLTrainer,
@@ -135,18 +134,18 @@ class TestSharedStep:
         sharing = name not in ("cocoop", "fedotp-personalized")
         assert trainer.scores_with_broadcast == sharing
         data = _client_data(cfg, class_ids)
+        trained = assets.for_classes(class_ids)
         outs = []
         for share in (True, False):
             if not share:  # every step encodes its own context
                 trainer.broadcast_encoding = lambda *args: None
             state = trainer.init_state(cfg, np.random.default_rng(2))
-            ctx = TrainContext(assets=assets, round_index=1,
+            ctx = TrainContext(assets=trained, round_index=1,
                                federation=FederationConfig(rounds=5, batch_size=5, local_epochs=2),
-                               rng=np.random.default_rng(4), class_ids=class_ids, audit=[])
+                               rng=np.random.default_rng(4), audit=[])
             out, loss = trainer.local_train(payload, state, data, ctx)
             outs.append((out, loss, state, len(ctx.audit)))
-        key = None if class_ids is None else tuple(class_ids.tolist())
-        assert list(payload.encodings) == ([key] if sharing else [])
+        assert (payload.encoding.assets is trained) if sharing else (payload.encoding is None)
         (out_a, loss_a, state_a, batches_a), (out_b, loss_b, state_b, batches_b) = outs
         assert batches_a == batches_b == 6
         assert loss_a == loss_b
@@ -159,22 +158,22 @@ class TestSharedStep:
 
 def _batch(assets, labels):
     features = random_unit_batch(np.random.default_rng(6), len(labels), assets.cfg.d_image)
-    return Batch(features=features, labels=labels, master_indices=np.arange(len(labels)))
+    return ClientDataset(features=features, labels=labels, master_indices=np.arange(len(labels)))
 
 
-def _subset_ctx(assets):
+def _ctx(assets):
     return TrainContext(assets=assets, round_index=0, federation=FederationConfig(rounds=5),
-                        rng=np.random.default_rng(0), class_ids=SUBSET)
+                        rng=np.random.default_rng(0))
 
 
 class TestBroadcastEncoding:
     @pytest.fixture(params=["linear_pool", "attention_block"])
     def encoded(self, request):
         cfg = small_config(request.param, prompts=2)
-        assets = build_assets(cfg, CLASSES)
+        assets = build_assets(cfg, CLASSES).for_classes(SUBSET)
         context = np.random.default_rng(5).normal(size=(2, cfg.tokens, cfg.d_token)) * 0.1
         payload = CommunicablePayload({"context": context}).read_only()
-        return assets, payload, PromptFLTrainer().broadcast_encoding(payload, assets, SUBSET)
+        return assets, payload, PromptFLTrainer().broadcast_encoding(payload, assets)
 
     def test_features_and_cache_are_read_only(self, encoded):
         _, _, shared = encoded
@@ -187,7 +186,7 @@ class TestBroadcastEncoding:
 
     def test_equals_a_fresh_encode(self, encoded):
         assets, payload, shared = encoded
-        features, _ = assets.text_features(payload.fields["context"], SUBSET)
+        features, _ = assets.text_features(payload.fields["context"])
         assert shared.features.tobytes() == features.tobytes()
 
     def test_backward_leaves_it_unchanged(self, encoded):
@@ -195,7 +194,7 @@ class TestBroadcastEncoding:
         context = payload.fields["context"]
         before = [a.copy() for a in _arrays((shared.features, shared.cache))]
         batch = _batch(assets, SUBSET[[0, 1, 2, 1, 0]])
-        ctx = _subset_ctx(assets)
+        ctx = _ctx(assets)
         loss, grads = PromptFLTrainer().grad_step({"context": context.copy()}, batch, ctx, shared)
         fresh_loss, fresh_grads = PromptFLTrainer().grad_step({"context": context}, batch, ctx,
                                                               None)
@@ -212,14 +211,15 @@ class TestBroadcastEncoding:
             shared.take(other)
         with pytest.raises(ValueError, match="different context"):
             PromptFLTrainer().grad_step({"context": other}, _batch(assets, SUBSET[:2]),
-                                        _subset_ctx(assets), shared)
+                                        _ctx(assets), shared)
 
     def test_each_class_set_has_its_own_encoding(self, encoded):
         assets, payload, shared = encoded
         for ids in (None, SUBSET[:2], np.array([0, 1, 3])):
-            other = PromptFLTrainer().broadcast_encoding(payload, assets, ids)
-            assert other is not shared
-            features, _ = assets.text_features(payload.fields["context"], ids)
+            cut = assets.whole.for_classes(ids)
+            other = PromptFLTrainer().broadcast_encoding(payload, cut)
+            assert other is not shared and payload.encoding is other
+            features, _ = cut.text_features(payload.fields["context"])
             assert other.features.tobytes() == features.tobytes()
 
     def test_writing_into_the_encoded_context_raises(self, encoded):
@@ -234,36 +234,41 @@ class TestBroadcastEncoding:
 
 
 class TestServerEncoding:
-    """The encodings of the server's broadcast live on the payload itself."""
+    """The encoding of the server's broadcast lives on the payload itself."""
 
     def test_built_once_per_payload_and_class_set(self, monkeypatch):
         cfg = small_config()
         assets = build_assets(cfg, CLASSES)
+        subset_assets = assets.for_classes(SUBSET)
         trainer = make_trainer("promptfl")
         payload = trainer.init_payload(cfg, np.random.default_rng(0))
         contexts = _record_encodes(monkeypatch)
-        first = trainer.broadcast_encoding(payload, assets, None)
-        assert trainer.broadcast_encoding(payload, assets, None) is first
-        subset = trainer.broadcast_encoding(payload, assets, SUBSET)
+        first = trainer.broadcast_encoding(payload, assets)
+        assert trainer.broadcast_encoding(payload, assets) is first
+        subset = trainer.broadcast_encoding(payload, subset_assets)
         assert subset is not first
-        assert trainer.broadcast_encoding(payload, assets, SUBSET.copy()) is subset
+        assert trainer.broadcast_encoding(payload, subset_assets) is subset
         assert len(contexts) == 2
-        assert trainer.build_predictor(payload, assets, SUBSET, None).features is subset.features
+        assert trainer.build_predictor(payload, subset_assets, None).features is subset.features
         assert len(contexts) == 2
-        # a new broadcast is a new payload, with encodings of its own
+        # the payload keeps one encoding, so the whole set's is made again
+        full = trainer.broadcast_encoding(payload, assets)
+        assert full is not first and len(contexts) == 3
+        assert full.features.tobytes() == first.features.tobytes()
+        # a new broadcast is a new payload, with an encoding of its own
         other = trainer.init_payload(cfg, np.random.default_rng(1))
-        again = trainer.broadcast_encoding(other, assets, None)
-        assert again is not first
-        assert not np.array_equal(again.features, first.features)
-        assert trainer.broadcast_encoding(payload, assets, None) is first
+        again = trainer.broadcast_encoding(other, assets)
+        assert again is not full
+        assert not np.array_equal(again.features, full.features)
+        assert trainer.broadcast_encoding(payload, assets) is full
 
     def test_other_assets_encode_again(self):
         cfg = small_config()
         trainer = make_trainer("promptfl")
         payload = trainer.init_payload(cfg, np.random.default_rng(0))
         assets, other = build_assets(cfg, CLASSES), build_assets(cfg, CLASSES)
-        first = trainer.broadcast_encoding(payload, assets, None)
-        again = trainer.broadcast_encoding(payload, other, None)
+        first = trainer.broadcast_encoding(payload, assets)
+        again = trainer.broadcast_encoding(payload, other)
         assert again is not first
         assert first.assets is assets and again.assets is other
 
@@ -273,23 +278,23 @@ class TestServerEncoding:
         cfg = small_config()
         trainer = trainer_class()
         payload = trainer.init_payload(cfg, np.random.default_rng(0))
-        assert trainer.broadcast_encoding(payload, build_assets(cfg, CLASSES), None) is None
-        assert payload.encodings == {}
+        assert trainer.broadcast_encoding(payload, build_assets(cfg, CLASSES)) is None
+        assert payload.encoding is None
 
     def test_new_payloads_start_with_none(self):
         cfg = small_config()
         assets = build_assets(cfg, CLASSES)
         for name, trainer_class in TRAINERS:
-            assert trainer_class().init_payload(cfg, np.random.default_rng(0)).encodings == {}, name
+            assert trainer_class().init_payload(cfg, np.random.default_rng(0)).encoding is None, name
         trainer = PromptFLTrainer()
         payload = trainer.init_payload(cfg, np.random.default_rng(0))
         ctx = TrainContext(assets=assets, round_index=0, federation=FederationConfig(rounds=5),
                            rng=np.random.default_rng(4))
         out, _ = trainer.local_train(payload, trainer.init_state(cfg, None),
                                      _client_data(cfg, None), ctx)
-        assert list(payload.encodings) == [None]
-        assert out.encodings == {}
-        assert fedavg_aggregate([payload, out], np.array([0.5, 0.5])).encodings == {}
+        assert payload.encoding.assets is assets
+        assert out.encoding is None
+        assert fedavg_aggregate([payload, out], np.array([0.5, 0.5])).encoding is None
 
     def test_first_step_checks_the_encoded_context(self):
         cfg = small_config()
@@ -297,7 +302,7 @@ class TestServerEncoding:
         trainer = PromptFLTrainer()
         payload = trainer.init_payload(cfg, np.random.default_rng(0))
         other = trainer.init_payload(cfg, np.random.default_rng(1))
-        payload.encodings[None] = trainer.broadcast_encoding(other, assets, None)
+        payload.encoding = trainer.broadcast_encoding(other, assets)
         ctx = TrainContext(assets=assets, round_index=0, federation=FederationConfig(rounds=5),
                            rng=np.random.default_rng(4))
         with pytest.raises(ValueError, match="different context"):
@@ -310,11 +315,11 @@ class TestServerEncoding:
         payload = trainer.init_payload(cfg, np.random.default_rng(0))
         bare = CommunicablePayload(payload.fields)
         size = payload.scalar_count
-        trainer.broadcast_encoding(payload, build_assets(cfg, CLASSES), None)
-        assert payload.encodings and not bare.encodings
+        trainer.broadcast_encoding(payload, build_assets(cfg, CLASSES))
+        assert payload.encoding is not None and bare.encoding is None
         assert payload == bare
         assert payload.scalar_count == bare.scalar_count == size
-        assert "encodings" not in repr(payload)
+        assert "encoding" not in repr(payload)
 
 
 class TestReadOnlyBroadcast:

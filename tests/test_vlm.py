@@ -9,6 +9,7 @@ import vlm_oracle
 from conftest import random_unit_batch, small_config
 from oracle import cosine_similarity, finite_diff_gradient, relative_error
 from vlm_oracle import encoder_digest, predict, prompt_gradients, vocabulary_digest
+from fedprompt.data import ClientDataset
 from fedprompt.errors import ConfigError, DomainError
 from fedprompt.numerics import softmax_temp
 from fedprompt.vlm import (
@@ -20,8 +21,8 @@ from fedprompt.vlm import (
     build_handcrafted_context,
     build_prompt_context,
     synth_local_features,
+    unit_rows,
 )
-from fedprompt.algorithms import Batch
 
 
 class TestModelConfig:
@@ -158,7 +159,7 @@ class TestStructuredEncoder:
         bias = rng.normal(size=(8, d_token)) * 0.1
         contexts = rng.normal(size=(8, cfg.tokens, d_token)) * 0.2 + bias[:, None, :]
 
-        feats, cache = assets.text_features(contexts, ids)
+        feats, cache = assets.for_classes(ids).text_features(contexts)
         expected = vlm_oracle.text_features(assets.encoder, contexts, class_tokens)
         assert feats.shape == (8, len(ids), cfg.d_feature)
         np.testing.assert_allclose(feats, expected, rtol=0, atol=1e-12)
@@ -178,7 +179,7 @@ class TestStructuredEncoder:
         contexts = rng.normal(size=(2, cfg.tokens, cfg.d_token)) * 0.2
         full, _ = assets.text_features(contexts)
         ids = np.array([3, 1])
-        subset, _ = assets.text_features(contexts, ids)
+        subset, _ = assets.for_classes(ids).text_features(contexts)
         np.testing.assert_allclose(subset, full[:, ids], rtol=0, atol=1e-15)
 
     def test_context_length_mismatch(self):
@@ -251,9 +252,9 @@ class TestPromptGradients:
     def test_matches_finite_differences(self, small_assets, rng):
         cfg = small_assets.cfg
         ctx0 = rng.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.1
-        batch = Batch(features=random_unit_batch(rng, 4, cfg.d_image),
-                      labels=rng.integers(0, 4, size=4),
-                      master_indices=np.arange(4))
+        batch = ClientDataset(features=random_unit_batch(rng, 4, cfg.d_image),
+                              labels=rng.integers(0, 4, size=4),
+                              master_indices=np.arange(4))
         grads, _ = prompt_gradients(small_assets.encoder, PromptContext(ctx0), batch,
                                     small_assets.vocab, cfg.tau)
 
@@ -271,9 +272,9 @@ class TestPromptGradients:
         ctx = PromptContext(rng.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.1)
         feats = random_unit_batch(rng, 3, cfg.d_image)
         labels = np.array([0, 1, 3])
-        b1 = Batch(features=feats, labels=labels, master_indices=np.arange(3))
-        b2 = Batch(features=np.tile(feats, (2, 1)), labels=np.tile(labels, 2),
-                   master_indices=np.arange(6))
+        b1 = ClientDataset(features=feats, labels=labels, master_indices=np.arange(3))
+        b2 = ClientDataset(features=np.tile(feats, (2, 1)), labels=np.tile(labels, 2),
+                           master_indices=np.arange(6))
         g1, l1 = prompt_gradients(small_assets.encoder, ctx, b1, small_assets.vocab, cfg.tau)
         g2, l2 = prompt_gradients(small_assets.encoder, ctx, b2, small_assets.vocab, cfg.tau)
         np.testing.assert_allclose(g1, g2, atol=1e-15)
@@ -287,7 +288,8 @@ class TestPromptGradients:
         ctx = build_prompt_context(cfg, rng, m=cfg.prompts)
         feats, _ = assets.text_features(ctx.vectors)
         x = feats[0, 0]  # image aligned exactly with class-0 feature
-        batch = Batch(features=x[None, :], labels=np.array([0]), master_indices=np.array([0]))
+        batch = ClientDataset(features=x[None, :], labels=np.array([0]),
+                              master_indices=np.array([0]))
         grads, loss = prompt_gradients(assets.encoder, ctx, batch, assets.vocab, cfg.tau)
         assert loss < 1e-6
         assert np.max(np.abs(grads)) < 1e-4
@@ -295,8 +297,8 @@ class TestPromptGradients:
     def test_empty_batch_rejected(self, small_assets, rng):
         cfg = small_assets.cfg
         ctx = build_prompt_context(cfg, rng, m=cfg.prompts)
-        batch = Batch(features=np.zeros((0, cfg.d_image)), labels=np.zeros(0, dtype=int),
-                      master_indices=np.zeros(0, dtype=int))
+        batch = ClientDataset(features=np.zeros((0, cfg.d_image)), labels=np.zeros(0, dtype=int),
+                              master_indices=np.zeros(0, dtype=int))
         with pytest.raises(DomainError):
             prompt_gradients(small_assets.encoder, ctx, batch, small_assets.vocab, cfg.tau)
 
@@ -361,6 +363,39 @@ class TestSharedAssets:
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1.0
+
+
+class TestClassCut:
+    """`ModelAssets.for_classes` slices the whole set's rows; it never re-encodes."""
+
+    def test_one_class_cut_is_a_bitwise_slice(self, monkeypatch):
+        cfg = ModelConfig(encoder="attention_block", d_token=8, d_feature=16, d_image=16,
+                          tokens=4, seed=0)
+        assets = build_assets(cfg, 10)
+        reference = assets.reference_features
+        templates = np.concatenate([build_handcrafted_context(cfg, template=tpl).vectors
+                                    for tpl in range(3)])
+        assert assets.for_classes(None) is assets
+        encodes = []
+        encode = FrozenTextEncoder.encode
+        monkeypatch.setattr(FrozenTextEncoder, "encode",
+                            lambda self, *args: encodes.append(1) or encode(self, *args))
+        for c in range(10):
+            cut = assets.for_classes(np.array([c]))
+            assert cut.class_count == 1 and cut.class_ids.tolist() == [c]
+            assert cut.hand_features.tobytes() == assets.hand_features[[c]].tobytes()
+            assert cut.reference_features.tobytes() == reference[[c]].tobytes()
+            assert not encodes  # the whole set's reference is cached: the cut adds no encode
+            # an encoding on the cut's own rows misses the whole set's in the last bit
+            hand, _ = encode(cut.encoder, cut.handcrafted.vectors, cut.class_rows)
+            again, _ = encode(cut.encoder, templates, cut.class_rows)
+            assert not np.array_equal(hand[0], cut.hand_features)
+            assert not np.array_equal(unit_rows(again.sum(axis=0) / 3), cut.reference_features)
+            rows = cut.class_rows
+            for array in (cut.class_ids, cut.hand_features, cut.reference_features,
+                          rows.row_sum, rows.q, rows.k, rows.v, rows.scores):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 1.0
 
 
 class TestLocalFeatures:

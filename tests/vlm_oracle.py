@@ -108,8 +108,7 @@ def predict(image_feature: np.ndarray, class_features: list[np.ndarray] | np.nda
     return softmax_temp(sims, tau)
 
 
-def prompt_gradients(encoder, context, batch, vocab, tau: float,
-                     class_ids: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def prompt_gradients(encoder, context, batch, vocab, tau: float) -> tuple[np.ndarray, float]:
     """Exact gradient of mean cross-entropy w.r.t. the context tokens only.
 
     With several prompt sets the per-class score is the mean of each
@@ -121,7 +120,7 @@ def prompt_gradients(encoder, context, batch, vocab, tau: float,
     if feats.shape[0] == 0:
         raise DomainError("empty batch")
     m, L, _ = context.vectors.shape
-    rows = encoder.class_rows(vocab.tokens, L).take(class_ids)
+    rows = encoder.class_rows(vocab.tokens, L)
     set_feats, cache = encoder.encode(context.vectors, rows)
     xh = unit_rows(feats)
     sims = np.einsum("bd,pcd->pbc", xh, set_feats)  # (m, B, C)
