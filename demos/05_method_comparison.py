@@ -1,12 +1,12 @@
-"""All eight training methods plus the zero-shot reference on one toy
-dataset, with the superiority count against the plain baseline.
+"""All eight training methods plus the zero-shot reference on two toy
+datasets: the `fedprompt report` grid of each method's mean±std over two
+seeds, with the superiority count against the plain baseline.
 """
 
 import tempfile
 
 from fedprompt.config import parse_config_text
-from fedprompt.evaluation import superiority_indicator
-from fedprompt.runner import run
+from fedprompt.runner import report, run
 
 methods = ["zsclip", "promptfl", "kgcoop", "src", "prograd", "proda", "cocoop", "plot", "fedotp"]
 CONFIG = f"""
@@ -39,20 +39,7 @@ alpha = 0.3
 """
 
 with tempfile.TemporaryDirectory() as out_dir:
-    table = run(parse_config_text(CONFIG), output_dir=out_dir).table
+    run(parse_config_text(CONFIG), output_dir=out_dir)
+    print(report(out_dir))
 
-names = table.datasets("global")
-print(f"{'method':10s}  " + "  ".join(f"{n:>12s}" for n in names) + "     #")
-baseline = {n: table.cell("global", "promptfl", n, "alpha_g")[0] for n in names}
-for method in methods:
-    cells = []
-    means = {}
-    for n in names:
-        mean, std, _ = table.cell("global", method, n, "alpha_g")
-        means[n] = mean
-        cells.append(f"{mean:6.1f}±{std:4.1f}")
-    marker = "-" if method in ("promptfl", "zsclip") else str(
-        superiority_indicator(means, baseline))
-    print(f"{method:10s}  " + "  ".join(f"{c:>12s}" for c in cells) + f"     {marker}")
-
-print("\nthe # column counts datasets where a method's mean beats the baseline")
+print("the # column counts datasets where a method's mean beats the baseline 'promptfl'")

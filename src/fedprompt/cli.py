@@ -42,8 +42,7 @@ def main(argv: list[str] | None = None) -> int:
                          seed_offset=args.seed_offset, output_dir=args.out)
             if args.dry_run:
                 return 0
-            n_obs = len(result.table.observations)
-            print(f"wrote {n_obs} observations to {result.output_dir}")
+            print(f"wrote {len(result.observations)} observations to {result.output_dir}")
             if result.failures:
                 print(f"{len(result.failures)} cell(s) failed; see failures.json", file=sys.stderr)
             return result.exit_code

@@ -121,13 +121,8 @@ def harmonic_mean(a: float, b: float) -> float:
 
 
 def superiority_indicator(method_means, baseline_means) -> int:
-    """Datasets on which the method's mean strictly beats the baseline's."""
-    if isinstance(method_means, dict) or isinstance(baseline_means, dict):
-        if set(method_means) != set(baseline_means):
-            raise EvaluationError("method and baseline rows cover different datasets")
-        keys = sorted(method_means)
-        method_means = [method_means[k] for k in keys]
-        baseline_means = [baseline_means[k] for k in keys]
+    """Datasets on which the method's mean strictly beats the baseline's; both
+    lists hold one mean per dataset, in the same dataset order."""
     method_means = np.asarray(method_means, dtype=np.float64)
     baseline_means = np.asarray(baseline_means, dtype=np.float64)
     if method_means.shape != baseline_means.shape:
@@ -155,48 +150,19 @@ def aggregate_runs(values) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Result container
+# Result record
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, order=True)
 class Observation:
+    """One value of a run: a row of results.csv."""
+
     scenario: str
     method: str
     dataset: str
     seed: int
     metric: str
     value: float
-
-
-@dataclass
-class MetricTable:
-    observations: list[Observation] = field(default_factory=list)
-
-    def add(self, scenario: str, method: str, dataset: str, seed: int,
-            metric: str, value: float) -> None:
-        self.observations.append(Observation(scenario, method, dataset, seed, metric, float(value)))
-
-    def values(self, scenario: str, method: str, dataset: str, metric: str) -> list[float]:
-        rows = [o for o in self.observations
-                if (o.scenario, o.method, o.dataset, o.metric) == (scenario, method, dataset, metric)]
-        return [o.value for o in sorted(rows, key=lambda o: o.seed)]
-
-    def cell(self, scenario: str, method: str, dataset: str, metric: str) -> tuple[float, float, int]:
-        vals = self.values(scenario, method, dataset, metric)
-        mean, std = aggregate_runs(vals)
-        return mean, std, len(vals)
-
-    def methods(self, scenario: str) -> list[str]:
-        return sorted({o.method for o in self.observations if o.scenario == scenario})
-
-    def datasets(self, scenario: str) -> list[str]:
-        return sorted({o.dataset for o in self.observations if o.scenario == scenario})
-
-    def metrics(self, scenario: str) -> list[str]:
-        return sorted({o.metric for o in self.observations if o.scenario == scenario})
-
-    def sorted_observations(self) -> list[Observation]:
-        return sorted(self.observations)
 
 
 # ---------------------------------------------------------------------------
@@ -497,5 +463,5 @@ def _observations(kind: str, method: str, seed: int, targets: list[_Target],
         rows.append((targets[0].column, "alpha_h", harmonic_mean(rows[0][2], rows[1][2])))
     if chi is not None:
         rows.append((targets[0].column, "chi_millions", chi))
-    return [Observation(kind, method, column, seed, metric, value)
+    return [Observation(kind, method, column, seed, metric, float(value))
             for column, metric, value in rows]

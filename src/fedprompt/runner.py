@@ -8,6 +8,7 @@ order.
 """
 
 import json
+import math
 import multiprocessing
 import os
 import traceback
@@ -24,7 +25,7 @@ from .config import (
 )
 from .errors import ConfigError, EvaluationError
 from .evaluation import (
-    MetricTable,
+    Observation,
     RunState,
     ZERO_SHOT_METHOD,
     aggregate_runs,
@@ -34,6 +35,7 @@ from .evaluation import (
 )
 
 RESULTS_CSV = "results.csv"
+RESULTS_HEADER = "scenario,method,dataset,seed,metric,value"
 RESULTS_JSON = "results.json"
 CURVES_JSONL = "curves.jsonl"
 FAILURES_JSON = "failures.json"
@@ -51,7 +53,7 @@ class Cell:
 @dataclass
 class RunResult:
     exit_code: int
-    table: MetricTable
+    observations: list[Observation]  # sorted
     output_dir: Path
     failures: list[dict]
 
@@ -77,11 +79,7 @@ def _execute_cell(args: tuple[RunState, str, str, str, int]) -> tuple[dict, list
     cell_key = {"scenario": scenario, "method": method, "dataset": dataset, "seed": seed}
     try:
         result = run_cell(state, scenario, method, dataset, seed)
-        observations = [
-            (o.scenario, o.method, o.dataset, o.seed, o.metric, o.value)
-            for o in result.observations
-        ]
-        return cell_key, observations, result.curves, None
+        return cell_key, result.observations, result.curves, None
     except Exception:  # noqa: BLE001 - cell failures become a manifest entry
         return cell_key, [], [], traceback.format_exc()
 
@@ -129,7 +127,7 @@ def run(config: ExperimentConfig, jobs: int = 1, dry_run: bool = False,
         for cell in cells:
             print(f"  {cell.scenario} / {cell.method} / {cell.dataset} / seed {cell.seed}")
         print(f"would write results under {out_dir}")
-        return RunResult(exit_code=0, table=MetricTable(), output_dir=out_dir, failures=[])
+        return RunResult(exit_code=0, observations=[], output_dir=out_dir, failures=[])
 
     keys = [(c.scenario, c.method, c.dataset, c.seed) for c in cells]
     # the cells run the config as serialized, seed offset included
@@ -144,29 +142,30 @@ def run(config: ExperimentConfig, jobs: int = 1, dry_run: bool = False,
     else:
         outcomes = [_execute_cell((state, *key)) for key in keys]
 
-    table = MetricTable()
+    observations: list[Observation] = []
     curves: list[dict] = []
     failures: list[dict] = []
-    for cell_key, observations, cell_curves, error in outcomes:
+    for cell_key, cell_observations, cell_curves, error in outcomes:
         if error is not None:
             failures.append({"cell": cell_key, "error": error})
             continue
-        for scenario, method, dataset, seed, metric, value in observations:
-            table.add(scenario, method, dataset, seed, metric, value)
+        observations.extend(cell_observations)
         curves.extend(cell_curves)
+    observations.sort()
 
     out_dir.mkdir(parents=True, exist_ok=True)
     # reports of an earlier run into this directory describe other results
     for stale in [*out_dir.glob("report_*.csv"), *out_dir.glob("costcurve_*.csv")]:
         stale.unlink()
-    _write_atomic(out_dir / RESULTS_CSV, _results_csv_text(table))
-    _write_atomic(out_dir / RESULTS_JSON, _results_json_text(table))
+    _write_atomic(out_dir / RESULTS_CSV, _results_csv_text(observations))
+    _write_atomic(out_dir / RESULTS_JSON,
+                  json.dumps(_results_tree(observations), indent=2, sort_keys=True) + "\n")
     _write_atomic(out_dir / CURVES_JSONL, _curves_text(curves))
     if failures:
         _write_atomic(out_dir / FAILURES_JSON, json.dumps(failures, indent=2, sort_keys=True))
     else:  # a manifest left by an earlier run into this directory
         (out_dir / FAILURES_JSON).unlink(missing_ok=True)
-    return RunResult(exit_code=1 if failures else 0, table=table,
+    return RunResult(exit_code=1 if failures else 0, observations=observations,
                      output_dir=out_dir, failures=failures)
 
 
@@ -178,32 +177,27 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _results_csv_text(table: MetricTable) -> str:
-    lines = ["scenario,method,dataset,seed,metric,value"]
-    for o in table.sorted_observations():
-        lines.append(f"{o.scenario},{o.method},{o.dataset},{o.seed},{o.metric},{o.value!r}")
-    return "\n".join(lines) + "\n"
+def _results_csv_text(observations: list[Observation]) -> str:
+    rows = [f"{o.scenario},{o.method},{o.dataset},{o.seed},{o.metric},{o.value!r}"
+            for o in observations]
+    return "\n".join([RESULTS_HEADER, *rows]) + "\n"
 
 
-def _results_json_text(table: MetricTable) -> str:
+def _results_tree(observations: list[Observation]) -> dict:
+    """The run's one aggregate, nested as results.json: scenario, method,
+    dataset, metric -> the values by seed, their mean, population std and
+    `n_runs`. Observations come sorted, so each mean sums in seed order."""
     tree: dict = {}
-    for o in table.sorted_observations():
-        entry = (
-            tree.setdefault(o.scenario, {})
-            .setdefault(o.method, {})
-            .setdefault(o.dataset, {})
-            .setdefault(o.metric, {"values": {}})
-        )
-        entry["values"][str(o.seed)] = o.value
+    for o in observations:
+        cells = tree.setdefault(o.scenario, {}).setdefault(o.method, {}).setdefault(o.dataset, {})
+        cells.setdefault(o.metric, {"values": {}})["values"][str(o.seed)] = o.value
     for scenario in tree.values():
         for method in scenario.values():
             for dataset in method.values():
                 for metric in dataset.values():
-                    mean, std = aggregate_runs(metric["values"].values())
-                    metric["mean"] = mean
-                    metric["std"] = std
+                    metric["mean"], metric["std"] = aggregate_runs(metric["values"].values())
                     metric["n_runs"] = len(metric["values"])
-    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+    return tree
 
 
 def _curves_text(curves: list[dict]) -> str:
@@ -218,108 +212,90 @@ def _curves_text(curves: list[dict]) -> str:
 # Reporting
 # ---------------------------------------------------------------------------
 
-def load_results_csv(path: Path) -> MetricTable:
-    table = MetricTable()
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "scenario,method,dataset,seed,metric,value":
+def load_results_csv(path: Path) -> list[Observation]:
+    """A results.csv's observations, sorted. A malformed row (a non-finite
+    value included) or a repeated (scenario, method, dataset, seed, metric)
+    key is an error naming its line."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise EvaluationError(f"cannot read {path}: {exc}") from exc
+    if not lines or lines[0] != RESULTS_HEADER:
         raise EvaluationError(f"{path}: not a results.csv file")
-    for line in lines[1:]:
+    observations: dict[tuple, Observation] = {}
+    for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        scenario, method, dataset, seed, metric, value = line.split(",", 5)
-        table.add(scenario, method, dataset, int(seed), metric, float(value))
-    return table
-
-
-def _grid_lines(table: MetricTable, scenario: str, metric: str) -> list[str]:
-    datasets = sorted({o.dataset for o in table.observations
-                       if o.scenario == scenario and o.metric == metric})
-    methods = [m for m in table.methods(scenario)
-               if any(o.method == m and o.metric == metric for o in table.observations
-                      if o.scenario == scenario)]
-    if not datasets or not methods:
-        return []
-    is_cost = metric.startswith("chi")
-
-    def fmt(mean, std):
-        return f"{mean:.4g}±{std:.2g}" if is_cost else f"{mean:.1f}±{std:.1f}"
-
-    baseline_means = None
-    if BASELINE_METHOD in methods and len(methods) > 1 and not is_cost:
         try:
-            baseline_means = {
-                d: table.cell(scenario, BASELINE_METHOD, d, metric)[0] for d in datasets
-            }
-        except EvaluationError:
-            baseline_means = None
-    header = ["method"] + datasets
-    if baseline_means is not None:
-        header.append("#")
-    lines = [",".join(header)]
-    for method in methods:
-        row = [method]
-        means = {}
-        complete = True
-        for dataset in datasets:
-            try:
-                mean, std, _ = table.cell(scenario, method, dataset, metric)
-                row.append(fmt(mean, std))
-                means[dataset] = mean
-            except EvaluationError:
-                row.append("")
-                complete = False
-        if baseline_means is not None:
-            if method in (BASELINE_METHOD, ZERO_SHOT_METHOD) or not complete:
-                row.append("-")
+            scenario, method, dataset, seed, metric, value = line.split(",", 5)
+            o = Observation(scenario, method, dataset, int(seed), metric, float(value))
+            if not math.isfinite(o.value):
+                raise ValueError(f"value {value!r} is not finite")
+        except ValueError as exc:
+            raise EvaluationError(f"{path}:{number}: malformed row: {exc}") from exc
+        key = (scenario, method, dataset, o.seed, metric)
+        if key in observations:
+            raise EvaluationError(f"{path}:{number}: repeats the row of {key}")
+        observations[key] = o
+    return sorted(observations.values())
+
+
+def _grid_lines(by_method: dict, metric: str) -> list[str]:
+    """A scenario's method x dataset grid of one metric's mean±std, with the
+    `#` superiority column when the baseline covers every dataset."""
+    rows = {method: {dataset: cells[metric] for dataset, cells in by_dataset.items()
+                     if metric in cells}
+            for method, by_dataset in sorted(by_method.items())}
+    rows = {method: row for method, row in rows.items() if row}
+    datasets = sorted({dataset for row in rows.values() for dataset in row})
+    is_cost = metric.startswith("chi")
+    cell = "{mean:.4g}±{std:.2g}" if is_cost else "{mean:.1f}±{std:.1f}"
+    baseline = rows.get(BASELINE_METHOD, {})
+    ranked = len(rows) > 1 and not is_cost and len(baseline) == len(datasets)
+    lines = [",".join(["method", *datasets, *(["#"] if ranked else [])])]
+    for method, row in rows.items():
+        fields = [method] + [cell.format(**row[d]) if d in row else "" for d in datasets]
+        if ranked:
+            if method in (BASELINE_METHOD, ZERO_SHOT_METHOD) or len(row) < len(datasets):
+                fields.append("-")
             else:
-                row.append(str(superiority_indicator(means, baseline_means)))
-        lines.append(",".join(row))
+                fields.append(str(superiority_indicator([row[d]["mean"] for d in datasets],
+                                                        [baseline[d]["mean"] for d in datasets])))
+        lines.append(",".join(fields))
     return lines
 
 
 def report(results_dir: str) -> str:
-    """Write per-scenario comparison grids and cost-curve files; return a summary."""
+    """Write per-scenario comparison grids and cost-curve files from the
+    results.csv of a run; return a summary."""
     results_dir = Path(results_dir)
-    table = load_results_csv(results_dir / RESULTS_CSV)
+    tree = _results_tree(load_results_csv(results_dir / RESULTS_CSV))
     chunks: list[str] = []
-    scenarios = sorted({o.scenario for o in table.observations})
-    for scenario in scenarios:
-        for metric in table.metrics(scenario):
+    for scenario, by_method in sorted(tree.items()):
+        metrics = sorted({metric for by_dataset in by_method.values()
+                          for cells in by_dataset.values() for metric in cells})
+        for metric in metrics:
             if scenario == "cost_tradeoff" and metric == "chi_millions":
                 continue
-            lines = _grid_lines(table, scenario, metric)
-            if not lines:
-                continue
-            if (len(lines) > 1 and not lines[0].endswith(",#")
-                    and not metric.startswith("chi") and len(table.methods(scenario)) > 1):
+            lines = _grid_lines(by_method, metric)
+            if (not lines[0].endswith(",#") and not metric.startswith("chi")
+                    and len(by_method) > 1):
                 chunks.append(f"[{scenario}/{metric}] baseline '{BASELINE_METHOD}' missing; "
                               "superiority column omitted")
             _write_atomic(results_dir / f"report_{scenario}_{metric}.csv", "\n".join(lines) + "\n")
             chunks.append(f"# {scenario} / {metric}")
             chunks.extend(lines)
             chunks.append("")
-    _write_cost_curves(table, results_dir, chunks)
-    text = "\n".join(chunks)
-    return text
-
-
-def _write_cost_curves(table: MetricTable, results_dir: Path, chunks: list[str]) -> None:
-    scenario = "cost_tradeoff"
-    methods = table.methods(scenario)
-    for method in methods:
-        points = []
-        for dataset in table.datasets(scenario):
-            try:
-                chi = table.cell(scenario, method, dataset, "chi_millions")[0]
-                acc = table.cell(scenario, method, dataset, "alpha_g")[0]
-            except EvaluationError:
-                continue
-            points.append((chi, acc, dataset))
+    # (params, accuracy) of each cost_tradeoff sweep point, by method
+    for method, by_dataset in sorted(tree.get("cost_tradeoff", {}).items()):
+        points = sorted((cells["chi_millions"]["mean"], cells["alpha_g"]["mean"], dataset)
+                        for dataset, cells in by_dataset.items()
+                        if "chi_millions" in cells and "alpha_g" in cells)
         if not points:
             continue
-        points.sort()
         out = results_dir / f"costcurve_{method}.csv"
         lines = ["params_millions,accuracy,dataset"]
         lines += [f"{chi!r},{acc!r},{dataset}" for chi, acc, dataset in points]
         _write_atomic(out, "\n".join(lines) + "\n")
         chunks.append(f"wrote {out.name} ({len(points)} sweep points)")
+    return "\n".join(chunks)

@@ -609,8 +609,8 @@ class TestRunner:
     def test_seed_offset_changes_seed_column(self, tmp_path):
         cfg = parse_config(str(TOY))
         run(cfg, seed_offset=10, output_dir=str(tmp_path / "o"))
-        table = load_results_csv(tmp_path / "o" / "results.csv")
-        assert {o.seed for o in table.observations} == {10, 11}
+        observations = load_results_csv(tmp_path / "o" / "results.csv")
+        assert {o.seed for o in observations} == {10, 11}
 
     def test_cell_plan(self):
         cfg = parse_config(str(TOY))
@@ -771,6 +771,11 @@ class TestRunner:
             assert len(parts) == 6
             float(parts[5])
 
+    def test_results_json_is_the_tree_of_results_csv(self, tmp_path):
+        run(parse_config(str(TOY)), output_dir=str(tmp_path / "out"))
+        tree = runner._results_tree(load_results_csv(tmp_path / "out" / "results.csv"))
+        assert json.loads((tmp_path / "out" / "results.json").read_text()) == tree
+
 
 class TestReport:
     def _results_with_reference_means(self, tmp_path):
@@ -825,6 +830,53 @@ class TestReport:
         curve = (out / "costcurve_promptfl.csv").read_text().splitlines()
         params = [float(line.split(",")[0]) for line in curve[1:]]
         assert params == sorted(params)
+
+    def test_incomplete_grid(self, tmp_path):
+        out = tmp_path / "gaps"
+        out.mkdir()
+        rows = ["global,promptfl,a,0,alpha_g,50.0", "global,promptfl,b,0,alpha_g,50.0",
+                "global,kgcoop,a,0,alpha_g,60.0",
+                "global,fedotp,a,0,alpha_g,60.0", "global,fedotp,b,0,alpha_g,40.0",
+                "fewshot,promptfl,a,0,alpha_fs_1,50.0",
+                "fewshot,kgcoop,a,0,alpha_fs_1,60.0", "fewshot,kgcoop,b,0,alpha_fs_1,60.0"]
+        (out / "results.csv").write_text(
+            "\n".join(["scenario,method,dataset,seed,metric,value", *rows]) + "\n")
+        summary = report(str(out))
+        # kgcoop misses dataset b: a blank cell and no count
+        assert (out / "report_global_alpha_g.csv").read_text().splitlines() == [
+            "method,a,b,#", "fedotp,60.0±0.0,40.0±0.0,1", "kgcoop,60.0±0.0,,-",
+            "promptfl,50.0±0.0,50.0±0.0,-"]
+        # the baseline misses dataset b: no superiority column
+        assert (out / "report_fewshot_alpha_fs_1.csv").read_text().splitlines() == [
+            "method,a,b", "kgcoop,60.0±0.0,60.0±0.0", "promptfl,50.0±0.0,"]
+        assert summary.splitlines()[0] == \
+            "[fewshot/alpha_fs_1] baseline 'promptfl' missing; superiority column omitted"
+        assert "[global/alpha_g]" not in summary
+
+    @pytest.mark.parametrize("rows,where", [
+        (["global,src,synthetic,0,alpha_g"], "results.csv:2: malformed row"),
+        (["global,src,synthetic,zero,alpha_g,50.0"], "results.csv:2: malformed row"),
+        (["global,src,synthetic,0,alpha_g,50.0", "global,src,synthetic,1,alpha_g,nan"],
+         "results.csv:3: malformed row: value 'nan' is not finite"),
+        (["global,src,synthetic,0,alpha_g,50.0", "global,src,synthetic,1,alpha_g,52.0",
+          "global,src,synthetic,0,alpha_g,50.0"], "results.csv:4: repeats"),
+    ])
+    def test_bad_row_is_an_input_error(self, tmp_path, capsys, rows, where):
+        out = tmp_path / "bad"
+        out.mkdir()
+        (out / "results.csv").write_text(
+            "\n".join(["scenario,method,dataset,seed,metric,value", *rows]) + "\n")
+        assert main(["report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert where in err
+        assert not list(out.glob("report_*.csv"))
+
+    def test_missing_results_dir_is_an_input_error(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path / "nowhere")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {tmp_path / 'nowhere' / 'results.csv'}")
+        assert err.count("\n") == 1
 
 
 class TestCLI:

@@ -9,10 +9,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 05_method_comparison trains every method at demo scale (about 11 s on one
-# core) and is left out to keep this suite quick; 01-04 take about 2.5 s together.
+# 01-04 take about 2.5 s together; 05_method_comparison trains every method at
+# demo scale and prints `fedprompt report`'s grid, in about 3 s on two cores.
 DEMOS = ["01_prompt_learning_vs_zero_shot.py", "02_data_heterogeneity.py",
-         "03_optimal_transport_scoring.py", "04_communication_costs.py"]
+         "03_optimal_transport_scoring.py", "04_communication_costs.py",
+         "05_method_comparison.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -99,12 +99,7 @@ class TestSuperiority:
     def test_strict_comparison_ignores_ties(self):
         assert superiority_indicator([5.0, 6.0], [5.0, 5.0]) == 1
 
-    def test_dict_rows(self):
-        assert superiority_indicator({"x": 2.0, "y": 1.0}, {"x": 1.0, "y": 1.5}) == 1
-
     def test_column_mismatch(self):
-        with pytest.raises(EvaluationError):
-            superiority_indicator({"x": 1.0}, {"y": 1.0})
         with pytest.raises(EvaluationError):
             superiority_indicator([1.0, 2.0], [1.0])
 

@@ -72,7 +72,7 @@ def run_grid(grid: str, out_dir: Path):
 def test_grid_matches_golden_files(grid, tmp_path):
     result = run_grid(grid, tmp_path)
     assert result.failures == []
-    assert len({(o.scenario, o.method) for o in result.table.observations}) == 53  # zsclip: no cost cell
+    assert len({(o.scenario, o.method) for o in result.observations}) == 53  # zsclip: no cost cell
     for name in FILES:
         assert (tmp_path / name).read_bytes() == (GOLDEN / grid / name).read_bytes(), name
 
