@@ -154,9 +154,7 @@ def run(config: ExperimentConfig, jobs: int = 1, dry_run: bool = False,
     observations.sort()
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    # reports of an earlier run into this directory describe other results
-    for stale in [*out_dir.glob("report_*.csv"), *out_dir.glob("costcurve_*.csv")]:
-        stale.unlink()
+    _remove_stale_reports(out_dir)
     _write_atomic(out_dir / RESULTS_CSV, _results_csv_text(observations))
     _write_atomic(out_dir / RESULTS_JSON,
                   json.dumps(_results_tree(observations), indent=2, sort_keys=True) + "\n")
@@ -175,6 +173,14 @@ def _write_atomic(path: Path, text: str) -> None:
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _remove_stale_reports(out_dir: Path, keep=()) -> None:
+    """Delete the report and cost-curve files in out_dir not named in `keep`:
+    they describe other results than the ones in its results.csv."""
+    for stale in [*out_dir.glob("report_*.csv"), *out_dir.glob("costcurve_*.csv")]:
+        if stale.name not in keep:
+            stale.unlink()
 
 
 def _results_csv_text(observations: list[Observation]) -> str:
@@ -267,9 +273,11 @@ def _grid_lines(by_method: dict, metric: str) -> list[str]:
 
 def report(results_dir: str) -> str:
     """Write per-scenario comparison grids and cost-curve files from the
-    results.csv of a run; return a summary."""
+    results.csv of a run, removing those of earlier reports that this one
+    does not write; return a summary."""
     results_dir = Path(results_dir)
     tree = _results_tree(load_results_csv(results_dir / RESULTS_CSV))
+    files: dict[str, str] = {}  # file name -> text
     chunks: list[str] = []
     for scenario, by_method in sorted(tree.items()):
         metrics = sorted({metric for by_dataset in by_method.values()
@@ -282,7 +290,7 @@ def report(results_dir: str) -> str:
                     and len(by_method) > 1):
                 chunks.append(f"[{scenario}/{metric}] baseline '{BASELINE_METHOD}' missing; "
                               "superiority column omitted")
-            _write_atomic(results_dir / f"report_{scenario}_{metric}.csv", "\n".join(lines) + "\n")
+            files[f"report_{scenario}_{metric}.csv"] = "\n".join(lines) + "\n"
             chunks.append(f"# {scenario} / {metric}")
             chunks.extend(lines)
             chunks.append("")
@@ -293,9 +301,11 @@ def report(results_dir: str) -> str:
                         if "chi_millions" in cells and "alpha_g" in cells)
         if not points:
             continue
-        out = results_dir / f"costcurve_{method}.csv"
         lines = ["params_millions,accuracy,dataset"]
         lines += [f"{chi!r},{acc!r},{dataset}" for chi, acc, dataset in points]
-        _write_atomic(out, "\n".join(lines) + "\n")
-        chunks.append(f"wrote {out.name} ({len(points)} sweep points)")
+        files[f"costcurve_{method}.csv"] = "\n".join(lines) + "\n"
+        chunks.append(f"wrote costcurve_{method}.csv ({len(points)} sweep points)")
+    _remove_stale_reports(results_dir, keep=files)
+    for name, text in files.items():
+        _write_atomic(results_dir / name, text)
     return "\n".join(chunks)

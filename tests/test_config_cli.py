@@ -872,6 +872,28 @@ class TestReport:
         assert where in err
         assert not list(out.glob("report_*.csv"))
 
+    def test_report_removes_the_files_of_an_earlier_report(self, tmp_path, capsys):
+        out = tmp_path / "rereport"
+        out.mkdir()
+        header = "scenario,method,dataset,seed,metric,value"
+        global_rows = ["global,promptfl,a,0,alpha_g,50.0", "global,promptfl,a,0,chi_millions,1.0"]
+        cost_rows = ["cost_tradeoff,promptfl,a|prompts=1,0,alpha_g,50.0",
+                     "cost_tradeoff,promptfl,a|prompts=1,0,chi_millions,2.0"]
+        (out / "results.csv").write_text("\n".join([header, *global_rows, *cost_rows]) + "\n")
+        report(str(out))
+        written = sorted(p.name for p in out.glob("*_*.csv"))
+        assert written == ["costcurve_promptfl.csv", "report_cost_tradeoff_alpha_g.csv",
+                           "report_global_alpha_g.csv", "report_global_chi_millions.csv"]
+        # a malformed results.csv leaves the directory as it was
+        (out / "results.csv").write_text(header + "\nglobal,promptfl,a,0,alpha_g\n")
+        assert main(["report", str(out)]) == 2
+        assert sorted(p.name for p in out.glob("*_*.csv")) == written
+        # a results.csv of one scenario leaves only that scenario's files
+        (out / "results.csv").write_text("\n".join([header, *global_rows]) + "\n")
+        report(str(out))
+        assert sorted(p.name for p in out.glob("*_*.csv")) == [
+            "report_global_alpha_g.csv", "report_global_chi_millions.csv"]
+
     def test_missing_results_dir_is_an_input_error(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nowhere")]) == 2
         err = capsys.readouterr().err
