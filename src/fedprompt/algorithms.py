@@ -535,6 +535,26 @@ def transport_probs(predictors: list[TransportPredictor],
             for p, c, start in zip(predictors, costs, starts)]
 
 
+@dataclass
+class PerClientPredictor:
+    """Each client's own predictor over its consecutive block of `rows` rows,
+    in client order. Transport blocks are solved in one `transport_probs` stack."""
+
+    predictors: list
+    rows: list[int]
+
+    def probs(self, image_features: np.ndarray, local_maps: np.ndarray | None) -> np.ndarray:
+        if sum(self.rows) != len(image_features):
+            raise DataError(f"client blocks of {sum(self.rows)} rows over "
+                            f"{len(image_features)} images")
+        bounds = np.cumsum(self.rows)[:-1]
+        maps = [None] * len(self.rows) if local_maps is None else np.split(local_maps, bounds)
+        if all(isinstance(p, TransportPredictor) for p in self.predictors):
+            return np.concatenate(transport_probs(self.predictors, maps))
+        return np.concatenate([p.probs(x, m) for p, x, m in
+                               zip(self.predictors, np.split(image_features, bounds), maps)])
+
+
 class PromptFLTrainer(LocalTrainer):
     kind = "promptfl"
 

@@ -17,10 +17,9 @@ import numpy as np
 from .algorithms import (
     CosinePredictor,
     LocalTrainer,
+    PerClientPredictor,
     PersonalizedFedOTPTrainer,
-    TransportPredictor,
     make_trainer,
-    transport_probs,
 )
 from .data import (
     ClientDataset,
@@ -55,60 +54,12 @@ TOKEN_SWEEP = (4, 8, 16)
 # Metric primitives
 # ---------------------------------------------------------------------------
 
-def accuracy_percent(predicted: np.ndarray, target: np.ndarray) -> float:
-    if len(predicted) == 0:
-        raise EvaluationError("accuracy of an empty prediction set")
-    return float((np.asarray(predicted) == np.asarray(target)).mean() * 100.0)
-
-
 def evaluate_predictor(predictor, features: np.ndarray, labels: np.ndarray,
                        class_ids: np.ndarray | None = None, *,
-                       local_maps: np.ndarray | None,
-                       sizes: list[int] | None = None) -> float | list[float]:
-    """Top-1 accuracy (percent) of a predictor over a labeled feature set; with
-    `sizes`, the accuracy of each consecutive block of that many rows."""
+                       local_maps: np.ndarray | None) -> int:
+    """The number of rows of a labeled feature set whose top-1 prediction is right."""
     predicted = predictor.probs(features, local_maps).argmax(axis=1)
-    target = class_positions(labels, class_ids)
-    if sizes is None:
-        return accuracy_percent(predicted, target)
-    bounds = np.cumsum(sizes)[:-1]
-    return [accuracy_percent(p, t)
-            for p, t in zip(np.split(predicted, bounds), np.split(target, bounds))]
-
-
-def personalized_accuracy(predictors, test_sets: list[ClientDataset]) -> float:
-    """Client accuracies averaged with weights proportional to their test data.
-
-    `predictors` holds one predictor per client, or is one predictor that
-    every client shares. A shared predictor scores all the test sets in one
-    call over their concatenation: a row's probabilities do not depend on
-    the rows beside it. Transport predictors are scored together, in one
-    Sinkhorn stack over every client's test set; other predictors are
-    scored client by client.
-    """
-    shared = not isinstance(predictors, list)
-    pairs = zip([predictors] * len(test_sets) if shared else predictors, test_sets)
-    held = [(predictor, test) for predictor, test in pairs if test is not None and len(test) > 0]
-    if not held:
-        raise EvaluationError("every client test set is empty")
-    tests = [test for _, test in held]
-    if shared:
-        maps = None if tests[0].local_maps is None else \
-            np.concatenate([test.local_maps for test in tests])
-        accs = evaluate_predictor(predictors, np.concatenate([test.features for test in tests]),
-                                  np.concatenate([test.labels for test in tests]),
-                                  local_maps=maps, sizes=[len(test) for test in tests])
-    elif all(isinstance(predictor, TransportPredictor) for predictor, _ in held):
-        probs = transport_probs([predictor for predictor, _ in held],
-                                [test.local_maps for test in tests])
-        accs = [accuracy_percent(p.argmax(axis=1), test.labels) for p, test in zip(probs, tests)]
-    else:
-        accs = [evaluate_predictor(predictor, test.features, test.labels,
-                                   local_maps=test.local_maps)
-                for predictor, test in held]
-    weights = np.array([len(test) for test in tests], dtype=np.float64)
-    weights /= weights.sum()
-    return float(np.dot(weights, accs))
+    return int(np.count_nonzero(predicted == class_positions(labels, class_ids)))
 
 
 def harmonic_mean(a: float, b: float) -> float:
@@ -280,7 +231,9 @@ def build_run_state(config: "ExperimentConfig",
 
 @dataclass
 class _Target:
-    """One scored test set: results column, metric, and its per-round record key."""
+    """One scored test set: results column, metric, and its per-round record
+    key. A personalized target's rows are the clients' test rows, in client
+    order."""
 
     column: str
     metric: str
@@ -295,10 +248,10 @@ class _ScenarioPlan:
     """What a scenario changes in the one cell pipeline of `run_cell`."""
 
     targets: list[_Target]
-    clients: list[np.ndarray] | None = None       # training indices per client (trained only)
-    client_tests: list[np.ndarray] | None = None  # personalized: test indices per client
-    class_ids: np.ndarray | None = None           # the classes trained on (None: all)
-    per_round: bool = True                        # `best_scores` of the rounds, else final only
+    clients: list[np.ndarray] | None = None  # training indices per client (trained only)
+    client_rows: list[int] | None = None     # personalized: each client's target rows
+    class_ids: np.ndarray | None = None      # the classes trained on (None: all)
+    per_round: bool = True                   # `best_scores` of the rounds, else final only
 
 
 def _scenario_plan(state: RunState, kind: str, trained: bool, dataset: str,
@@ -345,7 +298,8 @@ def _scenario_plan(state: RunState, kind: str, trained: bool, dataset: str,
             # per-client test pools mirror each client's training label distribution
             tests = mirror_partition(raw.class_proportions, master.labels[te],
                                      rngs.derive_rng(seed, rngs.PARTITION, 1))
-            scenario.client_tests = [te[ix] for ix in tests.client_indices]
+            scenario.targets[0].indices = np.concatenate([te[ix] for ix in tests.client_indices])
+            scenario.client_rows = [len(ix) for ix in tests.client_indices]
     return scenario
 
 
@@ -368,9 +322,10 @@ def _run_plan(state: RunState, kind: str, method: str, dataset: str, column: str
     trained = method != ZERO_SHOT_METHOD
     scenario = _scenario_plan(state, kind, trained, dataset, column, seed)
     targets = scenario.targets
-    # a trained personalized cell scores only its clients' own test sets
-    tests = (None if scenario.client_tests is not None
-             else [ClientDataset.from_master(t.source, t.indices) for t in targets])
+    empty = [t.key for t in targets if len(t.indices) == 0]
+    if empty:
+        raise EvaluationError(f"no test rows to score for {', '.join(empty)}")
+    tests = [ClientDataset.from_master(t.source, t.indices) for t in targets]
     # one cut of the assets per class set trained or scored, so that a
     # broadcast encoding made under it serves every use of that set
     cuts: dict[bytes | None, ModelAssets] = {}
@@ -380,15 +335,15 @@ def _run_plan(state: RunState, kind: str, method: str, dataset: str, column: str
         return cuts.get(key) or cuts.setdefault(key, assets.for_classes(class_ids))
 
     def score(make_predictor) -> dict[str, float]:
-        """Accuracy per record key, with one predictor per evaluated class set."""
+        """Accuracy (percent) per record key, with one predictor per evaluated class set."""
         predictors, scores = {}, {}
         for target, test in zip(targets, tests):
             scored = cut(target.class_ids)
             if id(scored) not in predictors:
                 predictors[id(scored)] = make_predictor(scored)
-            scores[target.key] = evaluate_predictor(predictors[id(scored)], test.features,
-                                                    test.labels, scored.class_ids,
-                                                    local_maps=test.local_maps)
+            correct = evaluate_predictor(predictors[id(scored)], test.features, test.labels,
+                                         scored.class_ids, local_maps=test.local_maps)
+            scores[target.key] = correct / len(test) * 100.0
         return scores
 
     if not trained:
@@ -399,25 +354,22 @@ def _run_plan(state: RunState, kind: str, method: str, dataset: str, column: str
 
     trainer = _trainer_for(method, kind)
     fed_cfg = state.config.federation
-    clients = build_clients(master, scenario.clients, trainer, cfg, seed, scenario.client_tests)
+    clients = build_clients(master, scenario.clients, trainer, cfg, seed)
     if method in TRANSPORT_METHODS:
-        slices = [(master, c.dataset) for c in clients]
-        if scenario.client_tests is None:
-            slices += [(t.source, test) for t, test in zip(targets, tests)]
-        else:  # only the client test sets are scored
-            slices += [(master, c.test_set) for c in clients]
-        _give_local_maps(slices, cfg.local_features, state.noise)
+        _give_local_maps([(master, c.dataset) for c in clients]
+                         + [(t.source, test) for t, test in zip(targets, tests)],
+                         cfg.local_features, state.noise)
 
     def evaluate(server, clients) -> dict[str, float]:
+        """Score the broadcast's predictor, or each personalized client's own
+        over that client's rows."""
         payload = server.payload
-        if scenario.client_tests is None:
+        if scenario.client_rows is None or trainer.scores_with_broadcast:
             return score(lambda scored: trainer.build_predictor(payload, scored, None))
-        held = [c for c in clients if len(c.test_set) > 0]
-        if trainer.scores_with_broadcast:  # one predictor serves every client
-            predictors = trainer.build_predictor(payload, assets, None)
-        else:
-            predictors = [trainer.build_predictor(payload, assets, c.state) for c in held]
-        return {targets[0].key: personalized_accuracy(predictors, [c.test_set for c in held])}
+        held = [(c, rows) for c, rows in zip(clients, scenario.client_rows) if rows]
+        return score(lambda scored: PerClientPredictor(
+            [trainer.build_predictor(payload, scored, c.state) for c, _ in held],
+            [rows for _, rows in held]))
 
     audit = None if scenario.class_ids is None else []
     server = run_federation(trainer, clients, fed_cfg, cut(scenario.class_ids), seed,

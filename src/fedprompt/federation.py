@@ -102,7 +102,6 @@ class Client:
 
     dataset: ClientDataset
     state: ClientTrainState
-    test_set: ClientDataset | None = None
 
 
 @dataclass
@@ -243,19 +242,9 @@ def run_federation(trainer: LocalTrainer, clients: list[Client], fed_cfg: Federa
 
 
 def build_clients(master: MasterDataset, client_indices: list[np.ndarray], trainer: LocalTrainer,
-                  cfg: ModelConfig, seed: int,
-                  test_indices: list[np.ndarray] | None = None) -> list[Client]:
+                  cfg: ModelConfig, seed: int) -> list[Client]:
     """Materialise per-client datasets and fresh training state from per-client
-    master indices (and per-client test indices, for personalized evaluation)."""
-    clients = []
-    for cid, indices in enumerate(client_indices):
-        state = trainer.init_state(cfg, rngs.derive_rng(seed, rngs.CLIENT, cid))
-        test_set = None
-        if test_indices is not None:
-            test_set = ClientDataset.from_master(master, test_indices[cid])
-        clients.append(Client(
-            dataset=ClientDataset.from_master(master, indices),
-            state=state,
-            test_set=test_set,
-        ))
-    return clients
+    master indices."""
+    return [Client(ClientDataset.from_master(master, indices),
+                   trainer.init_state(cfg, rngs.derive_rng(seed, rngs.CLIENT, cid)))
+            for cid, indices in enumerate(client_indices)]

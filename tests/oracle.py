@@ -2,11 +2,11 @@
 
 Scalar cosine and cross-entropy, central-difference gradients and the
 relative error of gradient checks, payload equality and parameter counts,
-and personalized accuracy scored client by client, by transport or by one
-shared predictor. The package computes these in batched form
-(`softmax_ce_batch`, `ModelAssets.text_features`, `payload_scalars`,
-`transport_probs`, one stacked `probs` call); these plain forms are what
-the tests compare it against. Also the transport loss with its plan
+and the correct predictions of a personalized target counted client by
+client. The package computes these in batched form (`softmax_ce_batch`,
+`ModelAssets.text_features`, `payload_scalars`, `transport_probs`, one
+`probs` call over every client's rows); these plain forms are what the
+tests compare it against. Also the transport loss with its plan
 gradient in one three-operand contraction, a context's encoding as the loss
 kernels take it, a trainer with other loss weights, zero-shot accuracy on a plain feature set, a
 feature-table writer, and one cell run on a state built for it alone, with
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from fedprompt import evaluation
-from fedprompt.algorithms import CosinePredictor, make_trainer
+from fedprompt.algorithms import CosinePredictor, TransportPredictor, make_trainer
 from fedprompt.errors import ConfigError, DomainError
 from fedprompt.evaluation import build_run_state, evaluate_predictor, run_cell
 from fedprompt.numerics import CROSS_ENTROPY_CAP, _check_finite, softmax_ce_batch, softmax_temp
@@ -151,40 +151,27 @@ def ot_scores_and_grads_three_operand(feats, backward, local_maps, labels, tau, 
     return loss, backward(np.einsum("bc,bcmn,bmd->ncd", dlogits, plans, local_maps))
 
 
-def personalized_transport_accuracy(predictors, test_sets) -> float:
-    """Size-weighted mean of client accuracies over all classes, one solve per client."""
-    accs, sizes = [], []
-    for predictor, test in zip(predictors, test_sets):
-        if len(test) == 0:
+def client_by_client_correct(predictors, rows, features, labels, local_maps) -> int:
+    """Correct top-1 predictions over consecutive client blocks of `rows[k]`
+    rows, where `predictors[k]` scores client k's block in a call of its own
+    (a transport predictor in a Sinkhorn solve of its own)."""
+    correct, start = 0, 0
+    for predictor, n in zip(predictors, rows):
+        block, start = slice(start, start + n), start + n
+        if n == 0:
             continue
-        predicted = transport_probs_alone(predictor, test.local_maps).argmax(axis=1)
-        accs.append(float((predicted == test.labels).mean() * 100.0))
-        sizes.append(len(test))
-    weights = np.array(sizes, dtype=np.float64)
-    weights /= weights.sum()
-    return float(np.dot(weights, accs))
-
-
-def shared_predictor_accuracy(predictor, test_sets) -> float:
-    """Size-weighted mean of client accuracies over all classes, with one
-    predictor that scores each client's test set in a call of its own."""
-    accs, sizes = [], []
-    for test in test_sets:
-        if len(test) == 0:
-            continue
-        predicted = predictor.probs(test.features, test.local_maps).argmax(axis=1)
-        accs.append(float((predicted == test.labels).mean() * 100.0))
-        sizes.append(len(test))
-    weights = np.array(sizes, dtype=np.float64)
-    weights /= weights.sum()
-    return float(np.dot(weights, accs))
+        maps = None if local_maps is None else local_maps[block]
+        probs = (transport_probs_alone(predictor, maps) if isinstance(predictor, TransportPredictor)
+                 else predictor.probs(features[block], maps))
+        correct += int((probs.argmax(axis=1) == labels[block]).sum())
+    return correct
 
 
 def zero_shot_accuracy(assets, features: np.ndarray, labels: np.ndarray) -> float:
     """Accuracy (percent) of the handcrafted prompt on a labeled feature set."""
     hand, _ = assets.text_features(assets.handcrafted.vectors)
     predictor = CosinePredictor(hand, assets.cfg.tau)
-    return evaluate_predictor(predictor, features, labels, local_maps=None)
+    return evaluate_predictor(predictor, features, labels, local_maps=None) / len(labels) * 100.0
 
 
 def save_feature_table(dataset, path: str) -> None:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracle import audited_cell, one_cell
 from fedprompt import evaluation
-from fedprompt.algorithms import CosinePredictor
+from fedprompt.algorithms import CosinePredictor, PerClientPredictor
 from fedprompt.config import DataConfig, ExperimentConfig
 from fedprompt.data import SyntheticSpec, base_novel_split, generate_synthetic_dataset
 from fedprompt.errors import DataError, DomainError, EvaluationError
@@ -20,7 +20,6 @@ from fedprompt.evaluation import (
     build_run_state,
     evaluate_predictor,
     harmonic_mean,
-    personalized_accuracy,
     run_cell,
     superiority_indicator,
 )
@@ -122,69 +121,127 @@ class TestAggregateRuns:
             aggregate_runs([])
 
 
+class _Predicts:
+    """A predictor whose top-1 prediction for row i is `predicted[i]`."""
+
+    def __init__(self, predicted):
+        self.predicted = np.asarray(predicted)
+
+    def probs(self, feats, local_maps=None):
+        return np.eye(self.predicted.max(initial=0) + 1)[self.predicted]
+
+
+class _Fixed:
+    """Right (class 0) on the first `correct_fraction` of its rows, wrong after."""
+
+    def __init__(self, correct_fraction):
+        self.f = correct_fraction
+
+    def probs(self, feats, local_maps=None):
+        n = feats.shape[0]
+        out = np.zeros((n, 2))
+        k = int(round(self.f * n))
+        out[:k, 0] = 1.0  # predict class 0
+        out[k:, 1] = 1.0
+        return out
+
+
+def _correct(predictor, n: int) -> int:
+    """`evaluate_predictor` over n class-0 rows."""
+    return evaluate_predictor(predictor, np.ones((n, 3)), np.zeros(n, dtype=int), local_maps=None)
+
+
+def _emptied_plan(monkeypatch, clients):
+    """Patch the scenario plan so that the given clients hold no rows of the
+    personalized target; return the recorded `evaluate_predictor` calls."""
+    plan, evaluate, calls = evaluation._scenario_plan, evaluation.evaluate_predictor, []
+
+    def emptied(state, kind, trained, dataset, column, seed):
+        scenario = plan(state, kind, trained, dataset, column, seed)
+        target, rows = scenario.targets[0], scenario.client_rows
+        target.indices = target.indices[np.repeat([k not in clients for k in range(len(rows))],
+                                                  rows)]
+        scenario.client_rows = [0 if k in clients else n for k, n in enumerate(rows)]
+        return scenario
+
+    def recording(predictor, *args, **kwargs):
+        calls.append(predictor)
+        return evaluate(predictor, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_scenario_plan", emptied)
+    monkeypatch.setattr(evaluation, "evaluate_predictor", recording)
+    return calls
+
+
 class TestGlobalAccuracy:
     def test_perfect_predictor(self):
-        from fedprompt.evaluation import accuracy_percent
-        assert accuracy_percent(np.arange(5), np.arange(5)) == 100.0
+        labels = np.arange(5)
+        assert evaluate_predictor(_Predicts(labels), np.ones((5, 3)), labels,
+                                  local_maps=None) == 5
 
     def test_three_of_four(self):
-        from fedprompt.evaluation import accuracy_percent
-        assert accuracy_percent(np.array([0, 1, 2, 2]), np.array([0, 1, 2, 3])) == 75.0
+        assert evaluate_predictor(_Predicts([0, 1, 2, 2]), np.ones((4, 3)), np.array([0, 1, 2, 3]),
+                                  local_maps=None) == 3
 
     def test_chance_level_for_random_predictor(self):
         rng = np.random.default_rng(0)
         C, n = 8, 20000
         predicted = rng.integers(0, C, size=n)
         target = rng.integers(0, C, size=n)
-        from fedprompt.evaluation import accuracy_percent
-        assert accuracy_percent(predicted, target) == pytest.approx(100.0 / C, abs=1.0)
+        correct = evaluate_predictor(_Predicts(predicted), np.ones((n, 3)), target,
+                                     local_maps=None)
+        assert correct / n * 100.0 == pytest.approx(100.0 / C, abs=1.0)
 
-    def test_empty_rejected(self):
-        from fedprompt.evaluation import accuracy_percent
-        with pytest.raises(EvaluationError):
-            accuracy_percent(np.array([]), np.array([]))
+    def test_empty_rejected(self, desk_master, monkeypatch):
+        # a target with no rows fails the cell before any predictor runs
+        plan, calls = evaluation._scenario_plan, []
+
+        def emptied(*args):
+            scenario = plan(*args)
+            scenario.targets[0].indices = scenario.targets[0].indices[:0]
+            return scenario
+
+        monkeypatch.setattr(evaluation, "_scenario_plan", emptied)
+        monkeypatch.setattr(evaluation, "evaluate_predictor", lambda *args, **kw: calls.append(1))
+        for method in ("zsclip", "promptfl"):
+            with pytest.raises(EvaluationError, match="no test rows to score for test_accuracy"):
+                one_cell(desk_config(), "global", method, desk_master, 0)
+        assert calls == []
 
 
 class TestPersonalizedAccuracy:
-    class _Fixed:
-        def __init__(self, correct_fraction):
-            self.f = correct_fraction
-
-        def probs(self, feats, local_maps=None):
-            n = feats.shape[0]
-            out = np.zeros((n, 2))
-            k = int(round(self.f * n))
-            out[:k, 0] = 1.0  # predict class 0
-            out[k:, 1] = 1.0
-            return out
-
-    def _test_set(self, n):
-        from fedprompt.data import ClientDataset
-        return ClientDataset(features=np.ones((n, 3)), labels=np.zeros(n, dtype=int),
-                             master_indices=np.arange(n))
-
+    # a personalized target's accuracy is the correct predictions over the
+    # union of the clients' test rows: the test-size-weighted mean, exactly
     def test_weighted_mean(self):
         # (100%, n=10) and (50%, n=30) -> 62.5
-        out = personalized_accuracy([self._Fixed(1.0), self._Fixed(0.5)],
-                                    [self._test_set(10), self._test_set(30)])
-        assert out == pytest.approx(62.5, abs=1e-12)
+        correct = _correct(PerClientPredictor([_Fixed(1.0), _Fixed(0.5)], [10, 30]), 40)
+        assert correct / 40 * 100.0 == 62.5
 
     def test_equal_accuracy(self):
-        out = personalized_accuracy([self._Fixed(0.8), self._Fixed(0.8)],
-                                    [self._test_set(5), self._test_set(25)])
-        assert out == pytest.approx(80.0, abs=1e-12)
+        correct = _correct(PerClientPredictor([_Fixed(0.8), _Fixed(0.8)], [5, 25]), 30)
+        assert correct / 30 * 100.0 == 80.0
 
     def test_single_client(self):
-        assert personalized_accuracy([self._Fixed(1.0)], [self._test_set(4)]) == 100.0
+        assert _correct(PerClientPredictor([_Fixed(1.0)], [4]), 4) == 4
 
-    def test_empty_clients_excluded(self):
-        out = personalized_accuracy([self._Fixed(1.0), self._Fixed(0.0)],
-                                    [self._test_set(10), self._test_set(0)])
-        assert out == 100.0
+    def test_blocks_must_cover_the_rows(self):
+        with pytest.raises(DataError, match="client blocks of 4 rows over 5 images"):
+            _correct(PerClientPredictor([_Fixed(1.0)], [4]), 5)
 
-    def test_all_empty_rejected(self):
-        with pytest.raises(EvaluationError):
-            personalized_accuracy([self._Fixed(1.0)], [self._test_set(0)])
+    @pytest.mark.parametrize("method", ["fedotp", "cocoop"])
+    def test_empty_clients_excluded(self, desk_master, monkeypatch, method):
+        # a client without test rows gets no predictor and no block
+        calls = _emptied_plan(monkeypatch, clients={0})
+        one_cell(desk_config(rounds=1), "personalized", method, desk_master, 0)
+        (predictor,) = calls
+        assert len(predictor.predictors) == len(predictor.rows) == 3
+        assert min(predictor.rows) > 0
+
+    def test_all_empty_rejected(self, desk_master, monkeypatch):
+        calls = _emptied_plan(monkeypatch, clients={0, 1, 2, 3})
+        with pytest.raises(EvaluationError, match="no test rows to score for test_accuracy"):
+            one_cell(desk_config(), "personalized", "fedotp", desk_master, 0)
+        assert calls == []
 
 
 class TestScenarios:
@@ -232,7 +289,9 @@ class TestScenarios:
 
     def test_missing_score_fails_the_cell(self, desk_master, monkeypatch):
         # a target no round scored is an error, not a 0.0 in results.csv
-        monkeypatch.setattr(evaluation, "evaluate_predictor", lambda *args, **kwargs: None)
+        federate = evaluation.run_federation
+        monkeypatch.setattr(evaluation, "run_federation", lambda *args, eval_fn, **kwargs:
+                            federate(*args, eval_fn=lambda server, clients: {}, **kwargs))
         with pytest.raises(KeyError, match="test_accuracy"):
             one_cell(desk_config(), "global", "promptfl", desk_master, 0)
 
@@ -290,7 +349,7 @@ class TestScenarios:
     def test_test_label_outside_the_class_set(self):
         predictor = CosinePredictor(np.eye(3)[None], tau=1.0)
         features, labels = np.eye(3), np.array([0, 1, 2])
-        assert evaluate_predictor(predictor, features, labels, local_maps=None) == 100.0
+        assert evaluate_predictor(predictor, features, labels, local_maps=None) == 3
         with pytest.raises(DataError, match=r"label 1 is outside the class set \[0, 2\]"):
             evaluate_predictor(predictor, features, labels, np.array([0, 2]), local_maps=None)
 
@@ -313,15 +372,11 @@ class TestScenarios:
 
         def recording_federation(trainer, clients, *args, **kwargs):
             seen.extend((len(c.dataset), c.dataset.local_maps) for c in clients)
-            seen.extend((len(c.test_set), c.test_set.local_maps) for c in clients
-                        if c.test_set is not None)
             return federate(trainer, clients, *args, **kwargs)
 
-        def recording_evaluate(predictor, features, labels, class_ids=None, *, local_maps,
-                               sizes=None):
+        def recording_evaluate(predictor, features, labels, class_ids=None, *, local_maps):
             seen.append((len(labels), local_maps))
-            return evaluate(predictor, features, labels, class_ids, local_maps=local_maps,
-                            sizes=sizes)
+            return evaluate(predictor, features, labels, class_ids, local_maps=local_maps)
 
         monkeypatch.setattr(evaluation, "run_federation", recording_federation)
         monkeypatch.setattr(evaluation, "evaluate_predictor", recording_evaluate)
@@ -339,53 +394,70 @@ class TestScenarios:
                         assert maps is not None and maps.shape == (n, M, d)
 
     def test_personalized_transport_cell_maps_only_scored_rows(self, desk_master, monkeypatch):
-        # the per-client test sets are scored, not the scenario's test slice
-        from fedprompt import evaluation
+        # the clients' test rows are scored, not the scenario's test slice
         from fedprompt.data import MasterDataset
 
-        requested, held = [], []
-        ensure = MasterDataset.ensure_local_maps
-        federate = evaluation.run_federation
+        requested, plans = [], []
+        ensure, plan = MasterDataset.ensure_local_maps, evaluation._scenario_plan
 
         def recording_maps(self, M, rows, *args):
             requested.append(sorted(np.concatenate(rows).tolist()))
             return ensure(self, M, rows, *args)
 
-        def recording_federation(trainer, clients, *args, **kwargs):
-            held.extend(c.dataset.master_indices for c in clients)
-            held.extend(c.test_set.master_indices for c in clients)
-            return federate(trainer, clients, *args, **kwargs)
-
         monkeypatch.setattr(MasterDataset, "ensure_local_maps", recording_maps)
-        monkeypatch.setattr(evaluation, "run_federation", recording_federation)
+        monkeypatch.setattr(evaluation, "_scenario_plan",
+                            lambda *args: plans.append(plan(*args)) or plans[-1])
         one_cell(desk_config(rounds=1), "personalized", "fedotp", desk_master, 0)
+        scenario = plans[-1]
+        held = [*scenario.clients, scenario.targets[0].indices]
         assert requested == [sorted(np.concatenate(held).tolist())]
 
-    def test_personalized_transport_scored_in_one_stack(self, desk_master, monkeypatch):
-        # one Sinkhorn solve scores every held client of a round, and the
-        # accuracy is bitwise the client-by-client one
-        from fedprompt import algorithms, evaluation
-        from oracle import personalized_transport_accuracy
+    def _personalized_rounds(self, monkeypatch, on_score):
+        """Record the client rows of the personalized plan, and call
+        `on_score(predictor, features, labels, local_maps, rows)` around each
+        `evaluate_predictor` call, which it returns the count of."""
+        plans = []
+        plan, evaluate = evaluation._scenario_plan, evaluation.evaluate_predictor
+
+        def recording(predictor, features, labels, class_ids=None, *, local_maps):
+            return on_score(lambda: evaluate(predictor, features, labels, class_ids,
+                                             local_maps=local_maps),
+                            predictor, features, labels, local_maps, plans[-1].client_rows)
+
+        monkeypatch.setattr(evaluation, "_scenario_plan",
+                            lambda *args: plans.append(plan(*args)) or plans[-1])
+        monkeypatch.setattr(evaluation, "evaluate_predictor", recording)
+
+    @pytest.mark.parametrize("method", ["fedotp", "cocoop"])
+    def test_personalized_per_client_predictors(self, desk_master, monkeypatch, method):
+        # each held client scores its own block of the target's rows, the
+        # transport blocks in one Sinkhorn solve per evaluated round, and the
+        # count is the client-by-client one
+        from fedprompt import algorithms
+        from oracle import client_by_client_correct
 
         solves, rounds = [], []
-        solve, score = algorithms.sinkhorn_batched, evaluation.personalized_accuracy
+        solve = algorithms.sinkhorn_batched
 
         def counting_solve(*args, **kwargs):
             solves.append(args[0].shape)
             return solve(*args, **kwargs)
 
-        def recording_score(predictors, test_sets):
-            rounds.append(len([t for t in test_sets if len(t) > 0]))
+        def on_score(evaluate, predictor, features, labels, local_maps, rows):
+            assert isinstance(predictor, PerClientPredictor)
+            assert predictor.rows == [n for n in rows if n]
+            rounds.append(len(predictor.rows))
             before = len(solves)
-            value = score(predictors, test_sets)
-            assert len(solves) - before == 1
-            assert value == personalized_transport_accuracy(predictors, test_sets)
-            return value
+            correct = evaluate()
+            assert len(solves) - before == (1 if method == "fedotp" else 0)
+            assert correct == client_by_client_correct(predictor.predictors, predictor.rows,
+                                                       features, labels, local_maps)
+            return correct
 
         monkeypatch.setattr(algorithms, "sinkhorn_batched", counting_solve)
-        monkeypatch.setattr(evaluation, "personalized_accuracy", recording_score)
+        self._personalized_rounds(monkeypatch, on_score)
         config = desk_config(rounds=2)
-        result = one_cell(config, "personalized", "fedotp", desk_master, 0)
+        result = one_cell(config, "personalized", method, desk_master, 0)
         assert len(rounds) == config.federation.rounds
         assert min(rounds) >= 3  # several clients hold test data in every round
         assert [o.metric for o in result.observations] == ["alpha_p"]
@@ -393,31 +465,32 @@ class TestScenarios:
     @pytest.mark.parametrize("method", ["promptfl", "plot"])
     def test_personalized_broadcast_scored_in_one_call(self, desk_master, monkeypatch, method):
         # every client scores with the broadcast payload: one predictor, one
-        # probs call per evaluated round over every held test set, and the
-        # accuracy is bitwise the client-by-client one
-        from fedprompt import algorithms, evaluation
-        from oracle import shared_predictor_accuracy
+        # probs call per evaluated round over every held row, and the count
+        # is the client-by-client one
+        from fedprompt import algorithms
+        from oracle import client_by_client_correct
 
         calls, rounds = [], []
         predictor_class = algorithms.TransportPredictor if method == "plot" \
             else algorithms.CosinePredictor
-        probs, score = predictor_class.probs, evaluation.personalized_accuracy
+        probs = predictor_class.probs
 
         def counting_probs(self, *args, **kwargs):
             calls.append(len(args[0]))
             return probs(self, *args, **kwargs)
 
-        def recording_score(predictors, test_sets):
-            held = [t for t in test_sets if len(t) > 0]
-            rounds.append(len(held))
+        def on_score(evaluate, predictor, features, labels, local_maps, rows):
+            assert isinstance(predictor, predictor_class)
+            rounds.append(len([n for n in rows if n]))
             before = len(calls)
-            value = score(predictors, test_sets)
-            assert calls[before:] == [sum(len(t) for t in held)]
-            assert value == shared_predictor_accuracy(predictors, test_sets)
-            return value
+            correct = evaluate()
+            assert calls[before:] == [sum(rows)]
+            assert correct == client_by_client_correct([predictor] * len(rows), rows,
+                                                       features, labels, local_maps)
+            return correct
 
         monkeypatch.setattr(predictor_class, "probs", counting_probs)
-        monkeypatch.setattr(evaluation, "personalized_accuracy", recording_score)
+        self._personalized_rounds(monkeypatch, on_score)
         config = desk_config(rounds=2)
         result = one_cell(config, "personalized", method, desk_master, 0)
         assert len(rounds) == config.federation.rounds
