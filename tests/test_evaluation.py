@@ -452,15 +452,18 @@ class TestScenarios:
             assert len(solves) - before == (1 if method == "fedotp" else 0)
             assert correct == client_by_client_correct(predictor.predictors, predictor.rows,
                                                        features, labels, local_maps)
+            accuracies.append(correct / len(labels) * 100.0)
             return correct
 
+        accuracies = []
         monkeypatch.setattr(algorithms, "sinkhorn_batched", counting_solve)
         self._personalized_rounds(monkeypatch, on_score)
         config = desk_config(rounds=2)
         result = one_cell(config, "personalized", method, desk_master, 0)
         assert len(rounds) == config.federation.rounds
         assert min(rounds) >= 3  # several clients hold test data in every round
-        assert [o.metric for o in result.observations] == ["alpha_p"]
+        (alpha_p,) = result.observations
+        assert (alpha_p.metric, alpha_p.value) == ("alpha_p", max(accuracies))
 
     @pytest.mark.parametrize("method", ["promptfl", "plot"])
     def test_personalized_broadcast_scored_in_one_call(self, desk_master, monkeypatch, method):

@@ -104,7 +104,7 @@ def openblas_core() -> str | None:
             corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
         except (OSError, AttributeError):
             continue
-        corename.restype = ctypes.c_char_p
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
         return corename().decode()
     return None
 
@@ -140,8 +140,8 @@ def test_result_files_do_not_depend_on_the_blas_kernels(tmp_path):
     # the linear_pool grid in two processes: the default OpenBLAS core and
     # another one, chosen by OPENBLAS_CORETYPE in the second child only
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parent),
-                                                      str(GOLDEN.parent.parent.parent / "src"),
+    tests = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests), str(tests.parent / "src"),
                                                       env.get("PYTHONPATH")]))
 
     def child(name: str, **extra) -> str:
@@ -167,8 +167,7 @@ def _rows(path: Path, name: str) -> dict:
     dataset, seed, metric), curves.jsonl by (scenario, method, dataset,
     seed, round)."""
     if name == RESULTS_CSV:
-        rows = [line.rsplit(",", 1) for line in path.read_text().splitlines()[1:]]
-        return {key: value for key, value in rows}
+        return dict(line.rsplit(",", 1) for line in path.read_text().splitlines()[1:])
     records = [json.loads(line) for line in path.read_text().splitlines()]
     return {",".join(str(r[k]) for k in ("scenario", "method", "dataset", "seed"))
             + f",round {r['round']}": r for r in records}
