@@ -1,5 +1,7 @@
 """Synthetic feature datasets, external feature tables, and partitioners."""
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,24 +52,86 @@ class MasterDataset:
                           noise_table: dict) -> list[np.ndarray]:
         """Region features for transport-based scoring, (len(r), M, d) for each r in `rows`.
 
-        A row's maps depend only on its feature and its slice of the
-        read-only (n, M, d) standard-normal draw held by `noise_table` under
-        (n, M, d), so they equal the per-sample draws of the whole dataset
-        at that row. The draw is made into the table on first use and
-        shared by every dataset of that shape, such as a master and its
-        shifted targets. The maps are read-only and kept by the caller, not
-        on this dataset.
+        A row's maps depend only on its feature and its rows of the
+        (n, M, d) region-noise stream, so they equal the per-sample draws of
+        the whole dataset at that row. `noise_table` holds, under (n, M, d),
+        the `RegionNoise` that keeps the stream's rows a run reads; its
+        values are drawn on the first call that needs them and shared by
+        every dataset of that shape, such as a master and its shifted
+        targets. A row it does not keep raises `DataError` naming the row.
+        Each slice's maps are built in blocks of `RegionNoise.block_rows`
+        rows into one array, so a temporary is one block in size. The maps
+        are read-only and kept by the caller, not on this dataset.
         """
         key = (len(self), M, self.feature_dim)
-        if key not in noise_table:
-            noise_table[key] = rngs.derive_rng(0, rngs.LOCAL_MAP).normal(size=key)
-            noise_table[key].flags.writeable = False
-        noise = noise_table[key]
-        # slice by slice, so the temporaries stay the size of one slice
-        maps = [synth_local_features(self.features[r], noise[r]) for r in rows]
-        for part in maps:
+        noise = noise_table.get(key) or RegionNoise(key, ())
+        positions = [noise.positions(r) for r in rows]  # a row not kept fails before the draw
+        values, step = noise.values(), noise.block_rows
+        maps = []
+        for r, at in zip(rows, positions):
+            part = np.empty((len(r), M, self.feature_dim))
+            for start in range(0, len(r), step):
+                block = slice(start, start + step)
+                part[block] = synth_local_features(self.features[r[block]], values[at[block]])
             part.flags.writeable = False
+            maps.append(part)
         return maps
+
+
+# bytes of region noise one block holds, while the stream is drawn and maps are built
+_BLOCK_BYTES = 1 << 18
+
+
+class RegionNoise:
+    """The rows a run reads of one (n, M, d) region-noise stream.
+
+    The stream is one sequential standard-normal draw of shape (n, M, d) from
+    `rngs.derive_rng(0, rngs.LOCAL_MAP)`. It is drawn in blocks of
+    `block_rows` rows, once per process at the first `values` call, and only
+    the sorted distinct `rows` are kept, so the kept values equal the same
+    rows of the whole draw and take memory in proportion to the kept rows.
+    """
+
+    def __init__(self, shape: tuple[int, int, int], rows):
+        self.shape = tuple(shape)
+        keep = np.zeros(self.shape[0], dtype=bool)
+        keep[np.asarray(rows, dtype=np.int64)] = True
+        self.rows = np.flatnonzero(keep)
+        self.block_rows = max(1, _BLOCK_BYTES // (8 * self.shape[1] * self.shape[2]))
+        self._values: np.ndarray | None = None
+        self.freeze()
+
+    def freeze(self) -> "RegionNoise":
+        """Mark the kept rows and values read-only."""
+        for array in (self.rows, self._values):
+            if array is not None:
+                array.flags.writeable = False
+        return self
+
+    def positions(self, rows: np.ndarray) -> np.ndarray:
+        """Where each of `rows` sits among the kept rows; a row not kept raises."""
+        rows = np.asarray(rows, dtype=np.int64)
+        at = np.searchsorted(self.rows, rows)
+        kept = at < len(self.rows)
+        kept[kept] = self.rows[at[kept]] == rows[kept]
+        if not kept.all():
+            raise DataError(f"row {rows[~kept][0]} is not among the {len(self.rows)} kept rows "
+                            f"of the {self.shape} region noise")
+        return at
+
+    def values(self) -> np.ndarray:
+        """The kept rows of the stream, (len(rows), M, d), read-only."""
+        if self._values is None:
+            rng = rngs.derive_rng(0, rngs.LOCAL_MAP)
+            values = np.empty((len(self.rows), *self.shape[1:]))
+            stop = int(self.rows[-1]) + 1 if len(self.rows) else 0  # no later row is kept
+            for start in range(0, stop, self.block_rows):
+                drawn = rng.normal(size=(min(self.block_rows, stop - start), *self.shape[1:]))
+                lo, hi = np.searchsorted(self.rows, (start, start + len(drawn)))
+                values[lo:hi] = drawn[self.rows[lo:hi] - start]
+            self._values = values
+            self.freeze()
+        return self._values
 
 
 @dataclass
@@ -176,20 +240,21 @@ class DomainShift:
     seed: int = 0
 
 
-def _rotate_planes(x: np.ndarray, planes, angle: float) -> np.ndarray:
-    """Rows of x rotated by `angle` in each (i, j) coordinate plane, in plane order.
+def _rotate_planes(x: np.ndarray, angle: float) -> np.ndarray:
+    """Rows of x rotated by `angle` in every coordinate plane (2k, 2k + 1).
 
-    Equal to x @ R.T for R the product of the planes' Givens rotations
-    (the first plane's rotation applied first), at O(n) per plane instead
-    of a dense d x d product per plane (Golub & Van Loan, Matrix
-    Computations, sec. 5.1).
+    Equal to x @ R.T for R the product of the planes' Givens rotations. The
+    planes are disjoint, so two strided elementwise updates rotate all of
+    them at once, at O(n d) in place of a dense d x d product per plane
+    (Golub & Van Loan, Matrix Computations, sec. 5.1); an odd d leaves the
+    last coordinate as it is.
     """
     cs, sn = np.cos(angle), np.sin(angle)
+    paired = 2 * (x.shape[1] // 2)
+    first, second = x[:, 0:paired:2], x[:, 1:paired:2]
     out = x.copy()
-    for i, j in planes:
-        xi, xj = out[:, i].copy(), out[:, j]
-        out[:, i] = cs * xi - sn * xj
-        out[:, j] = sn * xi + cs * xj
+    out[:, 0:paired:2] = cs * first - sn * second
+    out[:, 1:paired:2] = sn * first + cs * second
     return out
 
 
@@ -198,8 +263,7 @@ def apply_domain_shift(dataset: MasterDataset, shift: DomainShift) -> MasterData
     (2k, 2k + 1), noised and renormalised."""
     if not np.isfinite([shift.angle, shift.noise_sigma]).all():
         raise ConfigError("domain shift parameters must be finite")
-    planes = [(2 * k, 2 * k + 1) for k in range(dataset.feature_dim // 2)]
-    x = _rotate_planes(dataset.features, planes, shift.angle)
+    x = _rotate_planes(dataset.features, shift.angle)
     if shift.noise_sigma > 0:
         rng = rngs.derive_rng(shift.seed, rngs.SHIFT)
         x = x + shift.noise_sigma * rng.normal(size=x.shape)
@@ -365,16 +429,25 @@ def base_novel_split(class_count: int, mode: str = "first_half",
 def load_feature_table(path: str) -> MasterDataset:
     """Parse a feature table, validating dimensions and label range per line.
 
-    The body is read in one `np.loadtxt` call (`_bulk_table`). A body that
-    call declines is read line by line (`_read_rows`), which accepts what
-    `int` and `float` accept and names the failing `path:line`; both give
-    the same arrays for every body the bulk read accepts.
+    The lines are read from the open file one at a time (`_lines`), so the
+    text is never held whole. The body goes to one `np.loadtxt` call
+    (`_bulk_table`). A body that call declines is read again, line by line
+    (`_read_rows`), which accepts what `int` and `float` accept and names
+    the failing `path:line`; both give the same arrays for every body the
+    bulk read accepts.
     """
-    lines = _table_lines(path, whole=True)
-    dim, classes = _parse_header(path, lines)
-    table = _bulk_table([line for line in lines[1:] if line.strip()], dim, classes)
-    if table is None:
-        return _read_rows(path, lines, dim, classes)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = _lines(fh)
+            dim, classes = _parse_header(path, next(lines, None))
+            table = _bulk_table(lines, dim, classes)
+            if table is None:
+                fh.seek(0)
+                lines = _lines(fh)
+                next(lines)  # the header
+                return _read_rows(path, lines, dim, classes)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read feature table {path}: {exc}") from exc
     return MasterDataset(
         features=np.ascontiguousarray(table[:, 2:]),  # a strided view would reduce differently
         labels=table[:, 0].astype(np.int64),
@@ -385,23 +458,25 @@ def load_feature_table(path: str) -> MasterDataset:
 
 def read_table_header(path: str) -> tuple[int, int]:
     """The (d, classes) of a feature table, from its first line alone."""
-    return _parse_header(path, _table_lines(path, whole=False))
-
-
-def _table_lines(path: str, whole: bool) -> list[str]:
-    """The lines of the table file, or of its first line alone."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return (fh.read() if whole else fh.readline()).splitlines()
+            header = next(_lines(fh), None)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read feature table {path}: {exc}") from exc
+    return _parse_header(path, header)
 
 
-def _parse_header(path: str, lines: list[str]) -> tuple[int, int]:
-    """The (d, classes) that the first of a table's `lines` declares."""
-    if not lines:
+def _lines(fh) -> Iterator[str]:
+    """The lines of an open text file, cut as `str.splitlines` cuts its whole
+    text, read one file line at a time."""
+    for line in fh:
+        yield from line.splitlines()
+
+
+def _parse_header(path: str, header: str | None) -> tuple[int, int]:
+    """The (d, classes) that a table's first line declares (None: an empty file)."""
+    if header is None:
         raise DataError(f"{path}: no samples (empty file)")
-    header = lines[0]
     if not header.startswith("# "):
         raise DataError(f"{path}:1: missing '# d=<dim> classes=<C>' header")
     try:
@@ -415,23 +490,40 @@ def _parse_header(path: str, lines: list[str]) -> tuple[int, int]:
     return dim, classes
 
 
-def _bulk_table(rows: list[str], dim: int, classes: int) -> np.ndarray | None:
+class _Declined(Exception):
+    """A body line that the bulk read must leave to the per-line loop."""
+
+
+def _bulk_rows(lines: Iterator[str]) -> Iterator[str]:
+    """The non-blank lines; a line holding the separator `\\x1f` raises
+    `_Declined`, since the C reader strips it as whitespace around a number
+    and `float` does not."""
+    for line in lines:
+        if "\x1f" in line:
+            raise _Declined
+        if line.strip():
+            yield line
+
+
+def _bulk_table(lines: Iterator[str], dim: int, classes: int) -> np.ndarray | None:
     """The non-blank body lines as an (n, dim + 2) float64 table, or None when
     numpy's C reader rejects them or a label or tag fails a check.
 
-    Without the separator `\\x1f`, the C reader takes a subset of what `float`
-    accepts (not `1_000`, nor non-ASCII digits) and gives the same value for
-    it; labels and tags go through `int` and are exact in float64 below
-    2**53 in magnitude.
+    Without `\\x1f`, the C reader takes a subset of what `float` accepts
+    (not `1_000`, nor non-ASCII digits) and gives the same value for it;
+    labels and tags go through `int` and are exact in float64 below 2**53
+    in magnitude.
     """
-    if not rows:
-        return None  # np.loadtxt warns on an empty body
-    if any("\x1f" in line for line in rows):
-        return None  # the C reader strips it as whitespace around a number; `float` does not
+    rows = _bulk_rows(lines)
     try:
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
-                           converters={0: int, 1: int})
-    except ValueError:
+        first = next(rows, None)
+        if first is None:
+            return None  # np.loadtxt warns on an empty body
+        table = np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None,
+                           ndmin=2, converters={0: int, 1: int})
+    except UnicodeDecodeError:
+        raise  # the file is unreadable, not the body malformed
+    except (_Declined, ValueError):
         return None
     if table.shape[1] != dim + 2 or not np.all(np.abs(table[:, :2]) < 2.0 ** 53):
         return None  # also before the int64 cast, which warns on huge values
@@ -441,10 +533,11 @@ def _bulk_table(rows: list[str], dim: int, classes: int) -> np.ndarray | None:
     return table
 
 
-def _read_rows(path: str, lines: list[str], dim: int, classes: int) -> MasterDataset:
-    """The table body parsed line by line, one `int` or `float` per field."""
+def _read_rows(path: str, lines: Iterator[str], dim: int, classes: int) -> MasterDataset:
+    """The table body, the lines after the header, parsed line by line, one
+    `int` or `float` per field."""
     labels, tags, rows = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         parts = line.split(",")

@@ -25,6 +25,7 @@ from .data import (
     ClientDataset,
     DomainShift,
     MasterDataset,
+    RegionNoise,
     apply_domain_shift,
     balanced_subsample_indices,
     base_novel_split,
@@ -181,18 +182,27 @@ def _cell_models(kind: str, method: str, model: ModelConfig) -> list[tuple[str, 
 
 @dataclass(frozen=True)
 class RunState:
-    """What every cell of a run shares, read-only; built once by `build_run_state`."""
+    """What every cell of a run shares, read-only; built once by `build_run_state`.
+
+    `noise` holds, per (n, M, d), the rows of the region-noise stream that
+    the run's transport cells read: the union of their client rows and
+    target rows over every planned (scenario, dataset, seed). Multi-seed and
+    centralized runs keep more rows; the union grows toward n and never
+    past it. `MasterDataset.ensure_local_maps` draws the kept values at
+    first use.
+    """
 
     config: "ExperimentConfig"                          # as parsed from the text the cells run
     datasets: dict[str, MasterDataset]                  # by results column name
     assets: dict[tuple[ModelConfig, int], ModelAssets]  # by (model config, class count)
     shifted: dict[str, dict[str, MasterDataset]]        # cross-domain targets by dataset name
-    noise: dict = field(default_factory=dict)           # region noise, drawn at first use
+    noise: dict[tuple[int, int, int], RegionNoise] = field(default_factory=dict)
 
     def freeze(self) -> "RunState":
         """Mark every array read-only (again, after the state was unpickled in a worker)."""
         shifted = [target for targets in self.shifted.values() for target in targets.values()]
-        for frozen in [*self.datasets.values(), *shifted, *self.assets.values()]:
+        for frozen in [*self.datasets.values(), *shifted, *self.assets.values(),
+                       *self.noise.values()]:
             frozen.freeze()
         return self
 
@@ -200,7 +210,8 @@ class RunState:
 def build_run_state(config: "ExperimentConfig",
                     datasets: dict[str, MasterDataset]) -> RunState:
     """The run's frozen datasets, the assets of every (model config, class count)
-    its cells use and, for a cross-domain run, each dataset's shifted targets.
+    its cells use, for a cross-domain run each dataset's shifted targets and,
+    for a run with a transport method, the region-noise rows its cells read.
 
     Each client partition the trained cells will draw is drawn here once, so
     that one the data cannot hold fails the run before any cell runs."""
@@ -216,17 +227,24 @@ def build_run_state(config: "ExperimentConfig",
                      shifted).freeze()
     if all(method == ZERO_SHOT_METHOD for method in config.methods):
         return state  # zero-shot cells draw no partition
+    transport = any(method in TRANSPORT_METHODS for method in config.methods)
+    read: dict[tuple[int, int, int], list[np.ndarray]] = {}
     for kind in config.scenarios:
         limits = ("scenario.shots and federation.num_clients" if kind == "fewshot"
                   else "data.per_class_subsample")
-        for name in datasets:
+        for name, master in datasets.items():
             for seed in config.seeds:
                 try:
-                    _scenario_plan(state, kind, True, name, name, seed)
+                    plan = _scenario_plan(state, kind, True, name, name, seed)
                 except DataError as exc:
                     raise ConfigError(f"{limits}: too large for dataset {name!r} in the {kind} "
                                       f"scenario (seed {seed}): {exc}") from exc
-    return state
+                if transport:  # a shifted target has its master's shape
+                    shape = (len(master), config.model.local_features, master.feature_dim)
+                    read.setdefault(shape, []).extend(
+                        [*plan.clients, *(target.indices for target in plan.targets)])
+    return replace(state, noise={shape: RegionNoise(shape, np.concatenate(rows))
+                                 for shape, rows in read.items()})
 
 
 @dataclass
@@ -397,7 +415,7 @@ def _run_plan(state: RunState, kind: str, method: str, dataset: str, column: str
 
 
 def _give_local_maps(slices: list[tuple[MasterDataset, ClientDataset]], M: int,
-                     noise_table: dict) -> None:
+                     noise_table: dict[tuple[int, int, int], RegionNoise]) -> None:
     """Set the local maps of each (source, slice) pair, with one build per source."""
     by_source: dict[int, tuple[MasterDataset, list[ClientDataset]]] = {}
     for source, part in slices:

@@ -9,8 +9,9 @@ client. The package computes these in batched form (`softmax_ce_batch`,
 tests compare it against. Also the transport loss with its plan
 gradient in one three-operand contraction, a context's encoding as the loss
 kernels take it, a trainer with other loss weights, zero-shot accuracy on a plain feature set, a
-feature-table writer, and one cell run on a state built for it alone, with
-the training batches it drew.
+feature-table writer, the plane-by-plane rotation loop that `data._rotate_planes`
+vectorises, and one cell run on a state built for it alone, with the
+training batches it drew.
 """
 
 from dataclasses import dataclass, replace
@@ -182,6 +183,18 @@ def save_feature_table(dataset, path: str) -> None:
         for label, tag, row in zip(dataset.labels, tags, dataset.features):
             values = ",".join(repr(float(x)) for x in row)
             fh.write(f"{int(label)},{int(tag)},{values}\n")
+
+
+def rotate_planes_loop(x: np.ndarray, planes, angle: float) -> np.ndarray:
+    """Rows of x rotated by `angle` in each (i, j) coordinate plane, one plane
+    at a time in plane order (the first plane's rotation applied first)."""
+    cs, sn = np.cos(angle), np.sin(angle)
+    out = x.copy()
+    for i, j in planes:
+        xi, xj = out[:, i].copy(), out[:, j]
+        out[:, i] = cs * xi - sn * xj
+        out[:, j] = sn * xi + cs * xj
+    return out
 
 
 def one_cell(config, kind: str, method: str, master, seed: int, name: str = "synthetic"):

@@ -1,5 +1,6 @@
 """Synthetic generation, partitioners, splits, shifts, and table files."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,12 +22,23 @@ from fedprompt.data import (
     load_feature_table,
     mirror_partition,
     PartitionPlan,
+    RegionNoise,
     stratified_split,
 )
-from oracle import save_feature_table
+from oracle import rotate_planes_loop, save_feature_table
 from fedprompt.errors import ConfigError, DataError
 from fedprompt.vlm import unit_rows
 from fedprompt import rngs
+
+
+def traced_peak(call) -> int:
+    """The peak bytes that `tracemalloc` traces while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def entropy(counts: np.ndarray) -> float:
@@ -94,10 +106,9 @@ class TestDomainShift:
         np.testing.assert_array_equal(out.labels, dataset.labels)
 
     def test_half_turn_reflects_in_plane(self, dataset):
-        out = data._rotate_planes(dataset.features, [(0, 1)], np.pi)
-        np.testing.assert_allclose(out[:, 0], -dataset.features[:, 0], atol=1e-12)
-        np.testing.assert_allclose(out[:, 1], -dataset.features[:, 1], atol=1e-12)
-        np.testing.assert_allclose(out[:, 2:], dataset.features[:, 2:], atol=1e-12)
+        # every coordinate of the 32 is in a plane, so a half turn negates them all
+        out = data._rotate_planes(dataset.features, np.pi)
+        np.testing.assert_allclose(out, -dataset.features, atol=1e-12)
 
     def test_noise_monotonically_decreases_alignment(self, dataset):
         # measured trend over five increasing noise levels
@@ -152,14 +163,23 @@ class TestDomainShiftOracle:
         if d % 2:  # the unpaired last axis is not rotated
             np.testing.assert_allclose(out.features[:, -1], ds.features[:, -1], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [512, 33])
+    @pytest.mark.parametrize("angle", [0.7, 2.1])
+    def test_rotation_is_bitwise_the_plane_loop(self, d, angle):
+        ds = self.dataset(d)
+        planes = [(2 * k, 2 * k + 1) for k in range(d // 2)]
+        out = data._rotate_planes(ds.features, angle)
+        assert out.tobytes() == rotate_planes_loop(ds.features, planes, angle).tobytes()
+
     def test_overlapping_planes_apply_in_order(self):
+        # the loop oracle against the dense one, on planes a shift never uses
         ds = self.dataset(6)
         planes = ((0, 1), (1, 2), (0, 2))
-        out = data._rotate_planes(ds.features, planes, 0.9)
+        out = rotate_planes_loop(ds.features, planes, 0.9)
         np.testing.assert_allclose(out, ds.features @ dense_rotation(6, 0.9, planes).T,
                                    rtol=0, atol=1e-12)
         # order matters: the reversed sequence is a different rotation
-        assert np.abs(data._rotate_planes(ds.features, planes[::-1], 0.9) - out).max() > 1e-3
+        assert np.abs(rotate_planes_loop(ds.features, planes[::-1], 0.9) - out).max() > 1e-3
 
     def test_noise_matches_dense_product(self):
         ds = self.dataset(33)
@@ -315,8 +335,16 @@ def per_sample_maps(features, M):
                      for f in features])
 
 
+def keep_rows(dataset, M, rows=None) -> dict:
+    """A region-noise table that keeps `rows` (all by default) of the
+    dataset's (n, M, d) stream."""
+    shape = (len(dataset), M, dataset.feature_dim)
+    return {shape: RegionNoise(shape, np.arange(len(dataset)) if rows is None else rows)}
+
+
 class TestLocalMaps:
-    """Region features are a pure function of the rows asked for and one shared noise draw."""
+    """Region features are a pure function of the rows asked for and the kept
+    rows of one shared noise stream."""
 
     @pytest.fixture
     def master(self, rng):
@@ -324,10 +352,9 @@ class TestLocalMaps:
                              labels=np.arange(6) % 3, class_count=3)
 
     def test_each_key_gets_its_own_maps(self, master):
-        rows, table = [np.arange(6)], {}
+        rows, table = [np.arange(6)], {**keep_rows(master, 3), **keep_rows(master, 2)}
         [first] = master.ensure_local_maps(3, rows, table)
         assert master.ensure_local_maps(2, rows, table)[0].shape == (6, 2, 5)
-        assert list(table) == [(6, 3, 5), (6, 2, 5)]
         # the first key again: the same values
         np.testing.assert_array_equal(master.ensure_local_maps(3, rows, table)[0], first)
 
@@ -336,10 +363,20 @@ class TestLocalMaps:
         for rows in ([np.arange(6)],
                      [np.array([4, 1]), np.array([], dtype=np.int64), np.array([0]),
                       np.array([2, 2, 5])]):
-            maps = master.ensure_local_maps(3, rows, {})
-            assert len(maps) == len(rows)
-            for r, got in zip(rows, maps):
-                np.testing.assert_array_equal(got, expected[r])
+            for table in (keep_rows(master, 3), keep_rows(master, 3, np.concatenate(rows))):
+                maps = master.ensure_local_maps(3, rows, table)
+                assert len(maps) == len(rows)
+                for r, got in zip(rows, maps):
+                    np.testing.assert_array_equal(got, expected[r])
+
+    def test_maps_built_in_blocks_match_per_sample_draws(self, master, monkeypatch):
+        # two rows a block: the stream is drawn, and a 5-row slice built, in blocks
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 2 * 3 * 5 * 8)
+        rows = np.array([5, 0, 3, 1, 4])
+        table = keep_rows(master, 3, rows)
+        assert table[(6, 3, 5)].block_rows == 2
+        [got] = master.ensure_local_maps(3, [rows], table)
+        np.testing.assert_array_equal(got, per_sample_maps(master.features, 3)[rows])
 
     def test_shifted_targets_match_per_sample_draws(self, master):
         rows = [np.array([5, 0, 3]), np.arange(6)]
@@ -347,11 +384,12 @@ class TestLocalMaps:
             target = apply_domain_shift(master, DomainShift(angle=0.3 + 0.2 * k,
                                                             noise_sigma=0.05 * k, seed=k))
             expected = per_sample_maps(target.features, 3)
-            for r, got in zip(rows, target.ensure_local_maps(3, rows, {})):
+            for r, got in zip(rows, target.ensure_local_maps(3, rows, keep_rows(master, 3))):
                 np.testing.assert_array_equal(got, expected[r])
 
     def test_maps_are_read_only_and_stay_with_their_dataset(self, master):
-        full, part = master.ensure_local_maps(3, [np.arange(6), np.array([1, 4])], {})
+        full, part = master.ensure_local_maps(3, [np.arange(6), np.array([1, 4])],
+                                              keep_rows(master, 3))
         for maps in (full, part):
             with pytest.raises(ValueError, match="read-only"):
                 maps[0, 0, 0] = 1.0
@@ -360,19 +398,41 @@ class TestLocalMaps:
         assert set(vars(master)) == {"features", "labels", "class_count", "domain_tags"}
 
     def test_noise_is_one_read_only_draw_per_shape(self, master):
-        # the table holds one draw per (n, M, d), shared by a dataset of
-        # the same shape such as a shifted target
-        table = {}
-        master.ensure_local_maps(3, [np.arange(6)], table)
+        # the table keeps the rows asked for of one draw per (n, M, d), made
+        # once and shared by a dataset of the same shape such as a shifted target
+        table = keep_rows(master, 3, [4, 1, 4, 2])
+        noise = table[(6, 3, 5)]
         target = apply_domain_shift(master, DomainShift(angle=0.5))
         target.ensure_local_maps(3, [np.array([1])], table)
+        values = noise.values()
         master.ensure_local_maps(3, [np.array([2, 4])], table)
-        assert list(table) == [(6, 3, 5)]
-        noise = table[(6, 3, 5)]
-        np.testing.assert_array_equal(
-            noise, rngs.derive_rng(0, rngs.LOCAL_MAP).normal(size=(6, 3, 5)))
-        with pytest.raises(ValueError, match="read-only"):
-            noise[0, 0, 0] = 1.0
+        assert noise.values() is values
+        np.testing.assert_array_equal(noise.rows, [1, 2, 4])
+        full = rngs.derive_rng(0, rngs.LOCAL_MAP).normal(size=(6, 3, 5))
+        np.testing.assert_array_equal(values, full[[1, 2, 4]])
+        for array in (values, noise.rows):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_peak_memory_follows_the_kept_rows(self):
+        # 300 of 4000 rows kept and mapped: the draw and the maps take memory
+        # in proportion to those rows, not to the whole (n, M, d) stream
+        rng = np.random.default_rng(0)
+        n, M, d = 4000, 4, 64
+        master = MasterDataset(features=unit_rows(rng.normal(size=(n, d))),
+                               labels=np.zeros(n, dtype=np.int64), class_count=1)
+        rows = np.sort(rng.choice(n, size=300, replace=False))
+        table = keep_rows(master, M, rows)
+        peak = traced_peak(lambda: master.ensure_local_maps(M, [rows[:200], rows[100:]], table))
+        assert peak < 0.5 * n * M * d * 8
+
+    def test_row_outside_the_kept_rows_raises(self, master):
+        table = keep_rows(master, 3, [1, 2])
+        with pytest.raises(DataError, match="row 5 is not among the 2 kept rows"):
+            master.ensure_local_maps(3, [np.array([2]), np.array([1, 5])], table)
+        # a shape the table does not keep: no row of it is kept
+        with pytest.raises(DataError, match="row 0 is not among the 0 kept rows"):
+            master.ensure_local_maps(2, [np.array([0])], table)
 
 
 class TestPartitionPlan:
@@ -451,6 +511,17 @@ class TestFeatureTable:
         path.write_text("# d=2 classes=2\n5,0,1.0,2.0\n")
         with pytest.raises(DataError):
             load_feature_table(str(path))
+
+    def test_load_holds_at_most_one_copy_of_the_text(self, tmp_path):
+        # 8000 short lines: a loader that held the text and a list of its
+        # lines at once would peak above twice the file's size
+        ds = generate_synthetic_dataset(SyntheticSpec(classes=4, feature_dim=8,
+                                                      samples_per_class=2000),
+                                        np.random.default_rng(1))
+        path = tmp_path / "table.txt"
+        save_feature_table(ds, str(path))
+        peak = traced_peak(lambda: load_feature_table(str(path)))
+        assert peak < 2 * path.stat().st_size
 
     def test_partition_equivalence_after_reload(self, tmp_path, rng):
         spec = SyntheticSpec(classes=4, feature_dim=32, samples_per_class=10)

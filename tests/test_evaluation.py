@@ -412,6 +412,32 @@ class TestScenarios:
         held = [*scenario.clients, scenario.targets[0].indices]
         assert requested == [sorted(np.concatenate(held).tolist())]
 
+    def test_kept_noise_rows_are_the_rows_transport_cells_read(self, desk_master, monkeypatch):
+        # the run state keeps exactly the union, over its cells, of the rows
+        # that transport cells ask maps for: no more, and a cell never misses one
+        from fedprompt.data import MasterDataset
+
+        read = []
+        ensure = MasterDataset.ensure_local_maps
+
+        def recording_maps(self, M, rows, *args):
+            read.extend(rows)
+            return ensure(self, M, rows, *args)
+
+        monkeypatch.setattr(MasterDataset, "ensure_local_maps", recording_maps)
+        config = replace(desk_config(rounds=1), scenarios=["personalized", "cross_domain"],
+                         methods=["fedotp"], seeds=[0, 1])
+        state = build_run_state(config, {"synthetic": desk_master})
+        for kind in config.scenarios:
+            for seed in config.seeds:
+                run_cell(state, kind, "fedotp", "synthetic", seed)
+        n, d = len(desk_master), desk_master.feature_dim
+        assert list(state.noise) == [(n, config.model.local_features, d)]
+        union = np.flatnonzero(np.bincount(np.concatenate(read), minlength=n))
+        np.testing.assert_array_equal(state.noise[(n, config.model.local_features, d)].rows,
+                                      union)
+        assert len(union) < n  # the validation rows and the unsampled pool stay undrawn
+
     def _personalized_rounds(self, monkeypatch, on_score):
         """Record the client rows of the personalized plan, and call
         `on_score(predictor, features, labels, local_maps, rows)` around each

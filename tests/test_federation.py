@@ -14,7 +14,7 @@ from fedprompt.algorithms import (
     make_trainer,
     sgd_momentum_step,
 )
-from fedprompt.data import ClientDataset, MasterDataset
+from fedprompt.data import ClientDataset, MasterDataset, RegionNoise
 from fedprompt.errors import AggregationError, ConfigError
 from fedprompt.evaluation import best_scores
 from fedprompt.federation import (
@@ -341,7 +341,8 @@ class TestFedOTPTwoClients:
         trainer = PersonalizedFedOTPTrainer()
         fed = FederationConfig(protocol="standard", num_clients=2, rounds=3, batch_size=6)
         clients = build_clients(master, [np.arange(12), np.arange(12, 24)], trainer, cfg, seed=1)
-        maps = master.ensure_local_maps(3, [c.dataset.master_indices for c in clients], {})
+        maps = master.ensure_local_maps(3, [c.dataset.master_indices for c in clients],
+                                        {(24, 3, 10): RegionNoise((24, 3, 10), np.arange(24))})
         for client, client_maps in zip(clients, maps):
             client.dataset.local_maps = client_maps
         run_federation(trainer, clients, fed, assets, seed=1)
