@@ -57,6 +57,7 @@ print("the same seed yields the same split for every method under comparison")
 
 print("\ndomain shift: alignment with the source features drops as noise grows")
 for sigma in (0.0, 0.1, 0.3, 0.8):
-    shifted = apply_domain_shift(dataset, DomainShift(angle=0.5, noise_sigma=sigma, seed=7))
+    shifted = apply_domain_shift(dataset, DomainShift(angle=0.5, noise_sigma=sigma, seed=7),
+                                 np.arange(len(dataset)))
     cos = (shifted.features * dataset.features).sum(axis=1).mean()
     print(f"  noise {sigma:.1f}: mean cosine to source {cos:.3f}")

@@ -11,125 +11,170 @@ from .vlm import synth_local_features, unit_rows
 from . import rngs
 
 
+# bytes of standard-normal draws one block holds, while a stream is drawn and maps are built
+_BLOCK_BYTES = 1 << 18
+
+
+def _block_rows(row_shape: tuple[int, ...]) -> int:
+    """Rows of a float64 stream with rows of `row_shape` that one block holds."""
+    return max(1, _BLOCK_BYTES // (8 * int(np.prod(row_shape))))
+
+
+class KeptRows:
+    """The sorted distinct `ids` kept of the rows 0..n-1 of a larger array.
+
+    `what` names that array in the error of a row that is not kept.
+    """
+
+    def __init__(self, n: int, rows, what: str):
+        keep = np.zeros(n, dtype=bool)
+        keep[np.asarray(rows, dtype=np.int64)] = True
+        self.n, self.what = n, what
+        self.ids = np.flatnonzero(keep)
+        self.ids.flags.writeable = False
+
+    def positions(self, rows) -> np.ndarray:
+        """Where each of `rows` sits among the kept ids; a row not kept raises
+        `DataError` naming it."""
+        rows = np.asarray(rows, dtype=np.int64)
+        at = np.searchsorted(self.ids, rows)
+        kept = at < len(self.ids)
+        kept[kept] = self.ids[at[kept]] == rows[kept]
+        if not kept.all():
+            raise DataError(f"row {rows[~kept][0]} is not among the {len(self.ids)} kept rows "
+                            f"of {self.what}")
+        return at
+
+    def normal(self, rng: np.random.Generator, row_shape: tuple[int, ...]) -> np.ndarray:
+        """The kept rows of one sequential standard-normal draw of shape
+        (n, *row_shape) from `rng`, (len(ids), *row_shape).
+
+        The stream is drawn in blocks of `_block_rows(row_shape)` rows and
+        stops after the last kept row, so the result equals the same rows of
+        the whole draw and a temporary is one block in size.
+        """
+        values = np.empty((len(self.ids), *row_shape))
+        stop = int(self.ids[-1]) + 1 if len(self.ids) else 0  # no later row is kept
+        step = _block_rows(row_shape)
+        for start in range(0, stop, step):
+            drawn = rng.normal(size=(min(step, stop - start), *row_shape))
+            lo, hi = np.searchsorted(self.ids, (start, start + len(drawn)))
+            values[lo:hi] = drawn[self.ids[lo:hi] - start]
+        return values
+
+
 @dataclass
 class MasterDataset:
     """Labeled feature set all partitioners operate on.
 
-    A run shares one `MasterDataset` per dataset across its cells, read-only
-    (`freeze`).
+    Row ids are master-relative. A dataset derived for some rows only (a
+    shifted target, `apply_domain_shift`) holds those rows, in id order, and
+    records them in `rows`; `len` is then the master's row count, and
+    `positions` maps ids to held rows. A run shares one `MasterDataset` per
+    dataset and target across its cells, read-only (`freeze`).
     """
 
-    features: np.ndarray                 # (n, d)
-    labels: np.ndarray                   # (n,) ints < class_count
+    features: np.ndarray                 # (held rows, d)
+    labels: np.ndarray                   # (held rows,) ints < class_count
     class_count: int
     domain_tags: np.ndarray | None = None
+    rows: KeptRows | None = None         # the master ids of the held rows (None: every row)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
             raise DataError("features and labels disagree in length")
+        if self.rows is not None and len(self.rows.ids) != self.features.shape[0]:
+            raise DataError("features and row ids disagree in length")
         if not np.all(np.isfinite(self.features)):
             raise DataError("features contain non-finite entries")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
             raise DataError("labels out of range")
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self.features.shape[0] if self.rows is None else self.rows.n
 
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
+    def positions(self, indices) -> np.ndarray:
+        """The held rows of master row ids `indices`; an id this dataset does
+        not hold raises `DataError` naming it."""
+        indices = np.asarray(indices, dtype=np.int64)
+        return indices if self.rows is None else self.rows.positions(indices)
+
     def freeze(self) -> "MasterDataset":
         """Mark every array read-only, so that cells can share the dataset."""
-        for array in (self.features, self.labels, self.domain_tags):
+        ids = None if self.rows is None else self.rows.ids
+        for array in (self.features, self.labels, self.domain_tags, ids):
             if array is not None:
                 array.flags.writeable = False
         return self
 
     def ensure_local_maps(self, M: int, rows: list[np.ndarray],
                           noise_table: dict) -> list[np.ndarray]:
-        """Region features for transport-based scoring, (len(r), M, d) for each r in `rows`.
+        """Region features for transport-based scoring, (len(r), M, d) for each
+        r in `rows`, a list of master row ids.
 
-        A row's maps depend only on its feature and its rows of the
-        (n, M, d) region-noise stream, so they equal the per-sample draws of
-        the whole dataset at that row. `noise_table` holds, under (n, M, d),
-        the `RegionNoise` that keeps the stream's rows a run reads; its
-        values are drawn on the first call that needs them and shared by
-        every dataset of that shape, such as a master and its shifted
-        targets. A row it does not keep raises `DataError` naming the row.
-        Each slice's maps are built in blocks of `RegionNoise.block_rows`
-        rows into one array, so a temporary is one block in size. The maps
-        are read-only and kept by the caller, not on this dataset.
+        A row's maps depend only on its feature and its row of the (n, M, d)
+        region-noise stream, n the master's row count, so they equal the
+        per-sample draws of the whole dataset at that row. `noise_table`
+        holds, under (n, M, d), the `RegionNoise` that keeps the stream's
+        rows a run reads; its values are drawn on the first call that needs
+        them (in a worker pool's parent, before the pool starts) and shared
+        by every dataset of that shape, such as a master and the shifted
+        targets of its scored rows. A row the table does not keep, or this
+        dataset does not hold, raises `DataError` naming the row. Each
+        slice's maps are built in blocks of `RegionNoise.block_rows` rows
+        into one array, so a temporary is one block in size. The maps are
+        read-only and kept by the caller, not on this dataset.
         """
         key = (len(self), M, self.feature_dim)
         noise = noise_table.get(key) or RegionNoise(key, ())
-        positions = [noise.positions(r) for r in rows]  # a row not kept fails before the draw
+        # a row not kept or not held fails before the draw
+        noise_at = [noise.rows.positions(r) for r in rows]
+        held_at = [self.positions(r) for r in rows]
         values, step = noise.values(), noise.block_rows
         maps = []
-        for r, at in zip(rows, positions):
-            part = np.empty((len(r), M, self.feature_dim))
-            for start in range(0, len(r), step):
+        for at, held in zip(noise_at, held_at):
+            part = np.empty((len(at), M, self.feature_dim))
+            for start in range(0, len(at), step):
                 block = slice(start, start + step)
-                part[block] = synth_local_features(self.features[r[block]], values[at[block]])
+                part[block] = synth_local_features(self.features[held[block]], values[at[block]])
             part.flags.writeable = False
             maps.append(part)
         return maps
-
-
-# bytes of region noise one block holds, while the stream is drawn and maps are built
-_BLOCK_BYTES = 1 << 18
 
 
 class RegionNoise:
     """The rows a run reads of one (n, M, d) region-noise stream.
 
     The stream is one sequential standard-normal draw of shape (n, M, d) from
-    `rngs.derive_rng(0, rngs.LOCAL_MAP)`. It is drawn in blocks of
-    `block_rows` rows, once per process at the first `values` call, and only
-    the sorted distinct `rows` are kept, so the kept values equal the same
+    `rngs.derive_rng(0, rngs.LOCAL_MAP)`. Only its sorted distinct `rows`
+    are kept (`KeptRows.normal`), drawn once per process at the first
+    `values` call, or before a worker pool starts; the values equal the same
     rows of the whole draw and take memory in proportion to the kept rows.
     """
 
     def __init__(self, shape: tuple[int, int, int], rows):
         self.shape = tuple(shape)
-        keep = np.zeros(self.shape[0], dtype=bool)
-        keep[np.asarray(rows, dtype=np.int64)] = True
-        self.rows = np.flatnonzero(keep)
-        self.block_rows = max(1, _BLOCK_BYTES // (8 * self.shape[1] * self.shape[2]))
+        self.rows = KeptRows(self.shape[0], rows, f"the {self.shape} region noise")
+        self.block_rows = _block_rows(self.shape[1:])
         self._values: np.ndarray | None = None
-        self.freeze()
 
     def freeze(self) -> "RegionNoise":
         """Mark the kept rows and values read-only."""
-        for array in (self.rows, self._values):
+        for array in (self.rows.ids, self._values):
             if array is not None:
                 array.flags.writeable = False
         return self
 
-    def positions(self, rows: np.ndarray) -> np.ndarray:
-        """Where each of `rows` sits among the kept rows; a row not kept raises."""
-        rows = np.asarray(rows, dtype=np.int64)
-        at = np.searchsorted(self.rows, rows)
-        kept = at < len(self.rows)
-        kept[kept] = self.rows[at[kept]] == rows[kept]
-        if not kept.all():
-            raise DataError(f"row {rows[~kept][0]} is not among the {len(self.rows)} kept rows "
-                            f"of the {self.shape} region noise")
-        return at
-
     def values(self) -> np.ndarray:
-        """The kept rows of the stream, (len(rows), M, d), read-only."""
+        """The kept rows of the stream, (len(rows.ids), M, d), read-only."""
         if self._values is None:
-            rng = rngs.derive_rng(0, rngs.LOCAL_MAP)
-            values = np.empty((len(self.rows), *self.shape[1:]))
-            stop = int(self.rows[-1]) + 1 if len(self.rows) else 0  # no later row is kept
-            for start in range(0, stop, self.block_rows):
-                drawn = rng.normal(size=(min(self.block_rows, stop - start), *self.shape[1:]))
-                lo, hi = np.searchsorted(self.rows, (start, start + len(drawn)))
-                values[lo:hi] = drawn[self.rows[lo:hi] - start]
-            self._values = values
+            self._values = self.rows.normal(rngs.derive_rng(0, rngs.LOCAL_MAP), self.shape[1:])
             self.freeze()
         return self._values
 
@@ -147,7 +192,8 @@ class ClientDataset:
     @classmethod
     def from_master(cls, master: MasterDataset, indices: np.ndarray) -> "ClientDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return cls(features=master.features[idx], labels=master.labels[idx], master_indices=idx)
+        held = master.positions(idx)
+        return cls(features=master.features[held], labels=master.labels[held], master_indices=idx)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -258,20 +304,31 @@ def _rotate_planes(x: np.ndarray, angle: float) -> np.ndarray:
     return out
 
 
-def apply_domain_shift(dataset: MasterDataset, shift: DomainShift) -> MasterDataset:
-    """Same labels, features rotated by `shift.angle` in every coordinate plane
-    (2k, 2k + 1), noised and renormalised."""
+def apply_domain_shift(dataset: MasterDataset, shift: DomainShift, rows) -> MasterDataset:
+    """The dataset's master rows `rows`, with their labels, and their features
+    rotated by `shift.angle` in every coordinate plane (2k, 2k + 1), noised
+    and renormalised.
+
+    Row i's noise is row i of one sequential (n, d) standard-normal draw from
+    `rngs.derive_rng(shift.seed, rngs.SHIFT)`, n the master's row count. So
+    each row equals the same row of the whole dataset's shift, bit for bit,
+    whatever else is kept. The result holds only the sorted distinct `rows`,
+    under their master ids (`MasterDataset.rows`).
+    """
     if not np.isfinite([shift.angle, shift.noise_sigma]).all():
         raise ConfigError("domain shift parameters must be finite")
-    x = _rotate_planes(dataset.features, shift.angle)
+    kept = KeptRows(len(dataset), rows, f"a dataset shifted by {shift}")
+    held = dataset.positions(kept.ids)
+    x = _rotate_planes(dataset.features[held], shift.angle)
     if shift.noise_sigma > 0:
-        rng = rngs.derive_rng(shift.seed, rngs.SHIFT)
-        x = x + shift.noise_sigma * rng.normal(size=x.shape)
+        x = x + shift.noise_sigma * kept.normal(rngs.derive_rng(shift.seed, rngs.SHIFT),
+                                                x.shape[1:])
     return MasterDataset(
         features=unit_rows(x),
-        labels=dataset.labels.copy(),
+        labels=dataset.labels[held],
         class_count=dataset.class_count,
-        domain_tags=None if dataset.domain_tags is None else dataset.domain_tags.copy(),
+        domain_tags=None if dataset.domain_tags is None else dataset.domain_tags[held],
+        rows=kept,
     )
 
 

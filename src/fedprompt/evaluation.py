@@ -158,10 +158,17 @@ def _splits(master: MasterDataset, seed: int):
     return stratified_split(master.labels, (0.7, 0.1, 0.2), rngs.derive_rng(seed, rngs.TVT))
 
 
-def cross_domain_targets(master: MasterDataset, count: int) -> dict[str, MasterDataset]:
-    """Deterministic family of increasingly shifted target domains."""
+def cross_domain_targets(master: MasterDataset, count: int,
+                         rows: np.ndarray) -> dict[str, MasterDataset]:
+    """Deterministic family of increasingly shifted target domains, each holding
+    only the master rows `rows` (the rows a run scores) under their master ids.
+
+    Each held row equals the same row of the whole master's shift, so the
+    scores do not depend on which other rows are held.
+    """
     return {f"shift{k}": apply_domain_shift(master, DomainShift(angle=0.3 + 0.2 * k,
-                                                                noise_sigma=0.05 * k, seed=k))
+                                                                noise_sigma=0.05 * k, seed=k),
+                                            rows)
             for k in range(1, count + 1)}
 
 
@@ -184,12 +191,19 @@ def _cell_models(kind: str, method: str, model: ModelConfig) -> list[tuple[str, 
 class RunState:
     """What every cell of a run shares, read-only; built once by `build_run_state`.
 
-    `noise` holds, per (n, M, d), the rows of the region-noise stream that
-    the run's transport cells read: the union of their client rows and
-    target rows over every planned (scenario, dataset, seed). Multi-seed and
-    centralized runs keep more rows; the union grows toward n and never
-    past it. `MasterDataset.ensure_local_maps` draws the kept values at
-    first use.
+    Per-row derived data exists only for the rows the run reads, under
+    master row ids:
+    - `shifted` holds each dataset's cross-domain targets for the union of
+      its test rows over `experiment.seeds`, the only rows a cross-domain
+      cell scores;
+    - `noise` holds, per (n, M, d), the rows of the region-noise stream that
+      the run's transport cells read: the union of their client rows and
+      target rows over every planned (scenario, dataset, seed).
+
+    Multi-seed and centralized runs keep more rows; a union grows toward n
+    and never past it. `MasterDataset.ensure_local_maps` draws the kept
+    noise values at first use, unless `runner.run` drew them before it
+    started a worker pool.
     """
 
     config: "ExperimentConfig"                          # as parsed from the text the cells run
@@ -210,8 +224,9 @@ class RunState:
 def build_run_state(config: "ExperimentConfig",
                     datasets: dict[str, MasterDataset]) -> RunState:
     """The run's frozen datasets, the assets of every (model config, class count)
-    its cells use, for a cross-domain run each dataset's shifted targets and,
-    for a run with a transport method, the region-noise rows its cells read.
+    its cells use, for a cross-domain run each dataset's shifted targets of the
+    rows its cells score and, for a run with a transport method, the
+    region-noise rows its cells read.
 
     Each client partition the trained cells will draw is drawn here once, so
     that one the data cannot hold fails the run before any cell runs."""
@@ -220,8 +235,10 @@ def build_run_state(config: "ExperimentConfig",
                          for _, cfg in _cell_models(kind, method, config.model)
                          for master in datasets.values())
     shifted = {}
-    if "cross_domain" in config.scenarios:
-        shifted = {name: cross_domain_targets(master, config.scenario.cross_targets)
+    if "cross_domain" in config.scenarios:  # its cells score each seed's test rows
+        shifted = {name: cross_domain_targets(
+                       master, config.scenario.cross_targets,
+                       np.concatenate([_splits(master, seed)[2] for seed in config.seeds]))
                    for name, master in datasets.items()}
     state = RunState(config, datasets, {key: build_assets(*key) for key in keys},
                      shifted).freeze()
@@ -256,7 +273,7 @@ class _Target:
     column: str
     metric: str
     key: str
-    source: MasterDataset  # the full dataset the indices slice
+    source: MasterDataset  # the dataset or shifted target that `indices` (master ids) select
     indices: np.ndarray
     class_ids: np.ndarray | None = None
 

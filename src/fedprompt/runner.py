@@ -136,6 +136,8 @@ def run(config: ExperimentConfig, jobs: int = 1, dry_run: bool = False,
     state = build_run_state(config, materialize_datasets(config))
     workers = min(jobs, len(keys))  # a pool starts all its workers up front
     if workers > 1:
+        for noise in state.noise.values():  # drawn once: workers inherit or unpickle the values
+            noise.values()
         with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context(),
                                  initializer=_adopt_state, initargs=(state,)) as pool:
             outcomes = list(pool.map(_execute_in_worker, keys))
@@ -271,6 +273,17 @@ def _grid_lines(by_method: dict, metric: str) -> list[str]:
     return lines
 
 
+def _grid_legend(by_method: dict, metric: str, header: str) -> str:
+    """What a grid's cells and its `#` column are."""
+    runs = sorted({cells[metric]["n_runs"] for by_dataset in by_method.values()
+                   for cells in by_dataset.values() if metric in cells})
+    seeds = str(runs[0]) if len(runs) == 1 else f"{runs[0]}-{runs[-1]}"
+    legend = f"mean±std over {seeds} seed(s), population std (ddof = 0)"
+    if header.endswith(",#"):
+        legend += f"; # = datasets where the mean strictly beats {BASELINE_METHOD}'s"
+    return legend
+
+
 def report(results_dir: str) -> str:
     """Write per-scenario comparison grids and cost-curve files from the
     results.csv of a run, removing those of earlier reports that this one
@@ -291,7 +304,7 @@ def report(results_dir: str) -> str:
                 chunks.append(f"[{scenario}/{metric}] baseline '{BASELINE_METHOD}' missing; "
                               "superiority column omitted")
             files[f"report_{scenario}_{metric}.csv"] = "\n".join(lines) + "\n"
-            chunks.append(f"# {scenario} / {metric}")
+            chunks.append(f"# {scenario} / {metric}: {_grid_legend(by_method, metric, lines[0])}")
             chunks.extend(lines)
             chunks.append("")
     # (params, accuracy) of each cost_tradeoff sweep point, by method

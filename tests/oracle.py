@@ -10,8 +10,10 @@ tests compare it against. Also the transport loss with its plan
 gradient in one three-operand contraction, a context's encoding as the loss
 kernels take it, a trainer with other loss weights, zero-shot accuracy on a plain feature set, a
 feature-table writer, the plane-by-plane rotation loop that `data._rotate_planes`
-vectorises, and one cell run on a state built for it alone, with the
-training batches it drew.
+vectorises, the domain shift of every row of a dataset at once (the
+reference for `data.apply_domain_shift`, which shifts only the rows asked
+for), and one cell run on a state built for it alone, with the training
+batches it drew.
 """
 
 from dataclasses import dataclass, replace
@@ -21,11 +23,14 @@ import numpy as np
 import pytest
 
 from fedprompt import evaluation
+from fedprompt import rngs
 from fedprompt.algorithms import CosinePredictor, TransportPredictor, make_trainer
+from fedprompt.data import MasterDataset, _rotate_planes
 from fedprompt.errors import ConfigError, DomainError
 from fedprompt.evaluation import build_run_state, evaluate_predictor, run_cell
 from fedprompt.numerics import CROSS_ENTROPY_CAP, _check_finite, softmax_ce_batch, softmax_temp
 from fedprompt.transport import sinkhorn_batched
+from fedprompt.vlm import unit_rows
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -195,6 +200,21 @@ def rotate_planes_loop(x: np.ndarray, planes, angle: float) -> np.ndarray:
         out[:, i] = cs * xi - sn * xj
         out[:, j] = sn * xi + cs * xj
     return out
+
+
+def shift_whole_master(dataset, shift) -> MasterDataset:
+    """Every row of `dataset` (one that holds all its rows), with the same labels,
+    rotated by `shift.angle` in every coordinate plane (2k, 2k + 1), noised by
+    one (n, d) draw from `derive_rng(shift.seed, SHIFT)` and renormalised."""
+    x = _rotate_planes(dataset.features, shift.angle)
+    if shift.noise_sigma > 0:
+        x = x + shift.noise_sigma * rngs.derive_rng(shift.seed, rngs.SHIFT).normal(size=x.shape)
+    return MasterDataset(
+        features=unit_rows(x),
+        labels=dataset.labels.copy(),
+        class_count=dataset.class_count,
+        domain_tags=None if dataset.domain_tags is None else dataset.domain_tags.copy(),
+    )
 
 
 def one_cell(config, kind: str, method: str, master, seed: int, name: str = "synthetic"):

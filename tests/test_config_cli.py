@@ -531,10 +531,17 @@ class TestSharedRunState:
 
     def test_adopted_state_is_read_only_after_unpickling(self, monkeypatch):
         cfg = parse_config_text(SHARED_STATE_CONFIG)
-        state = pickle.loads(pickle.dumps(build_run_state(cfg, materialize_datasets(cfg))))
+        built = build_run_state(cfg, materialize_datasets(cfg))
+        # drawn as a pool's parent draws them
+        drawn = {shape: noise.values() for shape, noise in built.noise.items()}
+        state = pickle.loads(pickle.dumps(built))
         arrays = [a for master in state.datasets.values() for a in (master.features, master.labels)]
-        arrays += [target.features for targets in state.shifted.values()
-                   for target in targets.values()]
+        arrays += [a for targets in state.shifted.values() for target in targets.values()
+                   for a in (target.features, target.rows.ids)]
+        monkeypatch.setattr(rngs, "derive_rng", None)  # an unpickled state draws nothing
+        arrays += [state.noise[shape].values() for shape in drawn]
+        for shape, values in drawn.items():
+            np.testing.assert_array_equal(state.noise[shape].values(), values)
         arrays += [a for assets in state.assets.values()
                    for a in (*assets.encoder.weights.values(), assets.hand_features)]
         assert all(a.flags.writeable for a in arrays)  # what a spawned worker receives
@@ -545,21 +552,47 @@ class TestSharedRunState:
 
     def test_region_noise_drawn_once_per_run(self, tmp_path, monkeypatch):
         # both datasets have 36 rows of width 16, so they, their shifted
-        # targets and every transport cell share one (36, 2, 16) draw
-        from fedprompt import rngs
-
-        draws = []
-        derive = rngs.derive_rng
+        # targets and every transport cell share one (36, 2, 16) draw, made
+        # inside the first `ensure_local_maps` call (the benchmark's span)
+        draws, depth = [], [0]
+        derive, ensure = rngs.derive_rng, MasterDataset.ensure_local_maps
 
         def counting(seed, stream, *extra):
             if stream == rngs.LOCAL_MAP:
+                draws.append((seed, depth[0] > 0))
+            return derive(seed, stream, *extra)
+
+        def tracking(self, *args):
+            depth[0] += 1
+            try:
+                return ensure(self, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(rngs, "derive_rng", counting)
+        monkeypatch.setattr(MasterDataset, "ensure_local_maps", tracking)
+        assert run(parse_config_text(SHARED_STATE_CONFIG),
+                   output_dir=str(tmp_path)).exit_code == 0
+        assert draws == [(0, True)]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="workers inherit the patched generator only when forked")
+    def test_pool_workers_inherit_the_region_noise(self, tmp_path, monkeypatch):
+        # the parent draws the kept rows before the pool starts; a worker that
+        # drew the stream again would fail its cells here
+        parent, draws = os.getpid(), []
+        derive = rngs.derive_rng
+
+        def parent_only(seed, stream, *extra):
+            if stream == rngs.LOCAL_MAP:
+                if os.getpid() != parent:
+                    raise AssertionError("a worker drew the region noise")
                 draws.append(seed)
             return derive(seed, stream, *extra)
 
-        monkeypatch.setattr(rngs, "derive_rng", counting)
-        assert run(parse_config_text(SHARED_STATE_CONFIG),
-                   output_dir=str(tmp_path)).exit_code == 0
-        assert draws == [0]
+        monkeypatch.setattr(rngs, "derive_rng", parent_only)
+        assert_jobs_agree(tmp_path)
+        assert draws == [0, 0]  # once by each run, the one with a pool included
 
     def test_run_does_not_import_numpy_ma(self, tmp_path):
         # np.unique imports numpy.ma (15-20 ms) on its first call in a process
@@ -852,6 +885,25 @@ class TestReport:
         assert summary.splitlines()[0] == \
             "[fewshot/alpha_fs_1] baseline 'promptfl' missing; superiority column omitted"
         assert "[global/alpha_g]" not in summary
+        # each grid's header says what its cells and its `#` column are
+        assert "# fewshot / alpha_fs_1: mean±std over 1 seed(s), population std (ddof = 0)" \
+            in summary.splitlines()
+        assert ("# global / alpha_g: mean±std over 1 seed(s), population std (ddof = 0); "
+                "# = datasets where the mean strictly beats promptfl's") in summary.splitlines()
+
+    def test_grid_cells_are_population_std_over_the_seeds(self, tmp_path):
+        out = tmp_path / "spread"
+        out.mkdir()
+        rows = ["global,promptfl,a,0,alpha_g,50.0", "global,promptfl,a,1,alpha_g,52.0",
+                "global,kgcoop,a,0,alpha_g,60.0"]
+        (out / "results.csv").write_text(
+            "\n".join(["scenario,method,dataset,seed,metric,value", *rows]) + "\n")
+        summary = report(str(out))
+        # ddof = 0: 51.0±1.0, where the sample std would print ±1.4
+        assert (out / "report_global_alpha_g.csv").read_text().splitlines() == [
+            "method,a,#", "kgcoop,60.0±0.0,1", "promptfl,51.0±1.0,-"]
+        assert summary.splitlines()[0].startswith(
+            "# global / alpha_g: mean±std over 1-2 seed(s), population std (ddof = 0)")
 
     @pytest.mark.parametrize("rows,where", [
         (["global,src,synthetic,0,alpha_g"], "results.csv:2: malformed row"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fedprompt import data
 from fedprompt.data import (
+    ClientDataset,
     DomainShift,
     MasterDataset,
     SyntheticSpec,
@@ -25,7 +26,7 @@ from fedprompt.data import (
     RegionNoise,
     stratified_split,
 )
-from oracle import rotate_planes_loop, save_feature_table
+from oracle import rotate_planes_loop, save_feature_table, shift_whole_master
 from fedprompt.errors import ConfigError, DataError
 from fedprompt.vlm import unit_rows
 from fedprompt import rngs
@@ -94,6 +95,11 @@ class TestSynthetic:
             generate_synthetic_dataset(spec, np.random.default_rng(0))
 
 
+def shift_all(dataset, shift):
+    """`apply_domain_shift` of every row of the dataset."""
+    return apply_domain_shift(dataset, shift, np.arange(len(dataset)))
+
+
 class TestDomainShift:
     @pytest.fixture
     def dataset(self):
@@ -101,7 +107,7 @@ class TestDomainShift:
         return generate_synthetic_dataset(spec, np.random.default_rng(2))
 
     def test_identity_transform(self, dataset):
-        out = apply_domain_shift(dataset, DomainShift())
+        out = shift_all(dataset, DomainShift())
         np.testing.assert_allclose(out.features, dataset.features, atol=1e-12)
         np.testing.assert_array_equal(out.labels, dataset.labels)
 
@@ -114,13 +120,13 @@ class TestDomainShift:
         # measured trend over five increasing noise levels
         cosines = []
         for k, sigma in enumerate((0.0, 0.1, 0.3, 0.8, 2.0)):
-            out = apply_domain_shift(dataset, DomainShift(noise_sigma=sigma, seed=5))
+            out = shift_all(dataset, DomainShift(noise_sigma=sigma, seed=5))
             cosines.append(float((out.features * dataset.features).sum(axis=1).mean()))
         assert all(b < a for a, b in zip(cosines, cosines[1:]))
 
     def test_nonfinite_parameters(self, dataset):
         with pytest.raises(ConfigError):
-            apply_domain_shift(dataset, DomainShift(angle=np.inf))
+            shift_all(dataset, DomainShift(angle=np.inf))
 
 
 def dense_rotation(d: int, angle: float, planes=None) -> np.ndarray:
@@ -158,7 +164,7 @@ class TestDomainShiftOracle:
     def test_default_planes_match_dense_product(self, d):
         ds = self.dataset(d)
         shift = DomainShift(angle=0.7)
-        out = apply_domain_shift(ds, shift)
+        out = shift_all(ds, shift)
         np.testing.assert_allclose(out.features, dense_shift_oracle(ds, shift), rtol=0, atol=1e-12)
         if d % 2:  # the unpaired last axis is not rotated
             np.testing.assert_allclose(out.features[:, -1], ds.features[:, -1], rtol=0, atol=1e-12)
@@ -184,7 +190,7 @@ class TestDomainShiftOracle:
     def test_noise_matches_dense_product(self):
         ds = self.dataset(33)
         shift = DomainShift(angle=0.5, noise_sigma=0.2, seed=3)
-        out = apply_domain_shift(ds, shift)
+        out = shift_all(ds, shift)
         np.testing.assert_allclose(out.features, dense_shift_oracle(ds, shift), rtol=0, atol=1e-12)
 
 
@@ -327,6 +333,69 @@ class TestBaseNovelSplit:
             base_novel_split(4, mode="random")
 
 
+class TestShiftedRows:
+    """A shift of some rows holds those rows, under their master ids, equal
+    bit for bit to the same rows of the whole dataset's shift."""
+
+    @staticmethod
+    def dataset(d: int, n: int = 40) -> MasterDataset:
+        rng = np.random.default_rng(d)
+        return MasterDataset(features=unit_rows(rng.normal(size=(n, d))),
+                             labels=np.arange(n) % 4, class_count=4,
+                             domain_tags=np.arange(n) % 2)
+
+    @staticmethod
+    def assert_rows_of_whole_shift(ds, shift, rows):
+        out = apply_domain_shift(ds, shift, rows)
+        ids = np.unique(rows)
+        whole = shift_whole_master(ds, shift)
+        np.testing.assert_array_equal(out.rows.ids, ids)
+        assert len(out) == len(ds) and out.features.shape == (len(ids), ds.feature_dim)
+        assert out.features.tobytes() == whole.features[ids].tobytes()
+        np.testing.assert_array_equal(out.labels, ds.labels[ids])
+        np.testing.assert_array_equal(out.domain_tags, ds.domain_tags[ids])
+
+    @pytest.mark.parametrize("d", [33, 512])
+    @pytest.mark.parametrize("k", [1, 2])  # the shifts of `evaluation.cross_domain_targets`
+    def test_first_and_last_rows(self, d, k):
+        shift = DomainShift(angle=0.3 + 0.2 * k, noise_sigma=0.05 * k, seed=k)
+        ds = self.dataset(d)
+        for rows in ([0], [len(ds) - 1], [len(ds) - 1, 0, 0], np.arange(len(ds))):
+            self.assert_rows_of_whole_shift(ds, shift, rows)
+
+    def test_two_seed_union_of_test_rows(self, monkeypatch):
+        # the test rows of seeds 0 and 1, noise drawn in blocks of three rows
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 3 * 33 * 8)
+        ds = self.dataset(33)
+        tests = [stratified_split(ds.labels, (0.7, 0.1, 0.2), rngs.derive_rng(s, rngs.TVT))[2]
+                 for s in (0, 1)]
+        union = np.concatenate(tests)
+        assert len(np.unique(union)) > max(len(t) for t in tests)
+        self.assert_rows_of_whole_shift(ds, DomainShift(angle=0.7, noise_sigma=0.1, seed=2), union)
+
+    def test_row_not_held_raises(self):
+        ds = self.dataset(8)
+        target = apply_domain_shift(ds, DomainShift(angle=0.5, noise_sigma=0.1, seed=1), [4, 2, 9])
+        part = ClientDataset.from_master(target, [9, 2])
+        np.testing.assert_array_equal(part.features, target.features[[2, 0]])
+        np.testing.assert_array_equal(part.master_indices, [9, 2])
+        with pytest.raises(DataError, match="row 5 is not among the 3 kept rows of a dataset "
+                                            "shifted by"):
+            ClientDataset.from_master(target, [2, 5])
+        shape = (len(ds), 2, 8)
+        with pytest.raises(DataError, match="row 3 is not among the 3 kept rows"):
+            target.ensure_local_maps(2, [np.array([3])], {shape: RegionNoise(shape, [3])})
+
+    def test_peak_memory_follows_the_kept_rows(self):
+        # 200 of 4000 rows shifted: the draw and the rows take memory in
+        # proportion to those rows, not to the whole (n, d) dataset
+        n, d = 4000, 64
+        ds = self.dataset(d, n)
+        rows = np.sort(np.random.default_rng(0).choice(n, size=200, replace=False))
+        shift = DomainShift(angle=0.5, noise_sigma=0.1, seed=1)
+        assert traced_peak(lambda: apply_domain_shift(ds, shift, rows)) < 0.5 * n * d * 8
+
+
 def per_sample_maps(features, M):
     """The region-feature oracle: one (M, d) draw per sample, in row order,
     from the map stream at seed 0, with spread 0.1."""
@@ -379,11 +448,12 @@ class TestLocalMaps:
         np.testing.assert_array_equal(got, per_sample_maps(master.features, 3)[rows])
 
     def test_shifted_targets_match_per_sample_draws(self, master):
-        rows = [np.array([5, 0, 3]), np.arange(6)]
+        # a target that holds some rows maps them as the whole shift would
+        rows = [np.array([5, 0, 3]), np.array([3])]
         for k in (1, 2):  # the shifts of `evaluation.cross_domain_targets`
-            target = apply_domain_shift(master, DomainShift(angle=0.3 + 0.2 * k,
-                                                            noise_sigma=0.05 * k, seed=k))
-            expected = per_sample_maps(target.features, 3)
+            shift = DomainShift(angle=0.3 + 0.2 * k, noise_sigma=0.05 * k, seed=k)
+            target = apply_domain_shift(master, shift, [0, 3, 5])
+            expected = per_sample_maps(shift_whole_master(master, shift).features, 3)
             for r, got in zip(rows, target.ensure_local_maps(3, rows, keep_rows(master, 3))):
                 np.testing.assert_array_equal(got, expected[r])
 
@@ -395,22 +465,22 @@ class TestLocalMaps:
                 maps[0, 0, 0] = 1.0
         np.testing.assert_array_equal(part, full[[1, 4]])
         # the dataset keeps nothing: the maps live with the caller's slices
-        assert set(vars(master)) == {"features", "labels", "class_count", "domain_tags"}
+        assert set(vars(master)) == {"features", "labels", "class_count", "domain_tags", "rows"}
 
     def test_noise_is_one_read_only_draw_per_shape(self, master):
         # the table keeps the rows asked for of one draw per (n, M, d), made
         # once and shared by a dataset of the same shape such as a shifted target
         table = keep_rows(master, 3, [4, 1, 4, 2])
         noise = table[(6, 3, 5)]
-        target = apply_domain_shift(master, DomainShift(angle=0.5))
+        target = apply_domain_shift(master, DomainShift(angle=0.5), [1])
         target.ensure_local_maps(3, [np.array([1])], table)
         values = noise.values()
         master.ensure_local_maps(3, [np.array([2, 4])], table)
         assert noise.values() is values
-        np.testing.assert_array_equal(noise.rows, [1, 2, 4])
+        np.testing.assert_array_equal(noise.rows.ids, [1, 2, 4])
         full = rngs.derive_rng(0, rngs.LOCAL_MAP).normal(size=(6, 3, 5))
         np.testing.assert_array_equal(values, full[[1, 2, 4]])
-        for array in (values, noise.rows):
+        for array in (values, noise.rows.ids):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 

@@ -434,7 +434,7 @@ class TestScenarios:
         n, d = len(desk_master), desk_master.feature_dim
         assert list(state.noise) == [(n, config.model.local_features, d)]
         union = np.flatnonzero(np.bincount(np.concatenate(read), minlength=n))
-        np.testing.assert_array_equal(state.noise[(n, config.model.local_features, d)].rows,
+        np.testing.assert_array_equal(state.noise[(n, config.model.local_features, d)].rows.ids,
                                       union)
         assert len(union) < n  # the validation rows and the unsampled pool stay undrawn
 
@@ -546,6 +546,47 @@ class TestScenarios:
         assert len(calls) == 6
         with pytest.raises(ValueError, match="read-only"):
             state.shifted["other"]["shift1"].features[0, 0] = 1.0
+
+    @pytest.mark.parametrize("seeds, protocol", [([0], "standard"), ([0, 1], "standard"),
+                                                 ([0, 1], "centralized")])
+    def test_shifted_targets_hold_the_planned_test_rows(self, desk_master, seeds, protocol):
+        # each target holds exactly the union of the rows the cross-domain
+        # plans score, under master ids, and no other row
+        fed = dict(num_clients=1) if protocol == "centralized" else {}
+        config = replace(desk_config(rounds=1, protocol=protocol, **fed),
+                         scenarios=["global", "cross_domain"], methods=["zsclip", "fedotp"],
+                         seeds=seeds, scenario=ScenarioSpec(cross_targets=2))
+        state = build_run_state(config, {"synthetic": desk_master})
+        scored = [t.indices for seed in seeds for trained in (False, True)
+                  for t in evaluation._scenario_plan(state, "cross_domain", trained,
+                                                     "synthetic", "synthetic", seed).targets]
+        union = np.flatnonzero(np.bincount(np.concatenate(scored), minlength=len(desk_master)))
+        assert 0 < len(union) < len(desk_master)
+        assert list(state.shifted["synthetic"]) == ["shift1", "shift2"]
+        for target in state.shifted["synthetic"].values():
+            np.testing.assert_array_equal(target.rows.ids, union)
+            assert len(target) == len(desk_master) and len(target.features) == len(union)
+
+    def test_cross_domain_bytes_match_whole_master_targets(self, tmp_path, monkeypatch):
+        # a run on targets that hold only the scored rows writes the bytes of
+        # the same run on targets that shift every row of the master
+        from oracle import shift_whole_master
+        from fedprompt.config import parse_config_text
+        from fedprompt.runner import run
+
+        text = ("[experiment]\nscenarios = cross_domain\nmethods = zsclip,promptfl,fedotp\n"
+                "seeds = 0,1\n[federation]\nnum_clients = 3\nrounds = 2\nbatch_size = 8\n"
+                "[model]\nd_token = 8\nd_feature = 33\nd_image = 33\nlocal_features = 2\n"
+                "[data]\nclasses = 3\nfeature_dim = 33\nsamples_per_class = 20\n"
+                "per_class_subsample = 6\nalpha = 0.5\n")
+        config = parse_config_text(text)
+        assert run(config, output_dir=str(tmp_path / "rows")).exit_code == 0
+        monkeypatch.setattr(evaluation, "apply_domain_shift",
+                            lambda master, shift, rows: shift_whole_master(master, shift))
+        assert run(config, output_dir=str(tmp_path / "whole")).exit_code == 0
+        for name in ("results.csv", "results.json", "curves.jsonl"):
+            assert (tmp_path / "rows" / name).read_bytes() == \
+                (tmp_path / "whole" / name).read_bytes(), name
 
     def test_cost_tradeoff_sweep_shape(self, desk_master, monkeypatch):
         from fedprompt.algorithms import make_trainer
