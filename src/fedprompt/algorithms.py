@@ -368,8 +368,8 @@ class LocalTrainer:
     # into the one context that a step and a predictor encode
     context_fields: tuple[str, ...] = ("context",)
     # whether every client trains from and scores with the broadcast context as
-    # it is, so that one encoding of it and one predictor serve them all; not so
-    # when a client conditions it on each image or stacks fields of its own on
+    # it is, so that one encoding of it serves them all; not so when a client
+    # conditions it on each image or stacks fields of its own on
     scores_with_broadcast = True
 
     def n_sets(self, cfg: ModelConfig) -> int:
@@ -537,22 +537,19 @@ def transport_probs(predictors: list[TransportPredictor],
 
 @dataclass
 class PerClientPredictor:
-    """Each client's own predictor over its consecutive block of `rows` rows,
-    in client order. Transport blocks are solved in one `transport_probs` stack."""
+    """Each client's own transport predictor over its consecutive block of
+    `rows` rows, in client order, all solved in one `transport_probs` stack."""
 
-    predictors: list
+    predictors: list[TransportPredictor]
     rows: list[int]
 
     def probs(self, image_features: np.ndarray, local_maps: np.ndarray | None) -> np.ndarray:
         if sum(self.rows) != len(image_features):
             raise DataError(f"client blocks of {sum(self.rows)} rows over "
                             f"{len(image_features)} images")
-        bounds = np.cumsum(self.rows)[:-1]
-        maps = [None] * len(self.rows) if local_maps is None else np.split(local_maps, bounds)
-        if all(isinstance(p, TransportPredictor) for p in self.predictors):
-            return np.concatenate(transport_probs(self.predictors, maps))
-        return np.concatenate([p.probs(x, m) for p, x, m in
-                               zip(self.predictors, np.split(image_features, bounds), maps)])
+        maps = ([None] * len(self.rows) if local_maps is None
+                else np.split(local_maps, np.cumsum(self.rows)[:-1]))
+        return np.concatenate(transport_probs(self.predictors, maps))
 
 
 class PromptFLTrainer(LocalTrainer):

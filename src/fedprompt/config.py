@@ -65,6 +65,9 @@ class DataConfig:
                               f"data, got {self.classes}")
         entries_by_name: dict[str, str] = {}
         for entry in self.datasets:
+            if entry.replace(",", " ").split() != [entry]:
+                raise ConfigError(f"datasets: entry {entry!r} does not read back as one "
+                                  "entry: whitespace and ',' separate the entries")
             name = dataset_display_name(entry)
             if name in entries_by_name:
                 raise ConfigError(f"datasets: {entries_by_name[name]!r} and {entry!r} both "

@@ -4,9 +4,9 @@ Six evaluation scenarios (shared-model accuracy, personalized accuracy,
 base/novel generalization, few-shot, cross-domain, cost trade-off) run
 through one pipeline, `run_cell`; each scenario only declares a plan: its
 client partition, trained classes, scored targets and when they are
-scored. Every cell of a run reads one `RunState`, built by
-`build_run_state` before the first cell. Also the run-aggregation and
-baseline-superiority arithmetic used in reports.
+scored. `build_run_state` draws each (scenario, dataset, seed) plan once
+into the `RunState` that every cell of a run reads. Also the
+run-aggregation and baseline-superiority arithmetic used in reports.
 """
 
 from dataclasses import dataclass, field, replace
@@ -16,7 +16,6 @@ import numpy as np
 
 from .algorithms import (
     CosinePredictor,
-    LocalTrainer,
     PerClientPredictor,
     PersonalizedFedOTPTrainer,
     make_trainer,
@@ -148,12 +147,6 @@ class CellResult:
     curves: list[dict]
 
 
-def _trainer_for(method: str, kind: str) -> LocalTrainer:
-    if method == "fedotp" and kind == "personalized":
-        return PersonalizedFedOTPTrainer()
-    return make_trainer(method)
-
-
 def _splits(master: MasterDataset, seed: int):
     return stratified_split(master.labels, (0.7, 0.1, 0.2), rngs.derive_rng(seed, rngs.TVT))
 
@@ -166,9 +159,8 @@ def cross_domain_targets(master: MasterDataset, count: int,
     Each held row equals the same row of the whole master's shift, so the
     scores do not depend on which other rows are held.
     """
-    return {f"shift{k}": apply_domain_shift(master, DomainShift(angle=0.3 + 0.2 * k,
-                                                                noise_sigma=0.05 * k, seed=k),
-                                            rows)
+    return {f"shift{k}": apply_domain_shift(
+                master, DomainShift(angle=0.3 + 0.2 * k, noise_sigma=0.05 * k, seed=k), rows)
             for k in range(1, count + 1)}
 
 
@@ -187,90 +179,12 @@ def _cell_models(kind: str, method: str, model: ModelConfig) -> list[tuple[str, 
             + [(f"|tokens={v}", replace(model, tokens=v)) for v in TOKEN_SWEEP])
 
 
-@dataclass(frozen=True)
-class RunState:
-    """What every cell of a run shares, read-only; built once by `build_run_state`.
-
-    Per-row derived data exists only for the rows the run reads, under
-    master row ids:
-    - `shifted` holds each dataset's cross-domain targets for the union of
-      its test rows over `experiment.seeds`, the only rows a cross-domain
-      cell scores;
-    - `noise` holds, per (n, M, d), the rows of the region-noise stream that
-      the run's transport cells read: the union of their client rows and
-      target rows over every planned (scenario, dataset, seed).
-
-    Multi-seed and centralized runs keep more rows; a union grows toward n
-    and never past it. `MasterDataset.ensure_local_maps` draws the kept
-    noise values at first use, unless `runner.run` drew them before it
-    started a worker pool.
-    """
-
-    config: "ExperimentConfig"                          # as parsed from the text the cells run
-    datasets: dict[str, MasterDataset]                  # by results column name
-    assets: dict[tuple[ModelConfig, int], ModelAssets]  # by (model config, class count)
-    shifted: dict[str, dict[str, MasterDataset]]        # cross-domain targets by dataset name
-    noise: dict[tuple[int, int, int], RegionNoise] = field(default_factory=dict)
-
-    def freeze(self) -> "RunState":
-        """Mark every array read-only (again, after the state was unpickled in a worker)."""
-        shifted = [target for targets in self.shifted.values() for target in targets.values()]
-        for frozen in [*self.datasets.values(), *shifted, *self.assets.values(),
-                       *self.noise.values()]:
-            frozen.freeze()
-        return self
-
-
-def build_run_state(config: "ExperimentConfig",
-                    datasets: dict[str, MasterDataset]) -> RunState:
-    """The run's frozen datasets, the assets of every (model config, class count)
-    its cells use, for a cross-domain run each dataset's shifted targets of the
-    rows its cells score and, for a run with a transport method, the
-    region-noise rows its cells read.
-
-    Each client partition the trained cells will draw is drawn here once, so
-    that one the data cannot hold fails the run before any cell runs."""
-    keys = dict.fromkeys((cfg, master.class_count)
-                         for kind in config.scenarios for method in config.methods
-                         for _, cfg in _cell_models(kind, method, config.model)
-                         for master in datasets.values())
-    shifted = {}
-    if "cross_domain" in config.scenarios:  # its cells score each seed's test rows
-        shifted = {name: cross_domain_targets(
-                       master, config.scenario.cross_targets,
-                       np.concatenate([_splits(master, seed)[2] for seed in config.seeds]))
-                   for name, master in datasets.items()}
-    state = RunState(config, datasets, {key: build_assets(*key) for key in keys},
-                     shifted).freeze()
-    if all(method == ZERO_SHOT_METHOD for method in config.methods):
-        return state  # zero-shot cells draw no partition
-    transport = any(method in TRANSPORT_METHODS for method in config.methods)
-    read: dict[tuple[int, int, int], list[np.ndarray]] = {}
-    for kind in config.scenarios:
-        limits = ("scenario.shots and federation.num_clients" if kind == "fewshot"
-                  else "data.per_class_subsample")
-        for name, master in datasets.items():
-            for seed in config.seeds:
-                try:
-                    plan = _scenario_plan(state, kind, True, name, name, seed)
-                except DataError as exc:
-                    raise ConfigError(f"{limits}: too large for dataset {name!r} in the {kind} "
-                                      f"scenario (seed {seed}): {exc}") from exc
-                if transport:  # a shifted target has its master's shape
-                    shape = (len(master), config.model.local_features, master.feature_dim)
-                    read.setdefault(shape, []).extend(
-                        [*plan.clients, *(target.indices for target in plan.targets)])
-    return replace(state, noise={shape: RegionNoise(shape, np.concatenate(rows))
-                                 for shape, rows in read.items()})
-
-
 @dataclass
 class _Target:
-    """One scored test set: results column, metric, and its per-round record
-    key. A personalized target's rows are the clients' test rows, in client
-    order."""
+    """One scored test set and its per-round record key; a personalized
+    target's rows are the clients' test rows, in client order."""
 
-    column: str
+    suffix: str            # "" or, for a cross-domain target, "->shiftK"
     metric: str
     key: str
     source: MasterDataset  # the dataset or shifted target that `indices` (master ids) select
@@ -288,13 +202,99 @@ class _ScenarioPlan:
     class_ids: np.ndarray | None = None      # the classes trained on (None: all)
     per_round: bool = True                   # `best_scores` of the rounds, else final only
 
+    def freeze(self) -> None:
+        """Mark its index arrays read-only."""
+        for array in [*(self.clients or ()), self.class_ids,
+                      *(a for t in self.targets for a in (t.indices, t.class_ids))]:
+            if array is not None:
+                array.flags.writeable = False
 
-def _scenario_plan(state: RunState, kind: str, trained: bool, dataset: str,
-                   column: str, seed: int) -> _ScenarioPlan:
-    """The scenario's targets and, for a trained method, its client partition."""
-    master = state.datasets[dataset]
-    tr, _va, te = _splits(master, seed)
-    config = state.config
+
+@dataclass(frozen=True)
+class RunState:
+    """What every cell of a run shares, read-only; built once by `build_run_state`.
+
+    `plans` holds each (scenario, dataset, seed) plan, drawn once and read by
+    the cells of every method, so they all see one client partition. Per-row
+    derived data exists only for the rows the run reads, under master row ids:
+    - a cross-domain plan's targets (`_Target.source`) hold the union of its
+      dataset's test rows over `experiment.seeds`, the only rows a
+      cross-domain cell scores;
+    - `noise` holds, per (n, M, d), the rows of the region-noise stream that
+      the run's transport cells read: the union of their client rows and
+      target rows over every plan.
+
+    Multi-seed and centralized runs keep more rows; a union grows toward n
+    and never past it. `MasterDataset.ensure_local_maps` draws the kept
+    noise values at first use, unless `runner.run` drew them before it
+    started a worker pool.
+    """
+
+    config: "ExperimentConfig"                          # as parsed from the text the cells run
+    datasets: dict[str, MasterDataset]                  # by results column name
+    assets: dict[tuple[ModelConfig, int], ModelAssets]  # by (model config, class count)
+    plans: dict[tuple[str, str, int], _ScenarioPlan]    # by (scenario, dataset, seed)
+    noise: dict[tuple[int, int, int], RegionNoise] = field(default_factory=dict)
+
+    def freeze(self) -> "RunState":
+        """Mark every array read-only (again, after the state was unpickled in a worker)."""
+        sources = [target.source for plan in self.plans.values() for target in plan.targets]
+        for frozen in [*self.datasets.values(), *sources, *self.assets.values(),
+                       *self.plans.values(), *self.noise.values()]:
+            frozen.freeze()
+        return self
+
+
+def build_run_state(config: "ExperimentConfig",
+                    datasets: dict[str, MasterDataset]) -> RunState:
+    """The run's frozen datasets, the assets of every (model config, class count)
+    its cells use, the plan of every (scenario, dataset, seed) and, for a run
+    with a transport method, the region-noise rows its cells read.
+
+    Each dataset is split once per seed, for the cross-domain targets and the
+    plans. A plan holds a client partition when the run trains a method, so
+    one the data cannot hold fails the run before any cell runs."""
+    keys = dict.fromkeys((cfg, master.class_count)
+                         for kind in config.scenarios for method in config.methods
+                         for _, cfg in _cell_models(kind, method, config.model)
+                         for master in datasets.values())
+    splits = {(name, seed): _splits(master, seed)
+              for name, master in datasets.items() for seed in config.seeds}
+    # a cross-domain cell scores each seed's test rows of its dataset's targets
+    count = config.scenario.cross_targets if "cross_domain" in config.scenarios else 0
+    shifted = {name: cross_domain_targets(master, count, np.concatenate(
+                   [splits[name, seed][2] for seed in config.seeds]))
+               for name, master in datasets.items()}
+    trained = any(method != ZERO_SHOT_METHOD for method in config.methods)
+    transport = any(method in TRANSPORT_METHODS for method in config.methods)
+    plans, read = {}, {}  # read: by (n, M, d), the region-noise rows that cells read
+    for kind in config.scenarios:
+        limits = ("scenario.shots and federation.num_clients" if kind == "fewshot"
+                  else "data.per_class_subsample")
+        for name, master in datasets.items():
+            for seed in config.seeds:
+                try:
+                    plan = _scenario_plan(config, kind, trained, master, splits[name, seed],
+                                          shifted[name], seed)
+                except DataError as exc:
+                    raise ConfigError(f"{limits}: too large for dataset {name!r} in the {kind} "
+                                      f"scenario (seed {seed}): {exc}") from exc
+                plans[kind, name, seed] = plan
+                if transport:  # a shifted target has its master's shape
+                    shape = (len(master), config.model.local_features, master.feature_dim)
+                    read.setdefault(shape, []).extend(
+                        [*plan.clients, *(target.indices for target in plan.targets)])
+    return RunState(config, datasets, {key: build_assets(*key) for key in keys}, plans,
+                    {shape: RegionNoise(shape, np.concatenate(rows))
+                     for shape, rows in read.items()}).freeze()
+
+
+def _scenario_plan(config: "ExperimentConfig", kind: str, trained: bool, master: MasterDataset,
+                   splits: tuple[np.ndarray, np.ndarray, np.ndarray],
+                   shifted: dict[str, MasterDataset], seed: int) -> _ScenarioPlan:
+    """The scenario's targets on `master`'s (train, validation, test) `splits`
+    (or its `shifted` targets) and, for a run that trains, its client partition."""
+    tr, _va, te = splits
     fed_cfg, spec = config.federation, config.scenario
     pool = tr
     if kind == "base_novel":
@@ -302,18 +302,18 @@ def _scenario_plan(state: RunState, kind: str, trained: bool, dataset: str,
         te_base = te[np.isin(master.labels[te], base_ids)]
         te_novel = te[np.isin(master.labels[te], novel_ids)]
         scenario = _ScenarioPlan(
-            [_Target(column, "alpha_b", "acc::base", master, te_base, base_ids),
-             _Target(column, "alpha_n", "acc::novel", master, te_novel, novel_ids)],
+            [_Target("", "alpha_b", "acc::base", master, te_base, base_ids),
+             _Target("", "alpha_n", "acc::novel", master, te_novel, novel_ids)],
             class_ids=base_ids, per_round=False,
         )
         pool = tr[np.isin(master.labels[tr], base_ids)]
     elif kind == "cross_domain":
-        scenario = _ScenarioPlan([_Target(f"{column}->{name}", "alpha_xd", f"acc::{name}", target, te)
-                                  for name, target in state.shifted[dataset].items()])
+        scenario = _ScenarioPlan([_Target(f"->{name}", "alpha_xd", f"acc::{name}", target, te)
+                                  for name, target in shifted.items()])
     else:
         metric = {"personalized": "alpha_p",
                   "fewshot": f"alpha_fs_{spec.shots}"}.get(kind, "alpha_g")
-        scenario = _ScenarioPlan([_Target(column, metric, "test_accuracy", master, te)])
+        scenario = _ScenarioPlan([_Target("", metric, "test_accuracy", master, te)])
     if not trained:  # zero-shot trains nothing, so it needs (and may fail) no partition
         return scenario
 
@@ -330,7 +330,8 @@ def _scenario_plan(state: RunState, kind: str, trained: bool, dataset: str,
         raw = dirichlet_partition(master.labels[sub], fed_cfg.num_clients, config.data.alpha, rng)
         scenario.clients = [sub[ix] for ix in raw.client_indices]
         if kind == "personalized":
-            # per-client test pools mirror each client's training label distribution
+            # per-client test pools mirror each client's training label distribution;
+            # a zero-shot cell scores the same rows, in this order
             tests = mirror_partition(raw.class_proportions, master.labels[te],
                                      rngs.derive_rng(seed, rngs.PARTITION, 1))
             scenario.targets[0].indices = np.concatenate([te[ix] for ix in tests.client_indices])
@@ -341,21 +342,21 @@ def _scenario_plan(state: RunState, kind: str, trained: bool, dataset: str,
 def run_cell(state: RunState, scenario: str, method: str, dataset: str,
              seed: int) -> CellResult:
     """One (scenario, method, dataset, seed) experiment on the run's shared state."""
-    parts = [_run_plan(state, scenario, method, dataset, dataset + suffix, seed, cfg)
+    plan = state.plans.get((scenario, dataset, seed))
+    if plan is None:
+        raise EvaluationError(f"the run state holds no plan for the cell {scenario}/{method}/"
+                              f"{dataset}/seed {seed}")
+    parts = [_run_plan(state, plan, scenario, method, dataset, dataset + suffix, seed, cfg)
              for suffix, cfg in _cell_models(scenario, method, state.config.model)]
-    if len(parts) == 1:
-        return parts[0]
     return CellResult([o for part in parts for o in part.observations],
                       [row for part in parts for row in part.curves])
 
 
-def _run_plan(state: RunState, kind: str, method: str, dataset: str, column: str,
-              seed: int, cfg: ModelConfig) -> CellResult:
+def _run_plan(state: RunState, scenario: _ScenarioPlan, kind: str, method: str, dataset: str,
+              column: str, seed: int, cfg: ModelConfig) -> CellResult:
     """The cell pipeline: the scenario's plan, trained and scored under one model config."""
     master = state.datasets[dataset]
     assets = state.assets[(cfg, master.class_count)]
-    trained = method != ZERO_SHOT_METHOD
-    scenario = _scenario_plan(state, kind, trained, dataset, column, seed)
     targets = scenario.targets
     empty = [t.key for t in targets if len(t.indices) == 0]
     if empty:
@@ -381,13 +382,14 @@ def _run_plan(state: RunState, kind: str, method: str, dataset: str, column: str
             scores[target.key] = correct / len(test) * 100.0
         return scores
 
-    if not trained:
+    if method == ZERO_SHOT_METHOD:
         scores = score(lambda scored: CosinePredictor(scored.hand_features[None],
                                                       scored.cfg.tau))
         chi = 0.0 if kind == "global" else None
-        return CellResult(_observations(kind, method, seed, targets, scores, chi), [])
+        return CellResult(_observations(kind, method, column, seed, targets, scores, chi), [])
 
-    trainer = _trainer_for(method, kind)
+    trainer = (PersonalizedFedOTPTrainer() if (method, kind) == ("fedotp", "personalized")
+               else make_trainer(method))
     fed_cfg = state.config.federation
     clients = build_clients(master, scenario.clients, trainer, cfg, seed)
     if method in TRANSPORT_METHODS:
@@ -396,10 +398,10 @@ def _run_plan(state: RunState, kind: str, method: str, dataset: str, column: str
                          cfg.local_features, state.noise)
 
     def evaluate(server, clients) -> dict[str, float]:
-        """Score the broadcast's predictor, or each personalized client's own
-        over that client's rows."""
+        """Score the broadcast's predictor or, where clients hold fields of their
+        own, each personalized client's own over that client's rows."""
         payload = server.payload
-        if scenario.client_rows is None or trainer.scores_with_broadcast:
+        if scenario.client_rows is None or not any(c.state.local_fields for c in clients):
             return score(lambda scored: trainer.build_predictor(payload, scored, None))
         held = [(c, rows) for c, rows in zip(clients, scenario.client_rows) if rows]
         return score(lambda scored: PerClientPredictor(
@@ -428,27 +430,25 @@ def _run_plan(state: RunState, kind: str, method: str, dataset: str, column: str
         chi = moved / 1e6
     elif kind == "cost_tradeoff":  # the trade-off tables quote the method's arithmetic cost
         chi = communication_cost_millions(trainer, cfg, fed_cfg)
-    return CellResult(_observations(kind, method, seed, targets, scores, chi), curves)
+    return CellResult(_observations(kind, method, column, seed, targets, scores, chi), curves)
 
 
 def _give_local_maps(slices: list[tuple[MasterDataset, ClientDataset]], M: int,
                      noise_table: dict[tuple[int, int, int], RegionNoise]) -> None:
     """Set the local maps of each (source, slice) pair, with one build per source."""
-    by_source: dict[int, tuple[MasterDataset, list[ClientDataset]]] = {}
-    for source, part in slices:
-        by_source.setdefault(id(source), (source, []))[1].append(part)
-    for source, parts in by_source.values():
+    for source in {id(source): source for source, _ in slices}.values():
+        parts = [part for owner, part in slices if owner is source]
         maps = source.ensure_local_maps(M, [part.master_indices for part in parts], noise_table)
         for part, part_maps in zip(parts, maps):
             part.local_maps = part_maps
 
 
-def _observations(kind: str, method: str, seed: int, targets: list[_Target],
+def _observations(kind: str, method: str, column: str, seed: int, targets: list[_Target],
                   scores: dict[str, float], chi: float | None) -> list[Observation]:
-    rows = [(t.column, t.metric, scores[t.key]) for t in targets]
+    rows = [(column + t.suffix, t.metric, scores[t.key]) for t in targets]
     if kind == "base_novel":
-        rows.append((targets[0].column, "alpha_h", harmonic_mean(rows[0][2], rows[1][2])))
+        rows.append((column, "alpha_h", harmonic_mean(rows[0][2], rows[1][2])))
     if chi is not None:
-        rows.append((targets[0].column, "chi_millions", chi))
+        rows.append((column, "chi_millions", chi))
     return [Observation(kind, method, column, seed, metric, float(value))
             for column, metric, value in rows]

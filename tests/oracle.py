@@ -220,7 +220,7 @@ def shift_whole_master(dataset, shift) -> MasterDataset:
 def one_cell(config, kind: str, method: str, master, seed: int, name: str = "synthetic"):
     """`run_cell` of one (scenario kind, method, dataset, seed) cell, on a run state
     built for that cell alone from `config` and the dataset `master`."""
-    config = replace(config, scenarios=[kind], methods=[method])
+    config = replace(config, scenarios=[kind], methods=[method], seeds=[seed])
     return run_cell(build_run_state(config, {name: master}), kind, method, name, seed)
 
 

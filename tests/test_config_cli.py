@@ -323,6 +323,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match="data.datasets.*'feat'"):
             parse_config_text("[data]\ndatasets = a/feat.txt,b/feat.txt\n")
 
+    @pytest.mark.parametrize("entry", ["my data/a,b.txt", "a b.txt", "a,b.txt", "tab\there.txt",
+                                       "line\nbreak.txt", ""])
+    def test_dataset_entry_a_round_trip_would_split_rejected(self, entry):
+        # the serialized list is split at ',' and whitespace when parsed, and a
+        # run executes the round-tripped config: it would plan the cells of one
+        # entry and load the datasets of others
+        with pytest.raises(ConfigError, match=r"^datasets: entry .* does not read back as one"):
+            DataConfig(datasets=["synthetic", entry])
+        with pytest.raises(ConfigError, match=r"^datasets: entry "):
+            ExperimentConfig(data=DataConfig(datasets=[entry]))
+        kept = ExperimentConfig(data=DataConfig(datasets=["my_data/a.b.txt", "synthetic#2"]))
+        assert parse_config_text(serialize_config(kept)) == kept
+
     @pytest.mark.parametrize("key,value", [
         ("eval_every", "0"), ("lr", "0"), ("lr", "-0.01"), ("momentum", "1.0"), ("momentum", "-0.1"),
     ])
@@ -424,8 +437,8 @@ class TestMaterialize:
             materialize_datasets(cfg)
 
 
-# cells that share a run's frozen state: datasets, assets, shifted targets and
-# the region noise behind the transport cells' local maps
+# cells that share a run's frozen state: datasets, assets, scenario plans (their
+# shifted targets too) and the region noise behind the transport cells' local maps
 SHARED_STATE_CONFIG = """
 [experiment]
 scenarios = personalized,cross_domain
@@ -536,8 +549,14 @@ class TestSharedRunState:
         drawn = {shape: noise.values() for shape, noise in built.noise.items()}
         state = pickle.loads(pickle.dumps(built))
         arrays = [a for master in state.datasets.values() for a in (master.features, master.labels)]
-        arrays += [a for targets in state.shifted.values() for target in targets.values()
-                   for a in (target.features, target.rows.ids)]
+        plans = state.plans.values()
+        arrays += [a for plan in plans for a in (*plan.clients, plan.class_ids) if a is not None]
+        arrays += [a for plan in plans for target in plan.targets
+                   for a in (target.indices, target.class_ids, target.source.features,
+                             target.source.labels) if a is not None]
+        shifted = [t.source for plan in plans for t in plan.targets if t.source.rows is not None]
+        assert shifted  # the cross-domain plans' targets
+        arrays += [target.rows.ids for target in shifted]
         monkeypatch.setattr(rngs, "derive_rng", None)  # an unpickled state draws nothing
         arrays += [state.noise[shape].values() for shape in drawn]
         for shape, values in drawn.items():

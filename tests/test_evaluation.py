@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracle import audited_cell, one_cell
 from fedprompt import evaluation
-from fedprompt.algorithms import CosinePredictor, PerClientPredictor
+from fedprompt.algorithms import CosinePredictor, PerClientPredictor, TransportPredictor
 from fedprompt.config import DataConfig, ExperimentConfig
 from fedprompt.data import SyntheticSpec, base_novel_split, generate_synthetic_dataset
 from fedprompt.errors import DataError, DomainError, EvaluationError
@@ -131,42 +131,46 @@ class _Predicts:
         return np.eye(self.predicted.max(initial=0) + 1)[self.predicted]
 
 
-class _Fixed:
-    """Right (class 0) on the first `correct_fraction` of its rows, wrong after."""
-
-    def __init__(self, correct_fraction):
-        self.f = correct_fraction
-
-    def probs(self, feats, local_maps=None):
-        n = feats.shape[0]
-        out = np.zeros((n, 2))
-        k = int(round(self.f * n))
-        out[:k, 0] = 1.0  # predict class 0
-        out[k:, 1] = 1.0
-        return out
+def _client(k: int, correct_fraction: float, n: int):
+    """Client k's own transport predictor and the one-region local maps of its n
+    class-0 rows, on which it is right for the first `correct_fraction` and
+    wrong after. Odd clients swap the two class features, so a block scored by
+    a neighbour's predictor would count its wrong rows as right."""
+    order = [k % 2, 1 - k % 2]  # class c's prompt feature is the unit vector e[order[c]]
+    predictor = TransportPredictor(np.eye(2)[order][None], tau=1.0, eps=0.1, iters=10,
+                                   col_relax=1.0)
+    right = np.arange(n) < round(correct_fraction * n)
+    return predictor, np.eye(2)[np.where(right, order[0], order[1])][:, None, :]
 
 
-def _correct(predictor, n: int) -> int:
-    """`evaluate_predictor` over n class-0 rows."""
-    return evaluate_predictor(predictor, np.ones((n, 3)), np.zeros(n, dtype=int), local_maps=None)
+def _per_client_correct(fractions, rows, images: int | None = None) -> int:
+    """`evaluate_predictor` over `images` (default: all the blocks' rows) class-0
+    rows of the `PerClientPredictor` whose client k is `_client(k, fractions[k],
+    rows[k])`."""
+    clients = [_client(k, f, n) for k, (f, n) in enumerate(zip(fractions, rows))]
+    n = sum(rows) if images is None else images
+    return evaluate_predictor(PerClientPredictor([p for p, _ in clients], rows),
+                              np.ones((n, 2)), np.zeros(n, dtype=int),
+                              local_maps=np.concatenate([maps for _, maps in clients]))
 
 
 def _emptied_plan(monkeypatch, clients):
-    """Patch the scenario plan so that the given clients hold no rows of the
-    personalized target; return the recorded `evaluate_predictor` calls."""
+    """Patch the scenario plan, drawn when the run state is built, so that the
+    given clients hold no rows of the personalized target; return the recorded
+    (predictor, scored rows) of each `evaluate_predictor` call."""
     plan, evaluate, calls = evaluation._scenario_plan, evaluation.evaluate_predictor, []
 
-    def emptied(state, kind, trained, dataset, column, seed):
-        scenario = plan(state, kind, trained, dataset, column, seed)
+    def emptied(*args):
+        scenario = plan(*args)
         target, rows = scenario.targets[0], scenario.client_rows
         target.indices = target.indices[np.repeat([k not in clients for k in range(len(rows))],
                                                   rows)]
         scenario.client_rows = [0 if k in clients else n for k, n in enumerate(rows)]
         return scenario
 
-    def recording(predictor, *args, **kwargs):
-        calls.append(predictor)
-        return evaluate(predictor, *args, **kwargs)
+    def recording(predictor, features, *args, **kwargs):
+        calls.append((predictor, len(features)))
+        return evaluate(predictor, features, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "_scenario_plan", emptied)
     monkeypatch.setattr(evaluation, "evaluate_predictor", recording)
@@ -193,7 +197,8 @@ class TestGlobalAccuracy:
         assert correct / n * 100.0 == pytest.approx(100.0 / C, abs=1.0)
 
     def test_empty_rejected(self, desk_master, monkeypatch):
-        # a target with no rows fails the cell before any predictor runs
+        # a target with no rows fails the cell before any predictor runs; the
+        # plan is drawn when the run state is built
         plan, calls = evaluation._scenario_plan, []
 
         def emptied(*args):
@@ -214,28 +219,37 @@ class TestPersonalizedAccuracy:
     # union of the clients' test rows: the test-size-weighted mean, exactly
     def test_weighted_mean(self):
         # (100%, n=10) and (50%, n=30) -> 62.5
-        correct = _correct(PerClientPredictor([_Fixed(1.0), _Fixed(0.5)], [10, 30]), 40)
+        correct = _per_client_correct([1.0, 0.5], [10, 30])
         assert correct / 40 * 100.0 == 62.5
 
     def test_equal_accuracy(self):
-        correct = _correct(PerClientPredictor([_Fixed(0.8), _Fixed(0.8)], [5, 25]), 30)
+        correct = _per_client_correct([0.8, 0.8], [5, 25])
         assert correct / 30 * 100.0 == 80.0
 
     def test_single_client(self):
-        assert _correct(PerClientPredictor([_Fixed(1.0)], [4]), 4) == 4
+        assert _per_client_correct([1.0], [4]) == 4
 
     def test_blocks_must_cover_the_rows(self):
         with pytest.raises(DataError, match="client blocks of 4 rows over 5 images"):
-            _correct(PerClientPredictor([_Fixed(1.0)], [4]), 5)
+            _per_client_correct([1.0], [4], images=5)
 
     @pytest.mark.parametrize("method", ["fedotp", "cocoop"])
     def test_empty_clients_excluded(self, desk_master, monkeypatch, method):
-        # a client without test rows gets no predictor and no block
+        # a client without test rows adds no row; where clients score with
+        # predictors of their own, it gets no predictor and no block
         calls = _emptied_plan(monkeypatch, clients={0})
-        one_cell(desk_config(rounds=1), "personalized", method, desk_master, 0)
-        (predictor,) = calls
-        assert len(predictor.predictors) == len(predictor.rows) == 3
-        assert min(predictor.rows) > 0
+        state = build_run_state(replace(desk_config(rounds=1), scenarios=["personalized"],
+                                        methods=[method], seeds=[0]),
+                                {"synthetic": desk_master})
+        rows = state.plans["personalized", "synthetic", 0].client_rows
+        assert rows[0] == 0 and min(rows[1:]) > 0
+        run_cell(state, "personalized", method, "synthetic", 0)
+        (predictor, scored), = calls
+        assert scored == sum(rows)
+        if method == "fedotp":
+            assert predictor.rows == rows[1:] and len(predictor.predictors) == 3
+        else:
+            assert not isinstance(predictor, PerClientPredictor)
 
     def test_all_empty_rejected(self, desk_master, monkeypatch):
         calls = _emptied_plan(monkeypatch, clients={0, 1, 2, 3})
@@ -333,8 +347,8 @@ class TestScenarios:
         # force one novel-class sample into the first client's training pool
         plan = evaluation._scenario_plan
 
-        def leaky_plan(state, kind, trained, dataset, column, seed):
-            scenario = plan(state, kind, trained, dataset, column, seed)
+        def leaky_plan(*args):
+            scenario = plan(*args)
             novel = np.flatnonzero(~np.isin(desk_master.labels, scenario.class_ids))
             scenario.clients[0] = np.append(scenario.clients[0], novel[0])
             return scenario
@@ -454,11 +468,11 @@ class TestScenarios:
                             lambda *args: plans.append(plan(*args)) or plans[-1])
         monkeypatch.setattr(evaluation, "evaluate_predictor", recording)
 
-    @pytest.mark.parametrize("method", ["fedotp", "cocoop"])
+    @pytest.mark.parametrize("method", ["fedotp"])
     def test_personalized_per_client_predictors(self, desk_master, monkeypatch, method):
-        # each held client scores its own block of the target's rows, the
-        # transport blocks in one Sinkhorn solve per evaluated round, and the
-        # count is the client-by-client one
+        # each held client scores its own block of the target's rows with its
+        # own fields stacked on, the transport blocks in one Sinkhorn solve per
+        # evaluated round, and the count is the client-by-client one
         from fedprompt import algorithms
         from oracle import client_by_client_correct
 
@@ -475,7 +489,7 @@ class TestScenarios:
             rounds.append(len(predictor.rows))
             before = len(solves)
             correct = evaluate()
-            assert len(solves) - before == (1 if method == "fedotp" else 0)
+            assert len(solves) - before == 1
             assert correct == client_by_client_correct(predictor.predictors, predictor.rows,
                                                        features, labels, local_maps)
             accuracies.append(correct / len(labels) * 100.0)
@@ -491,17 +505,19 @@ class TestScenarios:
         (alpha_p,) = result.observations
         assert (alpha_p.metric, alpha_p.value) == ("alpha_p", max(accuracies))
 
-    @pytest.mark.parametrize("method", ["promptfl", "plot"])
+    @pytest.mark.parametrize("method", ["promptfl", "plot", "cocoop"])
     def test_personalized_broadcast_scored_in_one_call(self, desk_master, monkeypatch, method):
-        # every client scores with the broadcast payload: one predictor, one
-        # probs call per evaluated round over every held row, and the count
-        # is the client-by-client one
+        # every client scores with the broadcast payload (cocoop's conditions
+        # it on each image, whoever holds the image): one predictor, one probs
+        # call per evaluated round over every held row, and the count is the
+        # client-by-client one
         from fedprompt import algorithms
         from oracle import client_by_client_correct
 
         calls, rounds = [], []
-        predictor_class = algorithms.TransportPredictor if method == "plot" \
-            else algorithms.CosinePredictor
+        predictor_class = {"promptfl": algorithms.CosinePredictor,
+                           "plot": algorithms.TransportPredictor,
+                           "cocoop": algorithms.ConditionedPredictor}[method]
         probs = predictor_class.probs
 
         def counting_probs(self, *args, **kwargs):
@@ -540,12 +556,13 @@ class TestScenarios:
         other = replace(desk_master)
         state = build_run_state(config, {"synthetic": desk_master, "other": other})
         assert [id(args[0]) for args in calls] == [id(desk_master)] * 3 + [id(other)] * 3
-        assert list(state.shifted["synthetic"]) == ["shift1", "shift2", "shift3"]
+        targets = state.plans["cross_domain", "synthetic", 0].targets
+        assert [t.suffix for t in targets] == ["->shift1", "->shift2", "->shift3"]
         for method in config.methods:
             run_cell(state, "cross_domain", method, "synthetic", 0)
         assert len(calls) == 6
         with pytest.raises(ValueError, match="read-only"):
-            state.shifted["other"]["shift1"].features[0, 0] = 1.0
+            state.plans["cross_domain", "other", 0].targets[0].source.features[0, 0] = 1.0
 
     @pytest.mark.parametrize("seeds, protocol", [([0], "standard"), ([0, 1], "standard"),
                                                  ([0, 1], "centralized")])
@@ -557,15 +574,18 @@ class TestScenarios:
                          scenarios=["global", "cross_domain"], methods=["zsclip", "fedotp"],
                          seeds=seeds, scenario=ScenarioSpec(cross_targets=2))
         state = build_run_state(config, {"synthetic": desk_master})
-        scored = [t.indices for seed in seeds for trained in (False, True)
-                  for t in evaluation._scenario_plan(state, "cross_domain", trained,
-                                                     "synthetic", "synthetic", seed).targets]
+        plans = [state.plans["cross_domain", "synthetic", seed] for seed in seeds]
+        scored = [t.indices for plan in plans for t in plan.targets]
         union = np.flatnonzero(np.bincount(np.concatenate(scored), minlength=len(desk_master)))
         assert 0 < len(union) < len(desk_master)
-        assert list(state.shifted["synthetic"]) == ["shift1", "shift2"]
-        for target in state.shifted["synthetic"].values():
-            np.testing.assert_array_equal(target.rows.ids, union)
-            assert len(target) == len(desk_master) and len(target.features) == len(union)
+        for plan in plans:  # every seed's plan scores the same two targets
+            assert [t.suffix for t in plan.targets] == ["->shift1", "->shift2"]
+            assert [id(t.source) for t in plan.targets] == \
+                [id(t.source) for t in plans[0].targets]
+        for target in plans[0].targets:
+            np.testing.assert_array_equal(target.source.rows.ids, union)
+            assert len(target.source) == len(desk_master)
+            assert len(target.source.features) == len(union)
 
     def test_cross_domain_bytes_match_whole_master_targets(self, tmp_path, monkeypatch):
         # a run on targets that hold only the scored rows writes the bytes of
@@ -633,3 +653,79 @@ class TestScenarios:
             means.append(float(np.mean(accs)))
         assert all(b >= a - 1.0 for a, b in zip(means, means[1:]))
         assert means[-1] > means[0]
+
+
+class TestOnePlanPerRun:
+    """Each (scenario, dataset, seed) plan is drawn once, by `build_run_state`,
+    and every method's cell of that triple reads it."""
+
+    SCENARIOS = ["global", "personalized", "base_novel", "fewshot", "cross_domain",
+                 "cost_tradeoff"]
+
+    def _config(self, methods):
+        return replace(desk_config(rounds=1), scenarios=self.SCENARIOS, methods=methods,
+                       seeds=[0, 1], scenario=ScenarioSpec(cross_targets=2))
+
+    def test_plans_drawn_once_per_run(self, desk_master, monkeypatch, tmp_path):
+        from fedprompt.runner import run
+
+        calls, plan = [], evaluation._scenario_plan
+        monkeypatch.setattr(evaluation, "_scenario_plan",
+                            lambda *args: calls.append(args) or plan(*args))
+        monkeypatch.setattr(evaluation, "PROMPT_SWEEP", (1, 2))
+        monkeypatch.setattr(evaluation, "TOKEN_SWEEP", (3,))
+        config = self._config(["zsclip", "promptfl", "fedotp"])
+        state = build_run_state(config, {"synthetic": desk_master, "other": replace(desk_master)})
+        assert sorted(state.plans) == sorted((kind, name, seed) for kind in self.SCENARIOS
+                                             for name in ("synthetic", "other")
+                                             for seed in (0, 1))
+        assert len(calls) == len(state.plans) == 24
+        for kind, name, seed in state.plans:
+            for method in config.methods:
+                run_cell(state, kind, method, name, seed)
+        assert len(calls) == 24  # no cell, sweep point or zero-shot cell draws again
+        calls.clear()
+        config = replace(config, data=replace(config.data, datasets=["synthetic", "synthetic#1"],
+                                              classes=3, samples_per_class=12,
+                                              per_class_subsample=4))
+        assert run(config, output_dir=str(tmp_path)).exit_code == 0
+        assert len(calls) == 24
+
+    def test_zero_shot_rows_do_not_depend_on_the_trained_methods(self, desk_master):
+        # in a run that trains, a zero-shot cell reads the trained plan, whose
+        # personalized target holds the same test rows in client order
+        states = {methods: build_run_state(self._config(list(methods)),
+                                           {"synthetic": desk_master})
+                  for methods in (("zsclip",), ("zsclip", "promptfl"))}
+        alone, beside = states[("zsclip",)], states[("zsclip", "promptfl")]
+        for kind in self.SCENARIOS:
+            for seed in (0, 1):
+                assert run_cell(alone, kind, "zsclip", "synthetic", seed).observations == \
+                    run_cell(beside, kind, "zsclip", "synthetic", seed).observations, (kind, seed)
+                assert alone.plans[kind, "synthetic", seed].clients is None  # no partition
+        for seed in (0, 1):
+            (held,) = alone.plans["personalized", "synthetic", seed].targets
+            (reordered,) = beside.plans["personalized", "synthetic", seed].targets
+            assert sorted(held.indices) == sorted(reordered.indices)
+            assert held.indices.tolist() != reordered.indices.tolist()
+
+    def test_cell_the_state_did_not_plan(self, desk_master):
+        state = build_run_state(replace(desk_config(), methods=["promptfl"], seeds=[0]),
+                                {"synthetic": desk_master})
+        for scenario, dataset, seed in [("global", "synthetic", 5), ("fewshot", "synthetic", 0),
+                                        ("global", "other", 0)]:
+            with pytest.raises(EvaluationError,
+                               match=f"no plan for the cell {scenario}/promptfl/{dataset}/"
+                                     f"seed {seed}$"):
+                run_cell(state, scenario, "promptfl", dataset, seed)
+
+    def test_plans_are_read_only(self, desk_master):
+        state = build_run_state(replace(desk_config(), scenarios=["base_novel", "personalized"],
+                                        methods=["promptfl"], seeds=[0]),
+                                {"synthetic": desk_master})
+        for plan in state.plans.values():
+            for array in [*plan.clients, *(t.indices for t in plan.targets)]:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            state.plans["base_novel", "synthetic", 0].class_ids[0] = 0
