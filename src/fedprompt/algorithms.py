@@ -18,9 +18,8 @@ from .transport import sinkhorn_batched
 from .vlm import (
     ModelAssets,
     ModelConfig,
-    PromptContext,
     build_prompt_context,
-    read_only_encoding,
+    read_only,
     unit_rows,
 )
 
@@ -47,12 +46,6 @@ class CommunicablePayload:
     @property
     def scalar_count(self) -> int:
         return int(sum(a.size for a in self.fields.values()))
-
-    def read_only(self) -> "CommunicablePayload":
-        """This payload with every field marked read-only, as a broadcast is."""
-        for array in self.fields.values():
-            array.flags.writeable = False
-        return self
 
 
 @dataclass(frozen=True)
@@ -384,22 +377,23 @@ class LocalTrainer:
 
     def init_payload(self, cfg: ModelConfig, rng: np.random.Generator) -> CommunicablePayload:
         """A fresh prompt context for each payload field, drawn in field order."""
-        return CommunicablePayload({name: build_prompt_context(cfg, rng, m=shape[0]).vectors
-                                    for name, shape in self.payload_shapes(cfg).items()}
-                                   ).read_only()
+        return read_only(CommunicablePayload({name: build_prompt_context(cfg, rng, m=shape[0])
+                                              for name, shape in self.payload_shapes(cfg).items()}))
 
     def broadcast_encoding(self, payload: CommunicablePayload,
                            assets: ModelAssets) -> BroadcastEncoding | None:
         """The encoding of the broadcast's context under `assets`, made at the
         first request and kept on the payload until one is asked for under
-        other assets. None unless the trainer `scores_with_broadcast`."""
+        other assets. None unless the trainer `scores_with_broadcast`. The
+        context, the features and the encoder cache are read-only; the
+        assets already are, so only the new arrays are walked."""
         if not self.scores_with_broadcast:
             return None
         encoding = payload.encoding
         if encoding is None or encoding.assets is not assets:
             context = self._context(payload.fields)
-            context.flags.writeable = False
-            features, cache = read_only_encoding(*assets.text_features(context))
+            features, cache = assets.text_features(context)
+            read_only(context, features, cache)
             encoding = payload.encoding = BroadcastEncoding(assets, context, features, cache)
         return encoding
 
@@ -454,7 +448,7 @@ class LocalTrainer:
         back by field.
         """
         labels = class_positions(batch.labels, ctx.assets.class_ids)
-        context = PromptContext(self._context(params)).vectors
+        context = self._context(params)
         feats, cache = (ctx.assets.text_features(context) if shared is None
                         else shared.take(context))
         loss, grads = self.loss(feats, lambda dT: ctx.assets.encoder.backward(cache, dT),
@@ -480,7 +474,7 @@ class LocalTrainer:
         fields = {**payload.fields, **(state.local_fields if state is not None else {})}
         if not all(name in fields for name in self.context_fields):
             raise ConfigError(f"a {self.kind} predictor needs the client state")
-        feats, _ = assets.text_features(PromptContext(self._context(fields)).vectors)
+        feats, _ = assets.text_features(self._context(fields))
         return self.predictor(feats, assets.cfg.tau)
 
     def predictor(self, features: np.ndarray, tau: float):
@@ -623,9 +617,9 @@ class CoCoOpTrainer(LocalTrainer):
         }
 
     def init_payload(self, cfg: ModelConfig, rng: np.random.Generator) -> CommunicablePayload:
-        fields = {"context": build_prompt_context(cfg, rng, m=self.n_sets(cfg)).vectors}
+        fields = {"context": build_prompt_context(cfg, rng, m=self.n_sets(cfg))}
         fields.update(metanet_init(cfg, rng))
-        return CommunicablePayload(fields).read_only()
+        return read_only(CommunicablePayload(fields))
 
     def grad_step(self, params, batch, ctx, shared):
         xh = unit_rows(batch.features)
@@ -713,7 +707,7 @@ class PersonalizedFedOTPTrainer(FedOTPTrainer):
 
     def init_state(self, cfg, rng):
         return ClientTrainState(local_fields={
-            "context_local": build_prompt_context(cfg, rng, m=cfg.prompts).vectors})
+            "context_local": build_prompt_context(cfg, rng, m=cfg.prompts)})
 
 
 class PLOTTrainer(FedOTPTrainer):

@@ -138,21 +138,23 @@ class ExperimentConfig:
 
 
 def _converter(annotation):
-    """The parser of a key's text, by its field's annotation."""
+    """The parser of a key's text, by its field's annotation; a list key's also
+    takes a JSON list of entry texts."""
     if isinstance(annotation, types.UnionType):  # `X | None`: auto (or nothing) is None
         (inner,) = set(typing.get_args(annotation)) - {type(None)}
         convert = _converter(inner)
         return lambda text: None if text.strip().lower() in ("auto", "none", "") else convert(text)
     if typing.get_origin(annotation) is list:  # comma- or space-separated items
         (item,) = typing.get_args(annotation)
-        return lambda text: [item(x) for x in text.replace(",", " ").split()]
+        return lambda text: [item(x) for x in (text if isinstance(text, list)
+                                               else text.replace(",", " ").split())]
     return annotation
 
 
 # each dataclass-typed field of `ExperimentConfig` is a section; its other fields are `[experiment]`
 _SECTIONS = {f.name: f.type for f in fields(ExperimentConfig) if is_dataclass(f.type)}
-# section -> key -> converter from the key's text
-_SCHEMA = {section: {f.name: _converter(f.type) for f in fields(cls) if not is_dataclass(f.type)}
+# section -> key -> the key's field annotation
+_SCHEMA = {section: {f.name: f.type for f in fields(cls) if not is_dataclass(f.type)}
            for section, cls in {"experiment": ExperimentConfig, **_SECTIONS}.items()}
 
 
@@ -175,11 +177,14 @@ def _raw_tree_from_json(text: str) -> dict[str, dict[str, object]]:
     return tree
 
 
-def _convert(section: str, key: str, raw, converter):
-    # a JSON value is read as the text an INI file would hold; a list as its items
-    text = " ".join(str(x) for x in raw) if isinstance(raw, list) else str(raw)
+def _convert(section: str, key: str, raw, annotation):
+    # a JSON value is read as the text an INI file would hold, and each entry of a
+    # JSON list as one entry of a list key (joined by spaces, for another key)
+    text = [str(x) for x in raw] if isinstance(raw, list) else str(raw)
+    if isinstance(text, list) and typing.get_origin(annotation) is not list:
+        text = " ".join(text)
     try:
-        value = converter(text)
+        value = _converter(annotation)(text)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {text!r}: {exc}") from exc
     # rejects nan, infinities and integers no float can hold

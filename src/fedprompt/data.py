@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .vlm import synth_local_features, unit_rows
+from .vlm import read_only, synth_local_features, unit_rows
 from . import rngs
 
 
@@ -30,8 +30,7 @@ class KeptRows:
         keep = np.zeros(n, dtype=bool)
         keep[np.asarray(rows, dtype=np.int64)] = True
         self.n, self.what = n, what
-        self.ids = np.flatnonzero(keep)
-        self.ids.flags.writeable = False
+        self.ids = read_only(np.flatnonzero(keep))
 
     def positions(self, rows) -> np.ndarray:
         """Where each of `rows` sits among the kept ids; a row not kept raises
@@ -71,7 +70,7 @@ class MasterDataset:
     shifted target, `apply_domain_shift`) holds those rows, in id order, and
     records them in `rows`; `len` is then the master's row count, and
     `positions` maps ids to held rows. A run shares one `MasterDataset` per
-    dataset and target across its cells, read-only (`freeze`).
+    dataset and target across its cells, read-only (`vlm.read_only`).
     """
 
     features: np.ndarray                 # (held rows, d)
@@ -105,14 +104,6 @@ class MasterDataset:
         indices = np.asarray(indices, dtype=np.int64)
         return indices if self.rows is None else self.rows.positions(indices)
 
-    def freeze(self) -> "MasterDataset":
-        """Mark every array read-only, so that cells can share the dataset."""
-        ids = None if self.rows is None else self.rows.ids
-        for array in (self.features, self.labels, self.domain_tags, ids):
-            if array is not None:
-                array.flags.writeable = False
-        return self
-
     def ensure_local_maps(self, M: int, rows: list[np.ndarray],
                           noise_table: dict) -> list[np.ndarray]:
         """Region features for transport-based scoring, (len(r), M, d) for each
@@ -143,8 +134,7 @@ class MasterDataset:
             for start in range(0, len(at), step):
                 block = slice(start, start + step)
                 part[block] = synth_local_features(self.features[held[block]], values[at[block]])
-            part.flags.writeable = False
-            maps.append(part)
+            maps.append(read_only(part))
         return maps
 
 
@@ -164,18 +154,11 @@ class RegionNoise:
         self.block_rows = _block_rows(self.shape[1:])
         self._values: np.ndarray | None = None
 
-    def freeze(self) -> "RegionNoise":
-        """Mark the kept rows and values read-only."""
-        for array in (self.rows.ids, self._values):
-            if array is not None:
-                array.flags.writeable = False
-        return self
-
     def values(self) -> np.ndarray:
         """The kept rows of the stream, (len(rows.ids), M, d), read-only."""
         if self._values is None:
-            self._values = self.rows.normal(rngs.derive_rng(0, rngs.LOCAL_MAP), self.shape[1:])
-            self.freeze()
+            self._values = read_only(self.rows.normal(rngs.derive_rng(0, rngs.LOCAL_MAP),
+                                                      self.shape[1:]))
         return self._values
 
 

@@ -36,7 +36,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, DomainError, EvaluationError
 from .federation import RoundReport, build_clients, communication_cost_millions, run_federation
-from .vlm import ModelAssets, ModelConfig, build_assets
+from .vlm import ModelAssets, ModelConfig, build_assets, read_only
 from . import rngs
 
 if TYPE_CHECKING:
@@ -202,17 +202,12 @@ class _ScenarioPlan:
     class_ids: np.ndarray | None = None      # the classes trained on (None: all)
     per_round: bool = True                   # `best_scores` of the rounds, else final only
 
-    def freeze(self) -> None:
-        """Mark its index arrays read-only."""
-        for array in [*(self.clients or ()), self.class_ids,
-                      *(a for t in self.targets for a in (t.indices, t.class_ids))]:
-            if array is not None:
-                array.flags.writeable = False
-
 
 @dataclass(frozen=True)
 class RunState:
-    """What every cell of a run shares, read-only; built once by `build_run_state`.
+    """What every cell of a run shares; built once by `build_run_state`, which
+    marks every array reachable from it read-only (`vlm.read_only`), as a
+    pool worker does again with the state it unpickles.
 
     `plans` holds each (scenario, dataset, seed) plan, drawn once and read by
     the cells of every method, so they all see one client partition. Per-row
@@ -235,14 +230,6 @@ class RunState:
     assets: dict[tuple[ModelConfig, int], ModelAssets]  # by (model config, class count)
     plans: dict[tuple[str, str, int], _ScenarioPlan]    # by (scenario, dataset, seed)
     noise: dict[tuple[int, int, int], RegionNoise] = field(default_factory=dict)
-
-    def freeze(self) -> "RunState":
-        """Mark every array read-only (again, after the state was unpickled in a worker)."""
-        sources = [target.source for plan in self.plans.values() for target in plan.targets]
-        for frozen in [*self.datasets.values(), *sources, *self.assets.values(),
-                       *self.plans.values(), *self.noise.values()]:
-            frozen.freeze()
-        return self
 
 
 def build_run_state(config: "ExperimentConfig",
@@ -284,9 +271,9 @@ def build_run_state(config: "ExperimentConfig",
                     shape = (len(master), config.model.local_features, master.feature_dim)
                     read.setdefault(shape, []).extend(
                         [*plan.clients, *(target.indices for target in plan.targets)])
-    return RunState(config, datasets, {key: build_assets(*key) for key in keys}, plans,
-                    {shape: RegionNoise(shape, np.concatenate(rows))
-                     for shape, rows in read.items()}).freeze()
+    return read_only(RunState(config, datasets, {key: build_assets(*key) for key in keys}, plans,
+                              {shape: RegionNoise(shape, np.concatenate(rows))
+                               for shape, rows in read.items()}))
 
 
 def _scenario_plan(config: "ExperimentConfig", kind: str, trained: bool, master: MasterDataset,

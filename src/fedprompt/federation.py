@@ -13,7 +13,7 @@ import numpy as np
 from .algorithms import ClientTrainState, CommunicablePayload, LocalTrainer, TrainContext
 from .data import ClientDataset, MasterDataset
 from .errors import AggregationError, ConfigError
-from .vlm import ModelAssets, ModelConfig
+from .vlm import ModelAssets, ModelConfig, read_only
 from . import rngs
 
 log = logging.getLogger(__name__)
@@ -172,7 +172,7 @@ def fedavg_aggregate(payloads: list[CommunicablePayload],
     for w, p in zip(weights, payloads):
         for k in keys:
             out[k] = out[k] + w * p.fields[k]
-    return CommunicablePayload(out).read_only()
+    return read_only(CommunicablePayload(out))
 
 
 def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,

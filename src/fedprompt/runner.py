@@ -33,6 +33,7 @@ from .evaluation import (
     run_cell,
     superiority_indicator,
 )
+from .vlm import read_only
 
 RESULTS_CSV = "results.csv"
 RESULTS_HEADER = "scenario,method,dataset,seed,metric,value"
@@ -90,7 +91,7 @@ _worker_state: RunState | None = None
 
 def _adopt_state(state: RunState) -> None:
     global _worker_state
-    _worker_state = state.freeze()  # unpickled arrays (spawn, forkserver) are writeable
+    _worker_state = read_only(state)  # unpickled arrays (spawn, forkserver) are writeable
 
 
 def _execute_in_worker(cell: tuple[str, str, str, int]) -> tuple[dict, list, list, str | None]:

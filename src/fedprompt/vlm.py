@@ -65,55 +65,32 @@ class ModelConfig:
             raise ConfigError(f"token_scale: must be positive, got {self.token_scale}")
 
 
-@dataclass
-class PromptContext:
-    """Learnable soft-prompt tokens, shape (sets, tokens, width)."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.float64)
-        if v.ndim != 3:
-            raise ConfigError(f"prompt context must be (sets, tokens, width), got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("prompt context contains non-finite entries")
-        self.vectors = v
+def build_prompt_context(cfg: ModelConfig, rng: np.random.Generator, m: int) -> np.ndarray:
+    """Gaussian-initialised trainable context of `m` prompt sets, (m, tokens, d_token)."""
+    return rng.normal(size=(m, cfg.tokens, cfg.d_token)) * cfg.init_std
 
 
-def build_prompt_context(cfg: ModelConfig, rng: np.random.Generator, m: int) -> PromptContext:
-    """Gaussian-initialised trainable context of `m` prompt sets."""
-    return PromptContext(rng.normal(size=(m, cfg.tokens, cfg.d_token)) * cfg.init_std)
-
-
-def build_handcrafted_context(cfg: ModelConfig, template: int = 0) -> PromptContext:
-    """Fixed non-trained single-set context; identical everywhere for a given `cfg.seed`.
+def build_handcrafted_context(cfg: ModelConfig, template: int = 0) -> np.ndarray:
+    """Fixed non-trained single-set context (1, tokens, d_token); identical
+    everywhere for a given `cfg.seed`.
 
     `template` selects among alternative fixed phrasings (used to average
     several references for self-regularised training).
     """
     rng = rngs.derive_rng(cfg.seed, rngs.HANDCRAFTED, template)
-    return PromptContext(rng.normal(size=(1, cfg.tokens, cfg.d_token)) * cfg.init_std)
+    return rng.normal(size=(1, cfg.tokens, cfg.d_token)) * cfg.init_std
 
 
-@dataclass
-class ClassVocabulary:
-    """Frozen per-class token sequences, appended after the context."""
-
-    tokens: np.ndarray  # (C, n_class_tokens, d_token)
-
-    @classmethod
-    def build(cls, cfg: ModelConfig, class_count: int) -> "ClassVocabulary":
-        rows = []
-        for j in range(class_count):
-            r = rngs.derive_rng(cfg.seed, rngs.VOCAB, j)
-            e = r.normal(size=(cfg.n_class_tokens, cfg.d_token))
-            e /= np.linalg.norm(e, axis=1, keepdims=True)
-            rows.append(e * cfg.token_scale)
-        return cls(tokens=np.array(rows))
-
-    @property
-    def class_count(self) -> int:
-        return self.tokens.shape[0]
+def class_tokens(cfg: ModelConfig, class_count: int) -> np.ndarray:
+    """Frozen per-class token sequences (C, n_class_tokens, d_token), appended
+    after the context; class j's rows depend on `cfg.seed` and j alone."""
+    rows = []
+    for j in range(class_count):
+        r = rngs.derive_rng(cfg.seed, rngs.VOCAB, j)
+        e = r.normal(size=(cfg.n_class_tokens, cfg.d_token))
+        e /= np.linalg.norm(e, axis=1, keepdims=True)
+        rows.append(e * cfg.token_scale)
+    return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -147,8 +124,7 @@ class ClassRows:
         per_class = ("row_sum", "head", "q", "k", "v", "scores")
         taken = {name: getattr(self, name)[ids] for name in per_class
                  if getattr(self, name) is not None}
-        _read_only(*taken.values())
-        return replace(self, **taken)
+        return replace(self, **read_only(taken))
 
 
 class FrozenTextEncoder:
@@ -224,6 +200,8 @@ class FrozenTextEncoder:
             raise ConfigError(f"token width {contexts.shape[2]} != encoder d_token {self.d_token}")
         if contexts.shape[1] != rows.L:
             raise ConfigError(f"context length {contexts.shape[1]} != class rows' L {rows.L}")
+        if not np.all(np.isfinite(contexts)):
+            raise DomainError("prompt context contains non-finite entries")
         n, L, d = contexts.shape
         C, S = rows.class_count, rows.S
         w = self.weights
@@ -325,7 +303,7 @@ def synth_local_features(image_features: np.ndarray, noise: np.ndarray,
 
 @dataclass(frozen=True)
 class ModelAssets:
-    """Everything frozen for one experiment: encoder, vocabulary, references.
+    """Everything frozen for one experiment: encoder, class rows, references.
 
     Built by `build_assets` and shared read-only by every cell of a run;
     `for_classes` cuts them to the class subset a cell trains or scores.
@@ -333,9 +311,7 @@ class ModelAssets:
 
     cfg: ModelConfig
     encoder: FrozenTextEncoder
-    vocab: ClassVocabulary     # the whole vocabulary, also in a cut
     class_rows: ClassRows      # the classes' encoder rows after cfg.tokens context tokens
-    handcrafted: PromptContext
     hand_features: np.ndarray  # (C, d_feature), from the handcrafted context
     class_ids: np.ndarray | None = None      # the sorted class subset of a cut (None: all)
     whole: "ModelAssets | None" = None       # the uncut assets a cut slices
@@ -344,14 +320,6 @@ class ModelAssets:
     def class_count(self) -> int:
         return self.class_rows.class_count
 
-    def freeze(self) -> "ModelAssets":
-        """Mark every array read-only, so that cells can share the assets."""
-        rows = self.class_rows
-        _read_only(*self.encoder.weights.values(), self.vocab.tokens, self.handcrafted.vectors,
-                   self.hand_features, rows.row_sum, rows.head, rows.context_pos, rows.q, rows.k,
-                   rows.v, rows.scores)
-        return self
-
     def for_classes(self, class_ids: np.ndarray | None) -> "ModelAssets":
         """These whole-set assets cut to the sorted class subset `class_ids`
         (None: all). The cut's handcrafted and reference features are slices
@@ -359,11 +327,9 @@ class ModelAssets:
         the last bit."""
         if class_ids is None:
             return self
-        ids = np.array(class_ids)
-        hand = self.hand_features[ids]
-        _read_only(ids, hand)
-        return replace(self, class_rows=self.class_rows.take(ids), hand_features=hand,
-                       class_ids=ids, whole=self)
+        ids = read_only(np.array(class_ids))
+        return replace(self, class_rows=self.class_rows.take(ids),
+                       hand_features=read_only(self.hand_features[ids]), class_ids=ids, whole=self)
 
     def text_features(self, contexts: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Unit features (n, C, d_feature) of n contexts (n, L, d_token) under these
@@ -377,36 +343,43 @@ class ModelAssets:
             reference = self.whole.reference_features[self.class_ids]
         else:
             templates = 3
-            contexts = np.concatenate([
-                build_handcrafted_context(self.cfg, template=tpl).vectors
-                for tpl in range(templates)
-            ])
+            contexts = np.concatenate([build_handcrafted_context(self.cfg, template=tpl)
+                                       for tpl in range(templates)])
             feats, _ = self.text_features(contexts)
             reference = unit_rows(feats.sum(axis=0) / templates)
-        reference.flags.writeable = False
-        return reference
+        return read_only(reference)
 
 
-def _read_only(*arrays: np.ndarray | None) -> None:
-    for array in arrays:
-        if array is not None:
-            array.flags.writeable = False
+def read_only(*objects):
+    """Mark read-only every ndarray reachable from `objects` through dicts,
+    lists, tuples and the attributes of this package's own classes (cached
+    properties included); return the first object.
 
-
-def read_only_encoding(features: np.ndarray, cache: tuple) -> tuple[np.ndarray, tuple]:
-    """`FrozenTextEncoder.encode`'s (features, cache), with every array marked
-    read-only so that one encoding can be shared (the class rows already are)."""
-    _rows, u, norms, t, attn_cache = cache
-    _read_only(features, u, norms, t, *(attn_cache or ()))
-    return features, cache
+    The one rule for what a run shares: its cells and workers read the
+    frozen state, the broadcasts and the encodings made of them, and a
+    write into any of their arrays raises.
+    """
+    seen, todo = set(), list(objects)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            obj.flags.writeable = False
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif type(obj).__module__.startswith(__package__ + "."):
+            todo.extend(vars(obj).values())
+    return objects[0]
 
 
 def build_assets(cfg: ModelConfig, class_count: int) -> ModelAssets:
-    """The frozen assets of (cfg, class_count); writing into any of its arrays raises."""
+    """The frozen assets of (cfg, class_count), read-only (`read_only`)."""
     encoder = FrozenTextEncoder(cfg)
-    vocab = ClassVocabulary.build(cfg, class_count)
-    handcrafted = build_handcrafted_context(cfg)
-    rows = encoder.class_rows(vocab.tokens, cfg.tokens)
-    feats, _ = encoder.encode(handcrafted.vectors, rows)
-    return ModelAssets(cfg=cfg, encoder=encoder, vocab=vocab, class_rows=rows,
-                       handcrafted=handcrafted, hand_features=feats[0]).freeze()
+    rows = encoder.class_rows(class_tokens(cfg, class_count), cfg.tokens)
+    feats, _ = encoder.encode(build_handcrafted_context(cfg), rows)
+    return read_only(ModelAssets(cfg=cfg, encoder=encoder, class_rows=rows,
+                                 hand_features=feats[0]))

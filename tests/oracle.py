@@ -12,10 +12,12 @@ kernels take it, a trainer with other loss weights, zero-shot accuracy on a plai
 feature-table writer, the plane-by-plane rotation loop that `data._rotate_planes`
 vectorises, the domain shift of every row of a dataset at once (the
 reference for `data.apply_domain_shift`, which shifts only the rows asked
-for), and one cell run on a state built for it alone, with the training
-batches it drew.
+for), one cell run on a state built for it alone, with the training
+batches it drew, and every array reachable from an object (the reference for
+`vlm.read_only`'s walk).
 """
 
+import types
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -30,7 +32,7 @@ from fedprompt.errors import ConfigError, DomainError
 from fedprompt.evaluation import build_run_state, evaluate_predictor, run_cell
 from fedprompt.numerics import CROSS_ENTROPY_CAP, _check_finite, softmax_ce_batch, softmax_temp
 from fedprompt.transport import sinkhorn_batched
-from fedprompt.vlm import unit_rows
+from fedprompt.vlm import build_handcrafted_context, unit_rows
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -175,7 +177,7 @@ def client_by_client_correct(predictors, rows, features, labels, local_maps) -> 
 
 def zero_shot_accuracy(assets, features: np.ndarray, labels: np.ndarray) -> float:
     """Accuracy (percent) of the handcrafted prompt on a labeled feature set."""
-    hand, _ = assets.text_features(assets.handcrafted.vectors)
+    hand, _ = assets.text_features(build_handcrafted_context(assets.cfg))
     predictor = CosinePredictor(hand, assets.cfg.tau)
     return evaluate_predictor(predictor, features, labels, local_maps=None) / len(labels) * 100.0
 
@@ -239,3 +241,36 @@ def audited_cell(config, kind: str, method: str, master, seed: int):
         result = one_cell(config, kind, method, master, seed)
     (audit,) = audits
     return result, audit
+
+
+def reachable_arrays(*roots) -> list[np.ndarray]:
+    """Every ndarray reachable from `roots`, each once: through dict keys and
+    values, the items of lists, tuples and sets, and the instance attributes
+    (`__dict__` and `__slots__`) of any object, whatever its module. Classes,
+    modules and functions are not entered."""
+    arrays: list[np.ndarray] = []
+    seen: set[int] = set()
+    opaque = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
+              str, bytes, int, float, complex, bool, type(None))
+
+    def visit(value) -> None:
+        if isinstance(value, opaque) or id(value) in seen:
+            return
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+            return
+        if isinstance(value, dict):
+            items = [*value.keys(), *value.values()]
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            items = list(value)
+        else:
+            items = list(getattr(value, "__dict__", {}).values())
+            items += [getattr(value, name) for klass in type(value).__mro__
+                      for name in getattr(klass, "__slots__", ()) if hasattr(value, name)]
+        for item in items:
+            visit(item)
+
+    for root in roots:
+        visit(root)
+    return arrays

@@ -51,8 +51,8 @@ from fedprompt.federation import (
 from fedprompt.runner import run
 from fedprompt.vlm import (
     ModelConfig,
-    PromptContext,
     build_assets,
+    class_tokens,
     unit_rows,
 )
 from fedprompt import rngs
@@ -203,8 +203,8 @@ def test_criterion_04_fedavg_centralized_equivalence():
     data = ClientDataset.from_master(master, np.arange(24))
     for t in range(fed.rounds):
         for batch in iterate_batches(data, rngs.derive_rng(seed, rngs.CLIENT, 0, t), 8):
-            grads, _ = prompt_gradients(assets.encoder, PromptContext(context), batch,
-                                        assets.vocab, cfg.tau)
+            grads, _ = prompt_gradients(assets.encoder, context, batch, class_tokens(cfg, 4),
+                                        cfg.tau)
             context = sgd_momentum_step({"context": context}, {"context": grads},
                                         state.velocities, fed.lr, fed.momentum,
                                         t, fed.rounds)["context"]

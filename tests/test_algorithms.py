@@ -40,7 +40,13 @@ from fedprompt.data import ClientDataset, class_positions
 from fedprompt.errors import ConfigError, DataError
 from fedprompt.federation import FederationConfig
 from fedprompt.numerics import softmax_ce_batch, softmax_temp
-from fedprompt.vlm import ModelConfig, build_assets, unit_rows
+from fedprompt.vlm import (
+    ModelConfig,
+    build_assets,
+    build_handcrafted_context,
+    class_tokens,
+    unit_rows,
+)
 
 
 def client_dataset(rng, n, d, classes):
@@ -130,7 +136,8 @@ def per_image_cocoop(assets, params, xh, labels, class_ids=None):
     """Conditioned-prompt loss, logits and gradients, one image and one prompt set at
     a time through the per-sequence oracle encoder."""
     enc = assets.encoder
-    tokens = assets.vocab.tokens if class_ids is None else assets.vocab.tokens[class_ids]
+    tokens = class_tokens(assets.cfg, assets.class_count)
+    tokens = tokens if class_ids is None else tokens[class_ids]
     context = params["context"]
     m = context.shape[0]
     rows, per_image = [], []
@@ -238,7 +245,7 @@ class TestLossGradients:
         assets = build_assets(cfg, 4)
         xh = random_unit_batch(rng, 2, cfg.d_image)
         y = np.array([0, 1])
-        hand = encoded(assets, assets.handcrafted.vectors)
+        hand = encoded(assets, build_handcrafted_context(cfg))
         ce_loss, _ = ce_loss_and_grads(*hand, xh, y, cfg.tau)
         reg_loss, _ = loss_kgcoop(*hand, xh, y, cfg.tau, assets.hand_features, 5.0)
         assert reg_loss == pytest.approx(ce_loss, abs=1e-12)
@@ -314,7 +321,7 @@ class TestLossGradients:
         assets = build_assets(cfg, 4)
         xh = random_unit_batch(rng, 2, cfg.d_image)
         y = np.array([0, 1])
-        hand = encoded(assets, assets.handcrafted.vectors)
+        hand = encoded(assets, build_handcrafted_context(cfg))
         ce_loss, _ = ce_loss_and_grads(*hand, xh, y, cfg.tau)
         src_loss, _ = loss_src(*hand, xh, y, cfg.tau, _reference_probs(assets, xh),
                                assets.hand_features, 3.0, 3.0)
@@ -512,7 +519,7 @@ class TestReductionWeb:
         cfg, assets, data = setup
         for kind in ("promptfl", "prograd"):
             trainer = make_trainer(kind)
-            payload = CommunicablePayload({"context": assets.handcrafted.vectors.copy()})
+            payload = CommunicablePayload({"context": build_handcrafted_context(cfg)})
             state = trainer.init_state(cfg, np.random.default_rng(0))
             ctx = make_ctx(assets, rng_seed=3, batch_size=32)
             out, _ = trainer.local_train(payload, state, data, ctx)

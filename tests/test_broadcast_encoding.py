@@ -23,6 +23,7 @@ from fedprompt.algorithms import (
     make_trainer,
 )
 from fedprompt.data import ClientDataset, MasterDataset
+from fedprompt.errors import DomainError
 from fedprompt.evaluation import build_run_state, run_cell
 from fedprompt.federation import (
     FederationConfig,
@@ -31,7 +32,7 @@ from fedprompt.federation import (
     fedavg_aggregate,
     run_round,
 )
-from fedprompt.vlm import ClassRows, FrozenTextEncoder, build_assets, unit_rows
+from fedprompt.vlm import ClassRows, FrozenTextEncoder, build_assets, read_only, unit_rows
 
 CLASSES = 4
 SUBSET = np.array([0, 2, 3])
@@ -172,8 +173,20 @@ class TestBroadcastEncoding:
         cfg = small_config(request.param, prompts=2)
         assets = build_assets(cfg, CLASSES).for_classes(SUBSET)
         context = np.random.default_rng(5).normal(size=(2, cfg.tokens, cfg.d_token)) * 0.1
-        payload = CommunicablePayload({"context": context}).read_only()
+        payload = read_only(CommunicablePayload({"context": context}))
         return assets, payload, PromptFLTrainer().broadcast_encoding(payload, assets)
+
+    @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
+    def test_non_finite_context_is_rejected(self, variant):
+        # the encoder checks every context it encodes, the broadcast's included
+        cfg = small_config(variant, prompts=2)
+        assets = build_assets(cfg, CLASSES)
+        context = np.random.default_rng(5).normal(size=(2, cfg.tokens, cfg.d_token)) * 0.1
+        context[1, 0, 2] = np.inf
+        payload = read_only(CommunicablePayload({"context": context}))
+        with pytest.raises(DomainError, match="non-finite"):
+            PromptFLTrainer().broadcast_encoding(payload, assets)
+        assert payload.encoding is None
 
     def test_features_and_cache_are_read_only(self, encoded):
         _, _, shared = encoded

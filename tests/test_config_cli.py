@@ -122,6 +122,13 @@ JSON_SCALAR_CASES = [
     ('{"data": {"classes": Infinity}}', "data.classes"),
 ]
 
+# JSON list entries an INI list would split: each is read as one entry, which its check rejects
+JSON_LIST_CASES = [
+    ('{"data": {"datasets": ["my data.txt", "b,c.txt"]}}', "data.datasets"),
+    ('{"experiment": {"methods": ["promptfl zsclip"]}}', "experiment.methods"),
+    ('{"experiment": {"seeds": ["1 2"]}}', "experiment.seeds"),
+]
+
 # values that reach every converter's and every check's edges
 _EDGE_VALUES = st.one_of(
     st.text(max_size=12), st.integers(), st.floats(), st.booleans(), st.none(),
@@ -1098,6 +1105,14 @@ class TestCLI:
     ] + JSON_SCALAR_CASES)
     def test_run_rejects_repeats_and_non_ini_json_scalars(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,key", JSON_LIST_CASES)
+    def test_run_reads_each_json_list_entry_as_one_entry(self, tmp_path, capsys, text, key):
+        bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert f"error: {key}: " in capsys.readouterr().err

@@ -29,7 +29,7 @@ from fedprompt.federation import (
     run_round,
     sample_clients,
 )
-from fedprompt.vlm import ModelConfig, build_assets, PromptContext
+from fedprompt.vlm import ModelConfig, build_assets, class_tokens
 from fedprompt import rngs
 
 
@@ -321,8 +321,8 @@ class TestCentralizedEquivalence:
         for t in range(10):
             batch_rng = rngs.derive_rng(3, rngs.CLIENT, 0, t)
             for batch in iterate_batches(data, batch_rng, 8):
-                grads, _ = prompt_gradients(assets.encoder, PromptContext(context), batch,
-                                            assets.vocab, cfg.tau)
+                grads, _ = prompt_gradients(assets.encoder, context, batch, class_tokens(cfg, 4),
+                                            cfg.tau)
                 context = sgd_momentum_step({"context": context}, {"context": grads},
                                             state.velocities, fed.lr, fed.momentum,
                                             t, 10)["context"]

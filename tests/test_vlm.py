@@ -1,4 +1,4 @@
-"""Frozen encoder, vocabulary, prediction head, and prompt gradients."""
+"""Frozen encoder, class tokens, prediction head, and prompt gradients."""
 
 from dataclasses import replace
 
@@ -8,18 +8,17 @@ import pytest
 import vlm_oracle
 from conftest import random_unit_batch, small_config
 from oracle import cosine_similarity, finite_diff_gradient, relative_error
-from vlm_oracle import encoder_digest, predict, prompt_gradients, vocabulary_digest
+from vlm_oracle import class_rows_digest, encoder_digest, predict, prompt_gradients
 from fedprompt.data import ClientDataset
 from fedprompt.errors import ConfigError, DomainError
 from fedprompt.numerics import softmax_temp
 from fedprompt.vlm import (
-    ClassVocabulary,
     FrozenTextEncoder,
     ModelConfig,
-    PromptContext,
     build_assets,
     build_handcrafted_context,
     build_prompt_context,
+    class_tokens,
     synth_local_features,
     unit_rows,
 )
@@ -45,42 +44,45 @@ class TestPromptContext:
     def test_param_count(self):
         cfg = ModelConfig(tokens=4, d_token=512, d_feature=16, d_image=16)
         ctx = build_prompt_context(cfg, np.random.default_rng(0), m=cfg.prompts)
-        assert ctx.vectors.size == 2048
+        assert ctx.size == 2048
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(DomainError):
-            PromptContext(np.array([[[np.inf]]]))
+    @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_encode_rejects_nonfinite(self, variant, bad):
+        cfg = small_config(variant)
+        enc = FrozenTextEncoder(cfg)
+        rows = enc.class_rows(class_tokens(cfg, 3), cfg.tokens)
+        context = np.zeros((2, cfg.tokens, cfg.d_token))
+        context[1, 2, 3] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            enc.encode(context, rows)
 
     def test_handcrafted_deterministic(self):
         a = build_handcrafted_context(ModelConfig(seed=3, tokens=4, d_token=8))
         b = build_handcrafted_context(ModelConfig(seed=3, tokens=4, d_token=8))
-        assert a.vectors.shape == (1, 4, 8)
-        np.testing.assert_array_equal(a.vectors, b.vectors)
+        assert a.shape == (1, 4, 8)
+        np.testing.assert_array_equal(a, b)
 
     def test_handcrafted_seeds_differ(self):
         a = build_handcrafted_context(ModelConfig(seed=1, tokens=4, d_token=8))
         b = build_handcrafted_context(ModelConfig(seed=2, tokens=4, d_token=8))
-        assert np.any(a.vectors != b.vectors)
+        assert np.any(a != b)
 
     def test_handcrafted_templates_differ(self):
         cfg = ModelConfig(seed=1, tokens=4, d_token=8)
         a = build_handcrafted_context(cfg, template=0)
         b = build_handcrafted_context(cfg, template=1)
-        assert np.any(a.vectors != b.vectors)
+        assert np.any(a != b)
 
 
-class TestVocabulary:
+class TestClassTokens:
     def test_deterministic_per_class(self):
         cfg = small_config()
-        v1 = ClassVocabulary.build(cfg, 5)
-        v2 = ClassVocabulary.build(cfg, 5)
-        np.testing.assert_array_equal(v1.tokens, v2.tokens)
+        np.testing.assert_array_equal(class_tokens(cfg, 5), class_tokens(cfg, 5))
 
     def test_prefix_stable_when_extended(self):
         cfg = small_config()
-        v1 = ClassVocabulary.build(cfg, 3)
-        v2 = ClassVocabulary.build(cfg, 6)
-        np.testing.assert_array_equal(v1.tokens, v2.tokens[:3])
+        np.testing.assert_array_equal(class_tokens(cfg, 3), class_tokens(cfg, 6)[:3])
 
 
 class TestEncoder:
@@ -88,7 +90,7 @@ class TestEncoder:
     def test_unit_norm_many_contexts(self, variant, rng):
         cfg = small_config(variant)
         enc = FrozenTextEncoder(cfg)
-        rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.tokens)
+        rows = enc.class_rows(class_tokens(cfg, 3), cfg.tokens)
         for _ in range(500):  # 1000 random contexts across the two variants
             feats, _ = enc.encode(rng.normal(size=(1, cfg.tokens, cfg.d_token)), rows)
             np.testing.assert_allclose(np.linalg.norm(feats, axis=-1), 1.0, rtol=0, atol=1e-12)
@@ -103,7 +105,7 @@ class TestEncoder:
         runs = []
         for _ in range(2):  # fresh encoder and class rows each time
             enc = FrozenTextEncoder(cfg)
-            rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.tokens)
+            rows = enc.class_rows(class_tokens(cfg, 3), cfg.tokens)
             feats, cache = enc.encode(ctx, rows)
             runs.append((feats, enc.backward(cache, dfeats)))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
@@ -113,11 +115,10 @@ class TestEncoder:
     def test_coordinate_gradient_matches_finite_differences(self, variant, rng):
         cfg = small_config(variant)
         enc = FrozenTextEncoder(cfg)
-        vocab = ClassVocabulary.build(cfg, 3)
         ctx0 = rng.normal(size=(cfg.tokens, cfg.d_token)) * 0.2
         coord = 3  # one output coordinate of the class feature
 
-        rows = enc.class_rows(vocab.tokens, cfg.tokens).take(np.array([1]))
+        rows = enc.class_rows(class_tokens(cfg, 3), cfg.tokens).take(np.array([1]))
         _, cache = enc.encode(ctx0[None], rows)
         probe = np.zeros((1, 1, cfg.d_feature))
         probe[0, 0, coord] = 1.0
@@ -134,7 +135,7 @@ class TestEncoder:
         for variant in ("linear_pool", "attention_block"):
             cfg = small_config(variant)
             enc = FrozenTextEncoder(cfg)
-            rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.tokens)
+            rows = enc.class_rows(class_tokens(cfg, 3), cfg.tokens)
             with pytest.raises(ConfigError):
                 enc.encode(np.zeros((1, cfg.tokens, cfg.d_token + 1)), rows)
 
@@ -154,19 +155,19 @@ class TestStructuredEncoder:
         cfg = small_config(variant, tokens=4, d_token=d_token, n_class_tokens=n_class_tokens)
         assets = build_assets(cfg, 6)
         ids = np.array([4, 0, 5, 2])
-        class_tokens = assets.vocab.tokens[ids]
+        tokens = class_tokens(cfg, 6)[ids]
         # a per-context bias, as conditioned prompts add it to every context token
         bias = rng.normal(size=(8, d_token)) * 0.1
         contexts = rng.normal(size=(8, cfg.tokens, d_token)) * 0.2 + bias[:, None, :]
 
         feats, cache = assets.for_classes(ids).text_features(contexts)
-        expected = vlm_oracle.text_features(assets.encoder, contexts, class_tokens)
+        expected = vlm_oracle.text_features(assets.encoder, contexts, tokens)
         assert feats.shape == (8, len(ids), cfg.d_feature)
         np.testing.assert_allclose(feats, expected, rtol=0, atol=1e-12)
 
         dfeats = rng.normal(size=feats.shape)
         grads = assets.encoder.backward(cache, dfeats)
-        expected_grads = vlm_oracle.context_grads(assets.encoder, contexts, class_tokens, dfeats)
+        expected_grads = vlm_oracle.context_grads(assets.encoder, contexts, tokens, dfeats)
         assert grads.shape == contexts.shape
         np.testing.assert_allclose(grads, expected_grads, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grads.sum(axis=1), expected_grads.sum(axis=1),
@@ -185,7 +186,7 @@ class TestStructuredEncoder:
     def test_context_length_mismatch(self):
         cfg = small_config("attention_block")
         enc = FrozenTextEncoder(cfg)
-        rows = enc.class_rows(ClassVocabulary.build(cfg, 3).tokens, cfg.tokens)
+        rows = enc.class_rows(class_tokens(cfg, 3), cfg.tokens)
         with pytest.raises(ConfigError):
             enc.encode(np.zeros((1, cfg.tokens + 1, cfg.d_token)), rows)
         with pytest.raises(ConfigError):
@@ -204,8 +205,8 @@ class TestReferenceFeatures:
         acc = np.zeros_like(small_assets.hand_features)
         for tpl in range(3):
             ctx = build_handcrafted_context(cfg, template=tpl)
-            acc += vlm_oracle.text_features(small_assets.encoder, ctx.vectors,
-                                            small_assets.vocab.tokens)[0]
+            acc += vlm_oracle.text_features(small_assets.encoder, ctx,
+                                            class_tokens(cfg, small_assets.class_count))[0]
         expected = acc / np.linalg.norm(acc, axis=1, keepdims=True)
         np.testing.assert_allclose(small_assets.reference_features, expected, rtol=0, atol=1e-12)
 
@@ -241,7 +242,7 @@ class TestPredict:
         # scores composed by hand from cosine_similarity + softmax_temp
         cfg = small_assets.cfg
         ctx = build_prompt_context(cfg, rng, m=cfg.prompts)
-        feats, _ = small_assets.text_features(ctx.vectors)
+        feats, _ = small_assets.text_features(ctx)
         x = rng.normal(size=cfg.d_image)
         probs = predict(x, list(feats[0]), tau=cfg.tau)
         sims = np.array([cosine_similarity(x, t) for t in feats[0]])
@@ -255,13 +256,13 @@ class TestPromptGradients:
         batch = ClientDataset(features=random_unit_batch(rng, 4, cfg.d_image),
                               labels=rng.integers(0, 4, size=4),
                               master_indices=np.arange(4))
-        grads, _ = prompt_gradients(small_assets.encoder, PromptContext(ctx0), batch,
-                                    small_assets.vocab, cfg.tau)
+        tokens = class_tokens(cfg, small_assets.class_count)
+        grads, _ = prompt_gradients(small_assets.encoder, ctx0, batch, tokens, cfg.tau)
 
         def f(flat):
             _, loss = prompt_gradients(small_assets.encoder,
-                                       PromptContext(flat.reshape(1, cfg.tokens, cfg.d_token)),
-                                       batch, small_assets.vocab, cfg.tau)
+                                       flat.reshape(1, cfg.tokens, cfg.d_token),
+                                       batch, tokens, cfg.tau)
             return loss
 
         fd = finite_diff_gradient(f, ctx0.copy().ravel()).reshape(grads.shape)
@@ -269,14 +270,15 @@ class TestPromptGradients:
 
     def test_duplicating_batch_keeps_mean_gradient(self, small_assets, rng):
         cfg = small_assets.cfg
-        ctx = PromptContext(rng.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.1)
+        ctx = rng.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.1
+        tokens = class_tokens(cfg, small_assets.class_count)
         feats = random_unit_batch(rng, 3, cfg.d_image)
         labels = np.array([0, 1, 3])
         b1 = ClientDataset(features=feats, labels=labels, master_indices=np.arange(3))
         b2 = ClientDataset(features=np.tile(feats, (2, 1)), labels=np.tile(labels, 2),
                            master_indices=np.arange(6))
-        g1, l1 = prompt_gradients(small_assets.encoder, ctx, b1, small_assets.vocab, cfg.tau)
-        g2, l2 = prompt_gradients(small_assets.encoder, ctx, b2, small_assets.vocab, cfg.tau)
+        g1, l1 = prompt_gradients(small_assets.encoder, ctx, b1, tokens, cfg.tau)
+        g2, l2 = prompt_gradients(small_assets.encoder, ctx, b2, tokens, cfg.tau)
         np.testing.assert_allclose(g1, g2, atol=1e-15)
         assert l1 == pytest.approx(l2, abs=1e-14)
 
@@ -286,11 +288,11 @@ class TestPromptGradients:
         cfg = small_config("linear_pool", tau=0.01)
         assets = build_assets(cfg, 2)
         ctx = build_prompt_context(cfg, rng, m=cfg.prompts)
-        feats, _ = assets.text_features(ctx.vectors)
+        feats, _ = assets.text_features(ctx)
         x = feats[0, 0]  # image aligned exactly with class-0 feature
         batch = ClientDataset(features=x[None, :], labels=np.array([0]),
                               master_indices=np.array([0]))
-        grads, loss = prompt_gradients(assets.encoder, ctx, batch, assets.vocab, cfg.tau)
+        grads, loss = prompt_gradients(assets.encoder, ctx, batch, class_tokens(cfg, 2), cfg.tau)
         assert loss < 1e-6
         assert np.max(np.abs(grads)) < 1e-4
 
@@ -300,11 +302,12 @@ class TestPromptGradients:
         batch = ClientDataset(features=np.zeros((0, cfg.d_image)), labels=np.zeros(0, dtype=int),
                               master_indices=np.zeros(0, dtype=int))
         with pytest.raises(DomainError):
-            prompt_gradients(small_assets.encoder, ctx, batch, small_assets.vocab, cfg.tau)
+            prompt_gradients(small_assets.encoder, ctx, batch,
+                             class_tokens(cfg, small_assets.class_count), cfg.tau)
 
 
 class TestFreezing:
-    def test_encoder_and_vocabulary_unchanged_by_training(self, rng):
+    def test_encoder_and_class_rows_unchanged_by_training(self, rng):
         from fedprompt.algorithms import make_trainer
         from fedprompt.data import MasterDataset
         from fedprompt.federation import FederationConfig, build_clients, run_federation
@@ -312,7 +315,7 @@ class TestFreezing:
         cfg = small_config("attention_block", d_token=6, d_feature=10, d_image=10)
         assets = build_assets(cfg, 3)
         enc_digest = encoder_digest(assets.encoder)
-        vocab_digest = vocabulary_digest(assets.vocab)
+        rows_digest = class_rows_digest(assets.class_rows)
         feats = random_unit_batch(rng, 12, cfg.d_image)
         labels = rng.integers(0, 3, size=12)
         master = MasterDataset(features=feats, labels=labels, class_count=3)
@@ -321,7 +324,7 @@ class TestFreezing:
         clients = build_clients(master, [np.arange(6), np.arange(6, 12)], trainer, cfg, seed=0)
         run_federation(trainer, clients, fed, assets, seed=0)
         assert encoder_digest(assets.encoder) == enc_digest
-        assert vocabulary_digest(assets.vocab) == vocab_digest
+        assert class_rows_digest(assets.class_rows) == rows_digest
 
 
 class TestSharedAssets:
@@ -355,11 +358,11 @@ class TestSharedAssets:
     def test_every_array_is_read_only(self, variant):
         assets = build_assets(small_config(variant), 4)
         rows = assets.class_rows
-        arrays = [*assets.encoder.weights.values(), assets.vocab.tokens,
-                  assets.handcrafted.vectors, assets.hand_features, assets.reference_features,
+        arrays = [*assets.encoder.weights.values(), assets.hand_features,
+                  assets.reference_features,
                   *(a for a in (rows.row_sum, rows.head, rows.context_pos, rows.q, rows.k,
                                 rows.v, rows.scores) if a is not None)]
-        assert len(arrays) == (15 if variant == "attention_block" else 8)
+        assert len(arrays) == (13 if variant == "attention_block" else 6)
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1.0
@@ -373,7 +376,7 @@ class TestClassCut:
                           tokens=4, seed=0)
         assets = build_assets(cfg, 10)
         reference = assets.reference_features
-        templates = np.concatenate([build_handcrafted_context(cfg, template=tpl).vectors
+        templates = np.concatenate([build_handcrafted_context(cfg, template=tpl)
                                     for tpl in range(3)])
         assert assets.for_classes(None) is assets
         encodes = []
@@ -387,7 +390,7 @@ class TestClassCut:
             assert cut.reference_features.tobytes() == reference[[c]].tobytes()
             assert not encodes  # the whole set's reference is cached: the cut adds no encode
             # an encoding on the cut's own rows misses the whole set's in the last bit
-            hand, _ = encode(cut.encoder, cut.handcrafted.vectors, cut.class_rows)
+            hand, _ = encode(cut.encoder, build_handcrafted_context(cfg), cut.class_rows)
             again, _ = encode(cut.encoder, templates, cut.class_rows)
             assert not np.array_equal(hand[0], cut.hand_features)
             assert not np.array_equal(unit_rows(again.sum(axis=0) / 3), cut.reference_features)

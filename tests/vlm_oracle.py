@@ -4,7 +4,7 @@ Every (context, class) pair is laid out as its own full token sequence
 [context; class tokens] and run through the frozen weights with 3-D
 matmuls, and the gradient comes back for every token row. The fast path
 encodes each context once against cached class rows; it must agree with
-this layout to rounding. Also digests of the frozen weights and vocabulary.
+this layout to rounding. Also digests of the frozen weights and class rows.
 """
 
 import hashlib
@@ -93,9 +93,14 @@ def encoder_digest(encoder) -> str:
     return hasher.hexdigest()
 
 
-def vocabulary_digest(vocab) -> str:
-    """SHA-256 of the frozen class tokens."""
-    return hashlib.sha256(vocab.tokens.tobytes()).hexdigest()
+def class_rows_digest(rows) -> str:
+    """SHA-256 over the arrays of frozen class rows (`vlm.ClassRows`), by field name."""
+    hasher = hashlib.sha256()
+    for key, value in sorted(vars(rows).items()):
+        if isinstance(value, np.ndarray):
+            hasher.update(key.encode())
+            hasher.update(value.tobytes())
+    return hasher.hexdigest()
 
 
 def predict(image_feature: np.ndarray, class_features: list[np.ndarray] | np.ndarray,
@@ -108,8 +113,10 @@ def predict(image_feature: np.ndarray, class_features: list[np.ndarray] | np.nda
     return softmax_temp(sims, tau)
 
 
-def prompt_gradients(encoder, context, batch, vocab, tau: float) -> tuple[np.ndarray, float]:
-    """Exact gradient of mean cross-entropy w.r.t. the context tokens only.
+def prompt_gradients(encoder, context: np.ndarray, batch, class_tokens: np.ndarray,
+                     tau: float) -> tuple[np.ndarray, float]:
+    """Exact gradient of mean cross-entropy w.r.t. the context tokens (m, L, d_token)
+    only, under the classes of `class_tokens` (C, T, d_token).
 
     With several prompt sets the per-class score is the mean of each
     set's cosine score. Returns (gradient shaped like the context, mean
@@ -119,9 +126,9 @@ def prompt_gradients(encoder, context, batch, vocab, tau: float) -> tuple[np.nda
     labels = np.asarray(batch.labels)
     if feats.shape[0] == 0:
         raise DomainError("empty batch")
-    m, L, _ = context.vectors.shape
-    rows = encoder.class_rows(vocab.tokens, L)
-    set_feats, cache = encoder.encode(context.vectors, rows)
+    m, L, _ = context.shape
+    rows = encoder.class_rows(class_tokens, L)
+    set_feats, cache = encoder.encode(context, rows)
     xh = unit_rows(feats)
     sims = np.einsum("bd,pcd->pbc", xh, set_feats)  # (m, B, C)
     loss, dlogits, _ = softmax_ce_batch(sims.mean(axis=0), labels, tau)
