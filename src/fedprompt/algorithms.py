@@ -161,7 +161,6 @@ class TrainContext:
     round_index: int
     federation: "FederationConfig"  # epochs, batch size and the SGD schedule
     rng: np.random.Generator
-    audit: list | None = None       # collects each batch's master indices
 
 
 @dataclass
@@ -418,8 +417,6 @@ class LocalTrainer:
         fed = ctx.federation
         for _ in range(fed.local_epochs):
             for batch in iterate_batches(dataset, ctx.rng, fed.batch_size):
-                if ctx.audit is not None:
-                    ctx.audit.append(np.asarray(batch.master_indices))
                 loss, grads = self.grad_step(params, batch, ctx, shared)
                 shared = None
                 params = sgd_momentum_step(params, grads, state.velocities, fed.lr, fed.momentum,

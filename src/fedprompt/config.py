@@ -23,6 +23,7 @@ from .data import (
     SyntheticSpec,
     _near_orthogonal_prototypes,
     generate_synthetic_dataset,
+    is_synthetic,
     load_feature_table,
     read_table_header,
 )
@@ -60,7 +61,7 @@ class DataConfig:
         if self.per_class_subsample is not None and self.per_class_subsample < 1:
             raise ConfigError(f"per_class_subsample: must be >= 1 or auto, "
                               f"got {self.per_class_subsample}")
-        if any(map(_is_synthetic, self.datasets)) and self.classes > _MAX_SYNTHETIC_CLASSES:
+        if any(map(is_synthetic, self.datasets)) and self.classes > _MAX_SYNTHETIC_CLASSES:
             raise ConfigError(f"classes: must be <= {_MAX_SYNTHETIC_CLASSES} for synthetic "
                               f"data, got {self.classes}")
         entries_by_name: dict[str, str] = {}
@@ -73,7 +74,7 @@ class DataConfig:
                 raise ConfigError(f"datasets: {entries_by_name[name]!r} and {entry!r} both "
                                   f"name the dataset {name!r}")
             entries_by_name[name] = entry
-            if _is_synthetic(entry):
+            if is_synthetic(entry):
                 try:
                     seed = synthetic_spec(self, entry).prototype_seed
                 except ValueError:
@@ -114,7 +115,7 @@ class ExperimentConfig:
         for kind in self.scenarios:
             if kind not in SCENARIO_KINDS:
                 raise ConfigError(f"experiment.scenarios: unknown scenario {kind!r}")
-        synthetic = [entry for entry in self.data.datasets if _is_synthetic(entry)]
+        synthetic = [entry for entry in self.data.datasets if is_synthetic(entry)]
         if synthetic and self.data.feature_dim != self.model.d_image:
             raise ConfigError(
                 f"data.feature_dim: synthetic features are {self.data.feature_dim}-dimensional "
@@ -179,10 +180,10 @@ def _raw_tree_from_json(text: str) -> dict[str, dict[str, object]]:
 
 def _convert(section: str, key: str, raw, annotation):
     # a JSON value is read as the text an INI file would hold, and each entry of a
-    # JSON list as one entry of a list key (joined by spaces, for another key)
+    # JSON list as one entry of a list key
     text = [str(x) for x in raw] if isinstance(raw, list) else str(raw)
     if isinstance(text, list) and typing.get_origin(annotation) is not list:
-        text = " ".join(text)
+        raise ConfigError(f"{section}.{key}: takes one value, got the list {raw!r}")
     try:
         value = _converter(annotation)(text)
     except ValueError as exc:
@@ -244,13 +245,9 @@ def serialize_config(config: ExperimentConfig) -> str:
     return out.getvalue()
 
 
-def _is_synthetic(entry: str) -> bool:
-    return entry.split("#")[0] == "synthetic"
-
-
 def dataset_display_name(entry: str) -> str:
     """Results column name for a dataset entry (file paths shed dir and extension)."""
-    if _is_synthetic(entry):
+    if is_synthetic(entry):
         return entry
     return entry.rsplit("/", 1)[-1].rsplit(".", 1)[0]
 
@@ -273,7 +270,7 @@ def materialize_datasets(config: ExperimentConfig) -> dict[str, MasterDataset]:
     """Build every dataset named in the config; file paths are loaded and checked."""
     datasets: dict[str, MasterDataset] = {}
     for entry in config.data.datasets:
-        if _is_synthetic(entry):
+        if is_synthetic(entry):
             spec = synthetic_spec(config.data, entry)
             datasets[entry] = generate_synthetic_dataset(spec, _prototype_rng(spec))
         else:
@@ -287,7 +284,7 @@ def check_table_headers(config: ExperimentConfig) -> None:
     """Check the header of every feature table the config names, and its width
     against the model; `materialize_datasets` checks the bodies."""
     for entry in config.data.datasets:
-        if not _is_synthetic(entry):
+        if not is_synthetic(entry):
             _check_width(entry, read_table_header(entry)[0], config.model)
 
 

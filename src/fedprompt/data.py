@@ -226,6 +226,12 @@ class SyntheticSpec:
                 raise ConfigError(f"{key}: must be >= 1, got {getattr(self, key)}")
 
 
+def is_synthetic(entry: str) -> bool:
+    """Whether a `data.datasets` entry (or its results column name, the same
+    text) names a synthetic dataset rather than a feature table."""
+    return entry.split("#")[0] == "synthetic"
+
+
 def _near_orthogonal_prototypes(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
     # pairwise |cos| < 0.5 by rejection; comfortably feasible from ~32 dims up,
     # exhausts the try budget when the dimension is too small for the class count

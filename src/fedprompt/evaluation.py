@@ -30,6 +30,7 @@ from .data import (
     base_novel_split,
     class_positions,
     dirichlet_partition,
+    is_synthetic,
     kshot_iid_partition,
     mirror_partition,
     stratified_split,
@@ -266,6 +267,13 @@ def build_run_state(config: "ExperimentConfig",
                 except DataError as exc:
                     raise ConfigError(f"{limits}: too large for dataset {name!r} in the {kind} "
                                       f"scenario (seed {seed}): {exc}") from exc
+                for target in plan.targets:
+                    if len(target.indices) == 0:
+                        key = ("data.samples_per_class" if is_synthetic(name)
+                               else "data.datasets")
+                        raise ConfigError(f"{key}: dataset {name!r} leaves no test rows to "
+                                          f"score for {target.key} in the {kind} scenario "
+                                          f"(seed {seed})")
                 plans[kind, name, seed] = plan
                 if transport:  # a shifted target has its master's shape
                     shape = (len(master), config.model.local_features, master.feature_dim)
@@ -345,9 +353,6 @@ def _run_plan(state: RunState, scenario: _ScenarioPlan, kind: str, method: str, 
     master = state.datasets[dataset]
     assets = state.assets[(cfg, master.class_count)]
     targets = scenario.targets
-    empty = [t.key for t in targets if len(t.indices) == 0]
-    if empty:
-        raise EvaluationError(f"no test rows to score for {', '.join(empty)}")
     tests = [ClientDataset.from_master(t.source, t.indices) for t in targets]
     # one cut of the assets per class set trained or scored, so that a
     # broadcast encoding made under it serves every use of that set
@@ -395,15 +400,8 @@ def _run_plan(state: RunState, scenario: _ScenarioPlan, kind: str, method: str, 
             [trainer.build_predictor(payload, scored, c.state) for c, _ in held],
             [rows for _, rows in held]))
 
-    audit = None if scenario.class_ids is None else []
     server = run_federation(trainer, clients, fed_cfg, cut(scenario.class_ids), seed,
-                            eval_fn=evaluate if scenario.per_round else None, audit=audit)
-    if audit is not None:
-        leaked = sum(int(np.isin(master.labels[batch], scenario.class_ids, invert=True).sum())
-                     for batch in audit)
-        if leaked:
-            raise EvaluationError(f"{leaked} samples of untrained classes leaked into "
-                                  "training batches")
+                            eval_fn=evaluate if scenario.per_round else None)
     scores = best_scores(server.reports) if scenario.per_round else evaluate(server, clients)
     curves, moved = [], 0
     for report in server.reports:

@@ -1,8 +1,9 @@
 """Client sampling, FedAvg aggregation and the round loop.
 
-Each round's `RoundReport` is its one record: clients sampled, skipped,
-trained and failed, their weights, the scalars moved each way and any
-scores. The reported scores, the live cost and the curves derive from it.
+Each round's `RoundReport` is its one record: clients sampled, skipped and
+trained, their weights, the scalars moved each way and any scores. The
+reported scores, the live cost and the curves derive from it. A client's
+exception is not caught here: it fails the round, and so the cell.
 """
 
 import logging
@@ -107,7 +108,10 @@ class Client:
 @dataclass
 class RoundReport:
     """The record of one round. Client ids are positions in the client list;
-    `scores` is what `eval_fn` returned after an evaluated round, else None."""
+    `scores` is what `eval_fn` returned after an evaluated round, else None.
+    A client's exception fails the round, so every participant trained;
+    `failed` is always empty and is kept only for the benchmark's tracer,
+    which reads it."""
 
     round_index: int
     sampled: list[int]
@@ -176,8 +180,7 @@ def fedavg_aggregate(payloads: list[CommunicablePayload],
 
 
 def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
-              fed_cfg: FederationConfig, assets: ModelAssets, seed: int,
-              audit: list | None = None) -> RoundReport:
+              fed_cfg: FederationConfig, assets: ModelAssets, seed: int) -> RoundReport:
     """One communication round: sample, broadcast, train, collect, aggregate.
     Clients train on the classes of `assets` (see `ModelAssets.for_classes`)."""
     t = len(server.reports)
@@ -195,47 +198,37 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
         log.warning("round %d: no client holds data, round skipped", t)
     else:
         declared = trainer.payload_scalars(assets.cfg)
-        report.download_scalars = declared * len(participating)
-        results: dict[int, tuple[CommunicablePayload, float]] = {}  # payload, mean loss
-        for cid in participating:
+        report.download_scalars = report.upload_scalars = declared * len(participating)
+        payloads, losses = [], []
+        for cid in participating:  # ascending ids: the aggregation order
             client = clients[cid]
             ctx = TrainContext(assets=assets, round_index=t, federation=fed_cfg,
-                               rng=rngs.derive_rng(seed, rngs.CLIENT, cid, t), audit=audit)
-            try:  # the payload is read-only; local_train copies what it trains
-                payload, loss = trainer.local_train(server.payload, client.state,
-                                                    client.dataset, ctx)
-            except Exception:  # noqa: BLE001 - failed clients are excluded, not fatal
-                log.exception("round %d: client %d failed, excluded from aggregation", t, cid)
-                report.failed.append(cid)
-                continue
+                               rng=rngs.derive_rng(seed, rngs.CLIENT, cid, t))
+            # the payload is read-only; local_train copies what it trains
+            payload, loss = trainer.local_train(server.payload, client.state, client.dataset, ctx)
             if payload.scalar_count != declared:
                 raise AggregationError(
                     f"client {cid} returned {payload.scalar_count} scalars, declared {declared}"
                 )
-            results[cid] = (payload, loss)
-        if not results:
-            log.warning("round %d: every client failed, round skipped", t)
-        else:
-            ordered_ids = sorted(results)
-            report.upload_scalars = declared * len(ordered_ids)
-            weights = compute_weights(np.array([len(clients[c].dataset) for c in ordered_ids]))
-            server.payload = fedavg_aggregate([results[c][0] for c in ordered_ids], weights)
-            report.client_losses = {c: results[c][1] for c in ordered_ids}
-            report.weights = {c: float(w) for c, w in zip(ordered_ids, weights)}
+            payloads.append(payload)
+            losses.append(loss)
+        weights = compute_weights(np.array([len(clients[c].dataset) for c in participating]))
+        server.payload = fedavg_aggregate(payloads, weights)
+        report.client_losses = dict(zip(participating, losses))
+        report.weights = {c: float(w) for c, w in zip(participating, weights)}
     server.reports.append(report)
     return report
 
 
 def run_federation(trainer: LocalTrainer, clients: list[Client], fed_cfg: FederationConfig,
-                   assets: ModelAssets, seed: int, eval_fn=None,
-                   audit: list | None = None) -> ServerState:
+                   assets: ModelAssets, seed: int, eval_fn=None) -> ServerState:
     """The communication loop for one seed. Every `eval_every` rounds, and
     after the last, the round's report keeps what `eval_fn` scores."""
     server = ServerState(
         payload=trainer.init_payload(assets.cfg, rngs.derive_rng(seed, rngs.PROMPT_INIT))
     )
     for t in range(fed_cfg.rounds):
-        report = run_round(server, clients, trainer, fed_cfg, assets, seed, audit=audit)
+        report = run_round(server, clients, trainer, fed_cfg, assets, seed)
         if eval_fn is not None and ((t + 1) % fed_cfg.eval_every == 0 or t == fed_cfg.rounds - 1):
             report.scores = eval_fn(server, clients)
     return server

@@ -12,19 +12,20 @@ kernels take it, a trainer with other loss weights, zero-shot accuracy on a plai
 feature-table writer, the plane-by-plane rotation loop that `data._rotate_planes`
 vectorises, the domain shift of every row of a dataset at once (the
 reference for `data.apply_domain_shift`, which shifts only the rows asked
-for), one cell run on a state built for it alone, with the training
-batches it drew, and every array reachable from an object (the reference for
-`vlm.read_only`'s walk).
+for), one cell run on a state built for it alone, the training batches
+drawn within a block, and every array reachable from an object (the
+reference for `vlm.read_only`'s walk).
 """
 
 import types
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 import pytest
 
-from fedprompt import evaluation
+from fedprompt import algorithms
 from fedprompt import rngs
 from fedprompt.algorithms import CosinePredictor, TransportPredictor, make_trainer
 from fedprompt.data import MasterDataset, _rotate_planes
@@ -226,21 +227,29 @@ def one_cell(config, kind: str, method: str, master, seed: int, name: str = "syn
     return run_cell(build_run_state(config, {name: master}), kind, method, name, seed)
 
 
-def audited_cell(config, kind: str, method: str, master, seed: int):
-    """`one_cell` of a cell that trains on a class subset, and the master indices
-    of each training batch it drew, in order."""
-    audits = []
-    run_federation = evaluation.run_federation
+@contextmanager
+def recorded_batches():
+    """Within the block, the master indices of each batch that a trainer's
+    `local_train` draws from `algorithms.iterate_batches`, in order."""
+    batches = []
+    iterate = algorithms.iterate_batches
 
-    def recording(*args, audit=None, **kwargs):
-        audits.append(audit)
-        return run_federation(*args, audit=audit, **kwargs)
+    def recording(*args, **kwargs):
+        for batch in iterate(*args, **kwargs):
+            batches.append(np.asarray(batch.master_indices))
+            yield batch
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evaluation, "run_federation", recording)
+        patch.setattr(algorithms, "iterate_batches", recording)
+        yield batches
+
+
+def audited_cell(config, kind: str, method: str, master, seed: int):
+    """`one_cell` of a cell, and the master indices of each training batch it
+    drew, in order."""
+    with recorded_batches() as batches:
         result = one_cell(config, kind, method, master, seed)
-    (audit,) = audits
-    return result, audit
+    return result, batches
 
 
 def reachable_arrays(*roots) -> list[np.ndarray]:

@@ -14,6 +14,7 @@ from oracle import (
     metanet_param_count,
     ot_scores_and_grads_three_operand,
     payloads_equal,
+    recorded_batches,
     relative_error,
     trainer_with,
 )
@@ -55,12 +56,12 @@ def client_dataset(rng, n, d, classes):
     return ClientDataset(features=feats, labels=labels, master_indices=np.arange(n))
 
 
-def make_ctx(assets, rng_seed=0, audit=None, **federation):
+def make_ctx(assets, rng_seed=0, **federation):
     """A round-0 training context; `federation` sets `FederationConfig` fields
     (10 rounds unless given)."""
     return TrainContext(assets=assets, round_index=0,
                         federation=FederationConfig(**{"rounds": 10, **federation}),
-                        rng=np.random.default_rng(rng_seed), audit=audit)
+                        rng=np.random.default_rng(rng_seed))
 
 
 class TestSGD:
@@ -447,8 +448,9 @@ class TestTrainers:
         trainer = trainer_with("src", mu_text=0.5, mu_logit=0.7, window=2)
         payload = trainer.init_payload(cfg, np.random.default_rng(1))
         state = trainer.init_state(cfg, np.random.default_rng(1))
-        ctx = make_ctx(assets, rng_seed=4, local_epochs=3, batch_size=4, audit=[])
-        out, _ = trainer.local_train(payload, state, data, ctx)
+        ctx = make_ctx(assets, rng_seed=4, local_epochs=3, batch_size=4)
+        with recorded_batches() as batches:
+            out, _ = trainer.local_train(payload, state, data, ctx)
 
         context = payload.fields["context"]
         velocities = {}
@@ -464,7 +466,7 @@ class TestTrainers:
                                             velocities, 0.002, 0.9, 0, 10)["context"]
             trajectory.append(context)
         np.testing.assert_array_equal(out.fields["context"], trajectory_average(trajectory, 2))
-        assert len(ctx.audit) == 9 and sum(len(batch) for batch in ctx.audit) == 30
+        assert len(batches) == 9 and sum(len(batch) for batch in batches) == 30
 
     def test_src_zero_epochs_payload_bitwise_identical(self, rng):
         cfg = small_config()
@@ -473,10 +475,11 @@ class TestTrainers:
         payload = trainer.init_payload(cfg, rng)
         state = trainer.init_state(cfg, rng)
         data = client_dataset(rng, 8, cfg.d_image, 4)
-        ctx = make_ctx(assets, local_epochs=0, audit=[])
-        out, loss = trainer.local_train(payload, state, data, ctx)
+        ctx = make_ctx(assets, local_epochs=0)
+        with recorded_batches() as batches:
+            out, loss = trainer.local_train(payload, state, data, ctx)
         assert payloads_equal(out, payload)
-        assert ctx.audit == [] and loss == 0.0
+        assert batches == [] and loss == 0.0
 
 
 def _one_step_payload(kind, cfg, assets, data, seed=0, **settings):

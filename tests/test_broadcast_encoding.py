@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unit_batch, small_config
+from oracle import recorded_batches
 from test_evaluation import desk_config, desk_master  # noqa: F401 - fixture
 from fedprompt import algorithms, federation
 from fedprompt.algorithms import (
@@ -143,9 +144,10 @@ class TestSharedStep:
             state = trainer.init_state(cfg, np.random.default_rng(2))
             ctx = TrainContext(assets=trained, round_index=1,
                                federation=FederationConfig(rounds=5, batch_size=5, local_epochs=2),
-                               rng=np.random.default_rng(4), audit=[])
-            out, loss = trainer.local_train(payload, state, data, ctx)
-            outs.append((out, loss, state, len(ctx.audit)))
+                               rng=np.random.default_rng(4))
+            with recorded_batches() as batches:
+                out, loss = trainer.local_train(payload, state, data, ctx)
+            outs.append((out, loss, state, len(batches)))
         assert (payload.encoding.assets is trained) if sharing else (payload.encoding is None)
         (out_a, loss_a, state_a, batches_a), (out_b, loss_b, state_b, batches_b) = outs
         assert batches_a == batches_b == 6
@@ -362,6 +364,8 @@ class TestReadOnlyBroadcast:
         server = ServerState(trainer.init_payload(cfg, np.random.default_rng(1)))
         before = server.payload.fields["context"].copy()
         fed = FederationConfig(protocol="standard", num_clients=2, rounds=2, batch_size=4)
-        report = run_round(server, clients, trainer, fed, assets, seed=0)
-        assert report.failed == [0, 1]
+        # a program defect, not a client to leave out: the round fails
+        with pytest.raises(ValueError, match="read-only"):
+            run_round(server, clients, trainer, fed, assets, seed=0)
         assert np.array_equal(server.payload.fields["context"], before)
+        assert server.reports == []

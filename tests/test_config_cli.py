@@ -129,6 +129,12 @@ JSON_LIST_CASES = [
     ('{"experiment": {"seeds": ["1 2"]}}', "experiment.seeds"),
 ]
 
+# JSON lists given to a key that takes one value: rejected, never joined into one text
+JSON_ONE_VALUE_LIST_CASES = [
+    ('{"experiment": {"output_dir": ["a b", "c"]}}', "experiment.output_dir"),
+    ('{"data": {"classes": [3]}}', "data.classes"),
+]
+
 # values that reach every converter's and every check's edges
 _EDGE_VALUES = st.one_of(
     st.text(max_size=12), st.integers(), st.floats(), st.booleans(), st.none(),
@@ -710,6 +716,51 @@ class TestRunner:
         config.write_text(config.read_text().replace("zsclip,promptfl", "zsclip"))
         assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
 
+    def test_empty_test_slice_fails_before_any_cell(self, tmp_path, capsys):
+        # one sample per class: the 70/10/20 split leaves no test row. The plan
+        # is drawn before any cell, so `run` names the key; `validate` draws no
+        # plan and passes the config
+        config = tmp_path / "run.ini"
+        config.write_text("[experiment]\nmethods = zsclip\nseeds = 0\n"
+                          "[data]\nclasses = 2\nsamples_per_class = 1\n")
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: data.samples_per_class: dataset 'synthetic' leaves no test rows to score "
+            "for test_accuracy in the global scenario (seed 0)\n")
+        assert not (tmp_path / "out").exists()
+        assert main(["validate", str(config)]) == 0
+
+    def test_feature_table_without_test_rows_names_the_datasets_key(self, tmp_path, capsys):
+        table = tmp_path / "feat.txt"
+        spec = SyntheticSpec(classes=4, feature_dim=16, samples_per_class=1)
+        save_feature_table(generate_synthetic_dataset(spec, np.random.default_rng(0)), str(table))
+        config = tmp_path / "run.ini"
+        config.write_text(table_config_text(table, methods="zsclip"))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data.datasets: dataset 'feat' leaves no test rows ")
+        assert not (tmp_path / "out").exists()
+
+    # the learning rate overflows the encoder's arithmetic, which numpy warns of
+    # (overflow, invalid value) before a finiteness check raises
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_client_exception_fails_its_cell(self, tmp_path, capsys):
+        # every trained method at lr = 1e300: the clients' non-finite logits or
+        # costs raise, and each fails its cell rather than leaving the client out
+        text = TOY.read_text().replace("methods = promptfl,kgcoop",
+                                       f"methods = {','.join(TRAINER_KINDS)}")
+        config = tmp_path / "run.ini"
+        config.write_text(text.replace("[federation]\n", "[federation]\nlr = 1e300\n"))
+        assert len(TRAINER_KINDS) == 8
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert "cell(s) failed; see failures.json" in capsys.readouterr().err
+        failures = json.loads((tmp_path / "out" / "failures.json").read_text())
+        assert failures
+        for failure in failures:
+            last = failure["error"].strip().splitlines()[-1]
+            assert last.startswith("fedprompt.errors.DomainError: "), failure
+
     @pytest.mark.parametrize("text,where", [
         ("# d=-1 classes=4\n0,0\n", ":1: "),
         ("# d=16 classes=0\n", ":1: "),
@@ -1102,7 +1153,7 @@ class TestCLI:
         ("[experiment]\nmethods = promptfl,promptfl\nseeds = 0,0\n", "experiment.methods"),
         ("[experiment]\nseeds = 0,1,00\n", "experiment.seeds"),
         ("[experiment]\nscenarios = global,personalized,global\n", "experiment.scenarios"),
-    ] + JSON_SCALAR_CASES)
+    ] + JSON_SCALAR_CASES + JSON_ONE_VALUE_LIST_CASES)
     def test_run_rejects_repeats_and_non_ini_json_scalars(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)

@@ -13,7 +13,7 @@ from fedprompt import evaluation
 from fedprompt.algorithms import CosinePredictor, PerClientPredictor, TransportPredictor
 from fedprompt.config import DataConfig, ExperimentConfig
 from fedprompt.data import SyntheticSpec, base_novel_split, generate_synthetic_dataset
-from fedprompt.errors import DataError, DomainError, EvaluationError
+from fedprompt.errors import ConfigError, DataError, DomainError, EvaluationError
 from fedprompt.evaluation import (
     ScenarioSpec,
     aggregate_runs,
@@ -197,8 +197,8 @@ class TestGlobalAccuracy:
         assert correct / n * 100.0 == pytest.approx(100.0 / C, abs=1.0)
 
     def test_empty_rejected(self, desk_master, monkeypatch):
-        # a target with no rows fails the cell before any predictor runs; the
-        # plan is drawn when the run state is built
+        # a target with no rows fails the run when its plan is drawn, as the
+        # run state is built, before any cell or predictor runs
         plan, calls = evaluation._scenario_plan, []
 
         def emptied(*args):
@@ -209,7 +209,9 @@ class TestGlobalAccuracy:
         monkeypatch.setattr(evaluation, "_scenario_plan", emptied)
         monkeypatch.setattr(evaluation, "evaluate_predictor", lambda *args, **kw: calls.append(1))
         for method in ("zsclip", "promptfl"):
-            with pytest.raises(EvaluationError, match="no test rows to score for test_accuracy"):
+            with pytest.raises(ConfigError, match=r"^data\.samples_per_class: dataset "
+                               r"'synthetic' leaves no test rows to score for test_accuracy "
+                               r"in the global scenario \(seed 0\)$"):
                 one_cell(desk_config(), "global", method, desk_master, 0)
         assert calls == []
 
@@ -253,7 +255,8 @@ class TestPersonalizedAccuracy:
 
     def test_all_empty_rejected(self, desk_master, monkeypatch):
         calls = _emptied_plan(monkeypatch, clients={0, 1, 2, 3})
-        with pytest.raises(EvaluationError, match="no test rows to score for test_accuracy"):
+        with pytest.raises(ConfigError, match="^data.samples_per_class: .* test_accuracy in "
+                                              r"the personalized scenario \(seed 0\)$"):
             one_cell(desk_config(), "personalized", "fedotp", desk_master, 0)
         assert calls == []
 
@@ -345,20 +348,21 @@ class TestScenarios:
 
     def test_novel_sample_in_a_client_pool_fails_the_cell(self, desk_master, monkeypatch):
         # force one novel-class sample into the first client's training pool
-        plan = evaluation._scenario_plan
+        plan, leaked = evaluation._scenario_plan, []
 
         def leaky_plan(*args):
             scenario = plan(*args)
             novel = np.flatnonzero(~np.isin(desk_master.labels, scenario.class_ids))
             scenario.clients[0] = np.append(scenario.clients[0], novel[0])
+            leaked.append(desk_master.labels[novel[0]])
             return scenario
 
         monkeypatch.setattr(evaluation, "_scenario_plan", leaky_plan)
-        config = desk_config()
-        # the client's batch holding it fails in each of the 3 rounds, and each is audited
-        assert config.federation.rounds == 3
-        with pytest.raises(EvaluationError, match="^3 samples of untrained classes leaked"):
-            one_cell(config, "base_novel", "promptfl", desk_master, 0)
+        # the first batch holding it fails the cell: its label has no position
+        # among the trained classes
+        with pytest.raises(DataError, match="is outside the class set") as failure:
+            one_cell(desk_config(), "base_novel", "promptfl", desk_master, 0)
+        assert str(failure.value).startswith(f"label {leaked[0]} is outside")
 
     def test_test_label_outside_the_class_set(self):
         predictor = CosinePredictor(np.eye(3)[None], tau=1.0)

@@ -186,8 +186,11 @@ class TestRunRound:
         # skipped clients exchange nothing
         assert report.download_scalars == trainer.payload_scalars(cfg) * 2
 
-    def test_failing_client_excluded(self, rng, monkeypatch):
+    def test_failing_client_fails_the_round(self, rng, monkeypatch):
+        # a client's exception is not a client to leave out: it propagates,
+        # and the round keeps no report and leaves the broadcast as it was
         cfg, assets, trainer, fed, clients, server = self._setup(rng)
+        broadcast = server.payload
         original = trainer.local_train
 
         def flaky(payload, state, dataset, ctx):
@@ -196,14 +199,14 @@ class TestRunRound:
             return original(payload, state, dataset, ctx)
 
         monkeypatch.setattr(trainer, "local_train", flaky)
-        report = run_round(server, clients, trainer, fed, assets, seed=0)
-        assert report.failed == [1]
-        assert sorted(report.weights) == [0, 2]
-        assert sum(report.weights.values()) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(RuntimeError, match="client crashed"):
+            run_round(server, clients, trainer, fed, assets, seed=0)
+        assert server.reports == [] and server.payload is broadcast
 
     def test_every_exit_closes_the_round(self, rng, monkeypatch):
-        # no participant, every participant failed, and a trained round each
-        # advance the round, record its traffic and keep its report
+        # no participant and a trained round each advance the round, record
+        # its traffic and keep its report; a failing client fails its round,
+        # which advances nothing and keeps no report
         cfg, assets, trainer, fed, clients, server = self._setup(rng)
         declared = trainer.payload_scalars(cfg)
         broadcast = server.payload
@@ -216,14 +219,15 @@ class TestRunRound:
             raise RuntimeError("client crashed")
 
         monkeypatch.setattr(trainer, "local_train", crash)
-        second = run_round(server, clients, trainer, fed, assets, seed=0)
-        assert second.failed == [0, 1, 2] and server.payload is broadcast
+        with pytest.raises(RuntimeError, match="client crashed"):
+            run_round(server, clients, trainer, fed, assets, seed=0)
+        assert server.reports == [first] and server.payload is broadcast
         monkeypatch.undo()
-        third = run_round(server, clients, trainer, fed, assets, seed=0)
-        assert server.reports == [first, second, third]
-        assert [r.round_index for r in server.reports] == [0, 1, 2]
-        assert [r.download_scalars for r in server.reports] == [0, 3 * declared, 3 * declared]
-        assert [r.upload_scalars for r in server.reports] == [0, 0, 3 * declared]
+        second = run_round(server, clients, trainer, fed, assets, seed=0)
+        assert server.reports == [first, second]
+        assert [r.round_index for r in server.reports] == [0, 1]
+        assert [r.download_scalars for r in server.reports] == [0, 3 * declared]
+        assert [r.upload_scalars for r in server.reports] == [0, 3 * declared]
 
     def test_scheduling_independence(self):
         # a client's update reads nothing another client wrote in the round,
@@ -256,7 +260,7 @@ class TestRunRound:
 
 
 class TestRoundRecord:
-    def _federation(self, rng, monkeypatch, eval_every=1):
+    def _federation(self, rng, eval_every=1):
         cfg = small_config()
         assets = build_assets(cfg, 4)
         plan = manual_plan(30, 4)
@@ -265,35 +269,42 @@ class TestRoundRecord:
         fed = FederationConfig(protocol="standard", num_clients=4, rounds=5, batch_size=8,
                                eval_every=eval_every)
         clients = build_clients(toy_master(rng, n=30), plan, trainer, cfg, seed=0)
-        original = trainer.local_train
-
-        def flaky(payload, state, dataset, ctx):
-            if dataset is clients[2].dataset:
-                raise RuntimeError("client crashed")
-            return original(payload, state, dataset, ctx)
-
-        monkeypatch.setattr(trainer, "local_train", flaky)
         return cfg, assets, trainer, fed, clients
 
-    def test_reports_with_an_empty_and_a_failing_client(self, rng, monkeypatch):
-        cfg, assets, trainer, fed, clients = self._federation(rng, monkeypatch)
+    def test_reports_with_an_empty_client(self, rng):
+        cfg, assets, trainer, fed, clients = self._federation(rng)
         server = run_federation(trainer, clients, fed, assets, seed=0)
         declared = trainer.payload_scalars(cfg)
         assert len(server.reports) == fed.rounds
         for t, report in enumerate(server.reports):
             assert report.round_index == t and report.scores is None
-            assert report.skipped_empty == [1] and report.failed == [2]
+            assert report.skipped_empty == [1] and report.failed == []
             assert report.sampled == sorted(report.participating + report.skipped_empty)
-            assert set(report.failed) <= set(report.participating)
-            trained = [c for c in report.participating if c not in report.failed]
-            assert sorted(report.weights) == sorted(report.client_losses) == trained
+            assert sorted(report.weights) == sorted(report.client_losses) == [0, 2, 3]
+            assert report.participating == [0, 2, 3]
             assert sum(report.weights.values()) == pytest.approx(1.0, abs=1e-12)
-            assert report.download_scalars == declared * len(report.participating)
-            assert report.upload_scalars == declared * len(trained)
-            assert report.train_loss == sum(report.client_losses.values()) / len(trained)
+            assert report.download_scalars == report.upload_scalars == declared * 3
+            assert report.train_loss == sum(report.client_losses.values()) / 3
 
-    def test_best_scores_skip_none_and_unevaluated_rounds(self, rng, monkeypatch):
-        _, assets, trainer, fed, clients = self._federation(rng, monkeypatch, eval_every=2)
+    def test_a_failing_client_fails_the_federation(self, rng, monkeypatch):
+        # the exception leaves `run_federation` at the first round it fails,
+        # before any round is scored
+        _, assets, trainer, fed, clients = self._federation(rng)
+        original, scored = trainer.local_train, []
+
+        def flaky(payload, state, dataset, ctx):
+            if dataset is clients[2].dataset and ctx.round_index == 1:
+                raise RuntimeError("client crashed")
+            return original(payload, state, dataset, ctx)
+
+        monkeypatch.setattr(trainer, "local_train", flaky)
+        with pytest.raises(RuntimeError, match="client crashed"):
+            run_federation(trainer, clients, fed, assets, seed=0,
+                           eval_fn=lambda server, clients: scored.append(1) or {})
+        assert scored == [1]  # round 0 only
+
+    def test_best_scores_skip_none_and_unevaluated_rounds(self, rng):
+        _, assets, trainer, fed, clients = self._federation(rng, eval_every=2)
         scripted = iter([{"a": 10.0, "b": None, "c": None}, {"a": 30.0, "b": 5.0, "c": None},
                          {"a": 20.0, "b": None, "c": None}])
         server = run_federation(trainer, clients, fed, assets, seed=0,
