@@ -144,13 +144,7 @@ def iterate_batches(dataset: ClientDataset, rng: np.random.Generator, batch_size
     n = len(dataset)
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
-        sel = order[start:start + batch_size]
-        yield ClientDataset(
-            features=dataset.features[sel],
-            labels=dataset.labels[sel],
-            master_indices=dataset.master_indices[sel],
-            local_maps=None if dataset.local_maps is None else dataset.local_maps[sel],
-        )
+        yield dataset.take(order[start:start + batch_size])
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class KeptRows:
     def __init__(self, n: int, rows, what: str):
         keep = np.zeros(n, dtype=bool)
         keep[np.asarray(rows, dtype=np.int64)] = True
-        self.n, self.what = n, what
+        self.what = what
         self.ids = read_only(np.flatnonzero(keep))
 
     def positions(self, rows) -> np.ndarray:
@@ -64,78 +64,64 @@ class KeptRows:
 
 @dataclass
 class MasterDataset:
-    """Labeled feature set all partitioners operate on.
+    """Labeled feature set all partitioners operate on; row ids index its rows.
 
-    Row ids are master-relative. A dataset derived for some rows only (a
-    shifted target, `apply_domain_shift`) holds those rows, in id order, and
-    records them in `rows`; `len` is then the master's row count, and
-    `positions` maps ids to held rows. A run shares one `MasterDataset` per
-    dataset and target across its cells, read-only (`vlm.read_only`).
+    A run shares one `MasterDataset` per dataset across its cells, read-only
+    (`vlm.read_only`).
     """
 
-    features: np.ndarray                 # (held rows, d)
-    labels: np.ndarray                   # (held rows,) ints < class_count
+    features: np.ndarray                 # (n, d)
+    labels: np.ndarray                   # (n,) ints < class_count
     class_count: int
-    domain_tags: np.ndarray | None = None
-    rows: KeptRows | None = None         # the master ids of the held rows (None: every row)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
             raise DataError("features and labels disagree in length")
-        if self.rows is not None and len(self.rows.ids) != self.features.shape[0]:
-            raise DataError("features and row ids disagree in length")
         if not np.all(np.isfinite(self.features)):
             raise DataError("features contain non-finite entries")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
             raise DataError("labels out of range")
 
     def __len__(self) -> int:
-        return self.features.shape[0] if self.rows is None else self.rows.n
+        return self.features.shape[0]
 
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def positions(self, indices) -> np.ndarray:
-        """The held rows of master row ids `indices`; an id this dataset does
-        not hold raises `DataError` naming it."""
-        indices = np.asarray(indices, dtype=np.int64)
-        return indices if self.rows is None else self.rows.positions(indices)
+    def ensure_local_maps(self, M: int, parts: list["ClientDataset"],
+                          noise_table: dict) -> list["ClientDataset"]:
+        """Each slice of `parts` with its region features for transport-based
+        scoring, (len(part), M, d), attached as `local_maps`.
 
-    def ensure_local_maps(self, M: int, rows: list[np.ndarray],
-                          noise_table: dict) -> list[np.ndarray]:
-        """Region features for transport-based scoring, (len(r), M, d) for each
-        r in `rows`, a list of master row ids.
-
-        A row's maps depend only on its feature and its row of the (n, M, d)
-        region-noise stream, n the master's row count, so they equal the
-        per-sample draws of the whole dataset at that row. `noise_table`
-        holds, under (n, M, d), the `RegionNoise` that keeps the stream's
-        rows a run reads; its values are drawn on the first call that needs
-        them (in a worker pool's parent, before the pool starts) and shared
-        by every dataset of that shape, such as a master and the shifted
-        targets of its scored rows. A row the table does not keep, or this
-        dataset does not hold, raises `DataError` naming the row. Each
-        slice's maps are built in blocks of `RegionNoise.block_rows` rows
-        into one array, so a temporary is one block in size. The maps are
-        read-only and kept by the caller, not on this dataset.
+        A slice holds rows of this dataset, or of a shifted copy of it, under
+        their master ids. A row's maps depend only on the slice's feature and
+        on the row of the (n, M, d) region-noise stream at its master id, n
+        this dataset's row count, so they equal the per-sample draws of the
+        whole dataset at that row. `noise_table` holds, under (n, M, d), the
+        `RegionNoise` that keeps the stream's rows a run reads; its values are
+        drawn on the first call that needs them (in a worker pool's parent,
+        before the pool starts) and shared by every slice of that shape. A
+        row the table does not keep raises `DataError` naming the row. Each
+        slice's maps are built in blocks of `RegionNoise.block_rows` rows into
+        one array, so a temporary is one block in size. The maps are
+        read-only and kept on the returned slices, not on this dataset.
         """
         key = (len(self), M, self.feature_dim)
         noise = noise_table.get(key) or RegionNoise(key, ())
-        # a row not kept or not held fails before the draw
-        noise_at = [noise.rows.positions(r) for r in rows]
-        held_at = [self.positions(r) for r in rows]
+        # a row not kept fails before the draw
+        noise_at = [noise.rows.positions(part.master_indices) for part in parts]
         values, step = noise.values(), noise.block_rows
-        maps = []
-        for at, held in zip(noise_at, held_at):
-            part = np.empty((len(at), M, self.feature_dim))
+        mapped = []
+        for part, at in zip(parts, noise_at):
+            maps = np.empty((len(at), M, self.feature_dim))
             for start in range(0, len(at), step):
                 block = slice(start, start + step)
-                part[block] = synth_local_features(self.features[held[block]], values[at[block]])
-            maps.append(read_only(part))
-        return maps
+                maps[block] = synth_local_features(part.features[block], values[at[block]])
+            mapped.append(replace(part, local_maps=read_only(maps)))
+        return mapped
 
 
 class RegionNoise:
@@ -162,10 +148,10 @@ class RegionNoise:
         return self._values
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientDataset:
-    """A slice of a master dataset (a client's data or a test set); indices
-    stay master-relative."""
+    """A slice of a master dataset, or of a shifted copy of it (a client's
+    data or a test set); indices stay master-relative."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -175,8 +161,12 @@ class ClientDataset:
     @classmethod
     def from_master(cls, master: MasterDataset, indices: np.ndarray) -> "ClientDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        held = master.positions(idx)
-        return cls(features=master.features[held], labels=master.labels[held], master_indices=idx)
+        return cls(features=master.features[idx], labels=master.labels[idx], master_indices=idx)
+
+    def take(self, at) -> "ClientDataset":
+        """The rows at positions `at` of this slice, with their maps."""
+        return ClientDataset(self.features[at], self.labels[at], self.master_indices[at],
+                             None if self.local_maps is None else self.local_maps[at])
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -293,32 +283,26 @@ def _rotate_planes(x: np.ndarray, angle: float) -> np.ndarray:
     return out
 
 
-def apply_domain_shift(dataset: MasterDataset, shift: DomainShift, rows) -> MasterDataset:
+def apply_domain_shift(dataset: MasterDataset, shift: DomainShift, rows) -> ClientDataset:
     """The dataset's master rows `rows`, with their labels, and their features
     rotated by `shift.angle` in every coordinate plane (2k, 2k + 1), noised
     and renormalised.
 
     Row i's noise is row i of one sequential (n, d) standard-normal draw from
-    `rngs.derive_rng(shift.seed, rngs.SHIFT)`, n the master's row count. So
+    `rngs.derive_rng(shift.seed, rngs.SHIFT)`, n the dataset's row count. So
     each row equals the same row of the whole dataset's shift, bit for bit,
     whatever else is kept. The result holds only the sorted distinct `rows`,
-    under their master ids (`MasterDataset.rows`).
+    under their master ids.
     """
     if not np.isfinite([shift.angle, shift.noise_sigma]).all():
         raise ConfigError("domain shift parameters must be finite")
     kept = KeptRows(len(dataset), rows, f"a dataset shifted by {shift}")
-    held = dataset.positions(kept.ids)
-    x = _rotate_planes(dataset.features[held], shift.angle)
+    x = _rotate_planes(dataset.features[kept.ids], shift.angle)
     if shift.noise_sigma > 0:
         x = x + shift.noise_sigma * kept.normal(rngs.derive_rng(shift.seed, rngs.SHIFT),
                                                 x.shape[1:])
-    return MasterDataset(
-        features=unit_rows(x),
-        labels=dataset.labels[held],
-        class_count=dataset.class_count,
-        domain_tags=None if dataset.domain_tags is None else dataset.domain_tags[held],
-        rows=kept,
-    )
+    return ClientDataset(features=unit_rows(x), labels=dataset.labels[kept.ids],
+                         master_indices=kept.ids)
 
 
 def _classes(labels: np.ndarray) -> np.ndarray:
@@ -469,7 +453,8 @@ def base_novel_split(class_count: int, mode: str = "first_half",
 
 # ---------------------------------------------------------------------------
 # Feature-table files: '# d=<dim> classes=<C>' header, then
-# '<label>,<domain_tag>,<f_0>,...,<f_{d-1}>' per line.
+# '<label>,<domain_tag>,<f_0>,...,<f_{d-1}>' per line; the tag must be an
+# integer, and is checked but not kept.
 # ---------------------------------------------------------------------------
 
 def load_feature_table(path: str) -> MasterDataset:
@@ -498,7 +483,6 @@ def load_feature_table(path: str) -> MasterDataset:
         features=np.ascontiguousarray(table[:, 2:]),  # a strided view would reduce differently
         labels=table[:, 0].astype(np.int64),
         class_count=classes,
-        domain_tags=table[:, 1].astype(np.int64),
     )
 
 
@@ -582,7 +566,7 @@ def _bulk_table(lines: Iterator[str], dim: int, classes: int) -> np.ndarray | No
 def _read_rows(path: str, lines: Iterator[str], dim: int, classes: int) -> MasterDataset:
     """The table body, the lines after the header, parsed line by line, one
     `int` or `float` per field."""
-    labels, tags, rows = [], [], []
+    labels, rows = [], []
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
@@ -591,14 +575,13 @@ def _read_rows(path: str, lines: Iterator[str], dim: int, classes: int) -> Maste
             raise DataError(f"{path}:{lineno}: expected {dim + 2} fields, got {len(parts)}")
         try:
             label = int(parts[0])
-            tag = int(parts[1])
+            int(parts[1])  # the domain tag
             values = [float(x) for x in parts[2:]]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: malformed row: {exc}") from exc
         if not (0 <= label < classes):
             raise DataError(f"{path}:{lineno}: label {label} outside [0, {classes})")
         labels.append(label)
-        tags.append(tag)
         rows.append(values)
     if not rows:
         raise DataError(f"{path}: no samples")
@@ -606,5 +589,4 @@ def _read_rows(path: str, lines: Iterator[str], dim: int, classes: int) -> Maste
         features=np.array(rows, dtype=np.float64),
         labels=np.array(labels),
         class_count=classes,
-        domain_tags=np.array(tags),
     )

@@ -153,7 +153,7 @@ def _splits(master: MasterDataset, seed: int):
 
 
 def cross_domain_targets(master: MasterDataset, count: int,
-                         rows: np.ndarray) -> dict[str, MasterDataset]:
+                         rows: np.ndarray) -> dict[str, ClientDataset]:
     """Deterministic family of increasingly shifted target domains, each holding
     only the master rows `rows` (the rows a run scores) under their master ids.
 
@@ -188,8 +188,7 @@ class _Target:
     suffix: str            # "" or, for a cross-domain target, "->shiftK"
     metric: str
     key: str
-    source: MasterDataset  # the dataset or shifted target that `indices` (master ids) select
-    indices: np.ndarray
+    test: ClientDataset    # the scored rows, of the dataset or of a shifted copy
     class_ids: np.ndarray | None = None
 
 
@@ -211,11 +210,12 @@ class RunState:
     pool worker does again with the state it unpickles.
 
     `plans` holds each (scenario, dataset, seed) plan, drawn once and read by
-    the cells of every method, so they all see one client partition. Per-row
-    derived data exists only for the rows the run reads, under master row ids:
-    - a cross-domain plan's targets (`_Target.source`) hold the union of its
-      dataset's test rows over `experiment.seeds`, the only rows a
-      cross-domain cell scores;
+    the cells of every method, so they all see one client partition, and
+    its targets' test sets. Per-row derived data exists only for the rows the
+    run reads, under master row ids:
+    - each dataset's shifted copies are built for the union of its test rows
+      over `experiment.seeds`, the only rows a cross-domain cell scores, and
+      each cross-domain target holds its seed's rows of them;
     - `noise` holds, per (n, M, d), the rows of the region-noise stream that
       the run's transport cells read: the union of their client rows and
       target rows over every plan.
@@ -268,7 +268,7 @@ def build_run_state(config: "ExperimentConfig",
                     raise ConfigError(f"{limits}: too large for dataset {name!r} in the {kind} "
                                       f"scenario (seed {seed}): {exc}") from exc
                 for target in plan.targets:
-                    if len(target.indices) == 0:
+                    if len(target.test) == 0:
                         key = ("data.samples_per_class" if is_synthetic(name)
                                else "data.datasets")
                         raise ConfigError(f"{key}: dataset {name!r} leaves no test rows to "
@@ -278,7 +278,7 @@ def build_run_state(config: "ExperimentConfig",
                 if transport:  # a shifted target has its master's shape
                     shape = (len(master), config.model.local_features, master.feature_dim)
                     read.setdefault(shape, []).extend(
-                        [*plan.clients, *(target.indices for target in plan.targets)])
+                        [*plan.clients, *(target.test.master_indices for target in plan.targets)])
     return read_only(RunState(config, datasets, {key: build_assets(*key) for key in keys}, plans,
                               {shape: RegionNoise(shape, np.concatenate(rows))
                                for shape, rows in read.items()}))
@@ -286,9 +286,10 @@ def build_run_state(config: "ExperimentConfig",
 
 def _scenario_plan(config: "ExperimentConfig", kind: str, trained: bool, master: MasterDataset,
                    splits: tuple[np.ndarray, np.ndarray, np.ndarray],
-                   shifted: dict[str, MasterDataset], seed: int) -> _ScenarioPlan:
+                   shifted: dict[str, ClientDataset], seed: int) -> _ScenarioPlan:
     """The scenario's targets on `master`'s (train, validation, test) `splits`
-    (or its `shifted` targets) and, for a run that trains, its client partition."""
+    (or on `shifted`, the shifted copies of its test rows over the run's seeds)
+    and, for a run that trains, its client partition."""
     tr, _va, te = splits
     fed_cfg, spec = config.federation, config.scenario
     pool = tr
@@ -297,18 +298,24 @@ def _scenario_plan(config: "ExperimentConfig", kind: str, trained: bool, master:
         te_base = te[np.isin(master.labels[te], base_ids)]
         te_novel = te[np.isin(master.labels[te], novel_ids)]
         scenario = _ScenarioPlan(
-            [_Target("", "alpha_b", "acc::base", master, te_base, base_ids),
-             _Target("", "alpha_n", "acc::novel", master, te_novel, novel_ids)],
+            [_Target("", "alpha_b", "acc::base", ClientDataset.from_master(master, te_base),
+                     base_ids),
+             _Target("", "alpha_n", "acc::novel", ClientDataset.from_master(master, te_novel),
+                     novel_ids)],
             class_ids=base_ids, per_round=False,
         )
         pool = tr[np.isin(master.labels[tr], base_ids)]
     elif kind == "cross_domain":
-        scenario = _ScenarioPlan([_Target(f"->{name}", "alpha_xd", f"acc::{name}", target, te)
-                                  for name, target in shifted.items()])
+        # this seed's rows of each shifted union, which holds them in id order
+        scenario = _ScenarioPlan([
+            _Target(f"->{name}", "alpha_xd", f"acc::{name}",
+                    union.take(np.searchsorted(union.master_indices, te)))
+            for name, union in shifted.items()])
     else:
         metric = {"personalized": "alpha_p",
                   "fewshot": f"alpha_fs_{spec.shots}"}.get(kind, "alpha_g")
-        scenario = _ScenarioPlan([_Target("", metric, "test_accuracy", master, te)])
+        scenario = _ScenarioPlan([_Target("", metric, "test_accuracy",
+                                          ClientDataset.from_master(master, te))])
     if not trained:  # zero-shot trains nothing, so it needs (and may fail) no partition
         return scenario
 
@@ -329,7 +336,8 @@ def _scenario_plan(config: "ExperimentConfig", kind: str, trained: bool, master:
             # a zero-shot cell scores the same rows, in this order
             tests = mirror_partition(raw.class_proportions, master.labels[te],
                                      rngs.derive_rng(seed, rngs.PARTITION, 1))
-            scenario.targets[0].indices = np.concatenate([te[ix] for ix in tests.client_indices])
+            scenario.targets[0].test = ClientDataset.from_master(
+                master, np.concatenate([te[ix] for ix in tests.client_indices]))
             scenario.client_rows = [len(ix) for ix in tests.client_indices]
     return scenario
 
@@ -353,7 +361,7 @@ def _run_plan(state: RunState, scenario: _ScenarioPlan, kind: str, method: str, 
     master = state.datasets[dataset]
     assets = state.assets[(cfg, master.class_count)]
     targets = scenario.targets
-    tests = [ClientDataset.from_master(t.source, t.indices) for t in targets]
+    tests = [t.test for t in targets]
     # one cut of the assets per class set trained or scored, so that a
     # broadcast encoding made under it serves every use of that set
     cuts: dict[bytes | None, ModelAssets] = {}
@@ -385,9 +393,11 @@ def _run_plan(state: RunState, scenario: _ScenarioPlan, kind: str, method: str, 
     fed_cfg = state.config.federation
     clients = build_clients(master, scenario.clients, trainer, cfg, seed)
     if method in TRANSPORT_METHODS:
-        _give_local_maps([(master, c.dataset) for c in clients]
-                         + [(t.source, test) for t, test in zip(targets, tests)],
-                         cfg.local_features, state.noise)
+        mapped = master.ensure_local_maps(cfg.local_features,
+                                          [c.dataset for c in clients] + tests, state.noise)
+        for client, with_maps in zip(clients, mapped):
+            client.dataset = with_maps
+        tests = mapped[len(clients):]
 
     def evaluate(server, clients) -> dict[str, float]:
         """Score the broadcast's predictor or, where clients hold fields of their
@@ -416,16 +426,6 @@ def _run_plan(state: RunState, scenario: _ScenarioPlan, kind: str, method: str, 
     elif kind == "cost_tradeoff":  # the trade-off tables quote the method's arithmetic cost
         chi = communication_cost_millions(trainer, cfg, fed_cfg)
     return CellResult(_observations(kind, method, column, seed, targets, scores, chi), curves)
-
-
-def _give_local_maps(slices: list[tuple[MasterDataset, ClientDataset]], M: int,
-                     noise_table: dict[tuple[int, int, int], RegionNoise]) -> None:
-    """Set the local maps of each (source, slice) pair, with one build per source."""
-    for source in {id(source): source for source, _ in slices}.values():
-        parts = [part for owner, part in slices if owner is source]
-        maps = source.ensure_local_maps(M, [part.master_indices for part in parts], noise_table)
-        for part, part_maps in zip(parts, maps):
-            part.local_maps = part_maps
 
 
 def _observations(kind: str, method: str, column: str, seed: int, targets: list[_Target],

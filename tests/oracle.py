@@ -184,13 +184,13 @@ def zero_shot_accuracy(assets, features: np.ndarray, labels: np.ndarray) -> floa
 
 
 def save_feature_table(dataset, path: str) -> None:
-    """Write a dataset in the feature-table format `data.load_feature_table` reads."""
-    tags = dataset.domain_tags if dataset.domain_tags is not None else np.zeros(len(dataset), dtype=int)
+    """Write a dataset in the feature-table format `data.load_feature_table` reads,
+    with domain tag 0 on every line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# d={dataset.feature_dim} classes={dataset.class_count}\n")
-        for label, tag, row in zip(dataset.labels, tags, dataset.features):
+        for label, row in zip(dataset.labels, dataset.features):
             values = ",".join(repr(float(x)) for x in row)
-            fh.write(f"{int(label)},{int(tag)},{values}\n")
+            fh.write(f"{int(label)},0,{values}\n")
 
 
 def rotate_planes_loop(x: np.ndarray, planes, angle: float) -> np.ndarray:
@@ -206,7 +206,7 @@ def rotate_planes_loop(x: np.ndarray, planes, angle: float) -> np.ndarray:
 
 
 def shift_whole_master(dataset, shift) -> MasterDataset:
-    """Every row of `dataset` (one that holds all its rows), with the same labels,
+    """Every row of `dataset`, with the same labels,
     rotated by `shift.angle` in every coordinate plane (2k, 2k + 1), noised by
     one (n, d) draw from `derive_rng(shift.seed, SHIFT)` and renormalised."""
     x = _rotate_planes(dataset.features, shift.angle)
@@ -216,7 +216,6 @@ def shift_whole_master(dataset, shift) -> MasterDataset:
         features=unit_rows(x),
         labels=dataset.labels.copy(),
         class_count=dataset.class_count,
-        domain_tags=None if dataset.domain_tags is None else dataset.domain_tags.copy(),
     )
 
 

@@ -1,5 +1,7 @@
 """Trainers, losses, the optimizer, and the reduction web between methods."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -549,10 +551,10 @@ class TestFedOTP:
         state = trainer.init_state(cfg, rng)
         local_before = state.local_fields["context_local"].copy()
         data = client_dataset(np.random.default_rng(3), 10, cfg.d_image, 4)
-        data.local_maps = np.stack([
+        data = replace(data, local_maps=np.stack([
             unit_rows(f[None, :] + 0.1 * np.random.default_rng(7).normal(size=(3, cfg.d_image)))
             for f in data.features
-        ])
+        ]))
         out, _ = trainer.local_train(payload, state, data, make_ctx(assets))
         assert list(out.fields) == ["context_global"]
         assert np.any(state.local_fields["context_local"] != local_before)

@@ -70,11 +70,10 @@ def _record_encodes(monkeypatch) -> list[np.ndarray]:
 def _client_data(cfg, class_ids, seed=3, n=12):
     rng = np.random.default_rng(seed)
     labels = rng.choice(np.arange(CLASSES) if class_ids is None else class_ids, size=n)
-    data = ClientDataset(features=random_unit_batch(rng, n, cfg.d_image), labels=labels,
-                         master_indices=np.arange(n))
-    data.local_maps = unit_rows(data.features[:, None, :]
-                                + 0.1 * rng.normal(size=(n, 3, cfg.d_image)))
-    return data
+    features = random_unit_batch(rng, n, cfg.d_image)
+    return ClientDataset(features=features, labels=labels, master_indices=np.arange(n),
+                         local_maps=unit_rows(features[:, None, :]
+                                              + 0.1 * rng.normal(size=(n, 3, cfg.d_image))))
 
 
 def _desk_state(master, method, **fed_overrides):

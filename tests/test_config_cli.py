@@ -564,12 +564,11 @@ class TestSharedRunState:
         arrays = [a for master in state.datasets.values() for a in (master.features, master.labels)]
         plans = state.plans.values()
         arrays += [a for plan in plans for a in (*plan.clients, plan.class_ids) if a is not None]
-        arrays += [a for plan in plans for target in plan.targets
-                   for a in (target.indices, target.class_ids, target.source.features,
-                             target.source.labels) if a is not None]
-        shifted = [t.source for plan in plans for t in plan.targets if t.source.rows is not None]
-        assert shifted  # the cross-domain plans' targets
-        arrays += [target.rows.ids for target in shifted]
+        targets = [target for plan in plans for target in plan.targets]
+        assert any(target.suffix for target in targets)  # the cross-domain plans' targets
+        arrays += [a for target in targets
+                   for a in (target.test.master_indices, target.class_ids, target.test.features,
+                             target.test.labels) if a is not None]
         monkeypatch.setattr(rngs, "derive_rng", None)  # an unpickled state draws nothing
         arrays += [state.noise[shape].values() for shape in drawn]
         for shape, values in drawn.items():
@@ -765,6 +764,7 @@ class TestRunner:
         ("# d=-1 classes=4\n0,0\n", ":1: "),
         ("# d=16 classes=0\n", ":1: "),
         ("# d=2 classes=4\n0,0,0.5,0.5\n0,0,0.5,x\n", ":3: "),
+        ("# d=2 classes=4\n0,0,0.5,0.5\n0,1.5,0.5,0.5\n", ":3: "),  # a domain tag
     ])
     def test_bad_feature_table_is_an_input_error(self, tmp_path, capsys, text, where):
         table = tmp_path / "feat.txt"

@@ -1,5 +1,6 @@
 """Synthetic generation, partitioners, splits, shifts, and table files."""
 
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -341,19 +342,17 @@ class TestShiftedRows:
     def dataset(d: int, n: int = 40) -> MasterDataset:
         rng = np.random.default_rng(d)
         return MasterDataset(features=unit_rows(rng.normal(size=(n, d))),
-                             labels=np.arange(n) % 4, class_count=4,
-                             domain_tags=np.arange(n) % 2)
+                             labels=np.arange(n) % 4, class_count=4)
 
     @staticmethod
     def assert_rows_of_whole_shift(ds, shift, rows):
         out = apply_domain_shift(ds, shift, rows)
         ids = np.unique(rows)
         whole = shift_whole_master(ds, shift)
-        np.testing.assert_array_equal(out.rows.ids, ids)
-        assert len(out) == len(ds) and out.features.shape == (len(ids), ds.feature_dim)
+        np.testing.assert_array_equal(out.master_indices, ids)
+        assert out.features.shape == (len(ids), ds.feature_dim)
         assert out.features.tobytes() == whole.features[ids].tobytes()
         np.testing.assert_array_equal(out.labels, ds.labels[ids])
-        np.testing.assert_array_equal(out.domain_tags, ds.domain_tags[ids])
 
     @pytest.mark.parametrize("d", [33, 512])
     @pytest.mark.parametrize("k", [1, 2])  # the shifts of `evaluation.cross_domain_targets`
@@ -373,18 +372,12 @@ class TestShiftedRows:
         assert len(np.unique(union)) > max(len(t) for t in tests)
         self.assert_rows_of_whole_shift(ds, DomainShift(angle=0.7, noise_sigma=0.1, seed=2), union)
 
-    def test_row_not_held_raises(self):
+    def test_row_the_noise_does_not_keep_raises(self):
         ds = self.dataset(8)
         target = apply_domain_shift(ds, DomainShift(angle=0.5, noise_sigma=0.1, seed=1), [4, 2, 9])
-        part = ClientDataset.from_master(target, [9, 2])
-        np.testing.assert_array_equal(part.features, target.features[[2, 0]])
-        np.testing.assert_array_equal(part.master_indices, [9, 2])
-        with pytest.raises(DataError, match="row 5 is not among the 3 kept rows of a dataset "
-                                            "shifted by"):
-            ClientDataset.from_master(target, [2, 5])
         shape = (len(ds), 2, 8)
-        with pytest.raises(DataError, match="row 3 is not among the 3 kept rows"):
-            target.ensure_local_maps(2, [np.array([3])], {shape: RegionNoise(shape, [3])})
+        with pytest.raises(DataError, match="row 2 is not among the 1 kept rows"):
+            ds.ensure_local_maps(2, [target], {shape: RegionNoise(shape, [3])})
 
     def test_peak_memory_follows_the_kept_rows(self):
         # 200 of 4000 rows shifted: the draw and the rows take memory in
@@ -402,6 +395,12 @@ def per_sample_maps(features, M):
     rng = rngs.derive_rng(0, rngs.LOCAL_MAP)
     return np.stack([unit_rows(f[None, :] + 0.1 * rng.normal(size=(M, f.shape[0])))
                      for f in features])
+
+
+def local_maps(master, M, rows, table) -> list:
+    """The maps `master.ensure_local_maps` gives the slices of master ids `rows`."""
+    slices = [ClientDataset.from_master(master, r) for r in rows]
+    return [part.local_maps for part in master.ensure_local_maps(M, slices, table)]
 
 
 def keep_rows(dataset, M, rows=None) -> dict:
@@ -422,10 +421,10 @@ class TestLocalMaps:
 
     def test_each_key_gets_its_own_maps(self, master):
         rows, table = [np.arange(6)], {**keep_rows(master, 3), **keep_rows(master, 2)}
-        [first] = master.ensure_local_maps(3, rows, table)
-        assert master.ensure_local_maps(2, rows, table)[0].shape == (6, 2, 5)
+        [first] = local_maps(master, 3, rows, table)
+        assert local_maps(master, 2, rows, table)[0].shape == (6, 2, 5)
         # the first key again: the same values
-        np.testing.assert_array_equal(master.ensure_local_maps(3, rows, table)[0], first)
+        np.testing.assert_array_equal(local_maps(master, 3, rows, table)[0], first)
 
     def test_maps_match_per_sample_draws(self, master):
         expected = per_sample_maps(master.features, 3)
@@ -433,7 +432,7 @@ class TestLocalMaps:
                      [np.array([4, 1]), np.array([], dtype=np.int64), np.array([0]),
                       np.array([2, 2, 5])]):
             for table in (keep_rows(master, 3), keep_rows(master, 3, np.concatenate(rows))):
-                maps = master.ensure_local_maps(3, rows, table)
+                maps = local_maps(master, 3, rows, table)
                 assert len(maps) == len(rows)
                 for r, got in zip(rows, maps):
                     np.testing.assert_array_equal(got, expected[r])
@@ -444,28 +443,32 @@ class TestLocalMaps:
         rows = np.array([5, 0, 3, 1, 4])
         table = keep_rows(master, 3, rows)
         assert table[(6, 3, 5)].block_rows == 2
-        [got] = master.ensure_local_maps(3, [rows], table)
+        [got] = local_maps(master, 3, [rows], table)
         np.testing.assert_array_equal(got, per_sample_maps(master.features, 3)[rows])
 
     def test_shifted_targets_match_per_sample_draws(self, master):
         # a target that holds some rows maps them as the whole shift would
-        rows = [np.array([5, 0, 3]), np.array([3])]
         for k in (1, 2):  # the shifts of `evaluation.cross_domain_targets`
             shift = DomainShift(angle=0.3 + 0.2 * k, noise_sigma=0.05 * k, seed=k)
-            target = apply_domain_shift(master, shift, [0, 3, 5])
+            target = apply_domain_shift(master, shift, [5, 0, 3])
             expected = per_sample_maps(shift_whole_master(master, shift).features, 3)
-            for r, got in zip(rows, target.ensure_local_maps(3, rows, keep_rows(master, 3))):
-                np.testing.assert_array_equal(got, expected[r])
+            [got] = master.ensure_local_maps(3, [target], keep_rows(master, 3))
+            np.testing.assert_array_equal(got.local_maps, expected[[0, 3, 5]])
 
     def test_maps_are_read_only_and_stay_with_their_dataset(self, master):
-        full, part = master.ensure_local_maps(3, [np.arange(6), np.array([1, 4])],
-                                              keep_rows(master, 3))
-        for maps in (full, part):
+        slices = [ClientDataset.from_master(master, r) for r in (np.arange(6), np.array([1, 4]))]
+        full, part = master.ensure_local_maps(3, slices, keep_rows(master, 3))
+        for maps in (full.local_maps, part.local_maps):
             with pytest.raises(ValueError, match="read-only"):
                 maps[0, 0, 0] = 1.0
-        np.testing.assert_array_equal(part, full[[1, 4]])
-        # the dataset keeps nothing: the maps live with the caller's slices
-        assert set(vars(master)) == {"features", "labels", "class_count", "domain_tags", "rows"}
+        np.testing.assert_array_equal(part.local_maps, full.local_maps[[1, 4]])
+        # the maps live with new slices: neither the dataset nor the given
+        # slices keep them
+        assert set(vars(master)) == {"features", "labels", "class_count"}
+        assert all(given.local_maps is None for given in slices)
+        assert part.features is slices[1].features
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            part.local_maps = None
 
     def test_noise_is_one_read_only_draw_per_shape(self, master):
         # the table keeps the rows asked for of one draw per (n, M, d), made
@@ -473,9 +476,9 @@ class TestLocalMaps:
         table = keep_rows(master, 3, [4, 1, 4, 2])
         noise = table[(6, 3, 5)]
         target = apply_domain_shift(master, DomainShift(angle=0.5), [1])
-        target.ensure_local_maps(3, [np.array([1])], table)
+        master.ensure_local_maps(3, [target], table)
         values = noise.values()
-        master.ensure_local_maps(3, [np.array([2, 4])], table)
+        local_maps(master, 3, [np.array([2, 4])], table)
         assert noise.values() is values
         np.testing.assert_array_equal(noise.rows.ids, [1, 2, 4])
         full = rngs.derive_rng(0, rngs.LOCAL_MAP).normal(size=(6, 3, 5))
@@ -493,16 +496,17 @@ class TestLocalMaps:
                                labels=np.zeros(n, dtype=np.int64), class_count=1)
         rows = np.sort(rng.choice(n, size=300, replace=False))
         table = keep_rows(master, M, rows)
-        peak = traced_peak(lambda: master.ensure_local_maps(M, [rows[:200], rows[100:]], table))
+        slices = [ClientDataset.from_master(master, r) for r in (rows[:200], rows[100:])]
+        peak = traced_peak(lambda: master.ensure_local_maps(M, slices, table))
         assert peak < 0.5 * n * M * d * 8
 
     def test_row_outside_the_kept_rows_raises(self, master):
         table = keep_rows(master, 3, [1, 2])
         with pytest.raises(DataError, match="row 5 is not among the 2 kept rows"):
-            master.ensure_local_maps(3, [np.array([2]), np.array([1, 5])], table)
+            local_maps(master, 3, [np.array([2]), np.array([1, 5])], table)
         # a shape the table does not keep: no row of it is kept
         with pytest.raises(DataError, match="row 0 is not among the 0 kept rows"):
-            master.ensure_local_maps(2, [np.array([0])], table)
+            local_maps(master, 2, [np.array([0])], table)
 
 
 class TestPartitionPlan:
@@ -542,14 +546,12 @@ class TestFeatureTable:
             features=rng.normal(size=(2, 5)),
             labels=np.array([1, 0]),
             class_count=3,
-            domain_tags=np.array([0, 2]),
         )
         path = tmp_path / "table.txt"
         save_feature_table(ds, str(path))
         loaded = load_feature_table(str(path))
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.labels, ds.labels)
-        np.testing.assert_array_equal(loaded.domain_tags, ds.domain_tags)
         assert loaded.class_count == 3
 
     def test_empty_file(self, tmp_path):
@@ -657,7 +659,7 @@ def _loaded(path):
         return type(exc).__name__, str(exc)
     return ds.class_count, [(a.dtype.str, a.shape, a.flags.c_contiguous,
                              a.tolist() if a.dtype == object else a.tobytes())
-                            for a in (ds.features, ds.labels, ds.domain_tags)]
+                            for a in (ds.features, ds.labels)]
 
 
 class TestFeatureTableReaders:
@@ -694,10 +696,12 @@ class TestFeatureTableReaders:
         ds = generate_synthetic_dataset(SyntheticSpec(classes=3, feature_dim=16,
                                                       samples_per_class=5),
                                         np.random.default_rng(3))
-        ds.domain_tags = np.arange(len(ds)) - 7
         path = tmp_path / "table.txt"
         save_feature_table(ds, str(path))
         lines = path.read_text().splitlines()
+        for i in range(1, len(lines)):  # domain tags -7, -6, ...: checked, not kept
+            label, _tag, values = lines[i].split(",", 2)
+            lines[i] = f"{label},{i - 8},{values}"
         if blank:
             lines.insert(3, "")
         path.write_text(ending.join(lines) + ending, newline="")
@@ -707,7 +711,6 @@ class TestFeatureTableReaders:
 
         monkeypatch.setattr(data, "_read_rows", no_loop)
         loaded = load_feature_table(str(path))
-        for got, want in ((loaded.features, ds.features), (loaded.labels, ds.labels),
-                          (loaded.domain_tags, ds.domain_tags)):
+        for got, want in ((loaded.features, ds.features), (loaded.labels, ds.labels)):
             assert got.dtype == want.dtype and got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()

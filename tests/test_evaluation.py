@@ -12,7 +12,7 @@ from oracle import audited_cell, one_cell
 from fedprompt import evaluation
 from fedprompt.algorithms import CosinePredictor, PerClientPredictor, TransportPredictor
 from fedprompt.config import DataConfig, ExperimentConfig
-from fedprompt.data import SyntheticSpec, base_novel_split, generate_synthetic_dataset
+from fedprompt.data import ClientDataset, SyntheticSpec, base_novel_split, generate_synthetic_dataset
 from fedprompt.errors import ConfigError, DataError, DomainError, EvaluationError
 from fedprompt.evaluation import (
     ScenarioSpec,
@@ -163,8 +163,8 @@ def _emptied_plan(monkeypatch, clients):
     def emptied(*args):
         scenario = plan(*args)
         target, rows = scenario.targets[0], scenario.client_rows
-        target.indices = target.indices[np.repeat([k not in clients for k in range(len(rows))],
-                                                  rows)]
+        target.test = target.test.take(np.repeat([k not in clients for k in range(len(rows))],
+                                                 rows))
         scenario.client_rows = [0 if k in clients else n for k, n in enumerate(rows)]
         return scenario
 
@@ -203,7 +203,7 @@ class TestGlobalAccuracy:
 
         def emptied(*args):
             scenario = plan(*args)
-            scenario.targets[0].indices = scenario.targets[0].indices[:0]
+            scenario.targets[0].test = scenario.targets[0].test.take(slice(0))
             return scenario
 
         monkeypatch.setattr(evaluation, "_scenario_plan", emptied)
@@ -418,16 +418,16 @@ class TestScenarios:
         requested, plans = [], []
         ensure, plan = MasterDataset.ensure_local_maps, evaluation._scenario_plan
 
-        def recording_maps(self, M, rows, *args):
-            requested.append(sorted(np.concatenate(rows).tolist()))
-            return ensure(self, M, rows, *args)
+        def recording_maps(self, M, parts, *args):
+            requested.append(sorted(np.concatenate([p.master_indices for p in parts]).tolist()))
+            return ensure(self, M, parts, *args)
 
         monkeypatch.setattr(MasterDataset, "ensure_local_maps", recording_maps)
         monkeypatch.setattr(evaluation, "_scenario_plan",
                             lambda *args: plans.append(plan(*args)) or plans[-1])
         one_cell(desk_config(rounds=1), "personalized", "fedotp", desk_master, 0)
         scenario = plans[-1]
-        held = [*scenario.clients, scenario.targets[0].indices]
+        held = [*scenario.clients, scenario.targets[0].test.master_indices]
         assert requested == [sorted(np.concatenate(held).tolist())]
 
     def test_kept_noise_rows_are_the_rows_transport_cells_read(self, desk_master, monkeypatch):
@@ -438,9 +438,9 @@ class TestScenarios:
         read = []
         ensure = MasterDataset.ensure_local_maps
 
-        def recording_maps(self, M, rows, *args):
-            read.extend(rows)
-            return ensure(self, M, rows, *args)
+        def recording_maps(self, M, parts, *args):
+            read.extend(part.master_indices for part in parts)
+            return ensure(self, M, parts, *args)
 
         monkeypatch.setattr(MasterDataset, "ensure_local_maps", recording_maps)
         config = replace(desk_config(rounds=1), scenarios=["personalized", "cross_domain"],
@@ -566,30 +566,38 @@ class TestScenarios:
             run_cell(state, "cross_domain", method, "synthetic", 0)
         assert len(calls) == 6
         with pytest.raises(ValueError, match="read-only"):
-            state.plans["cross_domain", "other", 0].targets[0].source.features[0, 0] = 1.0
+            state.plans["cross_domain", "other", 0].targets[0].test.features[0, 0] = 1.0
 
     @pytest.mark.parametrize("seeds, protocol", [([0], "standard"), ([0, 1], "standard"),
                                                  ([0, 1], "centralized")])
-    def test_shifted_targets_hold_the_planned_test_rows(self, desk_master, seeds, protocol):
-        # each target holds exactly the union of the rows the cross-domain
-        # plans score, under master ids, and no other row
+    def test_shifted_targets_hold_the_planned_test_rows(self, desk_master, monkeypatch, seeds,
+                                                        protocol):
+        # each shift is drawn once for exactly the union of the rows the
+        # cross-domain plans score, under master ids, and no other row; each
+        # seed's targets hold that seed's test rows of it
+        shifted, shift = [], evaluation.apply_domain_shift
+        monkeypatch.setattr(evaluation, "apply_domain_shift",
+                            lambda *args: shifted.append(shift(*args)) or shifted[-1])
         fed = dict(num_clients=1) if protocol == "centralized" else {}
         config = replace(desk_config(rounds=1, protocol=protocol, **fed),
                          scenarios=["global", "cross_domain"], methods=["zsclip", "fedotp"],
                          seeds=seeds, scenario=ScenarioSpec(cross_targets=2))
         state = build_run_state(config, {"synthetic": desk_master})
         plans = [state.plans["cross_domain", "synthetic", seed] for seed in seeds]
-        scored = [t.indices for plan in plans for t in plan.targets]
+        scored = [t.test.master_indices for plan in plans for t in plan.targets]
         union = np.flatnonzero(np.bincount(np.concatenate(scored), minlength=len(desk_master)))
         assert 0 < len(union) < len(desk_master)
-        for plan in plans:  # every seed's plan scores the same two targets
+        assert len(shifted) == 2
+        for whole in shifted:
+            np.testing.assert_array_equal(whole.master_indices, union)
+        for seed, plan in zip(seeds, plans):
+            test_rows = evaluation._splits(desk_master, seed)[2]
             assert [t.suffix for t in plan.targets] == ["->shift1", "->shift2"]
-            assert [id(t.source) for t in plan.targets] == \
-                [id(t.source) for t in plans[0].targets]
-        for target in plans[0].targets:
-            np.testing.assert_array_equal(target.source.rows.ids, union)
-            assert len(target.source) == len(desk_master)
-            assert len(target.source.features) == len(union)
+            for target, whole in zip(plan.targets, shifted):
+                np.testing.assert_array_equal(target.test.master_indices, test_rows)
+                at = np.searchsorted(whole.master_indices, test_rows)
+                assert target.test.features.tobytes() == whole.features[at].tobytes()
+                np.testing.assert_array_equal(target.test.labels, desk_master.labels[test_rows])
 
     def test_cross_domain_bytes_match_whole_master_targets(self, tmp_path, monkeypatch):
         # a run on targets that hold only the scored rows writes the bytes of
@@ -606,7 +614,8 @@ class TestScenarios:
         config = parse_config_text(text)
         assert run(config, output_dir=str(tmp_path / "rows")).exit_code == 0
         monkeypatch.setattr(evaluation, "apply_domain_shift",
-                            lambda master, shift, rows: shift_whole_master(master, shift))
+                            lambda master, shift, rows: ClientDataset.from_master(
+                                shift_whole_master(master, shift), np.arange(len(master))))
         assert run(config, output_dir=str(tmp_path / "whole")).exit_code == 0
         for name in ("results.csv", "results.json", "curves.jsonl"):
             assert (tmp_path / "rows" / name).read_bytes() == \
@@ -710,8 +719,9 @@ class TestOnePlanPerRun:
         for seed in (0, 1):
             (held,) = alone.plans["personalized", "synthetic", seed].targets
             (reordered,) = beside.plans["personalized", "synthetic", seed].targets
-            assert sorted(held.indices) == sorted(reordered.indices)
-            assert held.indices.tolist() != reordered.indices.tolist()
+            held, reordered = held.test.master_indices, reordered.test.master_indices
+            assert sorted(held) == sorted(reordered)
+            assert held.tolist() != reordered.tolist()
 
     def test_cell_the_state_did_not_plan(self, desk_master):
         state = build_run_state(replace(desk_config(), methods=["promptfl"], seeds=[0]),
@@ -728,7 +738,8 @@ class TestOnePlanPerRun:
                                         methods=["promptfl"], seeds=[0]),
                                 {"synthetic": desk_master})
         for plan in state.plans.values():
-            for array in [*plan.clients, *(t.indices for t in plan.targets)]:
+            for array in [*plan.clients, *(a for t in plan.targets
+                                           for a in (t.test.features, t.test.master_indices))]:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0
         with pytest.raises(ValueError, match="read-only"):

@@ -352,10 +352,10 @@ class TestFedOTPTwoClients:
         trainer = PersonalizedFedOTPTrainer()
         fed = FederationConfig(protocol="standard", num_clients=2, rounds=3, batch_size=6)
         clients = build_clients(master, [np.arange(12), np.arange(12, 24)], trainer, cfg, seed=1)
-        maps = master.ensure_local_maps(3, [c.dataset.master_indices for c in clients],
-                                        {(24, 3, 10): RegionNoise((24, 3, 10), np.arange(24))})
-        for client, client_maps in zip(clients, maps):
-            client.dataset.local_maps = client_maps
+        mapped = master.ensure_local_maps(3, [c.dataset for c in clients],
+                                          {(24, 3, 10): RegionNoise((24, 3, 10), np.arange(24))})
+        for client, dataset in zip(clients, mapped):
+            client.dataset = dataset
         run_federation(trainer, clients, fed, assets, seed=1)
         local0 = clients[0].state.local_fields["context_local"]
         local1 = clients[1].state.local_fields["context_local"]

@@ -117,8 +117,9 @@ class TestSharedStateIsReadOnly:
             assets.reference_features  # noqa: B018 - cached on the assets
         arrays = reachable_arrays(built)
         assert all(any(a is values for a in arrays) for values in drawn)
-        assert any(t.source.rows is not None for plan in built.plans.values()
-                   for t in plan.targets)  # the shifted targets are reached too
+        shifted = [t.test.features for plan in built.plans.values() for t in plan.targets
+                   if t.suffix]
+        assert shifted and all(any(a is f for a in arrays) for f in shifted)  # reached too
         assert len(arrays) > 40
         assert not _writeable(built)
 
