@@ -206,30 +206,33 @@ class FrozenTextEncoder:
         C, S = rows.class_count, rows.S
         w = self.weights
         if self.variant == "attention_block":
-            T = S - L
-            X = (contexts + rows.context_pos).reshape(n * L, d)
-            Q, K, V = (X @ w[name] for name in ("wq", "wk", "wv"))
-            # scores of all C sequences from four blocks; the context-context
-            # block is shared by every class, the class-class block is cached
-            scores = np.empty((n, C, S, S))
-            Q3, K3, V3 = Q.reshape(n, L, d), K.reshape(n, L, d), V.reshape(n, L, d)
-            scores[:, :, :L, :L] = (Q3 @ K3.transpose(0, 2, 1) / np.sqrt(d))[:, None]
-            scores[:, :, :L, L:] = (Q @ rows.k.reshape(C * T, d).T / np.sqrt(d)) \
-                .reshape(n, L, C, T).transpose(0, 2, 1, 3)
-            scores[:, :, L:, :L] = (K @ rows.q.reshape(C * T, d).T / np.sqrt(d)) \
-                .reshape(n, L, C, T).transpose(0, 2, 3, 1)
-            scores[:, :, L:, L:] = rows.scores
-            scores -= scores.max(axis=-1, keepdims=True)
-            A = np.exp(scores)
-            A /= A.sum(axis=-1, keepdims=True)
-            # the head mean-pools Y = X + A V, so h = mean(X) + a_bar V with
-            # a_bar the mean of A's query rows
-            a_bar = A.mean(axis=2)
-            h = (X.reshape(n, L, d).sum(axis=1)[:, None, :] + rows.row_sum) / S
-            h += a_bar[..., :L] @ V3
-            h += np.matmul(a_bar[..., L:].transpose(1, 0, 2), rows.v).transpose(1, 0, 2)
-            z = (h.reshape(n * C, d) @ w["w_out"].T).reshape(n, C, self.d_feature) + w["b_out"]
-            attn_cache = (Q3, K3, V3, A, a_bar)
+            # a context too large for the arithmetic overflows here, quietly:
+            # the finiteness check on the features below raises instead
+            with np.errstate(over="ignore", invalid="ignore"):
+                T = S - L
+                X = (contexts + rows.context_pos).reshape(n * L, d)
+                Q, K, V = (X @ w[name] for name in ("wq", "wk", "wv"))
+                # scores of all C sequences from four blocks; the context-context
+                # block is shared by every class, the class-class block is cached
+                scores = np.empty((n, C, S, S))
+                Q3, K3, V3 = Q.reshape(n, L, d), K.reshape(n, L, d), V.reshape(n, L, d)
+                scores[:, :, :L, :L] = (Q3 @ K3.transpose(0, 2, 1) / np.sqrt(d))[:, None]
+                scores[:, :, :L, L:] = (Q @ rows.k.reshape(C * T, d).T / np.sqrt(d)) \
+                    .reshape(n, L, C, T).transpose(0, 2, 1, 3)
+                scores[:, :, L:, :L] = (K @ rows.q.reshape(C * T, d).T / np.sqrt(d)) \
+                    .reshape(n, L, C, T).transpose(0, 2, 3, 1)
+                scores[:, :, L:, L:] = rows.scores
+                scores -= scores.max(axis=-1, keepdims=True)
+                A = np.exp(scores)
+                A /= A.sum(axis=-1, keepdims=True)
+                # the head mean-pools Y = X + A V, so h = mean(X) + a_bar V with
+                # a_bar the mean of A's query rows
+                a_bar = A.mean(axis=2)
+                h = (X.reshape(n, L, d).sum(axis=1)[:, None, :] + rows.row_sum) / S
+                h += a_bar[..., :L] @ V3
+                h += np.matmul(a_bar[..., L:].transpose(1, 0, 2), rows.v).transpose(1, 0, 2)
+                z = (h.reshape(n * C, d) @ w["w_out"].T).reshape(n, C, self.d_feature) + w["b_out"]
+                attn_cache = (Q3, K3, V3, A, a_bar)
         else:
             pooled = contexts.sum(axis=1) / S
             z = (pooled @ w["w_out"].T)[:, None, :] + rows.head
@@ -237,6 +240,8 @@ class FrozenTextEncoder:
         u = np.tanh(z)
         norms = np.linalg.norm(u, axis=-1, keepdims=True)
         t = u / norms
+        if not np.all(np.isfinite(t)):
+            raise DomainError("encoded features contain non-finite entries")
         return t, (rows, u, norms, t, attn_cache)
 
     def backward(self, cache: tuple, dfeatures: np.ndarray) -> np.ndarray:

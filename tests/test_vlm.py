@@ -57,6 +57,16 @@ class TestPromptContext:
         with pytest.raises(DomainError, match="non-finite"):
             enc.encode(context, rows)
 
+    def test_encode_of_an_overflowing_context_raises_without_a_warning(self):
+        # a finite context whose attention scores overflow: the suite turns a
+        # RuntimeWarning into an error, so only the encoder's own check may fire
+        cfg = small_config("attention_block")
+        enc = FrozenTextEncoder(cfg)
+        rows = enc.class_rows(class_tokens(cfg, 3), cfg.tokens)
+        context = 1e300 * np.random.default_rng(0).normal(size=(2, cfg.tokens, cfg.d_token))
+        with pytest.raises(DomainError, match="encoded features contain non-finite entries"):
+            enc.encode(context, rows)
+
     def test_handcrafted_deterministic(self):
         a = build_handcrafted_context(ModelConfig(seed=3, tokens=4, d_token=8))
         b = build_handcrafted_context(ModelConfig(seed=3, tokens=4, d_token=8))
