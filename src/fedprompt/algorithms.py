@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import ClientDataset, class_positions
 from .errors import ConfigError, DataError, DomainError
-from .numerics import softmax_ce_batch, softmax_temp
+from .numerics import log_softmax_temp, softmax_ce_batch, softmax_temp
 from .transport import sinkhorn_batched
 from .vlm import (
     ModelAssets,
@@ -173,22 +173,23 @@ class ClientTrainState:
 # ---------------------------------------------------------------------------
 
 def _cosine_ce(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: float):
-    """`softmax_ce_batch` of the per-set cosine means of unit image features."""
-    return softmax_ce_batch(np.einsum("bd,pcd->pbc", xh, feats).mean(axis=0), labels, tau)
+    """`softmax_ce_batch` of the per-set cosine means of unit image features,
+    followed by those means, the scores."""
+    scores = np.einsum("bd,pcd->pbc", xh, feats).mean(axis=0)
+    return (*softmax_ce_batch(scores, labels, tau), scores)
 
 
-def _reference_probs(assets: ModelAssets, xh: np.ndarray) -> np.ndarray:
-    """Zero-shot predictions via the same scoring expression as the live path,
+def _reference_scores(assets: ModelAssets, xh: np.ndarray) -> np.ndarray:
+    """Zero-shot scores via the same scoring expression as the live path,
     so they cancel bitwise when the trained context equals the reference."""
-    sims = np.einsum("bd,pcd->pbc", xh, assets.hand_features[None]).mean(axis=0)
-    return softmax_temp(sims, assets.cfg.tau)
+    return np.einsum("bd,pcd->pbc", xh, assets.hand_features[None]).mean(axis=0)
 
 
 def ce_loss_and_grads(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray,
                       tau: float) -> tuple[float, np.ndarray]:
     """Plain mean cross-entropy; scores are per-set cosine means."""
     m = len(feats)
-    loss, dlogits, _ = _cosine_ce(feats, xh, labels, tau)
+    loss, dlogits, *_ = _cosine_ce(feats, xh, labels, tau)
     dT = np.einsum("bc,bd->cd", dlogits / m, xh)
     return loss, backward(np.asarray([dT] * m))
 
@@ -199,7 +200,7 @@ def loss_kgcoop(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray,
     if lambda_kg < 0:
         raise ConfigError("lambda_kg must be >= 0")
     m = len(feats)
-    loss, dlogits, _ = _cosine_ce(feats, xh, labels, tau)
+    loss, dlogits, *_ = _cosine_ce(feats, xh, labels, tau)
     n_classes = hand.shape[0]
     dT_ce = np.einsum("bc,bd->cd", dlogits / m, xh)
     dTs, reg = [], 0.0
@@ -227,17 +228,18 @@ def project_prograd(g_task: np.ndarray, g_general: np.ndarray, lambda_pg: float)
 
 
 def loss_prograd(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray, tau: float,
-                 reference_probs: np.ndarray, lambda_pg: float) -> tuple[float, np.ndarray]:
+                 reference_scores: np.ndarray, lambda_pg: float) -> tuple[float, np.ndarray]:
     """CE gradient projected to not conflict with the gradient of the KL to the
-    zero-shot predictions `reference_probs`; the one kernel that projects in
-    context space, so it calls `backward` twice."""
+    zero-shot predictions of `reference_scores`; the one kernel that projects
+    in context space, so it calls `backward` twice."""
     m = len(feats)
-    loss, dlogits, probs = _cosine_ce(feats, xh, labels, tau)
+    loss, dlogits, probs, scores = _cosine_ce(feats, xh, labels, tau)
     dT_task = np.einsum("bc,bd->cd", dlogits / m, xh)
     g_task = backward(np.asarray([dT_task] * m))
 
-    # gradient of mean KL(current || zero-shot) w.r.t. the same scores
-    log_ratio = np.log(probs) - np.log(reference_probs)
+    # gradient of mean KL(current || zero-shot) w.r.t. the same scores; the
+    # log-softmax stays finite where a saturated softmax holds a zero
+    log_ratio = log_softmax_temp(scores, tau) - log_softmax_temp(reference_scores, tau)
     kl = (probs * log_ratio).sum(axis=1, keepdims=True)
     dkl = probs * (log_ratio - kl) / (tau * xh.shape[0])
     dT_gen = np.einsum("bc,bd->cd", dkl / m, xh)
@@ -253,7 +255,7 @@ def loss_proda(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray, 
     m = len(feats)
     if m < 2:
         raise ConfigError(f"prompt-distribution loss needs >= 2 prompt sets, got {m}")
-    loss, dlogits, _ = _cosine_ce(feats, xh, labels, tau)
+    loss, dlogits, *_ = _cosine_ce(feats, xh, labels, tau)
     dT_ce = np.einsum("bc,bd->cd", dlogits / m, xh)
     dTs = [dT_ce.copy() for _ in range(m)]
     n_classes = feats.shape[1]
@@ -270,19 +272,20 @@ def loss_proda(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray, 
 
 
 def loss_src(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray, tau: float,
-             reference_probs: np.ndarray, reference_features: np.ndarray,
+             reference_scores: np.ndarray, reference_features: np.ndarray,
              mu_text: float, mu_logit: float) -> tuple[float, np.ndarray]:
     """CE plus L1 consistency with `reference_features` and KL(zero-shot || current)
-    self-regularisation, the zero-shot predictions being `reference_probs`."""
+    self-regularisation, the zero-shot predictions being those of `reference_scores`."""
     if mu_text < 0 or mu_logit < 0:
         raise ConfigError("self-regularisation weights must be >= 0")
     m = len(feats)
-    loss, dlogits, probs = _cosine_ce(feats, xh, labels, tau)
+    loss, dlogits, probs, scores = _cosine_ce(feats, xh, labels, tau)
     n_classes = reference_features.shape[0]
     batch = xh.shape[0]
 
-    q = reference_probs
-    log_ratio = np.log(q) - np.log(probs)
+    # the log-softmax stays finite where a saturated softmax holds a zero
+    q = softmax_temp(reference_scores, tau)
+    log_ratio = log_softmax_temp(reference_scores, tau) - log_softmax_temp(scores, tau)
     kl = float((q * log_ratio).sum(axis=1).mean())
     dkl_dlogits = (probs - q) / (tau * batch)
 
@@ -561,7 +564,7 @@ class ProGradTrainer(LocalTrainer):
     def loss(self, feats, backward, batch, labels, ctx):
         xh = unit_rows(batch.features)
         return loss_prograd(feats, backward, xh, labels, ctx.assets.cfg.tau,
-                            _reference_probs(ctx.assets, xh), self.lambda_pg)
+                            _reference_scores(ctx.assets, xh), self.lambda_pg)
 
 
 class ProDATrainer(LocalTrainer):
@@ -586,7 +589,7 @@ class SRCTrainer(LocalTrainer):
     def loss(self, feats, backward, batch, labels, ctx):
         xh = unit_rows(batch.features)
         return loss_src(feats, backward, xh, labels, ctx.assets.cfg.tau,
-                        _reference_probs(ctx.assets, xh), ctx.assets.reference_features,
+                        _reference_scores(ctx.assets, xh), ctx.assets.reference_features,
                         self.mu_text, self.mu_logit)
 
     def end_of_passes(self, passes):

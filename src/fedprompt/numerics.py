@@ -19,20 +19,31 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def softmax_temp(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Temperature softmax over the last axis, stabilised by max subtraction.
-
-    Entry j is proportional to exp(logits_j / tau). Output rows sum to 1.
-    """
+def _shifted(logits: np.ndarray, tau: float) -> np.ndarray:
+    """logits / tau less its maximum over the last axis, checked."""
     if tau <= 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
     logits = _check_finite(logits, "logits")
     if logits.size == 0:
         raise DomainError("softmax of empty input")
     z = logits / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    return z - z.max(axis=-1, keepdims=True)
+
+
+def softmax_temp(logits: np.ndarray, tau: float) -> np.ndarray:
+    """Temperature softmax over the last axis, stabilised by max subtraction.
+
+    Entry j is proportional to exp(logits_j / tau). Output rows sum to 1.
+    """
+    e = np.exp(_shifted(logits, tau))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_softmax_temp(logits: np.ndarray, tau: float) -> np.ndarray:
+    """The log of `softmax_temp`, formed from the shifted scores, so it stays
+    finite where a probability underflows to zero."""
+    z = _shifted(logits, tau)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def softmax_ce_batch(logits: np.ndarray, labels: np.ndarray,

@@ -25,7 +25,7 @@ from fedprompt.algorithms import (
     ConditionedPredictor,
     PersonalizedFedOTPTrainer,
     TrainContext,
-    _reference_probs,
+    _reference_scores,
     cosine_lr,
     iterate_batches,
     loss_kgcoop,
@@ -310,12 +310,12 @@ class TestLossGradients:
         v = rng.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.1
         xh = random_unit_batch(rng, 3, cfg.d_image)
         y = np.array([1, 2, 0])
-        q = _reference_probs(assets, xh)
+        zero_shot = _reference_scores(assets, xh)
         refs = assets.reference_features
-        _, g = loss_src(*encoded(assets, v), xh, y, cfg.tau, q, refs, 0.6, 0.4)
+        _, g = loss_src(*encoded(assets, v), xh, y, cfg.tau, zero_shot, refs, 0.6, 0.4)
         fd = finite_diff_gradient(
-            lambda f: loss_src(*encoded(assets, f.reshape(v.shape)), xh, y, cfg.tau, q, refs,
-                               0.6, 0.4)[0],
+            lambda f: loss_src(*encoded(assets, f.reshape(v.shape)), xh, y, cfg.tau, zero_shot,
+                               refs, 0.6, 0.4)[0],
             v.copy().ravel()).reshape(v.shape)
         assert relative_error(g, fd) < 1e-4
 
@@ -326,7 +326,7 @@ class TestLossGradients:
         y = np.array([0, 1])
         hand = encoded(assets, build_handcrafted_context(cfg))
         ce_loss, _ = ce_loss_and_grads(*hand, xh, y, cfg.tau)
-        src_loss, _ = loss_src(*hand, xh, y, cfg.tau, _reference_probs(assets, xh),
+        src_loss, _ = loss_src(*hand, xh, y, cfg.tau, _reference_scores(assets, xh),
                                assets.hand_features, 3.0, 3.0)
         assert src_loss == pytest.approx(ce_loss, abs=1e-12)
 
@@ -463,7 +463,7 @@ class TestTrainers:
             for batch in iterate_batches(data, batch_rng, 4):
                 xh = unit_rows(batch.features)
                 _, grads = loss_src(*encoded(assets, context), xh, batch.labels, cfg.tau,
-                                    _reference_probs(assets, xh), refs, 0.5, 0.7)
+                                    _reference_scores(assets, xh), refs, 0.5, 0.7)
                 context = sgd_momentum_step({"context": context}, {"context": grads},
                                             velocities, 0.002, 0.9, 0, 10)["context"]
             trajectory.append(context)

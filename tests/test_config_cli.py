@@ -759,6 +759,20 @@ class TestRunner:
             last = failure["error"].strip().splitlines()[-1]
             assert last.startswith("fedprompt.errors.DomainError: "), failure
 
+    def test_saturated_softmax_keeps_the_kl_terms_finite(self, tmp_path):
+        # at tau = 1e-6 the softmax of both KL-regularised methods holds exact
+        # zeros; their KL terms come from the log-softmax, so every cell
+        # finishes and every train loss is finite
+        text = TOY.read_text().replace("methods = promptfl,kgcoop",
+                                       "methods = promptfl,prograd,src")
+        config = tmp_path / "run.ini"
+        config.write_text(text.replace("[model]\n", "[model]\ntau = 1e-6\n"))
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+        curves = (tmp_path / "out" / "curves.jsonl").read_text()
+        assert "NaN" not in curves
+        losses = [json.loads(line)["train_loss"] for line in curves.splitlines()]
+        assert len(losses) == 18 and all(np.isfinite(losses))
+
     @pytest.mark.parametrize("text,where", [
         ("# d=-1 classes=4\n0,0\n", ":1: "),
         ("# d=16 classes=0\n", ":1: "),

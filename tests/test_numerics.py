@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedprompt.errors import ConfigError, DomainError
-from fedprompt.numerics import softmax_ce_batch, softmax_temp
+from fedprompt.numerics import log_softmax_temp, softmax_ce_batch, softmax_temp
 from oracle import cosine_similarity, cross_entropy, finite_diff_gradient, relative_error
 
 
@@ -40,6 +40,14 @@ class TestSoftmaxTemp:
         p = softmax_temp(np.array([1e6, -1e6, 0.0]), 1.0)
         assert np.all(np.isfinite(p))
         assert abs(p.sum() - 1.0) <= 1e-12
+
+    def test_log_softmax_is_finite_where_the_softmax_underflows(self):
+        logits = np.array([[0.9, 0.1, -0.4], [0.2, 0.3, 0.25]])
+        np.testing.assert_allclose(log_softmax_temp(logits, 0.5),
+                                   np.log(softmax_temp(logits, 0.5)), rtol=1e-14)
+        saturated = log_softmax_temp(logits, 1e-6)
+        assert np.all(np.isfinite(saturated)) and saturated[0, 2] == pytest.approx(-1.3e6)
+        assert softmax_temp(logits, 1e-6)[0, 2] == 0.0
 
     def test_bad_tau(self):
         with pytest.raises(ConfigError):
