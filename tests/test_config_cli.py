@@ -28,7 +28,7 @@ from fedprompt.config import (
     serialize_config,
 )
 from fedprompt import rngs, runner
-from fedprompt.data import MasterDataset, SyntheticSpec, generate_synthetic_dataset
+from fedprompt.data import MasterDataset, SyntheticSpec, generate_synthetic_dataset, is_synthetic
 from fedprompt.errors import ConfigError
 from fedprompt.evaluation import SCENARIO_KINDS, ZERO_SHOT_METHOD, build_run_state
 from fedprompt.federation import PROTOCOLS, FederationConfig
@@ -113,6 +113,20 @@ def valid_configs(draw):
         return parse_config_text("\n".join(lines) + "\n")
     except ConfigError:
         assume(False)
+
+
+def desk_sized(config: ExperimentConfig) -> ExperimentConfig:
+    """`config` cut to a run that takes a moment: at most 2 rounds, 6 clients,
+    6 classes and 30 samples per class, its first seed, and its synthetic
+    datasets only (`synthetic` when it has none); raises `ConfigError` where
+    the cut config fails a check."""
+    fed, data = config.federation, config.data
+    return replace(config, seeds=config.seeds[:1],
+                   federation=replace(fed, rounds=min(fed.rounds, 2),
+                                      num_clients=min(fed.num_clients, 6)),
+                   data=replace(data, datasets=[e for e in data.datasets if is_synthetic(e)]
+                                or ["synthetic"], classes=min(data.classes, 6),
+                                samples_per_class=min(data.samples_per_class, 30)))
 
 
 # JSON scalars an INI file could not hold: each must fail like its INI text
@@ -758,6 +772,22 @@ class TestRunner:
         for failure in failures:
             last = failure["error"].strip().splitlines()[-1]
             assert last.startswith("fedprompt.errors.DomainError: "), failure
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(config=valid_configs())
+    def test_a_valid_config_fails_before_any_file_or_runs_every_cell(self, tmp_path_factory,
+                                                                      config):
+        out = tmp_path_factory.mktemp("run") / "out"
+        try:
+            result = run(desk_sized(config), output_dir=str(out))
+        except ConfigError:
+            assert not out.exists()
+            return
+        assert result.exit_code == 0 and result.failures == [], result.failures
+        assert result.observations and all(np.isfinite(o.value) for o in result.observations)
+        rows = [json.loads(line) for line in (out / "curves.jsonl").read_text().splitlines()]
+        assert all(np.isfinite(row["train_loss"]) for row in rows
+                   if row["train_loss"] is not None)
 
     def test_saturated_softmax_keeps_the_kl_terms_finite(self, tmp_path):
         # at tau = 1e-6 the softmax of both KL-regularised methods holds exact
