@@ -7,15 +7,13 @@ only the 4x32 prompt context is ever trained or communicated.
 
 from fedprompt import rngs
 from fedprompt.config import DataConfig, ExperimentConfig
-from fedprompt.data import SyntheticSpec, generate_synthetic_dataset
+from fedprompt.data import generate_synthetic_dataset
 from fedprompt.evaluation import build_run_state, run_cell
 from fedprompt.federation import FederationConfig
 from fedprompt.vlm import ModelConfig
 
-dataset = generate_synthetic_dataset(
-    SyntheticSpec(classes=10, feature_dim=64, noise_sigma=0.1, samples_per_class=200),
-    rngs.derive_rng(0, rngs.DATA),
-)
+dataset = generate_synthetic_dataset(classes=10, width=64, noise_sigma=0.1,
+                                     samples_per_class=200, rng=rngs.derive_rng(0, rngs.DATA))
 print(f"dataset: {len(dataset)} samples, {dataset.class_count} classes, "
       f"{dataset.feature_dim}-dim unit features")
 
@@ -24,8 +22,7 @@ config = ExperimentConfig(
     model=ModelConfig(prompts=1, tokens=4, d_token=32, d_feature=64, d_image=64,
                       encoder="attention_block", token_scale=0.05),
     federation=FederationConfig(protocol="standard", num_clients=10, rounds=30),
-    data=DataConfig(feature_dim=64,            # the dataset above
-                    alpha=0.1,                 # strong label skew
+    data=DataConfig(alpha=0.1,                 # strong label skew
                     per_class_subsample=140),  # use the whole training pool
 )
 state = build_run_state(config, {"synthetic": dataset})

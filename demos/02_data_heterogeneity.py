@@ -7,7 +7,6 @@ import numpy as np
 from fedprompt import rngs
 from fedprompt.data import (
     DomainShift,
-    SyntheticSpec,
     apply_domain_shift,
     base_novel_split,
     dirichlet_partition,
@@ -15,10 +14,8 @@ from fedprompt.data import (
     kshot_iid_partition,
 )
 
-dataset = generate_synthetic_dataset(
-    SyntheticSpec(classes=10, feature_dim=64, noise_sigma=0.1, samples_per_class=8),
-    rngs.derive_rng(0, rngs.DATA),
-)
+dataset = generate_synthetic_dataset(classes=10, width=64, noise_sigma=0.1, samples_per_class=8,
+                                     rng=rngs.derive_rng(0, rngs.DATA))
 
 
 def mean_entropy(plan, labels):
@@ -42,10 +39,8 @@ for alpha in (0.1, 1.0, 10.0, 100.0):
     print(f"{alpha:5.1f}    {ent:25.3f}   {filled:16.1f}")
 print("smaller alpha => clients see fewer classes (lower entropy)\n")
 
-big = generate_synthetic_dataset(
-    SyntheticSpec(classes=5, feature_dim=64, samples_per_class=40),
-    rngs.derive_rng(1, rngs.DATA),
-)
+big = generate_synthetic_dataset(classes=5, width=64, noise_sigma=0.1, samples_per_class=40,
+                                 rng=rngs.derive_rng(1, rngs.DATA))
 plan = kshot_iid_partition(big.labels, 4, shots=2, rng=np.random.default_rng(0))
 print("2-shot dealing over 4 clients, per-client class counts:")
 for cid, idx in enumerate(plan.client_indices):

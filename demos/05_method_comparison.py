@@ -31,7 +31,6 @@ token_scale = 0.05
 [data]
 datasets = synthetic#0,synthetic#1
 classes = 6
-feature_dim = 32
 noise_sigma = 0.15
 samples_per_class = 60
 per_class_subsample = 40

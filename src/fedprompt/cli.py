@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from .config import check_table_headers, parse_config, serialize_config
+from .config import check_datasets, parse_config, serialize_config
 from .errors import FedPromptError
 from .runner import plan_cells, report, run
 
@@ -27,8 +27,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="comparison grids and cost curves from a results dir")
     p_report.add_argument("results_dir")
 
-    p_validate = sub.add_parser("validate", help="parse a config, check its feature-table headers and "
-                                       "print the resolved values")
+    p_validate = sub.add_parser("validate", help="parse a config, draw its synthetic prototypes, "
+                                "check its feature-table headers and print the resolved values")
     p_validate.add_argument("config")
     return parser
 
@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             config = parse_config(args.config)
             cells = plan_cells(config)
-            check_table_headers(config)
+            check_datasets(config)
             print(serialize_config(config), end="")
             print(f"# ok: {len(cells)} cells planned")
             return 0

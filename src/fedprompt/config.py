@@ -7,7 +7,9 @@ section whose fields, annotations and defaults are its keys, key types and
 defaults. A key annotated `X | None` takes `auto` (None). Unknown sections
 or keys are rejected, and the dataclasses check every value, so a config
 built in code is checked as a parsed one is. An empty file yields the
-all-defaults experiment.
+all-defaults experiment. What only the data can tell, whether a synthetic
+entry's prototypes can be drawn or a feature table is well formed, is
+checked where the data is read: `check_datasets` and `materialize_datasets`.
 """
 
 import configparser
@@ -20,8 +22,6 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .data import (
     MasterDataset,
-    SyntheticSpec,
-    _near_orthogonal_prototypes,
     generate_synthetic_dataset,
     is_synthetic,
     load_feature_table,
@@ -35,7 +35,8 @@ from .algorithms import TRAINER_KINDS
 from . import rngs
 
 _METHOD_CHOICES = tuple(TRAINER_KINDS) + (ZERO_SHOT_METHOD,)
-_MAX_SYNTHETIC_CLASSES = 1000  # the config check draws the prototypes, in time quadratic in it
+# the prototype draw takes time quadratic in it; a run and `validate` make it once per entry
+_MAX_SYNTHETIC_CLASSES = 1000
 
 
 @dataclass
@@ -46,8 +47,7 @@ class DataConfig:
     """
 
     datasets: list[str] = field(default_factory=lambda: ["synthetic"])
-    classes: int = 10
-    feature_dim: int = 1024
+    classes: int = 10       # the synthetic recipe: its width is model.d_image
     noise_sigma: float = 0.1
     samples_per_class: int = 40
     per_class_subsample: int | None = None  # None (auto): see subsample_per_class
@@ -61,10 +61,18 @@ class DataConfig:
         if self.per_class_subsample is not None and self.per_class_subsample < 1:
             raise ConfigError(f"per_class_subsample: must be >= 1 or auto, "
                               f"got {self.per_class_subsample}")
-        if any(map(is_synthetic, self.datasets)) and self.classes > _MAX_SYNTHETIC_CLASSES:
-            raise ConfigError(f"classes: must be <= {_MAX_SYNTHETIC_CLASSES} for synthetic "
-                              f"data, got {self.classes}")
+        if any(map(is_synthetic, self.datasets)):
+            if self.classes < 2:
+                raise ConfigError(f"classes: must be >= 2, got {self.classes}")
+            if self.classes > _MAX_SYNTHETIC_CLASSES:
+                raise ConfigError(f"classes: must be <= {_MAX_SYNTHETIC_CLASSES} for synthetic "
+                                  f"data, got {self.classes}")
+            if not self.noise_sigma >= 0:
+                raise ConfigError(f"noise_sigma: must be >= 0, got {self.noise_sigma}")
+            if self.samples_per_class < 1:
+                raise ConfigError(f"samples_per_class: must be >= 1, got {self.samples_per_class}")
         entries_by_name: dict[str, str] = {}
+        entries_by_seed: dict[int, str] = {}
         for entry in self.datasets:
             if entry.replace(",", " ").split() != [entry]:
                 raise ConfigError(f"datasets: entry {entry!r} does not read back as one "
@@ -75,19 +83,17 @@ class DataConfig:
                                   f"name the dataset {name!r}")
             entries_by_name[name] = entry
             if is_synthetic(entry):
-                try:
-                    seed = synthetic_spec(self, entry).prototype_seed
-                except ValueError:
-                    seed = -1
-                if seed < 0:
-                    raise ConfigError(f"datasets: {entry!r} needs a non-negative integer "
-                                      "prototype seed after '#'")
+                seed = _prototype_seed(entry)
+                if seed in entries_by_seed:
+                    raise ConfigError(f"datasets: {entries_by_seed[seed]!r} and {entry!r} both "
+                                      f"draw the prototype seed {seed}")
+                entries_by_seed[seed] = entry
 
 
 @dataclass
 class ExperimentConfig:
     """The `[experiment]` keys, and every other section by name; the check of
-    the `[experiment]` values and of what one section implies for another."""
+    the `[experiment]` values."""
 
     scenarios: list[str] = field(default_factory=lambda: ["global"])
     methods: list[str] = field(default_factory=lambda: ["promptfl"])
@@ -115,21 +121,6 @@ class ExperimentConfig:
         for kind in self.scenarios:
             if kind not in SCENARIO_KINDS:
                 raise ConfigError(f"experiment.scenarios: unknown scenario {kind!r}")
-        synthetic = [entry for entry in self.data.datasets if is_synthetic(entry)]
-        if synthetic and self.data.feature_dim != self.model.d_image:
-            raise ConfigError(
-                f"data.feature_dim: synthetic features are {self.data.feature_dim}-dimensional "
-                f"but model.d_image is {self.model.d_image}; they must match"
-            )
-        for entry in synthetic:  # drawn as the run draws them, once the width is the model's
-            spec = synthetic_spec(self.data, entry)
-            try:
-                _near_orthogonal_prototypes(spec, _prototype_rng(spec))
-            except ConfigError as exc:
-                raise ConfigError(
-                    f"data.feature_dim: {spec.feature_dim} dimensions cannot hold "
-                    f"data.classes = {spec.classes} near-orthogonal prototypes of {entry!r}"
-                ) from exc
 
     def subsample_per_class(self) -> int:
         """`data.per_class_subsample`; auto is 16 under partial participation, else 8."""
@@ -252,18 +243,35 @@ def dataset_display_name(entry: str) -> str:
     return entry.rsplit("/", 1)[-1].rsplit(".", 1)[0]
 
 
-def synthetic_spec(data: DataConfig, entry: str) -> SyntheticSpec:
-    """The recipe of a `synthetic` or `synthetic#<prototype seed>` entry."""
-    return SyntheticSpec(
-        classes=data.classes, feature_dim=data.feature_dim, noise_sigma=data.noise_sigma,
-        samples_per_class=data.samples_per_class,
-        prototype_seed=int(entry.split("#")[1]) if "#" in entry else 0,
-    )
+def _prototype_seed(entry: str) -> int:
+    """The prototype seed of a `synthetic` (0) or `synthetic#<seed>` entry; the
+    seed is canonical decimal text, so no two spellings draw one dataset."""
+    if entry == "synthetic":
+        return 0
+    text = entry.split("#", 1)[1]
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0 or str(seed) != text:
+        raise ConfigError(f"datasets: {entry!r} needs a non-negative integer prototype seed "
+                          "after '#', in ASCII digits without a leading zero")
+    return seed
 
 
-def _prototype_rng(spec: SyntheticSpec):
-    """The stream a synthetic dataset is drawn from, its prototypes first."""
-    return rngs.derive_rng(spec.prototype_seed, rngs.DATA)
+def _synthetic_dataset(config: ExperimentConfig, entry: str,
+                       samples_per_class: int) -> MasterDataset:
+    """The synthetic dataset of `entry` with `samples_per_class` rows per class,
+    drawn from its prototype seed's stream, its prototypes first; a width too
+    small for the class count names both keys."""
+    data, width = config.data, config.model.d_image
+    rng = rngs.derive_rng(_prototype_seed(entry), rngs.DATA)
+    try:
+        return generate_synthetic_dataset(data.classes, width, data.noise_sigma,
+                                          samples_per_class, rng)
+    except ConfigError as exc:
+        raise ConfigError(f"model.d_image: {width} dimensions cannot hold data.classes = "
+                          f"{data.classes} near-orthogonal prototypes of {entry!r}") from exc
 
 
 def materialize_datasets(config: ExperimentConfig) -> dict[str, MasterDataset]:
@@ -271,8 +279,7 @@ def materialize_datasets(config: ExperimentConfig) -> dict[str, MasterDataset]:
     datasets: dict[str, MasterDataset] = {}
     for entry in config.data.datasets:
         if is_synthetic(entry):
-            spec = synthetic_spec(config.data, entry)
-            datasets[entry] = generate_synthetic_dataset(spec, _prototype_rng(spec))
+            datasets[entry] = _synthetic_dataset(config, entry, config.data.samples_per_class)
         else:
             loaded = load_feature_table(entry)
             _check_width(entry, loaded.feature_dim, config.model)
@@ -280,11 +287,14 @@ def materialize_datasets(config: ExperimentConfig) -> dict[str, MasterDataset]:
     return datasets
 
 
-def check_table_headers(config: ExperimentConfig) -> None:
-    """Check the header of every feature table the config names, and its width
-    against the model; `materialize_datasets` checks the bodies."""
+def check_datasets(config: ExperimentConfig) -> None:
+    """Draw the prototypes of every synthetic entry, and read the header of
+    every feature table and check its width against the model; what
+    `materialize_datasets` would reject first, short of a table's body."""
     for entry in config.data.datasets:
-        if not is_synthetic(entry):
+        if is_synthetic(entry):
+            _synthetic_dataset(config, entry, 0)  # the prototypes, and no sample
+        else:
             _check_width(entry, read_table_header(entry)[0], config.model)
 
 

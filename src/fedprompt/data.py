@@ -193,66 +193,44 @@ class PartitionPlan:
             raise DataError("partition assigns some index twice")
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Recipe for a separable synthetic feature dataset.
-
-    Errors name the config key; the config parser adds the `data.` prefix.
-    """
-
-    classes: int = 10
-    feature_dim: int = 64
-    noise_sigma: float = 0.1
-    samples_per_class: int = 200
-    prototype_seed: int = 0
-
-    def __post_init__(self):
-        if self.classes < 2:
-            raise ConfigError(f"classes: must be >= 2, got {self.classes}")
-        if not self.noise_sigma >= 0:
-            raise ConfigError(f"noise_sigma: must be >= 0, got {self.noise_sigma}")
-        for key in ("feature_dim", "samples_per_class"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key}: must be >= 1, got {getattr(self, key)}")
-
-
 def is_synthetic(entry: str) -> bool:
     """Whether a `data.datasets` entry (or its results column name, the same
     text) names a synthetic dataset rather than a feature table."""
     return entry.split("#")[0] == "synthetic"
 
 
-def _near_orthogonal_prototypes(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
+def _near_orthogonal_prototypes(classes: int, width: int,
+                                rng: np.random.Generator) -> np.ndarray:
     # pairwise |cos| < 0.5 by rejection; comfortably feasible from ~32 dims up,
-    # exhausts the try budget when the dimension is too small for the class count
+    # exhausts the try budget when the width is too small for the class count
     protos: list[np.ndarray] = []
-    for c in range(spec.classes):
+    for c in range(classes):
         for _attempt in range(1000):
-            v = rng.normal(size=spec.feature_dim)
+            v = rng.normal(size=width)
             v /= np.linalg.norm(v)
             if all(abs(v @ p) < 0.5 for p in protos):
                 protos.append(v)
                 break
         else:
             raise ConfigError(
-                f"could not draw near-orthogonal prototype {c}: feature_dim "
-                f"{spec.feature_dim} too small for {spec.classes} classes"
+                f"could not draw near-orthogonal prototype {c}: width {width} too small "
+                f"for {classes} classes"
             )
     return np.array(protos)
 
 
-def generate_synthetic_dataset(spec: SyntheticSpec, rng: np.random.Generator) -> MasterDataset:
-    """Unit-norm samples clustered around near-orthogonal class prototypes."""
-    protos = _near_orthogonal_prototypes(spec, rng)
+def generate_synthetic_dataset(classes: int, width: int, noise_sigma: float,
+                               samples_per_class: int, rng: np.random.Generator) -> MasterDataset:
+    """Unit-norm samples clustered around near-orthogonal class prototypes,
+    the prototypes drawn first from `rng`."""
+    protos = _near_orthogonal_prototypes(classes, width, rng)
     feats, labels = [], []
-    for c in range(spec.classes):
-        x = protos[c][None, :] + spec.noise_sigma * rng.normal(
-            size=(spec.samples_per_class, spec.feature_dim)
-        )
+    for c in range(classes):
+        x = protos[c][None, :] + noise_sigma * rng.normal(size=(samples_per_class, width))
         feats.append(unit_rows(x))
-        labels.append(np.full(spec.samples_per_class, c))
+        labels.append(np.full(samples_per_class, c))
     return MasterDataset(
-        features=np.concatenate(feats), labels=np.concatenate(labels), class_count=spec.classes
+        features=np.concatenate(feats), labels=np.concatenate(labels), class_count=classes
     )
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .config import (
     ExperimentConfig,
+    check_datasets,
     dataset_display_name,
     materialize_datasets,
     parse_config_text,
@@ -118,12 +119,13 @@ def run(config: ExperimentConfig, jobs: int = 1, dry_run: bool = False,
 
     A cell that fails becomes an entry of failures.json; an error while the
     run's state is built (a bad feature table, say) raises before any file
-    is written."""
+    is written. A dry run prints the cell plan after `check_datasets`."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     out_dir = resolve_output_dir(config, output_dir)
     cells = plan_cells(config, seed_offset)
     if dry_run:
+        check_datasets(config)
         print(f"would execute {len(cells)} cells:")
         for cell in cells:
             print(f"  {cell.scenario} / {cell.method} / {cell.dataset} / seed {cell.seed}")

@@ -31,7 +31,6 @@ from fedprompt.config import DataConfig, ExperimentConfig, parse_config
 from fedprompt.data import (
     ClientDataset,
     MasterDataset,
-    SyntheticSpec,
     base_novel_split,
     dirichlet_partition,
     generate_synthetic_dataset,
@@ -215,15 +214,13 @@ def test_criterion_04_fedavg_centralized_equivalence():
 
 def test_criterion_05_learning_beats_zero_shot_at_desk_scale():
     start = time.monotonic()
-    dataset_spec = SyntheticSpec(classes=10, feature_dim=64, noise_sigma=0.1,
-                                 samples_per_class=200)
-    master = generate_synthetic_dataset(dataset_spec, rngs.derive_rng(0, rngs.DATA))
+    master = generate_synthetic_dataset(classes=10, width=64, noise_sigma=0.1,
+                                        samples_per_class=200, rng=rngs.derive_rng(0, rngs.DATA))
     config = ExperimentConfig(
         model=ModelConfig(prompts=1, tokens=4, d_token=32, d_feature=64, d_image=64,
                           encoder="attention_block", seed=0, token_scale=0.05),
         federation=FederationConfig(protocol="standard", num_clients=10, rounds=30),
-        data=DataConfig(feature_dim=64, alpha=0.1,
-                        per_class_subsample=140),  # the whole training pool
+        data=DataConfig(alpha=0.1, per_class_subsample=140),  # the whole training pool
     )
     assets = build_assets(config.model, 10)
     gaps = []
@@ -327,13 +324,13 @@ def test_criterion_08_reduction_suite():
 
 
 def test_criterion_09_base_novel_protocol_integrity():
-    spec_ds = SyntheticSpec(classes=4, feature_dim=16, noise_sigma=0.1, samples_per_class=30)
-    master = generate_synthetic_dataset(spec_ds, rngs.derive_rng(0, rngs.DATA))
+    master = generate_synthetic_dataset(classes=4, width=16, noise_sigma=0.1,
+                                        samples_per_class=30, rng=rngs.derive_rng(0, rngs.DATA))
     config = ExperimentConfig(
         model=ModelConfig(prompts=1, tokens=3, d_token=8, d_feature=16, d_image=16,
                           encoder="attention_block", seed=11, token_scale=0.1),
         federation=FederationConfig(protocol="standard", num_clients=4, rounds=2, batch_size=8),
-        data=DataConfig(feature_dim=16, alpha=0.5, per_class_subsample=6),
+        data=DataConfig(alpha=0.5, per_class_subsample=6),
         scenario=ScenarioSpec(split_mode="random"),
     )
     audited_batches = 0

@@ -27,8 +27,8 @@ from fedprompt.config import (
     parse_config_text,
     serialize_config,
 )
-from fedprompt import rngs, runner
-from fedprompt.data import MasterDataset, SyntheticSpec, generate_synthetic_dataset, is_synthetic
+from fedprompt import data, rngs, runner
+from fedprompt.data import MasterDataset, generate_synthetic_dataset, is_synthetic
 from fedprompt.errors import ConfigError
 from fedprompt.evaluation import SCENARIO_KINDS, ZERO_SHOT_METHOD, build_run_state
 from fedprompt.federation import PROTOCOLS, FederationConfig
@@ -88,7 +88,7 @@ def valid_configs(draw):
             "local_features": draw(st.integers(1, 8)),
         },
         "data": {
-            "datasets": datasets, "classes": draw(st.integers(2, 50)), "feature_dim": width,
+            "datasets": datasets, "classes": draw(st.integers(2, 50)),
             "noise_sigma": draw(_floats(0.0, 2.0)),
             "samples_per_class": draw(st.integers(1, 500)),
             "per_class_subsample": draw(_optional(st.integers(1, 100))),
@@ -178,8 +178,8 @@ def any_config_text(draw):
 
 
 def write_table(path: Path, seed: int) -> None:
-    spec = SyntheticSpec(classes=4, feature_dim=16, samples_per_class=20)
-    save_feature_table(generate_synthetic_dataset(spec, np.random.default_rng(seed)), str(path))
+    dataset = generate_synthetic_dataset(4, 16, 0.1, 20, np.random.default_rng(seed))
+    save_feature_table(dataset, str(path))
 
 
 def table_config_text(path: Path, methods: str = "promptfl") -> str:
@@ -280,9 +280,10 @@ class TestParsing:
         assert cfg.federation.num_clients == 100
         assert cfg.federation.participation_fraction == 0.1
 
-    def test_feature_dim_must_match_model(self):
-        with pytest.raises(ConfigError, match="feature_dim"):
-            parse_config_text("[data]\nfeature_dim = 32\n")
+    def test_feature_dim_is_not_a_key(self):
+        # a synthetic dataset is model.d_image wide
+        with pytest.raises(ConfigError, match="^data.feature_dim: unknown key$"):
+            parse_config_text("[data]\nfeature_dim = 1024\n")
 
     @pytest.mark.parametrize("text,values", [
         ("[experiment]\nmethods = nope,nope\nseeds = -1\nscenarios =\n",
@@ -295,7 +296,6 @@ class TestParsing:
         ("[experiment]\nseeds = 0,-1\n", dict(seeds=[0, -1])),
         ("[experiment]\nmethods = nope\n", dict(methods=["nope"])),
         ("[experiment]\nscenarios = nope\n", dict(scenarios=["nope"])),
-        ("[data]\nfeature_dim = 32\n", dict(data=DataConfig(feature_dim=32))),
     ])
     def test_config_built_in_code_is_checked_as_parsed(self, text, values):
         with pytest.raises(ConfigError) as parsed:
@@ -313,30 +313,25 @@ class TestParsing:
             assert parse_config_text(text).federation == FederationConfig(protocol=protocol)
 
     @pytest.mark.parametrize("width", [4, 5, 6])
-    def test_prototype_check_is_the_runs_draw(self, width):
-        # a synthetic config parses exactly when the run can draw its prototypes,
-        # and near the limit that depends on the prototype seed
+    def test_prototype_check_is_the_runs_draw(self, tmp_path, capsys, width):
+        # `validate` accepts a synthetic config exactly when `materialize_datasets`
+        # can draw its prototypes, and near the limit that depends on the prototype seed
+        config = tmp_path / "run.ini"
         by_classes = {}
         for classes in range(width, 14):
             for seed in range(4):
-                spec = SyntheticSpec(classes=classes, feature_dim=width, samples_per_class=1,
-                                     prototype_seed=seed)
+                config.write_text(f"[model]\nd_token = 8\nd_feature = {width}\n"
+                                  f"d_image = {width}\n[data]\ndatasets = synthetic#{seed}\n"
+                                  f"classes = {classes}\nsamples_per_class = 1\n")
                 try:
-                    generate_synthetic_dataset(spec, rngs.derive_rng(seed, rngs.DATA))
-                    drawn = True
-                except ConfigError:
-                    drawn = False
-                text = (f"[model]\nd_token = 8\nd_feature = {width}\nd_image = {width}\n"
-                        f"[data]\ndatasets = synthetic#{seed}\nclasses = {classes}\n"
-                        f"feature_dim = {width}\n")
-                try:
-                    parse_config_text(text)
-                    parsed = True
+                    materialize_datasets(parse_config(str(config)))
+                    error = ""
                 except ConfigError as exc:
-                    assert str(exc).startswith("data.feature_dim: ")
-                    assert "data.classes" in str(exc)
-                    parsed = False
-                assert parsed == drawn, (classes, seed)
+                    assert str(exc).startswith("model.d_image: ") and "data.classes" in str(exc)
+                    error = f"error: {exc}\n"
+                drawn = not error
+                assert (main(["validate", str(config)]) == 0) == drawn, (classes, seed)
+                assert capsys.readouterr().err == error
                 by_classes.setdefault(classes, set()).add(drawn)
         assert {True} in by_classes.values() and {False} in by_classes.values()
         assert {True, False} in by_classes.values()
@@ -419,6 +414,23 @@ class TestParsing:
         with pytest.raises(ConfigError, match="data.datasets: 'synthetic#two'"):
             parse_config_text("[data]\ndatasets = synthetic#two\n")
 
+    @pytest.mark.parametrize("datasets", [
+        "synthetic,synthetic#0",      # both draw prototype seed 0
+        "synthetic#1,synthetic#01",   # seed 1 under two columns, as do the next two
+        "synthetic#1,synthetic#+1",
+        "synthetic#1,synthetic#\u0661",  # ARABIC-INDIC DIGIT ONE
+        "synthetic#1#2",              # the '#2' would be dropped
+        "synthetic#1_0",              # seed 10
+    ])
+    def test_a_synthetic_dataset_has_one_spelling(self, datasets):
+        with pytest.raises(ConfigError, match="^data.datasets: "):
+            parse_config_text(f"[data]\ndatasets = {datasets}\n")
+
+    @pytest.mark.parametrize("datasets", ["synthetic#0", "synthetic,synthetic#1,synthetic#10"])
+    def test_canonical_synthetic_entries_parse(self, datasets):
+        cfg = parse_config_text(f"[data]\ndatasets = {datasets}\n")
+        assert ",".join(cfg.data.datasets) == datasets
+
     @pytest.mark.parametrize("key", ["scenarios", "methods", "seeds"])
     def test_empty_experiment_lists_rejected(self, key):
         # the [scenario] options would otherwise go unchecked with no scenario
@@ -446,7 +458,7 @@ def test_readme_config_table_lists_every_key():
 class TestMaterialize:
     def test_synthetic_entries(self):
         cfg = parse_config_text(
-            "[data]\ndatasets = synthetic,synthetic#3\nfeature_dim = 16\nclasses = 3\n"
+            "[data]\ndatasets = synthetic,synthetic#3\nclasses = 3\n"
             "samples_per_class = 4\n[model]\nd_feature = 16\nd_image = 16\nd_token = 8\n"
         )
         out = materialize_datasets(cfg)
@@ -483,7 +495,6 @@ local_features = 2
 [data]
 datasets = synthetic,synthetic#1
 classes = 3
-feature_dim = 16
 samples_per_class = 12
 per_class_subsample = 4
 alpha = 0.5
@@ -718,7 +729,7 @@ class TestRunner:
         config.write_text(f"[experiment]\nscenarios = {scenario}\nmethods = zsclip,promptfl\n"
                           f"seeds = 0\n[federation]\nprotocol = {protocol}\n"
                           "[model]\nd_token = 8\nd_feature = 16\nd_image = 16\n"
-                          "[data]\nclasses = 4\nfeature_dim = 16\nsamples_per_class = 20\n"
+                          "[data]\nclasses = 4\nsamples_per_class = 20\n"
                           f"per_class_subsample = {subsample}\n")
         assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
         out, err = capsys.readouterr()
@@ -746,8 +757,8 @@ class TestRunner:
 
     def test_feature_table_without_test_rows_names_the_datasets_key(self, tmp_path, capsys):
         table = tmp_path / "feat.txt"
-        spec = SyntheticSpec(classes=4, feature_dim=16, samples_per_class=1)
-        save_feature_table(generate_synthetic_dataset(spec, np.random.default_rng(0)), str(table))
+        dataset = generate_synthetic_dataset(4, 16, 0.1, 1, np.random.default_rng(0))
+        save_feature_table(dataset, str(table))
         config = tmp_path / "run.ini"
         config.write_text(table_config_text(table, methods="zsclip"))
         assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
@@ -1154,18 +1165,41 @@ class TestCLI:
         assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {table}:2: ")
 
-    def test_unreachable_synthetic_prototypes_fail_at_parse_time(self, tmp_path, capsys):
-        # the draw cannot place 10 prototypes with pairwise |cos| < 0.5 in 4 dimensions
+    def test_unreachable_synthetic_prototypes_fail_before_any_file(self, tmp_path, capsys):
+        # the draw cannot place 10 prototypes with pairwise |cos| < 0.5 in 4
+        # dimensions; the config parses, and each command that draws them fails
         bad = tmp_path / "bad.ini"
         bad.write_text("[model]\nd_token = 8\nd_feature = 4\nd_image = 4\n"
-                       "[data]\nclasses = 10\nfeature_dim = 4\n")
-        for argv in (["validate", str(bad)], ["run", str(bad), "--out", str(tmp_path / "out")]):
+                       "[data]\nclasses = 10\n")
+        assert parse_config(str(bad)).model.d_image == 4
+        out = str(tmp_path / "out")
+        for argv in (["validate", str(bad)], ["run", str(bad), "--dry-run", "--out", out],
+                     ["run", str(bad), "--out", out]):
             assert main(argv) == 2
             captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: data.feature_dim: ")
-            assert "data.classes" in captured.err
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith("error: model.d_image: 4 dimensions cannot hold "
+                                           "data.classes = 10 ")
         assert not (tmp_path / "out").exists()
+
+    def test_each_command_draws_each_synthetic_entry_once(self, tmp_path, capsys, monkeypatch):
+        draws = []
+        draw = data._near_orthogonal_prototypes
+
+        def counting(classes, width, rng):
+            draws.append((classes, width))
+            return draw(classes, width, rng)
+
+        monkeypatch.setattr(data, "_near_orthogonal_prototypes", counting)
+        config = tmp_path / "run.ini"
+        config.write_text(TOY.read_text().replace("datasets = synthetic\n",
+                                                  "datasets = synthetic,synthetic#3\n"))
+        out = str(tmp_path / "out")
+        for argv in (["validate", str(config)], ["run", str(config), "--dry-run", "--out", out],
+                     ["run", str(config), "--out", out]):
+            draws.clear()
+            assert main(argv) == 0, capsys.readouterr().err
+            assert draws == [(4, 16), (4, 16)], argv
 
     @pytest.mark.parametrize("text,key", [
         ("[data]\nnoise_sigma = -1\n", "data.noise_sigma"),

@@ -14,7 +14,6 @@ from fedprompt.data import (
     ClientDataset,
     DomainShift,
     MasterDataset,
-    SyntheticSpec,
     apply_domain_shift,
     balanced_subsample_indices,
     base_novel_split,
@@ -60,40 +59,40 @@ def mean_client_label_entropy(labels, plan) -> float:
 
 class TestSynthetic:
     def test_zero_noise_samples_equal_prototypes(self):
-        spec = SyntheticSpec(classes=4, feature_dim=32, noise_sigma=0.0, samples_per_class=3)
-        ds = generate_synthetic_dataset(spec, np.random.default_rng(0))
+        spec = dict(classes=4, width=32, noise_sigma=0.0, samples_per_class=3)
+        ds = generate_synthetic_dataset(**spec, rng=np.random.default_rng(0))
         for c in range(4):
             rows = ds.features[ds.labels == c]
             assert np.all(rows == rows[0])
 
     def test_deterministic_given_seed(self):
-        spec = SyntheticSpec(classes=3, feature_dim=32, samples_per_class=5)
-        a = generate_synthetic_dataset(spec, np.random.default_rng(9))
-        b = generate_synthetic_dataset(spec, np.random.default_rng(9))
+        spec = dict(classes=3, width=32, noise_sigma=0.1, samples_per_class=5)
+        a = generate_synthetic_dataset(**spec, rng=np.random.default_rng(9))
+        b = generate_synthetic_dataset(**spec, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_nearest_prototype_classifier_oracle(self):
         # independent oracle: classify by nearest noiseless prototype
-        spec = SyntheticSpec(classes=10, feature_dim=64, noise_sigma=0.1, samples_per_class=30)
-        clean = SyntheticSpec(classes=10, feature_dim=64, noise_sigma=0.0, samples_per_class=1)
+        spec = dict(classes=10, width=64, noise_sigma=0.1, samples_per_class=30)
+        clean = dict(classes=10, width=64, noise_sigma=0.0, samples_per_class=1)
         rng_seed = 4
-        ds = generate_synthetic_dataset(spec, np.random.default_rng(rng_seed))
-        protos = generate_synthetic_dataset(clean, np.random.default_rng(rng_seed)).features
+        ds = generate_synthetic_dataset(**spec, rng=np.random.default_rng(rng_seed))
+        protos = generate_synthetic_dataset(**clean, rng=np.random.default_rng(rng_seed)).features
         pred = (ds.features @ protos.T).argmax(axis=1)
         assert (pred == ds.labels).mean() > 0.99
 
     def test_prototypes_near_orthogonal(self):
-        spec = SyntheticSpec(classes=10, feature_dim=64, noise_sigma=0.0, samples_per_class=1)
-        protos = generate_synthetic_dataset(spec, np.random.default_rng(1)).features
+        spec = dict(classes=10, width=64, noise_sigma=0.0, samples_per_class=1)
+        protos = generate_synthetic_dataset(**spec, rng=np.random.default_rng(1)).features
         gram = np.abs(protos @ protos.T - np.eye(10))
         assert gram.max() < 0.5
 
     def test_rejection_failure_when_dim_too_small(self):
         # three pairwise-near-orthogonal unit vectors cannot fit in the plane
-        spec = SyntheticSpec(classes=3, feature_dim=2, samples_per_class=1)
+        spec = dict(classes=3, width=2, noise_sigma=0.1, samples_per_class=1)
         with pytest.raises(ConfigError, match="too small"):
-            generate_synthetic_dataset(spec, np.random.default_rng(0))
+            generate_synthetic_dataset(**spec, rng=np.random.default_rng(0))
 
 
 def shift_all(dataset, shift):
@@ -104,8 +103,8 @@ def shift_all(dataset, shift):
 class TestDomainShift:
     @pytest.fixture
     def dataset(self):
-        spec = SyntheticSpec(classes=4, feature_dim=32, noise_sigma=0.05, samples_per_class=10)
-        return generate_synthetic_dataset(spec, np.random.default_rng(2))
+        spec = dict(classes=4, width=32, noise_sigma=0.05, samples_per_class=10)
+        return generate_synthetic_dataset(**spec, rng=np.random.default_rng(2))
 
     def test_identity_transform(self, dataset):
         out = shift_all(dataset, DomainShift())
@@ -203,8 +202,8 @@ class TestBalancedSubsample:
         np.testing.assert_array_equal(np.bincount(labels[idx]), [5, 5, 5])
 
     def test_counts_eight_per_class(self):
-        spec = SyntheticSpec(classes=10, feature_dim=32, samples_per_class=20)
-        ds = generate_synthetic_dataset(spec, np.random.default_rng(0))
+        spec = dict(classes=10, width=32, noise_sigma=0.1, samples_per_class=20)
+        ds = generate_synthetic_dataset(**spec, rng=np.random.default_rng(0))
         idx = balanced_subsample_indices(ds.labels, 8, np.random.default_rng(1))
         assert len(idx) == 80
         np.testing.assert_array_equal(np.bincount(ds.labels[idx]), np.full(10, 8))
@@ -587,17 +586,16 @@ class TestFeatureTable:
     def test_load_holds_at_most_one_copy_of_the_text(self, tmp_path):
         # 8000 short lines: a loader that held the text and a list of its
         # lines at once would peak above twice the file's size
-        ds = generate_synthetic_dataset(SyntheticSpec(classes=4, feature_dim=8,
-                                                      samples_per_class=2000),
-                                        np.random.default_rng(1))
+        ds = generate_synthetic_dataset(classes=4, width=8, noise_sigma=0.1,
+                                        samples_per_class=2000, rng=np.random.default_rng(1))
         path = tmp_path / "table.txt"
         save_feature_table(ds, str(path))
         peak = traced_peak(lambda: load_feature_table(str(path)))
         assert peak < 2 * path.stat().st_size
 
     def test_partition_equivalence_after_reload(self, tmp_path, rng):
-        spec = SyntheticSpec(classes=4, feature_dim=32, samples_per_class=10)
-        ds = generate_synthetic_dataset(spec, np.random.default_rng(7))
+        spec = dict(classes=4, width=32, noise_sigma=0.1, samples_per_class=10)
+        ds = generate_synthetic_dataset(**spec, rng=np.random.default_rng(7))
         path = tmp_path / "ds.txt"
         save_feature_table(ds, str(path))
         loaded = load_feature_table(str(path))
@@ -693,9 +691,8 @@ class TestFeatureTableReaders:
     @pytest.mark.parametrize("ending, blank", [("\n", False), ("\r\n", False), ("\n", True)])
     def test_repr_table_never_reaches_per_line_loop(self, tmp_path, monkeypatch, ending, blank):
         # a silent fallback would keep every other test green and lose the speed
-        ds = generate_synthetic_dataset(SyntheticSpec(classes=3, feature_dim=16,
-                                                      samples_per_class=5),
-                                        np.random.default_rng(3))
+        ds = generate_synthetic_dataset(classes=3, width=16, noise_sigma=0.1,
+                                        samples_per_class=5, rng=np.random.default_rng(3))
         path = tmp_path / "table.txt"
         save_feature_table(ds, str(path))
         lines = path.read_text().splitlines()

@@ -12,7 +12,7 @@ from oracle import audited_cell, one_cell
 from fedprompt import evaluation
 from fedprompt.algorithms import CosinePredictor, PerClientPredictor, TransportPredictor
 from fedprompt.config import DataConfig, ExperimentConfig
-from fedprompt.data import ClientDataset, SyntheticSpec, base_novel_split, generate_synthetic_dataset
+from fedprompt.data import ClientDataset, base_novel_split, generate_synthetic_dataset
 from fedprompt.errors import ConfigError, DataError, DomainError, EvaluationError
 from fedprompt.evaluation import (
     ScenarioSpec,
@@ -35,14 +35,14 @@ def desk_config(**fed_overrides) -> ExperimentConfig:
         model=ModelConfig(prompts=1, tokens=3, d_token=8, d_feature=16, d_image=16,
                           encoder="attention_block", seed=11, token_scale=0.1),
         federation=FederationConfig(**fed),
-        data=DataConfig(feature_dim=16, alpha=0.5, per_class_subsample=6),
+        data=DataConfig(alpha=0.5, per_class_subsample=6),
     )
 
 
 @pytest.fixture(scope="module")
 def desk_master():
-    spec = SyntheticSpec(classes=4, feature_dim=16, noise_sigma=0.1, samples_per_class=30)
-    return generate_synthetic_dataset(spec, rngs.derive_rng(0, rngs.DATA))
+    return generate_synthetic_dataset(classes=4, width=16, noise_sigma=0.1, samples_per_class=30,
+                                      rng=rngs.derive_rng(0, rngs.DATA))
 
 
 class TestHarmonicMean:
@@ -609,7 +609,7 @@ class TestScenarios:
         text = ("[experiment]\nscenarios = cross_domain\nmethods = zsclip,promptfl,fedotp\n"
                 "seeds = 0,1\n[federation]\nnum_clients = 3\nrounds = 2\nbatch_size = 8\n"
                 "[model]\nd_token = 8\nd_feature = 33\nd_image = 33\nlocal_features = 2\n"
-                "[data]\nclasses = 3\nfeature_dim = 33\nsamples_per_class = 20\n"
+                "[data]\nclasses = 3\nsamples_per_class = 20\n"
                 "per_class_subsample = 6\nalpha = 0.5\n")
         config = parse_config_text(text)
         assert run(config, output_dir=str(tmp_path / "rows")).exit_code == 0
@@ -647,14 +647,13 @@ class TestScenarios:
     def test_fewshot_accuracy_nondecreasing_in_shots(self):
         # mean accuracy over seeds trends upward with the shot count,
         # within a one-point noise margin
-        master = generate_synthetic_dataset(
-            SyntheticSpec(classes=6, feature_dim=32, noise_sigma=0.15, samples_per_class=100),
-            rngs.derive_rng(2, rngs.DATA))
+        master = generate_synthetic_dataset(classes=6, width=32, noise_sigma=0.15,
+                                            samples_per_class=100, rng=rngs.derive_rng(2, rngs.DATA))
         config = ExperimentConfig(
             model=ModelConfig(prompts=1, tokens=4, d_token=16, d_feature=32, d_image=32,
                               encoder="attention_block", token_scale=0.05),
             federation=FederationConfig(protocol="standard", num_clients=2, rounds=8),
-            data=DataConfig(feature_dim=32, alpha=0.5))
+            data=DataConfig(alpha=0.5))
         means = []
         for shots in (1, 4, 16):
             shot_config = replace(config, scenario=ScenarioSpec(shots=shots))

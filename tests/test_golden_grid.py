@@ -81,7 +81,6 @@ seed = 11
 local_features = 2
 [data]
 classes = 4
-feature_dim = 16
 samples_per_class = 20
 per_class_subsample = 6
 alpha = 0.5

@@ -32,7 +32,6 @@ d_image = 16
 local_features = 2
 [data]
 classes = 3
-feature_dim = 16
 samples_per_class = 10
 per_class_subsample = 4
 alpha = 0.5

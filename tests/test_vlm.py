@@ -355,7 +355,7 @@ class TestSharedAssets:
             "[experiment]\nscenarios = global,cost_tradeoff\nmethods = zsclip,promptfl\n"
             "seeds = 0,1\n[federation]\nnum_clients = 2\nrounds = 1\n"
             "[model]\nd_token = 8\nd_feature = 16\nd_image = 16\n"
-            "[data]\ndatasets = synthetic,synthetic#1\nclasses = 3\nfeature_dim = 16\n"
+            "[data]\ndatasets = synthetic,synthetic#1\nclasses = 3\n"
             "samples_per_class = 10\nper_class_subsample = 4\n")
         for name in ("first", "second"):
             assert run(config, output_dir=str(tmp_path / name)).exit_code == 0
