@@ -9,7 +9,9 @@ into the `RunState` that every cell of a run reads. Also the
 run-aggregation and baseline-superiority arithmetic used in reports.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -240,8 +242,10 @@ def build_run_state(config: "ExperimentConfig",
     with a transport method, the region-noise rows its cells read.
 
     Each dataset is split once per seed, for the cross-domain targets and the
-    plans. A plan holds a client partition when the run trains a method, so
-    one the data cannot hold fails the run before any cell runs."""
+    plans, and its test rows of a seed are sliced at most once, in id order,
+    for every plan that scores them in that order. A plan holds a client
+    partition when the run trains a method, so one the data cannot hold
+    fails the run before any cell runs."""
     keys = dict.fromkeys((cfg, master.class_count)
                          for kind in config.scenarios for method in config.methods
                          for _, cfg in _cell_models(kind, method, config.model)
@@ -255,6 +259,13 @@ def build_run_state(config: "ExperimentConfig",
                for name, master in datasets.items()}
     trained = any(method != ZERO_SHOT_METHOD for method in config.methods)
     transport = any(method in TRANSPORT_METHODS for method in config.methods)
+    tests: dict[tuple[str, int], ClientDataset] = {}  # by (dataset, seed), in id order
+
+    def test_slice(name: str, seed: int) -> ClientDataset:
+        if (name, seed) not in tests:
+            tests[name, seed] = ClientDataset.from_master(datasets[name], splits[name, seed][2])
+        return tests[name, seed]
+
     plans, read = {}, {}  # read: by (n, M, d), the region-noise rows that cells read
     for kind in config.scenarios:
         limits = ("scenario.shots and federation.num_clients" if kind == "fewshot"
@@ -263,7 +274,7 @@ def build_run_state(config: "ExperimentConfig",
             for seed in config.seeds:
                 try:
                     plan = _scenario_plan(config, kind, trained, master, splits[name, seed],
-                                          shifted[name], seed)
+                                          shifted[name], partial(test_slice, name, seed), seed)
                 except DataError as exc:
                     raise ConfigError(f"{limits}: too large for dataset {name!r} in the {kind} "
                                       f"scenario (seed {seed}): {exc}") from exc
@@ -286,10 +297,12 @@ def build_run_state(config: "ExperimentConfig",
 
 def _scenario_plan(config: "ExperimentConfig", kind: str, trained: bool, master: MasterDataset,
                    splits: tuple[np.ndarray, np.ndarray, np.ndarray],
-                   shifted: dict[str, ClientDataset], seed: int) -> _ScenarioPlan:
+                   shifted: dict[str, ClientDataset], test_slice: Callable[[], ClientDataset],
+                   seed: int) -> _ScenarioPlan:
     """The scenario's targets on `master`'s (train, validation, test) `splits`
-    (or on `shifted`, the shifted copies of its test rows over the run's seeds)
-    and, for a run that trains, its client partition."""
+    (or on `shifted`, the shifted copies of its test rows over the run's seeds,
+    or on `test_slice()`, its test rows in id order, shared by the plans that
+    score them so) and, for a run that trains, its client partition."""
     tr, _va, te = splits
     fed_cfg, spec = config.federation, config.scenario
     pool = tr
@@ -311,11 +324,11 @@ def _scenario_plan(config: "ExperimentConfig", kind: str, trained: bool, master:
             _Target(f"->{name}", "alpha_xd", f"acc::{name}",
                     union.take(np.searchsorted(union.master_indices, te)))
             for name, union in shifted.items()])
-    else:
+    else:  # a trained personalized plan scores the test rows in client order, set below
         metric = {"personalized": "alpha_p",
                   "fewshot": f"alpha_fs_{spec.shots}"}.get(kind, "alpha_g")
-        scenario = _ScenarioPlan([_Target("", metric, "test_accuracy",
-                                          ClientDataset.from_master(master, te))])
+        test = None if trained and kind == "personalized" else test_slice()
+        scenario = _ScenarioPlan([_Target("", metric, "test_accuracy", test)])
     if not trained:  # zero-shot trains nothing, so it needs (and may fail) no partition
         return scenario
 

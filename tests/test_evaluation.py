@@ -722,6 +722,30 @@ class TestOnePlanPerRun:
             assert sorted(held) == sorted(reordered)
             assert held.tolist() != reordered.tolist()
 
+    def test_one_test_slice_per_dataset_and_seed(self, desk_master):
+        # the global, fewshot and cost_tradeoff targets score the test rows in
+        # id order, as does the personalized target of a run that trains nothing
+        for methods in (["zsclip"], ["zsclip", "promptfl"]):
+            state = build_run_state(self._config(methods), {"synthetic": desk_master})
+            for seed in (0, 1):
+                plans = {kind: state.plans[kind, "synthetic", seed] for kind in self.SCENARIOS}
+                shared = plans["global"].targets[0].test
+                assert plans["fewshot"].targets[0].test is shared
+                assert plans["cost_tradeoff"].targets[0].test is shared
+                assert (plans["personalized"].targets[0].test is shared) == (methods == ["zsclip"])
+
+    def test_trained_personalized_plan_slices_only_client_order(self, desk_master, monkeypatch):
+        sliced = []
+        from_master = ClientDataset.from_master
+        monkeypatch.setattr(ClientDataset, "from_master", staticmethod(
+            lambda master, rows: sliced.append(rows) or from_master(master, rows)))
+        state = build_run_state(replace(self._config(["promptfl"]), scenarios=["personalized"]),
+                                {"synthetic": desk_master})
+        assert len(sliced) == 2  # one per seed
+        for rows, seed in zip(sliced, (0, 1)):
+            (target,) = state.plans["personalized", "synthetic", seed].targets
+            np.testing.assert_array_equal(target.test.master_indices, rows)
+
     def test_cell_the_state_did_not_plan(self, desk_master):
         state = build_run_state(replace(desk_config(), methods=["promptfl"], seeds=[0]),
                                 {"synthetic": desk_master})
