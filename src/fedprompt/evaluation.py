@@ -392,7 +392,7 @@ def _run_plan(state: RunState, scenario: _ScenarioPlan, kind: str, method: str, 
                 predictors[id(scored)] = make_predictor(scored)
             correct = evaluate_predictor(predictors[id(scored)], test.features, test.labels,
                                          scored.class_ids, local_maps=test.local_maps)
-            scores[target.key] = correct / len(test) * 100.0
+            scores[target.key] = correct * 100.0 / len(test)
         return scores
 
     if method == ZERO_SHOT_METHOD:

@@ -180,7 +180,7 @@ def zero_shot_accuracy(assets, features: np.ndarray, labels: np.ndarray) -> floa
     """Accuracy (percent) of the handcrafted prompt on a labeled feature set."""
     hand, _ = assets.text_features(build_handcrafted_context(assets.cfg))
     predictor = CosinePredictor(hand, assets.cfg.tau)
-    return evaluate_predictor(predictor, features, labels, local_maps=None) / len(labels) * 100.0
+    return evaluate_predictor(predictor, features, labels, local_maps=None) * 100.0 / len(labels)
 
 
 def save_feature_table(dataset, path: str) -> None:

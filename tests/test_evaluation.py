@@ -196,6 +196,20 @@ class TestGlobalAccuracy:
                                      local_maps=None)
         assert correct / n * 100.0 == pytest.approx(100.0 / C, abs=1.0)
 
+    def test_accuracy_is_the_count_rounded_once(self, desk_master, monkeypatch):
+        # k correct of n rows score k * 100.0 / n, the one rounding of the exact
+        # percentage; k / n * 100.0 rounds twice and misses it for some k
+        n = len(evaluation._splits(desk_master, 0)[2])
+        assert [k for k in range(n + 1) if k / n * 100.0 != k * 100.0 / n]
+        state = build_run_state(replace(desk_config(), methods=["zsclip", "promptfl"], seeds=[0]),
+                                {"synthetic": desk_master})
+        for k in range(n + 1):
+            monkeypatch.setattr(evaluation, "evaluate_predictor", lambda *args, **kw: k)
+            for method in ("zsclip", "promptfl"):
+                (accuracy,) = [o.value for o in run_cell(state, "global", method, "synthetic",
+                                                          0).observations if o.metric == "alpha_g"]
+                assert accuracy == k * 100.0 / n, (method, k)
+
     def test_empty_rejected(self, desk_master, monkeypatch):
         # a target with no rows fails the run when its plan is drawn, as the
         # run state is built, before any cell or predictor runs
@@ -496,7 +510,7 @@ class TestScenarios:
             assert len(solves) - before == 1
             assert correct == client_by_client_correct(predictor.predictors, predictor.rows,
                                                        features, labels, local_maps)
-            accuracies.append(correct / len(labels) * 100.0)
+            accuracies.append(correct * 100.0 / len(labels))
             return correct
 
         accuracies = []
