@@ -118,15 +118,22 @@ def valid_configs(draw):
 def desk_sized(config: ExperimentConfig) -> ExperimentConfig:
     """`config` cut to a run that takes a moment: at most 2 rounds, 6 clients,
     6 classes and 30 samples per class, its first seed, and its synthetic
-    datasets only (`synthetic` when it has none); raises `ConfigError` where
-    the cut config fails a check."""
-    fed, data = config.federation, config.data
+    datasets only (`synthetic` when it has none). The balanced subsample and
+    the shot count are cut to what a class's cut training rows can hold, so
+    that most examples reach a cell. Raises `ConfigError` where the cut
+    config fails a check."""
+    fed, data, spec = config.federation, config.data, config.scenario
+    clients, samples = min(fed.num_clients, 6), min(data.samples_per_class, 30)
+    train = round(0.7 * samples)  # a class's training rows in the 70/10/20 split
+    subsample = data.per_class_subsample
+    if config.subsample_per_class() > train:
+        subsample = max(1, train)
     return replace(config, seeds=config.seeds[:1],
-                   federation=replace(fed, rounds=min(fed.rounds, 2),
-                                      num_clients=min(fed.num_clients, 6)),
+                   federation=replace(fed, rounds=min(fed.rounds, 2), num_clients=clients),
                    data=replace(data, datasets=[e for e in data.datasets if is_synthetic(e)]
                                 or ["synthetic"], classes=min(data.classes, 6),
-                                samples_per_class=min(data.samples_per_class, 30)))
+                                samples_per_class=samples, per_class_subsample=subsample),
+                   scenario=replace(spec, shots=max(1, min(spec.shots, train // clients))))
 
 
 # JSON scalars an INI file could not hold: each must fail like its INI text
