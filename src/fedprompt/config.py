@@ -7,9 +7,8 @@ section whose fields, annotations and defaults are its keys, key types and
 defaults. A key annotated `X | None` takes `auto` (None). Unknown sections
 or keys are rejected, and the dataclasses check every value, so a config
 built in code is checked as a parsed one is. An empty file yields the
-all-defaults experiment. What only the data can tell, whether a synthetic
-entry's prototypes can be drawn or a feature table is well formed, is
-checked where the data is read: `check_datasets` and `materialize_datasets`.
+all-defaults experiment. Whether a synthetic entry's prototypes fit
+`model.d_image` is checked where they are drawn (`check_datasets`).
 """
 
 import configparser
@@ -35,8 +34,7 @@ from .algorithms import TRAINER_KINDS
 from . import rngs
 
 _METHOD_CHOICES = tuple(TRAINER_KINDS) + (ZERO_SHOT_METHOD,)
-# the prototype draw takes time quadratic in it; a run and `validate` make it once per entry
-_MAX_SYNTHETIC_CLASSES = 1000
+_MAX_SYNTHETIC_CLASSES = 1000  # each command draws the prototypes once, in time quadratic in it
 
 
 @dataclass
@@ -246,12 +244,10 @@ def dataset_display_name(entry: str) -> str:
 def _prototype_seed(entry: str) -> int:
     """The prototype seed of a `synthetic` (0) or `synthetic#<seed>` entry; the
     seed is canonical decimal text, so no two spellings draw one dataset."""
-    if entry == "synthetic":
-        return 0
-    text = entry.split("#", 1)[1]
+    text = entry.split("#", 1)[1] if "#" in entry else "0"
     try:
         seed = int(text)
-    except ValueError:
+    except ValueError:  # also text of more digits than `int` converts
         seed = -1
     if seed < 0 or str(seed) != text:
         raise ConfigError(f"datasets: {entry!r} needs a non-negative integer prototype seed "

@@ -242,10 +242,9 @@ def build_run_state(config: "ExperimentConfig",
     with a transport method, the region-noise rows its cells read.
 
     Each dataset is split once per seed, for the cross-domain targets and the
-    plans, and its test rows of a seed are sliced at most once, in id order,
-    for every plan that scores them in that order. A plan holds a client
-    partition when the run trains a method, so one the data cannot hold
-    fails the run before any cell runs."""
+    plans, which share one slice of its test rows in id order. A plan holds
+    a client partition when the run trains a method, so one the data cannot
+    hold fails the run before any cell runs."""
     keys = dict.fromkeys((cfg, master.class_count)
                          for kind in config.scenarios for method in config.methods
                          for _, cfg in _cell_models(kind, method, config.model)
@@ -259,9 +258,10 @@ def build_run_state(config: "ExperimentConfig",
                for name, master in datasets.items()}
     trained = any(method != ZERO_SHOT_METHOD for method in config.methods)
     transport = any(method in TRANSPORT_METHODS for method in config.methods)
-    tests: dict[tuple[str, int], ClientDataset] = {}  # by (dataset, seed), in id order
+    tests: dict[tuple[str, int], ClientDataset] = {}
 
     def test_slice(name: str, seed: int) -> ClientDataset:
+        """The dataset's test rows of the seed in id order, sliced at the first call."""
         if (name, seed) not in tests:
             tests[name, seed] = ClientDataset.from_master(datasets[name], splits[name, seed][2])
         return tests[name, seed]
