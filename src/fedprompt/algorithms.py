@@ -92,11 +92,11 @@ def sgd_momentum_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray
             raise ConfigError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
         v = velocities.get(name)
         if v is None:
-            v = np.zeros_like(p)
+            v = velocities[name] = np.zeros_like(p)
         if v.shape != p.shape:
             raise ConfigError(f"velocity shape {v.shape} != parameter shape {p.shape} for {name!r}")
-        v = momentum * v + g
-        velocities[name] = v
+        v *= momentum
+        v += g
         out[name] = p - lr_t * v
     return out
 

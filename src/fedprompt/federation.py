@@ -175,7 +175,7 @@ def fedavg_aggregate(payloads: list[CommunicablePayload],
     out = {k: np.zeros_like(payloads[0].fields[k]) for k in keys}
     for w, p in zip(weights, payloads):
         for k in keys:
-            out[k] = out[k] + w * p.fields[k]
+            out[k] += w * p.fields[k]
     return read_only(CommunicablePayload(out))
 
 

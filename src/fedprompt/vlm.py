@@ -11,6 +11,7 @@ encoder variant; the tests check them against central differences.
 """
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -237,9 +238,14 @@ class FrozenTextEncoder:
             pooled = contexts.sum(axis=1) / S
             z = (pooled @ w["w_out"].T)[:, None, :] + rows.head
             attn_cache = None
-        u = np.tanh(z)
-        norms = np.linalg.norm(u, axis=-1, keepdims=True)
-        t = u / norms
+        u = np.tanh(z, out=z)
+        norms = np.empty(u.shape[:-1] + (1,))
+        t = np.empty_like(u)
+        for block in _head_blocks(u):
+            ub = u[block]
+            np.add.reduce(ub * ub, axis=-1, keepdims=True, out=norms[block])
+            np.sqrt(norms[block], out=norms[block])
+            np.divide(ub, norms[block], out=t[block])
         if not np.all(np.isfinite(t)):
             raise DomainError("encoded features contain non-finite entries")
         return t, (rows, u, norms, t, attn_cache)
@@ -256,8 +262,16 @@ class FrozenTextEncoder:
         w = self.weights
         n, C, _ = u.shape
         L, S, d = rows.L, rows.S, self.d_token
-        du = (dfeatures - (dfeatures * t).sum(axis=-1, keepdims=True) * t) / norms
-        dz = du * (1.0 - u * u)
+        # dz = du * (1 - u^2), du = (dfeatures - <dfeatures, t> t) / norms
+        dz = np.empty_like(u)
+        for block in _head_blocks(u):
+            tb, ub, du = t[block], u[block], np.multiply(dfeatures[block], t[block])
+            np.multiply(du.sum(axis=-1, keepdims=True), tb, out=du)
+            np.subtract(dfeatures[block], du, out=du)
+            np.divide(du, norms[block], out=du)
+            np.multiply(ub, ub, out=dz[block])
+            np.subtract(1.0, dz[block], out=dz[block])
+            np.multiply(du, dz[block], out=dz[block])
         if self.variant == "linear_pool":
             dpooled = dz.sum(axis=1) @ w["w_out"] / S
             return np.repeat(dpooled[:, None, :], L, axis=1)
@@ -282,10 +296,22 @@ class FrozenTextEncoder:
         return dX + (dh.sum(axis=1) / S)[:, None, :]
 
 
+def _head_blocks(u: np.ndarray):
+    """Slices of consecutive contexts of u (n, C, d_feature), each about
+    `_HEAD_BLOCK_SCALARS` scalars, so that the head's temporaries stay in cache."""
+    step = max(1, _HEAD_BLOCK_SCALARS // max(1, math.prod(u.shape[1:])))
+    return [slice(start, start + step) for start in range(0, len(u), step)]
+
+
+# 256 KB of float64 per block
+_HEAD_BLOCK_SCALARS = 32768
+
+
 def unit_rows(x: np.ndarray, what: str = "features") -> np.ndarray:
     """Row-normalise, rejecting zero rows."""
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    # the bits of np.linalg.norm, without its copy of x.conj()
+    norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
     if np.any(norms == 0.0):
         raise DomainError(f"{what} contain a zero row")
     return x / norms
