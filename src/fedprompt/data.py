@@ -203,20 +203,20 @@ def _near_orthogonal_prototypes(classes: int, width: int,
                                 rng: np.random.Generator) -> np.ndarray:
     # pairwise |cos| < 0.5 by rejection; comfortably feasible from ~32 dims up,
     # exhausts the try budget when the width is too small for the class count
-    protos: list[np.ndarray] = []
+    protos = np.empty((classes, width))
     for c in range(classes):
         for _attempt in range(1000):
             v = rng.normal(size=width)
             v /= np.linalg.norm(v)
-            if all(abs(v @ p) < 0.5 for p in protos):
-                protos.append(v)
+            if np.all(np.abs(protos[:c] @ v) < 0.5):
+                protos[c] = v
                 break
         else:
             raise ConfigError(
                 f"could not draw near-orthogonal prototype {c}: width {width} too small "
                 f"for {classes} classes"
             )
-    return np.array(protos)
+    return protos
 
 
 def generate_synthetic_dataset(classes: int, width: int, noise_sigma: float,
