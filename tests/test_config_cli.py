@@ -1,6 +1,7 @@
 """Config parsing/validation, the runner's output files, and the CLI."""
 
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -120,16 +121,23 @@ def desk_sized(config: ExperimentConfig) -> ExperimentConfig:
     6 classes and 30 samples per class, its first seed, and its synthetic
     datasets only (`synthetic` when it has none). The balanced subsample and
     the shot count are cut to what a class's cut training rows can hold, so
-    that most examples reach a cell. Raises `ConfigError` where the cut
-    config fails a check."""
+    that most examples reach a cell, and a participation that would sample
+    no cut client is raised to the smallest one that samples one. Raises
+    `ConfigError` where the cut config fails a check."""
     fed, data, spec = config.federation, config.data, config.scenario
     clients, samples = min(fed.num_clients, 6), min(data.samples_per_class, 30)
+    fraction = fed.participation_fraction
+    if round(fraction * clients) < 1:
+        fraction = 0.5 / clients
+        while round(fraction * clients) < 1:
+            fraction = math.nextafter(fraction, 1.0)
     train = round(0.7 * samples)  # a class's training rows in the 70/10/20 split
     subsample = data.per_class_subsample
     if config.subsample_per_class() > train:
         subsample = max(1, train)
     return replace(config, seeds=config.seeds[:1],
-                   federation=replace(fed, rounds=min(fed.rounds, 2), num_clients=clients),
+                   federation=replace(fed, rounds=min(fed.rounds, 2), num_clients=clients,
+                                      participation_fraction=fraction),
                    data=replace(data, datasets=[e for e in data.datasets if is_synthetic(e)]
                                 or ["synthetic"], classes=min(data.classes, 6),
                                 samples_per_class=samples, per_class_subsample=subsample),
