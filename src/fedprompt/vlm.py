@@ -231,7 +231,9 @@ class FrozenTextEncoder:
                 a_bar = A.mean(axis=2)
                 h = (X.reshape(n, L, d).sum(axis=1)[:, None, :] + rows.row_sum) / S
                 h += a_bar[..., :L] @ V3
-                h += np.matmul(a_bar[..., L:].transpose(1, 0, 2), rows.v).transpose(1, 0, 2)
+                # each pair's own sum over its T class rows, so that a context's
+                # features do not depend on how many are stacked with it
+                h += (a_bar[..., L:, None] * rows.v).sum(axis=2)
                 z = (h.reshape(n * C, d) @ w["w_out"].T).reshape(n, C, self.d_feature) + w["b_out"]
                 attn_cache = (Q3, K3, V3, A, a_bar)
         else:
@@ -280,7 +282,9 @@ class FrozenTextEncoder:
         dh = (dz.reshape(n * C, self.d_feature) @ w["w_out"]).reshape(n, C, d)
         da_bar = np.empty((n, C, S))
         da_bar[..., :L] = dh @ V.transpose(0, 2, 1)
-        da_bar[..., L:] = np.matmul(dh.transpose(1, 0, 2), rows.v.transpose(0, 2, 1)).transpose(1, 0, 2)
+        # per pair, as in `encode`: a product over the class axis would run n
+        # rows per class, whose bits depend on n
+        da_bar[..., L:] = np.add.reduce(dh[:, :, None, :] * rows.v, axis=-1)
         dV = a_bar[..., :L].transpose(0, 2, 1) @ dh
         # every query row of A receives the same gradient da_bar / S
         dA = da_bar[:, :, None, :] / S
