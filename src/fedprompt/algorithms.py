@@ -7,7 +7,7 @@ buffers, personal prompts) never travels.
 """
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .vlm import (
     ModelConfig,
     build_prompt_context,
     read_only,
+    repeat_cache,
     unit_rows,
 )
 
@@ -167,9 +168,9 @@ class ClientTrainState:
 # Loss kernels shared by the trainers
 #
 # Each kernel takes the text features `feats` (sets, C, d_feature) of the
-# trained context and `backward`, which maps a gradient w.r.t. those
-# features to the gradient w.r.t. the context; it returns the mean batch
-# loss and that context gradient.
+# trained context and returns the mean batch loss and its gradient w.r.t.
+# those features; the stepping code takes that gradient back through the
+# encoder (see `LocalTrainer.batch_gradients`).
 # ---------------------------------------------------------------------------
 
 def _cosine_ce(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: float):
@@ -185,16 +186,16 @@ def _reference_scores(assets: ModelAssets, xh: np.ndarray) -> np.ndarray:
     return np.einsum("bd,pcd->pbc", xh, assets.hand_features[None]).mean(axis=0)
 
 
-def ce_loss_and_grads(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray,
+def ce_loss_and_grads(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray,
                       tau: float) -> tuple[float, np.ndarray]:
     """Plain mean cross-entropy; scores are per-set cosine means."""
     m = len(feats)
     loss, dlogits, *_ = _cosine_ce(feats, xh, labels, tau)
     dT = np.einsum("bc,bd->cd", dlogits / m, xh)
-    return loss, backward(np.asarray([dT] * m))
+    return loss, np.asarray([dT] * m)
 
 
-def loss_kgcoop(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray, tau: float,
+def loss_kgcoop(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: float,
                 hand: np.ndarray, lambda_kg: float) -> tuple[float, np.ndarray]:
     """CE plus squared distance of class features to the handcrafted ones, `hand`."""
     if lambda_kg < 0:
@@ -209,7 +210,7 @@ def loss_kgcoop(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray,
         reg += float((diff * diff).sum() / n_classes)
         dTs.append(dT_ce + lambda_kg * 2.0 * diff / (n_classes * m))
     reg /= m
-    return loss + lambda_kg * reg, backward(np.asarray(dTs))
+    return loss + lambda_kg * reg, np.asarray(dTs)
 
 
 def project_prograd(g_task: np.ndarray, g_general: np.ndarray, lambda_pg: float) -> np.ndarray:
@@ -227,15 +228,14 @@ def project_prograd(g_task: np.ndarray, g_general: np.ndarray, lambda_pg: float)
     return g_task - lambda_pg * (dot / denom) * g_general
 
 
-def loss_prograd(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray, tau: float,
-                 reference_scores: np.ndarray, lambda_pg: float) -> tuple[float, np.ndarray]:
-    """CE gradient projected to not conflict with the gradient of the KL to the
-    zero-shot predictions of `reference_scores`; the one kernel that projects
-    in context space, so it calls `backward` twice."""
+def loss_prograd(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: float,
+                 reference_scores: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """CE loss with two feature gradients: the CE's, and that of the KL to
+    the zero-shot predictions of `reference_scores`. The one kernel with two:
+    `ProGradTrainer` projects the first against the second in context space."""
     m = len(feats)
     loss, dlogits, probs, scores = _cosine_ce(feats, xh, labels, tau)
     dT_task = np.einsum("bc,bd->cd", dlogits / m, xh)
-    g_task = backward(np.asarray([dT_task] * m))
 
     # gradient of mean KL(current || zero-shot) w.r.t. the same scores; the
     # log-softmax stays finite where a saturated softmax holds a zero
@@ -243,13 +243,10 @@ def loss_prograd(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray
     kl = (probs * log_ratio).sum(axis=1, keepdims=True)
     dkl = probs * (log_ratio - kl) / (tau * xh.shape[0])
     dT_gen = np.einsum("bc,bd->cd", dkl / m, xh)
-    g_general = backward(np.asarray([dT_gen] * m))
-
-    projected = project_prograd(g_task.ravel(), g_general.ravel(), lambda_pg)
-    return loss, projected.reshape(g_task.shape)
+    return loss, np.asarray([dT_task] * m), np.asarray([dT_gen] * m)
 
 
-def loss_proda(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray, tau: float,
+def loss_proda(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: float,
                lambda_orth: float) -> tuple[float, np.ndarray]:
     """Prompt-ensemble CE plus a hinge penalty on aligned prompt-set features."""
     m = len(feats)
@@ -268,10 +265,10 @@ def loss_proda(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray, 
             coef = lambda_orth * 2.0 * pos[:, None] / n_classes
             dTs[i] += coef * feats[j]
             dTs[j] += coef * feats[i]
-    return loss + lambda_orth * penalty, backward(np.asarray(dTs))
+    return loss + lambda_orth * penalty, np.asarray(dTs)
 
 
-def loss_src(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray, tau: float,
+def loss_src(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: float,
              reference_scores: np.ndarray, reference_features: np.ndarray,
              mu_text: float, mu_logit: float) -> tuple[float, np.ndarray]:
     """CE plus L1 consistency with `reference_features` and KL(zero-shot || current)
@@ -296,7 +293,7 @@ def loss_src(feats: np.ndarray, backward, xh: np.ndarray, labels: np.ndarray, ta
         l1 += float(np.abs(diff).sum() / n_classes)
         dTs.append(dT_ce + mu_text * np.sign(diff) / (n_classes * m))
     l1 /= m
-    return loss + mu_text * l1 + mu_logit * kl, backward(np.asarray(dTs))
+    return loss + mu_text * l1 + mu_logit * kl, np.asarray(dTs)
 
 
 def trajectory_average(contexts: list[np.ndarray], window: int) -> np.ndarray:
@@ -320,7 +317,7 @@ def transport_costs(local_maps: np.ndarray | None, feats: np.ndarray) -> np.ndar
     return 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, feats.transpose(1, 0, 2))
 
 
-def ot_scores_and_grads(feats: np.ndarray, backward, local_maps: np.ndarray | None,
+def ot_scores_and_grads(feats: np.ndarray, local_maps: np.ndarray | None,
                         labels: np.ndarray, tau: float, eps: float, iters: int,
                         col_relax: float) -> tuple[float, np.ndarray]:
     """CE over transport-aligned logits; plans are constants of the backward pass.
@@ -336,7 +333,7 @@ def ot_scores_and_grads(feats: np.ndarray, backward, local_maps: np.ndarray | No
     # d logit / d prompt_feat = plan^T @ locals (cost = 1 - <l, f>); weighting
     # the plans first leaves a two-operand contraction, with the same bits
     weighted = dlogits[:, :, None, None] * plans
-    return loss, backward(np.einsum("bcmn,bmd->ncd", weighted, local_maps))
+    return loss, np.einsum("bcmn,bmd->ncd", weighted, local_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +341,12 @@ def ot_scores_and_grads(feats: np.ndarray, backward, local_maps: np.ndarray | No
 # ---------------------------------------------------------------------------
 
 class LocalTrainer:
-    """Shared SGD epoch loop, and the one step that encodes a trained context.
+    """The lockstep SGD loop over a round's clients, and the one step that
+    encodes a trained context.
 
-    Subclasses supply their `loss` on the context's text features (or a
-    whole `grad_step` when the context is conditioned on each image) and
-    the payload layout.
+    Subclasses supply their `loss` on the context's text features and the
+    payload layout; a trainer that conditions the context on each image
+    supplies its own `step_contexts`, `grad_step` and `param_grads`.
     """
 
     kind: str = ""
@@ -400,80 +398,213 @@ class LocalTrainer:
         return ClientTrainState()
 
     # -- training ----------------------------------------------------------
-    def local_train(self, payload: CommunicablePayload, state: ClientTrainState,
-                    dataset: ClientDataset, ctx: TrainContext) -> tuple[CommunicablePayload, float]:
-        """The payload a client returns, and its mean batch loss (0.0 with no batch)."""
-        if len(dataset) == 0:
-            raise DataError("local training on an empty dataset")
-        params = {k: v.copy() for k, v in payload.fields.items()}
-        params.update({k: v.copy() for k, v in state.local_fields.items()})
-        losses: list[float] = []
-        passes: list[dict] = []  # the parameters after each pass over the data
-        # the broadcast's encoding fits the first step only
-        shared = self.broadcast_encoding(payload, ctx.assets)
-        fed = ctx.federation
-        for _ in range(fed.local_epochs):
-            for batch in iterate_batches(dataset, ctx.rng, fed.batch_size):
-                loss, grads = self.grad_step(params, batch, ctx, shared)
-                shared = None
-                params = sgd_momentum_step(params, grads, state.velocities, fed.lr, fed.momentum,
-                                           ctx.round_index, fed.rounds)
-                losses.append(loss)
-            passes.append(params)
-        if passes:
-            params = self.end_of_passes(passes)
-        new_payload = CommunicablePayload({k: params[k] for k in payload.fields})
-        for k in state.local_fields:
-            state.local_fields[k] = params[k]
-        return new_payload, float(np.mean(losses)) if losses else 0.0
+    def local_train(self, payload: CommunicablePayload,
+                    clients: list[tuple[ClientTrainState, ClientDataset, TrainContext]]
+                    ) -> list[tuple[CommunicablePayload, float]]:
+        """The payload each (state, dataset, ctx) client returns from the
+        broadcast `payload`, and its mean batch loss (0.0 with no batch).
+
+        The clients train in lockstep (`step`): each wave takes every
+        unfinished client's next step, their encoder work stacked in client
+        order. One client alone is the one-client case of the same steps.
+        """
+        runs = [ClientRun(self, payload, *client) for client in clients]
+        stepping = runs
+        while stepping:
+            stepping = self.step(stepping)
+        return [run.result() for run in runs]
+
+    def step(self, runs: list["ClientRun"]) -> list["ClientRun"]:
+        """Advance each run by one SGD step on its next batch, and return the
+        runs that stepped; a run with no batch left has finished. The steps'
+        encoder work is stacked in the order of `runs` (`batch_gradients`)."""
+        stepping = [(run, batch) for run in runs if (batch := run.next_batch()) is not None]
+        steps = []
+        for run, batch in stepping:
+            steps.append((run.params, batch, run.ctx, run.shared))
+            run.shared = None  # the broadcast's encoding fits the first step only
+        for (run, _), (loss, grads) in zip(stepping, self.batch_gradients(steps)):
+            run.apply(loss, grads)
+        return [run for run, _ in stepping]
 
     def end_of_passes(self, passes: list[dict]) -> dict:
         """The parameters a client returns, from those after each of its passes."""
         return passes[-1]
 
-    def grad_step(self, params: dict, batch: ClientDataset, ctx: TrainContext,
-                  shared: BroadcastEncoding | None) -> tuple[float, dict]:
-        """Loss and gradients of one batch.
+    def batch_gradients(self, steps: list[tuple]) -> list[tuple[float, dict]]:
+        """Loss and parameter gradients of each (params, batch, ctx, shared)
+        step, all under one assets.
 
-        The context fields are stacked and encoded in one call (`shared`,
-        when given, is the encoding of that stack). The trainer's `loss`
-        takes the features, the encoder's backward pass and the labels as
-        positions in the trained class set; its context gradient is split
-        back by field.
+        A step encodes the contexts of `step_contexts` (`shared`, when given,
+        is the broadcast's encoding of them), `grad_step` takes the features
+        to its loss and feature gradients, the encoder's backward pass takes
+        those to context gradients, and `param_grads` takes these to the
+        parameters. The steps run in chunks of consecutive steps of at most
+        `ConditionedPredictor.PAIRS_PER_BLOCK` (context, class) pairs (a step
+        larger than that is a chunk of its own, its encoder calls cut into
+        blocks of at most that many): each chunk makes one stacked encoder
+        call, or none when it shares the broadcast's encoding, and one
+        stacked backward call per feature gradient of its steps.
         """
-        labels = class_positions(batch.labels, ctx.assets.class_ids)
-        context = self._context(params)
-        feats, cache = (ctx.assets.text_features(context) if shared is None
-                        else shared.take(context))
-        loss, grads = self.loss(feats, lambda dT: ctx.assets.encoder.backward(cache, dT),
-                                batch, labels, ctx)
-        bounds = np.cumsum([len(params[name]) for name in self.context_fields])[:-1]
-        return loss, dict(zip(self.context_fields, np.split(grads, bounds)))
+        prepared = [_Step(*step, *self.step_contexts(*step[:2])) for step in steps]
+        return [out for chunk in _chunks(prepared) for out in self._chunk_gradients(chunk)]
 
-    def loss(self, feats: np.ndarray, backward, batch: ClientDataset, labels: np.ndarray,
-             ctx: TrainContext) -> tuple[float, np.ndarray]:
-        """Mean batch loss and its gradient w.r.t. the stacked context
-        (sets, L, d_token), by one of the loss kernels above."""
+    def _chunk_gradients(self, chunk: list["_Step"]) -> list[tuple[float, dict]]:
+        assets, shared = chunk[0].ctx.assets, chunk[0].shared
+        bounds = np.cumsum([len(step.contexts) for step in chunk])[:-1]
+        if shared is not None:
+            feats = [shared.take(step.contexts)[0] for step in chunk]
+            caches = [(slice(None), repeat_cache(shared.cache, len(chunk)))]
+        else:
+            stacked = np.concatenate([step.contexts for step in chunk])
+            blocks = _blocks(len(stacked), assets.class_count)
+            encoded = [assets.text_features(stacked[block]) for block in blocks]
+            feats = np.split(np.concatenate([f for f, _ in encoded]), bounds)
+            caches = [(block, cache) for block, (_, cache) in zip(blocks, encoded)]
+        results = [self.grad_step(step.params, step.batch, step.ctx, f)
+                   for step, f in zip(chunk, feats)]
+        # one backward wave per feature gradient: the k-th of every step, stacked
+        waves = []
+        for k in range(len(results[0][1])):
+            dfeatures = np.concatenate([dfs[k] for _, dfs in results])
+            dcontexts = np.concatenate([assets.encoder.backward(cache, dfeatures[block])
+                                        for block, cache in caches])
+            waves.append(np.split(dcontexts, bounds))
+        return [(loss, self.param_grads(step.params, [wave[i] for wave in waves], step.aux))
+                for i, ((loss, _), step) in enumerate(zip(results, chunk))]
+
+    def step_contexts(self, params: dict, batch: ClientDataset) -> tuple[np.ndarray, object]:
+        """The contexts (n, L, d_token) a step encodes, and what `param_grads`
+        takes besides: the context fields stacked in one context."""
+        return self._context(params), None
+
+    def grad_step(self, params: dict, batch: ClientDataset, ctx: TrainContext,
+                  feats: np.ndarray) -> tuple[float, list[np.ndarray]]:
+        """Loss of one batch and its gradients w.r.t. the encoded features
+        `feats` of the step's contexts, one per backward wave: the trainer's
+        `loss`, with the batch labels as positions in the trained class set."""
+        labels = class_positions(batch.labels, ctx.assets.class_ids)
+        loss, *dfeatures = self.loss(feats, batch, labels, ctx)
+        return loss, dfeatures
+
+    def loss(self, feats: np.ndarray, batch: ClientDataset, labels: np.ndarray,
+             ctx: TrainContext) -> tuple:
+        """Mean batch loss and its gradients w.r.t. the features (sets, C,
+        d_feature) of the stacked context, by one of the loss kernels above."""
         raise NotImplementedError
+
+    def param_grads(self, params: dict, dcontexts: list[np.ndarray], aux) -> dict:
+        """The parameter gradients from the context gradients of the backward
+        waves: the stacked context's gradient split back by field."""
+        bounds = np.cumsum([len(params[name]) for name in self.context_fields])[:-1]
+        return dict(zip(self.context_fields, np.split(dcontexts[0], bounds)))
 
     # -- inference ---------------------------------------------------------
     def build_predictor(self, payload: CommunicablePayload, assets: ModelAssets,
-                        state: ClientTrainState | None):
-        """The predictor of the payload's context under `assets`' classes: the
-        broadcast's encoding, or a fresh one with the client's own fields in
-        `state` stacked on."""
+                        held: list[tuple[ClientTrainState, int]] | None):
+        """The predictor of the payload's context under `assets`' classes,
+        from the broadcast's encoding. Given `held`, the (state, rows) of the
+        clients that hold fields of their own, it is their `PerClientPredictor`:
+        each client's fields stacked on the payload's, all clients' stacks
+        encoded in blocks as a training step's are."""
+        if held is not None:
+            contexts = np.concatenate([self._context({**payload.fields, **state.local_fields})
+                                       for state, _ in held])
+            feats = np.concatenate([assets.text_features(contexts[block])[0]
+                                    for block in _blocks(len(contexts), assets.class_count)])
+            return PerClientPredictor(
+                [self.predictor(f, assets.cfg.tau) for f in np.split(feats, len(held))],
+                [rows for _, rows in held])
         shared = self.broadcast_encoding(payload, assets)
-        if shared is not None:
-            return self.predictor(shared.features, assets.cfg.tau)
-        fields = {**payload.fields, **(state.local_fields if state is not None else {})}
-        if not all(name in fields for name in self.context_fields):
+        if shared is None:
             raise ConfigError(f"a {self.kind} predictor needs the client state")
-        feats, _ = assets.text_features(self._context(fields))
-        return self.predictor(feats, assets.cfg.tau)
+        return self.predictor(shared.features, assets.cfg.tau)
 
     def predictor(self, features: np.ndarray, tau: float):
         """The predictor that scores with an encoded context's text features."""
         return CosinePredictor(features, tau)
+
+
+class ClientRun:
+    """One client's local training, advanced one SGD step at a time by
+    `LocalTrainer.step`: its parameters, its batches and the losses and
+    per-pass parameters recorded so far."""
+
+    def __init__(self, trainer: LocalTrainer, payload: CommunicablePayload,
+                 state: ClientTrainState, dataset: ClientDataset, ctx: TrainContext):
+        if len(dataset) == 0:
+            raise DataError("local training on an empty dataset")
+        self.trainer, self.payload, self.state, self.ctx = trainer, payload, state, ctx
+        self.params = {k: v.copy() for k, v in payload.fields.items()}
+        self.params.update({k: v.copy() for k, v in state.local_fields.items()})
+        self.shared = trainer.broadcast_encoding(payload, ctx.assets)
+        self.losses: list[float] = []
+        self.passes: list[dict] = []  # the parameters after each pass over the data
+        self._batches = self._draw(dataset)
+
+    def _draw(self, dataset: ClientDataset):
+        fed = self.ctx.federation
+        for _ in range(fed.local_epochs):
+            yield from iterate_batches(dataset, self.ctx.rng, fed.batch_size)
+            self.passes.append(self.params)
+
+    def next_batch(self) -> ClientDataset | None:
+        """The next batch, or None once every pass is done."""
+        return next(self._batches, None)
+
+    def apply(self, loss: float, grads: dict) -> None:
+        """One SGD step on the current batch's `grads`."""
+        fed = self.ctx.federation
+        self.params = sgd_momentum_step(self.params, grads, self.state.velocities, fed.lr,
+                                        fed.momentum, self.ctx.round_index, fed.rounds)
+        self.losses.append(loss)
+
+    def result(self) -> tuple[CommunicablePayload, float]:
+        """The payload the client returns, and its mean batch loss (0.0 with no
+        batch); the client's own fields go back into its state."""
+        params = self.trainer.end_of_passes(self.passes) if self.passes else self.params
+        for k in self.state.local_fields:
+            self.state.local_fields[k] = params[k]
+        return (CommunicablePayload({k: params[k] for k in self.payload.fields}),
+                float(np.mean(self.losses)) if self.losses else 0.0)
+
+
+def _blocks(n: int, classes: int) -> list[slice]:
+    """n stacked contexts cut into near-equal blocks of at most
+    `ConditionedPredictor.PAIRS_PER_BLOCK` (context, class) pairs, one
+    context at least."""
+    per_block = max(1, ConditionedPredictor.PAIRS_PER_BLOCK // classes)
+    count = -(-n // per_block)
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+class _Step(NamedTuple):
+    """A step of `LocalTrainer.batch_gradients`, with what `step_contexts` made of it."""
+
+    params: dict
+    batch: ClientDataset
+    ctx: TrainContext
+    shared: BroadcastEncoding | None
+    contexts: np.ndarray
+    aux: object
+
+
+def _chunks(steps: list[_Step]):
+    """Runs of consecutive steps, each sharing one broadcast encoding (or
+    none) and holding at most `ConditionedPredictor.PAIRS_PER_BLOCK` (context,
+    class) pairs, unless one step alone holds more."""
+    chunk, pairs = [], 0
+    for step in steps:
+        size = len(step.contexts) * step.ctx.assets.class_count
+        if chunk and (pairs + size > ConditionedPredictor.PAIRS_PER_BLOCK
+                      or step.shared is not chunk[0].shared):
+            yield chunk
+            chunk, pairs = [], 0
+        chunk.append(step)
+        pairs += size
+    if chunk:
+        yield chunk
 
 
 @dataclass
@@ -543,17 +674,16 @@ class PerClientPredictor:
 class PromptFLTrainer(LocalTrainer):
     kind = "promptfl"
 
-    def loss(self, feats, backward, batch, labels, ctx):
-        return ce_loss_and_grads(feats, backward, unit_rows(batch.features), labels,
-                                 ctx.assets.cfg.tau)
+    def loss(self, feats, batch, labels, ctx):
+        return ce_loss_and_grads(feats, unit_rows(batch.features), labels, ctx.assets.cfg.tau)
 
 
 class KgCoOpTrainer(LocalTrainer):
     kind = "kgcoop"
     lambda_kg = 1.0
 
-    def loss(self, feats, backward, batch, labels, ctx):
-        return loss_kgcoop(feats, backward, unit_rows(batch.features), labels, ctx.assets.cfg.tau,
+    def loss(self, feats, batch, labels, ctx):
+        return loss_kgcoop(feats, unit_rows(batch.features), labels, ctx.assets.cfg.tau,
                            ctx.assets.hand_features, self.lambda_kg)
 
 
@@ -561,10 +691,16 @@ class ProGradTrainer(LocalTrainer):
     kind = "prograd"
     lambda_pg = 1.0
 
-    def loss(self, feats, backward, batch, labels, ctx):
+    def loss(self, feats, batch, labels, ctx):
         xh = unit_rows(batch.features)
-        return loss_prograd(feats, backward, xh, labels, ctx.assets.cfg.tau,
-                            _reference_scores(ctx.assets, xh), self.lambda_pg)
+        return loss_prograd(feats, xh, labels, ctx.assets.cfg.tau,
+                            _reference_scores(ctx.assets, xh))
+
+    def param_grads(self, params, dcontexts, aux):
+        """The CE's context gradient, its conflict with the KL's projected out."""
+        g_task, g_general = dcontexts
+        projected = project_prograd(g_task.ravel(), g_general.ravel(), self.lambda_pg)
+        return super().param_grads(params, [projected.reshape(g_task.shape)], aux)
 
 
 class ProDATrainer(LocalTrainer):
@@ -572,8 +708,8 @@ class ProDATrainer(LocalTrainer):
     set_multiplier = 2
     lambda_orth = 1.0
 
-    def loss(self, feats, backward, batch, labels, ctx):
-        return loss_proda(feats, backward, unit_rows(batch.features), labels, ctx.assets.cfg.tau,
+    def loss(self, feats, batch, labels, ctx):
+        return loss_proda(feats, unit_rows(batch.features), labels, ctx.assets.cfg.tau,
                           self.lambda_orth)
 
 
@@ -586,9 +722,9 @@ class SRCTrainer(LocalTrainer):
     mu_logit = 1.0
     window = 3
 
-    def loss(self, feats, backward, batch, labels, ctx):
+    def loss(self, feats, batch, labels, ctx):
         xh = unit_rows(batch.features)
-        return loss_src(feats, backward, xh, labels, ctx.assets.cfg.tau,
+        return loss_src(feats, xh, labels, ctx.assets.cfg.tau,
                         _reference_scores(ctx.assets, xh), ctx.assets.reference_features,
                         self.mu_text, self.mu_logit)
 
@@ -615,46 +751,55 @@ class CoCoOpTrainer(LocalTrainer):
         fields.update(metanet_init(cfg, rng))
         return read_only(CommunicablePayload(fields))
 
-    def grad_step(self, params, batch, ctx, shared):
+    def step_contexts(self, params, batch):
+        """Every image's conditioned contexts, and the meta-net cache."""
+        return conditioned_contexts(params, unit_rows(batch.features))
+
+    def grad_step(self, params, batch, ctx, feats):
         xh = unit_rows(batch.features)
         labels = class_positions(batch.labels, ctx.assets.class_ids)
-        logits, (feats, cache, meta_cache) = conditioned_logits(ctx.assets, params, xh)
-        loss, dlogits, _ = softmax_ce_batch(logits, labels, ctx.assets.cfg.tau)
+        feats = feats.reshape((len(xh), -1) + feats.shape[1:])             # (B, m, C, d)
+        loss, dlogits, _ = softmax_ce_batch(conditioned_scores(xh, feats), labels,
+                                            ctx.assets.cfg.tau)
         B, m, C, d_feature = feats.shape
         # every prompt set of image b gets d logits[b] / m along that image's feature
         dT = np.broadcast_to((dlogits / m)[:, None, :, None] * xh[:, None, None, :], feats.shape)
-        dctx = ctx.assets.encoder.backward(cache, dT.reshape(B * m, C, d_feature))
-        dctx = dctx.reshape((B,) + params["context"].shape)             # (B, m, L, d_token)
+        return loss, [dT.reshape(B * m, C, d_feature)]
+
+    def param_grads(self, params, dcontexts, meta_cache):
+        dctx = dcontexts[0].reshape((-1,) + params["context"].shape)    # (B, m, L, d_token)
         # image b's bias is added to all m*L of its context tokens
         grads = metanet_backward(params, meta_cache, dctx.sum(axis=(1, 2)))
         grads["context"] = dctx.sum(axis=0)
-        return loss, grads
+        return grads
 
-    def build_predictor(self, payload, assets, state):
+    def build_predictor(self, payload, assets, held):
         return ConditionedPredictor(assets, payload.fields)
 
 
-def conditioned_logits(assets: ModelAssets, params: dict[str, np.ndarray], xh: np.ndarray):
-    """Scores (B, C) of unit image features under their own conditioned prompts.
-
-    Every image shifts all m context sets by its meta-net bias; the B*m
-    shifted contexts are encoded in one call. Also returns the features
-    (B, m, C, d_feature) and the encoder and meta-net caches.
-    """
+def conditioned_contexts(params: dict[str, np.ndarray],
+                         xh: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The m context sets shifted by each unit image feature's meta-net bias,
+    (B*m, L, d_token) in image order, and the meta-net cache."""
     context = params["context"]
     bias, meta_cache = metanet_forward(params, xh)
     shifted = context[None] + bias[:, None, None, :]                    # (B, m, L, d)
-    feats, cache = assets.text_features(shifted.reshape((-1,) + context.shape[1:]))
-    feats = feats.reshape(shifted.shape[:2] + feats.shape[1:])
-    logits = np.einsum("bd,bpcd->bpc", xh, feats).mean(axis=1)
-    return logits, (feats, cache, meta_cache)
+    return shifted.reshape((-1,) + context.shape[1:]), meta_cache
+
+
+def conditioned_scores(xh: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """Scores (B, C) of unit image features under the features of their own
+    conditioned contexts, (B, m, C, d_feature) or stacked (B*m, C, d_feature)."""
+    feats = feats.reshape((len(xh), -1) + feats.shape[-2:])
+    return np.einsum("bd,bpcd->bpc", xh, feats).mean(axis=1)
 
 
 class ConditionedPredictor:
     """Image-conditioned prompts, encoded for a block of test images at a time."""
 
-    # (context, class) pairs per encode call. The attention encoder holds a few
-    # (pairs, d_token) float64 temporaries, about 5 MB per call at d_token=512.
+    # (context, class) pairs per encode call, in prediction and in training.
+    # The attention encoder holds a few (pairs, d_token) float64 temporaries,
+    # about 5 MB per call at d_token=512.
     PAIRS_PER_BLOCK = 256
 
     def __init__(self, assets: ModelAssets, fields: dict[str, np.ndarray]):
@@ -665,8 +810,11 @@ class ConditionedPredictor:
         xh = unit_rows(image_features)
         pairs = self.fields["context"].shape[0] * self.assets.class_count
         block = max(1, self.PAIRS_PER_BLOCK // pairs)
-        logits = [conditioned_logits(self.assets, self.fields, xh[start:start + block])[0]
-                  for start in range(0, xh.shape[0], block)]
+        logits = []
+        for start in range(0, xh.shape[0], block):
+            xb = xh[start:start + block]
+            feats, _ = self.assets.text_features(conditioned_contexts(self.fields, xb)[0])
+            logits.append(conditioned_scores(xb, feats))
         return softmax_temp(np.concatenate(logits), self.assets.cfg.tau)
 
 
@@ -680,8 +828,8 @@ class FedOTPTrainer(LocalTrainer):
     ot_eps = 0.1
     ot_iters = 100
 
-    def loss(self, feats, backward, batch, labels, ctx):
-        return ot_scores_and_grads(feats, backward, batch.local_maps, labels, ctx.assets.cfg.tau,
+    def loss(self, feats, batch, labels, ctx):
+        return ot_scores_and_grads(feats, batch.local_maps, labels, ctx.assets.cfg.tau,
                                    self.ot_eps, self.ot_iters, self.ot_relax)
 
     def predictor(self, features, tau):

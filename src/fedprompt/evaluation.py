@@ -18,7 +18,6 @@ import numpy as np
 
 from .algorithms import (
     CosinePredictor,
-    PerClientPredictor,
     PersonalizedFedOTPTrainer,
     make_trainer,
 )
@@ -415,13 +414,10 @@ def _run_plan(state: RunState, scenario: _ScenarioPlan, kind: str, method: str, 
     def evaluate(server, clients) -> dict[str, float]:
         """Score the broadcast's predictor or, where clients hold fields of their
         own, each personalized client's own over that client's rows."""
-        payload = server.payload
-        if scenario.client_rows is None or not any(c.state.local_fields for c in clients):
-            return score(lambda scored: trainer.build_predictor(payload, scored, None))
-        held = [(c, rows) for c, rows in zip(clients, scenario.client_rows) if rows]
-        return score(lambda scored: PerClientPredictor(
-            [trainer.build_predictor(payload, scored, c.state) for c, _ in held],
-            [rows for _, rows in held]))
+        held = None
+        if scenario.client_rows is not None and any(c.state.local_fields for c in clients):
+            held = [(c.state, rows) for c, rows in zip(clients, scenario.client_rows) if rows]
+        return score(lambda scored: trainer.build_predictor(server.payload, scored, held))
 
     server = run_federation(trainer, clients, fed_cfg, cut(scenario.class_ids), seed,
                             eval_fn=evaluate if scenario.per_round else None)

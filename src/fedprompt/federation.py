@@ -199,13 +199,16 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
     else:
         declared = trainer.payload_scalars(assets.cfg)
         report.download_scalars = report.upload_scalars = declared * len(participating)
+        # the payload is read-only; each client copies what it trains. The
+        # clients train in lockstep, stacked in ascending id order, which is
+        # also the aggregation order
+        trained = trainer.local_train(server.payload, [
+            (clients[cid].state, clients[cid].dataset,
+             TrainContext(assets=assets, round_index=t, federation=fed_cfg,
+                          rng=rngs.derive_rng(seed, rngs.CLIENT, cid, t)))
+            for cid in participating])
         payloads, losses = [], []
-        for cid in participating:  # ascending ids: the aggregation order
-            client = clients[cid]
-            ctx = TrainContext(assets=assets, round_index=t, federation=fed_cfg,
-                               rng=rngs.derive_rng(seed, rngs.CLIENT, cid, t))
-            # the payload is read-only; local_train copies what it trains
-            payload, loss = trainer.local_train(server.payload, client.state, client.dataset, ctx)
+        for cid, (payload, loss) in zip(participating, trained):
             if payload.scalar_count != declared:
                 raise AggregationError(
                     f"client {cid} returned {payload.scalar_count} scalars, declared {declared}"

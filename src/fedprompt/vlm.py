@@ -300,6 +300,21 @@ class FrozenTextEncoder:
         return dX + (dh.sum(axis=1) / S)[:, None, :]
 
 
+def repeat_cache(cache: tuple, k: int) -> tuple:
+    """An encoding's cache (see `FrozenTextEncoder.encode`) for k copies of
+    its contexts stacked in order, so that one `backward` call takes k
+    feature gradients of the one encoding."""
+    if k == 1:
+        return cache
+    rows, u, norms, t, attn_cache = cache
+
+    def tile(a):
+        return np.concatenate([a] * k)
+
+    return (rows, tile(u), tile(norms), tile(t),
+            None if attn_cache is None else tuple(map(tile, attn_cache)))
+
+
 def _head_blocks(u: np.ndarray):
     """Slices of consecutive contexts of u (n, C, d_feature), each about
     `_HEAD_BLOCK_SCALARS` scalars, so that the head's temporaries stay in cache."""

@@ -7,8 +7,9 @@ client. The package computes these in batched form (`softmax_ce_batch`,
 `ModelAssets.text_features`, `payload_scalars`, `transport_probs`, one
 `probs` call over every client's rows); these plain forms are what the
 tests compare it against. Also the transport loss with its plan
-gradient in one three-operand contraction, a context's encoding as the loss
-kernels take it, a trainer with other loss weights, zero-shot accuracy on a plain feature set, a
+gradient in one three-operand contraction, a loss kernel's gradient w.r.t.
+the context it encodes, a trainer with other loss weights, zero-shot
+accuracy on a plain feature set, a
 feature-table writer, the plane-by-plane rotation loop that `data._rotate_planes`
 vectorises, the domain shift of every row of a dataset at once (the
 reference for `data.apply_domain_shift`, which shifts only the rows asked
@@ -94,10 +95,12 @@ def finite_diff_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
     return grad
 
 
-def encoded(assets, context: np.ndarray):
-    """A context's text features and the backward pass, as the loss kernels take them."""
+def on_context(kernel, assets, context: np.ndarray, *args, **kwargs):
+    """A loss kernel's loss and its gradient w.r.t. `context`: the kernel on the
+    context's text features, its feature gradient taken back through the encoder."""
     feats, cache = assets.text_features(context)
-    return feats, lambda dfeatures: assets.encoder.backward(cache, dfeatures)
+    loss, dfeatures = kernel(feats, *args, **kwargs)
+    return loss, assets.encoder.backward(cache, dfeatures)
 
 
 def trainer_with(kind: str, **settings):
@@ -150,14 +153,13 @@ def transport_probs_alone(predictor, local_maps: np.ndarray) -> np.ndarray:
     return softmax_temp(-(plans * costs).sum(axis=(-2, -1)), predictor.tau)
 
 
-def ot_scores_and_grads_three_operand(feats, backward, local_maps, labels, tau, eps, iters,
-                                      col_relax):
+def ot_scores_and_grads_three_operand(feats, local_maps, labels, tau, eps, iters, col_relax):
     """`ot_scores_and_grads` with its plan gradient contracted by one
     three-operand einsum over (dlogits, plans, local maps)."""
     costs = 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, feats.transpose(1, 0, 2))
     plans = sinkhorn_batched(costs, eps, iters, col_relax=col_relax)
     loss, dlogits, _ = softmax_ce_batch(-(plans * costs).sum(axis=(-2, -1)), labels, tau)
-    return loss, backward(np.einsum("bc,bcmn,bmd->ncd", dlogits, plans, local_maps))
+    return loss, np.einsum("bc,bcmn,bmd->ncd", dlogits, plans, local_maps)
 
 
 def client_by_client_correct(predictors, rows, features, labels, local_maps) -> int:

@@ -155,8 +155,9 @@ def test_criterion_03_gradient_correctness():
             ]
             for name, trainer, step_ctx, v0 in cases:
                 def f_loss(v, trainer=trainer, step_ctx=step_ctx):
-                    return trainer.grad_step({"context": v}, batch, step_ctx, None)[0]
-                grads = trainer.grad_step({"context": v0}, batch, step_ctx, None)[1]["context"]
+                    return trainer.batch_gradients([({"context": v}, batch, step_ctx, None)])[0][0]
+                (_, grads), = trainer.batch_gradients([({"context": v0}, batch, step_ctx, None)])
+                grads = grads["context"]
                 fd = finite_diff_gradient(lambda flat: f_loss(flat.reshape(v0.shape)),
                                           v0.copy().ravel()).reshape(v0.shape)
                 err = relative_error(grads, fd)
@@ -167,12 +168,12 @@ def test_criterion_03_gradient_correctness():
             trainer = make_trainer("cocoop")
             payload = trainer.init_payload(cfg, np.random.default_rng(inst["seed"]))
             params = {k: a.copy() for k, a in payload.fields.items()}
-            _, grads = trainer.grad_step(params, batch, ctx, None)
+            (_, grads), = trainer.batch_gradients([(params, batch, ctx, None)])
             for field in params:
                 def f(flat, field=field):
                     probe = {k: (flat.reshape(params[k].shape) if k == field else params[k])
                              for k in params}
-                    return trainer.grad_step(probe, batch, ctx, None)[0]
+                    return trainer.batch_gradients([(probe, batch, ctx, None)])[0][0]
                 fd = finite_diff_gradient(f, params[field].copy().ravel()).reshape(params[field].shape)
                 err = relative_error(grads[field], fd)
                 assert err < 1e-4, f"{variant}/cocoop.{field}: rel err {err}"
@@ -303,7 +304,7 @@ def test_criterion_08_reduction_suite():
         state = trainer.init_state(cfg, np.random.default_rng(9))
         ctx = TrainContext(assets=assets, round_index=0, federation=FederationConfig(rounds=10),
                            rng=np.random.default_rng(4))
-        out, _ = trainer.local_train(payload, state, data, ctx)
+        (out, _), = trainer.local_train(payload, [(state, data, ctx)])
         return out
 
     base = one_step("promptfl")

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 import vlm_oracle
 from conftest import random_unit_batch, small_config
 from oracle import (
-    encoded,
     finite_diff_gradient,
     max_abs_diff,
     metanet_param_count,
+    on_context,
     ot_scores_and_grads_three_operand,
     payloads_equal,
     recorded_batches,
@@ -187,7 +187,7 @@ class TestCoCoOpBatched:
             labels = class_ids[labels % len(class_ids)]
         ctx = make_ctx(assets.for_classes(class_ids))
         batch = ClientDataset(features=xh, labels=labels, master_indices=np.arange(len(labels)))
-        loss, grads = make_trainer("cocoop").grad_step(params, batch, ctx, None)
+        (loss, grads), = make_trainer("cocoop").batch_gradients([(params, batch, ctx, None)])
         positions = class_positions(labels, class_ids)
         expected_loss, _, expected = per_image_cocoop(assets, params, xh, positions, class_ids)
         assert loss == pytest.approx(expected_loss, rel=1e-12)
@@ -203,14 +203,14 @@ class TestCoCoOpBatched:
         trainer = make_trainer("cocoop")
         ctx = make_ctx(assets)
         batch = ClientDataset(features=xh, labels=labels, master_indices=np.arange(len(labels)))
-        _, grads = trainer.grad_step(params, batch, ctx, None)
+        (_, grads), = trainer.batch_gradients([(params, batch, ctx, None)])
         for name, entries in (("meta_w1", [(0, 0), (3, 5), (17, 11)]),
                               ("meta_b2", [(0,), (4,), (7,)])):
             for entry in entries:
                 def f(value, name=name, entry=entry):
                     probe = {k: v.copy() for k, v in params.items()}
                     probe[name][entry] = value[0]
-                    return trainer.grad_step(probe, batch, ctx, None)[0]
+                    return trainer.batch_gradients([(probe, batch, ctx, None)])[0][0]
                 fd = finite_diff_gradient(f, np.array([params[name][entry]]))[0]
                 assert grads[name][entry] == pytest.approx(fd, rel=1e-4, abs=1e-9), (name, entry)
 
@@ -236,10 +236,10 @@ class TestLossGradients:
         xh = random_unit_batch(rng, 3, cfg.d_image)
         y = np.array([0, 1, 3])
         hand = assets.hand_features
-        _, g = loss_kgcoop(*encoded(assets, v), xh, y, cfg.tau, hand, 1.7)
+        _, g = on_context(loss_kgcoop, assets, v, xh, y, cfg.tau, hand, 1.7)
         fd = finite_diff_gradient(
-            lambda f: loss_kgcoop(*encoded(assets, f.reshape(v.shape)), xh, y, cfg.tau, hand,
-                                  1.7)[0],
+            lambda f: on_context(loss_kgcoop, assets, f.reshape(v.shape), xh, y, cfg.tau, hand,
+                                 1.7)[0],
             v.copy().ravel()).reshape(v.shape)
         assert relative_error(g, fd) < 1e-4
 
@@ -248,9 +248,9 @@ class TestLossGradients:
         assets = build_assets(cfg, 4)
         xh = random_unit_batch(rng, 2, cfg.d_image)
         y = np.array([0, 1])
-        hand = encoded(assets, build_handcrafted_context(cfg))
-        ce_loss, _ = ce_loss_and_grads(*hand, xh, y, cfg.tau)
-        reg_loss, _ = loss_kgcoop(*hand, xh, y, cfg.tau, assets.hand_features, 5.0)
+        hand, _ = assets.text_features(build_handcrafted_context(cfg))
+        ce_loss, _ = ce_loss_and_grads(hand, xh, y, cfg.tau)
+        reg_loss, _ = loss_kgcoop(hand, xh, y, cfg.tau, assets.hand_features, 5.0)
         assert reg_loss == pytest.approx(ce_loss, abs=1e-12)
 
     @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
@@ -260,9 +260,9 @@ class TestLossGradients:
         v = rng.normal(size=(2, cfg.tokens, cfg.d_token)) * 0.1
         xh = random_unit_batch(rng, 3, cfg.d_image)
         y = np.array([2, 1, 0])
-        _, g = loss_proda(*encoded(assets, v), xh, y, cfg.tau, 0.9)
+        _, g = on_context(loss_proda, assets, v, xh, y, cfg.tau, 0.9)
         fd = finite_diff_gradient(
-            lambda f: loss_proda(*encoded(assets, f.reshape(v.shape)), xh, y, cfg.tau, 0.9)[0],
+            lambda f: on_context(loss_proda, assets, f.reshape(v.shape), xh, y, cfg.tau, 0.9)[0],
             v.copy().ravel()).reshape(v.shape)
         assert relative_error(g, fd) < 1e-4
 
@@ -270,7 +270,7 @@ class TestLossGradients:
         cfg = small_config()
         assets = build_assets(cfg, 4)
         with pytest.raises(ConfigError):
-            loss_proda(*encoded(assets, np.zeros((1, cfg.tokens, cfg.d_token))),
+            on_context(loss_proda, assets, np.zeros((1, cfg.tokens, cfg.d_token)),
                        random_unit_batch(rng, 2, cfg.d_image), np.array([0, 1]), cfg.tau, 1.0)
 
     def test_proda_identical_sets_reduce_to_single_ce(self, rng):
@@ -283,9 +283,9 @@ class TestLossGradients:
         v = rng.normal(size=(1, cfg1.tokens, cfg1.d_token)) * 0.1
         xh = random_unit_batch(rng, 3, cfg1.d_image)
         y = np.array([0, 3, 2])
-        ce, g_single = ce_loss_and_grads(*encoded(assets1, v), xh, y, cfg1.tau)
+        ce, g_single = on_context(ce_loss_and_grads, assets1, v, xh, y, cfg1.tau)
         dup = np.concatenate([v, v], axis=0)
-        ens, g_pair = loss_proda(*encoded(assets2, dup), xh, y, cfg2.tau, 0.0)
+        ens, g_pair = on_context(loss_proda, assets2, dup, xh, y, cfg2.tau, 0.0)
         assert ens == pytest.approx(ce, abs=1e-12)
         np.testing.assert_allclose(g_pair[0], g_single[0] / 2.0, atol=1e-15)
         np.testing.assert_allclose(g_pair[1], g_single[0] / 2.0, atol=1e-15)
@@ -296,10 +296,10 @@ class TestLossGradients:
         v = rng.normal(size=(2, cfg.tokens, cfg.d_token)) * 0.1
         xh = random_unit_batch(rng, 2, cfg.d_image)
         y = np.array([0, 1])
-        feats, backward = encoded(assets, v)
+        feats, _ = assets.text_features(v)
         dots = (feats[0] * feats[1]).sum(axis=1)
-        loss_on, _ = loss_proda(feats, backward, xh, y, cfg.tau, 1.0)
-        loss_off, _ = loss_proda(feats, backward, xh, y, cfg.tau, 0.0)
+        loss_on, _ = loss_proda(feats, xh, y, cfg.tau, 1.0)
+        loss_off, _ = loss_proda(feats, xh, y, cfg.tau, 0.0)
         expected_penalty = float((np.maximum(dots, 0) ** 2).mean())
         assert loss_on - loss_off == pytest.approx(expected_penalty, abs=1e-12)
 
@@ -312,10 +312,10 @@ class TestLossGradients:
         y = np.array([1, 2, 0])
         zero_shot = _reference_scores(assets, xh)
         refs = assets.reference_features
-        _, g = loss_src(*encoded(assets, v), xh, y, cfg.tau, zero_shot, refs, 0.6, 0.4)
+        _, g = on_context(loss_src, assets, v, xh, y, cfg.tau, zero_shot, refs, 0.6, 0.4)
         fd = finite_diff_gradient(
-            lambda f: loss_src(*encoded(assets, f.reshape(v.shape)), xh, y, cfg.tau, zero_shot,
-                               refs, 0.6, 0.4)[0],
+            lambda f: on_context(loss_src, assets, f.reshape(v.shape), xh, y, cfg.tau, zero_shot,
+                                 refs, 0.6, 0.4)[0],
             v.copy().ravel()).reshape(v.shape)
         assert relative_error(g, fd) < 1e-4
 
@@ -324,9 +324,9 @@ class TestLossGradients:
         assets = build_assets(cfg, 4)
         xh = random_unit_batch(rng, 2, cfg.d_image)
         y = np.array([0, 1])
-        hand = encoded(assets, build_handcrafted_context(cfg))
-        ce_loss, _ = ce_loss_and_grads(*hand, xh, y, cfg.tau)
-        src_loss, _ = loss_src(*hand, xh, y, cfg.tau, _reference_scores(assets, xh),
+        hand, _ = assets.text_features(build_handcrafted_context(cfg))
+        ce_loss, _ = ce_loss_and_grads(hand, xh, y, cfg.tau)
+        src_loss, _ = loss_src(hand, xh, y, cfg.tau, _reference_scores(assets, xh),
                                assets.hand_features, 3.0, 3.0)
         assert src_loss == pytest.approx(ce_loss, abs=1e-12)
 
@@ -387,7 +387,7 @@ class TestTrainers:
         payload = trainer.init_payload(cfg, rng)
         state = trainer.init_state(cfg, rng)
         data = client_dataset(rng, 8, cfg.d_image, 4)
-        out, _ = trainer.local_train(payload, state, data, make_ctx(assets, local_epochs=0))
+        (out, _), = trainer.local_train(payload, [(state, data, make_ctx(assets, local_epochs=0))])
         assert payloads_equal(out, payload)
 
     def test_loss_decreases_on_separable_data(self):
@@ -408,7 +408,7 @@ class TestTrainers:
         losses = []
         for step in range(5):
             ctx = make_ctx(assets, rng_seed=step, batch_size=80, rounds=100)
-            payload, loss = trainer.local_train(payload, state, data, ctx)
+            (payload, loss), = trainer.local_train(payload, [(state, data, ctx)])
             losses.append(loss)
         assert losses[-1] < losses[0]
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
@@ -422,7 +422,7 @@ class TestTrainers:
         empty = ClientDataset(features=np.zeros((0, cfg.d_image)),
                               labels=np.zeros(0, dtype=int), master_indices=np.zeros(0, dtype=int))
         with pytest.raises(DataError):
-            trainer.local_train(payload, state, empty, make_ctx(assets))
+            trainer.local_train(payload, [(state, empty, make_ctx(assets))])
 
     def test_batch_label_outside_the_trained_classes(self, rng):
         cfg = small_config()
@@ -432,8 +432,8 @@ class TestTrainers:
         batch = ClientDataset(features=random_unit_batch(rng, 3, cfg.d_image), labels=np.array([3, 1, 0]),
                               master_indices=np.arange(3))
         with pytest.raises(DataError, match=r"label 1 is outside the class set \[0, 2, 3\]"):
-            trainer.grad_step(params, batch, make_ctx(assets.for_classes(np.array([0, 2, 3]))),
-                              None)
+            trainer.batch_gradients(
+                [(params, batch, make_ctx(assets.for_classes(np.array([0, 2, 3]))), None)])
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -452,7 +452,7 @@ class TestTrainers:
         state = trainer.init_state(cfg, np.random.default_rng(1))
         ctx = make_ctx(assets, rng_seed=4, local_epochs=3, batch_size=4)
         with recorded_batches() as batches:
-            out, _ = trainer.local_train(payload, state, data, ctx)
+            (out, _), = trainer.local_train(payload, [(state, data, ctx)])
 
         context = payload.fields["context"]
         velocities = {}
@@ -462,8 +462,8 @@ class TestTrainers:
         for _ in range(3):
             for batch in iterate_batches(data, batch_rng, 4):
                 xh = unit_rows(batch.features)
-                _, grads = loss_src(*encoded(assets, context), xh, batch.labels, cfg.tau,
-                                    _reference_scores(assets, xh), refs, 0.5, 0.7)
+                _, grads = on_context(loss_src, assets, context, xh, batch.labels, cfg.tau,
+                                      _reference_scores(assets, xh), refs, 0.5, 0.7)
                 context = sgd_momentum_step({"context": context}, {"context": grads},
                                             velocities, 0.002, 0.9, 0, 10)["context"]
             trajectory.append(context)
@@ -479,7 +479,7 @@ class TestTrainers:
         data = client_dataset(rng, 8, cfg.d_image, 4)
         ctx = make_ctx(assets, local_epochs=0)
         with recorded_batches() as batches:
-            out, loss = trainer.local_train(payload, state, data, ctx)
+            (out, loss), = trainer.local_train(payload, [(state, data, ctx)])
         assert payloads_equal(out, payload)
         assert batches == [] and loss == 0.0
 
@@ -489,7 +489,7 @@ def _one_step_payload(kind, cfg, assets, data, seed=0, **settings):
     payload = trainer.init_payload(cfg, np.random.default_rng(9))
     state = trainer.init_state(cfg, np.random.default_rng(9))
     ctx = make_ctx(assets, rng_seed=seed)
-    out, _ = trainer.local_train(payload, state, data, ctx)
+    (out, _), = trainer.local_train(payload, [(state, data, ctx)])
     return out
 
 
@@ -527,7 +527,7 @@ class TestReductionWeb:
             payload = CommunicablePayload({"context": build_handcrafted_context(cfg)})
             state = trainer.init_state(cfg, np.random.default_rng(0))
             ctx = make_ctx(assets, rng_seed=3, batch_size=32)
-            out, _ = trainer.local_train(payload, state, data, ctx)
+            (out, _), = trainer.local_train(payload, [(state, data, ctx)])
             if kind == "promptfl":
                 base = out
         assert max_abs_diff(base, out) <= 1e-12
@@ -555,7 +555,7 @@ class TestFedOTP:
             unit_rows(f[None, :] + 0.1 * np.random.default_rng(7).normal(size=(3, cfg.d_image)))
             for f in data.features
         ]))
-        out, _ = trainer.local_train(payload, state, data, make_ctx(assets))
+        (out, _), = trainer.local_train(payload, [(state, data, make_ctx(assets))])
         assert list(out.fields) == ["context_global"]
         assert np.any(state.local_fields["context_local"] != local_before)
 
@@ -567,7 +567,7 @@ class TestFedOTP:
         state = trainer.init_state(cfg, rng)
         data = client_dataset(rng, 6, cfg.d_image, 4)
         with pytest.raises(ConfigError):
-            trainer.local_train(payload, state, data, make_ctx(assets))
+            trainer.local_train(payload, [(state, data, make_ctx(assets))])
 
 
 class TestTransportGradientSurrogate:
@@ -576,7 +576,8 @@ class TestTransportGradientSurrogate:
     def test_plan_gradient_equals_three_operand_contraction_bitwise(self, variant, n_sets,
                                                                     col_relax):
         # weighting the plans by dlogits before contracting with the region
-        # features gives the bits of the one three-operand contraction
+        # features gives the bits of the one three-operand contraction, and
+        # so does the context gradient the encoder's backward pass makes of it
         cfg = small_config(variant, prompts=n_sets, d_feature=512, d_image=512)
         assets = build_assets(cfg, 5)
         rng = np.random.default_rng(n_sets)
@@ -586,11 +587,11 @@ class TestTransportGradientSurrogate:
                 maps = unit_rows(rng.normal(size=(batch, regions, cfg.d_image)))
                 labels = rng.integers(0, 5, size=batch)
                 args = (maps, labels, cfg.tau, 0.1, 100, col_relax)
-                loss, grads = ot_scores_and_grads(*encoded(assets, context), *args)
-                ref_loss, ref_grads = ot_scores_and_grads_three_operand(
-                    *encoded(assets, context), *args)
+                feats, _ = assets.text_features(context)
+                loss, dfeatures = ot_scores_and_grads(feats, *args)
+                ref_loss, ref_dfeatures = ot_scores_and_grads_three_operand(feats, *args)
                 assert loss == ref_loss
-                assert grads.tobytes() == ref_grads.tobytes(), (batch, regions)
+                assert dfeatures.tobytes() == ref_dfeatures.tobytes(), (batch, regions)
 
     def test_plot_gradient_matches_plan_frozen_objective(self, rng):
         # the exported gradient is exact for the objective in which the
@@ -609,8 +610,8 @@ class TestTransportGradientSurrogate:
         batch = ClientDataset(features=feats_img, labels=labels,
                               master_indices=np.arange(2), local_maps=maps)
 
-        loss, grads = ot_scores_and_grads(*encoded(assets, v), batch.local_maps, labels, cfg.tau,
-                                          eps=0.2, iters=60, col_relax=1.0)
+        loss, grads = on_context(ot_scores_and_grads, assets, v, batch.local_maps, labels,
+                                 cfg.tau, eps=0.2, iters=60, col_relax=1.0)
 
         # freeze the plans obtained at v, then vary the context
         feats0, _ = assets.text_features(v)

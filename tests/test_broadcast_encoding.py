@@ -109,18 +109,22 @@ class TestCellEncodes:
         assert len(contexts) > rounds + 1
 
     def test_cocoop_cell_encodes_only_its_conditioned_contexts(self, desk_master, monkeypatch):
+        # the encoder sees the conditioned contexts as they were made, in
+        # order, stacked across a wave's clients and nothing else
         state = _desk_state(desk_master, "cocoop", rounds=2, batch_size=2)
         contexts = _record_encodes(monkeypatch)
         conditioned = []
-        original = algorithms.conditioned_logits
+        original = algorithms.conditioned_contexts
 
-        def counting_logits(*args, **kwargs):
-            conditioned.append(1)
-            return original(*args, **kwargs)
+        def recording_contexts(*args, **kwargs):
+            shifted, meta_cache = original(*args, **kwargs)
+            conditioned.append(shifted)
+            return shifted, meta_cache
 
-        monkeypatch.setattr(algorithms, "conditioned_logits", counting_logits)
+        monkeypatch.setattr(algorithms, "conditioned_contexts", recording_contexts)
         run_cell(state, "global", "cocoop", "synthetic", 0)
-        assert len(contexts) == len(conditioned) > 0
+        assert 0 < len(contexts) < len(conditioned)
+        assert np.concatenate(contexts).tobytes() == np.concatenate(conditioned).tobytes()
 
 
 class TestSharedStep:
@@ -145,7 +149,7 @@ class TestSharedStep:
                                federation=FederationConfig(rounds=5, batch_size=5, local_epochs=2),
                                rng=np.random.default_rng(4))
             with recorded_batches() as batches:
-                out, loss = trainer.local_train(payload, state, data, ctx)
+                (out, loss), = trainer.local_train(payload, [(state, data, ctx)])
             outs.append((out, loss, state, len(batches)))
         assert (payload.encoding.assets is trained) if sharing else (payload.encoding is None)
         (out_a, loss_a, state_a, batches_a), (out_b, loss_b, state_b, batches_b) = outs
@@ -209,9 +213,10 @@ class TestBroadcastEncoding:
         before = [a.copy() for a in _arrays((shared.features, shared.cache))]
         batch = _batch(assets, SUBSET[[0, 1, 2, 1, 0]])
         ctx = _ctx(assets)
-        loss, grads = PromptFLTrainer().grad_step({"context": context.copy()}, batch, ctx, shared)
-        fresh_loss, fresh_grads = PromptFLTrainer().grad_step({"context": context}, batch, ctx,
-                                                              None)
+        loss, grads = PromptFLTrainer().batch_gradients(
+            [({"context": context.copy()}, batch, ctx, shared)])[0]
+        fresh_loss, fresh_grads = PromptFLTrainer().batch_gradients(
+            [({"context": context}, batch, ctx, None)])[0]
         assert loss == fresh_loss
         assert grads["context"].tobytes() == fresh_grads["context"].tobytes()
         after = list(_arrays((shared.features, shared.cache)))
@@ -224,8 +229,8 @@ class TestBroadcastEncoding:
         with pytest.raises(ValueError, match="different context"):
             shared.take(other)
         with pytest.raises(ValueError, match="different context"):
-            PromptFLTrainer().grad_step({"context": other}, _batch(assets, SUBSET[:2]),
-                                        _ctx(assets), shared)
+            PromptFLTrainer().batch_gradients(
+                [({"context": other}, _batch(assets, SUBSET[:2]), _ctx(assets), shared)])
 
     def test_each_class_set_has_its_own_encoding(self, encoded):
         assets, payload, shared = encoded
@@ -304,8 +309,8 @@ class TestServerEncoding:
         payload = trainer.init_payload(cfg, np.random.default_rng(0))
         ctx = TrainContext(assets=assets, round_index=0, federation=FederationConfig(rounds=5),
                            rng=np.random.default_rng(4))
-        out, _ = trainer.local_train(payload, trainer.init_state(cfg, None),
-                                     _client_data(cfg, None), ctx)
+        (out, _), = trainer.local_train(
+            payload, [(trainer.init_state(cfg, None), _client_data(cfg, None), ctx)])
         assert payload.encoding.assets is assets
         assert out.encoding is None
         assert fedavg_aggregate([payload, out], np.array([0.5, 0.5])).encoding is None
@@ -320,8 +325,8 @@ class TestServerEncoding:
         ctx = TrainContext(assets=assets, round_index=0, federation=FederationConfig(rounds=5),
                            rng=np.random.default_rng(4))
         with pytest.raises(ValueError, match="different context"):
-            trainer.local_train(payload, trainer.init_state(cfg, None),
-                                _client_data(cfg, None), ctx)
+            trainer.local_train(
+                payload, [(trainer.init_state(cfg, None), _client_data(cfg, None), ctx)])
 
     def test_encodings_leave_equality_and_size_alone(self):
         cfg = small_config()
@@ -350,9 +355,9 @@ class TestReadOnlyBroadcast:
 
     def test_client_writing_into_the_broadcast_fails(self):
         class Scribbler(PromptFLTrainer):
-            def local_train(self, payload, state, dataset, ctx):
+            def local_train(self, payload, clients):
                 payload.fields["context"][0, 0, 0] = 0.0
-                return super().local_train(payload, state, dataset, ctx)
+                return super().local_train(payload, clients)
 
         cfg = small_config()
         assets = build_assets(cfg, CLASSES)

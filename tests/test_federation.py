@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import random_unit_batch, small_config
-from oracle import payloads_equal
+from oracle import max_abs_diff, payloads_equal
+from test_golden_grid import openblas_core
 from vlm_oracle import prompt_gradients
 from fedprompt.algorithms import (
+    TRAINER_KINDS,
     CommunicablePayload,
+    ConditionedPredictor,
     PersonalizedFedOTPTrainer,
     TrainContext,
     iterate_batches,
@@ -29,7 +32,7 @@ from fedprompt.federation import (
     run_round,
     sample_clients,
 )
-from fedprompt.vlm import ModelConfig, build_assets, class_tokens
+from fedprompt.vlm import FrozenTextEncoder, ModelConfig, build_assets, class_tokens, unit_rows
 from fedprompt import rngs
 
 
@@ -191,14 +194,14 @@ class TestRunRound:
         # and the round keeps no report and leaves the broadcast as it was
         cfg, assets, trainer, fed, clients, server = self._setup(rng)
         broadcast = server.payload
-        original = trainer.local_train
+        original = trainer.grad_step
 
-        def flaky(payload, state, dataset, ctx):
-            if len(dataset) and dataset.master_indices[0] == clients[1].dataset.master_indices[0]:
+        def flaky(params, batch, ctx, feats):
+            if np.isin(batch.master_indices, clients[1].dataset.master_indices).any():
                 raise RuntimeError("client crashed")
-            return original(payload, state, dataset, ctx)
+            return original(params, batch, ctx, feats)
 
-        monkeypatch.setattr(trainer, "local_train", flaky)
+        monkeypatch.setattr(trainer, "grad_step", flaky)
         with pytest.raises(RuntimeError, match="client crashed"):
             run_round(server, clients, trainer, fed, assets, seed=0)
         assert server.reports == [] and server.payload is broadcast
@@ -215,10 +218,10 @@ class TestRunRound:
         first = run_round(server, empty, trainer, fed, assets, seed=0)
         assert first.participating == [] and first.skipped_empty == [0, 1, 2]
 
-        def crash(payload, state, dataset, ctx):
+        def crash(params, batch, ctx, feats):
             raise RuntimeError("client crashed")
 
-        monkeypatch.setattr(trainer, "local_train", crash)
+        monkeypatch.setattr(trainer, "grad_step", crash)
         with pytest.raises(RuntimeError, match="client crashed"):
             run_round(server, clients, trainer, fed, assets, seed=0)
         assert server.reports == [first] and server.payload is broadcast
@@ -241,8 +244,8 @@ class TestRunRound:
             for cid in order:
                 ctx = TrainContext(assets=assets, round_index=0, federation=fed,
                                    rng=rngs.derive_rng(0, rngs.CLIENT, cid, 0))
-                out[cid] = trainer.local_train(server.payload, clients[cid].state,
-                                               clients[cid].dataset, ctx)
+                out[cid], = trainer.local_train(server.payload,
+                                                [(clients[cid].state, clients[cid].dataset, ctx)])
             return out
 
         in_order, shuffled = train(clients_a, [0, 1, 2]), train(clients_b, [2, 0, 1])
@@ -257,6 +260,127 @@ class TestRunRound:
         base = fedavg_aggregate(payloads, weights)
         again = fedavg_aggregate(payloads, weights)
         assert payloads_equal(base, again)
+
+
+# every trainer kind, and fedotp under personalized evaluation
+LOCKSTEP_TRAINERS = [type(make_trainer(kind)) for kind in TRAINER_KINDS]
+LOCKSTEP_TRAINERS.append(PersonalizedFedOTPTrainer)
+
+
+class TestLockstepRound:
+    """A round's clients step in lockstep, each wave's encoder work stacked;
+    the round equals one of one client at a time."""
+
+    # client row counts: none, one batch and two batches per pass of 4 rows
+    ROWS = (0, 3, 7)
+
+    def _clients(self, trainer, cfg):
+        rng = np.random.default_rng(5)
+        clients, start = [], 0
+        for cid, n in enumerate(self.ROWS):
+            features = random_unit_batch(rng, n, cfg.d_image)
+            maps = unit_rows(features[:, None, :] + 0.1 * rng.normal(size=(n, 2, cfg.d_image)))
+            dataset = ClientDataset(features=features, labels=rng.integers(0, 4, size=n),
+                                    master_indices=np.arange(start, start + n), local_maps=maps)
+            clients.append(Client(dataset, trainer.init_state(cfg, rngs.derive_rng(2, cid))))
+            start += n
+        return clients
+
+    def _rounds(self, trainer_class, assets, lockstep: bool, rounds=2):
+        """The broadcast after each round, the client losses and the clients,
+        trained in lockstep by `run_round` or by `local_train` one client at a
+        time."""
+        cfg, trainer = assets.cfg, trainer_class()
+        fed = FederationConfig(num_clients=len(self.ROWS), rounds=rounds, batch_size=4,
+                               local_epochs=2)
+        clients = self._clients(trainer, cfg)
+        server = ServerState(payload=trainer.init_payload(cfg, np.random.default_rng(1)))
+        broadcasts, losses = [], []
+        for t in range(rounds):
+            if lockstep:
+                report = run_round(server, clients, trainer, fed, assets, seed=0)
+                losses.append(report.client_losses)
+            else:
+                ids = [cid for cid, c in enumerate(clients) if len(c.dataset)]
+                trained = [trainer.local_train(server.payload, [(
+                    clients[cid].state, clients[cid].dataset,
+                    TrainContext(assets=assets, round_index=t, federation=fed,
+                                 rng=rngs.derive_rng(0, rngs.CLIENT, cid, t)))])[0]
+                    for cid in ids]
+                weights = compute_weights(np.array([len(clients[c].dataset) for c in ids]))
+                server = ServerState(fedavg_aggregate([p for p, _ in trained], weights))
+                losses.append({cid: loss for cid, (_, loss) in zip(ids, trained)})
+            broadcasts.append(server.payload)
+        return broadcasts, losses, clients
+
+    @pytest.mark.parametrize("encoder", ["linear_pool", "attention_block"])
+    @pytest.mark.parametrize("trainer_class", LOCKSTEP_TRAINERS,
+                             ids=[c.__name__ for c in LOCKSTEP_TRAINERS])
+    def test_equals_one_client_at_a_time(self, encoder, trainer_class, monkeypatch):
+        cfg = small_config(encoder, prompts=2, d_image=12, local_features=2)
+        backward_calls = []
+        backward = FrozenTextEncoder.backward
+
+        def counting_backward(self, cache, dfeatures):
+            backward_calls.append(len(dfeatures))
+            return backward(self, cache, dfeatures)
+
+        monkeypatch.setattr(FrozenTextEncoder, "backward", counting_backward)
+        assets = build_assets(cfg, 4)
+        alone = self._rounds(trainer_class, assets, lockstep=False)
+        calls_alone = len(backward_calls)
+        stacked = self._rounds(trainer_class, assets, lockstep=True)
+        # the two trained clients step together; only the second client's
+        # second batch of each pass runs in a wave of its own
+        assert len(backward_calls) - calls_alone < calls_alone
+        # a stacked call's rows depend on no other row under attention_block,
+        # and under linear_pool only a matrix-vector product of one context
+        # may round otherwise than a product of several
+        bitwise = encoder == "attention_block" and openblas_core() == "SkylakeX"
+        tolerance = 0.0 if bitwise else 1e-12
+        for a, b in zip(alone[0], stacked[0]):
+            assert max_abs_diff(a, b) <= tolerance
+        for a, b in zip(alone[1], stacked[1]):
+            assert a.keys() == b.keys() == {1, 2}
+            assert all(abs(a[c] - b[c]) <= tolerance * max(1.0, abs(a[c])) for c in a)
+        for a, b in zip(alone[2], stacked[2]):
+            for name in a.state.local_fields:
+                assert np.max(np.abs(a.state.local_fields[name]
+                                     - b.state.local_fields[name]), initial=0) <= tolerance
+            for name in a.state.velocities:
+                assert np.max(np.abs(a.state.velocities[name]
+                                     - b.state.velocities[name])) <= tolerance
+
+    @pytest.mark.parametrize("trainer_class", LOCKSTEP_TRAINERS,
+                             ids=[c.__name__ for c in LOCKSTEP_TRAINERS])
+    def test_no_encoder_call_holds_more_than_a_block(self, trainer_class, monkeypatch):
+        # with room for one context of 4 classes per block, every call holds
+        # one context, and a step of several contexts is cut into blocks; only
+        # the broadcast's contexts are encoded, and taken back, in one call
+        cfg = small_config("attention_block", prompts=2, d_image=12, local_features=2)
+        assets = build_assets(cfg, 4)
+        reference = self._rounds(trainer_class, assets, lockstep=True)
+        sizes = []
+        encode, backward = FrozenTextEncoder.encode, FrozenTextEncoder.backward
+
+        def recording_encode(self, contexts, rows):
+            sizes.append(len(contexts))
+            return encode(self, contexts, rows)
+
+        def recording_backward(self, cache, dfeatures):
+            sizes.append(len(dfeatures))
+            return backward(self, cache, dfeatures)
+
+        monkeypatch.setattr(FrozenTextEncoder, "encode", recording_encode)
+        monkeypatch.setattr(FrozenTextEncoder, "backward", recording_backward)
+        monkeypatch.setattr(ConditionedPredictor, "PAIRS_PER_BLOCK", 4)
+        blocked = self._rounds(trainer_class, assets, lockstep=True)
+        trainer = trainer_class()
+        assert sizes and max(sizes) == (trainer.n_sets(cfg) if trainer.scores_with_broadcast
+                                        else 1)
+        bitwise = openblas_core() == "SkylakeX"
+        for a, b in zip(reference[0], blocked[0]):
+            assert max_abs_diff(a, b) <= (0.0 if bitwise else 1e-12)
 
 
 class TestRoundRecord:
@@ -290,14 +414,15 @@ class TestRoundRecord:
         # the exception leaves `run_federation` at the first round it fails,
         # before any round is scored
         _, assets, trainer, fed, clients = self._federation(rng)
-        original, scored = trainer.local_train, []
+        original, scored = trainer.grad_step, []
 
-        def flaky(payload, state, dataset, ctx):
-            if dataset is clients[2].dataset and ctx.round_index == 1:
+        def flaky(params, batch, ctx, feats):
+            if (np.isin(batch.master_indices, clients[2].dataset.master_indices).any()
+                    and ctx.round_index == 1):
                 raise RuntimeError("client crashed")
-            return original(payload, state, dataset, ctx)
+            return original(params, batch, ctx, feats)
 
-        monkeypatch.setattr(trainer, "local_train", flaky)
+        monkeypatch.setattr(trainer, "grad_step", flaky)
         with pytest.raises(RuntimeError, match="client crashed"):
             run_federation(trainer, clients, fed, assets, seed=0,
                            eval_fn=lambda server, clients: scored.append(1) or {})

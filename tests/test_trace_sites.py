@@ -18,8 +18,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CONFIG = """
 [experiment]
-scenarios = global,cross_domain
-methods = promptfl,cocoop,plot
+scenarios = global,cross_domain,personalized
+methods = promptfl,prograd,cocoop,plot,fedotp
 seeds = 0
 [federation]
 num_clients = 2
