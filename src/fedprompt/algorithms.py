@@ -7,7 +7,7 @@ buffers, personal prompts) never travels.
 """
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -417,23 +417,32 @@ class LocalTrainer:
     def step(self, runs: list["ClientRun"]) -> list["ClientRun"]:
         """Advance each run by one SGD step on its next batch, and return the
         runs that stepped; a run with no batch left has finished. The steps'
-        encoder work is stacked in the order of `runs` (`batch_gradients`)."""
-        stepping = [(run, batch) for run in runs if (batch := run.next_batch()) is not None]
-        steps = []
-        for run, batch in stepping:
-            steps.append((run.params, batch, run.ctx, run.shared))
-            run.shared = None  # the broadcast's encoding fits the first step only
-        for (run, _), (loss, grads) in zip(stepping, self.batch_gradients(steps)):
-            run.apply(loss, grads)
-        return [run for run, _ in stepping]
+        encoder work is stacked in the order of `runs` (`batch_gradients`),
+        and each run draws its batch and applies its step as the chunk that
+        holds it is made and done."""
+        stepped = []
+
+        def steps():
+            for run in runs:
+                batch = run.next_batch()
+                if batch is not None:
+                    stepped.append(run)
+                    # the broadcast's encoding fits the first step only
+                    shared, run.shared = run.shared, None
+                    yield run.params, batch, run.ctx, shared
+
+        for i, (loss, grads) in enumerate(self.batch_gradients(steps())):
+            stepped[i].apply(loss, grads)
+        return stepped
 
     def end_of_passes(self, passes: list[dict]) -> dict:
         """The parameters a client returns, from those after each of its passes."""
         return passes[-1]
 
-    def batch_gradients(self, steps: list[tuple]) -> list[tuple[float, dict]]:
+    def batch_gradients(self, steps: Iterable[tuple]) -> Iterator[tuple[float, dict]]:
         """Loss and parameter gradients of each (params, batch, ctx, shared)
-        step, all under one assets.
+        step, all under one assets, yielded in step order as each chunk is
+        done, so that only one chunk's encoder caches are held.
 
         A step encodes the contexts of `step_contexts` (`shared`, when given,
         is the broadcast's encoding of them), `grad_step` takes the features
@@ -446,32 +455,35 @@ class LocalTrainer:
         call, or none when it shares the broadcast's encoding, and one
         stacked backward call per feature gradient of its steps.
         """
-        prepared = [_Step(*step, *self.step_contexts(*step[:2])) for step in steps]
-        return [out for chunk in _chunks(prepared) for out in self._chunk_gradients(chunk)]
+        prepared = (_Step(*step, *self.step_contexts(*step[:2])) for step in steps)
+        for chunk in _chunks(prepared):
+            yield from self._chunk_gradients(chunk)
 
-    def _chunk_gradients(self, chunk: list["_Step"]) -> list[tuple[float, dict]]:
+    def _chunk_gradients(self, chunk: list["_Step"]) -> Iterator[tuple[float, dict]]:
         assets, shared = chunk[0].ctx.assets, chunk[0].shared
         bounds = np.cumsum([len(step.contexts) for step in chunk])[:-1]
         if shared is not None:
             feats = [shared.take(step.contexts)[0] for step in chunk]
             caches = [(slice(None), repeat_cache(shared.cache, len(chunk)))]
         else:
-            stacked = np.concatenate([step.contexts for step in chunk])
+            stacked = _joined([step.contexts for step in chunk])
             blocks = _blocks(len(stacked), assets.class_count)
             encoded = [assets.text_features(stacked[block]) for block in blocks]
-            feats = np.split(np.concatenate([f for f, _ in encoded]), bounds)
+            feats = np.split(_joined([f for f, _ in encoded]), bounds)
             caches = [(block, cache) for block, (_, cache) in zip(blocks, encoded)]
-        results = [self.grad_step(step.params, step.batch, step.ctx, f)
-                   for step, f in zip(chunk, feats)]
+        losses, dfeatures = zip(*(self.grad_step(step.params, step.batch, step.ctx, f)
+                                  for step, f in zip(chunk, feats)))
         # one backward wave per feature gradient: the k-th of every step, stacked
         waves = []
-        for k in range(len(results[0][1])):
-            dfeatures = np.concatenate([dfs[k] for _, dfs in results])
-            dcontexts = np.concatenate([assets.encoder.backward(cache, dfeatures[block])
-                                        for block, cache in caches])
+        for k in range(len(dfeatures[0])):
+            stacked = _joined([dfs[k] for dfs in dfeatures])
+            for dfs in dfeatures:
+                dfs[k] = None  # held once, stacked
+            dcontexts = _joined([assets.encoder.backward(cache, stacked[block])
+                                 for block, cache in caches])
             waves.append(np.split(dcontexts, bounds))
-        return [(loss, self.param_grads(step.params, [wave[i] for wave in waves], step.aux))
-                for i, ((loss, _), step) in enumerate(zip(results, chunk))]
+        for i, (loss, step) in enumerate(zip(losses, chunk)):
+            yield loss, self.param_grads(step.params, [wave[i] for wave in waves], step.aux)
 
     def step_contexts(self, params: dict, batch: ClientDataset) -> tuple[np.ndarray, object]:
         """The contexts (n, L, d_token) a step encodes, and what `param_grads`
@@ -508,13 +520,14 @@ class LocalTrainer:
         each client's fields stacked on the payload's, all clients' stacks
         encoded in blocks as a training step's are."""
         if held is not None:
-            contexts = np.concatenate([self._context({**payload.fields, **state.local_fields})
-                                       for state, _ in held])
-            feats = np.concatenate([assets.text_features(contexts[block])[0]
-                                    for block in _blocks(len(contexts), assets.class_count)])
-            return PerClientPredictor(
-                [self.predictor(f, assets.cfg.tau) for f in np.split(feats, len(held))],
-                [rows for _, rows in held])
+            fields = [{**payload.fields, **state.local_fields} for state, _ in held]
+            sets = sum(len(fields[0][name]) for name in self.context_fields)
+            feats = np.empty((len(held), sets, assets.class_count, assets.cfg.d_feature))
+            for block in _blocks(len(held), sets * assets.class_count):
+                contexts = np.concatenate([self._context(f) for f in fields[block]])
+                feats[block] = assets.text_features(contexts)[0].reshape(feats[block].shape)
+            return PerClientPredictor([self.predictor(f, assets.cfg.tau) for f in feats],
+                                      [rows for _, rows in held])
         shared = self.broadcast_encoding(payload, assets)
         if shared is None:
             raise ConfigError(f"a {self.kind} predictor needs the client state")
@@ -535,8 +548,8 @@ class ClientRun:
         if len(dataset) == 0:
             raise DataError("local training on an empty dataset")
         self.trainer, self.payload, self.state, self.ctx = trainer, payload, state, ctx
-        self.params = {k: v.copy() for k, v in payload.fields.items()}
-        self.params.update({k: v.copy() for k, v in state.local_fields.items()})
+        # a step makes new parameters and never writes into these
+        self.params = {**payload.fields, **state.local_fields}
         self.shared = trainer.broadcast_encoding(payload, ctx.assets)
         self.losses: list[float] = []
         self.passes: list[dict] = []  # the parameters after each pass over the data
@@ -569,6 +582,11 @@ class ClientRun:
                 float(np.mean(self.losses)) if self.losses else 0.0)
 
 
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays concatenated along their first axis; a lone one as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def _blocks(n: int, classes: int) -> list[slice]:
     """n stacked contexts cut into near-equal blocks of at most
     `ConditionedPredictor.PAIRS_PER_BLOCK` (context, class) pairs, one
@@ -590,7 +608,7 @@ class _Step(NamedTuple):
     aux: object
 
 
-def _chunks(steps: list[_Step]):
+def _chunks(steps: Iterable[_Step]):
     """Runs of consecutive steps, each sharing one broadcast encoding (or
     none) and holding at most `ConditionedPredictor.PAIRS_PER_BLOCK` (context,
     class) pairs, unless one step alone holds more."""
@@ -810,12 +828,12 @@ class ConditionedPredictor:
         xh = unit_rows(image_features)
         pairs = self.fields["context"].shape[0] * self.assets.class_count
         block = max(1, self.PAIRS_PER_BLOCK // pairs)
-        logits = []
-        for start in range(0, xh.shape[0], block):
-            xb = xh[start:start + block]
-            feats, _ = self.assets.text_features(conditioned_contexts(self.fields, xb)[0])
-            logits.append(conditioned_scores(xb, feats))
+        logits = [self._scores(xh[start:start + block]) for start in range(0, len(xh), block)]
         return softmax_temp(np.concatenate(logits), self.assets.cfg.tau)
+
+    def _scores(self, xh: np.ndarray) -> np.ndarray:
+        feats, _ = self.assets.text_features(conditioned_contexts(self.fields, xh)[0])
+        return conditioned_scores(xh, feats)
 
 
 class FedOTPTrainer(LocalTrainer):

@@ -250,30 +250,36 @@ class FrozenTextEncoder:
             np.divide(ub, norms[block], out=t[block])
         if not np.all(np.isfinite(t)):
             raise DomainError("encoded features contain non-finite entries")
-        return t, (rows, u, norms, t, attn_cache)
+        return t, (rows, u, norms, t, attn_cache, 1)
 
     def backward(self, cache: tuple, dfeatures: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. the contexts, (n, L, d_token), from d features (n, C, d_feature).
 
-        Class rows are frozen, so no gradient is formed for them.
+        Class rows are frozen, so no gradient is formed for them. The n
+        contexts are those encoded, or k stacked copies of them for a cache
+        made by `repeat_cache`.
         """
-        rows, u, norms, t, attn_cache = cache
+        rows, u, norms, t, attn_cache, copies = cache
         dfeatures = np.asarray(dfeatures, dtype=np.float64)
-        if dfeatures.shape != u.shape:
-            raise ConfigError(f"feature gradient shape {dfeatures.shape} != features {u.shape}")
+        expected = (copies * len(u),) + u.shape[1:]
+        if dfeatures.shape != expected:
+            raise ConfigError(f"feature gradient shape {dfeatures.shape} != features {expected}")
         w = self.weights
-        n, C, _ = u.shape
+        n, C = expected[:2]
         L, S, d = rows.L, rows.S, self.d_token
-        # dz = du * (1 - u^2), du = (dfeatures - <dfeatures, t> t) / norms
-        dz = np.empty_like(u)
-        for block in _head_blocks(u):
-            tb, ub, du = t[block], u[block], np.multiply(dfeatures[block], t[block])
-            np.multiply(du.sum(axis=-1, keepdims=True), tb, out=du)
-            np.subtract(dfeatures[block], du, out=du)
-            np.divide(du, norms[block], out=du)
-            np.multiply(ub, ub, out=dz[block])
-            np.subtract(1.0, dz[block], out=dz[block])
-            np.multiply(du, dz[block], out=dz[block])
+        # dz = du * (1 - u^2), du = (dfeatures - <dfeatures, t> t) / norms, over
+        # the head's own contexts once per copy of them in the stack
+        dz = np.empty(expected)
+        for first in range(0, n, len(u)):
+            df, dzc = dfeatures[first:first + len(u)], dz[first:first + len(u)]
+            for block in _head_blocks(u):
+                tb, ub, du = t[block], u[block], np.multiply(df[block], t[block])
+                np.multiply(du.sum(axis=-1, keepdims=True), tb, out=du)
+                np.subtract(df[block], du, out=du)
+                np.divide(du, norms[block], out=du)
+                np.multiply(ub, ub, out=dzc[block])
+                np.subtract(1.0, dzc[block], out=dzc[block])
+                np.multiply(du, dzc[block], out=dzc[block])
         if self.variant == "linear_pool":
             dpooled = dz.sum(axis=1) @ w["w_out"] / S
             return np.repeat(dpooled[:, None, :], L, axis=1)
@@ -303,16 +309,14 @@ class FrozenTextEncoder:
 def repeat_cache(cache: tuple, k: int) -> tuple:
     """An encoding's cache (see `FrozenTextEncoder.encode`) for k copies of
     its contexts stacked in order, so that one `backward` call takes k
-    feature gradients of the one encoding."""
+    feature gradients of the one encoding. The head's (contexts, C,
+    d_feature) arrays are kept once and read once per copy; the attention
+    block's, a few rows per context, are tiled."""
     if k == 1:
         return cache
-    rows, u, norms, t, attn_cache = cache
-
-    def tile(a):
-        return np.concatenate([a] * k)
-
-    return (rows, tile(u), tile(norms), tile(t),
-            None if attn_cache is None else tuple(map(tile, attn_cache)))
+    rows, u, norms, t, attn_cache, copies = cache
+    tiled = None if attn_cache is None else tuple(np.concatenate([a] * k) for a in attn_cache)
+    return rows, u, norms, t, tiled, copies * k
 
 
 def _head_blocks(u: np.ndarray):

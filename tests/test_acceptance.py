@@ -155,7 +155,7 @@ def test_criterion_03_gradient_correctness():
             ]
             for name, trainer, step_ctx, v0 in cases:
                 def f_loss(v, trainer=trainer, step_ctx=step_ctx):
-                    return trainer.batch_gradients([({"context": v}, batch, step_ctx, None)])[0][0]
+                    return next(trainer.batch_gradients([({"context": v}, batch, step_ctx, None)]))[0]
                 (_, grads), = trainer.batch_gradients([({"context": v0}, batch, step_ctx, None)])
                 grads = grads["context"]
                 fd = finite_diff_gradient(lambda flat: f_loss(flat.reshape(v0.shape)),
@@ -173,7 +173,7 @@ def test_criterion_03_gradient_correctness():
                 def f(flat, field=field):
                     probe = {k: (flat.reshape(params[k].shape) if k == field else params[k])
                              for k in params}
-                    return trainer.batch_gradients([(probe, batch, ctx, None)])[0][0]
+                    return next(trainer.batch_gradients([(probe, batch, ctx, None)]))[0]
                 fd = finite_diff_gradient(f, params[field].copy().ravel()).reshape(params[field].shape)
                 err = relative_error(grads[field], fd)
                 assert err < 1e-4, f"{variant}/cocoop.{field}: rel err {err}"

@@ -210,7 +210,7 @@ class TestCoCoOpBatched:
                 def f(value, name=name, entry=entry):
                     probe = {k: v.copy() for k, v in params.items()}
                     probe[name][entry] = value[0]
-                    return trainer.batch_gradients([(probe, batch, ctx, None)])[0][0]
+                    return next(trainer.batch_gradients([(probe, batch, ctx, None)]))[0]
                 fd = finite_diff_gradient(f, np.array([params[name][entry]]))[0]
                 assert grads[name][entry] == pytest.approx(fd, rel=1e-4, abs=1e-9), (name, entry)
 
@@ -432,8 +432,8 @@ class TestTrainers:
         batch = ClientDataset(features=random_unit_batch(rng, 3, cfg.d_image), labels=np.array([3, 1, 0]),
                               master_indices=np.arange(3))
         with pytest.raises(DataError, match=r"label 1 is outside the class set \[0, 2, 3\]"):
-            trainer.batch_gradients(
-                [(params, batch, make_ctx(assets.for_classes(np.array([0, 2, 3]))), None)])
+            list(trainer.batch_gradients(
+                [(params, batch, make_ctx(assets.for_classes(np.array([0, 2, 3]))), None)]))
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):

@@ -213,10 +213,10 @@ class TestBroadcastEncoding:
         before = [a.copy() for a in _arrays((shared.features, shared.cache))]
         batch = _batch(assets, SUBSET[[0, 1, 2, 1, 0]])
         ctx = _ctx(assets)
-        loss, grads = PromptFLTrainer().batch_gradients(
-            [({"context": context.copy()}, batch, ctx, shared)])[0]
-        fresh_loss, fresh_grads = PromptFLTrainer().batch_gradients(
-            [({"context": context}, batch, ctx, None)])[0]
+        (loss, grads), = PromptFLTrainer().batch_gradients(
+            [({"context": context.copy()}, batch, ctx, shared)])
+        (fresh_loss, fresh_grads), = PromptFLTrainer().batch_gradients(
+            [({"context": context}, batch, ctx, None)])
         assert loss == fresh_loss
         assert grads["context"].tobytes() == fresh_grads["context"].tobytes()
         after = list(_arrays((shared.features, shared.cache)))
@@ -229,8 +229,8 @@ class TestBroadcastEncoding:
         with pytest.raises(ValueError, match="different context"):
             shared.take(other)
         with pytest.raises(ValueError, match="different context"):
-            PromptFLTrainer().batch_gradients(
-                [({"context": other}, _batch(assets, SUBSET[:2]), _ctx(assets), shared)])
+            list(PromptFLTrainer().batch_gradients(
+                [({"context": other}, _batch(assets, SUBSET[:2]), _ctx(assets), shared)]))
 
     def test_each_class_set_has_its_own_encoding(self, encoded):
         assets, payload, shared = encoded
