@@ -460,30 +460,44 @@ class LocalTrainer:
             yield from self._chunk_gradients(chunk)
 
     def _chunk_gradients(self, chunk: list["_Step"]) -> Iterator[tuple[float, dict]]:
+        losses, waves = self._chunk_waves(chunk)  # the chunk's encoder arrays are freed
+        for i, (loss, step) in enumerate(zip(losses, chunk)):
+            yield loss, self.param_grads(step.params, [wave[i] for wave in waves], step.aux)
+
+    def _chunk_waves(self, chunk: list["_Step"]) -> tuple[list[float], list[list[np.ndarray]]]:
+        """The chunk's losses, and per backward wave its steps' context gradients."""
         assets, shared = chunk[0].ctx.assets, chunk[0].shared
-        bounds = np.cumsum([len(step.contexts) for step in chunk])[:-1]
+        starts = np.cumsum([0] + [len(step.contexts) for step in chunk])
         if shared is not None:
             feats = [shared.take(step.contexts)[0] for step in chunk]
             caches = [(slice(None), repeat_cache(shared.cache, len(chunk)))]
         else:
             stacked = _joined([step.contexts for step in chunk])
-            blocks = _blocks(len(stacked), assets.class_count)
-            encoded = [assets.text_features(stacked[block]) for block in blocks]
-            feats = np.split(_joined([f for f, _ in encoded]), bounds)
-            caches = [(block, cache) for block, (_, cache) in zip(blocks, encoded)]
-        losses, dfeatures = zip(*(self.grad_step(step.params, step.batch, step.ctx, f)
-                                  for step, f in zip(chunk, feats)))
-        # one backward wave per feature gradient: the k-th of every step, stacked
+            feats = np.empty((len(stacked), assets.class_count, assets.cfg.d_feature))
+            caches = [(block, assets.text_features(stacked[block], out=feats[block])[1])
+                      for block in _blocks(len(stacked), assets.class_count)]
+            feats = np.split(feats, starts[1:-1])
+        # the k-th feature gradient of every step, stacked as each step makes it
+        losses, stacks = [], []
+        for i, (step, f) in enumerate(zip(chunk, feats)):
+            loss, dfeatures = self.grad_step(step.params, step.batch, step.ctx, f)
+            losses.append(loss)
+            if len(chunk) == 1:
+                stacks = dfeatures
+            else:
+                stacks = stacks or [np.empty((starts[-1],) + df.shape[1:]) for df in dfeatures]
+                for stack, df in zip(stacks, dfeatures):
+                    stack[starts[i]:starts[i + 1]] = df
+                del dfeatures, df  # freed before the next step makes its own
+        del feats, f  # the backward pass reads neither
+        # one backward wave per feature gradient, each freed once it is done
         waves = []
-        for k in range(len(dfeatures[0])):
-            stacked = _joined([dfs[k] for dfs in dfeatures])
-            for dfs in dfeatures:
-                dfs[k] = None  # held once, stacked
-            dcontexts = _joined([assets.encoder.backward(cache, stacked[block])
+        while stacks:
+            stack = stacks.pop(0)
+            dcontexts = _joined([assets.encoder.backward(cache, stack[block])
                                  for block, cache in caches])
-            waves.append(np.split(dcontexts, bounds))
-        for i, (loss, step) in enumerate(zip(losses, chunk)):
-            yield loss, self.param_grads(step.params, [wave[i] for wave in waves], step.aux)
+            waves.append(np.split(dcontexts, starts[1:-1]))
+        return losses, waves
 
     def step_contexts(self, params: dict, batch: ClientDataset) -> tuple[np.ndarray, object]:
         """The contexts (n, L, d_token) a step encodes, and what `param_grads`
@@ -525,7 +539,7 @@ class LocalTrainer:
             feats = np.empty((len(held), sets, assets.class_count, assets.cfg.d_feature))
             for block in _blocks(len(held), sets * assets.class_count):
                 contexts = np.concatenate([self._context(f) for f in fields[block]])
-                feats[block] = assets.text_features(contexts)[0].reshape(feats[block].shape)
+                assets.text_features(contexts, out=feats[block].reshape((-1,) + feats.shape[2:]))
             return PerClientPredictor([self.predictor(f, assets.cfg.tau) for f in feats],
                                       [rows for _, rows in held])
         shared = self.broadcast_encoding(payload, assets)

@@ -188,8 +188,10 @@ class FrozenTextEncoder:
         return ClassRows(L=L, S=S, row_sum=X.sum(axis=1), context_pos=pos[:L], q=q, k=k, v=v,
                          scores=q @ k.transpose(0, 2, 1) / np.sqrt(d))
 
-    def encode(self, contexts: np.ndarray, rows: ClassRows) -> tuple[np.ndarray, tuple]:
-        """Unit features (n, C, d_feature) of every (context, class) sequence.
+    def encode(self, contexts: np.ndarray, rows: ClassRows,
+               out: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
+        """Unit features (n, C, d_feature) of every (context, class) sequence,
+        written into `out` when it is given.
 
         `contexts` stacks n prompt contexts (n, L, d_token); `rows` holds the
         frozen rows of the C classes (see `class_rows`).
@@ -242,7 +244,7 @@ class FrozenTextEncoder:
             attn_cache = None
         u = np.tanh(z, out=z)
         norms = np.empty(u.shape[:-1] + (1,))
-        t = np.empty_like(u)
+        t = np.empty_like(u) if out is None else out
         for block in _head_blocks(u):
             ub = u[block]
             np.add.reduce(ub * ub, axis=-1, keepdims=True, out=norms[block])
@@ -250,7 +252,9 @@ class FrozenTextEncoder:
             np.divide(ub, norms[block], out=t[block])
         if not np.all(np.isfinite(t)):
             raise DomainError("encoded features contain non-finite entries")
-        return t, (rows, u, norms, t, attn_cache, 1)
+        # the cache keeps u and the norms, not t, which `backward` forms again
+        # block by block with the same division
+        return t, (rows, u, norms, attn_cache, 1)
 
     def backward(self, cache: tuple, dfeatures: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. the contexts, (n, L, d_token), from d features (n, C, d_feature).
@@ -259,7 +263,7 @@ class FrozenTextEncoder:
         contexts are those encoded, or k stacked copies of them for a cache
         made by `repeat_cache`.
         """
-        rows, u, norms, t, attn_cache, copies = cache
+        rows, u, norms, attn_cache, copies = cache
         dfeatures = np.asarray(dfeatures, dtype=np.float64)
         expected = (copies * len(u),) + u.shape[1:]
         if dfeatures.shape != expected:
@@ -268,20 +272,29 @@ class FrozenTextEncoder:
         n, C = expected[:2]
         L, S, d = rows.L, rows.S, self.d_token
         # dz = du * (1 - u^2), du = (dfeatures - <dfeatures, t> t) / norms, over
-        # the head's own contexts once per copy of them in the stack
-        dz = np.empty(expected)
+        # the head's own contexts once per copy of them in the stack;
+        # linear_pool keeps only each context's sum of dz over its classes
+        linear = self.variant == "linear_pool"
+        dz = np.empty((n, self.d_feature) if linear else expected)
         for first in range(0, n, len(u)):
-            df, dzc = dfeatures[first:first + len(u)], dz[first:first + len(u)]
+            df = dfeatures[first:first + len(u)]
             for block in _head_blocks(u):
-                tb, ub, du = t[block], u[block], np.multiply(df[block], t[block])
+                ub = u[block]
+                tb = np.divide(ub, norms[block])
+                du = np.multiply(df[block], tb)
                 np.multiply(du.sum(axis=-1, keepdims=True), tb, out=du)
                 np.subtract(df[block], du, out=du)
                 np.divide(du, norms[block], out=du)
-                np.multiply(ub, ub, out=dzc[block])
-                np.subtract(1.0, dzc[block], out=dzc[block])
-                np.multiply(du, dzc[block], out=dzc[block])
-        if self.variant == "linear_pool":
-            dpooled = dz.sum(axis=1) @ w["w_out"] / S
+                dzb = np.multiply(ub, ub)
+                np.subtract(1.0, dzb, out=dzb)
+                np.multiply(du, dzb, out=dzb)
+                at = slice(first + block.start, first + block.start + len(dzb))
+                if linear:
+                    np.add.reduce(dzb, axis=1, out=dz[at])
+                else:
+                    dz[at] = dzb
+        if linear:
+            dpooled = dz @ w["w_out"] / S
             return np.repeat(dpooled[:, None, :], L, axis=1)
         Q, K, V, A, a_bar = attn_cache
         T = S - L
@@ -314,9 +327,9 @@ def repeat_cache(cache: tuple, k: int) -> tuple:
     block's, a few rows per context, are tiled."""
     if k == 1:
         return cache
-    rows, u, norms, t, attn_cache, copies = cache
+    rows, u, norms, attn_cache, copies = cache
     tiled = None if attn_cache is None else tuple(np.concatenate([a] * k) for a in attn_cache)
-    return rows, u, norms, t, tiled, copies * k
+    return rows, u, norms, tiled, copies * k
 
 
 def _head_blocks(u: np.ndarray):
@@ -385,10 +398,12 @@ class ModelAssets:
         return replace(self, class_rows=self.class_rows.take(ids),
                        hand_features=read_only(self.hand_features[ids]), class_ids=ids, whole=self)
 
-    def text_features(self, contexts: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def text_features(self, contexts: np.ndarray,
+                      out: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
         """Unit features (n, C, d_feature) of n contexts (n, L, d_token) under these
-        assets' classes, with the cache `encoder.backward` takes."""
-        return self.encoder.encode(contexts, self.class_rows)
+        assets' classes (written into `out` when given), with the cache
+        `encoder.backward` takes."""
+        return self.encoder.encode(contexts, self.class_rows, out)
 
     @functools.cached_property
     def reference_features(self) -> np.ndarray:

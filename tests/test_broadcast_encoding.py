@@ -59,9 +59,9 @@ def _record_encodes(monkeypatch) -> list[np.ndarray]:
     contexts = []
     encode = FrozenTextEncoder.encode
 
-    def recording_encode(self, contexts_in, rows):
+    def recording_encode(self, contexts_in, rows, out=None):
         contexts.append(np.array(contexts_in))
-        return encode(self, contexts_in, rows)
+        return encode(self, contexts_in, rows, out)
 
     monkeypatch.setattr(FrozenTextEncoder, "encode", recording_encode)
     return contexts

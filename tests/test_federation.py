@@ -363,9 +363,9 @@ class TestLockstepRound:
         sizes = []
         encode, backward = FrozenTextEncoder.encode, FrozenTextEncoder.backward
 
-        def recording_encode(self, contexts, rows):
+        def recording_encode(self, contexts, rows, out=None):
             sizes.append(len(contexts))
-            return encode(self, contexts, rows)
+            return encode(self, contexts, rows, out)
 
         def recording_backward(self, cache, dfeatures):
             sizes.append(len(dfeatures))
