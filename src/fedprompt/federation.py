@@ -199,7 +199,7 @@ def run_round(server: ServerState, clients: list[Client], trainer: LocalTrainer,
     else:
         declared = trainer.payload_scalars(assets.cfg)
         report.download_scalars = report.upload_scalars = declared * len(participating)
-        # the payload is read-only; each client copies what it trains. The
+        # the payload is read-only; a client's steps make new parameters. The
         # clients train in lockstep, stacked in ascending id order, which is
         # also the aggregation order
         trained = trainer.local_train(server.payload, [
