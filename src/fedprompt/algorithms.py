@@ -468,16 +468,19 @@ class LocalTrainer:
         """The chunk's losses, and per backward wave its steps' context gradients."""
         assets, shared = chunk[0].ctx.assets, chunk[0].shared
         starts = np.cumsum([0] + [len(step.contexts) for step in chunk])
+        encoded = None
         if shared is not None:
             feats = [shared.take(step.contexts)[0] for step in chunk]
             caches = [(slice(None), repeat_cache(shared.cache, len(chunk)))]
         else:
             stacked = _joined([step.contexts for step in chunk])
-            feats = np.empty((len(stacked), assets.class_count, assets.cfg.d_feature))
-            caches = [(block, assets.text_features(stacked[block], out=feats[block])[1])
+            encoded = np.empty((len(stacked), assets.class_count, assets.cfg.d_feature))
+            caches = [(block, assets.text_features(stacked[block], out=encoded[block])[1])
                       for block in _blocks(len(stacked), assets.class_count)]
-            feats = np.split(feats, starts[1:-1])
-        # the k-th feature gradient of every step, stacked as each step makes it
+            feats = np.split(encoded, starts[1:-1])
+        # the k-th feature gradient of every step, stacked as each step makes it;
+        # the first is written over the chunk's own encoding, whose rows of a
+        # step nothing reads once the step's loss is made
         losses, stacks = [], []
         for i, (step, f) in enumerate(zip(chunk, feats)):
             loss, dfeatures = self.grad_step(step.params, step.batch, step.ctx, f)
@@ -485,11 +488,13 @@ class LocalTrainer:
             if len(chunk) == 1:
                 stacks = dfeatures
             else:
-                stacks = stacks or [np.empty((starts[-1],) + df.shape[1:]) for df in dfeatures]
+                stacks = stacks or [encoded if k == 0 and encoded is not None
+                                    else np.empty((starts[-1],) + df.shape[1:])
+                                    for k, df in enumerate(dfeatures)]
                 for stack, df in zip(stacks, dfeatures):
                     stack[starts[i]:starts[i + 1]] = df
                 del dfeatures, df  # freed before the next step makes its own
-        del feats, f  # the backward pass reads neither
+        del feats, f, encoded  # the backward pass reads none of them
         # one backward wave per feature gradient, each freed once it is done
         waves = []
         while stacks:
