@@ -494,7 +494,7 @@ class LocalTrainer:
                 for stack, df in zip(stacks, dfeatures):
                     stack[starts[i]:starts[i + 1]] = df
                 del dfeatures, df  # freed before the next step makes its own
-        del feats, f, encoded  # the backward pass reads none of them
+        del feats, f, encoded  # the backward pass reads only the stacks
         # one backward wave per feature gradient, each freed once it is done
         waves = []
         while stacks:
