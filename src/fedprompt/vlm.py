@@ -272,27 +272,28 @@ class FrozenTextEncoder:
         n, C = expected[:2]
         L, S, d = rows.L, rows.S, self.d_token
         # dz = du * (1 - u^2), du = (dfeatures - <dfeatures, t> t) / norms, over
-        # the head's own contexts once per copy of them in the stack;
-        # linear_pool keeps only each context's sum of dz over its classes
+        # the head's own contexts once per copy of them in the stack, t and
+        # 1 - u^2 formed once per block for every copy; linear_pool keeps only
+        # each context's sum of dz over its classes
         linear = self.variant == "linear_pool"
         dz = np.empty((n, self.d_feature) if linear else expected)
-        for first in range(0, n, len(u)):
-            df = dfeatures[first:first + len(u)]
-            for block in _head_blocks(u):
-                ub = u[block]
-                tb = np.divide(ub, norms[block])
-                du = np.multiply(df[block], tb)
+        for block in _head_blocks(u):
+            ub = u[block]
+            tb = np.divide(ub, norms[block])
+            dtanh = np.multiply(ub, ub)
+            np.subtract(1.0, dtanh, out=dtanh)
+            for first in range(0, n, len(u)):
+                df = dfeatures[first:first + len(u)][block]
+                du = np.multiply(df, tb)
                 np.multiply(du.sum(axis=-1, keepdims=True), tb, out=du)
-                np.subtract(df[block], du, out=du)
+                np.subtract(df, du, out=du)
                 np.divide(du, norms[block], out=du)
-                dzb = np.multiply(ub, ub)
-                np.subtract(1.0, dzb, out=dzb)
-                np.multiply(du, dzb, out=dzb)
-                at = slice(first + block.start, first + block.start + len(dzb))
+                np.multiply(du, dtanh, out=du)
+                at = slice(first + block.start, first + block.start + len(du))
                 if linear:
-                    np.add.reduce(dzb, axis=1, out=dz[at])
+                    np.add.reduce(du, axis=1, out=dz[at])
                 else:
-                    dz[at] = dzb
+                    dz[at] = du
         if linear:
             dpooled = dz @ w["w_out"] / S
             return np.repeat(dpooled[:, None, :], L, axis=1)
