@@ -220,9 +220,10 @@ class FrozenTextEncoder:
                 scores = np.empty((n, C, S, S))
                 Q3, K3, V3 = Q.reshape(n, L, d), K.reshape(n, L, d), V.reshape(n, L, d)
                 scores[:, :, :L, :L] = (Q3 @ K3.transpose(0, 2, 1) / np.sqrt(d))[:, None]
-                scores[:, :, :L, L:] = (Q @ rows.k.reshape(C * T, d).T / np.sqrt(d)) \
+                # one product per context, whose rows do not depend on n
+                scores[:, :, :L, L:] = (Q3 @ rows.k.reshape(C * T, d).T / np.sqrt(d)) \
                     .reshape(n, L, C, T).transpose(0, 2, 1, 3)
-                scores[:, :, L:, :L] = (K @ rows.q.reshape(C * T, d).T / np.sqrt(d)) \
+                scores[:, :, L:, :L] = (K3 @ rows.q.reshape(C * T, d).T / np.sqrt(d)) \
                     .reshape(n, L, C, T).transpose(0, 2, 3, 1)
                 scores[:, :, L:, L:] = rows.scores
                 scores -= scores.max(axis=-1, keepdims=True)
@@ -310,11 +311,10 @@ class FrozenTextEncoder:
         dA = da_bar[:, :, None, :] / S
         dscores = A * (dA - (A * dA).sum(axis=-1, keepdims=True)) / np.sqrt(d)
         shared = dscores[:, :, :L, :L].sum(axis=1)
-        dQ = shared @ K + (dscores[:, :, :L, L:].transpose(0, 2, 1, 3).reshape(n * L, C * T)
-                           @ rows.k.reshape(C * T, d)).reshape(n, L, d)
-        dK = shared.transpose(0, 2, 1) @ Q + (dscores[:, :, L:, :L].transpose(0, 3, 1, 2)
-                                               .reshape(n * L, C * T)
-                                               @ rows.q.reshape(C * T, d)).reshape(n, L, d)
+        dQ = shared @ K + dscores[:, :, :L, L:].transpose(0, 2, 1, 3).reshape(n, L, C * T) \
+            @ rows.k.reshape(C * T, d)
+        dK = shared.transpose(0, 2, 1) @ Q + dscores[:, :, L:, :L].transpose(0, 3, 1, 2) \
+            .reshape(n, L, C * T) @ rows.q.reshape(C * T, d)
         dX = (dQ.reshape(n * L, d) @ w["wq"].T + dK.reshape(n * L, d) @ w["wk"].T
               + dV.reshape(n * L, d) @ w["wv"].T).reshape(n, L, d)
         return dX + (dh.sum(axis=1) / S)[:, None, :]

@@ -8,6 +8,7 @@ import pytest
 import vlm_oracle
 from conftest import random_unit_batch, small_config
 from oracle import cosine_similarity, finite_diff_gradient, relative_error
+from test_golden_grid import openblas_core
 from vlm_oracle import class_rows_digest, encoder_digest, predict, prompt_gradients
 from fedprompt.data import ClientDataset
 from fedprompt.errors import ConfigError, DomainError
@@ -192,6 +193,29 @@ class TestStructuredEncoder:
         ids = np.array([3, 1])
         subset, _ = assets.for_classes(ids).text_features(contexts)
         np.testing.assert_allclose(subset, full[:, ids], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n_class_tokens", [1, 2])
+    @pytest.mark.parametrize("classes", [4, 10, 100])
+    def test_a_stack_encodes_each_context_as_alone(self, classes, n_class_tokens):
+        # at the paper's widths, forward and backward: a context's rows of an
+        # n-stack depend on no other context; under other kernels a flat
+        # product's rows may round with the row count
+        if openblas_core() != "SkylakeX":
+            pytest.skip(f"bitwise under the SkylakeX OpenBLAS kernels only, not {openblas_core()}")
+        assets = build_assets(ModelConfig(encoder="attention_block",
+                                          n_class_tokens=n_class_tokens), classes)
+        cfg, encoder = assets.cfg, assets.encoder
+        rng = np.random.default_rng(classes + n_class_tokens)
+        contexts = rng.normal(size=(64, cfg.tokens, cfg.d_token)) * cfg.init_std
+        dfeatures = rng.normal(size=(64, classes, cfg.d_feature))
+        alone = []
+        for context, df in zip(contexts, dfeatures):
+            feats, cache = assets.text_features(context[None])
+            alone.append((feats.tobytes(), encoder.backward(cache, df[None]).tobytes()))
+        for n in (2, 3, 8, 25, 64):
+            feats, cache = assets.text_features(contexts[:n])
+            grads = encoder.backward(cache, dfeatures[:n])
+            assert [(f.tobytes(), g.tobytes()) for f, g in zip(feats, grads)] == alone[:n], n
 
     def test_context_length_mismatch(self):
         cfg = small_config("attention_block")
