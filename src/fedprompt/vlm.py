@@ -107,22 +107,21 @@ class ClassRows:
 
     L: int
     S: int
-    row_sum: np.ndarray                    # (C, d_token) sum of each class's input rows
-    head: np.ndarray | None = None         # linear_pool: (C, d_feature) class term of z
+    head: np.ndarray                       # (C, d_feature) class rows' mean projected, plus bias
     context_pos: np.ndarray | None = None  # attention_block: (L, d_token) context positions
     q: np.ndarray | None = None            # attention_block: (C, T, d_token) projections
     k: np.ndarray | None = None
-    v: np.ndarray | None = None
+    v_out: np.ndarray | None = None        # attention_block: (C, T, d_feature) values, projected
     scores: np.ndarray | None = None       # attention_block: (C, T, T) class-class scores
 
     @property
     def class_count(self) -> int:
-        return self.row_sum.shape[0]
+        return self.head.shape[0]
 
     def take(self, class_ids: np.ndarray) -> "ClassRows":
         """The rows of a class subset, read-only like the whole set's."""
         ids = np.asarray(class_ids)
-        per_class = ("row_sum", "head", "q", "k", "v", "scores")
+        per_class = ("head", "q", "k", "v_out", "scores")
         taken = {name: getattr(self, name)[ids] for name in per_class
                  if getattr(self, name) is not None}
         return replace(self, **read_only(taken))
@@ -177,16 +176,17 @@ class FrozenTextEncoder:
         C, T, d = tokens.shape
         S = L + T
         w = self.weights
-        if self.variant == "linear_pool":
-            row_sum = tokens.sum(axis=1)
-            head = (row_sum / S) @ w["w_out"].T + w["b_out"]
-            return ClassRows(L=L, S=S, row_sum=row_sum, head=head)
-        pos = self.positions(S)
-        X = tokens + pos[L:]
-        flat = X.reshape(C * T, d)
-        q, k, v = ((flat @ w[name]).reshape(C, T, d) for name in ("wq", "wk", "wv"))
-        return ClassRows(L=L, S=S, row_sum=X.sum(axis=1), context_pos=pos[:L], q=q, k=k, v=v,
-                         scores=q @ k.transpose(0, 2, 1) / np.sqrt(d))
+        X, attention = tokens, {}
+        if self.variant == "attention_block":
+            pos = self.positions(S)
+            X = tokens + pos[L:]
+            q, k, v = ((X.reshape(C * T, d) @ w[name]).reshape(C, T, d)
+                       for name in ("wq", "wk", "wv"))
+            attention = dict(context_pos=pos[:L], q=q, k=k,
+                             v_out=(v.reshape(C * T, d) @ w["w_out"].T).reshape(C, T, -1),
+                             scores=q @ k.transpose(0, 2, 1) / np.sqrt(d))
+        head = (X.sum(axis=1) / S) @ w["w_out"].T + w["b_out"]
+        return ClassRows(L=L, S=S, head=head, **attention)
 
     def encode(self, contexts: np.ndarray, rows: ClassRows,
                out: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
@@ -206,19 +206,19 @@ class FrozenTextEncoder:
         if not np.all(np.isfinite(contexts)):
             raise DomainError("prompt context contains non-finite entries")
         n, L, d = contexts.shape
-        C, S = rows.class_count, rows.S
+        C, S, T = rows.class_count, rows.S, rows.S - rows.L
         w = self.weights
-        if self.variant == "attention_block":
-            # a context too large for the arithmetic overflows here, quietly:
-            # the finiteness check on the features below raises instead
-            with np.errstate(over="ignore", invalid="ignore"):
-                T = S - L
+        attention = self.variant == "attention_block"
+        # a context too large for the arithmetic overflows here, quietly: the
+        # finiteness check on the features below raises instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            if attention:
                 X = (contexts + rows.context_pos).reshape(n * L, d)
                 Q, K, V = (X @ w[name] for name in ("wq", "wk", "wv"))
                 # scores of all C sequences from four blocks; the context-context
                 # block is shared by every class, the class-class block is cached
                 scores = np.empty((n, C, S, S))
-                Q3, K3, V3 = Q.reshape(n, L, d), K.reshape(n, L, d), V.reshape(n, L, d)
+                Q3, K3 = Q.reshape(n, L, d), K.reshape(n, L, d)
                 scores[:, :, :L, :L] = (Q3 @ K3.transpose(0, 2, 1) / np.sqrt(d))[:, None]
                 # one product per context, whose rows do not depend on n
                 scores[:, :, :L, L:] = (Q3 @ rows.k.reshape(C * T, d).T / np.sqrt(d)) \
@@ -229,33 +229,47 @@ class FrozenTextEncoder:
                 scores -= scores.max(axis=-1, keepdims=True)
                 A = np.exp(scores)
                 A /= A.sum(axis=-1, keepdims=True)
-                # the head mean-pools Y = X + A V, so h = mean(X) + a_bar V with
-                # a_bar the mean of A's query rows
-                a_bar = A.mean(axis=2)
-                h = (X.reshape(n, L, d).sum(axis=1)[:, None, :] + rows.row_sum) / S
-                h += a_bar[..., :L] @ V3
-                # each pair's own sum over its T class rows, so that a context's
-                # features do not depend on how many are stacked with it
-                h += (a_bar[..., L:, None] * rows.v).sum(axis=2)
-                z = (h.reshape(n * C, d) @ w["w_out"].T).reshape(n, C, self.d_feature) + w["b_out"]
-                attn_cache = (Q3, K3, V3, A, a_bar)
-        else:
-            pooled = contexts.sum(axis=1) / S
-            z = (pooled @ w["w_out"].T)[:, None, :] + rows.head
-            attn_cache = None
-        u = np.tanh(z, out=z)
-        norms = np.empty(u.shape[:-1] + (1,))
-        t = np.empty_like(u) if out is None else out
-        for block in _head_blocks(u):
-            ub = u[block]
-            np.add.reduce(ub * ub, axis=-1, keepdims=True, out=norms[block])
-            np.sqrt(norms[block], out=norms[block])
-            np.divide(ub, norms[block], out=t[block])
+                # the head mean-pools Y = X + A V before its linear map, so a
+                # pair's z = [1, a_bar[:L]] G + head + sum_t a_bar[L + t] v_out[t],
+                # with a_bar the mean of A's query rows and G = [sum(X) / S; V]
+                # w_out^T: each context's L + 1 rows are projected once, not
+                # once per class
+                ab = np.empty((n, C, S + 1))  # [1, a_bar]
+                ab[..., 0] = 1.0
+                np.mean(A, axis=2, out=ab[..., 1:])
+                R = np.empty((n, L + 1, d))
+                R[:, 0] = X.reshape(n, L, d).sum(axis=1) / S
+                R[:, 1:] = V.reshape(n, L, d)
+                G = (R.reshape(n * (L + 1), d) @ w["w_out"].T).reshape(n, L + 1, -1)
+                attn_cache = (Q3, K3, A, ab)
+            else:
+                G = (contexts.sum(axis=1) / S) @ w["w_out"].T
+                attn_cache = None
+            # z block by block, then u = tanh(z) in place and the norms of u
+            u = np.empty((n, C, self.d_feature))
+            norms = np.empty((n, C, 1))
+            t = np.empty_like(u) if out is None else out
+            for block in _head_blocks(u):
+                ub = u[block]
+                if attention:
+                    np.matmul(ab[block, :, :L + 1], G[block], out=ub)
+                    ub += rows.head
+                    # each pair's own class rows, in order, so that a context's
+                    # features do not depend on how many are stacked with it
+                    for r in range(T):
+                        ub += ab[block, :, L + 1 + r, None] * rows.v_out[:, r]
+                else:
+                    np.add(G[block, None, :], rows.head, out=ub)
+                np.tanh(ub, out=ub)
+                np.add.reduce(ub * ub, axis=-1, keepdims=True, out=norms[block])
+                np.sqrt(norms[block], out=norms[block])
+                np.divide(ub, norms[block], out=t[block])
         if not np.all(np.isfinite(t)):
             raise DomainError("encoded features contain non-finite entries")
         # the cache keeps u and the norms, not t, which `backward` forms again
-        # block by block with the same division
-        return t, (rows, u, norms, attn_cache, 1)
+        # block by block with the same division; attention_block's G is read
+        # by every copy of a `repeat_cache` stack
+        return t, (rows, u, norms, G if attention else None, attn_cache, 1)
 
     def backward(self, cache: tuple, dfeatures: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. the contexts, (n, L, d_token), from d features (n, C, d_feature).
@@ -264,7 +278,7 @@ class FrozenTextEncoder:
         contexts are those encoded, or k stacked copies of them for a cache
         made by `repeat_cache`.
         """
-        rows, u, norms, attn_cache, copies = cache
+        rows, u, norms, G, attn_cache, copies = cache
         dfeatures = np.asarray(dfeatures, dtype=np.float64)
         expected = (copies * len(u),) + u.shape[1:]
         if dfeatures.shape != expected:
@@ -272,12 +286,19 @@ class FrozenTextEncoder:
         w = self.weights
         n, C = expected[:2]
         L, S, d = rows.L, rows.S, self.d_token
+        T = S - L
         # dz = du * (1 - u^2), du = (dfeatures - <dfeatures, t> t) / norms, over
         # the head's own contexts once per copy of them in the stack, t and
         # 1 - u^2 formed once per block for every copy; linear_pool keeps only
-        # each context's sum of dz over its classes
+        # each context's sum of dz over its classes, attention_block the
+        # gradients of G, dR = [1, a_bar[:L]]^T dz, and of a_bar
         linear = self.variant == "linear_pool"
-        dz = np.empty((n, self.d_feature) if linear else expected)
+        if linear:
+            dz = np.empty((n, self.d_feature))
+        else:
+            Q, K, A, ab = attn_cache
+            dR = np.empty((n, L + 1, self.d_feature))
+            da_bar = np.empty((n, C, S))
         for block in _head_blocks(u):
             ub = u[block]
             tb = np.divide(ub, norms[block])
@@ -293,20 +314,18 @@ class FrozenTextEncoder:
                 at = slice(first + block.start, first + block.start + len(du))
                 if linear:
                     np.add.reduce(du, axis=1, out=dz[at])
-                else:
-                    dz[at] = du
+                    continue
+                np.matmul(ab[at, :, :L + 1].transpose(0, 2, 1), du, out=dR[at])
+                np.matmul(du, G[block, 1:].transpose(0, 2, 1), out=da_bar[at, :, :L])
+                # per pair, as in `encode`: a product over the class axis would
+                # run n rows per class, whose bits depend on n
+                for r in range(T):
+                    np.add.reduce(du * rows.v_out[:, r], axis=-1, out=da_bar[at, :, L + r])
         if linear:
             dpooled = dz @ w["w_out"] / S
             return np.repeat(dpooled[:, None, :], L, axis=1)
-        Q, K, V, A, a_bar = attn_cache
-        T = S - L
-        dh = (dz.reshape(n * C, self.d_feature) @ w["w_out"]).reshape(n, C, d)
-        da_bar = np.empty((n, C, S))
-        da_bar[..., :L] = dh @ V.transpose(0, 2, 1)
-        # per pair, as in `encode`: a product over the class axis would run n
-        # rows per class, whose bits depend on n
-        da_bar[..., L:] = np.add.reduce(dh[:, :, None, :] * rows.v, axis=-1)
-        dV = a_bar[..., :L].transpose(0, 2, 1) @ dh
+        # rows [d sum(X) / S; dV] of each context, in one product
+        dRx = (dR.reshape(n * (L + 1), self.d_feature) @ w["w_out"]).reshape(n, L + 1, d)
         # every query row of A receives the same gradient da_bar / S
         dA = da_bar[:, :, None, :] / S
         dscores = A * (dA - (A * dA).sum(axis=-1, keepdims=True)) / np.sqrt(d)
@@ -316,21 +335,21 @@ class FrozenTextEncoder:
         dK = shared.transpose(0, 2, 1) @ Q + dscores[:, :, L:, :L].transpose(0, 3, 1, 2) \
             .reshape(n, L, C * T) @ rows.q.reshape(C * T, d)
         dX = (dQ.reshape(n * L, d) @ w["wq"].T + dK.reshape(n * L, d) @ w["wk"].T
-              + dV.reshape(n * L, d) @ w["wv"].T).reshape(n, L, d)
-        return dX + (dh.sum(axis=1) / S)[:, None, :]
+              + dRx[:, 1:].reshape(n * L, d) @ w["wv"].T).reshape(n, L, d)
+        return dX + (dRx[:, 0] / S)[:, None, :]
 
 
 def repeat_cache(cache: tuple, k: int) -> tuple:
     """An encoding's cache (see `FrozenTextEncoder.encode`) for k copies of
     its contexts stacked in order, so that one `backward` call takes k
-    feature gradients of the one encoding. The head's (contexts, C,
-    d_feature) arrays are kept once and read once per copy; the attention
-    block's, a few rows per context, are tiled."""
+    feature gradients of the one encoding. The head's arrays, u, the norms
+    and G, are kept once and read once per copy; the attention block's, a
+    few rows per context, are tiled."""
     if k == 1:
         return cache
-    rows, u, norms, attn_cache, copies = cache
+    rows, u, norms, G, attn_cache, copies = cache
     tiled = None if attn_cache is None else tuple(np.concatenate([a] * k) for a in attn_cache)
-    return rows, u, norms, tiled, copies * k
+    return rows, u, norms, G, tiled, copies * k
 
 
 def _head_blocks(u: np.ndarray):

@@ -394,9 +394,9 @@ class TestSharedAssets:
         rows = assets.class_rows
         arrays = [*assets.encoder.weights.values(), assets.hand_features,
                   assets.reference_features,
-                  *(a for a in (rows.row_sum, rows.head, rows.context_pos, rows.q, rows.k,
-                                rows.v, rows.scores) if a is not None)]
-        assert len(arrays) == (13 if variant == "attention_block" else 6)
+                  *(a for a in (rows.head, rows.context_pos, rows.q, rows.k, rows.v_out,
+                                rows.scores) if a is not None)]
+        assert len(arrays) == (13 if variant == "attention_block" else 5)
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1.0
@@ -430,7 +430,7 @@ class TestClassCut:
             assert not np.array_equal(unit_rows(again.sum(axis=0) / 3), cut.reference_features)
             rows = cut.class_rows
             for array in (cut.class_ids, cut.hand_features, cut.reference_features,
-                          rows.row_sum, rows.q, rows.k, rows.v, rows.scores):
+                          rows.head, rows.q, rows.k, rows.v_out, rows.scores):
                 with pytest.raises(ValueError, match="read-only"):
                     array[(0,) * array.ndim] = 1.0
 
