@@ -191,7 +191,7 @@ def ce_loss_and_grads(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray,
     """Plain mean cross-entropy; scores are per-set cosine means."""
     m = len(feats)
     loss, dlogits, *_ = _cosine_ce(feats, xh, labels, tau)
-    dT = np.einsum("bc,bd->cd", dlogits / m, xh)
+    dT = (dlogits / m).T @ xh
     return loss, np.asarray([dT] * m)
 
 
@@ -203,7 +203,7 @@ def loss_kgcoop(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: floa
     m = len(feats)
     loss, dlogits, *_ = _cosine_ce(feats, xh, labels, tau)
     n_classes = hand.shape[0]
-    dT_ce = np.einsum("bc,bd->cd", dlogits / m, xh)
+    dT_ce = (dlogits / m).T @ xh
     dTs, reg = [], 0.0
     for p in range(m):
         diff = feats[p] - hand
@@ -235,14 +235,14 @@ def loss_prograd(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: flo
     `ProGradTrainer` projects the first against the second in context space."""
     m = len(feats)
     loss, dlogits, probs, scores = _cosine_ce(feats, xh, labels, tau)
-    dT_task = np.einsum("bc,bd->cd", dlogits / m, xh)
+    dT_task = (dlogits / m).T @ xh
 
     # gradient of mean KL(current || zero-shot) w.r.t. the same scores; the
     # log-softmax stays finite where a saturated softmax holds a zero
     log_ratio = log_softmax_temp(scores, tau) - log_softmax_temp(reference_scores, tau)
     kl = (probs * log_ratio).sum(axis=1, keepdims=True)
     dkl = probs * (log_ratio - kl) / (tau * xh.shape[0])
-    dT_gen = np.einsum("bc,bd->cd", dkl / m, xh)
+    dT_gen = (dkl / m).T @ xh
     return loss, np.asarray([dT_task] * m), np.asarray([dT_gen] * m)
 
 
@@ -253,7 +253,7 @@ def loss_proda(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: float
     if m < 2:
         raise ConfigError(f"prompt-distribution loss needs >= 2 prompt sets, got {m}")
     loss, dlogits, *_ = _cosine_ce(feats, xh, labels, tau)
-    dT_ce = np.einsum("bc,bd->cd", dlogits / m, xh)
+    dT_ce = (dlogits / m).T @ xh
     dTs = [dT_ce.copy() for _ in range(m)]
     n_classes = feats.shape[1]
     penalty = 0.0
@@ -286,7 +286,7 @@ def loss_src(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: float,
     kl = float((q * log_ratio).sum(axis=1).mean())
     dkl_dlogits = (probs - q) / (tau * batch)
 
-    dT_ce = np.einsum("bc,bd->cd", (dlogits + mu_logit * dkl_dlogits) / m, xh)
+    dT_ce = ((dlogits + mu_logit * dkl_dlogits) / m).T @ xh
     dTs, l1 = [], 0.0
     for p in range(m):
         diff = feats[p] - reference_features
@@ -314,7 +314,10 @@ def transport_costs(local_maps: np.ndarray | None, feats: np.ndarray) -> np.ndar
     (B, M, d) and each class's N prompt-set features `feats` (N, C, d)."""
     if local_maps is None:
         raise ConfigError("transport scoring needs per-sample local feature maps")
-    return 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, feats.transpose(1, 0, 2))
+    (B, M, d), (N, C) = local_maps.shape, feats.shape[:2]
+    # one (M, d) product per image, whose rows depend on that image alone
+    dots = np.matmul(local_maps, feats.reshape(N * C, d).T).reshape(B, M, N, C)
+    return np.subtract(1.0, dots.transpose(0, 3, 1, 2), order="C")
 
 
 def ot_scores_and_grads(feats: np.ndarray, local_maps: np.ndarray | None,

@@ -28,7 +28,7 @@ import pytest
 
 from fedprompt import algorithms
 from fedprompt import rngs
-from fedprompt.algorithms import CosinePredictor, TransportPredictor, make_trainer
+from fedprompt.algorithms import CosinePredictor, TransportPredictor, make_trainer, transport_costs
 from fedprompt.data import MasterDataset, _rotate_planes
 from fedprompt.errors import ConfigError, DomainError
 from fedprompt.evaluation import build_run_state, evaluate_predictor, run_cell
@@ -148,7 +148,7 @@ def metanet_param_count(cfg) -> int:
 
 def transport_probs_alone(predictor, local_maps: np.ndarray) -> np.ndarray:
     """A `TransportPredictor`'s class probabilities from a Sinkhorn solve of its own."""
-    costs = 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, predictor.features.transpose(1, 0, 2))
+    costs = transport_costs(local_maps, predictor.features)
     plans = sinkhorn_batched(costs, predictor.eps, predictor.iters, col_relax=predictor.col_relax)
     return softmax_temp(-(plans * costs).sum(axis=(-2, -1)), predictor.tau)
 
@@ -156,7 +156,7 @@ def transport_probs_alone(predictor, local_maps: np.ndarray) -> np.ndarray:
 def ot_scores_and_grads_three_operand(feats, local_maps, labels, tau, eps, iters, col_relax):
     """`ot_scores_and_grads` with its plan gradient contracted by one
     three-operand einsum over (dlogits, plans, local maps)."""
-    costs = 1.0 - np.einsum("bmd,cnd->bcmn", local_maps, feats.transpose(1, 0, 2))
+    costs = transport_costs(local_maps, feats)
     plans = sinkhorn_batched(costs, eps, iters, col_relax=col_relax)
     loss, dlogits, _ = softmax_ce_batch(-(plans * costs).sum(axis=(-2, -1)), labels, tau)
     return loss, np.einsum("bc,bcmn,bmd->ncd", dlogits, plans, local_maps)
