@@ -1,6 +1,6 @@
 """Frozen encoder, class tokens, prediction head, and prompt gradients."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from fedprompt.vlm import (
     build_handcrafted_context,
     build_prompt_context,
     class_tokens,
+    repeat_cache,
     synth_local_features,
     unit_rows,
 )
@@ -141,6 +142,24 @@ class TestEncoder:
 
         fd = finite_diff_gradient(f, ctx0.copy().ravel()).reshape(cfg.tokens, cfg.d_token)
         assert relative_error(analytic, fd) < 1e-4
+
+    def test_stacked_gradient_matches_finite_differences(self, rng):
+        # the factored attention head at 100 classes of two class rows each,
+        # two contexts taken back twice through one `repeat_cache` stack
+        cfg = small_config("attention_block", n_class_tokens=2)
+        assets = build_assets(cfg, 100)
+        contexts = rng.normal(size=(2, cfg.tokens, cfg.d_token)) * 0.2
+        dfeatures = rng.normal(size=(2, 2, 100, cfg.d_feature))  # (copy, context, C, d_feature)
+        _, cache = assets.text_features(contexts)
+        analytic = assets.encoder.backward(repeat_cache(cache, 2),
+                                           dfeatures.reshape(4, 100, cfg.d_feature))
+        for copy, df in enumerate(dfeatures):
+            def f(flat):
+                feats, _ = assets.text_features(flat.reshape(contexts.shape))
+                return float((feats * df).sum())
+
+            fd = finite_diff_gradient(f, contexts.copy().ravel()).reshape(contexts.shape)
+            assert relative_error(analytic[2 * copy:2 * copy + 2], fd) < 1e-4
 
     def test_token_width_mismatch(self):
         for variant in ("linear_pool", "attention_block"):
@@ -433,6 +452,25 @@ class TestClassCut:
                           rows.head, rows.q, rows.k, rows.v_out, rows.scores):
                 with pytest.raises(ValueError, match="read-only"):
                     array[(0,) * array.ndim] = 1.0
+
+
+    @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
+    def test_take_cuts_every_per_class_field(self, variant):
+        # every array field with a row per class is cut, and the rest is shared,
+        # so that a field added later cannot be missed
+        rows = build_assets(small_config(variant, n_class_tokens=2), 5).class_rows
+        ids = np.array([3, 0])
+        cut = rows.take(ids)
+        per_class = 0
+        for field in fields(rows):
+            whole, taken = getattr(rows, field.name), getattr(cut, field.name)
+            if isinstance(whole, np.ndarray) and whole.shape[0] == rows.class_count:
+                assert taken.tobytes() == whole[ids].tobytes(), field.name
+                per_class += 1
+            else:
+                assert taken is whole, field.name
+        assert cut.class_count == 2
+        assert per_class == (5 if variant == "attention_block" else 1)
 
 
 class TestLocalFeatures:
