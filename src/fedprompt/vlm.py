@@ -237,6 +237,8 @@ class FrozenTextEncoder:
                 ab = np.empty((n, C, S + 1))  # [1, a_bar]
                 ab[..., 0] = 1.0
                 np.mean(A, axis=2, out=ab[..., 1:])
+                # one product of all n (L + 1) rows: the n sum rows alone would be
+                # a matrix-vector product at n = 1, rounding otherwise
                 R = np.empty((n, L + 1, d))
                 R[:, 0] = X.reshape(n, L, d).sum(axis=1) / S
                 R[:, 1:] = V.reshape(n, L, d)
@@ -291,13 +293,13 @@ class FrozenTextEncoder:
         # the head's own contexts once per copy of them in the stack, t and
         # 1 - u^2 formed once per block for every copy; linear_pool keeps only
         # each context's sum of dz over its classes, attention_block the
-        # gradients of G, dR = [1, a_bar[:L]]^T dz, and of a_bar
+        # gradients of G, dG = [1, a_bar[:L]]^T dz, and of a_bar
         linear = self.variant == "linear_pool"
         if linear:
             dz = np.empty((n, self.d_feature))
         else:
             Q, K, A, ab = attn_cache
-            dR = np.empty((n, L + 1, self.d_feature))
+            dG = np.empty((n, L + 1, self.d_feature))
             da_bar = np.empty((n, C, S))
         for block in _head_blocks(u):
             ub = u[block]
@@ -315,7 +317,7 @@ class FrozenTextEncoder:
                 if linear:
                     np.add.reduce(du, axis=1, out=dz[at])
                     continue
-                np.matmul(ab[at, :, :L + 1].transpose(0, 2, 1), du, out=dR[at])
+                np.matmul(ab[at, :, :L + 1].transpose(0, 2, 1), du, out=dG[at])
                 np.matmul(du, G[block, 1:].transpose(0, 2, 1), out=da_bar[at, :, :L])
                 # per pair, as in `encode`: a product over the class axis would
                 # run n rows per class, whose bits depend on n
@@ -324,8 +326,8 @@ class FrozenTextEncoder:
         if linear:
             dpooled = dz @ w["w_out"] / S
             return np.repeat(dpooled[:, None, :], L, axis=1)
-        # rows [d sum(X) / S; dV] of each context, in one product
-        dRx = (dR.reshape(n * (L + 1), self.d_feature) @ w["w_out"]).reshape(n, L + 1, d)
+        # the gradient of R = [sum(X) / S; V], in one product
+        dR = (dG.reshape(n * (L + 1), self.d_feature) @ w["w_out"]).reshape(n, L + 1, d)
         # every query row of A receives the same gradient da_bar / S
         dA = da_bar[:, :, None, :] / S
         dscores = A * (dA - (A * dA).sum(axis=-1, keepdims=True)) / np.sqrt(d)
@@ -335,8 +337,8 @@ class FrozenTextEncoder:
         dK = shared.transpose(0, 2, 1) @ Q + dscores[:, :, L:, :L].transpose(0, 3, 1, 2) \
             .reshape(n, L, C * T) @ rows.q.reshape(C * T, d)
         dX = (dQ.reshape(n * L, d) @ w["wq"].T + dK.reshape(n * L, d) @ w["wk"].T
-              + dRx[:, 1:].reshape(n * L, d) @ w["wv"].T).reshape(n, L, d)
-        return dX + (dRx[:, 0] / S)[:, None, :]
+              + dR[:, 1:].reshape(n * L, d) @ w["wv"].T).reshape(n, L, d)
+        return dX + (dR[:, 0] / S)[:, None, :]
 
 
 def repeat_cache(cache: tuple, k: int) -> tuple:

@@ -453,7 +453,6 @@ class TestClassCut:
                 with pytest.raises(ValueError, match="read-only"):
                     array[(0,) * array.ndim] = 1.0
 
-
     @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
     def test_take_cuts_every_per_class_field(self, variant):
         # every array field with a row per class is cut, and the rest is shared,
