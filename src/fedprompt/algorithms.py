@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .data import ClientDataset, class_positions
-from .errors import ConfigError, DataError, DomainError
+from .errors import DataError, DomainError
 from .numerics import log_softmax_temp, softmax_ce_batch, softmax_temp
 from .transport import sinkhorn_batched
 from .vlm import (
@@ -74,8 +74,6 @@ class BroadcastEncoding:
 # ---------------------------------------------------------------------------
 
 def cosine_lr(lr: float, t: int, total: int) -> float:
-    if not (0 <= t <= total):
-        raise ConfigError(f"round {t} outside schedule of {total} rounds")
     return lr * 0.5 * (1.0 + np.cos(np.pi * t / total))
 
 
@@ -88,16 +86,11 @@ def sgd_momentum_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray
     lr_t = cosine_lr(lr, t, total)
     out = {}
     for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ConfigError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
         v = velocities.get(name)
         if v is None:
             v = velocities[name] = np.zeros_like(p)
-        if v.shape != p.shape:
-            raise ConfigError(f"velocity shape {v.shape} != parameter shape {p.shape} for {name!r}")
         v *= momentum
-        v += g
+        v += grads[name]
         out[name] = p - lr_t * v
     return out
 
@@ -198,8 +191,6 @@ def ce_loss_and_grads(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray,
 def loss_kgcoop(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: float,
                 hand: np.ndarray, lambda_kg: float) -> tuple[float, np.ndarray]:
     """CE plus squared distance of class features to the handcrafted ones, `hand`."""
-    if lambda_kg < 0:
-        raise ConfigError("lambda_kg must be >= 0")
     m = len(feats)
     loss, dlogits, *_ = _cosine_ce(feats, xh, labels, tau)
     n_classes = hand.shape[0]
@@ -250,8 +241,6 @@ def loss_proda(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: float
                lambda_orth: float) -> tuple[float, np.ndarray]:
     """Prompt-ensemble CE plus a hinge penalty on aligned prompt-set features."""
     m = len(feats)
-    if m < 2:
-        raise ConfigError(f"prompt-distribution loss needs >= 2 prompt sets, got {m}")
     loss, dlogits, *_ = _cosine_ce(feats, xh, labels, tau)
     dT_ce = (dlogits / m).T @ xh
     dTs = [dT_ce.copy() for _ in range(m)]
@@ -273,8 +262,6 @@ def loss_src(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: float,
              mu_text: float, mu_logit: float) -> tuple[float, np.ndarray]:
     """CE plus L1 consistency with `reference_features` and KL(zero-shot || current)
     self-regularisation, the zero-shot predictions being those of `reference_scores`."""
-    if mu_text < 0 or mu_logit < 0:
-        raise ConfigError("self-regularisation weights must be >= 0")
     m = len(feats)
     loss, dlogits, probs, scores = _cosine_ce(feats, xh, labels, tau)
     n_classes = reference_features.shape[0]
@@ -298,8 +285,6 @@ def loss_src(feats: np.ndarray, xh: np.ndarray, labels: np.ndarray, tau: float,
 
 def trajectory_average(contexts: list[np.ndarray], window: int) -> np.ndarray:
     """Gaussian-weighted mean of the last `window` contexts, centered on the window."""
-    if window < 1:
-        raise ConfigError(f"trajectory window must be >= 1, got {window}")
     tail = contexts[-window:]
     k = len(tail)
     center = (k - 1) / 2.0
@@ -309,18 +294,16 @@ def trajectory_average(contexts: list[np.ndarray], window: int) -> np.ndarray:
     return sum(wi * c for wi, c in zip(w, tail))
 
 
-def transport_costs(local_maps: np.ndarray | None, feats: np.ndarray) -> np.ndarray:
+def transport_costs(local_maps: np.ndarray, feats: np.ndarray) -> np.ndarray:
     """(B, C, M, N) costs 1 - cosine between each image's regions `local_maps`
     (B, M, d) and each class's N prompt-set features `feats` (N, C, d)."""
-    if local_maps is None:
-        raise ConfigError("transport scoring needs per-sample local feature maps")
     (B, M, d), (N, C) = local_maps.shape, feats.shape[:2]
     # one (M, d) product per image, whose rows depend on that image alone
     dots = np.matmul(local_maps, feats.reshape(N * C, d).T).reshape(B, M, N, C)
     return np.subtract(1.0, dots.transpose(0, 3, 1, 2), order="C")
 
 
-def ot_scores_and_grads(feats: np.ndarray, local_maps: np.ndarray | None,
+def ot_scores_and_grads(feats: np.ndarray, local_maps: np.ndarray,
                         labels: np.ndarray, tau: float, eps: float, iters: int,
                         col_relax: float) -> tuple[float, np.ndarray]:
     """CE over transport-aligned logits; plans are constants of the backward pass.
@@ -452,11 +435,11 @@ class LocalTrainer:
         to its loss and feature gradients, the encoder's backward pass takes
         those to context gradients, and `param_grads` takes these to the
         parameters. The steps run in chunks of consecutive steps of at most
-        `ConditionedPredictor.PAIRS_PER_BLOCK` (context, class) pairs (a step
-        larger than that is a chunk of its own, its encoder calls cut into
-        blocks of at most that many): each chunk makes one stacked encoder
-        call, or none when it shares the broadcast's encoding, and one
-        stacked backward call per feature gradient of its steps.
+        `PAIRS_PER_BLOCK` (context, class) pairs (a step larger than that is
+        a chunk of its own, its encoder calls cut into blocks of at most that
+        many): each chunk makes one stacked encoder call, or none when it
+        shares the broadcast's encoding, and one stacked backward call per
+        feature gradient of its steps.
         """
         prepared = (_Step(*step, *self.step_contexts(*step[:2])) for step in steps)
         for chunk in _chunks(prepared):
@@ -550,10 +533,7 @@ class LocalTrainer:
                 assets.text_features(contexts, out=feats[block].reshape((-1,) + feats.shape[2:]))
             return PerClientPredictor([self.predictor(f, assets.cfg.tau) for f in feats],
                                       [rows for _, rows in held])
-        shared = self.broadcast_encoding(payload, assets)
-        if shared is None:
-            raise ConfigError(f"a {self.kind} predictor needs the client state")
-        return self.predictor(shared.features, assets.cfg.tau)
+        return self.predictor(self.broadcast_encoding(payload, assets).features, assets.cfg.tau)
 
     def predictor(self, features: np.ndarray, tau: float):
         """The predictor that scores with an encoded context's text features."""
@@ -609,11 +589,17 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
+# (context, class) pairs per encode call, in prediction and in training. The
+# encoder's cache keeps u, (pairs, d_feature) float64: 8 KB per pair at
+# d_feature 1024. Another value cuts the stacks otherwise, which moves
+# linear_pool's bits.
+PAIRS_PER_BLOCK = 256
+
+
 def _blocks(n: int, classes: int) -> list[slice]:
     """n stacked contexts cut into near-equal blocks of at most
-    `ConditionedPredictor.PAIRS_PER_BLOCK` (context, class) pairs, one
-    context at least."""
-    per_block = max(1, ConditionedPredictor.PAIRS_PER_BLOCK // classes)
+    `PAIRS_PER_BLOCK` (context, class) pairs, one context at least."""
+    per_block = max(1, PAIRS_PER_BLOCK // classes)
     count = -(-n // per_block)
     bounds = [n * i // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -632,13 +618,12 @@ class _Step(NamedTuple):
 
 def _chunks(steps: Iterable[_Step]):
     """Runs of consecutive steps, each sharing one broadcast encoding (or
-    none) and holding at most `ConditionedPredictor.PAIRS_PER_BLOCK` (context,
-    class) pairs, unless one step alone holds more."""
+    none) and holding at most `PAIRS_PER_BLOCK` (context, class) pairs,
+    unless one step alone holds more."""
     chunk, pairs = [], 0
     for step in steps:
         size = len(step.contexts) * step.ctx.assets.class_count
-        if chunk and (pairs + size > ConditionedPredictor.PAIRS_PER_BLOCK
-                      or step.shared is not chunk[0].shared):
+        if chunk and (pairs + size > PAIRS_PER_BLOCK or step.shared is not chunk[0].shared):
             yield chunk
             chunk, pairs = [], 0
         chunk.append(step)
@@ -669,7 +654,7 @@ class TransportPredictor:
     iters: int
     col_relax: float
 
-    def probs(self, image_features: np.ndarray, local_maps: np.ndarray | None) -> np.ndarray:
+    def probs(self, image_features: np.ndarray, local_maps: np.ndarray) -> np.ndarray:
         return transport_probs([self], [local_maps])[0]
 
 
@@ -680,13 +665,10 @@ def transport_probs(predictors: list[TransportPredictor],
     The cost tensors of all predictors are solved in one `sinkhorn_batched`
     stack. A problem's plan does not depend on what else is in the stack,
     so each predictor's probabilities are bitwise those it scores alone.
-    The predictors must share their solver settings and their (C, M, N).
+    The predictors must share their solver settings, or the unpacking of
+    the one setting raises ValueError, and their (C, M, N).
     """
-    solver = {(p.eps, p.iters, p.col_relax) for p in predictors}
-    if len(solver) != 1:
-        raise ConfigError(f"transport predictors stacked in one solve differ in "
-                          f"(eps, iters, col_relax): {sorted(solver)}")
-    (eps, iters, col_relax), = solver
+    (eps, iters, col_relax), = {(p.eps, p.iters, p.col_relax) for p in predictors}
     costs = [transport_costs(maps, p.features) for p, maps in zip(predictors, local_maps)]
     plans = sinkhorn_batched(np.concatenate(costs), eps, iters, col_relax=col_relax)
     starts = np.cumsum([0] + [len(c) for c in costs])
@@ -702,12 +684,11 @@ class PerClientPredictor:
     predictors: list[TransportPredictor]
     rows: list[int]
 
-    def probs(self, image_features: np.ndarray, local_maps: np.ndarray | None) -> np.ndarray:
+    def probs(self, image_features: np.ndarray, local_maps: np.ndarray) -> np.ndarray:
         if sum(self.rows) != len(image_features):
             raise DataError(f"client blocks of {sum(self.rows)} rows over "
                             f"{len(image_features)} images")
-        maps = ([None] * len(self.rows) if local_maps is None
-                else np.split(local_maps, np.cumsum(self.rows)[:-1]))
+        maps = np.split(local_maps, np.cumsum(self.rows)[:-1])
         return np.concatenate(transport_probs(self.predictors, maps))
 
 
@@ -837,11 +818,6 @@ def conditioned_scores(xh: np.ndarray, feats: np.ndarray) -> np.ndarray:
 class ConditionedPredictor:
     """Image-conditioned prompts, encoded for a block of test images at a time."""
 
-    # (context, class) pairs per encode call, in prediction and in training.
-    # The attention encoder holds a few (pairs, d_token) float64 temporaries,
-    # about 5 MB per call at d_token=512.
-    PAIRS_PER_BLOCK = 256
-
     def __init__(self, assets: ModelAssets, fields: dict[str, np.ndarray]):
         self.assets = assets
         self.fields = fields
@@ -849,7 +825,7 @@ class ConditionedPredictor:
     def probs(self, image_features: np.ndarray, local_maps) -> np.ndarray:
         xh = unit_rows(image_features)
         pairs = self.fields["context"].shape[0] * self.assets.class_count
-        block = max(1, self.PAIRS_PER_BLOCK // pairs)
+        block = max(1, PAIRS_PER_BLOCK // pairs)
         logits = [self._scores(xh[start:start + block]) for start in range(0, len(xh), block)]
         return softmax_temp(np.concatenate(logits), self.assets.cfg.tau)
 
@@ -917,6 +893,4 @@ TRAINER_KINDS = tuple(_TRAINERS)
 
 
 def make_trainer(kind: str) -> LocalTrainer:
-    if kind not in _TRAINERS:
-        raise ConfigError(f"unknown trainer kind {kind!r}; choose from {sorted(_TRAINERS)}")
     return _TRAINERS[kind]()

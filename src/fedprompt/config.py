@@ -8,7 +8,9 @@ defaults. A key annotated `X | None` takes `auto` (None). Unknown sections
 or keys are rejected, and the dataclasses check every value, so a config
 built in code is checked as a parsed one is. An empty file yields the
 all-defaults experiment. Whether a synthetic entry's prototypes fit
-`model.d_image` is checked where they are drawn (`check_datasets`).
+`model.d_image`, and whether a feature table's header fits the model and
+the scenarios, is checked where the data is drawn or read
+(`check_datasets`).
 """
 
 import configparser
@@ -119,6 +121,10 @@ class ExperimentConfig:
         for kind in self.scenarios:
             if kind not in SCENARIO_KINDS:
                 raise ConfigError(f"experiment.scenarios: unknown scenario {kind!r}")
+        # a zero-shot cost_tradeoff cell sweeps no model: such a run writes no row
+        if self.scenarios == ["cost_tradeoff"] and self.methods == [ZERO_SHOT_METHOD]:
+            raise ConfigError(f"experiment.methods: {ZERO_SHOT_METHOD} alone records nothing "
+                              "under experiment.scenarios cost_tradeoff")
 
     def subsample_per_class(self) -> int:
         """`data.per_class_subsample`; auto is 16 under partial participation, else 8."""
@@ -278,23 +284,28 @@ def materialize_datasets(config: ExperimentConfig) -> dict[str, MasterDataset]:
             datasets[entry] = _synthetic_dataset(config, entry, config.data.samples_per_class)
         else:
             loaded = load_feature_table(entry)
-            _check_width(entry, loaded.feature_dim, config.model)
+            _check_table(config, entry, loaded.feature_dim, loaded.class_count)
             datasets[dataset_display_name(entry)] = loaded
     return datasets
 
 
 def check_datasets(config: ExperimentConfig) -> None:
     """Draw the prototypes of every synthetic entry, and read the header of
-    every feature table and check its width against the model; what
+    every feature table and check it against the rest of the config; what
     `materialize_datasets` would reject first, short of a table's body."""
     for entry in config.data.datasets:
         if is_synthetic(entry):
             _synthetic_dataset(config, entry, 0)  # the prototypes, and no sample
         else:
-            _check_width(entry, read_table_header(entry)[0], config.model)
+            _check_table(config, entry, *read_table_header(entry))
 
 
-def _check_width(entry: str, dim: int, model: ModelConfig) -> None:
-    if dim != model.d_image:
+def _check_table(config: ExperimentConfig, entry: str, dim: int, classes: int) -> None:
+    """Check a feature table's header-declared width and class count against
+    the model and the scenarios."""
+    if dim != config.model.d_image:
         raise ConfigError(f"{entry}:1: feature width {dim} does not match "
-                          f"model.d_image {model.d_image}")
+                          f"model.d_image {config.model.d_image}")
+    if classes < 2 and "base_novel" in config.scenarios:
+        raise ConfigError(f"data.datasets: {entry} declares {classes} class; experiment."
+                          "scenarios base_novel needs at least 2 to split into base and novel")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DomainError
 from .vlm import read_only, synth_local_features, unit_rows
 from . import rngs
 
@@ -273,7 +273,7 @@ def apply_domain_shift(dataset: MasterDataset, shift: DomainShift, rows) -> Clie
     under their master ids.
     """
     if not np.isfinite([shift.angle, shift.noise_sigma]).all():
-        raise ConfigError("domain shift parameters must be finite")
+        raise DomainError("domain shift parameters must be finite")
     kept = KeptRows(len(dataset), rows, f"a dataset shifted by {shift}")
     x = _rotate_planes(dataset.features[kept.ids], shift.angle)
     if shift.noise_sigma > 0:
@@ -321,8 +321,6 @@ def balanced_subsample_indices(labels: np.ndarray, per_class: int,
 def stratified_split(labels: np.ndarray, fractions: tuple[float, float, float],
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-class shuffled split into train/val/test index arrays."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError("split fractions must sum to 1")
     parts: tuple[list, list, list] = ([], [], [])
     for c in _classes(labels):
         idx = rng.permutation(np.flatnonzero(labels == c))
@@ -344,10 +342,6 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float,
     Every sample is assigned exactly once; empty clients are permitted
     (small alpha concentrates whole classes on few clients).
     """
-    if alpha <= 0:
-        raise ConfigError(f"concentration parameter must be positive, got {alpha}")
-    if num_clients < 1:
-        raise ConfigError("need at least one client")
     labels = np.asarray(labels)
     buckets: list[list[int]] = [[] for _ in range(num_clients)]
     classes = _classes(labels)
@@ -393,8 +387,6 @@ def mirror_partition(class_proportions: np.ndarray, labels: np.ndarray,
 def kshot_iid_partition(labels: np.ndarray, num_clients: int, shots: int,
                         rng: np.random.Generator) -> PartitionPlan:
     """Every client receives exactly `shots` samples of every class, without replacement."""
-    if shots < 1 or num_clients < 1:
-        raise ConfigError("shots and clients must be positive")
     labels = np.asarray(labels)
     buckets: list[list[int]] = [[] for _ in range(num_clients)]
     for c in _classes(labels):
@@ -412,20 +404,15 @@ def kshot_iid_partition(labels: np.ndarray, num_clients: int, shots: int,
     return plan
 
 
-def base_novel_split(class_count: int, mode: str = "first_half",
-                     seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint covering split of class ids; the base half gets the ceiling."""
-    if class_count < 2:
-        raise ConfigError("need at least 2 classes to split")
+def base_novel_split(class_count: int, mode: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint covering split of class ids; the base half gets the ceiling.
+    `mode` "first_half" takes the base half in id order, "random" draws it
+    from `seed`."""
     n_base = (class_count + 1) // 2
     if mode == "first_half":
         order = np.arange(class_count)
-    elif mode == "random":
-        if seed is None:
-            raise ConfigError("random base/novel split needs a seed")
-        order = rngs.derive_rng(seed, rngs.SPLIT).permutation(class_count)
     else:
-        raise ConfigError(f"unknown split mode {mode!r}")
+        order = rngs.derive_rng(seed, rngs.SPLIT).permutation(class_count)
     return np.sort(order[:n_base]), np.sort(order[n_base:])
 
 

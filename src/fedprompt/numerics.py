@@ -1,13 +1,14 @@
 """Dense loss kernels with exact analytic derivatives.
 
 All math is 64-bit; reductions run in index order so repeated runs are
-bit-identical. Public operations validate their inputs and never let
-NaN/Inf escape.
+bit-identical. Non-finite or empty scores raise DomainError. The
+temperature `tau` is a config value, checked once where it is parsed
+(`ModelConfig`), and taken here as given.
 """
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 CROSS_ENTROPY_CAP = 1e6
 
@@ -21,8 +22,6 @@ def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
 
 def _shifted(logits: np.ndarray, tau: float) -> np.ndarray:
     """logits / tau less its maximum over the last axis, checked."""
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
     logits = _check_finite(logits, "logits")
     if logits.size == 0:
         raise DomainError("softmax of empty input")

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 _TINY = np.finfo(float).tiny
 
@@ -27,14 +27,13 @@ def sinkhorn_batched(costs: np.ndarray, eps: float, iters: int = 100,
     that replaces the column constraint: 1 (lambda -> inf) is the balanced
     problem, 0 (lambda = 0) drops the column constraint.
 
-    Raises ConfigError for eps <= 0 or col_relax outside [0, 1], and
-    DomainError for non-finite costs or an eps so small that a row of K
-    underflows.
+    Raises DomainError for eps <= 0, col_relax outside [0, 1], non-finite
+    costs, or an eps so small that a row of K underflows.
     """
     if not (0.0 <= col_relax <= 1.0):
-        raise ConfigError(f"col_relax must lie in [0, 1], got {col_relax}")
+        raise DomainError(f"col_relax must lie in [0, 1], got {col_relax}")
     if not eps > 0:
-        raise ConfigError(f"entropic regularisation must be positive, got {eps}")
+        raise DomainError(f"entropic regularisation must be positive, got {eps}")
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim < 2 or 0 in costs.shape[-2:]:
         raise DomainError(f"costs must be a stack of (M, N) matrices, got shape {costs.shape}")

@@ -169,10 +169,6 @@ class FrozenTextEncoder:
     def class_rows(self, class_tokens: np.ndarray, L: int) -> ClassRows:
         """Encode the frozen class tokens (C, T, d_token) that follow L context rows."""
         tokens = np.asarray(class_tokens, dtype=np.float64)
-        if tokens.ndim != 3 or tokens.shape[2] != self.d_token:
-            raise ConfigError(f"class tokens must be (C, T, {self.d_token}), got shape {tokens.shape}")
-        if L < 1:
-            raise ConfigError(f"context length must be >= 1, got {L}")
         C, T, d = tokens.shape
         S = L + T
         w = self.weights
@@ -197,12 +193,9 @@ class FrozenTextEncoder:
         frozen rows of the C classes (see `class_rows`).
         """
         contexts = np.asarray(contexts, dtype=np.float64)
-        if contexts.ndim != 3:
-            raise ConfigError(f"contexts must be (n, L, d_token), got shape {contexts.shape}")
-        if contexts.shape[2] != self.d_token:
-            raise ConfigError(f"token width {contexts.shape[2]} != encoder d_token {self.d_token}")
+        # linear_pool would divide by the wrong S without a word
         if contexts.shape[1] != rows.L:
-            raise ConfigError(f"context length {contexts.shape[1]} != class rows' L {rows.L}")
+            raise ValueError(f"context length {contexts.shape[1]} != class rows' L {rows.L}")
         if not np.all(np.isfinite(contexts)):
             raise DomainError("prompt context contains non-finite entries")
         n, L, d = contexts.shape
@@ -283,8 +276,8 @@ class FrozenTextEncoder:
         rows, u, norms, G, attn_cache, copies = cache
         dfeatures = np.asarray(dfeatures, dtype=np.float64)
         expected = (copies * len(u),) + u.shape[1:]
-        if dfeatures.shape != expected:
-            raise ConfigError(f"feature gradient shape {dfeatures.shape} != features {expected}")
+        if dfeatures.shape != expected:  # extra rows would be ignored
+            raise ValueError(f"feature gradient shape {dfeatures.shape} != features {expected}")
         w = self.weights
         n, C = expected[:2]
         L, S, d = rows.L, rows.S, self.d_token
@@ -382,12 +375,9 @@ def synth_local_features(image_features: np.ndarray, noise: np.ndarray,
     `image_features` (..., d) and `noise` (..., M, d) give (..., M, d): row
     m of feature f is `f + spread * noise[m]`, normalised.
     """
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.ndim < 2 or noise.shape[-2] < 1:
-        raise ConfigError(f"local features need noise of shape (..., M >= 1, d), "
-                          f"got {noise.shape}")
     base = np.asarray(image_features, dtype=np.float64)
-    return unit_rows(base[..., None, :] + spread * noise, "local features")
+    return unit_rows(base[..., None, :] + spread * np.asarray(noise, dtype=np.float64),
+                     "local features")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from fedprompt import algorithms
 from fedprompt import rngs
 from fedprompt.algorithms import CosinePredictor, TransportPredictor, make_trainer, transport_costs
 from fedprompt.data import MasterDataset, _rotate_planes
-from fedprompt.errors import ConfigError, DomainError
+from fedprompt.errors import DomainError
 from fedprompt.evaluation import build_run_state, evaluate_predictor, run_cell
 from fedprompt.numerics import CROSS_ENTROPY_CAP, _check_finite, softmax_ce_batch, softmax_temp
 from fedprompt.transport import sinkhorn_batched
@@ -127,7 +127,7 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 def max_abs_diff(a, b) -> float:
     """Largest elementwise difference between two payloads with the same fields."""
     if a.fields.keys() != b.fields.keys():
-        raise ConfigError("payload field sets differ")
+        raise ValueError("payload field sets differ")
     return max(
         (float(np.max(np.abs(a.fields[k] - b.fields[k]))) if a.fields[k].size else 0.0)
         for k in a.fields

@@ -239,6 +239,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="methods"):
             parse_config_text("[experiment]\nmethods = bpl\n")
 
+    def test_a_config_whose_cells_record_nothing_is_rejected(self):
+        with pytest.raises(ConfigError, match="^experiment.methods: zsclip alone records nothing"):
+            parse_config_text("[experiment]\nscenarios = cost_tradeoff\nmethods = zsclip\n")
+        parse_config_text("[experiment]\nscenarios = cost_tradeoff,global\nmethods = zsclip\n")
+        parse_config_text("[experiment]\nscenarios = cost_tradeoff\nmethods = zsclip,promptfl\n")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(str(tmp_path / "nope.ini"))
@@ -1156,6 +1162,26 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith(where.format(table=table))
+
+    def test_base_novel_on_a_one_class_table_fails_before_any_file(self, tmp_path, capsys):
+        table = tmp_path / "feat.txt"
+        table.write_text("# d=16 classes=1\n" + ("0,0," + ",".join(["0.5"] * 16) + "\n") * 12)
+        config = tmp_path / "run.ini"
+        config.write_text(table_config_text(table).replace(
+            "seeds = 0\n", "seeds = 0\nscenarios = global\n"))
+        assert main(["validate", str(config)]) == 0  # one class is fine without base_novel
+        capsys.readouterr()
+        config.write_text(table_config_text(table).replace(
+            "seeds = 0\n", "seeds = 0\nscenarios = global, base_novel\n"))
+        out = str(tmp_path / "out")
+        for argv in (["validate", str(config)], ["run", str(config), "--dry-run", "--out", out],
+                     ["run", str(config), "--out", out]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == (
+                f"error: data.datasets: {table} declares 1 class; experiment.scenarios "
+                "base_novel needs at least 2 to split into base and novel\n")
+        assert not (tmp_path / "out").exists()
 
     def test_undecodable_feature_table_is_an_input_error(self, tmp_path, capsys):
         table = tmp_path / "feat.txt"

@@ -10,7 +10,6 @@ from vlm_oracle import prompt_gradients
 from fedprompt.algorithms import (
     TRAINER_KINDS,
     CommunicablePayload,
-    ConditionedPredictor,
     PersonalizedFedOTPTrainer,
     TrainContext,
     iterate_batches,
@@ -373,7 +372,7 @@ class TestLockstepRound:
 
         monkeypatch.setattr(FrozenTextEncoder, "encode", recording_encode)
         monkeypatch.setattr(FrozenTextEncoder, "backward", recording_backward)
-        monkeypatch.setattr(ConditionedPredictor, "PAIRS_PER_BLOCK", 4)
+        monkeypatch.setattr("fedprompt.algorithms.PAIRS_PER_BLOCK", 4)
         blocked = self._rounds(trainer_class, assets, lockstep=True)
         trainer = trainer_class()
         assert sizes and max(sizes) == (trainer.n_sets(cfg) if trainer.scores_with_broadcast

@@ -166,7 +166,7 @@ class TestEncoder:
             cfg = small_config(variant)
             enc = FrozenTextEncoder(cfg)
             rows = enc.class_rows(class_tokens(cfg, 3), cfg.tokens)
-            with pytest.raises(ConfigError):
+            with pytest.raises(ValueError):
                 enc.encode(np.zeros((1, cfg.tokens, cfg.d_token + 1)), rows)
 
     def test_digest_stable(self):
@@ -240,15 +240,15 @@ class TestStructuredEncoder:
         cfg = small_config("attention_block")
         enc = FrozenTextEncoder(cfg)
         rows = enc.class_rows(class_tokens(cfg, 3), cfg.tokens)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="context length"):
             enc.encode(np.zeros((1, cfg.tokens + 1, cfg.d_token)), rows)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             enc.encode(np.zeros((cfg.tokens, cfg.d_token)), rows)
 
     def test_gradient_shape_mismatch(self, small_assets, rng):
         cfg = small_assets.cfg
         feats, cache = small_assets.text_features(rng.normal(size=(2, cfg.tokens, cfg.d_token)))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="feature gradient shape"):
             small_assets.encoder.backward(cache, np.zeros(feats.shape[1:]))
 
 
@@ -432,6 +432,8 @@ class TestClassCut:
         templates = np.concatenate([build_handcrafted_context(cfg, template=tpl)
                                     for tpl in range(3)])
         assert assets.for_classes(None) is assets
+        # the last-bit miss below is that of the SkylakeX kernels; others can round alike
+        skylake = openblas_core() == "SkylakeX"
         encodes = []
         encode = FrozenTextEncoder.encode
         monkeypatch.setattr(FrozenTextEncoder, "encode",
@@ -445,8 +447,10 @@ class TestClassCut:
             # an encoding on the cut's own rows misses the whole set's in the last bit
             hand, _ = encode(cut.encoder, build_handcrafted_context(cfg), cut.class_rows)
             again, _ = encode(cut.encoder, templates, cut.class_rows)
-            assert not np.array_equal(hand[0], cut.hand_features)
-            assert not np.array_equal(unit_rows(again.sum(axis=0) / 3), cut.reference_features)
+            if skylake:
+                assert not np.array_equal(hand[0], cut.hand_features)
+                assert not np.array_equal(unit_rows(again.sum(axis=0) / 3),
+                                          cut.reference_features)
             rows = cut.class_rows
             for array in (cut.class_ids, cut.hand_features, cut.reference_features,
                           rows.head, rows.q, rows.k, rows.v_out, rows.scores):
@@ -493,7 +497,3 @@ class TestLocalFeatures:
         x = rng.normal(size=16)
         out = synth_local_features(x, rng.normal(size=(8, 16)), spread=0.2)
         assert cosine_similarity(out.mean(axis=0), x) > 0
-
-    def test_m_must_be_positive(self, rng):
-        with pytest.raises(ConfigError):
-            synth_local_features(np.ones(4), np.ones((0, 4)))

@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from fedprompt.errors import ConfigError, DomainError
+from fedprompt.errors import DomainError
 from fedprompt.numerics import softmax_ce_batch, softmax_temp
 from fedprompt.vlm import unit_rows
 from oracle import cosine_similarity
@@ -21,7 +21,7 @@ def encode_sequences(encoder, tokens: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Encode a stack of sequences (n, S, d_token) -> unit features (n, d_feature)."""
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.shape[-1] != encoder.d_token:
-        raise ConfigError(f"token width {tokens.shape[-1]} != encoder d_token {encoder.d_token}")
+        raise ValueError(f"token width {tokens.shape[-1]} != encoder d_token {encoder.d_token}")
     n, S, d = tokens.shape
     w = encoder.weights
     if encoder.variant == "attention_block":
