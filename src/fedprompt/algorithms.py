@@ -6,12 +6,13 @@ payload of the exact shape it declared. Client-retained state (momentum
 buffers, personal prompts) never travels.
 """
 
+import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .data import ClientDataset, class_positions
+from .data import ClientDataset, Regions, class_positions
 from .errors import DataError, DomainError
 from .numerics import log_softmax_temp, softmax_ce_batch, softmax_temp
 from .transport import sinkhorn_batched
@@ -303,6 +304,19 @@ def transport_costs(local_maps: np.ndarray, feats: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, dots.transpose(0, 3, 1, 2), order="C")
 
 
+def region_costs(images: np.ndarray, regions: Regions, feats: np.ndarray) -> np.ndarray:
+    """`transport_costs` against `feats` (N, C, d) of every row of the slice
+    whose image features are `images` and regions `regions`, the region
+    features built a block of rows at a time (`Regions.blocks`), so that
+    one block of them is held. An image's costs depend on its own regions
+    alone, so they equal those of the whole slice's features."""
+    (N, C), M = feats.shape[:2], regions.noise.shape[1]
+    costs = np.empty((len(regions), C, M, N))
+    for block in regions.blocks():
+        costs[block] = transport_costs(regions.build(images, block), feats)
+    return costs
+
+
 def ot_scores_and_grads(feats: np.ndarray, local_maps: np.ndarray,
                         labels: np.ndarray, tau: float, eps: float, iters: int,
                         col_relax: float) -> tuple[float, np.ndarray]:
@@ -521,19 +535,26 @@ class LocalTrainer:
                         held: list[tuple[ClientTrainState, int]] | None):
         """The predictor of the payload's context under `assets`' classes,
         from the broadcast's encoding. Given `held`, the (state, rows) of the
-        clients that hold fields of their own, it is their `PerClientPredictor`:
-        each client's fields stacked on the payload's, all clients' stacks
-        encoded in blocks as a training step's are."""
+        clients that hold fields of their own, it is their `PerClientPredictor`,
+        which keeps each client's fields (the payload's with the client's
+        own, the arrays themselves) and encodes them while it scores."""
         if held is not None:
             fields = [{**payload.fields, **state.local_fields} for state, _ in held]
-            sets = sum(len(fields[0][name]) for name in self.context_fields)
-            feats = np.empty((len(held), sets, assets.class_count, assets.cfg.d_feature))
-            for block in _blocks(len(held), sets * assets.class_count):
-                contexts = np.concatenate([self._context(f) for f in fields[block]])
-                assets.text_features(contexts, out=feats[block].reshape((-1,) + feats.shape[2:]))
-            return PerClientPredictor([self.predictor(f, assets.cfg.tau) for f in feats],
+            return PerClientPredictor(lambda: self._client_predictors(fields, assets),
                                       [rows for _, rows in held])
         return self.predictor(self.broadcast_encoding(payload, assets).features, assets.cfg.tau)
+
+    def _client_predictors(self, fields: list[dict], assets: ModelAssets) -> Iterator:
+        """The predictor of each of `fields` in turn: their stacked contexts
+        encoded in blocks as a training step's are, a block at a time as its
+        first predictor is asked for."""
+        sets = sum(len(fields[0][name]) for name in self.context_fields)
+        for block in _blocks(len(fields), sets * assets.class_count):
+            contexts = np.concatenate([self._context(f) for f in fields[block]])
+            feats = np.empty((len(contexts), assets.class_count, assets.cfg.d_feature))
+            assets.text_features(contexts, out=feats)
+            for f in feats.reshape((-1, sets) + feats.shape[1:]):
+                yield self.predictor(f, assets.cfg.tau)
 
     def predictor(self, features: np.ndarray, tau: float):
         """The predictor that scores with an encoded context's text features."""
@@ -639,7 +660,7 @@ class CosinePredictor:
     features: np.ndarray  # (m, C, d)
     tau: float
 
-    def probs(self, image_features: np.ndarray, local_maps) -> np.ndarray:
+    def probs(self, image_features: np.ndarray, regions) -> np.ndarray:
         sims = np.einsum("bd,pcd->pbc", unit_rows(image_features), self.features).mean(axis=0)
         return softmax_temp(sims, self.tau)
 
@@ -654,42 +675,56 @@ class TransportPredictor:
     iters: int
     col_relax: float
 
-    def probs(self, image_features: np.ndarray, local_maps: np.ndarray) -> np.ndarray:
-        return transport_probs([self], [local_maps])[0]
+    def probs(self, image_features: np.ndarray, regions: Regions) -> np.ndarray:
+        return transport_probs([self], [image_features], [regions])[0]
 
 
-def transport_probs(predictors: list[TransportPredictor],
-                    local_maps: list[np.ndarray]) -> list[np.ndarray]:
-    """Class probabilities of each predictor over its own images' local maps.
+def transport_probs(predictors: Iterable[TransportPredictor], images: list[np.ndarray],
+                    regions: list[Regions]) -> list[np.ndarray]:
+    """Class probabilities of each predictor over its own images, whose
+    features are `images[k]` and regions `regions[k]`.
 
-    The cost tensors of all predictors are solved in one `sinkhorn_batched`
+    Each predictor's costs are made as the predictor is reached
+    (`region_costs`), so predictors made one block at a time are never all
+    held, and the costs of all of them are solved in one `sinkhorn_batched`
     stack. A problem's plan does not depend on what else is in the stack,
     so each predictor's probabilities are bitwise those it scores alone.
     The predictors must share their solver settings, or the unpacking of
     the one setting raises ValueError, and their (C, M, N).
     """
-    (eps, iters, col_relax), = {(p.eps, p.iters, p.col_relax) for p in predictors}
-    costs = [transport_costs(maps, p.features) for p, maps in zip(predictors, local_maps)]
+    costs, taus, solvers = [], [], set()
+    for predictor, x, own in zip(predictors, images, regions):
+        costs.append(region_costs(x, own, predictor.features))
+        taus.append(predictor.tau)
+        solvers.add((predictor.eps, predictor.iters, predictor.col_relax))
+    (eps, iters, col_relax), = solvers
     plans = sinkhorn_batched(np.concatenate(costs), eps, iters, col_relax=col_relax)
     starts = np.cumsum([0] + [len(c) for c in costs])
-    return [softmax_temp(-(plans[start:start + len(c)] * c).sum(axis=(-2, -1)), p.tau)
-            for p, c, start in zip(predictors, costs, starts)]
+    return [softmax_temp(-(plans[start:start + len(c)] * c).sum(axis=(-2, -1)), tau)
+            for tau, c, start in zip(taus, costs, starts)]
 
 
 @dataclass
 class PerClientPredictor:
     """Each client's own transport predictor over its consecutive block of
-    `rows` rows, in client order, all solved in one `transport_probs` stack."""
+    `rows` rows, in client order, all solved in one `transport_probs` stack.
 
-    predictors: list[TransportPredictor]
+    `predictors()` makes the clients' predictors in client order as they
+    are read, so that scoring holds the text features of one block of
+    clients (`LocalTrainer.build_predictor`), not of every client at once.
+    """
+
+    predictors: Callable[[], Iterator[TransportPredictor]]
     rows: list[int]
 
-    def probs(self, image_features: np.ndarray, local_maps: np.ndarray) -> np.ndarray:
+    def probs(self, image_features: np.ndarray, regions: Regions) -> np.ndarray:
         if sum(self.rows) != len(image_features):
             raise DataError(f"client blocks of {sum(self.rows)} rows over "
                             f"{len(image_features)} images")
-        maps = np.split(local_maps, np.cumsum(self.rows)[:-1])
-        return np.concatenate(transport_probs(self.predictors, maps))
+        blocks = [slice(a, b) for a, b in itertools.pairwise(np.cumsum([0, *self.rows]))]
+        return np.concatenate(transport_probs(self.predictors(),
+                                              [image_features[block] for block in blocks],
+                                              [regions.take(block) for block in blocks]))
 
 
 class PromptFLTrainer(LocalTrainer):
@@ -822,7 +857,7 @@ class ConditionedPredictor:
         self.assets = assets
         self.fields = fields
 
-    def probs(self, image_features: np.ndarray, local_maps) -> np.ndarray:
+    def probs(self, image_features: np.ndarray, regions) -> np.ndarray:
         xh = unit_rows(image_features)
         pairs = self.fields["context"].shape[0] * self.assets.class_count
         block = max(1, PAIRS_PER_BLOCK // pairs)
@@ -845,8 +880,8 @@ class FedOTPTrainer(LocalTrainer):
     ot_iters = 100
 
     def loss(self, feats, batch, labels, ctx):
-        return ot_scores_and_grads(feats, batch.local_maps, labels, ctx.assets.cfg.tau,
-                                   self.ot_eps, self.ot_iters, self.ot_relax)
+        return ot_scores_and_grads(feats, batch.regions.build(batch.features), labels,
+                                   ctx.assets.cfg.tau, self.ot_eps, self.ot_iters, self.ot_relax)
 
     def predictor(self, features, tau):
         return TransportPredictor(features, tau, self.ot_eps, self.ot_iters, self.ot_relax)

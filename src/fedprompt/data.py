@@ -7,11 +7,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .vlm import read_only, synth_local_features, unit_rows
+from .vlm import REGION_SPREAD, read_only, row_norms, unit_rows
 from . import rngs
 
 
-# bytes of standard-normal draws one block holds, while a stream is drawn and maps are built
+# bytes of float64 rows one block holds: while a noise stream is drawn, and
+# while region features are built (`Regions.blocks`), to their norms, to a
+# step's loss or to transport costs
 _BLOCK_BYTES = 1 << 18
 
 
@@ -93,35 +95,30 @@ class MasterDataset:
 
     def ensure_local_maps(self, M: int, parts: list["ClientDataset"],
                           noise_table: dict) -> list["ClientDataset"]:
-        """Each slice of `parts` with its region features for transport-based
-        scoring, (len(part), M, d), attached as `local_maps`.
+        """Each slice of `parts` with the `Regions` that build its region
+        features for transport-based scoring, (len(part), M, d), attached as
+        `regions`: the positions of its rows in the kept region noise and the
+        norms of their region features. No region feature is kept.
 
         A slice holds rows of this dataset, or of a shifted copy of it, under
-        their master ids. A row's maps depend only on the slice's feature and
-        on the row of the (n, M, d) region-noise stream at its master id, n
-        this dataset's row count, so they equal the per-sample draws of the
-        whole dataset at that row. `noise_table` holds, under (n, M, d), the
-        `RegionNoise` that keeps the stream's rows a run reads; its values are
-        drawn on the first call that needs them (in a worker pool's parent,
-        before the pool starts) and shared by every slice of that shape. A
-        row the table does not keep raises `DataError` naming the row. Each
-        slice's maps are built in blocks of `RegionNoise.block_rows` rows into
-        one array, so a temporary is one block in size. The maps are
-        read-only and kept on the returned slices, not on this dataset.
+        their master ids. A row's region features depend only on the slice's
+        feature and on the row of the (n, M, d) region-noise stream at its
+        master id, n this dataset's row count, so they equal the per-sample
+        draws of the whole dataset at that row. `noise_table` holds, under
+        (n, M, d), the `RegionNoise` that keeps the stream's rows a run reads;
+        its values are drawn on the first call that needs them (in a worker
+        pool's parent, before the pool starts) and shared by every slice of
+        that shape. A row the table does not keep raises `DataError` naming
+        the row. The regions are kept on the returned slices, not on this
+        dataset.
         """
         key = (len(self), M, self.feature_dim)
         noise = noise_table.get(key) or RegionNoise(key, ())
         # a row not kept fails before the draw
         noise_at = [noise.rows.positions(part.master_indices) for part in parts]
-        values, step = noise.values(), noise.block_rows
-        mapped = []
-        for part, at in zip(parts, noise_at):
-            maps = np.empty((len(at), M, self.feature_dim))
-            for start in range(0, len(at), step):
-                block = slice(start, start + step)
-                maps[block] = synth_local_features(part.features[block], values[at[block]])
-            mapped.append(replace(part, local_maps=read_only(maps)))
-        return mapped
+        values = noise.values()
+        return [replace(part, regions=Regions.of(part.features, values, at))
+                for part, at in zip(parts, noise_at)]
 
 
 class RegionNoise:
@@ -137,7 +134,6 @@ class RegionNoise:
     def __init__(self, shape: tuple[int, int, int], rows):
         self.shape = tuple(shape)
         self.rows = KeptRows(self.shape[0], rows, f"the {self.shape} region noise")
-        self.block_rows = _block_rows(self.shape[1:])
         self._values: np.ndarray | None = None
 
     def values(self) -> np.ndarray:
@@ -149,14 +145,76 @@ class RegionNoise:
 
 
 @dataclass(frozen=True)
+class Regions:
+    """The region features of a slice's rows, kept as what builds them.
+
+    Row i's M region features are the slice's image feature i plus
+    `REGION_SPREAD` times row `at[i]` of the kept region noise `noise`,
+    each divided by its norm `norms[i, m]`: the bits of
+    `vlm.synth_local_features` of that feature and noise row. `build` makes
+    any block of rows' features where they are read, from the slice's
+    image features; a row's features depend on that row alone, so a
+    block's rows equal the same rows of the whole slice's. What a slice
+    keeps is its positions and norms, (n,) and (n, M, 1); `noise` is the
+    run's (`RegionNoise.values`), shared, not copied.
+    """
+
+    noise: np.ndarray  # (K, M, d)
+    at: np.ndarray     # (n,)
+    norms: np.ndarray  # (n, M, 1)
+
+    @classmethod
+    def of(cls, images: np.ndarray, noise: np.ndarray, at: np.ndarray) -> "Regions":
+        """The regions of the image features `images` (n, d) over the noise
+        rows `at`, their norms taken a block of rows at a time; a zero
+        region feature raises `DomainError`. The positions and norms are
+        read-only."""
+        regions = cls(noise, at, np.empty((len(at), noise.shape[1], 1)))
+        for block in regions.blocks():
+            regions.norms[block] = row_norms(regions._sums(images, block))
+        if np.any(regions.norms == 0.0):
+            raise DomainError("local features contain a zero row")
+        read_only(at, regions.norms)
+        return regions
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def blocks(self) -> list[slice]:
+        """The rows, cut into consecutive blocks of `_block_rows` rows."""
+        step = _block_rows(self.noise.shape[1:])
+        return [slice(start, start + step) for start in range(0, len(self), step)]
+
+    def take(self, at) -> "Regions":
+        """The regions of the rows at positions `at`."""
+        return Regions(self.noise, self.at[at], self.norms[at])
+
+    def build(self, images: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """The region features (len(rows), M, d) of the rows `rows`, of the
+        slice whose image features are `images`."""
+        x = self._sums(images, rows)
+        x /= self.norms[rows]
+        return x
+
+    def _sums(self, images: np.ndarray, rows) -> np.ndarray:
+        """The unnormalised region features of the rows `rows`, in a new array."""
+        x = self.noise[self.at[rows]]
+        x *= REGION_SPREAD
+        x += images[rows][:, None, :]
+        return x
+
+
+@dataclass(frozen=True)
 class ClientDataset:
     """A slice of a master dataset, or of a shifted copy of it (a client's
-    data or a test set); indices stay master-relative."""
+    data or a test set); indices stay master-relative. A transport cell's
+    slices carry the `Regions` their region features are built from, and
+    no region features."""
 
     features: np.ndarray
     labels: np.ndarray
     master_indices: np.ndarray
-    local_maps: np.ndarray | None = None  # (n, M, d), given to transport cells' slices only
+    regions: Regions | None = None  # given to transport cells' slices only
 
     @classmethod
     def from_master(cls, master: MasterDataset, indices: np.ndarray) -> "ClientDataset":
@@ -164,9 +222,9 @@ class ClientDataset:
         return cls(features=master.features[idx], labels=master.labels[idx], master_indices=idx)
 
     def take(self, at) -> "ClientDataset":
-        """The rows at positions `at` of this slice, with their maps."""
+        """The rows at positions `at` of this slice, with their regions."""
         return ClientDataset(self.features[at], self.labels[at], self.master_indices[at],
-                             None if self.local_maps is None else self.local_maps[at])
+                             None if self.regions is None else self.regions.take(at))
 
     def __len__(self) -> int:
         return self.features.shape[0]

@@ -26,6 +26,7 @@ from .data import (
     DomainShift,
     MasterDataset,
     RegionNoise,
+    Regions,
     apply_domain_shift,
     balanced_subsample_indices,
     base_novel_split,
@@ -58,9 +59,10 @@ TOKEN_SWEEP = (4, 8, 16)
 
 def evaluate_predictor(predictor, features: np.ndarray, labels: np.ndarray,
                        class_ids: np.ndarray | None = None, *,
-                       local_maps: np.ndarray | None) -> int:
-    """The number of rows of a labeled feature set whose top-1 prediction is right."""
-    predicted = predictor.probs(features, local_maps).argmax(axis=1)
+                       regions: Regions | None) -> int:
+    """The number of rows of a labeled feature set whose top-1 prediction is
+    right; a transport predictor builds their region features from `regions`."""
+    predicted = predictor.probs(features, regions).argmax(axis=1)
     return int(np.count_nonzero(predicted == class_positions(labels, class_ids)))
 
 
@@ -390,7 +392,7 @@ def _run_plan(state: RunState, scenario: _ScenarioPlan, kind: str, method: str, 
             if id(scored) not in predictors:
                 predictors[id(scored)] = make_predictor(scored)
             correct = evaluate_predictor(predictors[id(scored)], test.features, test.labels,
-                                         scored.class_ids, local_maps=test.local_maps)
+                                         scored.class_ids, regions=test.regions)
             scores[target.key] = correct * 100.0 / len(test)
         return scores
 

@@ -358,18 +358,27 @@ def _head_blocks(u: np.ndarray):
 _HEAD_BLOCK_SCALARS = 32768
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The norms of the rows of x, (..., 1): the bits of np.linalg.norm,
+    without its copy of x.conj()."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+
+
 def unit_rows(x: np.ndarray, what: str = "features") -> np.ndarray:
     """Row-normalise, rejecting zero rows."""
     x = np.asarray(x, dtype=np.float64)
-    # the bits of np.linalg.norm, without its copy of x.conj()
-    norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+    norms = row_norms(x)
     if np.any(norms == 0.0):
         raise DomainError(f"{what} contain a zero row")
     return x / norms
 
 
+# the noise scale of a region feature about its image feature
+REGION_SPREAD = 0.1
+
+
 def synth_local_features(image_features: np.ndarray, noise: np.ndarray,
-                         spread: float = 0.1) -> np.ndarray:
+                         spread: float = REGION_SPREAD) -> np.ndarray:
     """Unit-norm perturbed views of global features (region surrogate).
 
     `image_features` (..., d) and `noise` (..., M, d) give (..., M, d): row

@@ -5,11 +5,12 @@ relative error of gradient checks, payload equality and parameter counts,
 and the correct predictions of a personalized target counted client by
 client. The package computes these in batched form (`softmax_ce_batch`,
 `ModelAssets.text_features`, `payload_scalars`, `transport_probs`, one
-`probs` call over every client's rows); these plain forms are what the
-tests compare it against. Also the transport loss with its plan
-gradient in one three-operand contraction, a loss kernel's gradient w.r.t.
-the context it encodes, a trainer with other loss weights, zero-shot
-accuracy on a plain feature set, a
+`probs` call over every client's rows, per-client text features encoded
+while they are scored); these plain forms are what the tests compare it
+against. Also the regions of given image features and noise rows, the
+transport loss with its plan gradient in one three-operand contraction, a
+loss kernel's gradient w.r.t. the context it encodes, a trainer with other
+loss weights, zero-shot accuracy on a plain feature set, a
 feature-table writer, the plane-by-plane rotation loop that `data._rotate_planes`
 vectorises, the domain shift of every row of a dataset at once (the
 reference for `data.apply_domain_shift`, which shifts only the rows asked
@@ -28,8 +29,14 @@ import pytest
 
 from fedprompt import algorithms
 from fedprompt import rngs
-from fedprompt.algorithms import CosinePredictor, TransportPredictor, make_trainer, transport_costs
-from fedprompt.data import MasterDataset, _rotate_planes
+from fedprompt.algorithms import (
+    CosinePredictor,
+    TransportPredictor,
+    _blocks,
+    make_trainer,
+    transport_costs,
+)
+from fedprompt.data import MasterDataset, Regions, _rotate_planes
 from fedprompt.errors import DomainError
 from fedprompt.evaluation import build_run_state, evaluate_predictor, run_cell
 from fedprompt.numerics import CROSS_ENTROPY_CAP, _check_finite, softmax_ce_batch, softmax_temp
@@ -146,6 +153,38 @@ def metanet_param_count(cfg) -> int:
     return h * di + h + dt * h + dt
 
 
+def regions_of(images: np.ndarray, noise: np.ndarray) -> Regions:
+    """The regions of image features `images` (n, d), row i over the noise
+    row `noise[i]` (n, M, d)."""
+    return Regions.of(images, noise, np.arange(len(images)))
+
+
+def stacked_client_predictors(trainer, payload, assets, held) -> list[TransportPredictor]:
+    """Every held client's transport predictor, from one (clients, sets, C, d)
+    stack of text features: each client's fields stacked on the payload's,
+    the stacks encoded in `_blocks` of clients as a training step's are."""
+    fields = [{**payload.fields, **state.local_fields} for state, _ in held]
+    sets = sum(len(fields[0][name]) for name in trainer.context_fields)
+    feats = np.empty((len(held), sets, assets.class_count, assets.cfg.d_feature))
+    for block in _blocks(len(held), sets * assets.class_count):
+        contexts = np.concatenate([trainer._context(f) for f in fields[block]])
+        assets.text_features(contexts, out=feats[block].reshape((-1,) + feats.shape[2:]))
+    return [trainer.predictor(f, assets.cfg.tau) for f in feats]
+
+
+def stacked_per_client_probs(predictors, rows, local_maps: np.ndarray) -> np.ndarray:
+    """Class probabilities of consecutive client blocks of `rows[k]` rows,
+    client k's block scored by `predictors[k]`, from the whole (n, M, d)
+    region features `local_maps`; all clients' costs in one Sinkhorn solve."""
+    maps = np.split(local_maps, np.cumsum(rows)[:-1])
+    costs = [transport_costs(m, p.features) for p, m in zip(predictors, maps)]
+    p = predictors[0]
+    plans = sinkhorn_batched(np.concatenate(costs), p.eps, p.iters, col_relax=p.col_relax)
+    starts = np.cumsum([0] + [len(c) for c in costs])
+    return np.concatenate([softmax_temp(-(plans[a:a + len(c)] * c).sum(axis=(-2, -1)), q.tau)
+                           for q, c, a in zip(predictors, costs, starts)])
+
+
 def transport_probs_alone(predictor, local_maps: np.ndarray) -> np.ndarray:
     """A `TransportPredictor`'s class probabilities from a Sinkhorn solve of its own."""
     costs = transport_costs(local_maps, predictor.features)
@@ -162,18 +201,20 @@ def ot_scores_and_grads_three_operand(feats, local_maps, labels, tau, eps, iters
     return loss, np.einsum("bc,bcmn,bmd->ncd", dlogits, plans, local_maps)
 
 
-def client_by_client_correct(predictors, rows, features, labels, local_maps) -> int:
+def client_by_client_correct(predictors, rows, features, labels, regions) -> int:
     """Correct top-1 predictions over consecutive client blocks of `rows[k]`
     rows, where `predictors[k]` scores client k's block in a call of its own
-    (a transport predictor in a Sinkhorn solve of its own)."""
+    (a transport predictor in a Sinkhorn solve of its own, over the block's
+    rows of the whole target's region features)."""
+    local_maps = None if regions is None else regions.build(features)
     correct, start = 0, 0
     for predictor, n in zip(predictors, rows):
         block, start = slice(start, start + n), start + n
         if n == 0:
             continue
-        maps = None if local_maps is None else local_maps[block]
-        probs = (transport_probs_alone(predictor, maps) if isinstance(predictor, TransportPredictor)
-                 else predictor.probs(features[block], maps))
+        probs = (transport_probs_alone(predictor, local_maps[block])
+                 if isinstance(predictor, TransportPredictor)
+                 else predictor.probs(features[block], None))
         correct += int((probs.argmax(axis=1) == labels[block]).sum())
     return correct
 
@@ -182,7 +223,7 @@ def zero_shot_accuracy(assets, features: np.ndarray, labels: np.ndarray) -> floa
     """Accuracy (percent) of the handcrafted prompt on a labeled feature set."""
     hand, _ = assets.text_features(build_handcrafted_context(assets.cfg))
     predictor = CosinePredictor(hand, assets.cfg.tau)
-    return evaluate_predictor(predictor, features, labels, local_maps=None) * 100.0 / len(labels)
+    return evaluate_predictor(predictor, features, labels, regions=None) * 100.0 / len(labels)
 
 
 def save_feature_table(dataset, path: str) -> None:

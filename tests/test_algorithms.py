@@ -17,7 +17,10 @@ from oracle import (
     ot_scores_and_grads_three_operand,
     payloads_equal,
     recorded_batches,
+    regions_of,
     relative_error,
+    stacked_client_predictors,
+    stacked_per_client_probs,
     trainer_with,
 )
 from fedprompt.algorithms import (
@@ -39,7 +42,7 @@ from fedprompt.algorithms import (
     trajectory_average,
     ce_loss_and_grads,
 )
-from fedprompt.data import ClientDataset, class_positions
+from fedprompt.data import ClientDataset, Regions, class_positions
 from fedprompt.errors import DataError
 from fedprompt.federation import FederationConfig
 from fedprompt.numerics import softmax_ce_batch, softmax_temp
@@ -536,13 +539,65 @@ class TestFedOTP:
         state = trainer.init_state(cfg, rng)
         local_before = state.local_fields["context_local"].copy()
         data = client_dataset(np.random.default_rng(3), 10, cfg.d_image, 4)
-        data = replace(data, local_maps=np.stack([
-            unit_rows(f[None, :] + 0.1 * np.random.default_rng(7).normal(size=(3, cfg.d_image)))
-            for f in data.features
-        ]))
+        # every row over the same three noise rows
+        noise = np.random.default_rng(7).normal(size=(1, 3, cfg.d_image))
+        data = replace(data, regions=Regions.of(data.features, noise, np.zeros(10, dtype=int)))
         (out, _), = trainer.local_train(payload, [(state, data, make_ctx(assets))])
         assert list(out.fields) == ["context_global"]
         assert np.any(state.local_fields["context_local"] != local_before)
+
+
+class TestPerClientPredictor:
+    """A personalized predictor encodes its clients while it scores, and
+    scores as the stacked features of every client would."""
+
+    CLIENTS = 30  # 20 (set, class) pairs per client: three encoder blocks of clients
+
+    def _held(self, trainer, cfg):
+        rng = np.random.default_rng(11)
+        payload = trainer.init_payload(cfg, rng)
+        held = [(trainer.init_state(cfg, rng), int(n))
+                for n in rng.integers(1, 5, size=self.CLIENTS)]
+        images = random_unit_batch(rng, sum(n for _, n in held), cfg.d_image)
+        return payload, held, images, regions_of(images,
+                                                 rng.normal(size=(len(images), 4, cfg.d_image)))
+
+    @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
+    def test_streamed_equals_stacked_features(self, variant, monkeypatch):
+        from fedprompt import data
+
+        cfg = small_config(variant, d_feature=64, d_image=64)
+        assets = build_assets(cfg, 10)
+        trainer = PersonalizedFedOTPTrainer()
+        payload, held, images, regions = self._held(trainer, cfg)
+        predictor = trainer.build_predictor(payload, assets, held)
+        stacked = stacked_client_predictors(trainer, payload, assets, held)
+        for streamed, whole in zip(predictor.predictors(), stacked, strict=True):
+            assert streamed.features.tobytes() == whole.features.tobytes()
+        expected = stacked_per_client_probs(stacked, predictor.rows, regions.build(images))
+        assert predictor.probs(images, regions).tobytes() == expected.tobytes()
+        # region blocks of three rows, which cut across the clients' blocks
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 3 * 4 * cfg.d_image * 8)
+        assert predictor.probs(images, regions).tobytes() == expected.tobytes()
+
+    def test_encodes_a_block_of_clients_at_a_time(self, monkeypatch):
+        # nothing is encoded when the predictor is made; each block of clients
+        # is encoded as its first client is scored
+        cfg = small_config(d_feature=64, d_image=64)
+        assets = build_assets(cfg, 10)
+        trainer = PersonalizedFedOTPTrainer()
+        payload, held, *_ = self._held(trainer, cfg)
+        predictor = trainer.build_predictor(payload, assets, held)
+        encoded = []
+        text_features = type(assets).text_features
+        monkeypatch.setattr(type(assets), "text_features",
+                            lambda self, contexts, out=None: encoded.append(len(contexts))
+                            or text_features(self, contexts, out))
+        made = predictor.predictors()
+        assert encoded == []
+        next(made)
+        assert encoded == [20]  # 10 clients' [consensus; local] contexts
+        assert len(list(made)) == self.CLIENTS - 1 and encoded == [20, 20, 20]
 
 
 class TestTransportGradientSurrogate:
@@ -582,10 +637,8 @@ class TestTransportGradientSurrogate:
             unit_rows(f[None, :] + 0.2 * rng.normal(size=(3, cfg.d_image))) for f in feats_img
         ])
         labels = np.array([0, 2])
-        batch = ClientDataset(features=feats_img, labels=labels,
-                              master_indices=np.arange(2), local_maps=maps)
 
-        loss, grads = on_context(ot_scores_and_grads, assets, v, batch.local_maps, labels,
+        loss, grads = on_context(ot_scores_and_grads, assets, v, maps, labels,
                                  cfg.tau, eps=0.2, iters=60, col_relax=1.0)
 
         # freeze the plans obtained at v, then vary the context

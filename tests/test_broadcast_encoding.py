@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unit_batch, small_config
-from oracle import recorded_batches
+from oracle import recorded_batches, regions_of
 from test_evaluation import desk_config, desk_master  # noqa: F401 - fixture
 from fedprompt import algorithms, federation
 from fedprompt.algorithms import (
@@ -72,8 +72,7 @@ def _client_data(cfg, class_ids, seed=3, n=12):
     labels = rng.choice(np.arange(CLASSES) if class_ids is None else class_ids, size=n)
     features = random_unit_batch(rng, n, cfg.d_image)
     return ClientDataset(features=features, labels=labels, master_indices=np.arange(n),
-                         local_maps=unit_rows(features[:, None, :]
-                                              + 0.1 * rng.normal(size=(n, 3, cfg.d_image))))
+                         regions=regions_of(features, rng.normal(size=(n, 3, cfg.d_image))))
 
 
 def _desk_state(master, method, **fed_overrides):

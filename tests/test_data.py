@@ -27,8 +27,9 @@ from fedprompt.data import (
     stratified_split,
 )
 from oracle import rotate_planes_loop, save_feature_table, shift_whole_master
+from fedprompt.algorithms import region_costs, transport_costs
 from fedprompt.errors import ConfigError, DataError, DomainError
-from fedprompt.vlm import unit_rows
+from fedprompt.vlm import synth_local_features, unit_rows
 from fedprompt import rngs
 
 
@@ -396,9 +397,11 @@ def per_sample_maps(features, M):
 
 
 def local_maps(master, M, rows, table) -> list:
-    """The maps `master.ensure_local_maps` gives the slices of master ids `rows`."""
+    """The region features of the slices of master ids `rows`, built whole
+    from the regions `master.ensure_local_maps` gives them."""
     slices = [ClientDataset.from_master(master, r) for r in rows]
-    return [part.local_maps for part in master.ensure_local_maps(M, slices, table)]
+    return [part.regions.build(part.features)
+            for part in master.ensure_local_maps(M, slices, table)]
 
 
 def keep_rows(dataset, M, rows=None) -> dict:
@@ -436,11 +439,12 @@ class TestLocalMaps:
                     np.testing.assert_array_equal(got, expected[r])
 
     def test_maps_built_in_blocks_match_per_sample_draws(self, master, monkeypatch):
-        # two rows a block: the stream is drawn, and a 5-row slice built, in blocks
+        # two rows a block: the stream is drawn, and a 5-row slice's norms
+        # taken, in blocks
         monkeypatch.setattr(data, "_BLOCK_BYTES", 2 * 3 * 5 * 8)
         rows = np.array([5, 0, 3, 1, 4])
         table = keep_rows(master, 3, rows)
-        assert table[(6, 3, 5)].block_rows == 2
+        assert data._block_rows((3, 5)) == 2
         [got] = local_maps(master, 3, [rows], table)
         np.testing.assert_array_equal(got, per_sample_maps(master.features, 3)[rows])
 
@@ -451,22 +455,37 @@ class TestLocalMaps:
             target = apply_domain_shift(master, shift, [5, 0, 3])
             expected = per_sample_maps(shift_whole_master(master, shift).features, 3)
             [got] = master.ensure_local_maps(3, [target], keep_rows(master, 3))
-            np.testing.assert_array_equal(got.local_maps, expected[[0, 3, 5]])
+            np.testing.assert_array_equal(got.regions.build(got.features), expected[[0, 3, 5]])
 
-    def test_maps_are_read_only_and_stay_with_their_dataset(self, master):
+    def test_regions_are_read_only_and_stay_with_their_dataset(self, master):
         slices = [ClientDataset.from_master(master, r) for r in (np.arange(6), np.array([1, 4]))]
-        full, part = master.ensure_local_maps(3, slices, keep_rows(master, 3))
-        for maps in (full.local_maps, part.local_maps):
-            with pytest.raises(ValueError, match="read-only"):
-                maps[0, 0, 0] = 1.0
-        np.testing.assert_array_equal(part.local_maps, full.local_maps[[1, 4]])
-        # the maps live with new slices: neither the dataset nor the given
-        # slices keep them
-        assert set(vars(master)) == {"features", "labels", "class_count"}
-        assert all(given.local_maps is None for given in slices)
+        table = keep_rows(master, 3)
+        full, part = master.ensure_local_maps(3, slices, table)
+        for regions in (full.regions, part.regions):
+            for array in (regions.at, regions.norms):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+        np.testing.assert_array_equal(part.regions.build(part.features),
+                                      full.regions.build(full.features)[[1, 4]])
+        # a slice keeps its positions and norms and shares the kept noise;
+        # neither the dataset nor the given slices keep regions, and no
+        # region feature is kept
         assert part.features is slices[1].features
+        assert set(vars(part.regions)) == {"noise", "at", "norms"}
+        assert part.regions.noise is full.regions.noise is table[(6, 3, 5)].values()
+        assert (part.regions.at.shape, part.regions.norms.shape) == ((2,), (2, 3, 1))
+        assert set(vars(master)) == {"features", "labels", "class_count"}
+        assert all(given.regions is None for given in slices)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            part.local_maps = None
+            part.regions = None
+
+    def test_zero_region_feature_raises(self):
+        # a region feature with no length cannot be normalised: the regions
+        # fail as they are made (0.1 * -10 is exactly -1)
+        noise = np.zeros((1, 2, 5))
+        noise[0, 1, 0] = -10.0
+        with pytest.raises(DomainError, match="local features contain a zero row"):
+            data.Regions.of(np.eye(5)[[1, 0]], noise, np.array([0, 0]))
 
     def test_noise_is_one_read_only_draw_per_shape(self, master):
         # the table keeps the rows asked for of one draw per (n, M, d), made
@@ -505,6 +524,70 @@ class TestLocalMaps:
         # a shape the table does not keep: no row of it is kept
         with pytest.raises(DataError, match="row 0 is not among the 0 kept rows"):
             local_maps(master, 2, [np.array([0])], table)
+
+
+class TestRegionBlocks:
+    """Any block of rows' region features, built at any block size, equals
+    the same rows of the whole slice's, bit for bit: of `vlm.synth_local_features`
+    over the slice at once."""
+
+    M, N_ROWS = 3, 23
+
+    @pytest.fixture
+    def master(self):
+        rng = np.random.default_rng(4)
+        return MasterDataset(features=unit_rows(rng.normal(size=(self.N_ROWS, 7))),
+                             labels=np.arange(self.N_ROWS) % 3, class_count=3)
+
+    @staticmethod
+    def whole(part, table) -> np.ndarray:
+        """The slice's region features from one call over all its rows."""
+        [noise] = table.values()
+        return synth_local_features(part.features,
+                                    noise.values()[noise.rows.positions(part.master_indices)])
+
+    def slices(self, master):
+        """A slice in id order, one in another order, and a shifted target."""
+        rng = np.random.default_rng(1)
+        shift = DomainShift(angle=0.5, noise_sigma=0.05, seed=2)
+        return [ClientDataset.from_master(master, np.arange(self.N_ROWS)),
+                ClientDataset.from_master(master, rng.permutation(self.N_ROWS)[:17]),
+                apply_domain_shift(master, shift, rng.choice(self.N_ROWS, 15, replace=False))]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 23, 64])
+    def test_blocks_and_subsets_equal_the_whole(self, master, monkeypatch, block):
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block * self.M * 7 * 8)
+        table = keep_rows(master, self.M)
+        rng = np.random.default_rng(block)
+        for part in master.ensure_local_maps(self.M, self.slices(master), table):
+            regions, whole = part.regions, self.whole(part, table)
+            images = part.features
+            assert regions.build(images).tobytes() == whole.tobytes()
+            cuts = regions.blocks()
+            assert [c.start for c in cuts] == list(range(0, len(part), block))
+            for cut in cuts:
+                assert regions.build(images, cut).tobytes() == whole[cut].tobytes()
+            # rows that straddle a block boundary, and any subset in any order
+            for at in (slice(block - 1, block + 1), slice(len(part) - 1, None),
+                       rng.permutation(len(part))[:5], np.array([3, 3, 0])):
+                assert regions.take(at).build(images[at]).tobytes() == whole[at].tobytes()
+                rows = part.take(at)
+                assert rows.regions.build(rows.features).tobytes() == whole[at].tobytes()
+
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_costs_built_in_blocks_equal_the_whole(self, monkeypatch, block):
+        # at d = 512, where a product's rows could change with the batch
+        rng = np.random.default_rng(block)
+        n, M, d = 40, 4, 512
+        master = MasterDataset(features=unit_rows(rng.normal(size=(n, d))),
+                               labels=np.zeros(n, dtype=np.int64), class_count=1)
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block * M * d * 8)
+        table = keep_rows(master, M)
+        [part] = master.ensure_local_maps(M, [ClientDataset.from_master(master, np.arange(n))],
+                                          table)
+        feats = unit_rows(rng.normal(size=(2, 5, d)))
+        costs = region_costs(part.features, part.regions, feats)
+        assert costs.tobytes() == transport_costs(self.whole(part, table), feats).tobytes()
 
 
 class TestPartitionPlan:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import audited_cell, one_cell
+from oracle import audited_cell, one_cell, regions_of
 from fedprompt import evaluation
 from fedprompt.algorithms import CosinePredictor, PerClientPredictor, TransportPredictor
 from fedprompt.config import DataConfig, ExperimentConfig
@@ -127,20 +127,21 @@ class _Predicts:
     def __init__(self, predicted):
         self.predicted = np.asarray(predicted)
 
-    def probs(self, feats, local_maps=None):
+    def probs(self, feats, regions=None):
         return np.eye(self.predicted.max(initial=0) + 1)[self.predicted]
 
 
 def _client(k: int, correct_fraction: float, n: int):
-    """Client k's own transport predictor and the one-region local maps of its n
-    class-0 rows, on which it is right for the first `correct_fraction` and
-    wrong after. Odd clients swap the two class features, so a block scored by
-    a neighbour's predictor would count its wrong rows as right."""
+    """Client k's own transport predictor and the image features of its n
+    class-0 rows, each its one region feature, on which it is right for the
+    first `correct_fraction` and wrong after. Odd clients swap the two class
+    features, so a block scored by a neighbour's predictor would count its
+    wrong rows as right."""
     order = [k % 2, 1 - k % 2]  # class c's prompt feature is the unit vector e[order[c]]
     predictor = TransportPredictor(np.eye(2)[order][None], tau=1.0, eps=0.1, iters=10,
                                    col_relax=1.0)
     right = np.arange(n) < round(correct_fraction * n)
-    return predictor, np.eye(2)[np.where(right, order[0], order[1])][:, None, :]
+    return predictor, np.eye(2)[np.where(right, order[0], order[1])]
 
 
 def _per_client_correct(fractions, rows, images: int | None = None) -> int:
@@ -148,10 +149,12 @@ def _per_client_correct(fractions, rows, images: int | None = None) -> int:
     rows of the `PerClientPredictor` whose client k is `_client(k, fractions[k],
     rows[k])`."""
     clients = [_client(k, f, n) for k, (f, n) in enumerate(zip(fractions, rows))]
-    n = sum(rows) if images is None else images
-    return evaluate_predictor(PerClientPredictor([p for p, _ in clients], rows),
-                              np.ones((n, 2)), np.zeros(n, dtype=int),
-                              local_maps=np.concatenate([maps for _, maps in clients]))
+    features = np.concatenate([x for _, x in clients])
+    regions = regions_of(features, np.zeros((len(features), 1, 2)))
+    if images is not None:
+        features = np.ones((images, 2))
+    return evaluate_predictor(PerClientPredictor(lambda: (p for p, _ in clients), rows),
+                              features, np.zeros(len(features), dtype=int), regions=regions)
 
 
 def _emptied_plan(monkeypatch, clients):
@@ -181,11 +184,11 @@ class TestGlobalAccuracy:
     def test_perfect_predictor(self):
         labels = np.arange(5)
         assert evaluate_predictor(_Predicts(labels), np.ones((5, 3)), labels,
-                                  local_maps=None) == 5
+                                  regions=None) == 5
 
     def test_three_of_four(self):
         assert evaluate_predictor(_Predicts([0, 1, 2, 2]), np.ones((4, 3)), np.array([0, 1, 2, 3]),
-                                  local_maps=None) == 3
+                                  regions=None) == 3
 
     def test_chance_level_for_random_predictor(self):
         rng = np.random.default_rng(0)
@@ -193,7 +196,7 @@ class TestGlobalAccuracy:
         predicted = rng.integers(0, C, size=n)
         target = rng.integers(0, C, size=n)
         correct = evaluate_predictor(_Predicts(predicted), np.ones((n, 3)), target,
-                                     local_maps=None)
+                                     regions=None)
         assert correct / n * 100.0 == pytest.approx(100.0 / C, abs=1.0)
 
     def test_accuracy_is_the_count_rounded_once(self, desk_master, monkeypatch):
@@ -263,7 +266,7 @@ class TestPersonalizedAccuracy:
         (predictor, scored), = calls
         assert scored == sum(rows)
         if method == "fedotp":
-            assert predictor.rows == rows[1:] and len(predictor.predictors) == 3
+            assert predictor.rows == rows[1:] and len(list(predictor.predictors())) == 3
         else:
             assert not isinstance(predictor, PerClientPredictor)
 
@@ -381,9 +384,9 @@ class TestScenarios:
     def test_test_label_outside_the_class_set(self):
         predictor = CosinePredictor(np.eye(3)[None], tau=1.0)
         features, labels = np.eye(3), np.array([0, 1, 2])
-        assert evaluate_predictor(predictor, features, labels, local_maps=None) == 3
+        assert evaluate_predictor(predictor, features, labels, regions=None) == 3
         with pytest.raises(DataError, match=r"label 1 is outside the class set \[0, 2\]"):
-            evaluate_predictor(predictor, features, labels, np.array([0, 2]), local_maps=None)
+            evaluate_predictor(predictor, features, labels, np.array([0, 2]), regions=None)
 
     def test_fewshot_cell_counts(self, desk_master):
         config = replace(desk_config(), scenario=ScenarioSpec(shots=1))
@@ -403,12 +406,12 @@ class TestScenarios:
         federate, evaluate = evaluation.run_federation, evaluation.evaluate_predictor
 
         def recording_federation(trainer, clients, *args, **kwargs):
-            seen.extend((len(c.dataset), c.dataset.local_maps) for c in clients)
+            seen.extend((c.dataset.features, c.dataset.regions) for c in clients)
             return federate(trainer, clients, *args, **kwargs)
 
-        def recording_evaluate(predictor, features, labels, class_ids=None, *, local_maps):
-            seen.append((len(labels), local_maps))
-            return evaluate(predictor, features, labels, class_ids, local_maps=local_maps)
+        def recording_evaluate(predictor, features, labels, class_ids=None, *, regions):
+            seen.append((features, regions))
+            return evaluate(predictor, features, labels, class_ids, regions=regions)
 
         monkeypatch.setattr(evaluation, "run_federation", recording_federation)
         monkeypatch.setattr(evaluation, "evaluate_predictor", recording_evaluate)
@@ -419,11 +422,11 @@ class TestScenarios:
                 seen.clear()
                 one_cell(config, kind, method, desk_master, 0)
                 assert seen
-                for n, maps in seen:
+                for features, regions in seen:
                     if method == "promptfl":
-                        assert maps is None
+                        assert regions is None
                     else:
-                        assert maps is not None and maps.shape == (n, M, d)
+                        assert regions.build(features).shape == (len(features), M, d)
 
     def test_personalized_transport_cell_maps_only_scored_rows(self, desk_master, monkeypatch):
         # the clients' test rows are scored, not the scenario's test slice
@@ -472,15 +475,15 @@ class TestScenarios:
 
     def _personalized_rounds(self, monkeypatch, on_score):
         """Record the client rows of the personalized plan, and call
-        `on_score(predictor, features, labels, local_maps, rows)` around each
+        `on_score(predictor, features, labels, regions, rows)` around each
         `evaluate_predictor` call, which it returns the count of."""
         plans = []
         plan, evaluate = evaluation._scenario_plan, evaluation.evaluate_predictor
 
-        def recording(predictor, features, labels, class_ids=None, *, local_maps):
+        def recording(predictor, features, labels, class_ids=None, *, regions):
             return on_score(lambda: evaluate(predictor, features, labels, class_ids,
-                                             local_maps=local_maps),
-                            predictor, features, labels, local_maps, plans[-1].client_rows)
+                                             regions=regions),
+                            predictor, features, labels, regions, plans[-1].client_rows)
 
         monkeypatch.setattr(evaluation, "_scenario_plan",
                             lambda *args: plans.append(plan(*args)) or plans[-1])
@@ -501,15 +504,15 @@ class TestScenarios:
             solves.append(args[0].shape)
             return solve(*args, **kwargs)
 
-        def on_score(evaluate, predictor, features, labels, local_maps, rows):
+        def on_score(evaluate, predictor, features, labels, regions, rows):
             assert isinstance(predictor, PerClientPredictor)
             assert predictor.rows == [n for n in rows if n]
             rounds.append(len(predictor.rows))
             before = len(solves)
             correct = evaluate()
             assert len(solves) - before == 1
-            assert correct == client_by_client_correct(predictor.predictors, predictor.rows,
-                                                       features, labels, local_maps)
+            assert correct == client_by_client_correct(list(predictor.predictors()),
+                                                       predictor.rows, features, labels, regions)
             accuracies.append(correct * 100.0 / len(labels))
             return correct
 
@@ -542,14 +545,14 @@ class TestScenarios:
             calls.append(len(args[0]))
             return probs(self, *args, **kwargs)
 
-        def on_score(evaluate, predictor, features, labels, local_maps, rows):
+        def on_score(evaluate, predictor, features, labels, regions, rows):
             assert isinstance(predictor, predictor_class)
             rounds.append(len([n for n in rows if n]))
             before = len(calls)
             correct = evaluate()
             assert calls[before:] == [sum(rows)]
             assert correct == client_by_client_correct([predictor] * len(rows), rows,
-                                                       features, labels, local_maps)
+                                                       features, labels, regions)
             return correct
 
         monkeypatch.setattr(predictor_class, "probs", counting_probs)

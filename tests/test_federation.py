@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unit_batch, small_config
-from oracle import max_abs_diff, payloads_equal
+from oracle import max_abs_diff, payloads_equal, regions_of
 from test_golden_grid import openblas_core
 from vlm_oracle import prompt_gradients
 from fedprompt.algorithms import (
@@ -278,9 +278,9 @@ class TestLockstepRound:
         clients, start = [], 0
         for cid, n in enumerate(self.ROWS):
             features = random_unit_batch(rng, n, cfg.d_image)
-            maps = unit_rows(features[:, None, :] + 0.1 * rng.normal(size=(n, 2, cfg.d_image)))
+            regions = regions_of(features, rng.normal(size=(n, 2, cfg.d_image)))
             dataset = ClientDataset(features=features, labels=rng.integers(0, 4, size=n),
-                                    master_indices=np.arange(start, start + n), local_maps=maps)
+                                    master_indices=np.arange(start, start + n), regions=regions)
             clients.append(Client(dataset, trainer.init_state(cfg, rngs.derive_rng(2, cid))))
             start += n
         return clients

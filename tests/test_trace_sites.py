@@ -3,7 +3,9 @@
 `perfbench/tracer.py` patches named functions and methods of the package
 from outside. A renamed or removed site makes `install` raise, and a site
 that is still there but no longer called leaves its layer empty; both
-should fail here rather than only in a traced benchmark run.
+should fail here rather than only in a traced benchmark run. So should a
+site whose arguments the tracer's work counters no longer read right,
+such as an `evaluate_predictor` that no longer takes the labels third.
 """
 
 import json
@@ -13,6 +15,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from fedprompt.config import materialize_datasets, parse_config_text
+from fedprompt.evaluation import build_run_state
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,7 +53,8 @@ t = tracer.Tracer()
 tracer.install(t)
 rc = cli.main(["run", sys.argv[1], "--out", sys.argv[2]])
 metrics = t.layer_metrics()
-print(json.dumps({"rc": rc, "calls": {layer: metrics[layer + ".calls"] for layer in tracer.LAYERS}}))
+print(json.dumps({"rc": rc, "calls": {layer: metrics[layer + ".calls"] for layer in tracer.LAYERS},
+                  "counters": {key: metrics[key] for key in tracer.COUNTERS}}))
 """
 
 
@@ -72,3 +78,14 @@ def test_tracer_installs_and_run_succeeds(traced_run):
 def test_every_traced_layer_records_calls(traced_run):
     empty = sorted(layer for layer, calls in traced_run["calls"].items() if calls == 0)
     assert not empty, f"layers with no traced calls: {empty}"
+
+
+def test_counters_count_the_work(traced_run):
+    # one round, so each cell scores each of its targets' rows once
+    config = parse_config_text(CONFIG)
+    state = build_run_state(config, materialize_datasets(config))
+    scored = sum(len(target.test) for plan in state.plans.values() for target in plan.targets)
+    counters = traced_run["counters"]
+    assert config.federation.rounds == 1
+    assert counters["evaluation.evaluate_predictor.samples"] == len(config.methods) * scored
+    assert counters["transport.sinkhorn_batched.problems"] > 0

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import small_config
-from oracle import transport_probs_alone
+from conftest import random_unit_batch, small_config
+from oracle import regions_of, transport_probs_alone
+from test_data import keep_rows, traced_peak
 from transport_oracle import (
     sinkhorn,
     sinkhorn_batched_all_iters,
@@ -13,7 +14,9 @@ from transport_oracle import (
     uniform,
 )
 from fedprompt.algorithms import CosinePredictor, TransportPredictor, transport_probs
+from fedprompt.data import ClientDataset, MasterDataset
 from fedprompt.errors import DomainError
+from fedprompt.evaluation import evaluate_predictor
 from fedprompt.transport import sinkhorn_batched
 from fedprompt.vlm import build_assets, unit_rows
 
@@ -258,11 +261,11 @@ class TestClassScore:
         cfg = assets.cfg
         context = rng.normal(size=(1, cfg.tokens, cfg.d_token)) * 0.3
         images = rng.normal(size=(7, cfg.d_image))
-        maps = unit_rows(images)[:, None, :]
+        regions = regions_of(images, np.zeros((7, 1, cfg.d_image)))  # each image's unit row
         features, _ = assets.text_features(context)
         transport = TransportPredictor(features, cfg.tau, eps=0.1, iters=100, col_relax=1.0)
         cosine = CosinePredictor(features, cfg.tau)
-        p_ot = transport.probs(images, maps)
+        p_ot = transport.probs(images, regions)
         p_cos = cosine.probs(images, None)
         np.testing.assert_allclose(p_ot, p_cos, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(np.argsort(p_ot, axis=1), np.argsort(p_cos, axis=1))
@@ -273,13 +276,14 @@ class TestClassScore:
         predictors = [TransportPredictor(
             assets.text_features(rng.normal(size=(2, cfg.tokens, cfg.d_token)))[0], cfg.tau,
             eps=0.1, iters=100, col_relax=0.5) for _ in range(3)]
-        maps = [unit_rows(rng.normal(size=(n, 4, cfg.d_image))) for n in (1, 5, 2)]
-        stacked = transport_probs(predictors, maps)
-        for predictor, part, probs in zip(predictors, maps, stacked):
-            assert probs.tobytes() == transport_probs_alone(predictor, part).tobytes()
+        images = [random_unit_batch(rng, n, cfg.d_image) for n in (1, 5, 2)]
+        regions = [regions_of(x, rng.normal(size=(len(x), 4, cfg.d_image))) for x in images]
+        stacked = transport_probs(predictors, images, regions)
+        for predictor, x, part, probs in zip(predictors, images, regions, stacked):
+            assert probs.tobytes() == transport_probs_alone(predictor, part.build(x)).tobytes()
         predictors[1].iters = 50
         with pytest.raises(ValueError, match="too many values to unpack"):
-            transport_probs(predictors, maps)
+            transport_probs(predictors, images, regions)
 
     def test_image_scores_alone_as_in_batch(self, rng):
         # an image's costs come from its own regions alone (no batched matrix
@@ -288,12 +292,13 @@ class TestClassScore:
         d = 512  # wide enough that a BLAS product's rows change with the batch
         features = unit_rows(rng.normal(size=(2, 10, d)))
         predictor = TransportPredictor(features, 0.07, eps=0.1, iters=100, col_relax=0.5)
-        maps = unit_rows(rng.normal(size=(64, 4, d)))
-        images = maps.mean(axis=1)
-        batch = predictor.probs(images, maps)
+        images = random_unit_batch(rng, 64, d)
+        regions = regions_of(images, rng.normal(size=(64, 4, d)))
+        batch = predictor.probs(images, regions)
         for i in range(len(images)):
-            assert predictor.probs(images[i:i + 1], maps[i:i + 1]).tobytes() == \
-                batch[i:i + 1].tobytes(), i
+            one = slice(i, i + 1)
+            assert predictor.probs(images[one], regions.take(one)).tobytes() == \
+                batch[one].tobytes(), i
 
     def test_identical_sets_zero_cost(self, rng):
         feats = unit_rows(rng.normal(size=(3, 5)))
@@ -303,11 +308,11 @@ class TestClassScore:
         cfg = assets.cfg
         context = rng.normal(size=(2, cfg.tokens, cfg.d_token)) * 0.3
         images = rng.normal(size=(5, cfg.d_image))
-        maps = unit_rows(images[:, None, :] + 0.2 * rng.normal(size=(5, 4, cfg.d_image)))
+        noise = rng.normal(size=(5, 4, cfg.d_image))
         predictor = TransportPredictor(assets.text_features(context)[0], cfg.tau, eps=0.1,
                                        iters=100, col_relax=0.5)
-        np.testing.assert_allclose(predictor.probs(images, maps),
-                                   predictor.probs(images, maps[:, ::-1].copy()),
+        np.testing.assert_allclose(predictor.probs(images, regions_of(images, noise)),
+                                   predictor.probs(images, regions_of(images, noise[:, ::-1])),
                                    rtol=0, atol=1e-12)
 
     def test_relaxed_score_matches_balanced_at_full_relax(self, rng):
@@ -317,3 +322,31 @@ class TestClassScore:
         balanced = float(-(sinkhorn(cost, eps=0.1) * cost).sum())
         assert transport_score(local, prompt, eps=0.1, col_relax=1.0) == \
             pytest.approx(balanced, abs=1e-12)
+
+
+class TestScoringMemory:
+    def test_scoring_holds_a_block_of_region_features(self):
+        # a 2,000-row target at M = 4, d = 512, whose whole region features
+        # would be 31.25 MiB, gets its regions and is scored within 2 MiB
+        # above the start: its positions and norms, a block of region
+        # features, the costs and the Sinkhorn buffers (2 classes and one
+        # prompt set, so that those stay small); the kept noise is drawn before
+        rng = np.random.default_rng(3)
+        n, M, d = 2000, 4, 512
+        master = MasterDataset(features=random_unit_batch(rng, n, d),
+                               labels=rng.integers(0, 2, size=n), class_count=2)
+        table = keep_rows(master, M)
+        table[(n, M, d)].values()
+        test = ClientDataset.from_master(master, np.arange(n))
+        predictor = TransportPredictor(random_unit_batch(rng, 2, d)[None], 0.07, eps=0.1,
+                                       iters=100, col_relax=1.0)
+        correct = []
+
+        def score():
+            [target] = master.ensure_local_maps(M, [test], table)
+            correct.append(evaluate_predictor(predictor, target.features, target.labels,
+                                              regions=target.regions))
+
+        peak = traced_peak(score)
+        assert 0 < correct[0] < n
+        assert peak < 2 * 2**20, peak
