@@ -33,7 +33,7 @@ from fedprompt.federation import (
     fedavg_aggregate,
     run_round,
 )
-from fedprompt.vlm import ClassRows, FrozenTextEncoder, build_assets, read_only, unit_rows
+from fedprompt.vlm import ClassRows, FrozenTextEncoder, build_assets, read_only
 
 CLASSES = 4
 SUBSET = np.array([0, 2, 3])

@@ -31,7 +31,7 @@ from fedprompt.federation import (
     run_round,
     sample_clients,
 )
-from fedprompt.vlm import FrozenTextEncoder, ModelConfig, build_assets, class_tokens, unit_rows
+from fedprompt.vlm import FrozenTextEncoder, ModelConfig, build_assets, class_tokens
 from fedprompt import rngs
 
 
