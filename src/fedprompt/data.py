@@ -68,18 +68,24 @@ class KeptRows:
 class MasterDataset:
     """Labeled feature set all partitioners operate on; row ids index its rows.
 
-    A run shares one `MasterDataset` per dataset across its cells, read-only
+    A cut dataset (`cut`) holds the features of its `kept` rows alone, under
+    their master ids, and every label; its length and `feature_dim` are the
+    whole dataset's, and a read of a row it does not keep (`feature_rows`)
+    raises `DataError` naming the row. A run shares one `MasterDataset` per
+    dataset across its cells, cut to its clients' rows and read-only
     (`vlm.read_only`).
     """
 
-    features: np.ndarray                 # (n, d)
+    features: np.ndarray                 # (n, d), or (len(kept.ids), d) when cut
     labels: np.ndarray                   # (n,) ints < class_count
     class_count: int
+    kept: KeptRows | None = None         # the rows `features` holds (None: every row)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
+        rows = self.labels.shape[0] if self.kept is None else len(self.kept.ids)
+        if self.features.ndim != 2 or self.features.shape[0] != rows:
             raise DataError("features and labels disagree in length")
         if not np.all(np.isfinite(self.features)):
             raise DataError("features contain non-finite entries")
@@ -87,11 +93,23 @@ class MasterDataset:
             raise DataError("labels out of range")
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self.labels.shape[0]
 
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
+
+    def feature_rows(self, rows) -> np.ndarray:
+        """The features of the master rows `rows`, (len(rows), d), in a new
+        array; a row this dataset does not keep raises `DataError` naming it."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return self.features[rows if self.kept is None else self.kept.positions(rows)]
+
+    def cut(self, rows) -> "MasterDataset":
+        """This dataset with the features of the distinct `rows` alone, the
+        same float64 rows, kept under their master ids, and every label."""
+        kept = KeptRows(len(self), rows, "a dataset cut to the rows its clients train on")
+        return MasterDataset(self.feature_rows(kept.ids), self.labels, self.class_count, kept)
 
     def ensure_local_maps(self, M: int, parts: list["ClientDataset"],
                           noise_table: dict) -> list["ClientDataset"]:
@@ -218,8 +236,10 @@ class ClientDataset:
 
     @classmethod
     def from_master(cls, master: MasterDataset, indices: np.ndarray) -> "ClientDataset":
+        """The master rows `indices`, read through `MasterDataset.feature_rows`."""
         idx = np.asarray(indices, dtype=np.int64)
-        return cls(features=master.features[idx], labels=master.labels[idx], master_indices=idx)
+        return cls(features=master.feature_rows(idx), labels=master.labels[idx],
+                   master_indices=idx)
 
     def take(self, at) -> "ClientDataset":
         """The rows at positions `at` of this slice, with their regions."""
@@ -333,7 +353,7 @@ def apply_domain_shift(dataset: MasterDataset, shift: DomainShift, rows) -> Clie
     if not np.isfinite([shift.angle, shift.noise_sigma]).all():
         raise DomainError("domain shift parameters must be finite")
     kept = KeptRows(len(dataset), rows, f"a dataset shifted by {shift}")
-    x = _rotate_planes(dataset.features[kept.ids], shift.angle)
+    x = _rotate_planes(dataset.feature_rows(kept.ids), shift.angle)
     if shift.noise_sigma > 0:
         x = x + shift.noise_sigma * kept.normal(rngs.derive_rng(shift.seed, rngs.SHIFT),
                                                 x.shape[1:])

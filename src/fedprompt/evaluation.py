@@ -214,8 +214,11 @@ class RunState:
 
     `plans` holds each (scenario, dataset, seed) plan, drawn once and read by
     the cells of every method, so they all see one client partition, and
-    its targets' test sets. Per-row derived data exists only for the rows the
-    run reads, under master row ids:
+    its targets' test sets. Feature rows and per-row derived data exist only
+    for the rows the run reads, under master row ids:
+    - each dataset is cut (`MasterDataset.cut`) to the union of its plans'
+      client rows, the only rows of it a cell reads (`build_clients`), and
+      keeps every label; the parsed table is not kept;
     - each dataset's shifted copies are built for the union of its test rows
       over `experiment.seeds`, the only rows a cross-domain cell scores, and
       each cross-domain target holds its seed's rows of them;
@@ -230,7 +233,7 @@ class RunState:
     """
 
     config: "ExperimentConfig"                          # as parsed from the text the cells run
-    datasets: dict[str, MasterDataset]                  # by results column name
+    datasets: dict[str, MasterDataset]                  # by results column name, cut
     assets: dict[tuple[ModelConfig, int], ModelAssets]  # by (model config, class count)
     plans: dict[tuple[str, str, int], _ScenarioPlan]    # by (scenario, dataset, seed)
     noise: dict[tuple[int, int, int], RegionNoise] = field(default_factory=dict)
@@ -238,9 +241,10 @@ class RunState:
 
 def build_run_state(config: "ExperimentConfig",
                     datasets: dict[str, MasterDataset]) -> RunState:
-    """The run's frozen datasets, the assets of every (model config, class count)
-    its cells use, the plan of every (scenario, dataset, seed) and, for a run
-    with a transport method, the region-noise rows its cells read.
+    """The run's frozen datasets, each cut to its plans' client rows, the assets
+    of every (model config, class count) its cells use, the plan of every
+    (scenario, dataset, seed) and, for a run with a transport method, the
+    region-noise rows its cells read. `datasets` is not changed.
 
     Each dataset is split once per seed, for the cross-domain targets and the
     plans, which share one slice of its test rows in id order. A plan holds
@@ -268,6 +272,7 @@ def build_run_state(config: "ExperimentConfig",
         return tests[name, seed]
 
     plans, read = {}, {}  # read: by (n, M, d), the region-noise rows that cells read
+    trained_rows = {name: [np.empty(0, dtype=np.int64)] for name in datasets}
     for kind in config.scenarios:
         limits = ("scenario.shots and federation.num_clients" if kind == "fewshot"
                   else "data.per_class_subsample")
@@ -287,11 +292,16 @@ def build_run_state(config: "ExperimentConfig",
                                           f"score for {target.key} in the {kind} scenario "
                                           f"(seed {seed})")
                 plans[kind, name, seed] = plan
+                trained_rows[name].extend(plan.clients or ())
                 if transport:  # a shifted target has its master's shape
                     shape = (len(master), config.model.local_features, master.feature_dim)
                     read.setdefault(shape, []).extend(
                         [*plan.clients, *(target.test.master_indices for target in plan.targets)])
-    return read_only(RunState(config, datasets, {key: build_assets(*key) for key in keys}, plans,
+    # the targets and shifted copies hold their own rows, so a cell reads a
+    # dataset's features only through its clients' rows (`build_clients`)
+    cut = {name: master.cut(np.concatenate(trained_rows[name]))
+           for name, master in datasets.items()}
+    return read_only(RunState(config, cut, {key: build_assets(*key) for key in keys}, plans,
                               {shape: RegionNoise(shape, np.concatenate(rows))
                                for shape, rows in read.items()}))
 

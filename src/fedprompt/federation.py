@@ -240,7 +240,10 @@ def run_federation(trainer: LocalTrainer, clients: list[Client], fed_cfg: Federa
 def build_clients(master: MasterDataset, client_indices: list[np.ndarray], trainer: LocalTrainer,
                   cfg: ModelConfig, seed: int) -> list[Client]:
     """Materialise per-client datasets and fresh training state from per-client
-    master indices."""
+    master indices.
+
+    A cell reads its dataset's features only here: the run state cuts each
+    dataset to its plans' client rows (`MasterDataset.cut`)."""
     return [Client(ClientDataset.from_master(master, indices),
                    trainer.init_state(cfg, rngs.derive_rng(seed, rngs.CLIENT, cid)))
             for cid, indices in enumerate(client_indices)]

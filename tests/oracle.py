@@ -14,7 +14,9 @@ loss weights, zero-shot accuracy on a plain feature set, a
 feature-table writer, the plane-by-plane rotation loop that `data._rotate_planes`
 vectorises, the domain shift of every row of a dataset at once (the
 reference for `data.apply_domain_shift`, which shifts only the rows asked
-for), one cell run on a state built for it alone, the training batches
+for), the slice of a dataset that holds every row (the reference for
+`ClientDataset.from_master` on a dataset cut to its clients' rows), one
+cell run on a state built for it alone, the training batches
 drawn within a block, and every array reachable from an object (the
 reference for `vlm.read_only`'s walk).
 """
@@ -36,7 +38,7 @@ from fedprompt.algorithms import (
     make_trainer,
     transport_costs,
 )
-from fedprompt.data import MasterDataset, Regions, _rotate_planes
+from fedprompt.data import ClientDataset, MasterDataset, Regions, _rotate_planes
 from fedprompt.errors import DomainError
 from fedprompt.evaluation import build_run_state, evaluate_predictor, run_cell
 from fedprompt.numerics import CROSS_ENTROPY_CAP, _check_finite, softmax_ce_batch, softmax_temp
@@ -260,6 +262,14 @@ def shift_whole_master(dataset, shift) -> MasterDataset:
         labels=dataset.labels.copy(),
         class_count=dataset.class_count,
     )
+
+
+def uncut_slice(master: MasterDataset, indices) -> ClientDataset:
+    """The master rows `indices` of a dataset that holds every row, indexed
+    directly."""
+    idx = np.asarray(indices, dtype=np.int64)
+    return ClientDataset(features=master.features[idx], labels=master.labels[idx],
+                         master_indices=idx)
 
 
 def one_cell(config, kind: str, method: str, master, seed: int, name: str = "synthetic"):

@@ -26,7 +26,7 @@ from fedprompt.data import (
     RegionNoise,
     stratified_split,
 )
-from oracle import rotate_planes_loop, save_feature_table, shift_whole_master
+from oracle import rotate_planes_loop, save_feature_table, shift_whole_master, uncut_slice
 from fedprompt.algorithms import region_costs, transport_costs
 from fedprompt.errors import ConfigError, DataError, DomainError
 from fedprompt.vlm import synth_local_features, unit_rows
@@ -474,7 +474,8 @@ class TestLocalMaps:
         assert set(vars(part.regions)) == {"noise", "at", "norms"}
         assert part.regions.noise is full.regions.noise is table[(6, 3, 5)].values()
         assert (part.regions.at.shape, part.regions.norms.shape) == ((2,), (2, 3, 1))
-        assert set(vars(master)) == {"features", "labels", "class_count"}
+        assert set(vars(master)) == {"features", "labels", "class_count", "kept"}
+        assert master.kept is None
         assert all(given.regions is None for given in slices)
         with pytest.raises(dataclasses.FrozenInstanceError):
             part.regions = None
@@ -524,6 +525,58 @@ class TestLocalMaps:
         # a shape the table does not keep: no row of it is kept
         with pytest.raises(DataError, match="row 0 is not among the 0 kept rows"):
             local_maps(master, 2, [np.array([0])], table)
+
+
+class TestCutDataset:
+    """A dataset cut to some of its rows reads those rows as the whole
+    dataset does, and fails on any other."""
+
+    KEPT = np.array([1, 4, 5, 9])
+
+    @pytest.fixture
+    def whole(self, rng):
+        return MasterDataset(features=unit_rows(rng.normal(size=(12, 6))),
+                             labels=np.arange(12) % 3, class_count=3)
+
+    def test_kept_rows_are_the_whole_dataset_rows(self, whole):
+        cut = whole.cut([9, 4, 1, 5, 4])  # any order, repeats allowed
+        np.testing.assert_array_equal(cut.kept.ids, self.KEPT)
+        assert cut.features.shape == (4, 6)
+        for rows in ([5, 1, 9], [4], self.KEPT, []):
+            got, want = ClientDataset.from_master(cut, rows), uncut_slice(whole, rows)
+            assert got.features.tobytes() == want.features.tobytes()
+            np.testing.assert_array_equal(got.labels, want.labels)
+            np.testing.assert_array_equal(got.master_indices, want.master_indices)
+
+    def test_length_and_width_are_the_whole_dataset_ones(self, whole):
+        for rows in (self.KEPT, []):
+            cut = whole.cut(rows)
+            assert (len(cut), cut.feature_dim) == (len(whole), whole.feature_dim) == (12, 6)
+            assert cut.labels is whole.labels and cut.class_count == whole.class_count
+
+    def test_row_not_kept_raises_naming_it(self, whole):
+        cut = whole.cut(self.KEPT)
+        with pytest.raises(DataError, match="row 2 is not among the 4 kept rows of a dataset cut"):
+            ClientDataset.from_master(cut, [1, 2])
+        with pytest.raises(DataError, match="row 11 is not among the 4 kept rows"):
+            apply_domain_shift(cut, DomainShift(angle=0.4), [11])
+        with pytest.raises(DataError, match="row 0 is not among the 0 kept rows"):
+            ClientDataset.from_master(whole.cut([]), [0])
+
+    def test_local_maps_equal_the_whole_dataset_ones(self, whole):
+        cut, table = whole.cut(self.KEPT), keep_rows(whole, 3, self.KEPT)
+        for rows in ([5, 1], [9, 4, 1]):
+            [got] = cut.ensure_local_maps(3, [ClientDataset.from_master(cut, rows)], table)
+            [want] = whole.ensure_local_maps(3, [uncut_slice(whole, rows)], table)
+            assert got.regions.noise is want.regions.noise
+            for a, b in ((got.regions.at, want.regions.at),
+                         (got.regions.norms, want.regions.norms),
+                         (got.regions.build(got.features), want.regions.build(want.features))):
+                assert a.tobytes() == b.tobytes()
+
+    def test_cut_holds_a_copy_of_its_rows(self, whole):
+        cut = whole.cut(self.KEPT)
+        assert not np.shares_memory(cut.features, whole.features)
 
 
 class TestRegionBlocks:

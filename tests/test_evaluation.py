@@ -1,5 +1,9 @@
 """Metrics, run aggregation, and the six scenario runners."""
 
+import gc
+import inspect
+import tracemalloc
+import weakref
 from dataclasses import replace
 from itertools import accumulate
 
@@ -8,11 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import audited_cell, one_cell, regions_of
+from oracle import audited_cell, one_cell, regions_of, save_feature_table, uncut_slice
 from fedprompt import evaluation
 from fedprompt.algorithms import CosinePredictor, PerClientPredictor, TransportPredictor
-from fedprompt.config import DataConfig, ExperimentConfig
-from fedprompt.data import ClientDataset, base_novel_split, generate_synthetic_dataset
+from fedprompt.config import DataConfig, ExperimentConfig, materialize_datasets, parse_config_text
+from fedprompt.data import (
+    ClientDataset,
+    MasterDataset,
+    base_novel_split,
+    generate_synthetic_dataset,
+)
 from fedprompt.errors import ConfigError, DataError, DomainError, EvaluationError
 from fedprompt.evaluation import (
     ScenarioSpec,
@@ -784,3 +793,135 @@ class TestOnePlanPerRun:
                     array[0] = 0
         with pytest.raises(ValueError, match="read-only"):
             state.plans["base_novel", "synthetic", 0].class_ids[0] = 0
+
+
+class TestStateKeepsTheClientRows:
+    """`build_run_state` cuts each dataset to the union of its plans' client
+    rows, the only rows of it that a cell reads once the plans are drawn."""
+
+    SCENARIOS = TestOnePlanPerRun.SCENARIOS
+
+    def _config(self, methods, **fed):
+        return replace(desk_config(rounds=1, **fed), scenarios=self.SCENARIOS, methods=methods,
+                       seeds=[0, 1], scenario=ScenarioSpec(cross_targets=2))
+
+    def _datasets(self, desk_master):
+        return {"synthetic": desk_master, "other": replace(desk_master, labels=desk_master.labels[::-1])}
+
+    def test_kept_ids_are_the_union_of_the_plans_client_rows(self, desk_master):
+        datasets = self._datasets(desk_master)
+        state = build_run_state(self._config(["zsclip", "promptfl", "fedotp"]), datasets)
+        for name, master in datasets.items():
+            union = np.unique(np.concatenate(
+                [rows for (_, plan_name, _), plan in state.plans.items() if plan_name == name
+                 for rows in plan.clients]))
+            cut = state.datasets[name]
+            np.testing.assert_array_equal(cut.kept.ids, union)
+            assert 0 < len(union) < len(master)
+            assert cut.features.shape == (len(union), master.feature_dim)
+            assert (len(cut), cut.feature_dim) == (len(master), master.feature_dim)
+
+    def test_every_cells_client_rows_equal_the_uncut_slices(self, desk_master, monkeypatch):
+        datasets = self._datasets(desk_master)
+        built, build = [], evaluation.build_clients
+
+        def recorded(master, indices, *args):
+            built.append((master, indices, build(master, indices, *args)))
+            return built[-1][2]
+
+        monkeypatch.setattr(evaluation, "build_clients", recorded)
+        monkeypatch.setattr(evaluation, "PROMPT_SWEEP", (1,))
+        monkeypatch.setattr(evaluation, "TOKEN_SWEEP", (3,))
+        state = build_run_state(self._config(["zsclip", "promptfl", "fedotp"]), datasets)
+        for kind, name, seed in state.plans:
+            for method in state.config.methods:
+                run_cell(state, kind, method, name, seed)
+        # two trained methods, two sweep points in a cost_tradeoff cell
+        assert len(built) == 2 * 2 * 2 * (len(self.SCENARIOS) + 1)
+        names = {id(cut): name for name, cut in state.datasets.items()}
+        for master, indices, clients in built:
+            for client, rows in zip(clients, indices, strict=True):
+                want = uncut_slice(datasets[names[id(master)]], rows)
+                assert client.dataset.features.tobytes() == want.features.tobytes()
+                np.testing.assert_array_equal(client.dataset.labels, want.labels)
+                np.testing.assert_array_equal(client.dataset.master_indices, rows)
+
+    def test_zero_shot_run_keeps_no_feature_row(self, desk_master):
+        state = build_run_state(self._config(["zsclip"]), {"synthetic": desk_master})
+        cut = state.datasets["synthetic"]
+        assert cut.features.shape == (0, desk_master.feature_dim)
+        assert len(cut) == len(desk_master)
+        for kind, name, seed in state.plans:
+            run_cell(state, kind, "zsclip", name, seed)
+
+    def test_centralized_seeds_keep_at_most_every_row(self, desk_master):
+        config = replace(desk_config(protocol="centralized", num_clients=1), scenarios=["global"],
+                         methods=["promptfl"], seeds=[0, 1, 2])
+        state = build_run_state(config, {"synthetic": desk_master})
+        pools = [state.plans["global", "synthetic", seed].clients[0] for seed in (0, 1, 2)]
+        kept = state.datasets["synthetic"].kept.ids
+        np.testing.assert_array_equal(kept, np.unique(np.concatenate(pools)))
+        assert max(map(len, pools)) < len(kept) <= len(desk_master)
+
+
+TABLE_CONFIG = """\
+[experiment]
+scenarios = personalized,cross_domain
+methods = zsclip,promptfl,fedotp
+seeds = 0
+[federation]
+protocol = partial
+[model]
+encoder = linear_pool
+d_feature = 512
+d_image = 512
+[data]
+datasets = {path}
+"""
+
+
+@pytest.fixture(scope="module")
+def table_config(tmp_path_factory):
+    """A config over a 2,000-row, 512-wide feature table whose plans train on
+    160 of its rows."""
+    path = tmp_path_factory.mktemp("table") / "features.txt"
+    save_feature_table(generate_synthetic_dataset(classes=10, width=512, noise_sigma=0.1,
+                                                  samples_per_class=200,
+                                                  rng=rngs.derive_rng(0, rngs.DATA)), str(path))
+    return parse_config_text(TABLE_CONFIG.format(path=path))
+
+
+class TestParsedTableIsFreed:
+    """The run state keeps its clients' feature rows, not the parsed table."""
+
+    def test_table_dies_with_the_input_dict(self, table_config):
+        datasets = materialize_datasets(table_config)
+        (table,) = datasets.values()
+        parsed = weakref.ref(table.features)
+        state = build_run_state(table_config, datasets)
+        del datasets, table
+        gc.collect()
+        assert parsed() is None
+        (cut,) = state.datasets.values()
+        assert (len(cut), cut.feature_dim, len(cut.kept.ids)) == (2000, 512, 160)
+
+    def test_state_holds_under_a_mebibyte_of_feature_rows(self, table_config):
+        # the traced bytes still allocated by the cut, against 7.8 MiB for the table
+        lines, first = inspect.getsourcelines(MasterDataset.cut)
+        cut_lines = range(first, first + len(lines))
+        data_file = inspect.getsourcefile(MasterDataset)
+        tracemalloc.start(4)
+        try:
+            datasets = materialize_datasets(table_config)
+            table_bytes = next(iter(datasets.values())).features.nbytes
+            state = build_run_state(table_config, datasets)
+            del datasets
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = sum(trace.size for trace in snapshot.traces
+                   if any(frame.filename == data_file and frame.lineno in cut_lines
+                          for frame in trace.traceback))
+        (cut,) = state.datasets.values()
+        assert cut.features.nbytes == 160 * 512 * 8 <= held < 1 << 20 < table_bytes
