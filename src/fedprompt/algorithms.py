@@ -450,10 +450,10 @@ class LocalTrainer:
         those to context gradients, and `param_grads` takes these to the
         parameters. The steps run in chunks of consecutive steps of at most
         `PAIRS_PER_BLOCK` (context, class) pairs (a step larger than that is
-        a chunk of its own, its encoder calls cut into blocks of at most that
-        many): each chunk makes one stacked encoder call, or none when it
-        shares the broadcast's encoding, and one stacked backward call per
-        feature gradient of its steps.
+        a chunk of its own): each chunk makes one stacked encoder call, or
+        none when it shares the broadcast's encoding, and one stacked
+        backward call per feature gradient of its steps. A step's bits do
+        not depend on the chunk it falls in (`FrozenTextEncoder.encode`).
         """
         prepared = (_Step(*step, *self.step_contexts(*step[:2])) for step in steps)
         for chunk in _chunks(prepared):
@@ -471,12 +471,10 @@ class LocalTrainer:
         encoded = None
         if shared is not None:
             feats = [shared.take(step.contexts)[0] for step in chunk]
-            caches = [(slice(None), repeat_cache(shared.cache, len(chunk)))]
+            cache = repeat_cache(shared.cache, len(chunk))
         else:
-            stacked = _joined([step.contexts for step in chunk])
-            encoded = np.empty((len(stacked), assets.class_count, assets.cfg.d_feature))
-            caches = [(block, assets.text_features(stacked[block], out=encoded[block])[1])
-                      for block in _blocks(len(stacked), assets.class_count)]
+            contexts = np.concatenate([step.contexts for step in chunk])
+            encoded, cache = assets.text_features(contexts)
             feats = np.split(encoded, starts[1:-1])
         # the k-th feature gradient of every step, stacked as each step makes it;
         # the first is written over the chunk's own encoding, whose rows of a
@@ -498,10 +496,7 @@ class LocalTrainer:
         # one backward wave per feature gradient, each freed once it is done
         waves = []
         while stacks:
-            stack = stacks.pop(0)
-            dcontexts = _joined([assets.encoder.backward(cache, stack[block])
-                                 for block, cache in caches])
-            waves.append(np.split(dcontexts, starts[1:-1]))
+            waves.append(np.split(assets.encoder.backward(cache, stacks.pop(0)), starts[1:-1]))
         return losses, waves
 
     def step_contexts(self, params: dict, batch: ClientDataset) -> tuple[np.ndarray, object]:
@@ -546,13 +541,13 @@ class LocalTrainer:
 
     def _client_predictors(self, fields: list[dict], assets: ModelAssets) -> Iterator:
         """The predictor of each of `fields` in turn: their stacked contexts
-        encoded in blocks as a training step's are, a block at a time as its
-        first predictor is asked for."""
+        encoded in blocks of at most `PAIRS_PER_BLOCK` (context, class) pairs,
+        a block at a time as its first predictor is asked for."""
         sets = sum(len(fields[0][name]) for name in self.context_fields)
-        for block in _blocks(len(fields), sets * assets.class_count):
-            contexts = np.concatenate([self._context(f) for f in fields[block]])
-            feats = np.empty((len(contexts), assets.class_count, assets.cfg.d_feature))
-            assets.text_features(contexts, out=feats)
+        block = max(1, PAIRS_PER_BLOCK // (sets * assets.class_count))
+        for start in range(0, len(fields), block):
+            feats, _ = assets.text_features(
+                np.concatenate([self._context(f) for f in fields[start:start + block]]))
             for f in feats.reshape((-1, sets) + feats.shape[1:]):
                 yield self.predictor(f, assets.cfg.tau)
 
@@ -605,25 +600,10 @@ class ClientRun:
                 float(np.mean(self.losses)) if self.losses else 0.0)
 
 
-def _joined(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays concatenated along their first axis; a lone one as it is."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 # (context, class) pairs per encode call, in prediction and in training. The
 # encoder's cache keeps u, (pairs, d_feature) float64: 8 KB per pair at
-# d_feature 1024. Another value cuts the stacks otherwise, which moves
-# linear_pool's bits.
+# d_feature 1024.
 PAIRS_PER_BLOCK = 256
-
-
-def _blocks(n: int, classes: int) -> list[slice]:
-    """n stacked contexts cut into near-equal blocks of at most
-    `PAIRS_PER_BLOCK` (context, class) pairs, one context at least."""
-    per_block = max(1, PAIRS_PER_BLOCK // classes)
-    count = -(-n // per_block)
-    bounds = [n * i // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 class _Step(NamedTuple):
@@ -809,7 +789,8 @@ class CoCoOpTrainer(LocalTrainer):
 
     def step_contexts(self, params, batch):
         """Every image's conditioned contexts, and the meta-net cache."""
-        return conditioned_contexts(params, unit_rows(batch.features))
+        bias, meta_cache = metanet_forward(params, unit_rows(batch.features))
+        return conditioned_contexts(params["context"], bias), meta_cache
 
     def grad_step(self, params, batch, ctx, feats):
         xh = unit_rows(batch.features)
@@ -833,14 +814,11 @@ class CoCoOpTrainer(LocalTrainer):
         return ConditionedPredictor(assets, payload.fields)
 
 
-def conditioned_contexts(params: dict[str, np.ndarray],
-                         xh: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """The m context sets shifted by each unit image feature's meta-net bias,
-    (B*m, L, d_token) in image order, and the meta-net cache."""
-    context = params["context"]
-    bias, meta_cache = metanet_forward(params, xh)
+def conditioned_contexts(context: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The m context sets `context` (m, L, d_token) shifted by each image's
+    meta-net bias `bias` (B, d_token), (B*m, L, d_token) in image order."""
     shifted = context[None] + bias[:, None, None, :]                    # (B, m, L, d)
-    return shifted.reshape((-1,) + context.shape[1:]), meta_cache
+    return shifted.reshape((-1,) + context.shape[1:])
 
 
 def conditioned_scores(xh: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -851,7 +829,12 @@ def conditioned_scores(xh: np.ndarray, feats: np.ndarray) -> np.ndarray:
 
 
 class ConditionedPredictor:
-    """Image-conditioned prompts, encoded for a block of test images at a time."""
+    """Image-conditioned prompts, encoded for a block of test images at a time.
+
+    The meta-net runs once over every scored image, as its flat products'
+    rows round with their count; the encoder's do not, so an image's
+    scores do not depend on the block it is encoded in.
+    """
 
     def __init__(self, assets: ModelAssets, fields: dict[str, np.ndarray]):
         self.assets = assets
@@ -859,14 +842,15 @@ class ConditionedPredictor:
 
     def probs(self, image_features: np.ndarray, regions) -> np.ndarray:
         xh = unit_rows(image_features)
-        pairs = self.fields["context"].shape[0] * self.assets.class_count
-        block = max(1, PAIRS_PER_BLOCK // pairs)
-        logits = [self._scores(xh[start:start + block]) for start in range(0, len(xh), block)]
+        bias, _ = metanet_forward(self.fields, xh)
+        context = self.fields["context"]
+        block = max(1, PAIRS_PER_BLOCK // (len(context) * self.assets.class_count))
+        logits = []
+        for start in range(0, len(xh), block):
+            feats, _ = self.assets.text_features(
+                conditioned_contexts(context, bias[start:start + block]))
+            logits.append(conditioned_scores(xh[start:start + block], feats))
         return softmax_temp(np.concatenate(logits), self.assets.cfg.tau)
-
-    def _scores(self, xh: np.ndarray) -> np.ndarray:
-        feats, _ = self.assets.text_features(conditioned_contexts(self.fields, xh)[0])
-        return conditioned_scores(xh, feats)
 
 
 class FedOTPTrainer(LocalTrainer):

@@ -7,19 +7,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .vlm import REGION_SPREAD, read_only, row_norms, unit_rows
+from .vlm import read_only, row_blocks, row_norms, unit_rows
 from . import rngs
-
-
-# bytes of float64 rows one block holds: while a noise stream is drawn, and
-# while region features are built (`Regions.blocks`), to their norms, to a
-# step's loss or to transport costs
-_BLOCK_BYTES = 1 << 18
-
-
-def _block_rows(row_shape: tuple[int, ...]) -> int:
-    """Rows of a float64 stream with rows of `row_shape` that one block holds."""
-    return max(1, _BLOCK_BYTES // (8 * int(np.prod(row_shape))))
 
 
 class KeptRows:
@@ -50,17 +39,16 @@ class KeptRows:
         """The kept rows of one sequential standard-normal draw of shape
         (n, *row_shape) from `rng`, (len(ids), *row_shape).
 
-        The stream is drawn in blocks of `_block_rows(row_shape)` rows and
-        stops after the last kept row, so the result equals the same rows of
-        the whole draw and a temporary is one block in size.
+        The stream is drawn in blocks of rows (`vlm.row_blocks`) and stops
+        after the last kept row, so the result equals the same rows of the
+        whole draw and a temporary is one block in size.
         """
         values = np.empty((len(self.ids), *row_shape))
         stop = int(self.ids[-1]) + 1 if len(self.ids) else 0  # no later row is kept
-        step = _block_rows(row_shape)
-        for start in range(0, stop, step):
-            drawn = rng.normal(size=(min(step, stop - start), *row_shape))
-            lo, hi = np.searchsorted(self.ids, (start, start + len(drawn)))
-            values[lo:hi] = drawn[self.ids[lo:hi] - start]
+        for block in row_blocks(stop, row_shape):
+            drawn = rng.normal(size=(block.stop - block.start, *row_shape))
+            lo, hi = np.searchsorted(self.ids, (block.start, block.stop))
+            values[lo:hi] = drawn[self.ids[lo:hi] - block.start]
         return values
 
 
@@ -162,19 +150,23 @@ class RegionNoise:
         return self._values
 
 
+# the noise scale of a region feature about its image feature
+REGION_SPREAD = 0.1
+
+
 @dataclass(frozen=True)
 class Regions:
     """The region features of a slice's rows, kept as what builds them.
 
     Row i's M region features are the slice's image feature i plus
     `REGION_SPREAD` times row `at[i]` of the kept region noise `noise`,
-    each divided by its norm `norms[i, m]`: the bits of
-    `vlm.synth_local_features` of that feature and noise row. `build` makes
-    any block of rows' features where they are read, from the slice's
-    image features; a row's features depend on that row alone, so a
-    block's rows equal the same rows of the whole slice's. What a slice
-    keeps is its positions and norms, (n,) and (n, M, 1); `noise` is the
-    run's (`RegionNoise.values`), shared, not copied.
+    each divided by its norm `norms[i, m]`. `build`, the package's one
+    builder of region features, makes any block of rows' features where
+    they are read, from the slice's image features; a row's features
+    depend on that row alone, so a block's rows equal the same rows of
+    the whole slice's. What a slice keeps is its positions and norms, (n,)
+    and (n, M, 1); `noise` is the run's (`RegionNoise.values`), shared,
+    not copied.
     """
 
     noise: np.ndarray  # (K, M, d)
@@ -199,9 +191,8 @@ class Regions:
         return len(self.at)
 
     def blocks(self) -> list[slice]:
-        """The rows, cut into consecutive blocks of `_block_rows` rows."""
-        step = _block_rows(self.noise.shape[1:])
-        return [slice(start, start + step) for start in range(0, len(self), step)]
+        """The rows, cut into consecutive blocks (`vlm.row_blocks`)."""
+        return row_blocks(len(self), self.noise.shape[1:])
 
     def take(self, at) -> "Regions":
         """The regions of the rows at positions `at`."""

@@ -184,13 +184,13 @@ class FrozenTextEncoder:
         head = (X.sum(axis=1) / S) @ w["w_out"].T + w["b_out"]
         return ClassRows(L=L, S=S, head=head, **attention)
 
-    def encode(self, contexts: np.ndarray, rows: ClassRows,
-               out: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
-        """Unit features (n, C, d_feature) of every (context, class) sequence,
-        written into `out` when it is given.
+    def encode(self, contexts: np.ndarray, rows: ClassRows) -> tuple[np.ndarray, tuple]:
+        """Unit features (n, C, d_feature) of every (context, class) sequence.
 
         `contexts` stacks n prompt contexts (n, L, d_token); `rows` holds the
-        frozen rows of the C classes (see `class_rows`).
+        frozen rows of the C classes (see `class_rows`). A context's features,
+        and its gradient in `backward`, are the same bits whatever other
+        contexts are stacked with it (`_padded_product`).
         """
         contexts = np.asarray(contexts, dtype=np.float64)
         # linear_pool would divide by the wrong S without a word
@@ -207,7 +207,7 @@ class FrozenTextEncoder:
         with np.errstate(over="ignore", invalid="ignore"):
             if attention:
                 X = (contexts + rows.context_pos).reshape(n * L, d)
-                Q, K, V = (X @ w[name] for name in ("wq", "wk", "wv"))
+                Q, K, V = (_padded_product(X, w[name]) for name in ("wq", "wk", "wv"))
                 # scores of all C sequences from four blocks; the context-context
                 # block is shared by every class, the class-class block is cached
                 scores = np.empty((n, C, S, S))
@@ -230,21 +230,19 @@ class FrozenTextEncoder:
                 ab = np.empty((n, C, S + 1))  # [1, a_bar]
                 ab[..., 0] = 1.0
                 np.mean(A, axis=2, out=ab[..., 1:])
-                # one product of all n (L + 1) rows: the n sum rows alone would be
-                # a matrix-vector product at n = 1, rounding otherwise
                 R = np.empty((n, L + 1, d))
                 R[:, 0] = X.reshape(n, L, d).sum(axis=1) / S
                 R[:, 1:] = V.reshape(n, L, d)
-                G = (R.reshape(n * (L + 1), d) @ w["w_out"].T).reshape(n, L + 1, -1)
+                G = _padded_product(R.reshape(n * (L + 1), d), w["w_out"].T).reshape(n, L + 1, -1)
                 attn_cache = (Q3, K3, A, ab)
             else:
-                G = (contexts.sum(axis=1) / S) @ w["w_out"].T
+                G = _padded_product(contexts.sum(axis=1) / S, w["w_out"].T)
                 attn_cache = None
             # z block by block, then u = tanh(z) in place and the norms of u
             u = np.empty((n, C, self.d_feature))
             norms = np.empty((n, C, 1))
-            t = np.empty_like(u) if out is None else out
-            for block in _head_blocks(u):
+            t = np.empty_like(u)
+            for block in row_blocks(n, u.shape[1:]):
                 ub = u[block]
                 if attention:
                     np.matmul(ab[block, :, :L + 1], G[block], out=ub)
@@ -294,7 +292,7 @@ class FrozenTextEncoder:
             Q, K, A, ab = attn_cache
             dG = np.empty((n, L + 1, self.d_feature))
             da_bar = np.empty((n, C, S))
-        for block in _head_blocks(u):
+        for block in row_blocks(len(u), u.shape[1:]):
             ub = u[block]
             tb = np.divide(ub, norms[block])
             dtanh = np.multiply(ub, ub)
@@ -317,10 +315,11 @@ class FrozenTextEncoder:
                 for r in range(T):
                     np.add.reduce(du * rows.v_out[:, r], axis=-1, out=da_bar[at, :, L + r])
         if linear:
-            dpooled = dz @ w["w_out"] / S
+            dpooled = _padded_product(dz, w["w_out"]) / S
             return np.repeat(dpooled[:, None, :], L, axis=1)
         # the gradient of R = [sum(X) / S; V], in one product
-        dR = (dG.reshape(n * (L + 1), self.d_feature) @ w["w_out"]).reshape(n, L + 1, d)
+        dR = _padded_product(dG.reshape(n * (L + 1), self.d_feature), w["w_out"]) \
+            .reshape(n, L + 1, d)
         # every query row of A receives the same gradient da_bar / S
         dA = da_bar[:, :, None, :] / S
         dscores = A * (dA - (A * dA).sum(axis=-1, keepdims=True)) / np.sqrt(d)
@@ -329,8 +328,9 @@ class FrozenTextEncoder:
             @ rows.k.reshape(C * T, d)
         dK = shared.transpose(0, 2, 1) @ Q + dscores[:, :, L:, :L].transpose(0, 3, 1, 2) \
             .reshape(n, L, C * T) @ rows.q.reshape(C * T, d)
-        dX = (dQ.reshape(n * L, d) @ w["wq"].T + dK.reshape(n * L, d) @ w["wk"].T
-              + dR[:, 1:].reshape(n * L, d) @ w["wv"].T).reshape(n, L, d)
+        dX = (_padded_product(dQ.reshape(n * L, d), w["wq"].T)
+              + _padded_product(dK.reshape(n * L, d), w["wk"].T)
+              + _padded_product(dR[:, 1:].reshape(n * L, d), w["wv"].T)).reshape(n, L, d)
         return dX + (dR[:, 0] / S)[:, None, :]
 
 
@@ -347,15 +347,38 @@ def repeat_cache(cache: tuple, k: int) -> tuple:
     return rows, u, norms, G, tiled, copies * k
 
 
-def _head_blocks(u: np.ndarray):
-    """Slices of consecutive contexts of u (n, C, d_feature), each about
-    `_HEAD_BLOCK_SCALARS` scalars, so that the head's temporaries stay in cache."""
-    step = max(1, _HEAD_BLOCK_SCALARS // max(1, math.prod(u.shape[1:])))
-    return [slice(start, start + step) for start in range(0, len(u), step)]
+def _padded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D `a`, its rows zero-padded to a multiple of `_ROW_TILE`
+    for the product and the padding sliced off. A BLAS kernel rounds a row
+    by the tile it falls in, and a matrix-vector product rounds otherwise
+    again; padded, a row's bits do not depend on how many rows share the
+    product, so a context encodes alike alone or in any stack."""
+    n = len(a)
+    if n % _ROW_TILE == 0:
+        return a @ b
+    padded = np.zeros((n + (-n) % _ROW_TILE, a.shape[1]))
+    padded[:n] = a
+    return (padded @ b)[:n]
 
 
-# 256 KB of float64 per block
-_HEAD_BLOCK_SCALARS = 32768
+# the rows a BLAS micro-kernel tiles a product's rows by (Goto and van de
+# Geijn, ACM TOMS 2008)
+_ROW_TILE = 8
+
+
+def row_blocks(n: int, row_shape: tuple[int, ...]) -> list[slice]:
+    """The rows 0..n-1 of a float64 array with rows of `row_shape`, cut
+    into consecutive blocks of `_BLOCK_BYTES` (the last one shorter), so
+    that a block's temporaries stay in cache."""
+    step = max(1, _BLOCK_BYTES // (8 * max(1, math.prod(row_shape))))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+# bytes of float64 rows one block holds: in the encoder head, while a noise
+# stream is drawn (`data.KeptRows.normal`) and while region features are
+# built (`data.Regions.blocks`), to their norms, to a step's loss or to
+# transport costs
+_BLOCK_BYTES = 1 << 18
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -364,29 +387,13 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
 
 
-def unit_rows(x: np.ndarray, what: str = "features") -> np.ndarray:
+def unit_rows(x: np.ndarray) -> np.ndarray:
     """Row-normalise, rejecting zero rows."""
     x = np.asarray(x, dtype=np.float64)
     norms = row_norms(x)
     if np.any(norms == 0.0):
-        raise DomainError(f"{what} contain a zero row")
+        raise DomainError("features contain a zero row")
     return x / norms
-
-
-# the noise scale of a region feature about its image feature
-REGION_SPREAD = 0.1
-
-
-def synth_local_features(image_features: np.ndarray, noise: np.ndarray,
-                         spread: float = REGION_SPREAD) -> np.ndarray:
-    """Unit-norm perturbed views of global features (region surrogate).
-
-    `image_features` (..., d) and `noise` (..., M, d) give (..., M, d): row
-    m of feature f is `f + spread * noise[m]`, normalised.
-    """
-    base = np.asarray(image_features, dtype=np.float64)
-    return unit_rows(base[..., None, :] + spread * np.asarray(noise, dtype=np.float64),
-                     "local features")
 
 
 @dataclass(frozen=True)
@@ -419,12 +426,10 @@ class ModelAssets:
         return replace(self, class_rows=self.class_rows.take(ids),
                        hand_features=read_only(self.hand_features[ids]), class_ids=ids, whole=self)
 
-    def text_features(self, contexts: np.ndarray,
-                      out: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
+    def text_features(self, contexts: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Unit features (n, C, d_feature) of n contexts (n, L, d_token) under these
-        assets' classes (written into `out` when given), with the cache
-        `encoder.backward` takes."""
-        return self.encoder.encode(contexts, self.class_rows, out)
+        assets' classes, with the cache `encoder.backward` takes."""
+        return self.encoder.encode(contexts, self.class_rows)
 
     @functools.cached_property
     def reference_features(self) -> np.ndarray:

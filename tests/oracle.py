@@ -7,8 +7,10 @@ client. The package computes these in batched form (`softmax_ce_batch`,
 `ModelAssets.text_features`, `payload_scalars`, `transport_probs`, one
 `probs` call over every client's rows, per-client text features encoded
 while they are scored); these plain forms are what the tests compare it
-against. Also the regions of given image features and noise rows, the
-transport loss with its plan gradient in one three-operand contraction, a
+against. Also the region features of image features and noise rows in one
+expression (the reference for `data.Regions.build`) and the `Regions` of
+given image features and noise rows, the transport loss with its plan
+gradient in one three-operand contraction, a
 loss kernel's gradient w.r.t. the context it encodes, a trainer with other
 loss weights, zero-shot accuracy on a plain feature set, a
 feature-table writer, the plane-by-plane rotation loop that `data._rotate_planes`
@@ -31,14 +33,8 @@ import pytest
 
 from fedprompt import algorithms
 from fedprompt import rngs
-from fedprompt.algorithms import (
-    CosinePredictor,
-    TransportPredictor,
-    _blocks,
-    make_trainer,
-    transport_costs,
-)
-from fedprompt.data import ClientDataset, MasterDataset, Regions, _rotate_planes
+from fedprompt.algorithms import CosinePredictor, TransportPredictor, make_trainer, transport_costs
+from fedprompt.data import REGION_SPREAD, ClientDataset, MasterDataset, Regions, _rotate_planes
 from fedprompt.errors import DomainError
 from fedprompt.evaluation import build_run_state, evaluate_predictor, run_cell
 from fedprompt.numerics import CROSS_ENTROPY_CAP, _check_finite, softmax_ce_batch, softmax_temp
@@ -155,6 +151,18 @@ def metanet_param_count(cfg) -> int:
     return h * di + h + dt * h + dt
 
 
+def synth_local_features(image_features: np.ndarray, noise: np.ndarray,
+                         spread: float = REGION_SPREAD) -> np.ndarray:
+    """Unit-norm perturbed views of global features, in one expression: the
+    bit oracle of `Regions.build`.
+
+    `image_features` (..., d) and `noise` (..., M, d) give (..., M, d): row
+    m of feature f is `f + spread * noise[m]`, normalised.
+    """
+    base = np.asarray(image_features, dtype=np.float64)
+    return unit_rows(base[..., None, :] + spread * np.asarray(noise, dtype=np.float64))
+
+
 def regions_of(images: np.ndarray, noise: np.ndarray) -> Regions:
     """The regions of image features `images` (n, d), row i over the noise
     row `noise[i]` (n, M, d)."""
@@ -164,14 +172,12 @@ def regions_of(images: np.ndarray, noise: np.ndarray) -> Regions:
 def stacked_client_predictors(trainer, payload, assets, held) -> list[TransportPredictor]:
     """Every held client's transport predictor, from one (clients, sets, C, d)
     stack of text features: each client's fields stacked on the payload's,
-    the stacks encoded in `_blocks` of clients as a training step's are."""
-    fields = [{**payload.fields, **state.local_fields} for state, _ in held]
-    sets = sum(len(fields[0][name]) for name in trainer.context_fields)
-    feats = np.empty((len(held), sets, assets.class_count, assets.cfg.d_feature))
-    for block in _blocks(len(held), sets * assets.class_count):
-        contexts = np.concatenate([trainer._context(f) for f in fields[block]])
-        assets.text_features(contexts, out=feats[block].reshape((-1,) + feats.shape[2:]))
-    return [trainer.predictor(f, assets.cfg.tau) for f in feats]
+    every client's stack encoded in one call."""
+    contexts = np.concatenate([trainer._context({**payload.fields, **state.local_fields})
+                               for state, _ in held])
+    feats, _ = assets.text_features(contexts)
+    return [trainer.predictor(f, assets.cfg.tau)
+            for f in feats.reshape((len(held), -1) + feats.shape[1:])]
 
 
 def stacked_per_client_probs(predictors, rows, local_maps: np.ndarray) -> np.ndarray:

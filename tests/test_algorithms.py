@@ -223,11 +223,11 @@ class TestCoCoOpBatched:
         expected = softmax_temp(per_image_cocoop(assets, params, xh, np.zeros(7, int))[1],
                                 assets.cfg.tau)
         whole = ConditionedPredictor(assets, params).probs(xh, None)
-        # three images per encode call: blocks of 3, 3 and 1
+        # three images per encode call: blocks of 3, 3 and 1, with the bits of one block
         monkeypatch.setattr("fedprompt.algorithms.PAIRS_PER_BLOCK", 3 * 2 * 4)
         blocked = ConditionedPredictor(assets, params).probs(xh, None)
         np.testing.assert_allclose(whole, expected, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(blocked, expected, rtol=0, atol=1e-12)
+        assert blocked.tobytes() == whole.tobytes()
 
 
 class TestLossGradients:
@@ -551,7 +551,7 @@ class TestPerClientPredictor:
     """A personalized predictor encodes its clients while it scores, and
     scores as the stacked features of every client would."""
 
-    CLIENTS = 30  # 20 (set, class) pairs per client: three encoder blocks of clients
+    CLIENTS = 30  # 20 (set, class) pairs per client: encoder blocks of 12, 12 and 6 clients
 
     def _held(self, trainer, cfg):
         rng = np.random.default_rng(11)
@@ -564,7 +564,7 @@ class TestPerClientPredictor:
 
     @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
     def test_streamed_equals_stacked_features(self, variant, monkeypatch):
-        from fedprompt import data
+        from fedprompt import vlm
 
         cfg = small_config(variant, d_feature=64, d_image=64)
         assets = build_assets(cfg, 10)
@@ -577,7 +577,7 @@ class TestPerClientPredictor:
         expected = stacked_per_client_probs(stacked, predictor.rows, regions.build(images))
         assert predictor.probs(images, regions).tobytes() == expected.tobytes()
         # region blocks of three rows, which cut across the clients' blocks
-        monkeypatch.setattr(data, "_BLOCK_BYTES", 3 * 4 * cfg.d_image * 8)
+        monkeypatch.setattr(vlm, "_BLOCK_BYTES", 3 * 4 * cfg.d_image * 8)
         assert predictor.probs(images, regions).tobytes() == expected.tobytes()
 
     def test_encodes_a_block_of_clients_at_a_time(self, monkeypatch):
@@ -591,13 +591,14 @@ class TestPerClientPredictor:
         encoded = []
         text_features = type(assets).text_features
         monkeypatch.setattr(type(assets), "text_features",
-                            lambda self, contexts, out=None: encoded.append(len(contexts))
-                            or text_features(self, contexts, out))
+                            lambda self, contexts: encoded.append(len(contexts))
+                            or text_features(self, contexts))
         made = predictor.predictors()
         assert encoded == []
         next(made)
-        assert encoded == [20]  # 10 clients' [consensus; local] contexts
-        assert len(list(made)) == self.CLIENTS - 1 and encoded == [20, 20, 20]
+        # the 12 clients whose 240 pairs fit in 256: their [consensus; local] contexts
+        assert encoded == [24]
+        assert len(list(made)) == self.CLIENTS - 1 and encoded == [24, 24, 12]
 
 
 class TestTransportGradientSurrogate:

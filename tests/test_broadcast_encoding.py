@@ -59,9 +59,9 @@ def _record_encodes(monkeypatch) -> list[np.ndarray]:
     contexts = []
     encode = FrozenTextEncoder.encode
 
-    def recording_encode(self, contexts_in, rows, out=None):
+    def recording_encode(self, contexts_in, rows):
         contexts.append(np.array(contexts_in))
-        return encode(self, contexts_in, rows, out)
+        return encode(self, contexts_in, rows)
 
     monkeypatch.setattr(FrozenTextEncoder, "encode", recording_encode)
     return contexts
@@ -116,9 +116,8 @@ class TestCellEncodes:
         original = algorithms.conditioned_contexts
 
         def recording_contexts(*args, **kwargs):
-            shifted, meta_cache = original(*args, **kwargs)
-            conditioned.append(shifted)
-            return shifted, meta_cache
+            conditioned.append(original(*args, **kwargs))
+            return conditioned[-1]
 
         monkeypatch.setattr(algorithms, "conditioned_contexts", recording_contexts)
         run_cell(state, "global", "cocoop", "synthetic", 0)

@@ -26,11 +26,17 @@ from fedprompt.data import (
     RegionNoise,
     stratified_split,
 )
-from oracle import rotate_planes_loop, save_feature_table, shift_whole_master, uncut_slice
+from oracle import (
+    rotate_planes_loop,
+    save_feature_table,
+    shift_whole_master,
+    synth_local_features,
+    uncut_slice,
+)
 from fedprompt.algorithms import region_costs, transport_costs
 from fedprompt.errors import ConfigError, DataError, DomainError
-from fedprompt.vlm import synth_local_features, unit_rows
-from fedprompt import rngs
+from fedprompt.vlm import unit_rows
+from fedprompt import rngs, vlm
 
 
 def traced_peak(call) -> int:
@@ -363,7 +369,7 @@ class TestShiftedRows:
 
     def test_two_seed_union_of_test_rows(self, monkeypatch):
         # the test rows of seeds 0 and 1, noise drawn in blocks of three rows
-        monkeypatch.setattr(data, "_BLOCK_BYTES", 3 * 33 * 8)
+        monkeypatch.setattr(vlm, "_BLOCK_BYTES", 3 * 33 * 8)
         ds = self.dataset(33)
         tests = [stratified_split(ds.labels, (0.7, 0.1, 0.2), rngs.derive_rng(s, rngs.TVT))[2]
                  for s in (0, 1)]
@@ -441,10 +447,10 @@ class TestLocalMaps:
     def test_maps_built_in_blocks_match_per_sample_draws(self, master, monkeypatch):
         # two rows a block: the stream is drawn, and a 5-row slice's norms
         # taken, in blocks
-        monkeypatch.setattr(data, "_BLOCK_BYTES", 2 * 3 * 5 * 8)
+        monkeypatch.setattr(vlm, "_BLOCK_BYTES", 2 * 3 * 5 * 8)
         rows = np.array([5, 0, 3, 1, 4])
         table = keep_rows(master, 3, rows)
-        assert data._block_rows((3, 5)) == 2
+        assert vlm.row_blocks(5, (3, 5)) == [slice(0, 2), slice(2, 4), slice(4, 5)]
         [got] = local_maps(master, 3, [rows], table)
         np.testing.assert_array_equal(got, per_sample_maps(master.features, 3)[rows])
 
@@ -581,7 +587,7 @@ class TestCutDataset:
 
 class TestRegionBlocks:
     """Any block of rows' region features, built at any block size, equals
-    the same rows of the whole slice's, bit for bit: of `vlm.synth_local_features`
+    the same rows of the whole slice's, bit for bit: of `oracle.synth_local_features`
     over the slice at once."""
 
     M, N_ROWS = 3, 23
@@ -609,7 +615,7 @@ class TestRegionBlocks:
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 23, 64])
     def test_blocks_and_subsets_equal_the_whole(self, master, monkeypatch, block):
-        monkeypatch.setattr(data, "_BLOCK_BYTES", block * self.M * 7 * 8)
+        monkeypatch.setattr(vlm, "_BLOCK_BYTES", block * self.M * 7 * 8)
         table = keep_rows(master, self.M)
         rng = np.random.default_rng(block)
         for part in master.ensure_local_maps(self.M, self.slices(master), table):
@@ -634,7 +640,7 @@ class TestRegionBlocks:
         n, M, d = 40, 4, 512
         master = MasterDataset(features=unit_rows(rng.normal(size=(n, d))),
                                labels=np.zeros(n, dtype=np.int64), class_count=1)
-        monkeypatch.setattr(data, "_BLOCK_BYTES", block * M * d * 8)
+        monkeypatch.setattr(vlm, "_BLOCK_BYTES", block * M * d * 8)
         table = keep_rows(master, M)
         [part] = master.ensure_local_maps(M, [ClientDataset.from_master(master, np.arange(n))],
                                           table)

@@ -127,6 +127,21 @@ def test_grid_matches_golden_files(grid, tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / grid / name).read_bytes(), name + cores
 
 
+def run_child(code: str, *args: str, **env: str) -> str:
+    """The last line that `code` prints, run with `args` in a new Python
+    process that imports these tests and the package, with `env` added to
+    its environment. OPENBLAS_CORETYPE is unset unless `env` sets it, so
+    that `env` alone chooses the child's OpenBLAS core."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    tests = Path(__file__).resolve().parent
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests), str(tests.parent / "src"),
+                                                          environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code, *args], env={**environ, **env},
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip().splitlines()[-1]
+
+
 CHILD = """
 import sys
 from test_golden_grid import openblas_core, run_grid
@@ -138,20 +153,9 @@ print(openblas_core())
 def test_result_files_do_not_depend_on_the_blas_kernels(tmp_path):
     # the linear_pool grid in two processes: the default OpenBLAS core and
     # another one, chosen by OPENBLAS_CORETYPE in the second child only
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    tests = Path(__file__).resolve().parent
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests), str(tests.parent / "src"),
-                                                      env.get("PYTHONPATH")]))
-
-    def child(name: str, **extra) -> str:
-        result = subprocess.run([sys.executable, "-c", CHILD, "linear_pool", str(tmp_path / name)],
-                                env={**env, **extra}, capture_output=True, text=True,
-                                timeout=300)
-        assert result.returncode == 0, result.stderr
-        return result.stdout.strip().splitlines()[-1]
-
-    default = child("default")
-    other = child("other", OPENBLAS_CORETYPE="Sandybridge" if default == "Haswell" else "Haswell")
+    default = run_child(CHILD, "linear_pool", str(tmp_path / "default"))
+    other = run_child(CHILD, "linear_pool", str(tmp_path / "other"),
+                      OPENBLAS_CORETYPE="Sandybridge" if default == "Haswell" else "Haswell")
     if other == default:
         pytest.skip(f"both children ran the {default} kernels: OPENBLAS_CORETYPE cannot "
                     "switch this BLAS (it is not a DYNAMIC_ARCH OpenBLAS), so the test "

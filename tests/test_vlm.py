@@ -1,5 +1,6 @@
 """Frozen encoder, class tokens, prediction head, and prompt gradients."""
 
+import json
 from dataclasses import fields, replace
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 import vlm_oracle
 from conftest import random_unit_batch, small_config
-from oracle import cosine_similarity, finite_diff_gradient, relative_error
-from test_golden_grid import openblas_core
+from oracle import cosine_similarity, finite_diff_gradient, relative_error, synth_local_features
+from test_golden_grid import openblas_core, run_child
 from vlm_oracle import class_rows_digest, encoder_digest, predict, prompt_gradients
 from fedprompt.data import ClientDataset
 from fedprompt.errors import ConfigError, DomainError
@@ -21,7 +22,6 @@ from fedprompt.vlm import (
     build_prompt_context,
     class_tokens,
     repeat_cache,
-    synth_local_features,
     unit_rows,
 )
 
@@ -175,6 +175,40 @@ class TestEncoder:
             encoder_digest(FrozenTextEncoder(cfg))
 
 
+# (encoder, tokens, classes, n_class_tokens) of the stack test, and its stack sizes
+STACK_CASES = [(encoder, tokens, classes, 1) for encoder in ("linear_pool", "attention_block")
+               for tokens in (1, 2, 4) for classes in (4, 10, 100)] \
+    + [(encoder, 4, 10, 2) for encoder in ("linear_pool", "attention_block")]
+STACK_SIZES = (2, 3, 5, 8, 17, 25)
+
+
+def stack_mismatches(encoder: str, tokens: int, classes: int, n_class_tokens: int) -> int:
+    """How many contexts of n-stacks (n in `STACK_SIZES`) differ from their
+    single encode, forward or backward, at the default widths."""
+    assets = build_assets(ModelConfig(encoder=encoder, tokens=tokens,
+                                      n_class_tokens=n_class_tokens), classes)
+    cfg = assets.cfg
+    rng = np.random.default_rng([tokens, classes, n_class_tokens])
+    contexts = rng.normal(size=(max(STACK_SIZES), tokens, cfg.d_token)) * cfg.init_std
+    dfeatures = rng.normal(size=(max(STACK_SIZES), classes, cfg.d_feature))
+
+    def encoded(n: int, first: int = 0) -> list[tuple[bytes, bytes]]:
+        feats, cache = assets.text_features(contexts[first:first + n])
+        grads = assets.encoder.backward(cache, dfeatures[first:first + n])
+        return [(f.tobytes(), g.tobytes()) for f, g in zip(feats, grads)]
+
+    alone = [encoded(1, first)[0] for first in range(max(STACK_SIZES))]
+    return sum(got != want for n in STACK_SIZES for got, want in zip(encoded(n), alone))
+
+
+STACK_CHILD = """
+import json
+from test_golden_grid import openblas_core, run_child
+from test_vlm import STACK_CASES, stack_mismatches
+print(json.dumps([openblas_core(), {str(case): stack_mismatches(*case) for case in STACK_CASES}]))
+"""
+
+
 class TestStructuredEncoder:
     """The fast path against the per-sequence oracle in `vlm_oracle`."""
 
@@ -213,28 +247,16 @@ class TestStructuredEncoder:
         subset, _ = assets.for_classes(ids).text_features(contexts)
         np.testing.assert_allclose(subset, full[:, ids], rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("n_class_tokens", [1, 2])
-    @pytest.mark.parametrize("classes", [4, 10, 100])
-    def test_a_stack_encodes_each_context_as_alone(self, classes, n_class_tokens):
-        # at the paper's widths, forward and backward: a context's rows of an
-        # n-stack depend on no other context; under other kernels a flat
-        # product's rows may round with the row count
-        if openblas_core() != "SkylakeX":
-            pytest.skip(f"bitwise under the SkylakeX OpenBLAS kernels only, not {openblas_core()}")
-        assets = build_assets(ModelConfig(encoder="attention_block",
-                                          n_class_tokens=n_class_tokens), classes)
-        cfg, encoder = assets.cfg, assets.encoder
-        rng = np.random.default_rng(classes + n_class_tokens)
-        contexts = rng.normal(size=(64, cfg.tokens, cfg.d_token)) * cfg.init_std
-        dfeatures = rng.normal(size=(64, classes, cfg.d_feature))
-        alone = []
-        for context, df in zip(contexts, dfeatures):
-            feats, cache = assets.text_features(context[None])
-            alone.append((feats.tobytes(), encoder.backward(cache, df[None]).tobytes()))
-        for n in (2, 3, 8, 25, 64):
-            feats, cache = assets.text_features(contexts[:n])
-            grads = encoder.backward(cache, dfeatures[:n])
-            assert [(f.tobytes(), g.tobytes()) for f, g in zip(feats, grads)] == alone[:n], n
+    @pytest.mark.parametrize("core", ["SkylakeX", "Haswell", "Sandybridge", "Prescott"])
+    def test_a_stack_encodes_each_context_as_alone(self, core):
+        # at the paper's widths, forward and backward, under each OpenBLAS
+        # core in a process of its own: a context's rows of an n-stack depend
+        # on no other context
+        ran, mismatches = json.loads(run_child(STACK_CHILD, OPENBLAS_CORETYPE=core))
+        if ran != core and ran == openblas_core():
+            pytest.skip(f"OPENBLAS_CORETYPE={core} ran this process's {ran} kernels: "
+                        "the core cannot be selected here")
+        assert mismatches == {case: 0 for case in mismatches}, ran
 
     def test_context_length_mismatch(self):
         cfg = small_config("attention_block")
