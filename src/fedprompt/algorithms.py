@@ -546,8 +546,9 @@ class LocalTrainer:
         sets = sum(len(fields[0][name]) for name in self.context_fields)
         block = max(1, PAIRS_PER_BLOCK // (sets * assets.class_count))
         for start in range(0, len(fields), block):
-            feats, _ = assets.text_features(
-                np.concatenate([self._context(f) for f in fields[start:start + block]]))
+            # the features alone: the cache is freed before the next block's encode
+            feats = assets.text_features(
+                np.concatenate([self._context(f) for f in fields[start:start + block]]))[0]
             for f in feats.reshape((-1, sets) + feats.shape[1:]):
                 yield self.predictor(f, assets.cfg.tau)
 
@@ -843,14 +844,14 @@ class ConditionedPredictor:
     def probs(self, image_features: np.ndarray, regions) -> np.ndarray:
         xh = unit_rows(image_features)
         bias, _ = metanet_forward(self.fields, xh)
-        context = self.fields["context"]
-        block = max(1, PAIRS_PER_BLOCK // (len(context) * self.assets.class_count))
-        logits = []
-        for start in range(0, len(xh), block):
-            feats, _ = self.assets.text_features(
-                conditioned_contexts(context, bias[start:start + block]))
-            logits.append(conditioned_scores(xh[start:start + block], feats))
+        block = max(1, PAIRS_PER_BLOCK // (len(self.fields["context"]) * self.assets.class_count))
+        logits = [self._scores(xh[start:start + block], bias[start:start + block])
+                  for start in range(0, len(xh), block)]
         return softmax_temp(np.concatenate(logits), self.assets.cfg.tau)
+
+    def _scores(self, xh: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        feats, _ = self.assets.text_features(conditioned_contexts(self.fields["context"], bias))
+        return conditioned_scores(xh, feats)
 
 
 class FedOTPTrainer(LocalTrainer):

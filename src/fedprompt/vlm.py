@@ -352,7 +352,11 @@ def _padded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for the product and the padding sliced off. A BLAS kernel rounds a row
     by the tile it falls in, and a matrix-vector product rounds otherwise
     again; padded, a row's bits do not depend on how many rows share the
-    product, so a context encodes alike alone or in any stack."""
+    product, so a context encodes alike alone or in any stack. One case is
+    left: under the `SkylakeX` OpenBLAS kernels, a product with a transposed
+    `b` of 32 or more rows whose padded rows times its columns are at most
+    1200 takes a small-matrix kernel that rounds by the row count, which
+    widths from 32 to about 150 reach and the paper's widths do not."""
     n = len(a)
     if n % _ROW_TILE == 0:
         return a @ b
