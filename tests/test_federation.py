@@ -379,7 +379,7 @@ class TestLockstepRound:
             calls.clear()
             broadcasts, losses, clients = self._rounds(trainer_class, assets, lockstep=True)
             counts = calls.count("encode"), calls.count("backward")
-            # three rows a client: held clients' blocks of 1, 2 and 3 clients
+            # three rows a client; the three values encode 1, 2 and 3 held clients a block
             held = ([(c.state, 3) for c in clients]
                     if any(c.state.local_fields for c in clients) else None)
             probs = trainer.build_predictor(broadcasts[-1], assets, held).probs(images, regions)
