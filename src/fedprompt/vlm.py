@@ -208,28 +208,34 @@ class FrozenTextEncoder:
             if attention:
                 X = (contexts + rows.context_pos).reshape(n * L, d)
                 Q, K, V = (_padded_product(X, w[name]) for name in ("wq", "wk", "wv"))
-                # scores of all C sequences from four blocks; the context-context
-                # block is shared by every class, the class-class block is cached
-                scores = np.empty((n, C, S, S))
                 Q3, K3 = Q.reshape(n, L, d), K.reshape(n, L, d)
-                scores[:, :, :L, :L] = (Q3 @ K3.transpose(0, 2, 1) / np.sqrt(d))[:, None]
-                # one product per context, whose rows do not depend on n
-                scores[:, :, :L, L:] = (Q3 @ rows.k.reshape(C * T, d).T / np.sqrt(d)) \
-                    .reshape(n, L, C, T).transpose(0, 2, 1, 3)
-                scores[:, :, L:, :L] = (K3 @ rows.q.reshape(C * T, d).T / np.sqrt(d)) \
-                    .reshape(n, L, C, T).transpose(0, 2, 3, 1)
-                scores[:, :, L:, L:] = rows.scores
-                scores -= scores.max(axis=-1, keepdims=True)
-                A = np.exp(scores)
-                A /= A.sum(axis=-1, keepdims=True)
                 # the head mean-pools Y = X + A V before its linear map, so a
                 # pair's z = [1, a_bar[:L]] G + head + sum_t a_bar[L + t] v_out[t],
                 # with a_bar the mean of A's query rows and G = [sum(X) / S; V]
                 # w_out^T: each context's L + 1 rows are projected once, not
                 # once per class
+                A = np.empty((n, C, S, S))
                 ab = np.empty((n, C, S + 1))  # [1, a_bar]
                 ab[..., 0] = 1.0
-                np.mean(A, axis=2, out=ab[..., 1:])
+                # A block by block of contexts, softmaxed in place, so that the
+                # temporaries stay a block's
+                for block in row_blocks(n, A.shape[1:]):
+                    scores, m = A[block], block.stop - block.start
+                    # scores of all C sequences from four blocks; the context-
+                    # context block is shared by every class, the class-class
+                    # block is cached
+                    scores[:, :, :L, :L] = (Q3[block] @ K3[block].transpose(0, 2, 1)
+                                            / np.sqrt(d))[:, None]
+                    # one product per context, whose rows do not depend on n
+                    scores[:, :, :L, L:] = (Q3[block] @ rows.k.reshape(C * T, d).T / np.sqrt(d)) \
+                        .reshape(m, L, C, T).transpose(0, 2, 1, 3)
+                    scores[:, :, L:, :L] = (K3[block] @ rows.q.reshape(C * T, d).T / np.sqrt(d)) \
+                        .reshape(m, L, C, T).transpose(0, 2, 3, 1)
+                    scores[:, :, L:, L:] = rows.scores
+                    scores -= scores.max(axis=-1, keepdims=True)
+                    np.exp(scores, out=scores)
+                    scores /= scores.sum(axis=-1, keepdims=True)
+                    np.mean(scores, axis=2, out=ab[block, :, 1:])
                 R = np.empty((n, L + 1, d))
                 R[:, 0] = X.reshape(n, L, d).sum(axis=1) / S
                 R[:, 1:] = V.reshape(n, L, d)
@@ -320,14 +326,18 @@ class FrozenTextEncoder:
         # the gradient of R = [sum(X) / S; V], in one product
         dR = _padded_product(dG.reshape(n * (L + 1), self.d_feature), w["w_out"]) \
             .reshape(n, L + 1, d)
-        # every query row of A receives the same gradient da_bar / S
-        dA = da_bar[:, :, None, :] / S
-        dscores = A * (dA - (A * dA).sum(axis=-1, keepdims=True)) / np.sqrt(d)
-        shared = dscores[:, :, :L, :L].sum(axis=1)
-        dQ = shared @ K + dscores[:, :, :L, L:].transpose(0, 2, 1, 3).reshape(n, L, C * T) \
-            @ rows.k.reshape(C * T, d)
-        dK = shared.transpose(0, 2, 1) @ Q + dscores[:, :, L:, :L].transpose(0, 3, 1, 2) \
-            .reshape(n, L, C * T) @ rows.q.reshape(C * T, d)
+        # the gradients of Q and K block by block of contexts, as A was formed
+        dQ, dK = np.empty((n, L, d)), np.empty((n, L, d))
+        for block in row_blocks(n, A.shape[1:]):
+            Ab, m = A[block], block.stop - block.start
+            # every query row of A receives the same gradient da_bar / S
+            dA = da_bar[block, :, None, :] / S
+            dscores = Ab * (dA - (Ab * dA).sum(axis=-1, keepdims=True)) / np.sqrt(d)
+            shared = dscores[:, :, :L, :L].sum(axis=1)
+            dQ[block] = shared @ K[block] + dscores[:, :, :L, L:].transpose(0, 2, 1, 3) \
+                .reshape(m, L, C * T) @ rows.k.reshape(C * T, d)
+            dK[block] = shared.transpose(0, 2, 1) @ Q[block] + dscores[:, :, L:, :L] \
+                .transpose(0, 3, 1, 2).reshape(m, L, C * T) @ rows.q.reshape(C * T, d)
         dX = (_padded_product(dQ.reshape(n * L, d), w["wq"].T)
               + _padded_product(dK.reshape(n * L, d), w["wk"].T)
               + _padded_product(dR[:, 1:].reshape(n * L, d), w["wv"].T)).reshape(n, L, d)

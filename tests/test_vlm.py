@@ -13,6 +13,7 @@ from test_golden_grid import openblas_core, run_child
 from vlm_oracle import class_rows_digest, encoder_digest, predict, prompt_gradients
 from fedprompt.data import ClientDataset
 from fedprompt.errors import ConfigError, DomainError
+from fedprompt import vlm
 from fedprompt.numerics import softmax_temp
 from fedprompt.vlm import (
     FrozenTextEncoder,
@@ -178,8 +179,9 @@ class TestEncoder:
 # (encoder, tokens, classes, n_class_tokens) of the stack test, and its stack sizes
 STACK_CASES = [(encoder, tokens, classes, 1) for encoder in ("linear_pool", "attention_block")
                for tokens in (1, 2, 4) for classes in (4, 10, 100)] \
-    + [(encoder, 4, 10, 2) for encoder in ("linear_pool", "attention_block")]
-STACK_SIZES = (2, 3, 5, 8, 17, 25)
+    + [(encoder, 4, classes, 2) for encoder in ("linear_pool", "attention_block")
+       for classes in (4, 10, 100)]
+STACK_SIZES = (2, 3, 5, 8, 17, 25, 64)  # 64: a block of PAIRS_PER_BLOCK pairs at C = 4
 
 
 def stack_mismatches(encoder: str, tokens: int, classes: int, n_class_tokens: int) -> int:
@@ -246,6 +248,28 @@ class TestStructuredEncoder:
         ids = np.array([3, 1])
         subset, _ = assets.for_classes(ids).text_features(contexts)
         np.testing.assert_allclose(subset, full[:, ids], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("variant", ["linear_pool", "attention_block"])
+    def test_any_block_size_gives_the_same_bytes(self, variant, monkeypatch, rng):
+        # the head, and attention_block's scores and their gradient, run a
+        # block of contexts at a time; blocks of 1, of 3 scores and 6 head
+        # rows, and one block for all give the same bytes, forward and back
+        # through the two copies of a `repeat_cache` stack
+        cfg = small_config(variant, n_class_tokens=2)
+        assets = build_assets(cfg, 6)
+        contexts = rng.normal(size=(7, cfg.tokens, cfg.d_token)) * 0.2
+        dfeatures = rng.normal(size=(14, 6, cfg.d_feature))
+
+        def encoded():
+            feats, cache = assets.text_features(contexts)
+            grads = assets.encoder.backward(repeat_cache(cache, 2), dfeatures)
+            return feats.tobytes(), grads.tobytes()
+
+        whole = encoded()
+        S = cfg.tokens + 2
+        for block_bytes in (8, 3 * 6 * S * S * 8):
+            monkeypatch.setattr(vlm, "_BLOCK_BYTES", block_bytes)
+            assert encoded() == whole, block_bytes
 
     @pytest.mark.parametrize("core", ["SkylakeX", "Haswell", "Sandybridge", "Prescott"])
     def test_a_stack_encodes_each_context_as_alone(self, core):
